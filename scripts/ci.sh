@@ -44,6 +44,13 @@ echo "== membership suite, both engine cores (MAD_SOAK_SEED=20010914)"
 MAD_SOAK_SEED=20010914 cargo test -q --offline --release --test membership
 MAD_SOAK_SEED=20010914 MAD_ENGINE=reactor cargo test -q --offline --release --test membership
 
+# Modeled-time drift gate: regenerate the CSVs that are a pure function
+# of the source and require them to match results/ byte for byte (the
+# load-sensitive ones are listed, not gated, in the script's header).
+echo
+echo "== results drift (stable modeled-time CSVs vs results/)"
+./scripts/results_drift.sh
+
 # One traced run on each backend (sim, fault-injected sim with a credit
 # window, shm), then validate the exported JSONL against the schema
 # checker: every line must parse, carry the required keys, and keep
