@@ -61,8 +61,11 @@ impl Counter {
 
 /// A signed instantaneous level with a high-water mark. `add`/`set`
 /// keep the peak in step, so a queue-depth gauge reports both the level
-/// right now and the deepest it has ever been.
-#[derive(Debug, Clone)]
+/// right now and the deepest it has ever been. The workspace's one gauge
+/// type: registry gauges come from [`Registry::gauge`], and a subsystem
+/// that keeps its own occupancy level (a gateway's resident bytes) holds
+/// a detached one from `Gauge::default()`.
+#[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<GaugeCell>);
 
 #[derive(Debug, Default)]

@@ -60,9 +60,9 @@ pub struct PathHop {
 /// Invariants: `paths(dest)` is non-empty for reachable destinations,
 /// contains no duplicate `(net, node)` edges, every entry starts a path of
 /// the same (minimum) length, and `paths(dest)[0]` equals the hop the
-/// legacy breadth-first search (`madeleine::routing::compute_routes`)
-/// returns — the anchor that keeps one-path plans byte-identical to the
-/// pre-multipath library.
+/// legacy single-path breadth-first search returns (kept as the reference
+/// oracle in `tests/prop_model.rs`) — the anchor that keeps one-path
+/// plans byte-identical to the pre-multipath library.
 #[derive(Debug, Clone, Default)]
 pub struct RoutePlan {
     paths: BTreeMap<u32, Vec<PathHop>>,

@@ -27,7 +27,7 @@ pub mod schema;
 mod stats;
 
 pub use export::{Snapshot, ThreadSnapshot};
-pub use stats::{ChannelStats, ChannelTotals, Gauge, PeerCounters};
+pub use stats::{ChannelStats, ChannelTotals, PeerCounters};
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -1,62 +1,20 @@
 //! Per-channel traffic counters — the generalization of the gateway's
 //! `GatewayStats` to every channel on every node.
 //!
-//! Counting is always on (it does not require an enabled tracer): the
-//! totals are relaxed atomics and the per-peer map is touched once per
-//! packet, so the cost is negligible next to a conduit send. The
+//! Counting is always on (it does not require an enabled tracer) and sits
+//! on every packet sent or received on every channel, so the hot path is
+//! lock-free: the totals are relaxed atomics, and each peer owns a slot of
+//! relaxed atomics found by a short scan. A channel's peers are known when
+//! it is assembled ([`ChannelStats::with_peers`]) and get their slots
+//! then; a peer first seen later claims one of a few spare slots under a
+//! lock — once — and is lock-free from then on. The
 //! [`ChannelStats::totals`] snapshot is cheap and safe to call mid-run.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::Tracer;
-
-/// A level counter that remembers its high-water mark — occupancy-style
-/// metrics (bytes resident in a gateway, entries in a queue) where the
-/// peak matters as much as the final value.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    current: AtomicI64,
-    peak: AtomicI64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Raise the level by `n`, updating the peak.
-    pub fn add(&self, n: i64) {
-        let now = self.current.fetch_add(n, Ordering::Relaxed) + n;
-        let mut peak = self.peak.load(Ordering::Relaxed);
-        while now > peak {
-            match self
-                .peak
-                .compare_exchange_weak(peak, now, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => peak = seen,
-            }
-        }
-    }
-
-    /// Lower the level by `n`.
-    pub fn sub(&self, n: i64) {
-        self.current.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// The current level.
-    pub fn current(&self) -> i64 {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    /// The highest level ever observed.
-    pub fn peak(&self) -> i64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
 
 /// Byte/packet counters for one peer of a channel.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -84,41 +42,145 @@ pub struct ChannelTotals {
     pub bytes_recv: u64,
 }
 
+/// One peer's lock-free counters.
+#[derive(Debug, Default)]
+struct PeerSlot {
+    /// `peer + 1` once claimed, 0 while free. Slots are claimed in order,
+    /// so the first free one ends a scan.
+    id: AtomicU64,
+    packets_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    packets_recv: AtomicU64,
+    bytes_recv: AtomicU64,
+}
+
+/// Slots kept free for peers not named at construction.
+const SPARE_SLOTS: usize = 8;
+
 /// Per-channel traffic counters, shared by everything that touches the
 /// channel (app threads, gateway polling/forwarding threads).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ChannelStats {
     packets_sent: AtomicU64,
     bytes_sent: AtomicU64,
     packets_recv: AtomicU64,
     bytes_recv: AtomicU64,
-    per_peer: Mutex<BTreeMap<u32, PeerCounters>>,
+    /// One slot per peer named at construction, then [`SPARE_SLOTS`].
+    slots: Box<[PeerSlot]>,
+    /// Serializes late slot claims, and counts the peers that arrived
+    /// after every slot was taken.
+    overflow: Mutex<BTreeMap<u32, PeerCounters>>,
+}
+
+impl Default for ChannelStats {
+    fn default() -> Self {
+        ChannelStats::with_peers(&[])
+    }
 }
 
 impl ChannelStats {
-    /// Fresh zeroed counters.
+    /// Fresh zeroed counters with no peer known in advance.
     pub fn new() -> Self {
         ChannelStats::default()
     }
 
+    /// Fresh zeroed counters with a slot already claimed for each of
+    /// `peers` (a channel's connections, fixed when it is assembled).
+    pub fn with_peers(peers: &[u32]) -> Self {
+        let mut known = peers.to_vec();
+        known.sort_unstable();
+        known.dedup();
+        let slots: Box<[PeerSlot]> = (0..known.len() + SPARE_SLOTS)
+            .map(|_| PeerSlot::default())
+            .collect();
+        for (slot, peer) in slots.iter().zip(known) {
+            slot.id.store(peer as u64 + 1, Ordering::Relaxed);
+        }
+        ChannelStats {
+            packets_sent: AtomicU64::new(0),
+            bytes_sent: AtomicU64::new(0),
+            packets_recv: AtomicU64::new(0),
+            bytes_recv: AtomicU64::new(0),
+            slots,
+            overflow: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The overflow map. Every update under this lock leaves the map
+    /// valid, so a poisoned lock (a panic elsewhere while counting) is
+    /// recovered, not propagated into every later send.
+    fn overflow(&self) -> MutexGuard<'_, BTreeMap<u32, PeerCounters>> {
+        self.overflow.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The claimed slots with their peers, in claim order.
+    fn claimed(&self) -> impl Iterator<Item = (u32, &PeerSlot)> {
+        self.slots
+            .iter()
+            .map_while(|s| match s.id.load(Ordering::Acquire) {
+                0 => None,
+                id => Some(((id - 1) as u32, s)),
+            })
+    }
+
+    /// Apply `hit` to `peer`'s slot (lock-free once the peer has one), or
+    /// `miss` to its overflow entry when every slot is taken.
+    fn count(&self, peer: u32, hit: impl Fn(&PeerSlot), miss: impl Fn(&mut PeerCounters)) {
+        let find = || self.claimed().find(|(p, _)| *p == peer);
+        if let Some((_, slot)) = find() {
+            return hit(slot);
+        }
+        // Never seen before: claim the first free slot. The lock orders
+        // claims; the re-scan catches a claim that raced this one.
+        let mut overflow = self.overflow();
+        if let Some((_, slot)) = find() {
+            return hit(slot);
+        }
+        match self.slots.get(self.claimed().count()) {
+            Some(slot) => {
+                // Release pairs with the Acquire loads in `claimed`: a
+                // reader that sees the id sees a zeroed slot.
+                slot.id.store(peer as u64 + 1, Ordering::Release);
+                hit(slot)
+            }
+            None => miss(overflow.entry(peer).or_default()),
+        }
+    }
+
     /// Count one packet of `bytes` sent to `peer`.
     pub fn on_send(&self, peer: u32, bytes: usize) {
+        let bytes = bytes as u64;
         self.packets_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        let mut map = self.per_peer.lock().unwrap();
-        let c = map.entry(peer).or_default();
-        c.packets_sent += 1;
-        c.bytes_sent += bytes as u64;
+        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+        self.count(
+            peer,
+            |s| {
+                s.packets_sent.fetch_add(1, Ordering::Relaxed);
+                s.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+            },
+            |c| {
+                c.packets_sent += 1;
+                c.bytes_sent += bytes;
+            },
+        );
     }
 
     /// Count one packet of `bytes` received from `peer`.
     pub fn on_recv(&self, peer: u32, bytes: usize) {
+        let bytes = bytes as u64;
         self.packets_recv.fetch_add(1, Ordering::Relaxed);
-        self.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
-        let mut map = self.per_peer.lock().unwrap();
-        let c = map.entry(peer).or_default();
-        c.packets_recv += 1;
-        c.bytes_recv += bytes as u64;
+        self.bytes_recv.fetch_add(bytes, Ordering::Relaxed);
+        self.count(
+            peer,
+            |s| {
+                s.packets_recv.fetch_add(1, Ordering::Relaxed);
+                s.bytes_recv.fetch_add(bytes, Ordering::Relaxed);
+            },
+            |c| {
+                c.packets_recv += 1;
+                c.bytes_recv += bytes;
+            },
+        );
     }
 
     /// Cheap snapshot of the totals; safe to call while traffic is in
@@ -132,9 +194,21 @@ impl ChannelStats {
         }
     }
 
-    /// Copy of the per-peer breakdown.
+    /// Copy of the per-peer breakdown (peers that saw traffic).
     pub fn per_peer(&self) -> BTreeMap<u32, PeerCounters> {
-        self.per_peer.lock().unwrap().clone()
+        let mut out = self.overflow().clone();
+        for (peer, slot) in self.claimed() {
+            let c = PeerCounters {
+                packets_sent: slot.packets_sent.load(Ordering::Relaxed),
+                bytes_sent: slot.bytes_sent.load(Ordering::Relaxed),
+                packets_recv: slot.packets_recv.load(Ordering::Relaxed),
+                bytes_recv: slot.bytes_recv.load(Ordering::Relaxed),
+            };
+            if c != PeerCounters::default() {
+                out.insert(peer, c);
+            }
+        }
+        out
     }
 
     /// Emit the counters as `count` events on `track` (done once at
@@ -172,16 +246,50 @@ impl ChannelStats {
 mod tests {
     use super::*;
 
+    /// Known peers, late-claimed spare slots and the overflow map all
+    /// land in one per-peer view, whichever path counted them.
     #[test]
-    fn gauge_tracks_level_and_peak() {
-        let g = Gauge::new();
-        g.add(10);
-        g.add(5);
-        g.sub(12);
-        assert_eq!(g.current(), 3);
-        assert_eq!(g.peak(), 15);
-        g.add(20);
-        assert_eq!(g.peak(), 23);
+    fn presized_spare_and_overflow_peers_all_count() {
+        let s = ChannelStats::with_peers(&[7, 3, 7]);
+        s.on_send(3, 10);
+        s.on_recv(7, 20);
+        // More strangers than spare slots: the last ones overflow.
+        let strangers = 100..100 + SPARE_SLOTS as u32 + 2;
+        for p in strangers.clone() {
+            s.on_send(p, 1);
+            s.on_send(p, 1);
+        }
+        let per = s.per_peer();
+        assert_eq!(per[&3].bytes_sent, 10);
+        assert_eq!(per[&7].bytes_recv, 20);
+        for p in strangers {
+            assert_eq!(per[&p].packets_sent, 2, "peer {p}");
+        }
+        assert_eq!(per.len(), 2 + SPARE_SLOTS + 2);
+        assert_eq!(s.totals().packets_sent, 1 + 2 * (SPARE_SLOTS as u64 + 2));
+    }
+
+    /// Two threads racing to introduce the same new peers must end up
+    /// sharing one slot per peer: no count may be lost to a double claim.
+    #[test]
+    fn concurrent_first_sight_claims_one_slot_per_peer() {
+        let s = ChannelStats::new();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for round in 0..1000 {
+                        s.on_send(round % 4, 1);
+                    }
+                });
+            }
+        });
+        let per = s.per_peer();
+        assert_eq!(per.len(), 4);
+        for p in 0..4 {
+            assert_eq!(per[&p].packets_sent, 500, "peer {p}");
+        }
     }
 
     #[test]

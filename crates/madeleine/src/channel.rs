@@ -63,6 +63,7 @@ impl Channel {
         runtime: Arc<dyn Runtime>,
     ) -> Self {
         let tracer = runtime.tracer();
+        let peers: Vec<u32> = conduits.keys().map(|p| p.0).collect();
         Channel {
             id,
             label: label.into(),
@@ -75,7 +76,7 @@ impl Channel {
                 .collect(),
             recv_event,
             runtime,
-            stats: Arc::new(ChannelStats::new()),
+            stats: Arc::new(ChannelStats::with_peers(&peers)),
             tracer,
         }
     }

@@ -37,10 +37,9 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mad_trace::Tracer;
-use mad_util::reactor::{Context, Poll, PollTask};
 
-use crate::gateway::{DeltaCursor, GatewayStats, GatewayStop};
-use crate::runtime::{RtEvent, Runtime};
+use crate::gateway::{DeltaCursor, GatewayStats};
+use crate::ticker::Ticker;
 
 /// The live operating point of one virtual channel, shared between the
 /// controllers that write it and the hot paths that read it.
@@ -142,6 +141,8 @@ impl Default for ControllerConfig {
 }
 
 /// One gateway node's policy loop over one channel's shared [`Tuning`].
+/// A [`Ticker`]: the session picks the driver (thread or reactor task)
+/// per engine core.
 pub(crate) struct Controller {
     cfg: ControllerConfig,
     tuning: Arc<Tuning>,
@@ -188,10 +189,6 @@ impl Controller {
             calm_streak: 0,
             adjustments: 0,
         }
-    }
-
-    pub(crate) fn interval_ns(&self) -> u64 {
-        self.cfg.interval_ns
     }
 
     fn trace(&self, name: &'static str, value: i64) {
@@ -252,9 +249,15 @@ impl Controller {
             self.trace(name, next as i64);
         }
     }
+}
+
+impl Ticker for Controller {
+    fn interval_ns(&self) -> u64 {
+        self.cfg.interval_ns
+    }
 
     /// Evaluate one window ending `now`.
-    pub(crate) fn tick(&mut self, now_ns: u64) {
+    fn tick(&mut self, now_ns: u64) {
         let d = self.stats.delta_for(DeltaCursor::Controller, now_ns);
         let starved = d.credit_timeouts > 0;
         let attempts = d.stalls + d.fragments;
@@ -345,7 +348,7 @@ impl Controller {
     /// run (total adjustments and the final operating point) so a
     /// controller-enabled trace always carries `ctl:` events, however
     /// quiet the run.
-    pub(crate) fn finish(&mut self, now_ns: u64) {
+    fn finish(&mut self, now_ns: u64) {
         self.tick(now_ns);
         self.trace("adjustments", self.adjustments as i64);
         self.trace("window", self.tuning.window.load(Ordering::Relaxed) as i64);
@@ -354,65 +357,6 @@ impl Controller {
             "rendezvous",
             self.tuning.rendezvous.load(Ordering::Relaxed) as i64,
         );
-    }
-}
-
-/// The threaded engine's controller driver: a dedicated runtime thread
-/// ticking at the configured interval, woken early by teardown bumps of
-/// the node event (the same shape as the metrics watchdog driver).
-pub(crate) fn run_controller(
-    mut ctl: Controller,
-    runtime: Arc<dyn Runtime>,
-    event: Arc<dyn RtEvent>,
-    stop: Arc<GatewayStop>,
-) {
-    let mut next = runtime.now_nanos().saturating_add(ctl.interval_ns());
-    loop {
-        let seen = event.epoch();
-        if stop.stop_requested() {
-            ctl.finish(runtime.now_nanos());
-            return;
-        }
-        let now = runtime.now_nanos();
-        if now >= next {
-            ctl.tick(now);
-            next = now.saturating_add(ctl.interval_ns());
-        }
-        let wait = next.saturating_sub(runtime.now_nanos()).max(1);
-        let _ = event.wait_past_timeout(seen, wait);
-    }
-}
-
-/// The reactor engine's controller driver: the same policy loop as a
-/// timer task on the gateway node's shared worker pool.
-pub(crate) struct ControllerTask {
-    ctl: Controller,
-    stop: Arc<GatewayStop>,
-    next: u64,
-}
-
-impl ControllerTask {
-    pub(crate) fn new(ctl: Controller, stop: Arc<GatewayStop>) -> Self {
-        ControllerTask { ctl, stop, next: 0 }
-    }
-}
-
-impl PollTask for ControllerTask {
-    fn poll(&mut self, cx: &mut Context) -> Poll {
-        if self.stop.stop_requested() {
-            self.ctl.finish(cx.now_ns());
-            return Poll::Ready;
-        }
-        let now = cx.now_ns();
-        if self.next == 0 {
-            self.next = now.saturating_add(self.ctl.interval_ns());
-        }
-        if now >= self.next {
-            self.ctl.tick(now);
-            self.next = now.saturating_add(self.ctl.interval_ns());
-        }
-        cx.wake_at(self.next);
-        Poll::Pending
     }
 }
 

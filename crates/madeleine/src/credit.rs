@@ -33,14 +33,17 @@
 //! [`RtEvent::wait_past_timeout`](crate::runtime::RtEvent), so a silently
 //! dead peer degrades into an error, never a hang.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
+use crate::control_plane::ControlPlane;
 use crate::error::{MadError, Result};
-use crate::gtm::{self, CancelReason, PacketBody, StreamKey, StreamTag};
+use crate::gtm::{CancelReason, StreamKey, StreamTag};
 use crate::runtime::{RtEvent, Runtime};
 use crate::types::NodeId;
 
@@ -274,18 +277,15 @@ impl CreditLedger {
 }
 
 /// Flow-control configuration of one node on one virtual channel: the
-/// shared ledger plus the session-wide window and deadline.
+/// node's control plane (whose ledger holds the accounts) plus the
+/// session-wide window and deadline.
 #[derive(Clone)]
 pub struct FlowControl {
-    ledger: Arc<CreditLedger>,
+    /// Owns the ledger, and is what a pumping writer hands the packets it
+    /// drains off its conduit to.
+    plane: Arc<ControlPlane>,
     window: u32,
     timeout_ns: u64,
-    /// The node's telemetry plane: writer pumps hand it stray handoff
-    /// acks and in-band metrics packets they drain off the conduit.
-    plane: Option<Arc<crate::metrics_plane::MetricsPlane>>,
-    /// The node's membership plane: writer pumps hand it kind-11 member
-    /// packets they drain off the conduit.
-    member: Option<Arc<crate::membership::MembershipPlane>>,
     /// The channel's live operating point: when present, freshly opened
     /// streams take their window from it instead of the bootstrap value.
     tuning: Option<Arc<crate::control::Tuning>>,
@@ -312,37 +312,18 @@ pub struct ProtoStats {
 }
 
 impl FlowControl {
-    /// Bundle a ledger with the channel's window and credit deadline.
-    pub fn new(ledger: Arc<CreditLedger>, window: u32, timeout_ns: u64) -> Self {
+    /// Bundle the node's control plane with the channel's window and
+    /// credit deadline.
+    pub(crate) fn new(plane: Arc<ControlPlane>, window: u32, timeout_ns: u64) -> Self {
         assert!(window > 0, "a credit window must hold at least one packet");
         FlowControl {
-            ledger,
+            plane,
             window,
             timeout_ns,
-            plane: None,
-            member: None,
             tuning: None,
             rendezvous: 0,
             proto: None,
         }
-    }
-
-    /// Attach the node's telemetry plane (session wiring).
-    pub(crate) fn with_metrics(
-        mut self,
-        plane: Option<Arc<crate::metrics_plane::MetricsPlane>>,
-    ) -> Self {
-        self.plane = plane;
-        self
-    }
-
-    /// Attach the node's membership plane (session wiring).
-    pub(crate) fn with_membership(
-        mut self,
-        member: Option<Arc<crate::membership::MembershipPlane>>,
-    ) -> Self {
-        self.member = member;
-        self
     }
 
     /// Attach the channel's live operating point (session wiring).
@@ -366,7 +347,7 @@ impl FlowControl {
 
     /// The shared ledger.
     pub fn ledger(&self) -> &Arc<CreditLedger> {
-        &self.ledger
+        self.plane.ledger()
     }
 
     /// The per-stream window, in fragments — the live tuned value when a
@@ -425,12 +406,12 @@ impl WriterFlow {
     /// Open the stream's account with the initial window (read live, so
     /// a controller retune governs every stream opened after it).
     pub(crate) fn open(&self, key: StreamKey) {
-        self.ctl.ledger.open(key, self.ctl.window());
+        self.ctl.ledger().open(key, self.ctl.window());
     }
 
     /// Drop the stream's account.
     pub(crate) fn close(&self, key: StreamKey) {
-        self.ctl.ledger.close(key);
+        self.ctl.ledger().close(key);
     }
 
     /// The channel's live rendezvous threshold (0 = eager-only).
@@ -462,36 +443,14 @@ impl WriterFlow {
         first_hop: NodeId,
         tag: &StreamTag,
     ) -> Result<u32> {
-        let key = tag.key();
-        let rt = channel.runtime();
-        let start = rt.now_nanos();
-        loop {
-            let seen = self.ctl.ledger.event.epoch();
-            match self.ctl.ledger.take_grant(key) {
-                GrantOutcome::Granted(w) => return Ok(w),
-                GrantOutcome::Cancelled(reason) => return Err(cancel_error(reason, tag)),
-                GrantOutcome::Pending => {}
+        let ledger = self.ctl.ledger();
+        self.wait_for(channel, first_hop, tag, || {
+            match ledger.take_grant(tag.key()) {
+                GrantOutcome::Granted(w) => Some(Ok(w)),
+                GrantOutcome::Cancelled(reason) => Some(Err(reason)),
+                GrantOutcome::Pending => None,
             }
-            if self.pump && self.pump_conduit(channel, first_hop)? {
-                continue; // something arrived: re-check before blocking
-            }
-            let elapsed = rt.now_nanos().saturating_sub(start);
-            let remaining = self.ctl.timeout_ns.saturating_sub(elapsed);
-            if remaining == 0
-                || self
-                    .ctl
-                    .ledger
-                    .event
-                    .wait_past_timeout(seen, remaining)
-                    .is_none()
-            {
-                return Err(MadError::CreditTimeout {
-                    src: tag.src,
-                    dest: tag.dest,
-                    msg_id: tag.msg_id,
-                });
-            }
-        }
+        })
     }
 
     /// Consume one credit before emitting a fragment, pumping the writer's
@@ -499,29 +458,42 @@ impl WriterFlow {
     /// stalled or dead downstream surfaces as
     /// [`MadError::CreditTimeout`] / [`MadError::PeerUnreachable`].
     pub(crate) fn take(&self, channel: &Channel, first_hop: NodeId, tag: &StreamTag) -> Result<()> {
-        let key = tag.key();
+        let ledger = self.ctl.ledger();
+        self.wait_for(channel, first_hop, tag, || {
+            match ledger.try_take(tag.key()) {
+                TakeOutcome::Taken => Some(Ok(())),
+                TakeOutcome::Cancelled(reason) => Some(Err(reason)),
+                TakeOutcome::Empty => None,
+            }
+        })
+    }
+
+    /// The one wait loop of a flow-controlled writer: poll `probe` on the
+    /// ledger, pump the conduit for whatever would satisfy it, sleep on
+    /// the ledger event, give up at the credit deadline.
+    fn wait_for<T>(
+        &self,
+        channel: &Channel,
+        first_hop: NodeId,
+        tag: &StreamTag,
+        probe: impl Fn() -> Option<std::result::Result<T, CancelReason>>,
+    ) -> Result<T> {
         let rt = channel.runtime();
+        let event = &self.ctl.ledger().event;
         let start = rt.now_nanos();
         loop {
-            let seen = self.ctl.ledger.event.epoch();
-            match self.ctl.ledger.try_take(key) {
-                TakeOutcome::Taken => return Ok(()),
-                TakeOutcome::Cancelled(reason) => return Err(cancel_error(reason, tag)),
-                TakeOutcome::Empty => {}
+            let seen = event.epoch();
+            match probe() {
+                Some(Ok(got)) => return Ok(got),
+                Some(Err(reason)) => return Err(cancel_error(reason, tag)),
+                None => {}
             }
             if self.pump && self.pump_conduit(channel, first_hop)? {
                 continue; // something arrived: re-check before blocking
             }
             let elapsed = rt.now_nanos().saturating_sub(start);
             let remaining = self.ctl.timeout_ns.saturating_sub(elapsed);
-            if remaining == 0
-                || self
-                    .ctl
-                    .ledger
-                    .event
-                    .wait_past_timeout(seen, remaining)
-                    .is_none()
-            {
+            if remaining == 0 || event.wait_past_timeout(seen, remaining).is_none() {
                 return Err(MadError::CreditTimeout {
                     src: tag.src,
                     dest: tag.dest,
@@ -531,57 +503,12 @@ impl WriterFlow {
         }
     }
 
-    /// Drain whatever is pending on the conduit to `peer` — only credit
-    /// grants and cancels ever travel toward a non-gateway sender on its
-    /// special channel. Returns true if anything was consumed.
+    /// Drain whatever is pending on the conduit to `peer` through the
+    /// node's control plane — only control traffic ever travels toward a
+    /// non-gateway sender on its special channel, so anything else is a
+    /// protocol error. Returns true if anything was consumed.
     fn pump_conduit(&self, channel: &Channel, peer: NodeId) -> Result<bool> {
-        let mut any = false;
-        loop {
-            let mut conduit = channel.lock_conduit(peer)?;
-            if !conduit.ready() {
-                return Ok(any);
-            }
-            let packet = channel.runtime().pool().adopt(conduit.recv_owned()?);
-            drop(conduit);
-            channel.stats().on_recv(peer.0, packet.len());
-            let (tag, body) = gtm::decode_packet(&packet)?;
-            match body {
-                PacketBody::Credit(n) => self.ctl.ledger.deposit(tag.key(), n),
-                PacketBody::Cancel(reason) => self.ctl.ledger.cancel(tag.key(), reason),
-                // A handoff ack racing ahead of the multi-path writer's own
-                // ack pump (e.g. while a later stream is still packing) is
-                // not an error — park it in the plane's side table so the
-                // waiting pump can still claim it; without a plane the old
-                // swallow-and-rely-on-the-deadline behaviour stands.
-                PacketBody::Ack => {
-                    if let Some(p) = &self.ctl.plane {
-                        p.deposit_ack(tag.key());
-                    }
-                }
-                // In-band metrics pull traffic shares the conduit: hand it
-                // to the node's plane (or drop it when telemetry is off).
-                PacketBody::MetricsRequest | PacketBody::MetricsReply => {
-                    if let Some(p) = &self.ctl.plane {
-                        p.handle_packet(&tag, &body, &packet);
-                    }
-                }
-                // Likewise membership protocol traffic (kind 11).
-                PacketBody::Member(_) => {
-                    if let Some(p) = &self.ctl.member {
-                        p.handle_packet(&tag, &body, &packet);
-                    }
-                }
-                // A rendezvous CTS (kind 12) parks the whole-window grant
-                // for the writer blocked in `wait_grant`.
-                PacketBody::RendezvousCts(m) => self.ctl.ledger.grant(tag.key(), m.window),
-                other => {
-                    return Err(MadError::Protocol(format!(
-                        "unexpected {other:?} on a sender's special conduit"
-                    )))
-                }
-            }
-            any = true;
-        }
+        self.ctl.plane.pump(channel, peer)
     }
 }
 
@@ -598,6 +525,7 @@ pub(crate) fn cancel_error(reason: CancelReason, tag: &StreamTag) -> MadError {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::runtime::StdRuntime;

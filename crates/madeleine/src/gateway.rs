@@ -84,23 +84,31 @@
 //! [`Runtime::charge_overhead`], so the simulated gateway reproduces the
 //! paper's pipeline-period analysis.
 //!
-//! ## Engine cores: threaded and reactor
+//! ## Engine cores: two schedulers, one body
 //!
 //! The engine above is described in terms of *threads* — one polling
 //! thread per inbound network, one forwarding thread per (in, out) pair —
 //! which is [`EngineKind::Threaded`], the paper-faithful baseline. That
 //! costs 2×(networks−1)+… OS threads per gateway per virtual channel and
 //! caps how many channels one node can host. [`EngineKind::Reactor`]
-//! runs the same demultiplexing logic as poll-driven state machines
-//! ([`reactor_engine`]) on a gateway-node-wide [`mad_util::reactor`]
-//! worker pool parked on the node's arrival event: credit waits, the
-//! teardown drain, and batch coalescing become reactor timers and
-//! non-blocking queue scans instead of blocked threads. Both engines
-//! funnel through the same [`ItemSink`]-generic `relay_packet`, which is
-//! what makes their forwarded byte streams identical (asserted by the
-//! `prop_engine` property test). Select with [`GatewayConfig::engine`],
-//! or set `MAD_ENGINE=reactor` to flip every default-constructed config —
-//! the switch CI uses to run whole suites in reactor mode.
+//! runs the same body as poll-driven tasks ([`reactor_engine`]) on a
+//! gateway-node-wide [`mad_util::reactor`] worker pool parked on the
+//! node's arrival event.
+//!
+//! What a packet means is decided once, for both cores: `Inbound::serve`
+//! is the receive side (receive → count → demultiplex into an
+//! [`ItemSink`] → degrade on a fault → re-pin), `Train` is the transmit
+//! side's coalescing rule, `transmit_batch` puts a train on the wire, and
+//! every control packet goes to the node's `ControlPlane`. The cores
+//! differ only in *who waits how*: a thread blocked in
+//! `select_ready_after`, a bounded `RtQueue` and `take_blocking` — or a
+//! `try_select_ready_after` scan, a `VecDeque` and reactor timers for the
+//! credit deadline and the teardown drain. That is also why their
+//! forwarded byte streams are identical (asserted by the `prop_engine`
+//! property test). Select with [`GatewayConfig::engine`], or set
+//! `MAD_ENGINE=reactor` to flip every default-constructed config — the
+//! switch CI uses to run whole suites in reactor mode. Both stay: each is
+//! measurably better on some wall-clock workload (EXPERIMENTS A9c).
 //!
 //! ## Teardown
 //!
@@ -127,19 +135,19 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mad_trace::{trace_instant, trace_span, Gauge, Tracer};
+use mad_metrics::Gauge;
+use mad_trace::{trace_instant, trace_span, Tracer};
 use mad_util::pool::PooledBuf;
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
-use crate::conduit::{BufferMode, Conduit, StaticBuf};
+use crate::conduit::{BufferMode, Conduit, DriverCaps, StaticBuf};
 use crate::control::Tuning;
-use crate::credit::{CreditLedger, TakeFailure};
+use crate::control_plane::{ControlPlane, Dispatch};
+use crate::credit::{CreditLedger, TakeFailure, TakeOutcome};
 use crate::error::{MadError, Result};
 use crate::gtm::{self, CancelReason, PacketBody, StreamKey, StreamTag, PRELUDE_LEN};
-use crate::membership::MembershipPlane;
 use crate::metrics_plane::GwMetrics;
-use crate::routing::RouteTable;
 use crate::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime};
 use crate::types::{NetworkId, NodeId};
 
@@ -221,7 +229,8 @@ pub struct GatewayStats {
     pub threads_spawned: AtomicU64,
     /// Packet bytes currently resident in this engine (received but not
     /// yet retransmitted or dropped) and their high-water mark — the
-    /// occupancy the credit window bounds.
+    /// occupancy the credit window bounds. (A `mad-metrics/noop` build
+    /// compiles this gauge out with every other one.)
     pub held: Gauge,
     /// Streams currently open in the engine's demultiplexing table
     /// (header accepted, end/cancel not yet relayed).
@@ -376,7 +385,7 @@ impl GatewayStats {
             copies_flush: self.copies_flush.load(Ordering::Relaxed),
             copy_idle_hits: self.copy_idle_hits.load(Ordering::Relaxed),
             threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            held_bytes: self.held.current(),
+            held_bytes: self.held.get(),
             peak_held_bytes: self.held.peak(),
         }
     }
@@ -927,25 +936,17 @@ struct FwdItem {
 /// Where the polling thread pushes pipeline items.
 enum Sink {
     /// Pipelined: a bounded queue drained by a forwarding thread.
-    Queue(RtSender<FwdItem>, OutPath),
+    Queue(RtSender<FwdItem>),
     /// Depth-1: the polling thread retransmits synchronously.
     Inline(OutPath),
 }
 
-impl Sink {
-    fn path(&self) -> &OutPath {
-        match self {
-            Sink::Queue(_, p) | Sink::Inline(p) => p,
-        }
-    }
-}
-
-/// Where the demultiplexer hands accepted packets. `relay_packet` and the
-/// cancellation helpers are generic over this, so the threaded engine
-/// (bounded queues + forwarding threads) and the reactor engine
-/// (task-local per-net queues flushed by non-blocking polls) share every
-/// byte of routing, credit, and cancellation logic — the reason the two
-/// engines forward byte-identical streams.
+/// Where the demultiplexer hands accepted packets. [`Inbound`] is generic
+/// over this, so the threaded engine (bounded queues + forwarding
+/// threads) and the reactor engine (task-local per-net queues flushed by
+/// non-blocking polls) share every byte of routing, credit, and
+/// cancellation logic — the reason the two engines forward byte-identical
+/// streams.
 trait ItemSink {
     /// Does this gateway bridge onto `net`?
     fn bridges(&self, net: NetworkId) -> bool;
@@ -999,28 +1000,53 @@ impl OutPath {
     }
 }
 
-/// State shared by everything that consumes pipeline items (forwarding
-/// threads and the depth-1 inline path). Cloneable so the reactor
-/// engine's receive and flush tasks can each carry one.
+/// State shared by everything that moves pipeline items: the receive and
+/// the flush side of either engine core each carry a clone.
 #[derive(Clone)]
 struct FwdShared {
     stats: Arc<GatewayStats>,
     live: Arc<EngineLive>,
-    ledger: Arc<CreditLedger>,
+    /// The node's control plane: its ledger (used even with flow control
+    /// off, as the cancellation bus), its route table, and the dispatcher
+    /// every control packet the engine reads is handed to.
+    ctl: Arc<ControlPlane>,
     runtime: Arc<dyn Runtime>,
     credit_timeout_ns: u64,
     tracer: Tracer,
     /// Hot-path telemetry handles; `None` compiles the recording out of
     /// the forwarding path entirely (the metrics-off default).
     metrics: Option<GwMetrics>,
-    /// The node's membership plane; kind-11 member packets relayed or
-    /// terminated here are handed to it (the membership-off default is
-    /// `None`, which drops them like any unknown control packet).
-    member: Option<Arc<MembershipPlane>>,
     /// The channel's live operating point; when present the self-grant
     /// window and the batching caps are read from it per use instead of
     /// from the static config.
     tuning: Option<Arc<Tuning>>,
+}
+
+impl FwdShared {
+    fn ledger(&self) -> &CreditLedger {
+        self.ctl.ledger()
+    }
+
+    /// The batch cap, re-read per train so a controller retune takes
+    /// effect on the next coalescing decision, not the next session.
+    fn max_batch(&self, configured: usize) -> usize {
+        self.tuning
+            .as_ref()
+            .map(|t| t.max_batch())
+            .unwrap_or(configured)
+    }
+
+    /// Whether stage-busy brackets pay for clock reads (metrics or trace
+    /// active); the `flush_active` occupancy count is kept either way.
+    fn timed(&self) -> bool {
+        self.metrics.is_some() || self.tracer.enabled()
+    }
+
+    fn queue_depth(&self, delta: i64) {
+        if let Some(m) = &self.metrics {
+            m.queue_depth.add(delta);
+        }
+    }
 }
 
 /// How a polling thread lands incoming packets (fixed per inbound network,
@@ -1070,130 +1096,129 @@ impl GatewayHandles {
     }
 }
 
+/// The outgoing channel pairs the inbound direction `net_in` feeds: every
+/// bridged network but its own.
+fn out_paths(
+    net_in: NetworkId,
+    regular: &BTreeMap<NetworkId, Arc<Channel>>,
+    special: &BTreeMap<NetworkId, Arc<Channel>>,
+) -> BTreeMap<NetworkId, OutPath> {
+    special
+        .iter()
+        .filter(|(&net_out, _)| net_out != net_in)
+        .map(|(&net_out, sp)| {
+            let out_path = OutPath {
+                regular: regular[&net_out].clone(),
+                special: sp.clone(),
+            };
+            (net_out, out_path)
+        })
+        .collect()
+}
+
 /// Spawn the forwarding engine of one gateway node for one virtual channel.
 ///
-/// `regular`/`special` hold this node's two real channels per network;
-/// `routes` is the gateway's own routing table over the virtual channel;
-/// `ledger` is the node's shared credit ledger (used even with flow
-/// control off, as the cancellation bus). In [`EngineKind::Reactor`] mode
-/// `reactor` must name the node's shared reactor (the session builds one
-/// per gateway node); in threaded mode it is ignored.
+/// `regular` holds this node's regular channel per network; the special
+/// channels, the gateway's own routing table and the node's credit ledger
+/// come with `ctl`, the node's control plane. In [`EngineKind::Reactor`]
+/// mode `reactor` must name the node's shared reactor (the session builds
+/// one per gateway node); in threaded mode it is ignored.
 #[allow(clippy::too_many_arguments)] // a one-caller bootstrap function
-pub fn spawn_gateway(
+pub(crate) fn spawn_gateway(
     rank: NodeId,
     vc_name: &str,
     regular: BTreeMap<NetworkId, Arc<Channel>>,
-    special: BTreeMap<NetworkId, Arc<Channel>>,
-    routes: RouteTable,
     cfg: GatewayConfig,
     runtime: Arc<dyn Runtime>,
     stopctl: Arc<GatewayStop>,
-    ledger: Arc<CreditLedger>,
+    ctl: Arc<ControlPlane>,
     reactor: Option<&Arc<GatewayReactor>>,
-    metrics: Option<Arc<crate::metrics_plane::MetricsPlane>>,
-    member: Option<Arc<MembershipPlane>>,
     tuning: Option<Arc<Tuning>>,
 ) -> GatewayHandles {
     assert!(cfg.pipeline_depth >= 1, "pipeline depth must be at least 1");
-    let metrics = metrics.map(GwMetrics::new);
-    if cfg.engine == EngineKind::Reactor {
+    let nets: Vec<NetworkId> = ctl.special().keys().copied().collect();
+    // One receive side per inbound network; per (in, out) ordered pair a
+    // forwarding thread when pipelining is on — or, in reactor mode, one
+    // flush task per inbound network on the node's worker pool.
+    let workers = match cfg.engine {
+        EngineKind::Reactor => nets.len() * 2,
+        EngineKind::Threaded if cfg.pipeline_depth == 1 => nets.len(),
+        EngineKind::Threaded => nets.len() * nets.len(),
+    };
+    // What both cores share before they diverge into threads or tasks:
+    // the counters, the liveness accounting over `workers` threads or
+    // tasks, and the forwarding context.
+    let stats = Arc::new(GatewayStats::default());
+    let shared = FwdShared {
+        stats: stats.clone(),
+        live: Arc::new(EngineLive {
+            threads: AtomicUsize::new(workers),
+            local_open: AtomicI64::new(0),
+            stopctl: stopctl.clone(),
+        }),
+        credit_timeout_ns: cfg.credit_timeout_ns,
+        tracer: runtime.tracer(),
+        metrics: ctl.metrics().map(|plane| GwMetrics::new(plane)),
+        runtime: runtime.clone(),
+        ctl,
+        tuning,
+    };
+    let special = shared.ctl.special();
+    // Reactor mode borrows the node's shared worker pool and joins through
+    // a completion latch; `threads_spawned` then stays 0 — the whole point.
+    let pool = (cfg.engine == EngineKind::Reactor).then(|| {
         let Some(reactor) = reactor else {
             panic!("EngineKind::Reactor requires the node's GatewayReactor");
         };
-        return reactor_engine::spawn_reactor_gateway(
-            rank, vc_name, regular, special, routes, cfg, runtime, stopctl, ledger, reactor,
-            metrics, member, tuning,
-        );
-    }
-    let nets: Vec<NetworkId> = special.keys().copied().collect();
-    let mut threads = Vec::new();
-    let routes = Arc::new(routes);
-    let stats = Arc::new(GatewayStats::default());
-    let fwd_per_net = if cfg.pipeline_depth == 1 {
-        0
-    } else {
-        nets.len() - 1
-    };
-    let live = Arc::new(EngineLive {
-        threads: AtomicUsize::new(nets.len() * (1 + fwd_per_net)),
-        local_open: AtomicI64::new(0),
-        stopctl: stopctl.clone(),
+        (reactor, reactor_engine::TaskLatch::new(workers))
     });
-    stats
-        .threads_spawned
-        .store((nets.len() * (1 + fwd_per_net)) as u64, Ordering::Relaxed);
-
-    // One polling thread per inbound network; per (in, out) ordered pair a
-    // forwarding thread when pipelining is on.
+    if pool.is_none() {
+        stats
+            .threads_spawned
+            .store(workers as u64, Ordering::Relaxed);
+    }
+    let mut threads = Vec::new();
     for &net_in in &nets {
-        let mut sinks: BTreeMap<NetworkId, Sink> = BTreeMap::new();
-        for &net_out in &nets {
-            if net_out == net_in {
-                continue;
-            }
-            let out_path = OutPath {
-                regular: regular[&net_out].clone(),
-                special: special[&net_out].clone(),
-            };
-            if cfg.pipeline_depth == 1 {
-                sinks.insert(net_out, Sink::Inline(out_path));
-            } else {
-                let (tx, rx) = RtQueue::<FwdItem>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
-                sinks.insert(net_out, Sink::Queue(tx, out_path.clone()));
-                let name = format!("gw{}-{}-fwd-{}-{}", rank.0, vc_name, net_in, net_out);
-                let shared = FwdShared {
-                    stats: stats.clone(),
-                    live: live.clone(),
-                    ledger: ledger.clone(),
-                    runtime: runtime.clone(),
-                    credit_timeout_ns: cfg.credit_timeout_ns,
-                    tracer: runtime.tracer(),
-                    metrics: metrics.clone(),
-                    member: member.clone(),
-                    tuning: tuning.clone(),
-                };
-                let max_batch = cfg.max_batch;
-                threads.push(runtime.spawn(
-                    name,
-                    Box::new(move || forwarding_thread(rx, out_path, shared, max_batch)),
-                ));
-            }
-        }
+        let paths = out_paths(net_in, &regular, special);
         let in_channel = special[&net_in].clone();
         stopctl.register_waker(in_channel.recv_event().clone());
         stopctl.register_source(Arc::downgrade(&in_channel));
-        let routes = routes.clone();
-        let rt = runtime.clone();
-        let stats = stats.clone();
-        let live = live.clone();
-        let ledger = ledger.clone();
-        let metrics = metrics.clone();
-        let member = member.clone();
-        let tuning = tuning.clone();
+        let inbound = Inbound::new(
+            rank,
+            in_channel,
+            paths.values(),
+            cfg,
+            shared.clone(),
+            pool.is_some() || cfg.pipeline_depth > 1,
+        );
+        if let Some((reactor, latch)) = &pool {
+            reactor_engine::spawn_task_pair(reactor, inbound, paths, latch);
+            continue;
+        }
+        let mut sinks: BTreeMap<NetworkId, Sink> = BTreeMap::new();
+        for (net_out, out_path) in paths {
+            if cfg.pipeline_depth == 1 {
+                sinks.insert(net_out, Sink::Inline(out_path));
+                continue;
+            }
+            let (tx, rx) = RtQueue::<FwdItem>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
+            sinks.insert(net_out, Sink::Queue(tx));
+            let name = format!("gw{}-{}-fwd-{}-{}", rank.0, vc_name, net_in, net_out);
+            let shared = shared.clone();
+            threads.push(runtime.spawn(
+                name,
+                Box::new(move || forwarding_thread(rx, out_path, shared, cfg.max_batch)),
+            ));
+        }
         let name = format!("gw{}-{}-in-{}", rank.0, vc_name, net_in);
         threads.push(runtime.spawn(
             name,
-            Box::new(move || {
-                polling_thread(
-                    rank,
-                    in_channel,
-                    ThreadedSinks(sinks),
-                    routes,
-                    cfg,
-                    rt,
-                    stats,
-                    live,
-                    ledger,
-                    metrics,
-                    member,
-                    tuning,
-                )
-            }),
+            Box::new(move || polling_thread(inbound, ThreadedSinks(sinks))),
         ));
     }
     GatewayHandles {
         threads,
-        latch: None,
+        latch: pool.map(|(_, latch)| latch),
         stats,
     }
 }
@@ -1235,7 +1260,7 @@ struct InStream {
 fn landing_size(
     streams: &BTreeMap<StreamKey, InStream>,
     max_batch: usize,
-    caps: &crate::conduit::DriverCaps,
+    caps: &DriverCaps,
 ) -> usize {
     // Floor and per-stream sizing share `gtm::landing_size_for` with the
     // endpoint assembler's rendezvous pre-reservation, so both sides of
@@ -1250,63 +1275,169 @@ fn landing_size(
     size.min(caps.max_packet)
 }
 
-/// The polling thread of one inbound network: round-robins over the
-/// connections of the special channel, relaying one self-described packet
-/// per turn and demultiplexing stream state as it goes. Conduits are
-/// bidirectional, so the same thread also receives the *returning* credit
-/// grants and cancels of streams this gateway sends out on `net_in`, and
-/// deposits them into the node's shared ledger.
-#[allow(clippy::too_many_arguments)] // internal thread entry point
-fn polling_thread(
+/// The fixed facts of one inbound network direction.
+struct InboundCtx {
     rank: NodeId,
     in_channel: Arc<Channel>,
-    mut sinks: ThreadedSinks,
-    routes: Arc<RouteTable>,
+    in_caps: DriverCaps,
     cfg: GatewayConfig,
-    runtime: Arc<dyn Runtime>,
-    stats: Arc<GatewayStats>,
-    live: Arc<EngineLive>,
-    ledger: Arc<CreditLedger>,
-    metrics: Option<GwMetrics>,
-    member: Option<Arc<MembershipPlane>>,
-    tuning: Option<Arc<Tuning>>,
-) {
+    shared: FwdShared,
+    landing: Landing,
+    /// Whether a relay copy may be deferred to the flush stage: only to a
+    /// real flush stage, and only when the raw receive is itself
+    /// copy-free (dynamic inbound driver — a static inbound would pay the
+    /// staging copy in `recv_owned` anyway).
+    can_defer: bool,
+    timed: bool,
+}
+
+/// The demultiplexing state of one inbound network direction.
+struct Demux {
+    /// Streams currently crossing this inbound network.
+    streams: BTreeMap<StreamKey, InStream>,
+    /// Streams cancelled here whose upstream may still be sending: their
+    /// late packets are dropped silently until the end/cancel arrives.
+    cancelled: BTreeSet<StreamKey>,
+    /// Open-stream count per inbound peer (drives `exclusive_streams`).
+    open_from: BTreeMap<NodeId, u64>,
+    /// Largest possible packet, tracked from the MTUs of the *open*
+    /// streams (every control packet fits the floor; a fragment is always
+    /// preceded on its conduit by its stream's header).
+    max_pkt: usize,
+}
+
+/// What [`Inbound::serve`] tells its scheduler.
+enum Served {
+    /// The turn is over; pick the next ready peer.
+    Continue,
+    /// The inbound or an outbound side is gone: shut this side down.
+    Finished,
+}
+
+/// The receive side of one inbound network, shared by both engine cores:
+/// receive one self-described packet from a ready peer, count it, relay
+/// it — demultiplexing stream state as it goes — and degrade, not die, on
+/// a fault. Conduits are bidirectional, so the same side also receives
+/// the *returning* credit grants and cancels of streams this gateway
+/// sends out on the network, and hands them to the node's control plane.
+/// What differs between the cores is only *who waits how* for the next
+/// ready peer: the threaded engine's [`polling_thread`] blocks in
+/// `select_ready_after`, the reactor's `RecvTask` scans without blocking
+/// and sleeps on the node event.
+struct Inbound {
+    ctx: InboundCtx,
+    demux: Demux,
+    /// Peer this side is pinned to in `exclusive_streams` mode.
+    pinned: Option<NodeId>,
+}
+
+impl Inbound {
+    fn new<'a>(
+        rank: NodeId,
+        in_channel: Arc<Channel>,
+        paths: impl Iterator<Item = &'a OutPath>,
+        cfg: GatewayConfig,
+        shared: FwdShared,
+        has_flush_stage: bool,
+    ) -> Inbound {
+        let in_caps = in_channel.caps();
+        let streams = BTreeMap::new();
+        let max_pkt = landing_size(&streams, cfg.max_batch, &in_caps);
+        Inbound {
+            ctx: InboundCtx {
+                rank,
+                landing: landing_policy(paths, cfg),
+                can_defer: has_flush_stage && in_caps.mode == BufferMode::Dynamic,
+                timed: shared.timed(),
+                in_channel,
+                in_caps,
+                cfg,
+                shared,
+            },
+            demux: Demux {
+                streams,
+                cancelled: BTreeSet::new(),
+                open_from: BTreeMap::new(),
+                max_pkt,
+            },
+            pinned: None,
+        }
+    }
+
+    /// One turn: receive and relay the packet `peer` has ready.
+    fn serve<S: ItemSink>(&mut self, peer: NodeId, sinks: &mut S) -> Served {
+        let Inbound { ctx, demux, pinned } = self;
+        let shared = &ctx.shared;
+        let _busy = BusyGuard::enter(&shared.live.stopctl);
+        let _stage = StageBusy::enter(
+            None,
+            &shared.stats.recv_busy_ns,
+            &*shared.runtime,
+            ctx.timed,
+        );
+        let (buf, restage) = {
+            let _recv = trace_span!(shared.tracer, "gw", "recv", "peer" = peer.0 as u64);
+            match receive_packet(
+                &ctx.in_channel,
+                peer,
+                ctx.landing,
+                demux.max_pkt,
+                shared.runtime.pool(),
+                ctx.can_defer,
+                &shared.stats,
+            ) {
+                Ok(b) => b,
+                Err(MadError::Disconnected) => return Served::Finished,
+                Err(_) => {
+                    // A broken receive loses the packet, and with it the
+                    // framing of every stream on this conduit: degrade by
+                    // cancelling this peer's streams, keep serving others.
+                    shared.stats.on_error();
+                    trace_instant!(shared.tracer, "gw", "recv-error", "peer" = peer.0 as u64);
+                    ctx.cancel_peer_streams(demux, peer, sinks);
+                    *pinned = None;
+                    return Served::Continue;
+                }
+            }
+        };
+        ctx.in_channel.stats().on_recv(peer.0, buf.bytes().len());
+        if restage.is_none() && !matches!(ctx.landing, Landing::Owned) {
+            if let Some(m) = &shared.metrics {
+                m.copy_bytes.record(buf.bytes().len() as u64);
+            }
+        }
+        let _relay = trace_span!(shared.tracer, "gw", "relay", "peer" = peer.0 as u64);
+        match ctx.relay(demux, peer, buf, restage, sinks) {
+            Ok(()) => {}
+            Err(MadError::Disconnected) => return Served::Finished,
+            Err(_) => {
+                // A malformed or misrouted packet poisons only itself:
+                // count it, drop it, keep forwarding everything else.
+                shared.stats.on_error();
+                trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
+            }
+        }
+        if ctx.cfg.exclusive_streams {
+            *pinned = match demux.open_from.get(&peer) {
+                Some(&n) if n > 0 => Some(peer),
+                _ => None,
+            };
+        }
+        Served::Continue
+    }
+}
+
+/// The threaded engine's scheduler of one [`Inbound`]: a dedicated thread
+/// blocking for the next ready peer, round-robin past the one served last.
+fn polling_thread(mut inbound: Inbound, mut sinks: ThreadedSinks) {
+    let live = inbound.ctx.shared.live.clone();
     let _exit = ThreadExitGuard { live: live.clone() };
-    let landing = landing_policy(sinks.0.values().map(Sink::path), cfg);
-    let stopctl = live.stopctl.clone();
-    let tracer = runtime.tracer();
-    // Copy placement can only defer to a real flush stage, and only when
-    // the raw receive is itself copy-free (dynamic inbound driver — a
-    // static inbound would pay the staging copy in `recv_owned` anyway).
-    let can_defer = cfg.pipeline_depth > 1 && in_channel.caps().mode == BufferMode::Dynamic;
-    let timed = metrics.is_some() || tracer.enabled();
-    let shared = FwdShared {
-        stats: stats.clone(),
-        live,
-        ledger,
-        runtime: runtime.clone(),
-        credit_timeout_ns: cfg.credit_timeout_ns,
-        tracer: tracer.clone(),
-        metrics,
-        member,
-        tuning,
-    };
-    // Streams currently crossing this inbound network.
-    let mut streams: BTreeMap<StreamKey, InStream> = BTreeMap::new();
-    // Streams cancelled here whose upstream may still be sending: their
-    // late packets are dropped silently until the end/cancel arrives.
-    let mut cancelled: BTreeSet<StreamKey> = BTreeSet::new();
-    // Open-stream count per inbound peer (drives `exclusive_streams`).
-    let mut open_from: BTreeMap<NodeId, u64> = BTreeMap::new();
+    let stopctl = &live.stopctl;
+    let runtime = inbound.ctx.shared.runtime.clone();
+    let in_channel = inbound.ctx.in_channel.clone();
+    let drain_timeout_ns = inbound.ctx.cfg.drain_timeout_ns;
     // Fair-scan cursor: the peer served last turn.
     let mut cursor = None;
-    // Peer the thread is pinned to in `exclusive_streams` mode.
-    let mut pinned: Option<NodeId> = None;
-    // Largest possible packet, tracked from the MTUs of the *open*
-    // streams (every control packet fits the floor; a fragment is always
-    // preceded on its conduit by its stream's header).
-    let in_caps = in_channel.caps();
-    let mut max_pkt = landing_size(&streams, cfg.max_batch, &in_caps);
     // Deadline of the teardown drain, armed when a stop is requested while
     // streams are still open.
     let drain_deadline: Cell<Option<u64>> = Cell::new(None);
@@ -1320,14 +1451,14 @@ fn polling_thread(
             let deadline = match drain_deadline.get() {
                 Some(d) => d,
                 None => {
-                    let d = now.saturating_add(cfg.drain_timeout_ns);
+                    let d = now.saturating_add(drain_timeout_ns);
                     drain_deadline.set(Some(d));
                     d
                 }
             };
             Some(deadline.saturating_sub(now))
         };
-        let peer = match pinned {
+        let peer = match inbound.pinned {
             Some(p) => p,
             None => {
                 match in_channel.select_ready_after(cursor, || stopctl.should_stop(), wait_timeout)
@@ -1340,406 +1471,284 @@ fn polling_thread(
             }
         };
         cursor = Some(peer);
-        let _busy = BusyGuard::enter(&stopctl);
-        let _stage = StageBusy::enter(None, &stats.recv_busy_ns, &*runtime, timed);
-        let (buf, restage) = {
-            let _recv = trace_span!(tracer, "gw", "recv", "peer" = peer.0 as u64);
-            match receive_packet(
-                &in_channel,
-                peer,
-                landing,
-                max_pkt,
-                runtime.pool(),
-                can_defer,
-                &stats,
-            ) {
-                Ok(b) => b,
-                Err(MadError::Disconnected) => return,
-                Err(e) => {
-                    // A broken receive loses the packet, and with it the
-                    // framing of every stream on this conduit: degrade by
-                    // cancelling this peer's streams, keep serving others.
-                    stats.on_error();
-                    trace_instant!(tracer, "gw", "recv-error", "peer" = peer.0 as u64);
-                    let _ = e;
-                    cancel_peer_streams(
-                        peer,
-                        &in_channel,
-                        &mut sinks,
-                        &mut streams,
-                        &mut cancelled,
-                        &mut open_from,
-                        &shared,
-                    );
-                    max_pkt = landing_size(&streams, cfg.max_batch, &in_caps);
-                    pinned = None;
-                    continue;
-                }
-            }
-        };
-        in_channel.stats().on_recv(peer.0, buf.bytes().len());
-        if restage.is_none() && !matches!(landing, Landing::Owned) {
-            if let Some(m) = &shared.metrics {
-                m.copy_bytes.record(buf.bytes().len() as u64);
-            }
-        }
-        let _relay = trace_span!(tracer, "gw", "relay", "peer" = peer.0 as u64);
-        match relay_packet(
-            rank,
-            peer,
-            buf,
-            restage,
-            &in_channel,
-            &mut sinks,
-            &routes,
-            cfg,
-            &shared,
-            &mut streams,
-            &mut cancelled,
-            &mut open_from,
-            &mut max_pkt,
-        ) {
-            Ok(()) => {}
-            Err(MadError::Disconnected) => return,
-            Err(_) => {
-                // A malformed or misrouted packet poisons only itself:
-                // count it, drop it, keep forwarding everything else.
-                stats.on_error();
-                trace_instant!(tracer, "gw", "relay-error", "peer" = peer.0 as u64);
-            }
-        }
-        if cfg.exclusive_streams {
-            pinned = match open_from.get(&peer) {
-                Some(&n) if n > 0 => Some(peer),
-                _ => None,
-            };
+        if let Served::Finished = inbound.serve(peer, &mut sinks) {
+            return;
         }
     }
 }
 
-/// Demultiplex and forward one received packet. Generic over the sink so
-/// both engine cores run the exact same demultiplexing logic.
-#[allow(clippy::too_many_arguments)] // internal helper of the engine cores
-fn relay_packet<S: ItemSink>(
-    rank: NodeId,
-    peer: NodeId,
-    buf: FwdBuf,
-    restage: Option<Landing>,
-    in_channel: &Arc<Channel>,
-    sinks: &mut S,
-    routes: &RouteTable,
-    cfg: GatewayConfig,
-    shared: &FwdShared,
-    streams: &mut BTreeMap<StreamKey, InStream>,
-    cancelled: &mut BTreeSet<StreamKey>,
-    open_from: &mut BTreeMap<NodeId, u64>,
-    max_pkt: &mut usize,
-) -> Result<()> {
-    let (tag, body) = gtm::decode_packet(buf.bytes())?;
-    let key = tag.key();
-    // Arrival timestamp for the forward-latency histogram: one clock read
-    // per relayed packet, and only when telemetry is on.
-    let recv_ns = match &shared.metrics {
-        Some(_) => shared.runtime.now_nanos(),
-        None => 0,
-    };
+impl InboundCtx {
+    fn resize_landing(&self, d: &mut Demux) {
+        d.max_pkt = landing_size(&d.streams, self.cfg.max_batch, &self.in_caps);
+    }
 
-    // A batch frame from an upstream gateway: split the train and relay
-    // each packet on its own. Frames are never forwarded verbatim — this
-    // gateway re-coalesces by its *own* queue state, so a batch shaped
-    // for a fast hop does not dictate the framing of a slow one.
-    if matches!(body, PacketBody::Batch) {
-        let mut subs: Vec<FwdBuf> = Vec::new();
-        for sub in gtm::batch_packets(buf.bytes())? {
-            let mut landed = shared.runtime.pool().get(sub.len());
-            landed.vec().extend_from_slice(sub);
-            subs.push(FwdBuf::Owned(landed));
-        }
-        drop(buf);
-        for sub in subs {
-            match relay_packet(
-                rank, peer, sub, None, in_channel, sinks, routes, cfg, shared, streams, cancelled,
-                open_from, max_pkt,
-            ) {
-                Ok(()) => {}
-                Err(MadError::Disconnected) => return Err(MadError::Disconnected),
-                Err(_) => {
-                    // One bad packet poisons only itself, as on the
-                    // unbatched path.
-                    shared.stats.on_error();
-                    trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
-                }
+    /// Demultiplex and forward one received packet.
+    fn relay<S: ItemSink>(
+        &self,
+        d: &mut Demux,
+        peer: NodeId,
+        buf: FwdBuf,
+        restage: Option<Landing>,
+        sinks: &mut S,
+    ) -> Result<()> {
+        let shared = &self.shared;
+        let (tag, body) = gtm::decode_packet(buf.bytes())?;
+        let key = tag.key();
+        // Arrival timestamp for the forward-latency histogram: one clock read
+        // per relayed packet, and only when telemetry is on.
+        let recv_ns = match &shared.metrics {
+            Some(_) => shared.runtime.now_nanos(),
+            None => 0,
+        };
+
+        // A batch frame from an upstream gateway: split the train and relay
+        // each packet on its own. Frames are never forwarded verbatim — this
+        // gateway re-coalesces by its *own* queue state, so a batch shaped
+        // for a fast hop does not dictate the framing of a slow one.
+        if matches!(body, PacketBody::Batch) {
+            let mut subs: Vec<FwdBuf> = Vec::new();
+            for sub in gtm::batch_packets(buf.bytes())? {
+                let mut landed = shared.runtime.pool().get(sub.len());
+                landed.vec().extend_from_slice(sub);
+                subs.push(FwdBuf::Owned(landed));
             }
-        }
-        return Ok(());
-    }
-
-    // Returning flow-control traffic for streams this node sends out on
-    // the inbound network: not forwarded, deposited into the ledger.
-    if let PacketBody::Credit(n) = body {
-        shared.ledger.deposit(key, n);
-        return Ok(());
-    }
-
-    // A returning rendezvous CTS (kind 12): the downstream hop accepted
-    // an RTS and prepaid the whole window. For a stream originated by a
-    // writer resident on this node, park the grant for its `wait_grant`;
-    // for a relayed stream, the prepayment funds this engine's own
-    // outbound re-sends — deposit it so the forwarding side never stalls
-    // on per-fragment credits for that block.
-    if let PacketBody::RendezvousCts(m) = body {
-        if tag.src == rank {
-            shared.ledger.grant(key, m.window);
-        } else {
-            shared.ledger.deposit(key, m.window);
-        }
-        return Ok(());
-    }
-
-    // In-band metrics pull traffic rides the special conduits but never
-    // touches stream state: hand it to the telemetry plane (serve a
-    // request addressed here, file a reply, or relay it toward its
-    // destination) and move on. Without a plane the packet is dropped —
-    // telemetry is strictly best-effort.
-    if matches!(body, PacketBody::MetricsRequest | PacketBody::MetricsReply) {
-        if let Some(m) = &shared.metrics {
-            m.plane.handle_packet(&tag, &body, buf.bytes());
-        }
-        return Ok(());
-    }
-
-    // Membership protocol traffic (kind 11) likewise rides the special
-    // conduits outside stream state: the plane serves events addressed
-    // here and relays the rest toward their destination. Without a plane
-    // the packet is dropped — a membership-off node never joins anyway.
-    if let PacketBody::Member(_) = body {
-        if let Some(p) = &shared.member {
-            p.handle_packet(&tag, &body, buf.bytes());
-        }
-        return Ok(());
-    }
-
-    // Late packets of a stream cancelled here: swallow until its source
-    // stops (the end or cancel clears the tombstone).
-    if cancelled.contains(&key) {
-        if matches!(body, PacketBody::End | PacketBody::Cancel(_)) {
-            cancelled.remove(&key);
-        }
-        return Ok(());
-    }
-
-    // A live in-flight stream marked cancelled in the ledger (its outbound
-    // side timed out or hit a dead peer): tear it down on this side too —
-    // tell the upstream hop, relay a cancel downstream in place of the
-    // end, and tombstone the key.
-    if streams.contains_key(&key) {
-        if let Some(reason) = shared.ledger.cancelled(key) {
-            cancel_stream(
-                key, reason, true, in_channel, sinks, streams, cancelled, open_from, shared,
-            );
-            *max_pkt = landing_size(streams, cfg.max_batch, &in_channel.caps());
-            // The packet in hand belongs to the dead stream: swallow it,
-            // unless it is the source's own last word (no more will come).
-            if matches!(body, PacketBody::End | PacketBody::Cancel(_)) {
-                cancelled.remove(&key);
+            drop(buf);
+            for sub in subs {
+                match self.relay(d, peer, sub, None, sinks) {
+                    Ok(()) => {}
+                    Err(MadError::Disconnected) => return Err(MadError::Disconnected),
+                    Err(_) => {
+                        // One bad packet poisons only itself, as on the
+                        // unbatched path.
+                        shared.stats.on_error();
+                        trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
+                    }
+                }
             }
             return Ok(());
         }
-    }
 
-    match body {
-        PacketBody::Credit(_)
-        | PacketBody::Batch
-        | PacketBody::MetricsRequest
-        | PacketBody::MetricsReply
-        | PacketBody::Member(_)
-        | PacketBody::RendezvousCts(_) => unreachable!("handled above"),
-        PacketBody::RendezvousRts(m) => {
-            // A bulk block announced itself. Pre-reserve the landing on
-            // all three stations of this hop before its fragments arrive:
-            // warm the landing-buffer class, prepay the upstream window
-            // (CTS), and relay the RTS downstream *through the pipeline*
-            // so it keeps its FIFO position ahead of the block.
-            let stream = streams.get(&key).ok_or_else(|| {
-                MadError::Protocol(format!("rendezvous RTS for unknown stream {key:?}"))
-            })?;
-            drop(shared.runtime.pool().get(*max_pkt));
-            let window = m.window;
-            let mut cts = shared.runtime.pool().get(gtm::RENDEZVOUS_PACKET_LEN);
-            gtm::encode_rendezvous_cts_into(
-                cts.vec(),
-                &tag,
-                &gtm::RendezvousMsg {
-                    total: m.total,
-                    mtu: m.mtu,
-                    window,
-                },
-            );
-            if in_channel.send_packet(peer, &[&cts]).is_ok() {
-                shared.stats.cts_sent.fetch_add(1, Ordering::Relaxed);
-                stream
-                    .rendezvous_pending
-                    .set(stream.rendezvous_pending.get() + window as u64);
-            }
-            shared.stats.rts_relayed.fetch_add(1, Ordering::Relaxed);
-            trace_instant!(
-                shared.tracer,
-                "gw",
-                "rendezvous",
-                "src" = tag.src.0 as u64,
-                "dest" = tag.dest.0 as u64,
-            );
-            let item = make_item(
-                stream, buf, false, false, cfg, in_channel, peer, recv_ns, restage,
-            );
-            sinks.accept(stream, item, false, shared)
+        // Control traffic rides the special conduits but never touches
+        // stream state: returning credits, cancels and CTS grants of
+        // streams this node sends out on the inbound network, stray
+        // handoff acks, metrics pulls and membership events all belong to
+        // the node's control plane. The one exception is this engine's
+        // own rule: a cancel whose stream is in the table (or tombstoned)
+        // below is stream state.
+        let stream_cancel = matches!(body, PacketBody::Cancel(_))
+            && (d.streams.contains_key(&key) || d.cancelled.contains(&key));
+        if !stream_cancel && shared.ctl.dispatch(&tag, &body, buf.bytes()) == Dispatch::Handled {
+            return Ok(());
         }
-        PacketBody::Header(header) => {
-            if header.tag.dest == rank {
-                return Err(MadError::Protocol(format!(
-                    "message for the gateway itself ({rank}) arrived on the special channel"
-                )));
+
+        // Late packets of a stream cancelled here: swallow until its source
+        // stops (the end or cancel clears the tombstone).
+        if d.cancelled.contains(&key) {
+            if matches!(body, PacketBody::End | PacketBody::Cancel(_)) {
+                d.cancelled.remove(&key);
             }
-            if header.direct {
-                return Err(MadError::Protocol(
-                    "direct-delivery GTM stream arrived at a gateway".into(),
-                ));
-            }
-            if streams.contains_key(&key) {
-                return Err(MadError::Protocol(format!(
-                    "duplicate GTM header for in-flight stream {key:?}"
-                )));
-            }
-            let hop = routes.hop(header.tag.dest)?;
-            if !sinks.bridges(hop.net) {
-                return Err(MadError::Protocol(format!(
-                    "route to {} leaves on {}, which this gateway does not bridge",
-                    header.tag.dest, hop.net
-                )));
-            }
-            let stream = InStream {
-                out_net: hop.net,
-                to: hop.node,
-                last_hop: hop.last,
-                pair: (tag.src, tag.dest),
-                tag,
-                upstream: peer,
-                // Striped streams wrap every fragment in a seq envelope, so
-                // the landing buffer must fit the envelope, not just the
-                // inner packet.
-                mtu: if header.stripes > 0 {
-                    header.mtu + gtm::STRIPE_OVERHEAD as u32
-                } else {
-                    header.mtu
-                },
-                // Only the first hop acks: the inbound peer must *be* the
-                // origin, so a chained gateway never acks on its behalf.
-                ack: header.acked && peer == tag.src,
-                rendezvous_pending: Cell::new(0),
-            };
-            // On a non-final hop this gateway is the next conduit's
-            // sender: self-grant the window it will spend re-sending. The
-            // window is read per stream open, so a controller retune
-            // governs every stream accepted after it.
-            let window = match &shared.tuning {
-                Some(t) => t.credit_window(),
-                None => cfg.credit_window,
-            };
-            if let (Some(w), false) = (window, hop.last) {
-                shared.ledger.open(key, w);
-            }
-            shared.stats.on_header(stream.pair);
-            trace_instant!(
-                shared.tracer,
-                "gw",
-                "stream-open",
-                "src" = tag.src.0 as u64,
-                "dest" = tag.dest.0 as u64,
-            );
-            shared.live.opened();
-            *open_from.entry(peer).or_insert(0) += 1;
-            let item = make_item(
-                &stream, buf, false, false, cfg, in_channel, peer, recv_ns, restage,
-            );
-            sinks.accept(&stream, item, false, shared)?;
-            streams.insert(key, stream);
-            *max_pkt = landing_size(streams, cfg.max_batch, &in_channel.caps());
-            Ok(())
+            return Ok(());
         }
-        PacketBody::Part(_) => {
-            let stream = streams.get(&key).ok_or_else(|| {
-                MadError::Protocol(format!("GTM descriptor for unknown stream {key:?}"))
-            })?;
-            let item = make_item(
-                stream, buf, false, false, cfg, in_channel, peer, recv_ns, restage,
-            );
-            sinks.accept(stream, item, false, shared)
+
+        // A live in-flight stream marked cancelled in the ledger (its outbound
+        // side timed out or hit a dead peer): tear it down on this side too —
+        // tell the upstream hop, relay a cancel downstream in place of the
+        // end, and tombstone the key.
+        if d.streams.contains_key(&key) {
+            if let Some(reason) = shared.ledger().cancelled(key) {
+                self.cancel_stream(d, key, reason, true, sinks);
+                self.resize_landing(d);
+                // The packet in hand belongs to the dead stream: swallow it,
+                // unless it is the source's own last word (no more will come).
+                if matches!(body, PacketBody::End | PacketBody::Cancel(_)) {
+                    d.cancelled.remove(&key);
+                }
+                return Ok(());
+            }
         }
-        PacketBody::Frag => {
-            let stream = streams.get(&key).ok_or_else(|| {
-                MadError::Protocol(format!("GTM fragment for unknown stream {key:?}"))
-            })?;
-            let payload = (buf.bytes().len() - PRELUDE_LEN) as u64;
-            shared.stats.on_frag(stream.pair, payload);
-            shared.runtime.charge_overhead(cfg.switch_overhead_ns);
-            let item = make_item(
-                stream, buf, true, false, cfg, in_channel, peer, recv_ns, restage,
-            );
-            shared.stats.held.add(item.held_bytes as i64);
-            sinks.accept(stream, item, true, shared)
-        }
-        PacketBody::Stripe(_) => {
-            // A stripe envelope is an opaque body packet of its stream: it
-            // follows the stored route like any fragment and only the final
-            // receiver unwraps it. The per-path raw end — not the enveloped
-            // one — is what closes this gateway's stream state.
-            let stream = streams.get(&key).ok_or_else(|| {
-                MadError::Protocol(format!("GTM stripe for unknown stream {key:?}"))
-            })?;
-            let inner = gtm::stripe_inner(buf.bytes());
-            let is_frag = inner.get(2) == Some(&gtm::KIND_FRAG);
-            if is_frag {
-                let payload = (inner.len() - PRELUDE_LEN) as u64;
+
+        match body {
+            PacketBody::Credit(_)
+            | PacketBody::Batch
+            | PacketBody::Ack
+            | PacketBody::MetricsRequest
+            | PacketBody::MetricsReply
+            | PacketBody::Member(_)
+            | PacketBody::RendezvousCts(_) => Err(MadError::Protocol(format!(
+                "control packet {body:?} slipped past the dispatcher"
+            ))),
+            PacketBody::RendezvousRts(m) => {
+                // A bulk block announced itself. Pre-reserve the landing on
+                // all three stations of this hop before its fragments arrive:
+                // warm the landing-buffer class, prepay the upstream window
+                // (CTS), and relay the RTS downstream *through the pipeline*
+                // so it keeps its FIFO position ahead of the block.
+                let stream = d.streams.get(&key).ok_or_else(|| {
+                    MadError::Protocol(format!("rendezvous RTS for unknown stream {key:?}"))
+                })?;
+                drop(shared.runtime.pool().get(d.max_pkt));
+                let window = m.window;
+                let mut cts = shared.runtime.pool().get(gtm::RENDEZVOUS_PACKET_LEN);
+                gtm::encode_rendezvous_cts_into(
+                    cts.vec(),
+                    &tag,
+                    &gtm::RendezvousMsg {
+                        total: m.total,
+                        mtu: m.mtu,
+                        window,
+                    },
+                );
+                if self.in_channel.send_packet(peer, &[&cts]).is_ok() {
+                    shared.stats.cts_sent.fetch_add(1, Ordering::Relaxed);
+                    stream
+                        .rendezvous_pending
+                        .set(stream.rendezvous_pending.get() + window as u64);
+                }
+                shared.stats.rts_relayed.fetch_add(1, Ordering::Relaxed);
+                trace_instant!(
+                    shared.tracer,
+                    "gw",
+                    "rendezvous",
+                    "src" = tag.src.0 as u64,
+                    "dest" = tag.dest.0 as u64,
+                );
+                let item = self.item(stream, buf, false, false, peer, recv_ns, restage);
+                sinks.accept(stream, item, false, shared)
+            }
+            PacketBody::Header(header) => {
+                if header.tag.dest == self.rank {
+                    return Err(MadError::Protocol(format!(
+                        "message for the gateway itself ({}) arrived on the special channel",
+                        self.rank
+                    )));
+                }
+                if header.direct {
+                    return Err(MadError::Protocol(
+                        "direct-delivery GTM stream arrived at a gateway".into(),
+                    ));
+                }
+                if d.streams.contains_key(&key) {
+                    return Err(MadError::Protocol(format!(
+                        "duplicate GTM header for in-flight stream {key:?}"
+                    )));
+                }
+                let hop = shared.ctl.routes().hop(header.tag.dest)?;
+                if !sinks.bridges(hop.net) {
+                    return Err(MadError::Protocol(format!(
+                        "route to {} leaves on {}, which this gateway does not bridge",
+                        header.tag.dest, hop.net
+                    )));
+                }
+                let stream = InStream {
+                    out_net: hop.net,
+                    to: hop.node,
+                    last_hop: hop.last,
+                    pair: (tag.src, tag.dest),
+                    tag,
+                    upstream: peer,
+                    // Striped streams wrap every fragment in a seq envelope, so
+                    // the landing buffer must fit the envelope, not just the
+                    // inner packet.
+                    mtu: if header.stripes > 0 {
+                        header.mtu + gtm::STRIPE_OVERHEAD as u32
+                    } else {
+                        header.mtu
+                    },
+                    // Only the first hop acks: the inbound peer must *be* the
+                    // origin, so a chained gateway never acks on its behalf.
+                    ack: header.acked && peer == tag.src,
+                    rendezvous_pending: Cell::new(0),
+                };
+                // On a non-final hop this gateway is the next conduit's
+                // sender: self-grant the window it will spend re-sending. The
+                // window is read per stream open, so a controller retune
+                // governs every stream accepted after it.
+                let window = match &shared.tuning {
+                    Some(t) => t.credit_window(),
+                    None => self.cfg.credit_window,
+                };
+                if let (Some(w), false) = (window, hop.last) {
+                    shared.ledger().open(key, w);
+                }
+                shared.stats.on_header(stream.pair);
+                trace_instant!(
+                    shared.tracer,
+                    "gw",
+                    "stream-open",
+                    "src" = tag.src.0 as u64,
+                    "dest" = tag.dest.0 as u64,
+                );
+                shared.live.opened();
+                *d.open_from.entry(peer).or_insert(0) += 1;
+                let item = self.item(&stream, buf, false, false, peer, recv_ns, restage);
+                sinks.accept(&stream, item, false, shared)?;
+                d.streams.insert(key, stream);
+                self.resize_landing(d);
+                Ok(())
+            }
+            PacketBody::Part(_) => {
+                let stream = d.streams.get(&key).ok_or_else(|| {
+                    MadError::Protocol(format!("GTM descriptor for unknown stream {key:?}"))
+                })?;
+                let item = self.item(stream, buf, false, false, peer, recv_ns, restage);
+                sinks.accept(stream, item, false, shared)
+            }
+            PacketBody::Frag => {
+                let stream = d.streams.get(&key).ok_or_else(|| {
+                    MadError::Protocol(format!("GTM fragment for unknown stream {key:?}"))
+                })?;
+                let payload = (buf.bytes().len() - PRELUDE_LEN) as u64;
                 shared.stats.on_frag(stream.pair, payload);
-                shared.runtime.charge_overhead(cfg.switch_overhead_ns);
+                shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
+                let item = self.item(stream, buf, true, false, peer, recv_ns, restage);
+                shared.stats.held.add(item.held_bytes as i64);
+                sinks.accept(stream, item, true, shared)
             }
-            let item = make_item(
-                stream, buf, is_frag, false, cfg, in_channel, peer, recv_ns, restage,
-            );
-            shared.stats.held.add(item.held_bytes as i64);
-            sinks.accept(stream, item, is_frag, shared)
-        }
-        PacketBody::End => {
-            let stream = streams
-                .remove(&key)
-                .ok_or_else(|| MadError::Protocol(format!("GTM end for unknown stream {key:?}")))?;
-            if let Some(n) = open_from.get_mut(&peer) {
-                *n = n.saturating_sub(1);
+            PacketBody::Stripe(_) => {
+                // A stripe envelope is an opaque body packet of its stream: it
+                // follows the stored route like any fragment and only the final
+                // receiver unwraps it. The per-path raw end — not the enveloped
+                // one — is what closes this gateway's stream state.
+                let stream = d.streams.get(&key).ok_or_else(|| {
+                    MadError::Protocol(format!("GTM stripe for unknown stream {key:?}"))
+                })?;
+                let inner = gtm::stripe_inner(buf.bytes());
+                let is_frag = inner.get(2) == Some(&gtm::KIND_FRAG);
+                if is_frag {
+                    let payload = (inner.len() - PRELUDE_LEN) as u64;
+                    shared.stats.on_frag(stream.pair, payload);
+                    shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
+                }
+                let item = self.item(stream, buf, is_frag, false, peer, recv_ns, restage);
+                shared.stats.held.add(item.held_bytes as i64);
+                sinks.accept(stream, item, is_frag, shared)
             }
-            *max_pkt = landing_size(streams, cfg.max_batch, &in_channel.caps());
-            shared.stats.on_end(stream.pair);
-            let item = make_item(
-                &stream, buf, false, true, cfg, in_channel, peer, recv_ns, restage,
-            );
-            sinks.accept(&stream, item, false, shared)
-        }
-        PacketBody::Ack => {
-            // Handoff acks flow from a first-hop gateway straight to the
-            // stream's origin and are consumed by its writer; one arriving
-            // here is a stale leftover of a failed-over path — ignore it.
-            Ok(())
-        }
-        PacketBody::Cancel(reason) => {
-            if let Some(mut stream) = streams.remove(&key) {
-                // The upstream hop killed the stream: drop its state, mark
-                // the ledger (waking any forwarding side blocked on its
-                // credits) and relay the cancel downstream in place of the
-                // end packet.
-                if let Some(n) = open_from.get_mut(&peer) {
+            PacketBody::End => {
+                let stream = d.streams.remove(&key).ok_or_else(|| {
+                    MadError::Protocol(format!("GTM end for unknown stream {key:?}"))
+                })?;
+                if let Some(n) = d.open_from.get_mut(&peer) {
                     *n = n.saturating_sub(1);
                 }
-                *max_pkt = landing_size(streams, cfg.max_batch, &in_channel.caps());
-                shared.ledger.cancel(key, reason);
+                self.resize_landing(d);
+                shared.stats.on_end(stream.pair);
+                let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
+                sinks.accept(&stream, item, false, shared)
+            }
+            PacketBody::Cancel(reason) => {
+                // Only a cancel of a stream in this table gets here (see
+                // `stream_cancel` above). The upstream hop killed the
+                // stream: drop its state, mark the ledger (waking any
+                // forwarding side blocked on its credits) and relay the
+                // cancel downstream in place of the end packet.
+                let mut stream = d.streams.remove(&key).ok_or_else(|| {
+                    MadError::Protocol(format!("GTM cancel for unknown stream {key:?}"))
+                })?;
+                if let Some(n) = d.open_from.get_mut(&peer) {
+                    *n = n.saturating_sub(1);
+                }
+                self.resize_landing(d);
+                shared.ledger().cancel(key, reason);
                 shared.stats.on_cancelled();
                 trace_instant!(
                     shared.tracer,
@@ -1751,160 +1760,120 @@ fn relay_packet<S: ItemSink>(
                 // A relayed cancel terminates the stream but is not a
                 // successful handoff — never ack it.
                 stream.ack = false;
-                let item = make_item(
-                    &stream, buf, false, true, cfg, in_channel, peer, recv_ns, restage,
-                );
+                let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
                 sinks.accept(&stream, item, false, shared)
-            } else if shared.ledger.cancel_existing(key, reason) {
-                // Returning-direction cancel: a downstream hop killed a
-                // stream this node *sends* out on the inbound network.
-                // Marking the account wakes the blocked sender (a local
-                // writer or a forwarding thread), which surfaces the
-                // typed error.
-                Ok(())
-            } else {
-                Err(MadError::Protocol(format!(
-                    "GTM cancel for unknown stream {key:?}"
-                )))
             }
         }
     }
-}
 
-/// Build the pipeline item for one accepted packet.
-#[allow(clippy::too_many_arguments)] // internal helper of relay_packet
-fn make_item(
-    stream: &InStream,
-    buf: FwdBuf,
-    is_frag: bool,
-    end_of_stream: bool,
-    cfg: GatewayConfig,
-    in_channel: &Arc<Channel>,
-    peer: NodeId,
-    recv_ns: u64,
-    restage: Option<Landing>,
-) -> FwdItem {
-    let held_bytes = if is_frag { buf.bytes().len() } else { 0 };
-    // A fragment prepaid by a rendezvous CTS must not also return its
-    // per-fragment grant — the whole window went upstream at once.
-    let grant = if is_frag && cfg.credit_window.is_some() {
-        let pending = stream.rendezvous_pending.get();
-        if pending > 0 {
-            stream.rendezvous_pending.set(pending - 1);
-            None
+    /// Build the pipeline item for one accepted packet.
+    #[allow(clippy::too_many_arguments)] // internal helper of relay
+    fn item(
+        &self,
+        stream: &InStream,
+        buf: FwdBuf,
+        is_frag: bool,
+        end_of_stream: bool,
+        peer: NodeId,
+        recv_ns: u64,
+        restage: Option<Landing>,
+    ) -> FwdItem {
+        let flow_controlled = self.cfg.credit_window.is_some();
+        let held_bytes = if is_frag { buf.bytes().len() } else { 0 };
+        // A fragment prepaid by a rendezvous CTS must not also return its
+        // per-fragment grant — the whole window went upstream at once.
+        let grant = if is_frag && flow_controlled {
+            let pending = stream.rendezvous_pending.get();
+            if pending > 0 {
+                stream.rendezvous_pending.set(pending - 1);
+                None
+            } else {
+                Some((self.in_channel.clone(), peer))
+            }
         } else {
-            Some((in_channel.clone(), peer))
+            None
+        };
+        FwdItem {
+            to: stream.to,
+            last_hop: stream.last_hop,
+            buf,
+            tag: stream.tag,
+            end_of_stream,
+            held_bytes,
+            // Forward latency is measured on payload fragments only.
+            recv_ns: if is_frag { recv_ns } else { 0 },
+            consume: is_frag && flow_controlled && !stream.last_hop,
+            grant,
+            ack: (end_of_stream && stream.ack).then(|| (self.in_channel.clone(), peer)),
+            restage,
         }
-    } else {
-        None
-    };
-    FwdItem {
-        to: stream.to,
-        last_hop: stream.last_hop,
-        buf,
-        tag: stream.tag,
-        end_of_stream,
-        held_bytes,
-        // Forward latency is measured on payload fragments only.
-        recv_ns: if is_frag { recv_ns } else { 0 },
-        consume: is_frag && cfg.credit_window.is_some() && !stream.last_hop,
-        grant,
-        ack: (end_of_stream && stream.ack).then(|| (in_channel.clone(), peer)),
-        restage,
     }
-}
 
-/// Tear down one in-flight stream after a cancellation: notify the
-/// upstream hop (so its sender stops), enqueue a cancel downstream in
-/// place of the end packet (so later hops and the receiver drop it), and
-/// tombstone the key so the source's still-in-flight packets are
-/// swallowed. Only the affected stream dies — everything else keeps
-/// flowing.
-#[allow(clippy::too_many_arguments)] // internal helper of the engine cores
-fn cancel_stream<S: ItemSink>(
-    key: StreamKey,
-    reason: CancelReason,
-    notify_upstream: bool,
-    in_channel: &Arc<Channel>,
-    sinks: &mut S,
-    streams: &mut BTreeMap<StreamKey, InStream>,
-    cancelled: &mut BTreeSet<StreamKey>,
-    open_from: &mut BTreeMap<NodeId, u64>,
-    shared: &FwdShared,
-) {
-    let Some(stream) = streams.remove(&key) else {
-        return;
-    };
-    shared.stats.on_cancelled();
-    trace_instant!(
-        shared.tracer,
-        "gw",
-        "stream-cancel",
-        "src" = stream.tag.src.0 as u64,
-        "dest" = stream.tag.dest.0 as u64,
-    );
-    if let Some(n) = open_from.get_mut(&stream.upstream) {
-        *n = n.saturating_sub(1);
-    }
-    if notify_upstream {
+    /// Tear down one in-flight stream after a cancellation: notify the
+    /// upstream hop (so its sender stops), enqueue a cancel downstream in
+    /// place of the end packet (so later hops and the receiver drop it), and
+    /// tombstone the key so the source's still-in-flight packets are
+    /// swallowed. Only the affected stream dies — everything else keeps
+    /// flowing.
+    fn cancel_stream<S: ItemSink>(
+        &self,
+        d: &mut Demux,
+        key: StreamKey,
+        reason: CancelReason,
+        notify_upstream: bool,
+        sinks: &mut S,
+    ) {
+        let shared = &self.shared;
+        let Some(mut stream) = d.streams.remove(&key) else {
+            return;
+        };
+        shared.stats.on_cancelled();
+        trace_instant!(
+            shared.tracer,
+            "gw",
+            "stream-cancel",
+            "src" = stream.tag.src.0 as u64,
+            "dest" = stream.tag.dest.0 as u64,
+        );
+        if let Some(n) = d.open_from.get_mut(&stream.upstream) {
+            *n = n.saturating_sub(1);
+        }
+        if notify_upstream {
+            let mut cancel = shared.runtime.pool().get(PRELUDE_LEN + 1);
+            gtm::encode_cancel_into(cancel.vec(), &stream.tag, reason);
+            let _ = self.in_channel.send_packet(stream.upstream, &[&cancel]);
+        }
+        d.cancelled.insert(key);
+        // A synthesized cancel replaces the end packet downstream; dropping it
+        // on a dead sink is fine — its consumption is what releases the
+        // stream from the drain count either way. A cancelled stream is
+        // never acked: the origin's ack deadline (or the upstream cancel
+        // notification) drives its failover.
         let mut cancel = shared.runtime.pool().get(PRELUDE_LEN + 1);
         gtm::encode_cancel_into(cancel.vec(), &stream.tag, reason);
-        let _ = in_channel.send_packet(stream.upstream, &[&cancel]);
+        stream.ack = false;
+        let peer = stream.upstream;
+        let item = self.item(&stream, FwdBuf::Owned(cancel), false, true, peer, 0, None);
+        let _ = sinks.accept(&stream, item, false, shared);
     }
-    cancelled.insert(key);
-    // A synthesized cancel replaces the end packet downstream; dropping it
-    // on a dead sink is fine — its consumption is what releases the
-    // stream from the drain count either way.
-    let mut cancel = shared.runtime.pool().get(PRELUDE_LEN + 1);
-    gtm::encode_cancel_into(cancel.vec(), &stream.tag, reason);
-    let item = FwdItem {
-        to: stream.to,
-        last_hop: stream.last_hop,
-        buf: FwdBuf::Owned(cancel),
-        tag: stream.tag,
-        end_of_stream: true,
-        held_bytes: 0,
-        recv_ns: 0,
-        consume: false,
-        grant: None,
-        // A cancelled stream is never acked: the origin's ack deadline (or
-        // the upstream cancel notification) drives its failover.
-        ack: None,
-        restage: None,
-    };
-    let _ = sinks.accept(&stream, item, false, shared);
-}
 
-/// Cancel every stream that entered through `peer` (its conduit framing is
-/// lost). Downstream hops are told; the peer itself is not (its conduit
-/// just failed).
-fn cancel_peer_streams<S: ItemSink>(
-    peer: NodeId,
-    in_channel: &Arc<Channel>,
-    sinks: &mut S,
-    streams: &mut BTreeMap<StreamKey, InStream>,
-    cancelled: &mut BTreeSet<StreamKey>,
-    open_from: &mut BTreeMap<NodeId, u64>,
-    shared: &FwdShared,
-) {
-    let keys: Vec<StreamKey> = streams
-        .iter()
-        .filter(|(_, s)| s.upstream == peer)
-        .map(|(&k, _)| k)
-        .collect();
-    for key in keys {
-        shared.ledger.cancel(key, CancelReason::PeerUnreachable);
-        cancel_stream(
-            key,
-            CancelReason::PeerUnreachable,
-            false,
-            in_channel,
-            sinks,
-            streams,
-            cancelled,
-            open_from,
-            shared,
-        );
+    /// Cancel every stream that entered through `peer` (its conduit framing is
+    /// lost). Downstream hops are told; the peer itself is not (its conduit
+    /// just failed).
+    fn cancel_peer_streams<S: ItemSink>(&self, d: &mut Demux, peer: NodeId, sinks: &mut S) {
+        let keys: Vec<StreamKey> = d
+            .streams
+            .iter()
+            .filter(|(_, s)| s.upstream == peer)
+            .map(|(&k, _)| k)
+            .collect();
+        for key in keys {
+            self.shared
+                .ledger()
+                .cancel(key, CancelReason::PeerUnreachable);
+            self.cancel_stream(d, key, CancelReason::PeerUnreachable, false, sinks);
+        }
+        self.resize_landing(d);
     }
 }
 
@@ -2033,15 +2002,13 @@ fn dispatch(
     shared: &FwdShared,
 ) -> Result<()> {
     match sink {
-        Sink::Queue(tx, _) => {
+        Sink::Queue(tx) => {
             if is_frag {
                 shared.stats.on_switch(stream.pair);
             }
             match tx.try_push(item) {
                 Ok(()) => {
-                    if let Some(m) = &shared.metrics {
-                        m.queue_depth.add(1);
-                    }
+                    shared.queue_depth(1);
                     Ok(())
                 }
                 Err(item) => {
@@ -2056,9 +2023,7 @@ fn dispatch(
                     let _wait = trace_span!(shared.tracer, "gw", "stall-wait");
                     match tx.push(item) {
                         Ok(()) => {
-                            if let Some(m) = &shared.metrics {
-                                m.queue_depth.add(1);
-                            }
+                            shared.queue_depth(1);
                             Ok(())
                         }
                         Err(item) => {
@@ -2085,10 +2050,10 @@ fn dispatch(
 /// held-bytes gauge goes down, and an end-equivalent item still releases
 /// its stream (consumed-by-sink means sent *or* dropped).
 fn drop_item(item: &FwdItem, shared: &FwdShared) {
-    shared.stats.held.sub(item.held_bytes as i64);
+    shared.stats.held.add(-(item.held_bytes as i64));
     if item.end_of_stream {
         shared.live.stream_done();
-        shared.ledger.close(item.tag.key());
+        shared.ledger().close(item.tag.key());
     }
 }
 
@@ -2109,8 +2074,8 @@ fn cancel_outbound(
     shared: &FwdShared,
 ) {
     let key = tag.key();
-    let first = shared.ledger.cancelled(key).is_none();
-    shared.ledger.cancel(key, reason);
+    let first = shared.ledger().cancelled(key).is_none();
+    shared.ledger().cancel(key, reason);
     if !first {
         return; // the stream is already being torn down; don't re-notify
     }
@@ -2131,6 +2096,23 @@ fn cancel_outbound(
     }
 }
 
+/// A queued item's stream turned out dead on the outbound side (ledger
+/// cancel or credit deadline): cancel it both ways, then account the item
+/// as dropped.
+fn cancel_and_drop(path: &OutPath, item: &FwdItem, reason: CancelReason, shared: &FwdShared) {
+    cancel_outbound(
+        path,
+        item.to,
+        item.last_hop,
+        &item.tag,
+        &item.grant,
+        reason,
+        true,
+        shared,
+    );
+    drop_item(item, shared);
+}
+
 /// Consume the outbound credit of one pipeline item, waiting up to the
 /// credit deadline. On failure the stream is cancelled and the item
 /// accounted (dropped); `None` tells the caller the item was consumed.
@@ -2140,7 +2122,7 @@ fn take_credit_blocking(path: &OutPath, item: FwdItem, shared: &FwdShared) -> Op
     }
     let wait_start = shared.metrics.as_ref().map(|_| shared.runtime.now_nanos());
     match shared
-        .ledger
+        .ledger()
         .take_blocking(item.tag.key(), shared.credit_timeout_ns, &*shared.runtime)
     {
         Ok(()) => {
@@ -2158,17 +2140,7 @@ fn take_credit_blocking(path: &OutPath, item: FwdItem, shared: &FwdShared) -> Op
                 }
                 TakeFailure::Cancelled(r) => r,
             };
-            cancel_outbound(
-                path,
-                item.to,
-                item.last_hop,
-                &item.tag,
-                &item.grant,
-                reason,
-                true,
-                shared,
-            );
-            drop_item(&item, shared);
+            cancel_and_drop(path, &item, reason, shared);
             None
         }
     }
@@ -2203,10 +2175,10 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
         restage: _,
     } = item;
     let account_drop = |shared: &FwdShared| {
-        shared.stats.held.sub(held_bytes as i64);
+        shared.stats.held.add(-(held_bytes as i64));
         if end_of_stream {
             shared.live.stream_done();
-            shared.ledger.close(tag.key());
+            shared.ledger().close(tag.key());
         }
     };
     let channel = path.channel(last_hop);
@@ -2230,7 +2202,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
                         .record(shared.runtime.now_nanos().saturating_sub(recv_ns));
                 }
             }
-            shared.stats.held.sub(held_bytes as i64);
+            shared.stats.held.add(-(held_bytes as i64));
             if let Some((grant_ch, grant_peer)) = &grant {
                 let mut credit = shared.runtime.pool().get(PRELUDE_LEN + 4);
                 gtm::encode_credit_into(credit.vec(), &tag, 1);
@@ -2251,7 +2223,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
             }
             if end_of_stream {
                 shared.live.stream_done();
-                shared.ledger.close(tag.key());
+                shared.ledger().close(tag.key());
             }
             true
         }
@@ -2362,10 +2334,10 @@ fn transmit_batch(path: &OutPath, mut batch: Vec<FwdItem>, shared: &FwdShared) -
                         shared.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                shared.stats.held.sub(item.held_bytes as i64);
+                shared.stats.held.add(-(item.held_bytes as i64));
                 if item.end_of_stream {
                     shared.live.stream_done();
-                    shared.ledger.close(item.tag.key());
+                    shared.ledger().close(item.tag.key());
                 }
             }
             true
@@ -2407,17 +2379,88 @@ fn send_buf(conduit: &mut dyn Conduit, buf: FwdBuf) -> Result<()> {
     }
 }
 
+/// A train being coalesced for one outgoing conduit — the one place both
+/// engine cores decide what may ride a batch frame. After the head item's
+/// credit is secured, already-queued items bound for the same conduit
+/// join (non-blocking credit takes only) until the train reaches the batch
+/// cap, the driver's preferred packet size, its gather limit, or an item
+/// that cannot join, which stays the next train's head — FIFO order is
+/// never broken. How the next candidate is *looked at* is the caller's:
+/// the threaded engine pops it from its bounded queue and stashes it on
+/// [`Admit::Stop`]; the reactor peeks at its `VecDeque` and pops only on
+/// [`Admit::Join`].
+struct Train {
+    batch: Vec<FwdItem>,
+    to: NodeId,
+    last_hop: bool,
+    /// Frame bytes the train occupies so far.
+    frame: usize,
+    /// Never exceed what the driver performs best with — a route-MTU bulk
+    /// fragment fails this check alone and is sent singly (keeping its
+    /// zero-copy static path), so batching cannot penalize bulk streams.
+    budget: usize,
+    max_gather: usize,
+    max_batch: usize,
+}
+
+/// [`Train::admit`]'s verdict on the next queued item.
+enum Admit {
+    /// Credit taken, frame space reserved: push it.
+    Join,
+    /// Different conduit, over budget, or credit-dry: it heads the next
+    /// train (never reorder behind it).
+    Stop,
+    /// Its stream is cancelled in the ledger: drop it out of the queue.
+    Dead(CancelReason),
+}
+
+impl Train {
+    fn start(head: FwdItem, caps: &DriverCaps, max_batch: usize) -> Train {
+        Train {
+            to: head.to,
+            last_hop: head.last_hop,
+            frame: PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len(),
+            budget: caps.preferred_mtu.min(caps.max_packet),
+            max_gather: caps.max_gather,
+            max_batch,
+            batch: vec![head],
+        }
+    }
+
+    fn has_room(&self) -> bool {
+        self.batch.len() < self.max_batch
+            && self.frame <= self.budget
+            && 2 * (self.batch.len() + 1) < self.max_gather
+    }
+
+    fn admit(&mut self, next: &FwdItem, ledger: &CreditLedger) -> Admit {
+        if next.to != self.to || next.last_hop != self.last_hop {
+            return Admit::Stop;
+        }
+        let need = gtm::BATCH_ENTRY_OVERHEAD + next.buf.bytes().len();
+        if self.frame + need > self.budget {
+            return Admit::Stop;
+        }
+        if next.consume {
+            match ledger.try_take(next.tag.key()) {
+                TakeOutcome::Taken => {}
+                TakeOutcome::Empty => return Admit::Stop,
+                TakeOutcome::Cancelled(r) => return Admit::Dead(r),
+            }
+        }
+        self.frame += need;
+        Admit::Join
+    }
+}
+
 /// The forwarding thread of one (inbound, outbound) network pair: drains
 /// the pipeline and retransmits. Each item is self-contained, so the
 /// outgoing conduit is locked per train — the §7b lesson-2 invariant at
 /// fragment granularity — and packets of concurrent streams interleave.
 ///
-/// With `max_batch ≥ 2` the thread coalesces opportunistically: after the
-/// head item's credit is secured, already-queued items bound for the same
-/// conduit are pulled (non-blocking credit takes only) until the train
-/// reaches `max_batch`, the driver's preferred packet size, its gather
-/// limit, or an incompatible/credit-dry item — which is carried over as
-/// the next head, preserving FIFO order. An idle pipeline degenerates to
+/// With `max_batch ≥ 2` the thread coalesces opportunistically through a
+/// [`Train`]; a credit-dry candidate is stashed as the next head and the
+/// blocking wait runs for it. An idle pipeline degenerates to
 /// packet-at-a-time, so batching never adds latency, only removes
 /// per-send overhead when a backlog exists.
 fn forwarding_thread(
@@ -2429,23 +2472,15 @@ fn forwarding_thread(
     let _exit = ThreadExitGuard {
         live: shared.live.clone(),
     };
-    let timed = shared.metrics.is_some() || shared.tracer.enabled();
+    let timed = shared.timed();
     let mut pending: Option<FwdItem> = None;
     loop {
-        // The batch cap is re-read per train so a controller retune takes
-        // effect on the next coalescing decision, not the next session.
-        let max_batch = shared
-            .tuning
-            .as_ref()
-            .map(|t| t.max_batch())
-            .unwrap_or(cfg_max_batch);
+        let max_batch = shared.max_batch(cfg_max_batch);
         let head = match pending.take() {
             Some(item) => item,
             None => match rx.pop() {
                 Some(item) => {
-                    if let Some(m) = &shared.metrics {
-                        m.queue_depth.add(-1);
-                    }
+                    shared.queue_depth(-1);
                     item
                 }
                 None => return, // polling thread gone: shut down
@@ -2470,59 +2505,22 @@ fn forwarding_thread(
             continue; // stream cancelled; item accounted
         };
         let caps = path.channel(head.last_hop).caps();
-        // Frame budget: never exceed what the driver performs best with —
-        // a route-MTU bulk fragment fails this check alone and is sent
-        // singly (keeping its zero-copy static path), so batching cannot
-        // penalize bulk streams.
-        let budget = caps.preferred_mtu.min(caps.max_packet);
-        let mut frame = PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len();
-        let mut batch = vec![head];
-        while batch.len() < max_batch && frame <= budget && 2 * (batch.len() + 1) < caps.max_gather
-        {
+        let mut train = Train::start(head, &caps, max_batch);
+        while train.has_room() {
             let Some(next) = rx.try_pop() else {
                 break; // queue drained: send what we have
             };
-            if let Some(m) = &shared.metrics {
-                m.queue_depth.add(-1);
-            }
-            if next.to != batch[0].to || next.last_hop != batch[0].last_hop {
-                pending = Some(next); // different conduit: next train's head
-                break;
-            }
-            let need = gtm::BATCH_ENTRY_OVERHEAD + next.buf.bytes().len();
-            if frame + need > budget {
-                pending = Some(next);
-                break;
-            }
-            if next.consume {
-                match shared.ledger.try_take(next.tag.key()) {
-                    crate::credit::TakeOutcome::Taken => {}
-                    crate::credit::TakeOutcome::Empty => {
-                        // Credit-dry: don't reorder behind it — stash it
-                        // as the next head and let the blocking wait run.
-                        pending = Some(next);
-                        break;
-                    }
-                    crate::credit::TakeOutcome::Cancelled(r) => {
-                        cancel_outbound(
-                            &path,
-                            next.to,
-                            next.last_hop,
-                            &next.tag,
-                            &next.grant,
-                            r,
-                            true,
-                            &shared,
-                        );
-                        drop_item(&next, &shared);
-                        continue; // dead stream's packet drops out of the train
-                    }
+            shared.queue_depth(-1);
+            match train.admit(&next, shared.ledger()) {
+                Admit::Join => train.batch.push(next),
+                Admit::Stop => {
+                    pending = Some(next);
+                    break;
                 }
+                Admit::Dead(r) => cancel_and_drop(&path, &next, r, &shared),
             }
-            frame += need;
-            batch.push(next);
         }
-        if !transmit_batch(&path, batch, &shared) {
+        if !transmit_batch(&path, train.batch, &shared) {
             return;
         }
     }

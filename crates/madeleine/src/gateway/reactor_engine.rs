@@ -4,12 +4,14 @@
 //!
 //! The threaded engine burns `nets × (1 + (nets−1))` OS threads per
 //! gateway per virtual channel. This module runs the *same* forwarding
-//! logic — the [`ItemSink`]-generic `relay_packet` demultiplexer, the
-//! credit protocol, batch coalescing, cancellation — as a pair of tasks
-//! per inbound network (a [`RecvTask`] and a [`FlushTask`] sharing the
-//! outbound queues), scheduled by a per-gateway-node [`GatewayReactor`]
-//! whose worker count is fixed no matter how many virtual channels,
-//! networks, or streams the node hosts.
+//! body — [`Inbound::serve`] (receive, demultiplex, degrade), [`Train`]
+//! coalescing, the credit protocol, cancellation — under a different
+//! scheduler: a pair of tasks per inbound network (a [`RecvTask`] and a
+//! [`FlushTask`] sharing the outbound queues) on a per-gateway-node
+//! [`GatewayReactor`] whose worker count is fixed no matter how many
+//! virtual channels, networks, or streams the node hosts. Everything in
+//! this file is *who waits how*; nothing in it decides what a packet
+//! means.
 //!
 //! ## Why a receive/flush task *pair*
 //!
@@ -25,7 +27,8 @@
 //! ## Why one reactor per gateway *node*
 //!
 //! A session creates every conduit of a node against that node's single
-//! arrival event, and the node's [`CreditLedger`] shares it: any packet
+//! arrival event, and the node's
+//! [`CreditLedger`](crate::credit::CreditLedger) shares it: any packet
 //! arrival, credit deposit, or cancellation bumps exactly that event. The
 //! reactor parks its workers on it ([`RtPark`]), so "anything happened on
 //! this node" is precisely "stir the reactor" — no per-source waker
@@ -40,8 +43,8 @@
 //!   non-blocking `try_select_ready_after` scan, re-armed by stirs;
 //! * the forwarding thread's bounded queue becomes a per-outbound-net
 //!   `VecDeque` whose length gates intake at `pipeline_depth` (same
-//!   backpressure, no parked thread), flushed with the same train
-//!   coalescing as `forwarding_thread`;
+//!   backpressure, no parked thread), flushed through the same [`Train`]
+//!   builder as `forwarding_thread`;
 //! * blocking credit takes become `try_take` plus a reactor timer at the
 //!   credit deadline (on expiry the stream is cancelled exactly as the
 //!   threaded engine's `take_blocking` timeout would);
@@ -53,24 +56,21 @@
 //! threaded engine's — the `prop_engine` property test asserts it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mad_trace::{trace_instant, trace_span};
+use mad_trace::trace_instant;
 use mad_util::reactor::{Context, Park, Poll, PollTask, Reactor};
 use mad_util::sync::{Condvar, Mutex};
 
 use super::{
-    EngineLive, FwdItem, FwdShared, GatewayConfig, GatewayHandles, GatewayStats, GatewayStop,
-    InStream, ItemSink, Landing, OutPath, ThreadExitGuard,
+    Admit, FwdItem, FwdShared, GatewayConfig, GatewayStop, InStream, Inbound, ItemSink, OutPath,
+    Served, ThreadExitGuard, Train,
 };
-use crate::channel::Channel;
-use crate::conduit::{BufferMode, DriverCaps};
-use crate::credit::{CreditLedger, TakeOutcome};
+use crate::credit::TakeOutcome;
 use crate::error::{MadError, Result};
-use crate::gtm::{self, CancelReason, StreamKey, PRELUDE_LEN};
-use crate::routing::RouteTable;
+use crate::gtm::CancelReason;
 use crate::runtime::{RtEvent, Runtime};
 use crate::types::{NetworkId, NodeId};
 
@@ -119,7 +119,7 @@ pub(super) struct TaskLatch {
 }
 
 impl TaskLatch {
-    fn new(n: usize) -> Arc<Self> {
+    pub(super) fn new(n: usize) -> Arc<Self> {
         Arc::new(TaskLatch {
             remaining: Mutex::new(n),
             cv: Condvar::new(),
@@ -298,9 +298,7 @@ impl ItemSink for ReactorSinks {
                 // of the threaded pipeline handoff.
                 shared.stats.on_switch(stream.pair);
             }
-            if let Some(m) = &shared.metrics {
-                m.queue_depth.add(1);
-            }
+            shared.queue_depth(1);
             nq.q.push_back(item);
         }
         self.wake.bump();
@@ -317,34 +315,18 @@ const RECV_BUDGET: usize = 32;
 /// fairness reason on the output side.
 const TRAIN_BUDGET: usize = 16;
 
-/// The receive half of one inbound network: the threaded engine's polling
-/// thread (select + receive + demux) as a non-blocking task. Items it
-/// relays land in the [`Queues`] its [`FlushTask`] partner drains; a full
-/// queue parks intake at `pipeline_depth`, exactly like the threaded
-/// engine's bounded pipeline send.
+/// The reactor's scheduler of one [`Inbound`]: where the threaded engine's
+/// polling thread blocks in `select_ready_after`, this task scans without
+/// blocking and sleeps on the node event. Items it relays land in the
+/// [`Queues`] its [`FlushTask`] partner drains; a full queue parks intake
+/// at `pipeline_depth`, exactly like the threaded engine's bounded
+/// pipeline send.
 struct RecvTask {
-    rank: NodeId,
-    in_channel: Arc<Channel>,
-    routes: Arc<RouteTable>,
-    cfg: GatewayConfig,
-    shared: FwdShared,
-    stopctl: Arc<GatewayStop>,
+    inbound: Inbound,
     sinks: ReactorSinks,
-    streams: BTreeMap<StreamKey, InStream>,
-    cancelled: BTreeSet<StreamKey>,
-    open_from: BTreeMap<NodeId, u64>,
+    stopctl: Arc<GatewayStop>,
+    /// Fair-scan cursor: the peer served last turn.
     cursor: Option<NodeId>,
-    pinned: Option<NodeId>,
-    landing: Landing,
-    in_caps: DriverCaps,
-    max_pkt: usize,
-    /// Whether a relay copy may be deferred to the flush task — true only
-    /// when the raw receive is copy-free (dynamic inbound driver). The
-    /// reactor always has a real flush stage, so no depth check here.
-    can_defer: bool,
-    /// Whether stage-busy brackets pay for clock reads (metrics or trace
-    /// active); the `flush_active` occupancy count is kept either way.
-    timed: bool,
     /// Armed when a stop is requested; expiry abandons streams that will
     /// never end.
     drain_deadline: Option<u64>,
@@ -360,12 +342,13 @@ struct RecvTask {
 
 impl RecvTask {
     fn queues_full(&self) -> bool {
+        let depth = self.inbound.ctx.cfg.pipeline_depth;
         self.sinks
             .queues
             .lock()
             .nets
             .values()
-            .any(|n| n.q.len() >= self.cfg.pipeline_depth)
+            .any(|n| n.q.len() >= depth)
     }
 }
 
@@ -392,7 +375,7 @@ impl PollTask for RecvTask {
             if self.stopctl.stop_requested() {
                 let deadline = *self
                     .drain_deadline
-                    .get_or_insert(now.saturating_add(self.cfg.drain_timeout_ns));
+                    .get_or_insert(now.saturating_add(self.inbound.ctx.cfg.drain_timeout_ns));
                 if now >= deadline {
                     // Streams that will never end (their source died
                     // silently): abandon instead of hanging the session.
@@ -406,13 +389,14 @@ impl PollTask for RecvTask {
                 // node event whenever it frees space.
                 return Poll::Pending;
             }
-            let sel = match self.pinned {
-                Some(p) => match self.in_channel.conduit_ready(p) {
+            let in_channel = &self.inbound.ctx.in_channel;
+            let sel = match self.inbound.pinned {
+                Some(p) => match in_channel.conduit_ready(p) {
                     Ok(true) => Some(p),
                     Ok(false) => None,
                     Err(_) => return Poll::Ready,
                 },
-                None => match self.in_channel.try_select_ready_after(self.cursor) {
+                None => match in_channel.try_select_ready_after(self.cursor) {
                     Ok(s) => s,
                     Err(_) => return Poll::Ready,
                 },
@@ -426,96 +410,8 @@ impl PollTask for RecvTask {
                 return Poll::Pending;
             };
             self.cursor = Some(peer);
-            let _busy = super::BusyGuard::enter(&self.stopctl);
-            let _stage = super::StageBusy::enter(
-                None,
-                &self.shared.stats.recv_busy_ns,
-                &*self.shared.runtime,
-                self.timed,
-            );
-            let (buf, restage) = {
-                let _recv = trace_span!(self.shared.tracer, "gw", "recv", "peer" = peer.0 as u64);
-                match super::receive_packet(
-                    &self.in_channel,
-                    peer,
-                    self.landing,
-                    self.max_pkt,
-                    self.shared.runtime.pool(),
-                    self.can_defer,
-                    &self.shared.stats,
-                ) {
-                    Ok(b) => b,
-                    Err(MadError::Disconnected) => return Poll::Ready,
-                    Err(e) => {
-                        // Same degradation as the threaded engine: the
-                        // conduit's framing is lost, cancel this peer's
-                        // streams and keep serving the others.
-                        self.shared.stats.on_error();
-                        trace_instant!(
-                            self.shared.tracer,
-                            "gw",
-                            "recv-error",
-                            "peer" = peer.0 as u64
-                        );
-                        let _ = e;
-                        super::cancel_peer_streams(
-                            peer,
-                            &self.in_channel,
-                            &mut self.sinks,
-                            &mut self.streams,
-                            &mut self.cancelled,
-                            &mut self.open_from,
-                            &self.shared,
-                        );
-                        self.max_pkt =
-                            super::landing_size(&self.streams, self.cfg.max_batch, &self.in_caps);
-                        self.pinned = None;
-                        continue;
-                    }
-                }
-            };
-            self.in_channel.stats().on_recv(peer.0, buf.bytes().len());
-            if restage.is_none() && !matches!(self.landing, Landing::Owned) {
-                if let Some(m) = &self.shared.metrics {
-                    m.copy_bytes.record(buf.bytes().len() as u64);
-                }
-            }
-            let relayed = {
-                let _relay = trace_span!(self.shared.tracer, "gw", "relay", "peer" = peer.0 as u64);
-                super::relay_packet(
-                    self.rank,
-                    peer,
-                    buf,
-                    restage,
-                    &self.in_channel,
-                    &mut self.sinks,
-                    &self.routes,
-                    self.cfg,
-                    &self.shared,
-                    &mut self.streams,
-                    &mut self.cancelled,
-                    &mut self.open_from,
-                    &mut self.max_pkt,
-                )
-            };
-            match relayed {
-                Ok(()) => {}
-                Err(MadError::Disconnected) => return Poll::Ready,
-                Err(_) => {
-                    self.shared.stats.on_error();
-                    trace_instant!(
-                        self.shared.tracer,
-                        "gw",
-                        "relay-error",
-                        "peer" = peer.0 as u64
-                    );
-                }
-            }
-            if self.cfg.exclusive_streams {
-                self.pinned = match self.open_from.get(&peer) {
-                    Some(&n) if n > 0 => Some(peer),
-                    _ => None,
-                };
+            if let Served::Finished = self.inbound.serve(peer, &mut self.sinks) {
+                return Poll::Ready;
             }
             received += 1;
             if received >= RECV_BUDGET {
@@ -540,6 +436,18 @@ enum FlushStep {
     /// Nothing sendable: queue empty, or head credit-blocked with the
     /// deadline timer armed.
     Idle,
+}
+
+/// Pop a queue head whose stream is dead, for cancellation outside the
+/// queue lock.
+fn pop_dead(q: &mut VecDeque<FwdItem>, reason: CancelReason, shared: &FwdShared) -> FlushStep {
+    match q.pop_front() {
+        Some(item) => {
+            shared.queue_depth(-1);
+            FlushStep::Cancel(item, reason)
+        }
+        None => FlushStep::Idle,
+    }
 }
 
 /// The transmit half of one inbound network: the threaded engine's
@@ -568,7 +476,7 @@ struct FlushTask {
 impl FlushTask {
     /// Resolve the next action for `net`'s queue under the lock: cancel a
     /// dead head, arm the credit timer for a blocked one, or pop a train
-    /// (coalescing exactly like `forwarding_thread`).
+    /// (coalescing through the same [`Train`] as `forwarding_thread`).
     fn next_step(&mut self, net: NetworkId, cx: &mut Context) -> FlushStep {
         let now = cx.now_ns();
         let shared = &self.shared;
@@ -586,7 +494,7 @@ impl FlushTask {
             return FlushStep::Idle;
         };
         if head.consume {
-            match shared.ledger.try_take(head.tag.key()) {
+            match shared.ledger().try_take(head.tag.key()) {
                 TakeOutcome::Taken => {
                     // Credit in hand: record how long the head's blocked
                     // episode lasted (0 when the take was instant), the
@@ -598,15 +506,7 @@ impl FlushTask {
                 }
                 TakeOutcome::Cancelled(r) => {
                     *blocked_since = None;
-                    return match q.pop_front() {
-                        Some(item) => {
-                            if let Some(m) = &shared.metrics {
-                                m.queue_depth.add(-1);
-                            }
-                            FlushStep::Cancel(item, r)
-                        }
-                        None => FlushStep::Idle,
-                    };
+                    return pop_dead(q, r, shared);
                 }
                 TakeOutcome::Empty => {
                     let since = match *blocked_since {
@@ -630,15 +530,7 @@ impl FlushTask {
                         // now: same degradation, same order.
                         shared.stats.credit_timeouts.fetch_add(1, Ordering::Relaxed);
                         *blocked_since = None;
-                        return match q.pop_front() {
-                            Some(item) => {
-                                if let Some(m) = &shared.metrics {
-                                    m.queue_depth.add(-1);
-                                }
-                                FlushStep::Cancel(item, CancelReason::CreditTimeout)
-                            }
-                            None => FlushStep::Idle,
-                        };
+                        return pop_dead(q, CancelReason::CreditTimeout, shared);
                     }
                     cx.wake_at(deadline);
                     return FlushStep::Idle; // blocked head holds this net's FIFO
@@ -649,75 +541,34 @@ impl FlushTask {
         let Some(head) = q.pop_front() else {
             return FlushStep::Idle;
         };
-        if let Some(m) = &shared.metrics {
-            m.queue_depth.add(-1);
-        }
+        shared.queue_depth(-1);
         let caps = path.channel(head.last_hop).caps();
-        let budget = caps.preferred_mtu.min(caps.max_packet);
-        let mut frame = PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len();
-        let mut batch = vec![head];
+        let mut train = Train::start(head, &caps, shared.max_batch(cfg.max_batch));
         let mut cancels = Vec::new();
-        // Re-read per train so a controller retune governs the next
-        // coalescing decision.
-        let max_batch = shared
-            .tuning
-            .as_ref()
-            .map(|t| t.max_batch())
-            .unwrap_or(cfg.max_batch);
-        while max_batch > 1
-            && batch.len() < max_batch
-            && frame <= budget
-            && 2 * (batch.len() + 1) < caps.max_gather
-        {
+        while train.has_room() {
             let Some(next) = q.front() else { break };
-            if next.to != batch[0].to || next.last_hop != batch[0].last_hop {
-                break; // different conduit: next train's head
+            let verdict = train.admit(next, shared.ledger());
+            if let Admit::Stop = verdict {
+                break; // it stays the queue head for the next flush
             }
-            let need = gtm::BATCH_ENTRY_OVERHEAD + next.buf.bytes().len();
-            if frame + need > budget {
-                break;
-            }
-            if next.consume {
-                match shared.ledger.try_take(next.tag.key()) {
-                    TakeOutcome::Taken => {}
-                    // Credit-dry: don't reorder behind it — it stays the
-                    // queue head for the next flush.
-                    TakeOutcome::Empty => break,
-                    TakeOutcome::Cancelled(r) => {
-                        if let Some(item) = q.pop_front() {
-                            if let Some(m) = &shared.metrics {
-                                m.queue_depth.add(-1);
-                            }
-                            cancels.push((item, r)); // dead stream drops out of the train
-                        }
-                        continue;
-                    }
-                }
-            }
-            frame += need;
             let Some(next) = q.pop_front() else { break };
-            if let Some(m) = &shared.metrics {
-                m.queue_depth.add(-1);
+            shared.queue_depth(-1);
+            match verdict {
+                Admit::Dead(r) => cancels.push((next, r)), // drops out of the train
+                _ => train.batch.push(next),
             }
-            batch.push(next);
         }
-        FlushStep::Train { batch, cancels }
+        FlushStep::Train {
+            batch: train.batch,
+            cancels,
+        }
     }
 
     fn cancel_and_drop(&self, net: NetworkId, item: FwdItem, reason: CancelReason) {
-        if let Some(path) = self.paths.get(&net) {
-            super::cancel_outbound(
-                path,
-                item.to,
-                item.last_hop,
-                &item.tag,
-                &item.grant,
-                reason,
-                true,
-                &self.shared,
-            );
+        match self.paths.get(&net) {
+            Some(path) => super::cancel_and_drop(path, &item, reason, &self.shared),
+            None => super::drop_item(&item, &self.shared),
         }
-        super::drop_item(&item, &self.shared);
     }
 
     /// Transmit until every queue is empty or credit-blocked (or the
@@ -764,9 +615,7 @@ impl FlushTask {
         let mut g = self.queues.lock();
         for nq in g.nets.values_mut() {
             while let Some(item) = nq.q.pop_front() {
-                if let Some(m) = &self.shared.metrics {
-                    m.queue_depth.add(-1);
-                }
+                self.shared.queue_depth(-1);
                 super::drop_item(&item, &self.shared);
             }
             nq.blocked_since = None;
@@ -857,135 +706,64 @@ impl PollTask for FlushTask {
     }
 }
 
-/// Reactor-mode counterpart of the threaded `spawn_gateway` body: a
-/// [`RecvTask`]/[`FlushTask`] pair per inbound network, spawned on the
-/// node's shared reactor instead of dedicated threads. Joining the
-/// returned handles waits on the tasks' completion latch.
-#[allow(clippy::too_many_arguments)] // one-caller bootstrap, same shape as spawn_gateway
-pub(super) fn spawn_reactor_gateway(
-    rank: NodeId,
-    _vc_name: &str,
-    regular: BTreeMap<NetworkId, Arc<Channel>>,
-    special: BTreeMap<NetworkId, Arc<Channel>>,
-    routes: RouteTable,
-    cfg: GatewayConfig,
-    runtime: Arc<dyn Runtime>,
-    stopctl: Arc<GatewayStop>,
-    ledger: Arc<CreditLedger>,
-    reactor: &Arc<GatewayReactor>,
-    metrics: Option<super::GwMetrics>,
-    member: Option<Arc<crate::membership::MembershipPlane>>,
-    tuning: Option<Arc<crate::control::Tuning>>,
-) -> GatewayHandles {
-    let nets: Vec<NetworkId> = special.keys().copied().collect();
-    let routes = Arc::new(routes);
-    let stats = Arc::new(GatewayStats::default());
-    // threads_spawned stays 0: the engine borrows the node's shared
-    // worker pool instead of spawning its own threads — the whole point.
-    let live = Arc::new(EngineLive {
-        threads: AtomicUsize::new(nets.len() * 2),
-        local_open: AtomicI64::new(0),
-        stopctl: stopctl.clone(),
-    });
-    let latch = TaskLatch::new(nets.len() * 2);
-    for &net_in in &nets {
-        let mut net_queues: BTreeMap<NetworkId, NetQueue> = BTreeMap::new();
-        let mut paths: BTreeMap<NetworkId, OutPath> = BTreeMap::new();
-        for &net_out in &nets {
-            if net_out == net_in {
-                continue;
-            }
-            net_queues.insert(
-                net_out,
-                NetQueue {
-                    q: VecDeque::new(),
-                    blocked_since: None,
-                },
-            );
-            paths.insert(
-                net_out,
-                OutPath {
-                    regular: regular[&net_out].clone(),
-                    special: special[&net_out].clone(),
-                },
-            );
-        }
-        let in_channel = special[&net_in].clone();
-        stopctl.register_waker(in_channel.recv_event().clone());
-        stopctl.register_source(Arc::downgrade(&in_channel));
-        let wake: Arc<dyn RtEvent> = in_channel.recv_event().clone();
-        let queues = Arc::new(Mutex::new(Queues { nets: net_queues }));
-        let inbound_done = Arc::new(AtomicBool::new(false));
-        let output_dead = Arc::new(AtomicBool::new(false));
-        let shared = FwdShared {
-            stats: stats.clone(),
-            live: live.clone(),
-            ledger: ledger.clone(),
-            runtime: runtime.clone(),
-            credit_timeout_ns: cfg.credit_timeout_ns,
-            tracer: runtime.tracer(),
-            metrics: metrics.clone(),
-            member: member.clone(),
-            tuning: tuning.clone(),
-        };
-        let landing = super::landing_policy(paths.values(), cfg);
-        let in_caps = in_channel.caps();
-        let can_defer = in_caps.mode == BufferMode::Dynamic;
-        let timed = shared.metrics.is_some() || shared.tracer.enabled();
-        let streams = BTreeMap::new();
-        let max_pkt = super::landing_size(&streams, cfg.max_batch, &in_caps);
-        let flush = FlushTask {
-            cfg,
-            shared: shared.clone(),
-            stopctl: stopctl.clone(),
+/// The reactor's half of `spawn_gateway`: wrap one inbound direction in a
+/// [`RecvTask`]/[`FlushTask`] pair sharing its net queues and spawn both
+/// on the node's shared reactor instead of dedicated threads. Joining the
+/// engine waits on `latch`, which both tasks hold a guard of.
+pub(super) fn spawn_task_pair(
+    reactor: &GatewayReactor,
+    inbound: Inbound,
+    paths: BTreeMap<NetworkId, OutPath>,
+    latch: &Arc<TaskLatch>,
+) {
+    let shared = inbound.ctx.shared.clone();
+    let stopctl = shared.live.stopctl.clone();
+    let wake: Arc<dyn RtEvent> = inbound.ctx.in_channel.recv_event().clone();
+    let nets = paths
+        .keys()
+        .map(|&net_out| {
+            let queue = NetQueue {
+                q: VecDeque::new(),
+                blocked_since: None,
+            };
+            (net_out, queue)
+        })
+        .collect();
+    let queues = Arc::new(Mutex::new(Queues { nets }));
+    let inbound_done = Arc::new(AtomicBool::new(false));
+    let output_dead = Arc::new(AtomicBool::new(false));
+    let exit_guard = || ThreadExitGuard {
+        live: shared.live.clone(),
+    };
+    let recv = RecvTask {
+        sinks: ReactorSinks {
+            nets: paths.keys().copied().collect(),
             queues: queues.clone(),
-            paths,
             wake: wake.clone(),
-            inbound_done: inbound_done.clone(),
-            output_dead: output_dead.clone(),
-            timed,
-            drain_deadline: None,
-            _latch: LatchGuard(latch.clone()),
-            _exit: ThreadExitGuard { live: live.clone() },
-        };
-        let recv = RecvTask {
-            rank,
-            in_channel,
-            routes: routes.clone(),
-            cfg,
-            shared,
-            stopctl: stopctl.clone(),
-            sinks: ReactorSinks {
-                nets: paths_keys(&flush.paths),
-                queues,
-                wake,
-            },
-            streams,
-            cancelled: BTreeSet::new(),
-            open_from: BTreeMap::new(),
-            cursor: None,
-            pinned: None,
-            landing,
-            in_caps,
-            max_pkt,
-            can_defer,
-            timed,
-            drain_deadline: None,
-            inbound_done,
-            output_dead,
-            _latch: LatchGuard(latch.clone()),
-            _exit: ThreadExitGuard { live: live.clone() },
-        };
-        reactor.core.spawn(Box::new(recv));
-        reactor.core.spawn(Box::new(flush));
-    }
-    GatewayHandles {
-        threads: Vec::new(),
-        latch: Some(latch),
-        stats,
-    }
-}
-
-fn paths_keys(paths: &BTreeMap<NetworkId, OutPath>) -> BTreeSet<NetworkId> {
-    paths.keys().copied().collect()
+        },
+        stopctl: stopctl.clone(),
+        cursor: None,
+        drain_deadline: None,
+        inbound_done: inbound_done.clone(),
+        output_dead: output_dead.clone(),
+        _latch: LatchGuard(latch.clone()),
+        _exit: exit_guard(),
+        inbound,
+    };
+    let flush = FlushTask {
+        cfg: recv.inbound.ctx.cfg,
+        timed: shared.timed(),
+        stopctl,
+        queues,
+        paths,
+        wake,
+        inbound_done,
+        output_dead,
+        drain_deadline: None,
+        _latch: LatchGuard(latch.clone()),
+        _exit: exit_guard(),
+        shared: shared.clone(),
+    };
+    reactor.core.spawn(Box::new(recv));
+    reactor.core.spawn(Box::new(flush));
 }

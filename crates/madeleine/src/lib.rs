@@ -60,6 +60,7 @@ pub mod baseline;
 pub mod channel;
 pub mod conduit;
 pub mod control;
+mod control_plane;
 pub mod credit;
 pub mod error;
 pub mod flags;
@@ -75,12 +76,15 @@ pub mod runtime;
 pub mod session;
 #[cfg(test)]
 mod testutil;
+mod ticker;
 pub mod types;
 pub mod vchannel;
 
 pub use channel::Channel;
 pub use conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 pub use control::{ControllerConfig, Tuning};
+#[doc(hidden)]
+pub use control_plane::fuzz_dispatch;
 pub use credit::{CreditLedger, FlowControl};
 pub use error::{MadError, Result};
 pub use flags::{RecvMode, SendMode};

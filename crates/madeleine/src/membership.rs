@@ -31,18 +31,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
-use crate::channel::Channel;
+use crate::control_plane::{self, ControlPlane};
 use crate::error::{MadError, Result};
 use crate::gtm::{self, MemberEvent, MemberMsg, PacketBody, StreamTag};
 use crate::multipath::MultiPath;
-use crate::routing::RouteTable;
 use crate::runtime::{RtEvent, Runtime};
-use crate::types::{NetworkId, NodeId};
+use crate::types::NodeId;
 
 /// Per-virtual-channel membership configuration
 /// ([`crate::session::VcOptions::membership`]).
@@ -107,8 +106,9 @@ pub struct MembershipPlane {
     /// This node's incarnation epoch. Starts at 1 (the wire format
     /// rejects epoch 0); [`MembershipPlane::rejoin`] bumps it.
     epoch: AtomicU64,
-    routes: RouteTable,
-    special: BTreeMap<NetworkId, Arc<Channel>>,
+    /// The node's control plane (which owns this plane): member packets
+    /// leave through its route table and special channels.
+    ctl: Weak<ControlPlane>,
     event: Arc<dyn RtEvent>,
     runtime: Arc<dyn Runtime>,
     tracer: Tracer,
@@ -141,24 +141,21 @@ impl std::fmt::Debug for MembershipPlane {
 }
 
 impl MembershipPlane {
-    /// Build the plane of one node (session bootstrap). `routes` and
-    /// `special` are this node's own view of the channel, so member
-    /// packets route exactly like forwarded messages and metrics pulls.
+    /// Build the plane of one node (session bootstrap). Member packets
+    /// leave through `ctl`, so they route exactly like forwarded messages
+    /// and metrics pulls.
     pub(crate) fn new(
-        rank: NodeId,
-        routes: RouteTable,
-        special: BTreeMap<NetworkId, Arc<Channel>>,
-        event: Arc<dyn RtEvent>,
+        ctl: &Arc<ControlPlane>,
         runtime: Arc<dyn Runtime>,
         vc_name: &str,
     ) -> Arc<Self> {
         let tracer = runtime.tracer();
+        let rank = ctl.rank();
         Arc::new(MembershipPlane {
             rank,
             epoch: AtomicU64::new(1),
-            routes,
-            special,
-            event,
+            ctl: Arc::downgrade(ctl),
+            event: ctl.event().clone(),
             runtime,
             tracer,
             track: format!("member:{vc_name}@{}", rank.0),
@@ -247,8 +244,9 @@ impl MembershipPlane {
         // special channel. Pure validation; safe to re-run, logged once.
         if !self.phase_done(epoch, JoinPhase::Connect) {
             for &p in peers {
-                let hop = self.routes.hop(p)?;
-                if !self.special.contains_key(&hop.net) {
+                let ctl = self.ctl.upgrade().ok_or(MadError::Unroutable(p))?;
+                let hop = ctl.routes().hop(p)?;
+                if !ctl.special().contains_key(&hop.net) {
                     return Err(MadError::Unroutable(p));
                 }
             }
@@ -367,7 +365,7 @@ impl MembershipPlane {
     /// engines, endpoint responders, and pumping writers alike.
     pub(crate) fn handle_packet(&self, tag: &StreamTag, body: &PacketBody, packet: &[u8]) {
         if tag.dest != self.rank {
-            let _ = self.send_toward(tag.dest, packet);
+            let _ = control_plane::send_via(&self.ctl, tag.dest, packet);
             return;
         }
         let PacketBody::Member(msg) = body else {
@@ -499,17 +497,7 @@ impl MembershipPlane {
             msg_id: epoch as u32,
         };
         let msg = MemberMsg { event, node, epoch };
-        self.send_toward(dest, &gtm::encode_member(&tag, &msg))
-    }
-
-    /// Send one verbatim packet toward `dest` along the routing table.
-    fn send_toward(&self, dest: NodeId, packet: &[u8]) -> Result<()> {
-        let hop = self.routes.hop(dest)?;
-        let ch = self
-            .special
-            .get(&hop.net)
-            .ok_or(MadError::Unroutable(dest))?;
-        ch.send_packet(hop.node, &[packet])
+        control_plane::send_via(&self.ctl, dest, &gtm::encode_member(&tag, &msg))
     }
 
     /// Emit this plane's lifetime totals on its `member:` track (session
@@ -537,17 +525,13 @@ mod tests {
     use super::*;
     use crate::runtime::StdRuntime;
 
-    fn plane() -> Arc<MembershipPlane> {
-        let rt = StdRuntime::shared();
-        let ev = rt.event();
-        MembershipPlane::new(
-            NodeId(0),
-            RouteTable::default(),
-            BTreeMap::new(),
-            ev,
-            rt,
-            "t",
-        )
+    /// A plane on a bare control plane (no routes, no channels). The
+    /// control plane is returned too: the membership plane only points
+    /// back at it weakly.
+    fn plane() -> (Arc<ControlPlane>, Arc<MembershipPlane>) {
+        let ctl = ControlPlane::bare(NodeId(0));
+        let p = MembershipPlane::new(&ctl, StdRuntime::shared(), "t");
+        (ctl, p)
     }
 
     /// Apply one member packet addressed to the plane, as if it had just
@@ -567,7 +551,7 @@ mod tests {
     /// counted, and without touching the recorded state.
     #[test]
     fn stale_incarnation_packets_are_dropped() {
-        let p = plane();
+        let (_ctl, p) = plane();
         deliver(&p, 7, MemberEvent::Announce, 7, 3);
         assert_eq!(p.member_epoch(NodeId(7)), 3);
         assert_eq!(p.member_state(NodeId(7)), Some(MemberState::Active));
@@ -593,7 +577,7 @@ mod tests {
     /// responder re-acks it) must not regress Active back to Joining.
     #[test]
     fn duplicate_join_request_never_downgrades_active() {
-        let p = plane();
+        let (_ctl, p) = plane();
         deliver(&p, 7, MemberEvent::JoinRequest, 7, 1);
         assert_eq!(p.member_state(NodeId(7)), Some(MemberState::Joining));
         deliver(&p, 7, MemberEvent::Announce, 7, 1);
@@ -606,7 +590,7 @@ mod tests {
     /// incarnation finds every phase logged and re-runs nothing.
     #[test]
     fn join_is_idempotent_within_an_incarnation() {
-        let p = plane();
+        let (_ctl, p) = plane();
         p.join(&[], 0).unwrap();
         assert_eq!(p.phases_completed(), 4);
         assert_eq!(p.member_state(NodeId(0)), Some(MemberState::Active));
@@ -619,7 +603,7 @@ mod tests {
     /// again under the new epoch.
     #[test]
     fn rejoin_bumps_epoch_and_reruns_all_phases() {
-        let p = plane();
+        let (_ctl, p) = plane();
         p.join(&[], 0).unwrap();
         assert_eq!(p.epoch(), 1);
         let e = p.rejoin(&[], 0).unwrap();
@@ -633,7 +617,7 @@ mod tests {
     /// `join` afterwards runs the full handshake again (same epoch).
     #[test]
     fn leave_clears_the_phase_log() {
-        let p = plane();
+        let (_ctl, p) = plane();
         p.join(&[], 0).unwrap();
         p.leave(&[]);
         assert_eq!(p.member_state(NodeId(0)), Some(MemberState::Left));

@@ -10,17 +10,15 @@
 //!   ([`crate::gtm`]) arriving on the node's special conduits, forwards
 //!   in-transit pull packets along the routing table (so a pull crosses
 //!   gateways exactly like any forwarded message), and collects replies
-//!   for a local [`MetricsPlane::pull`] caller. On gateway nodes the
-//!   engine's own polling threads hand kind-10 packets to the plane; on
-//!   endpoint nodes a small responder thread drains the special conduits
-//!   (depositing credit grants and cancels into the shared ledger on the
-//!   way, and parking handoff acks in a side table so the multi-path
-//!   writer's ack wait still sees them).
+//!   for a local [`MetricsPlane::pull`] caller. Kind-10 packets reach it
+//!   through the node's [`ControlPlane`] dispatcher, whoever read them:
+//!   the gateway engine on a gateway node, a pumping writer or the
+//!   [`run_responder`] thread on an endpoint.
 //!
-//! * **Health watchdogs** — one per gateway node per channel, in both
-//!   engine cores (a dedicated thread in [`EngineKind::Threaded`], a
-//!   [`PollTask`] on the node's shared reactor in
-//!   [`EngineKind::Reactor`]). Each tick takes a windowed
+//! * **Health watchdogs** — one per gateway node per channel, a
+//!   [`Ticker`] driven by a dedicated thread in [`EngineKind::Threaded`]
+//!   and by a timer task on the node's shared reactor in
+//!   [`EngineKind::Reactor`]. Each tick takes a windowed
 //!   [`GatewayStats::delta_for`] snapshot on its own cursor and turns
 //!   threshold breaches into typed `health:` trace events plus
 //!   registry counters: credit starvation, queue saturation, stalled
@@ -39,26 +37,24 @@
 //! [`EngineKind::Threaded`]: crate::gateway::EngineKind::Threaded
 //! [`EngineKind::Reactor`]: crate::gateway::EngineKind::Reactor
 //! [`GatewayStats::delta_for`]: crate::gateway::GatewayStats::delta_for
-//! [`PollTask`]: mad_util::reactor::PollTask
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use mad_metrics::{Counter, Gauge, Hist, Registry, Snapshot};
 use mad_trace::Tracer;
-use mad_util::reactor::{Context, Poll, PollTask};
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
-use crate::credit::CreditLedger;
-use crate::error::{MadError, Result};
+use crate::control_plane::{self, ControlPlane};
+use crate::error::MadError;
 use crate::gateway::{DeltaCursor, GatewayStats, GatewayStop};
-use crate::gtm::{self, PacketBody, StreamKey, StreamTag};
+use crate::gtm::{self, PacketBody, StreamTag};
 use crate::multipath::MultiPath;
-use crate::routing::RouteTable;
 use crate::runtime::{RtEvent, Runtime};
-use crate::types::{NetworkId, NodeId};
+use crate::ticker::Ticker;
+use crate::types::NodeId;
 
 /// Per-virtual-channel telemetry configuration
 /// ([`crate::session::VcOptions::metrics`]). The default enables the
@@ -140,20 +136,16 @@ pub(crate) struct GwMetrics {
     pub(crate) copy_bytes: Hist,
     /// Packets resident in the engine's outbound pipeline queues.
     pub(crate) queue_depth: Gauge,
-    /// The node's plane, for in-band kind-10 handling inside
-    /// `relay_packet`.
-    pub(crate) plane: Arc<MetricsPlane>,
 }
 
 impl GwMetrics {
-    pub(crate) fn new(plane: Arc<MetricsPlane>) -> Self {
+    pub(crate) fn new(plane: &MetricsPlane) -> Self {
         let r = plane.registry();
         GwMetrics {
             forward_ns: r.histogram("gw_forward_ns"),
             credit_wait_ns: r.histogram("credit_wait_ns"),
             copy_bytes: r.histogram("gw_copy_bytes"),
             queue_depth: r.gauge("queue_depth"),
-            plane,
         }
     }
 }
@@ -172,17 +164,15 @@ struct HubState {
 pub struct MetricsPlane {
     rank: NodeId,
     registry: Arc<Registry>,
-    routes: RouteTable,
-    special: BTreeMap<NetworkId, Arc<Channel>>,
+    /// The node's control plane (which owns this plane): pulls and
+    /// replies leave through its route table and special channels.
+    ctl: Weak<ControlPlane>,
     /// The node's arrival event: reply deposits bump it so a blocked
     /// [`MetricsPlane::pull`] wakes.
     event: Arc<dyn RtEvent>,
     runtime: Arc<dyn Runtime>,
     next_pull: AtomicU32,
     hub: Mutex<HubState>,
-    /// Handoff acks consumed by the responder thread on behalf of a
-    /// multi-path writer (see [`crate::vchannel`]'s ack wait).
-    acks: Mutex<BTreeSet<StreamKey>>,
     /// Gateway engines feeding this node's live gauges.
     feeds: Mutex<Vec<Arc<GatewayStats>>>,
     /// The channel's multi-path plane, for per-path stripe-byte gauges.
@@ -201,7 +191,6 @@ impl std::fmt::Debug for MetricsPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsPlane")
             .field("rank", &self.rank)
-            .field("nets", &self.special.keys().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -209,21 +198,18 @@ impl std::fmt::Debug for MetricsPlane {
 impl MetricsPlane {
     /// Build the plane of one node on one virtual channel (session
     /// bootstrap). `registry` is the *node's* registry, shared across
-    /// the node's channels; `routes`/`special` are this node's own view
-    /// of the channel, so pulls route exactly like forwarded messages.
+    /// the node's channels; pulls leave through `ctl`, so they route
+    /// exactly like forwarded messages.
     pub(crate) fn new(
-        rank: NodeId,
+        ctl: &Arc<ControlPlane>,
         registry: Arc<Registry>,
-        routes: RouteTable,
-        special: BTreeMap<NetworkId, Arc<Channel>>,
-        event: Arc<dyn RtEvent>,
         runtime: Arc<dyn Runtime>,
     ) -> Arc<Self> {
         // Intern the standard instruments eagerly so even an idle node's
         // snapshot exposes the full schema.
         registry.counter("degradations");
         Arc::new(MetricsPlane {
-            rank,
+            rank: ctl.rank(),
             rt_threads: registry.gauge("rt_threads_spawned"),
             pool_gets: registry.gauge("pool_gets"),
             pool_hits: registry.gauge("pool_hits"),
@@ -232,13 +218,11 @@ impl MetricsPlane {
             gw_open: registry.gauge("open_streams"),
             gw_bps: registry.gauge("gw_bytes_per_sec"),
             registry,
-            routes,
-            special,
-            event,
+            ctl: Arc::downgrade(ctl),
+            event: ctl.event().clone(),
             runtime,
             next_pull: AtomicU32::new(1),
             hub: Mutex::new(HubState::default()),
-            acks: Mutex::new(BTreeSet::new()),
             feeds: Mutex::new(Vec::new()),
             mp: Mutex::new(None),
         })
@@ -331,7 +315,7 @@ impl MetricsPlane {
                 msg_id: seq,
             };
             let pkt = gtm::encode_metrics_request(&tag);
-            if self.send_toward(t, &pkt).is_ok() {
+            if control_plane::send_via(&self.ctl, t, &pkt).is_ok() {
                 want += 1;
             }
         }
@@ -360,7 +344,7 @@ impl MetricsPlane {
     /// swallowed — telemetry must never take a data path down.
     pub(crate) fn handle_packet(&self, tag: &StreamTag, body: &PacketBody, packet: &[u8]) {
         if tag.dest != self.rank {
-            let _ = self.send_toward(tag.dest, packet);
+            let _ = control_plane::send_via(&self.ctl, tag.dest, packet);
             return;
         }
         match body {
@@ -382,7 +366,7 @@ impl MetricsPlane {
             msg_id: req.msg_id,
         };
         let pkt = gtm::encode_metrics_reply(&reply_tag, &payload);
-        let _ = self.send_toward(req.src, &pkt);
+        let _ = control_plane::send_via(&self.ctl, req.src, &pkt);
     }
 
     /// File a reply under the pull it answers (stale ids are dropped)
@@ -399,97 +383,31 @@ impl MetricsPlane {
         }
         self.event.bump();
     }
-
-    /// Send one verbatim packet toward `dest` along the routing table.
-    fn send_toward(&self, dest: NodeId, packet: &[u8]) -> Result<()> {
-        let hop = self.routes.hop(dest)?;
-        let ch = self
-            .special
-            .get(&hop.net)
-            .ok_or(MadError::Unroutable(dest))?;
-        ch.send_packet(hop.node, &[packet])
-    }
-
-    /// Park a handoff ack consumed off a special conduit by a reader
-    /// other than the multi-path writer waiting for it.
-    pub(crate) fn deposit_ack(&self, key: StreamKey) {
-        self.acks.lock().insert(key);
-        self.event.bump();
-    }
-
-    /// Claim a parked handoff ack, if one arrived for `key`.
-    pub(crate) fn take_ack(&self, key: StreamKey) -> bool {
-        self.acks.lock().remove(&key)
-    }
 }
 
 /// The endpoint-side responder: on non-gateway nodes nothing drains the
-/// special conduits between writer pumps, so arriving pull requests (and
-/// replies to this node's own pulls) would sit unread. This loop drains
-/// whatever shows up — credit grants and cancels go into the shared
-/// ledger exactly as the writer pump would deposit them, handoff acks
-/// are parked in the metrics plane's side table for the multi-path
-/// writer, kind-10 packets go to the metrics plane and kind-11 packets
-/// to the membership plane (either may be absent — a channel can enable
-/// one control plane without the other). Exits when the session's stop
-/// coordinator fires (teardown bumps the node event).
-pub(crate) fn run_responder(
-    runtime: Arc<dyn Runtime>,
-    event: Arc<dyn RtEvent>,
-    channels: Vec<Arc<Channel>>,
-    ledger: Arc<CreditLedger>,
-    stop: Arc<GatewayStop>,
-    metrics: Option<Arc<MetricsPlane>>,
-    member: Option<Arc<crate::membership::MembershipPlane>>,
-) {
+/// special conduits between writer pumps, so arriving pull requests,
+/// membership events and replies to this node's own pulls would sit
+/// unread. This loop pumps every special conduit through the node's
+/// control plane. Streams never arrive on an endpoint's special conduit,
+/// so a stray or undecodable packet is dropped silently — telemetry must
+/// never take a node down. Exits when the session's stop coordinator
+/// fires (teardown bumps the node event).
+pub(crate) fn run_responder(ctl: Arc<ControlPlane>, stop: Arc<GatewayStop>) {
+    let channels: Vec<Arc<Channel>> = ctl.special().values().cloned().collect();
     loop {
-        let seen = event.epoch();
+        let seen = ctl.event().epoch();
         let mut any = true;
         while any {
             any = false;
             for ch in &channels {
                 let peers: Vec<NodeId> = ch.peers().collect();
                 for peer in peers {
-                    let Ok(mut conduit) = ch.lock_conduit(peer) else {
-                        continue;
-                    };
-                    if !conduit.ready() {
-                        continue;
-                    }
-                    let Ok(raw) = conduit.recv_owned() else {
-                        continue;
-                    };
-                    drop(conduit);
-                    let packet = runtime.pool().adopt(raw);
-                    ch.stats().on_recv(peer.0, packet.len());
-                    any = true;
-                    let Ok((tag, body)) = gtm::decode_packet(&packet) else {
-                        continue;
-                    };
-                    match body {
-                        PacketBody::Credit(n) => ledger.deposit(tag.key(), n),
-                        // A rendezvous CTS is the whole-window grant the
-                        // blocked writer's `wait_grant` is parked on.
-                        PacketBody::RendezvousCts(m) => ledger.grant(tag.key(), m.window),
-                        PacketBody::Cancel(reason) => ledger.cancel(tag.key(), reason),
-                        PacketBody::Ack => {
-                            if let Some(plane) = &metrics {
-                                plane.deposit_ack(tag.key());
-                            }
-                        }
-                        PacketBody::MetricsRequest | PacketBody::MetricsReply => {
-                            if let Some(plane) = &metrics {
-                                plane.handle_packet(&tag, &body, &packet);
-                            }
-                        }
-                        PacketBody::Member(_) => {
-                            if let Some(plane) = &member {
-                                plane.handle_packet(&tag, &body, &packet);
-                            }
-                        }
-                        // Streams never arrive on an endpoint's special
-                        // conduit inbound side; drop anything else.
-                        _ => {}
+                    match ctl.pump(ch, peer) {
+                        Ok(consumed) => any |= consumed,
+                        // The offending packet is gone; keep draining.
+                        Err(MadError::Protocol(_)) => any = true,
+                        Err(_) => {}
                     }
                 }
             }
@@ -497,7 +415,7 @@ pub(crate) fn run_responder(
         if stop.stop_requested() {
             return;
         }
-        event.wait_past(seen);
+        ctl.event().wait_past(seen);
     }
 }
 
@@ -510,8 +428,10 @@ const HEALTH_NAMES: [&str; 4] = [
 ];
 
 /// One gateway node's health evaluator: turns windowed stat deltas into
-/// typed `health:` trace events and registry counters. Shared by both
-/// engine cores — only the driving loop differs.
+/// typed `health:` trace events and registry counters. A [`Ticker`]: the
+/// session picks the driver (thread or reactor task) per engine core.
+/// Teardown gets one final evaluation, so a fault that lands between the
+/// last tick and the stop request is still reported.
 pub(crate) struct Watchdog {
     cfg: WatchdogConfig,
     stats: Arc<GatewayStats>,
@@ -555,19 +475,21 @@ impl Watchdog {
         }
     }
 
-    pub(crate) fn interval_ns(&self) -> u64 {
-        self.cfg.interval_ns
-    }
-
     fn fire(&self, which: usize, n: u64) {
         self.tracer
             .count_on(&self.track, "health", HEALTH_NAMES[which], n as i64, &[]);
         self.counters[which].add(n);
         self.degradations.add(n);
     }
+}
+
+impl Ticker for Watchdog {
+    fn interval_ns(&self) -> u64 {
+        self.cfg.interval_ns
+    }
 
     /// Evaluate one window ending `now`.
-    pub(crate) fn tick(&mut self, now_ns: u64) {
+    fn tick(&mut self, now_ns: u64) {
         let d = self.stats.delta_for(DeltaCursor::Watchdog, now_ns);
         // Credit starvation: the outbound side hit its credit deadline
         // (each hit already cancelled a stream).
@@ -606,68 +528,6 @@ impl Watchdog {
             }
             self.prev_flap = flap;
         }
-    }
-}
-
-/// The threaded engine's watchdog driver: a dedicated runtime thread
-/// ticking at the configured interval, woken early by teardown bumps of
-/// the node event. Teardown gets one final evaluation so a fault that
-/// lands between the last tick and the stop request is still reported.
-pub(crate) fn run_watchdog(
-    mut wd: Watchdog,
-    runtime: Arc<dyn Runtime>,
-    event: Arc<dyn RtEvent>,
-    stop: Arc<GatewayStop>,
-) {
-    let mut next = runtime.now_nanos().saturating_add(wd.interval_ns());
-    loop {
-        let seen = event.epoch();
-        if stop.stop_requested() {
-            wd.tick(runtime.now_nanos());
-            return;
-        }
-        let now = runtime.now_nanos();
-        if now >= next {
-            wd.tick(now);
-            next = now.saturating_add(wd.interval_ns());
-        }
-        let wait = next.saturating_sub(runtime.now_nanos()).max(1);
-        let _ = event.wait_past_timeout(seen, wait);
-    }
-}
-
-/// The reactor engine's watchdog driver: the same evaluator as a timer
-/// task on the gateway node's shared worker pool — zero extra threads,
-/// matching the reactor core's whole point.
-pub(crate) struct WatchdogTask {
-    wd: Watchdog,
-    stop: Arc<GatewayStop>,
-    next: u64,
-}
-
-impl WatchdogTask {
-    pub(crate) fn new(wd: Watchdog, stop: Arc<GatewayStop>) -> Self {
-        WatchdogTask { wd, stop, next: 0 }
-    }
-}
-
-impl PollTask for WatchdogTask {
-    fn poll(&mut self, cx: &mut Context) -> Poll {
-        if self.stop.stop_requested() {
-            // Final window: report faults that landed since the last tick.
-            self.wd.tick(cx.now_ns());
-            return Poll::Ready;
-        }
-        let now = cx.now_ns();
-        if self.next == 0 {
-            self.next = now.saturating_add(self.wd.interval_ns());
-        }
-        if now >= self.next {
-            self.wd.tick(now);
-            self.next = now.saturating_add(self.wd.interval_ns());
-        }
-        cx.wake_at(self.next);
-        Poll::Pending
     }
 }
 

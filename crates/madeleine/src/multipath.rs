@@ -83,15 +83,8 @@ impl std::fmt::Debug for MultiPath {
 impl MultiPath {
     /// Build the routing plane for a virtual channel topology.
     pub fn new(networks: &[NetworkMembers], cfg: MultipathConfig) -> Self {
-        let decls: Vec<mad_route::NetworkDecl> = networks
-            .iter()
-            .map(|nm| mad_route::NetworkDecl {
-                net: nm.net.0,
-                members: nm.members.iter().map(|m| m.0).collect(),
-            })
-            .collect();
         MultiPath {
-            table: mad_route::compute_table(&decls),
+            table: mad_route::compute_table(&crate::routing::decls(networks)),
             selector: Selector::new(),
             policy: cfg.policy,
             refresh_interval_ns: cfg.refresh_interval_ns,

@@ -1,13 +1,17 @@
-//! Route computation for virtual channels (paper §2.2.2).
+//! Route lookup for virtual channels (paper §2.2.2).
 //!
 //! A virtual channel spans several networks; nodes attached to more than
-//! one of them are gateways. Routes are computed by breadth-first search on
-//! the bipartite node↔network graph, giving minimum-hop paths with
-//! deterministic tie-breaking (lowest network id, then lowest node rank),
-//! so every node in the session derives the same next-hop tables and
-//! multi-gateway forwarding chains compose correctly.
+//! one of them are gateways. Routes are minimum-hop paths over the
+//! bipartite node↔network graph with deterministic tie-breaking (lowest
+//! network id, then lowest node rank), so every node in the session
+//! derives the same next-hop tables and multi-gateway forwarding chains
+//! compose correctly. The search itself lives in [`mad_route`] — the one
+//! router of the workspace; a [`RouteTable`] is the single-path view of a
+//! node's [`mad_route::RoutePlan`] (its `primary` hop per destination).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
+
+use mad_route::{NetworkDecl, RoutePlan};
 
 use crate::error::{MadError, Result};
 use crate::types::{NetworkId, NodeId};
@@ -21,6 +25,17 @@ pub struct NetworkMembers {
     pub members: Vec<NodeId>,
 }
 
+/// The topology in `mad_route`'s raw-id form.
+pub(crate) fn decls(networks: &[NetworkMembers]) -> Vec<NetworkDecl> {
+    networks
+        .iter()
+        .map(|nm| NetworkDecl {
+            net: nm.net.0,
+            members: nm.members.iter().map(|m| m.0).collect(),
+        })
+        .collect()
+}
+
 /// The first hop toward a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
@@ -32,103 +47,49 @@ pub struct Hop {
     pub last: bool,
 }
 
-/// Per-source routing table over one virtual channel.
+/// Per-source routing table over one virtual channel: for every reachable
+/// destination the *first* edge of a minimum-hop path. Gateways hold the
+/// table computed for their own rank, so a message progresses hop by hop
+/// along consistent shortest paths.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    hops: HashMap<NodeId, Hop>,
+    plan: RoutePlan,
 }
 
 impl RouteTable {
+    /// `src`'s routing table over the given networks.
+    pub fn compute(networks: &[NetworkMembers], src: NodeId) -> RouteTable {
+        RouteTable {
+            plan: mad_route::compute_plan(&decls(networks), src.0),
+        }
+    }
+
     /// The first hop toward `dest`, if reachable.
     pub fn hop(&self, dest: NodeId) -> Result<Hop> {
-        self.hops
-            .get(&dest)
-            .copied()
+        self.plan
+            .primary(dest.0)
+            .map(|h| Hop {
+                net: NetworkId(h.net),
+                node: NodeId(h.node),
+                last: h.last,
+            })
             .ok_or(MadError::Unroutable(dest))
     }
 
     /// Destinations reachable from this source (excluding itself).
     pub fn destinations(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.hops.keys().copied()
+        self.plan.destinations().map(NodeId)
     }
 
     /// Number of reachable destinations.
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.plan.destinations().count()
     }
 
     /// True if nothing is reachable.
     pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+        self.len() == 0
     }
-}
-
-/// Compute `src`'s routing table over the given networks.
-///
-/// For every reachable destination the table records the *first* edge of a
-/// minimum-hop path. Gateways apply the same function locally, so a message
-/// progresses hop by hop along consistent shortest paths.
-pub fn compute_routes(networks: &[NetworkMembers], src: NodeId) -> RouteTable {
-    // adjacency: node -> sorted set of networks; network -> sorted members.
-    let mut nets_of: BTreeMap<NodeId, Vec<NetworkId>> = BTreeMap::new();
-    let mut members_of: BTreeMap<NetworkId, Vec<NodeId>> = BTreeMap::new();
-    for nm in networks {
-        let mut members = nm.members.clone();
-        members.sort_unstable();
-        members.dedup();
-        for &n in &members {
-            nets_of.entry(n).or_default().push(nm.net);
-        }
-        members_of.insert(nm.net, members);
-    }
-    for nets in nets_of.values_mut() {
-        nets.sort_unstable();
-        nets.dedup();
-    }
-
-    // BFS from src over nodes; edges are "share a network".
-    let mut first_hop: HashMap<NodeId, Hop> = HashMap::new();
-    let mut dist: HashMap<NodeId, u32> = HashMap::new();
-    let mut queue = VecDeque::new();
-    dist.insert(src, 0);
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[&u];
-        let Some(nets) = nets_of.get(&u) else {
-            continue;
-        };
-        for &net in nets {
-            for &v in &members_of[&net] {
-                if v == u || dist.contains_key(&v) {
-                    continue;
-                }
-                dist.insert(v, du + 1);
-                // The first hop toward v: either the direct edge (u == src)
-                // or whatever led to u.
-                let hop = if u == src {
-                    Hop {
-                        net,
-                        node: v,
-                        last: true,
-                    }
-                } else {
-                    let mut h = first_hop[&u];
-                    h.last = false;
-                    h
-                };
-                first_hop.insert(v, hop);
-                queue.push_back(v);
-            }
-        }
-    }
-    first_hop.remove(&src);
-
-    // `last` must mean "next hop is the destination", which is only true
-    // for distance-1 nodes; fix the flags accordingly.
-    for (dest, hop) in first_hop.iter_mut() {
-        hop.last = dist[dest] == 1;
-    }
-    RouteTable { hops: first_hop }
 }
 
 /// The set of gateway ranks of a virtual channel: nodes attached to at
@@ -163,7 +124,7 @@ mod tests {
     #[test]
     fn direct_route_on_shared_network() {
         let nets = [nm(0, &[0, 1, 2])];
-        let t = compute_routes(&nets, NodeId(0));
+        let t = RouteTable::compute(&nets, NodeId(0));
         assert_eq!(
             t.hop(NodeId(2)).unwrap(),
             Hop {
@@ -179,7 +140,7 @@ mod tests {
     fn one_gateway_route() {
         // net0: {0,1,2}; net1: {2,3,4}; 2 is the gateway.
         let nets = [nm(0, &[0, 1, 2]), nm(1, &[2, 3, 4])];
-        let t = compute_routes(&nets, NodeId(0));
+        let t = RouteTable::compute(&nets, NodeId(0));
         let hop = t.hop(NodeId(4)).unwrap();
         assert_eq!(
             hop,
@@ -190,7 +151,7 @@ mod tests {
             }
         );
         // The gateway's own table delivers directly.
-        let tg = compute_routes(&nets, NodeId(2));
+        let tg = RouteTable::compute(&nets, NodeId(2));
         assert_eq!(
             tg.hop(NodeId(4)).unwrap(),
             Hop {
@@ -205,7 +166,7 @@ mod tests {
     fn two_gateway_chain() {
         // net0: {0,1}; net1: {1,2}; net2: {2,3} — 0→3 crosses gateways 1,2.
         let nets = [nm(0, &[0, 1]), nm(1, &[1, 2]), nm(2, &[2, 3])];
-        let t0 = compute_routes(&nets, NodeId(0));
+        let t0 = RouteTable::compute(&nets, NodeId(0));
         assert_eq!(
             t0.hop(NodeId(3)).unwrap(),
             Hop {
@@ -214,7 +175,7 @@ mod tests {
                 last: false
             }
         );
-        let t1 = compute_routes(&nets, NodeId(1));
+        let t1 = RouteTable::compute(&nets, NodeId(1));
         assert_eq!(
             t1.hop(NodeId(3)).unwrap(),
             Hop {
@@ -223,7 +184,7 @@ mod tests {
                 last: false
             }
         );
-        let t2 = compute_routes(&nets, NodeId(2));
+        let t2 = RouteTable::compute(&nets, NodeId(2));
         assert_eq!(
             t2.hop(NodeId(3)).unwrap(),
             Hop {
@@ -237,7 +198,7 @@ mod tests {
     #[test]
     fn unreachable_is_an_error() {
         let nets = [nm(0, &[0, 1]), nm(1, &[2, 3])];
-        let t = compute_routes(&nets, NodeId(0));
+        let t = RouteTable::compute(&nets, NodeId(0));
         assert_eq!(t.hop(NodeId(2)), Err(MadError::Unroutable(NodeId(2))));
         assert!(t.hop(NodeId(1)).is_ok());
     }
@@ -246,7 +207,7 @@ mod tests {
     fn prefers_direct_over_gateway() {
         // Both on net0 and also connected via a 2-hop path; direct wins.
         let nets = [nm(0, &[0, 1]), nm(1, &[0, 2]), nm(2, &[2, 1])];
-        let t = compute_routes(&nets, NodeId(0));
+        let t = RouteTable::compute(&nets, NodeId(0));
         let hop = t.hop(NodeId(1)).unwrap();
         assert!(hop.last);
         assert_eq!(hop.net, NetworkId(0));
@@ -256,7 +217,7 @@ mod tests {
     fn deterministic_tie_break_lowest_network() {
         // Two parallel networks both containing {0,1}: net0 chosen.
         let nets = [nm(1, &[0, 1]), nm(0, &[0, 1])];
-        let t = compute_routes(&nets, NodeId(0));
+        let t = RouteTable::compute(&nets, NodeId(0));
         assert_eq!(t.hop(NodeId(1)).unwrap().net, NetworkId(0));
     }
 

@@ -16,12 +16,15 @@ use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
 use crate::conduit::{Conduit, Driver};
+use crate::control_plane::ControlPlane;
 use crate::credit::{CreditLedger, FlowControl};
-use crate::gateway::{spawn_gateway, GatewayConfig, GatewayHandles, GatewayStop};
-use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog, WatchdogTask};
+use crate::gateway::{spawn_gateway, GatewayConfig, GatewayHandles, GatewayReactor, GatewayStop};
+use crate::membership::MembershipPlane;
+use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog};
 use crate::multipath::{MultiPath, MultipathConfig};
-use crate::routing::{self, NetworkMembers};
+use crate::routing::{self, NetworkMembers, RouteTable};
 use crate::runtime::{RtEvent, Runtime, StdRuntime};
+use crate::ticker::{self, Ticker};
 use crate::types::{ChannelId, NetworkId, NodeId};
 use crate::vchannel::VirtualChannel;
 
@@ -324,7 +327,7 @@ impl SessionBuilder {
         // endpoint responders, and samplers.
         let mut node_registries: HashMap<NodeId, Arc<mad_metrics::Registry>> = HashMap::new();
         let mut metrics_planes: Vec<Arc<MetricsPlane>> = Vec::new();
-        let mut member_planes: Vec<Arc<crate::membership::MembershipPlane>> = Vec::new();
+        let mut member_planes: Vec<Arc<MembershipPlane>> = Vec::new();
         let mut aux_threads = Vec::new();
         let mut samplers_spawned: std::collections::HashSet<NodeId> =
             std::collections::HashSet::new();
@@ -333,7 +336,7 @@ impl SessionBuilder {
         // of the node multiplexes onto the same fixed worker pool, which is
         // the engine's whole scaling argument. The pool parks on the node's
         // arrival event, so it is stirred by exactly the traffic it serves.
-        let mut reactors: HashMap<NodeId, Arc<crate::gateway::GatewayReactor>> = HashMap::new();
+        let mut reactors: HashMap<NodeId, Arc<GatewayReactor>> = HashMap::new();
         for vdef in &self.vchannels {
             let nm: Vec<NetworkMembers> = vdef
                 .nets
@@ -388,15 +391,25 @@ impl SessionBuilder {
                 vdef.name
             );
 
-            // One credit ledger per (virtual channel, node), shared by the
-            // node's gateway engine (if any) and its sending side, keyed
-            // off the node's arrival event so a blocked writer wakes on
-            // either a conduit arrival or a credit deposit. The ledger
-            // exists even without a credit window: it doubles as the
-            // cancellation bus for fault degradation.
-            let ledgers: HashMap<NodeId, Arc<CreditLedger>> = regular_by_node
-                .keys()
-                .map(|&rank| (rank, CreditLedger::new(node_events[rank.index()].clone())))
+            // One control plane per (virtual channel, node): the node's
+            // credit ledger — keyed off the node's arrival event so a
+            // blocked writer wakes on either a conduit arrival or a credit
+            // deposit, and present even without a credit window because it
+            // doubles as the cancellation bus — plus its one route table
+            // and its special channels. The node's gateway engine (if
+            // any), its writers, its responder and its optional planes
+            // all share it.
+            let ctls: HashMap<NodeId, Arc<ControlPlane>> = special_by_node
+                .into_iter()
+                .map(|(rank, special)| {
+                    let ctl = ControlPlane::new(
+                        rank,
+                        CreditLedger::new(node_events[rank.index()].clone()),
+                        RouteTable::compute(&nm, rank),
+                        special,
+                    );
+                    (rank, ctl)
+                })
                 .collect();
 
             // Multi-path routing plane, shared by every node of the
@@ -419,55 +432,30 @@ impl SessionBuilder {
             // Telemetry planes: one per member node, answering in-band
             // kind-10 pulls on the channel's special conduits and feeding
             // the node's live gauges.
-            let planes: HashMap<NodeId, Arc<MetricsPlane>> = if vdef.options.metrics.is_some() {
-                regular_by_node
-                    .keys()
-                    .map(|&rank| {
-                        let registry = node_registries.entry(rank).or_default().clone();
-                        let plane = MetricsPlane::new(
-                            rank,
-                            registry,
-                            routing::compute_routes(&nm, rank),
-                            special_by_node[&rank].clone(),
-                            node_events[rank.index()].clone(),
-                            runtime.clone(),
-                        );
-                        if let Some(mp) = &mp {
-                            plane.register_multipath(mp);
-                        }
-                        metrics_planes.push(plane.clone());
-                        (rank, plane)
-                    })
-                    .collect()
-            } else {
-                HashMap::new()
-            };
+            if vdef.options.metrics.is_some() {
+                for (&rank, ctl) in &ctls {
+                    let registry = node_registries.entry(rank).or_default().clone();
+                    let plane = MetricsPlane::new(ctl, registry, runtime.clone());
+                    if let Some(mp) = &mp {
+                        plane.register_multipath(mp);
+                    }
+                    metrics_planes.push(plane.clone());
+                    ctl.attach_metrics(plane);
+                }
+            }
 
             // Membership planes: one per member node, speaking the
             // kind-11 protocol on the channel's special conduits.
-            let members: HashMap<NodeId, Arc<crate::membership::MembershipPlane>> =
-                if vdef.options.membership.is_some() {
-                    regular_by_node
-                        .keys()
-                        .map(|&rank| {
-                            let plane = crate::membership::MembershipPlane::new(
-                                rank,
-                                routing::compute_routes(&nm, rank),
-                                special_by_node[&rank].clone(),
-                                node_events[rank.index()].clone(),
-                                runtime.clone(),
-                                &vdef.name,
-                            );
-                            if let Some(mp) = &mp {
-                                plane.register_multipath(mp);
-                            }
-                            member_planes.push(plane.clone());
-                            (rank, plane)
-                        })
-                        .collect()
-                } else {
-                    HashMap::new()
-                };
+            if vdef.options.membership.is_some() {
+                for ctl in ctls.values() {
+                    let plane = MembershipPlane::new(ctl, runtime.clone(), &vdef.name);
+                    if let Some(mp) = &mp {
+                        plane.register_multipath(mp);
+                    }
+                    member_planes.push(plane.clone());
+                    ctl.attach_membership(plane);
+                }
+            }
 
             // The channel's live operating point, shared by every gateway
             // controller and hot-path reader. Seeded from the bootstrap
@@ -489,7 +477,7 @@ impl SessionBuilder {
                         reactors
                             .entry(gw)
                             .or_insert_with(|| {
-                                crate::gateway::GatewayReactor::new(
+                                GatewayReactor::new(
                                     gw,
                                     &runtime,
                                     node_events[gw.index()].clone(),
@@ -502,30 +490,36 @@ impl SessionBuilder {
                     gw,
                     &vdef.name,
                     regular_by_node[&gw].clone(),
-                    special_by_node[&gw].clone(),
-                    routing::compute_routes(&nm, gw),
                     vdef.options.gateway,
                     runtime.clone(),
                     gateway_stop.clone(),
-                    ledgers[&gw].clone(),
+                    ctls[&gw].clone(),
                     reactor.as_ref(),
-                    planes.get(&gw).cloned(),
-                    members.get(&gw).cloned(),
                     tuning.clone(),
                 );
                 if let Some(mp) = &mp {
                     mp.register_gateway(gw, handles.stats().clone());
                 }
-                if let Some(plane) = planes.get(&gw) {
+                // Periodic evaluators beside the engine: a dedicated thread
+                // each in threaded mode, timer tasks on the node's shared
+                // worker pool in reactor mode.
+                let mut spawn_ticker = |ticker: Box<dyn Ticker>, what: &str| {
+                    aux_threads.extend(ticker::spawn(
+                        ticker,
+                        format!("gw{}-{}-{what}", gw.0, vdef.name),
+                        reactor.as_deref(),
+                        &runtime,
+                        &node_events[gw.index()],
+                        &gateway_stop,
+                    ));
+                };
+                if let Some(plane) = ctls[&gw].metrics() {
                     plane.register_gateway(handles.stats());
                     if let Some(r) = &reactor {
                         r.set_poll_histogram(
                             plane.registry().histogram("reactor_poll_ns").shared(),
                         );
                     }
-                    // Health watchdog: a dedicated thread in threaded
-                    // mode, a timer task on the node's shared worker pool
-                    // in reactor mode.
                     if let Some(wd_cfg) = vdef.options.metrics.as_ref().and_then(|m| m.watchdog) {
                         let wd = Watchdog::new(
                             wd_cfg,
@@ -535,25 +529,9 @@ impl SessionBuilder {
                             runtime.tracer(),
                             format!("health:{}@{}", vdef.name, gw.0),
                         );
-                        match &reactor {
-                            Some(r) => {
-                                r.spawn_task(Box::new(WatchdogTask::new(wd, gateway_stop.clone())));
-                            }
-                            None => {
-                                let rt = runtime.clone();
-                                let ev = node_events[gw.index()].clone();
-                                let stop = gateway_stop.clone();
-                                aux_threads.push(runtime.spawn(
-                                    format!("gw{}-{}-watchdog", gw.0, vdef.name),
-                                    Box::new(move || metrics_plane::run_watchdog(wd, rt, ev, stop)),
-                                ));
-                            }
-                        }
+                        spawn_ticker(Box::new(wd), "watchdog");
                     }
                 }
-                // Self-tuning controller: like the watchdog, a dedicated
-                // thread in threaded mode, a timer task on the node's
-                // shared worker pool in reactor mode.
                 if let (Some(ctl_cfg), Some(tuning)) = (vdef.options.controller, &tuning) {
                     let ctl = crate::control::Controller::new(
                         ctl_cfg,
@@ -562,23 +540,7 @@ impl SessionBuilder {
                         runtime.tracer(),
                         format!("ctl:{}@{}", vdef.name, gw.0),
                     );
-                    match &reactor {
-                        Some(r) => {
-                            r.spawn_task(Box::new(crate::control::ControllerTask::new(
-                                ctl,
-                                gateway_stop.clone(),
-                            )));
-                        }
-                        None => {
-                            let rt = runtime.clone();
-                            let ev = node_events[gw.index()].clone();
-                            let stop = gateway_stop.clone();
-                            aux_threads.push(runtime.spawn(
-                                format!("gw{}-{}-ctl", gw.0, vdef.name),
-                                Box::new(move || crate::control::run_controller(ctl, rt, ev, stop)),
-                            ));
-                        }
-                    }
+                    spawn_ticker(Box::new(ctl), "ctl");
                 }
                 gateway_stats.push((vdef.name.clone(), gw, handles.stats().clone()));
                 gateway_handles.push(handles);
@@ -594,25 +556,15 @@ impl SessionBuilder {
             // engine instead. One responder per node covers both control
             // planes — either may be enabled without the other.
             if vdef.options.metrics.is_some() || vdef.options.membership.is_some() {
-                for &rank in regular_by_node.keys() {
+                for (&rank, ctl) in &ctls {
                     if gateways.contains(&rank) {
                         continue;
                     }
-                    let chans: Vec<Arc<Channel>> =
-                        special_by_node[&rank].values().cloned().collect();
-                    let rt = runtime.clone();
-                    let ev = node_events[rank.index()].clone();
-                    let metrics = planes.get(&rank).cloned();
-                    let member = members.get(&rank).cloned();
-                    let ledger = ledgers[&rank].clone();
+                    let ctl = ctl.clone();
                     let stop = gateway_stop.clone();
                     aux_threads.push(runtime.spawn(
                         format!("resp-{}-{}", vdef.name, rank.0),
-                        Box::new(move || {
-                            metrics_plane::run_responder(
-                                rt, ev, chans, ledger, stop, metrics, member,
-                            )
-                        }),
+                        Box::new(move || metrics_plane::run_responder(ctl, stop)),
                     ));
                 }
             }
@@ -622,11 +574,13 @@ impl SessionBuilder {
             // node registry anyway).
             if let Some(mopts) = &vdef.options.metrics {
                 if let Some(dir) = &mopts.dump_dir {
-                    for (&rank, plane) in &planes {
+                    for (&rank, ctl) in &ctls {
+                        let Some(plane) = ctl.metrics().cloned() else {
+                            continue;
+                        };
                         if !samplers_spawned.insert(rank) {
                             continue;
                         }
-                        let plane = plane.clone();
                         let dir = dir.clone();
                         let interval = mopts.effective_sample_interval_ns();
                         let stop = gateway_stop.clone();
@@ -647,29 +601,22 @@ impl SessionBuilder {
                     let proto = Arc::new(crate::credit::ProtoStats::default());
                     proto_stats.push((vdef.name.clone(), rank, proto.clone()));
                     FlowControl::new(
-                        ledgers[&rank].clone(),
+                        ctls[&rank].clone(),
                         w,
                         vdef.options.gateway.credit_timeout_ns,
                     )
-                    .with_metrics(planes.get(&rank).cloned())
-                    .with_membership(members.get(&rank).cloned())
                     .with_tuning(tuning.clone())
                     .with_rendezvous(vdef.options.gateway.rendezvous_threshold)
                     .with_proto(Some(proto))
                 });
                 let vc = VirtualChannel::assemble(
                     vdef.name.clone(),
-                    rank,
                     regular.clone(),
-                    special_by_node[&rank].clone(),
-                    routing::compute_routes(&nm, rank),
+                    ctls[&rank].clone(),
                     mtu,
-                    node_events[rank.index()].clone(),
                     gateways.contains(&rank),
                     flow,
                     mp.clone(),
-                    planes.get(&rank).cloned(),
-                    members.get(&rank).cloned(),
                 );
                 per_node.insert(rank, Arc::new(vc));
             }

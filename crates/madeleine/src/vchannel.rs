@@ -47,6 +47,7 @@ use mad_trace::{trace_count, trace_instant, trace_span, Tracer};
 
 use crate::channel::Channel;
 use crate::conduit::BufferMode;
+use crate::control_plane::{recv_ready, ControlPlane, Dispatch};
 use crate::credit::{cancel_error, FlowControl};
 use crate::error::{MadError, Result};
 use crate::flags::{RecvMode, SendMode};
@@ -56,8 +57,6 @@ use crate::gtm::{
 };
 use crate::message::{MessageReader, MessageWriter};
 use crate::multipath::MultiPath;
-use crate::routing::RouteTable;
-use crate::runtime::RtEvent;
 use crate::types::{NetworkId, NodeId};
 
 /// Note byte announcing a plain direct message (non-gateway senders only).
@@ -73,12 +72,12 @@ struct Demux {
 /// A virtual channel, seen from one node.
 pub struct VirtualChannel {
     name: String,
-    rank: NodeId,
     regular: BTreeMap<NetworkId, Arc<Channel>>,
-    special: BTreeMap<NetworkId, Arc<Channel>>,
-    routes: RouteTable,
+    /// The node's control plane on this channel: its route table, its
+    /// special channels, its ledger and ack table, and the optional
+    /// telemetry and membership planes.
+    ctl: Arc<ControlPlane>,
     mtu: usize,
-    recv_event: Arc<dyn RtEvent>,
     /// True when this node runs a forwarding engine for the channel; its
     /// direct sends must then be GTM-framed (see module docs).
     is_gateway: bool,
@@ -89,12 +88,6 @@ pub struct VirtualChannel {
     /// enabled one. `None` keeps every path below byte-identical to the
     /// single-path library.
     multipath: Option<Arc<MultiPath>>,
-    /// The node's telemetry plane on this channel, when the session
-    /// enabled live metrics (in-band pulls, registry access).
-    metrics: Option<Arc<crate::metrics_plane::MetricsPlane>>,
-    /// The node's membership plane on this channel, when the session
-    /// enabled dynamic membership (join/leave/rejoin, epoch tracking).
-    member: Option<Arc<crate::membership::MembershipPlane>>,
     next_msg_id: AtomicU32,
     demux: Mutex<Demux>,
     tracer: Tracer,
@@ -107,7 +100,7 @@ impl std::fmt::Debug for VirtualChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VirtualChannel")
             .field("name", &self.name)
-            .field("rank", &self.rank)
+            .field("rank", &self.ctl.rank())
             .field("networks", &self.regular.keys().collect::<Vec<_>>())
             .field("mtu", &self.mtu)
             .field("is_gateway", &self.is_gateway)
@@ -117,20 +110,14 @@ impl std::fmt::Debug for VirtualChannel {
 
 impl VirtualChannel {
     /// Assemble a virtual channel (session-bootstrap use).
-    #[allow(clippy::too_many_arguments)] // a one-caller bootstrap function
-    pub fn assemble(
+    pub(crate) fn assemble(
         name: String,
-        rank: NodeId,
         regular: BTreeMap<NetworkId, Arc<Channel>>,
-        special: BTreeMap<NetworkId, Arc<Channel>>,
-        routes: RouteTable,
+        ctl: Arc<ControlPlane>,
         mtu: usize,
-        recv_event: Arc<dyn RtEvent>,
         is_gateway: bool,
         flow: Option<FlowControl>,
         multipath: Option<Arc<MultiPath>>,
-        metrics: Option<Arc<crate::metrics_plane::MetricsPlane>>,
-        member: Option<Arc<crate::membership::MembershipPlane>>,
     ) -> Self {
         let tracer = regular
             .values()
@@ -144,17 +131,12 @@ impl VirtualChannel {
             .unwrap_or_default();
         VirtualChannel {
             name,
-            rank,
             regular,
-            special,
-            routes,
+            ctl,
             mtu,
-            recv_event,
             is_gateway,
             flow,
             multipath,
-            metrics,
-            member,
             next_msg_id: AtomicU32::new(0),
             demux: Mutex::new(Demux {
                 asm: StreamAssembler::with_pool(pool.clone()),
@@ -172,7 +154,7 @@ impl VirtualChannel {
 
     /// The local rank.
     pub fn rank(&self) -> NodeId {
-        self.rank
+        self.ctl.rank()
     }
 
     /// The route-wide fragment size used for forwarded messages.
@@ -182,14 +164,14 @@ impl VirtualChannel {
 
     /// Ranks reachable over this virtual channel.
     pub fn destinations(&self) -> Vec<NodeId> {
-        let mut d: Vec<NodeId> = self.routes.destinations().collect();
+        let mut d: Vec<NodeId> = self.ctl.routes().destinations().collect();
         d.sort_unstable();
         d
     }
 
     /// True if messages to `dest` cross at least one gateway.
     pub fn is_forwarded(&self, dest: NodeId) -> Result<bool> {
-        Ok(!self.routes.hop(dest)?.last)
+        Ok(!self.ctl.routes().hop(dest)?.last)
     }
 
     /// The channel's multi-path routing plane, when the session enabled
@@ -202,7 +184,7 @@ impl VirtualChannel {
     /// enabled live metrics: registry access plus the in-band
     /// [`crate::metrics_plane::MetricsPlane::pull`] of remote snapshots.
     pub fn metrics_plane(&self) -> Option<&Arc<crate::metrics_plane::MetricsPlane>> {
-        self.metrics.as_ref()
+        self.ctl.metrics()
     }
 
     /// This node's membership plane on the channel, when the session
@@ -212,13 +194,13 @@ impl VirtualChannel {
     /// [`crate::membership::MembershipPlane::rejoin`] handshake plus the
     /// per-node epoch view.
     pub fn membership(&self) -> Option<&Arc<crate::membership::MembershipPlane>> {
-        self.member.as_ref()
+        self.ctl.member()
     }
 
     /// Allocate the tag of a new outgoing stream.
     fn next_tag(&self, dest: NodeId) -> StreamTag {
         StreamTag {
-            src: self.rank,
+            src: self.ctl.rank(),
             dest,
             msg_id: self.next_msg_id.fetch_add(1, Ordering::Relaxed),
         }
@@ -227,7 +209,7 @@ impl VirtualChannel {
     /// Begin a message to `dest`; transparently picks the direct path or
     /// the GTM + gateway path.
     pub fn begin_packing(&self, dest: NodeId) -> Result<VcWriter<'_, '_>> {
-        let hop = self.routes.hop(dest)?;
+        let hop = self.ctl.routes().hop(dest)?;
         if hop.last {
             let channel = self
                 .regular
@@ -266,10 +248,10 @@ impl VirtualChannel {
                     mp.refresh(ch.runtime().now_nanos());
                 }
                 let paths: Vec<PathHop> = mp
-                    .plan(self.rank)
+                    .plan(self.ctl.rank())
                     .paths(dest.0)
                     .iter()
-                    .filter(|h| self.special.contains_key(&NetworkId(h.net)))
+                    .filter(|h| self.ctl.special().contains_key(&NetworkId(h.net)))
                     .copied()
                     .collect();
                 if paths.len() >= 2 {
@@ -280,7 +262,8 @@ impl VirtualChannel {
                 }
             }
             let channel = self
-                .special
+                .ctl
+                .special()
                 .get(&hop.net)
                 .ok_or(MadError::Unroutable(dest))?;
             // On a gateway node the engine's polling threads own the
@@ -346,7 +329,7 @@ impl VirtualChannel {
         // the announced MTU if a path is tighter than the route MTU.
         let mut mtu = self.mtu;
         for h in &live {
-            let cap = self.special[&NetworkId(h.net)].caps().max_packet;
+            let cap = self.ctl.special()[&NetworkId(h.net)].caps().max_packet;
             mtu = mtu.min(cap.saturating_sub(PRELUDE_LEN + STRIPE_OVERHEAD));
         }
         assert!(mtu >= 1, "stripe envelope cannot fit any fragment");
@@ -357,7 +340,7 @@ impl VirtualChannel {
         // Every path's relays see the header before any envelope (conduit
         // FIFO per path), so each can open its per-stream state.
         for h in &live {
-            self.special[&NetworkId(h.net)].send_packet(NodeId(h.node), &[&pkt])?;
+            self.ctl.special()[&NetworkId(h.net)].send_packet(NodeId(h.node), &[&pkt])?;
         }
         let bytes_by_path = vec![0u64; live.len()];
         Ok(VcWriter::Striped(StripedWriter {
@@ -433,7 +416,7 @@ impl VirtualChannel {
     /// networks and peers in deterministic order.
     fn select_any(&self) -> Result<(NetworkId, NodeId)> {
         loop {
-            let seen = self.recv_event.epoch();
+            let seen = self.ctl.event().epoch();
             let mut all_closed = true;
             for (&net, channel) in &self.regular {
                 let peers: Vec<NodeId> = channel.peers().collect();
@@ -450,7 +433,7 @@ impl VirtualChannel {
             if all_closed {
                 return Err(MadError::Disconnected);
             }
-            self.recv_event.wait_past(seen);
+            self.ctl.event().wait_past(seen);
         }
     }
 }
@@ -550,7 +533,7 @@ impl<'d> MultipathWriter<'_, 'd> {
             let Some(hop) = self.mp.choose(self.dest, &self.paths, &self.tried) else {
                 return Err(MadError::PeerUnreachable(self.dest));
             };
-            let channel = &self.vc.special[&NetworkId(hop.net)];
+            let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
             let flow = self.vc.flow.as_ref().map(|f| f.writer(!self.vc.is_gateway));
             // Request a handoff ack: the retry machinery can then also
             // cover a gateway that dies *after* accepting the whole stream
@@ -671,85 +654,47 @@ impl<'d> MultipathWriter<'_, 'd> {
     }
 
     /// Pump the bound path's special conduit until the gateway's handoff
-    /// ack for this stream arrives. Interleaved flow-control traffic of
-    /// other streams is deposited into the shared ledger on the way; a
-    /// cancel for this stream surfaces as its typed error; deadline expiry
-    /// means the gateway died holding the stream.
+    /// ack for this stream arrives. This stream's own ack and cancel are
+    /// this wait's business; everything else read on the way — other
+    /// streams' flow control, other writers' acks, metrics and membership
+    /// traffic — goes to the node's control plane. Another reader (the
+    /// responder, a pumping writer) may have taken our ack off the conduit
+    /// first: it parked it in the plane's ack table and bumped the node
+    /// event — this wait's own event — so the claim at the top of the
+    /// loop always runs. Deadline expiry means the gateway died holding
+    /// the stream.
     fn wait_ack(&self) -> Result<()> {
-        let channel = &self.vc.special[&NetworkId(self.hop.net)];
+        let key = self.tag.key();
+        let r = self.wait_ack_inner(key);
+        // Either way this stream is done waiting: a late ack parked under
+        // its key would otherwise sit in the table until evicted.
+        self.vc.ctl.take_ack(key);
+        r
+    }
+
+    fn wait_ack_inner(&self, key: StreamKey) -> Result<()> {
+        let ctl = &self.vc.ctl;
+        let channel = &ctl.special()[&NetworkId(self.hop.net)];
         let peer = NodeId(self.hop.node);
         let runtime = channel.runtime();
         let deadline = runtime.now_nanos().saturating_add(self.mp.ack_timeout_ns());
         loop {
             let seen = channel.recv_event().epoch();
-            // The node's metrics responder may have drained our ack off the
-            // conduit while serving a pull; it parks such acks in the
-            // plane's side table, and its deposit bumps the node event —
-            // this wait's own event — so the claim below always runs.
-            if let Some(p) = &self.vc.metrics {
-                if p.take_ack(self.tag.key()) {
-                    return Ok(());
-                }
+            if ctl.take_ack(key) {
+                return Ok(());
             }
-            loop {
-                let mut conduit = channel.lock_conduit(peer)?;
-                if !conduit.ready() {
-                    break;
-                }
-                let packet = runtime.pool().adopt(conduit.recv_owned()?);
-                drop(conduit);
-                channel.stats().on_recv(peer.0, packet.len());
-                let (tag, body) = gtm::decode_packet(&packet)?;
+            while let Some((tag, body, packet)) = recv_ready(channel, peer)? {
                 match body {
-                    PacketBody::Ack if tag.key() == self.tag.key() => return Ok(()),
-                    // An ack for some other stream: usually a stale one
-                    // whose wait already gave up, but possibly a concurrent
-                    // writer's — park it in the plane's side table so that
-                    // writer can still claim it.
-                    PacketBody::Ack => {
-                        if let Some(p) = &self.vc.metrics {
-                            p.deposit_ack(tag.key());
-                        }
-                    }
-                    PacketBody::Credit(n) => {
-                        if let Some(f) = &self.vc.flow {
-                            f.ledger().deposit(tag.key(), n);
-                        }
-                    }
-                    PacketBody::Cancel(reason) if tag.key() == self.tag.key() => {
+                    PacketBody::Ack if tag.key() == key => return Ok(()),
+                    PacketBody::Cancel(reason) if tag.key() == key => {
                         return Err(cancel_error(reason, &self.tag));
                     }
-                    PacketBody::Cancel(reason) => {
-                        if let Some(f) = &self.vc.flow {
-                            f.ledger().cancel(tag.key(), reason);
-                        }
-                    }
-                    PacketBody::MetricsRequest | PacketBody::MetricsReply => {
-                        if let Some(p) = &self.vc.metrics {
-                            p.handle_packet(&tag, &body, &packet);
-                        }
-                    }
-                    // Membership protocol traffic (kind 11) shares the
-                    // special conduit: a late join ack or a peer's leave
-                    // announcement may land while this writer waits.
-                    PacketBody::Member(_) => {
-                        if let Some(p) = &self.vc.member {
-                            p.handle_packet(&tag, &body, &packet);
-                        }
-                    }
-                    // A rendezvous CTS for a concurrent plain-path writer
-                    // of this node: its whole-window grant goes into the
-                    // shared ledger where that writer's wait_grant finds it.
-                    PacketBody::RendezvousCts(m) => {
-                        if let Some(f) = &self.vc.flow {
-                            f.ledger().grant(tag.key(), m.window);
-                        }
-                    }
-                    other => {
-                        return Err(MadError::Protocol(format!(
-                            "unexpected {other:?} while awaiting a handoff ack"
-                        )))
-                    }
+                    _ => {}
+                }
+                if ctl.dispatch(&tag, &body, &packet) == Dispatch::NotControl {
+                    return Err(MadError::Protocol(format!(
+                        "unexpected {body:?} while awaiting a handoff ack"
+                    )));
                 }
             }
             let now = runtime.now_nanos();
@@ -795,7 +740,7 @@ impl StripedWriter<'_> {
         let mut parts: Vec<&[u8]> = Vec::with_capacity(inner.len() + 1);
         parts.push(&sp);
         parts.extend_from_slice(inner);
-        let channel = &self.vc.special[&NetworkId(hop.net)];
+        let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
         match channel.send_packet(NodeId(hop.node), &parts) {
             Ok(()) => Ok(i),
             Err(e) => {
@@ -842,7 +787,8 @@ impl StripedWriter<'_> {
     fn cancel_paths(&self, from: usize) {
         let pkt = gtm::encode_cancel(&self.tag, CancelReason::PeerUnreachable);
         for hop in &self.paths[from..] {
-            let _ = self.vc.special[&NetworkId(hop.net)].send_packet(NodeId(hop.node), &[&pkt]);
+            let _ =
+                self.vc.ctl.special()[&NetworkId(hop.net)].send_packet(NodeId(hop.node), &[&pkt]);
         }
     }
 
@@ -863,7 +809,7 @@ impl StripedWriter<'_> {
         }
         for i in 0..self.paths.len() {
             let hop = self.paths[i];
-            let channel = &self.vc.special[&NetworkId(hop.net)];
+            let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
             if let Err(e) = channel.send_packet(NodeId(hop.node), &[&end]) {
                 if matches!(e, MadError::PeerUnreachable(_)) {
                     self.mp.mark_dead(hop.node);

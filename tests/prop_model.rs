@@ -5,6 +5,7 @@
 //! pinned as named `#[test]`s that call it directly) plus a generator
 //! driven by the deterministic `mad_util::prop` harness.
 
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use mad_util::prop::{self, Config};
@@ -12,7 +13,6 @@ use mad_util::{prop_assert, prop_assert_eq, prop_require};
 use madeleine::gtm;
 use madeleine::mad_route;
 use madeleine::plan;
-use madeleine::routing;
 use simnet::{Arbitration, FluidBus, XferClass, XferDir};
 use vtime::{Clock, SimDuration};
 
@@ -73,7 +73,76 @@ fn gtm_decode_never_panics() {
         &Config::default(),
         |rng| prop::bytes(rng, 0..64),
         |bytes| {
-            let _ = gtm::decode_packet(bytes); // must not panic, any outcome ok
+            // Must not panic, any outcome ok — neither the decoder nor,
+            // for whatever decodes, the control-plane dispatcher behind it.
+            let _ = madeleine::fuzz_dispatch(bytes);
+            Ok(())
+        },
+    );
+}
+
+/// Hostile bytes reach the control plane's dispatcher on every special
+/// conduit. Random bytes rarely get past the magic, so aim: take a valid
+/// packet of each control kind (5, 6, 9, 10, 11, 12) with random fields,
+/// and feed every truncation of it — plus the whole packet with one byte
+/// flipped — through decode + dispatch. Nothing may panic; the intact
+/// packet must decode and be handled.
+#[test]
+fn control_packets_truncated_or_corrupted_never_panic_the_dispatcher() {
+    prop::check(
+        "control_packets_truncated_or_corrupted_never_panic_the_dispatcher",
+        &Config::default(),
+        |rng| {
+            (
+                (rng.next_u32(), rng.next_u32(), rng.next_u32()),
+                rng.next_u32(),
+                prop::bytes(rng, 0..64),
+                rng.next_u64(),
+            )
+        },
+        |&((src, dest, msg_id), n, ref payload, seed)| {
+            let tag = gtm::StreamTag {
+                src: madeleine::NodeId(src),
+                dest: madeleine::NodeId(dest),
+                msg_id,
+            };
+            let member = gtm::MemberMsg {
+                event: gtm::MemberEvent::JoinRequest,
+                node: n,
+                epoch: seed | 1, // the wire format rejects epoch 0
+            };
+            // The encoders assert non-zero fields.
+            let rdv = gtm::RendezvousMsg {
+                total: seed | 1,
+                mtu: n | 1,
+                window: n | 1,
+            };
+            let packets = [
+                gtm::encode_credit(&tag, n),
+                gtm::encode_cancel(&tag, gtm::CancelReason::CreditTimeout),
+                gtm::encode_ack(&tag),
+                gtm::encode_metrics_request(&tag),
+                gtm::encode_metrics_reply(&tag, payload),
+                gtm::encode_member(&tag, &member),
+                gtm::encode_rendezvous_rts(&tag, &rdv),
+                gtm::encode_rendezvous_cts(&tag, &rdv),
+            ];
+            let mut rng = mad_util::rng::Rng::new(seed);
+            for (i, pkt) in packets.iter().enumerate() {
+                let is_rts = i == 6; // kind 12's stream-side half
+                prop_assert_eq!(
+                    madeleine::fuzz_dispatch(pkt),
+                    Some(!is_rts),
+                    "intact packet #{i} must decode; only the RTS is not control"
+                );
+                for cut in 0..pkt.len() {
+                    let _ = madeleine::fuzz_dispatch(&pkt[..cut]);
+                }
+                let mut flipped = pkt.clone();
+                let at = rng.gen_range(0..flipped.len());
+                flipped[at] ^= 1 << rng.gen_range(0..8u32);
+                let _ = madeleine::fuzz_dispatch(&flipped);
+            }
             Ok(())
         },
     );
@@ -248,6 +317,65 @@ fn virtual_clock_sums_sleeps_exactly() {
 
 // ------------------------------------------------------------ routing plane
 
+/// The reference single-path router: the breadth-first search the
+/// transport used before `mad-route` became its only router, kept here
+/// verbatim as the oracle `mad-route` is checked against. Minimum-hop
+/// first edges over the bipartite node↔network graph, networks of a node
+/// ascending, members of a network ascending, queue FIFO. Returns, per
+/// reachable destination, `(net, node, last)` of the first hop.
+fn legacy_bfs(nets: &[(u32, Vec<u32>)], src: u32) -> BTreeMap<u32, (u32, u32, bool)> {
+    let mut nets_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    let mut members_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for (net, members) in nets {
+        let mut members = members.clone();
+        members.sort_unstable();
+        members.dedup();
+        for &n in &members {
+            nets_of.entry(n).or_default().push(*net);
+        }
+        members_of.insert(*net, members);
+    }
+    for nets in nets_of.values_mut() {
+        nets.sort_unstable();
+        nets.dedup();
+    }
+
+    let mut first_hop: BTreeMap<u32, (u32, u32, bool)> = BTreeMap::new();
+    let mut dist: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut queue = VecDeque::new();
+    dist.insert(src, 0);
+    queue.push_back(src);
+    while let Some(u) = queue.pop_front() {
+        let du = dist[&u];
+        let Some(nets) = nets_of.get(&u) else {
+            continue;
+        };
+        for &net in nets {
+            for &v in &members_of[&net] {
+                if v == u || dist.contains_key(&v) {
+                    continue;
+                }
+                dist.insert(v, du + 1);
+                // The first hop toward v: either the direct edge (u == src)
+                // or whatever led to u.
+                let hop = if u == src {
+                    (net, v, true)
+                } else {
+                    first_hop[&u]
+                };
+                first_hop.insert(v, hop);
+                queue.push_back(v);
+            }
+        }
+    }
+    first_hop.remove(&src);
+    // `last` means "next hop is the destination": distance-1 nodes only.
+    for (dest, hop) in first_hop.iter_mut() {
+        hop.2 = dist[dest] == 1;
+    }
+    first_hop
+}
+
 /// The multi-path plan must agree with the legacy single-path router on
 /// every topology: same reachable set, and `paths(dest)[0]` — the hop the
 /// transport uses whenever it is not striping — identical to the BFS hop,
@@ -255,8 +383,6 @@ fn virtual_clock_sums_sleeps_exactly() {
 /// library. Plus the plan invariants: no duplicate parallel edges, every
 /// edge starts at `src`, `last` exactly for distance-1 destinations.
 fn plan_matches_legacy_router_property(nets: &[(u32, Vec<u32>)]) -> Result<(), String> {
-    use std::collections::BTreeSet;
-
     let decls: Vec<mad_route::NetworkDecl> = nets
         .iter()
         .map(|(net, members)| mad_route::NetworkDecl {
@@ -264,32 +390,25 @@ fn plan_matches_legacy_router_property(nets: &[(u32, Vec<u32>)]) -> Result<(), S
             members: members.clone(),
         })
         .collect();
-    let legacy_nets: Vec<routing::NetworkMembers> = nets
-        .iter()
-        .map(|(net, members)| routing::NetworkMembers {
-            net: madeleine::NetworkId(*net),
-            members: members.iter().map(|&m| madeleine::NodeId(m)).collect(),
-        })
-        .collect();
 
     let table = mad_route::compute_table(&decls);
     let nodes: BTreeSet<u32> = nets.iter().flat_map(|(_, m)| m.iter().copied()).collect();
     for &src in &nodes {
         let plan = table.plan(src);
-        let legacy = routing::compute_routes(&legacy_nets, madeleine::NodeId(src));
+        let legacy = legacy_bfs(nets, src);
         let plan_dests: BTreeSet<u32> = plan.destinations().collect();
-        let legacy_dests: BTreeSet<u32> = legacy.destinations().map(|d| d.0).collect();
+        let legacy_dests: BTreeSet<u32> = legacy.keys().copied().collect();
         prop_assert_eq!(plan_dests, legacy_dests, "reachable sets differ from {src}");
         for dest in plan.destinations() {
-            let hop = legacy
-                .hop(madeleine::NodeId(dest))
-                .map_err(|e| format!("legacy lost {src} -> {dest}: {e:?}"))?;
+            let (net, node, last) = *legacy
+                .get(&dest)
+                .ok_or(format!("legacy lost {src} -> {dest}"))?;
             let primary = plan
                 .primary(dest)
                 .ok_or(format!("plan lost {src} -> {dest}"))?;
-            prop_assert_eq!(primary.net, hop.net.0, "{src} -> {dest}: wrong net");
-            prop_assert_eq!(primary.node, hop.node.0, "{src} -> {dest}: wrong node");
-            prop_assert_eq!(primary.last, hop.last, "{src} -> {dest}: wrong last");
+            prop_assert_eq!(primary.net, net, "{src} -> {dest}: wrong net");
+            prop_assert_eq!(primary.node, node, "{src} -> {dest}: wrong node");
+            prop_assert_eq!(primary.last, last, "{src} -> {dest}: wrong last");
             let paths = plan.paths(dest);
             let edges: BTreeSet<(u32, u32)> = paths.iter().map(|h| (h.net, h.node)).collect();
             prop_assert_eq!(
@@ -298,7 +417,7 @@ fn plan_matches_legacy_router_property(nets: &[(u32, Vec<u32>)]) -> Result<(), S
                 "{src} -> {dest}: duplicate parallel edges {paths:?}"
             );
             for h in paths {
-                prop_assert_eq!(h.last, hop.last, "{src} -> {dest}: disagreeing last flags");
+                prop_assert_eq!(h.last, last, "{src} -> {dest}: disagreeing last flags");
             }
         }
     }
