@@ -30,6 +30,7 @@ use mad_util::pool::PooledBuf;
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
+use crate::conduit::Conduit;
 use crate::credit::CreditLedger;
 use crate::error::{MadError, Result};
 use crate::gtm::{self, PacketBody, StreamKey, StreamTag};
@@ -191,8 +192,25 @@ impl ControlPlane {
     /// that tolerates strays can simply pump again); any other error left
     /// the conduit untouched.
     pub(crate) fn pump(&self, channel: &Channel, peer: NodeId) -> Result<bool> {
+        self.pump_while(channel, peer, |conduit| conduit.ready())
+    }
+
+    /// [`Self::pump`] for a reader that must not wait at all: only packets
+    /// that have *arrived* ([`Conduit::backlog`]). On a driver that models
+    /// delivery delay, `ready` also sees packets still on the wire, and
+    /// receiving one of those waits out the rest of its flight.
+    pub(crate) fn pump_arrived(&self, channel: &Channel, peer: NodeId) -> Result<bool> {
+        self.pump_while(channel, peer, |conduit| conduit.backlog())
+    }
+
+    fn pump_while(
+        &self,
+        channel: &Channel,
+        peer: NodeId,
+        pending: impl Fn(&dyn Conduit) -> bool,
+    ) -> Result<bool> {
         let mut any = false;
-        while let Some((tag, body, packet)) = recv_ready(channel, peer)? {
+        while let Some((tag, body, packet)) = recv_if(channel, peer, &pending)? {
             any = true;
             if self.dispatch(&tag, &body, &packet) == Dispatch::NotControl {
                 return Err(MadError::Protocol(format!(
@@ -249,8 +267,17 @@ pub(crate) fn recv_ready(
     channel: &Channel,
     peer: NodeId,
 ) -> Result<Option<(StreamTag, PacketBody, PooledBuf)>> {
+    recv_if(channel, peer, |conduit| conduit.ready())
+}
+
+/// [`recv_ready`] with the caller's notion of "ready".
+fn recv_if(
+    channel: &Channel,
+    peer: NodeId,
+    pending: impl Fn(&dyn Conduit) -> bool,
+) -> Result<Option<(StreamTag, PacketBody, PooledBuf)>> {
     let mut conduit = channel.lock_conduit(peer)?;
-    if !conduit.ready() {
+    if !pending(&**conduit) {
         return Ok(None);
     }
     let packet = channel.runtime().pool().adopt(conduit.recv_owned()?);

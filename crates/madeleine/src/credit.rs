@@ -409,6 +409,10 @@ impl WriterFlow {
         self.ctl.ledger().open(key, self.ctl.window());
     }
 
+    pub(crate) fn window(&self) -> u32 {
+        self.ctl.window()
+    }
+
     /// Drop the stream's account.
     pub(crate) fn close(&self, key: StreamKey) {
         self.ctl.ledger().close(key);
@@ -451,6 +455,29 @@ impl WriterFlow {
                 GrantOutcome::Pending => None,
             }
         })
+    }
+
+    /// Consume one credit if the window has one, without waiting or
+    /// reading the conduit. `Ok(false)` means the window is dry: the
+    /// writer flushes what it has staged and then calls [`Self::take`].
+    pub(crate) fn try_take(&self, tag: &StreamTag) -> Result<bool> {
+        match self.ctl.ledger().try_take(tag.key()) {
+            TakeOutcome::Taken => Ok(true),
+            TakeOutcome::Empty => Ok(false),
+            TakeOutcome::Cancelled(reason) => Err(cancel_error(reason, tag)),
+        }
+    }
+
+    /// Read, without blocking, whatever is already pending on the conduit
+    /// to `first_hop` — when this writer is the conduit's reader. A writer
+    /// otherwise reads only while it waits for credits, so the grants that
+    /// arrive after its last wait (the tail of every multi-fragment
+    /// stream) would pile up in its receive queue until teardown.
+    pub(crate) fn drain(&self, channel: &Channel, first_hop: NodeId) -> Result<()> {
+        if self.pump {
+            self.ctl.plane.pump_arrived(channel, first_hop)?;
+        }
+        Ok(())
     }
 
     /// Consume one credit before emitting a fragment, pumping the writer's

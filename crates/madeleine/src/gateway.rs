@@ -23,20 +23,23 @@
 //! Because the stream tag is route-invariant, packets are forwarded
 //! verbatim: the engine never re-encodes anything.
 //!
-//! ## Transmit batching
+//! ## Frame in, frame out
 //!
 //! A slow outbound network pays a fixed per-send cost (protocol overhead,
-//! staging) for every packet. When the pipeline queue has a backlog and
-//! [`GatewayConfig::max_batch`] ≥ 2, the forwarding thread coalesces
-//! queued packets bound for the same outgoing conduit into one [`gtm`]
-//! batch frame — one wire send amortizes one per-send overhead over the
-//! whole train. Credits are still consumed per fragment *before* a packet
-//! joins a train (the occupancy bound is unchanged) and grants are
-//! aggregated into one credit packet per stream afterwards. Frames stay
-//! within the outgoing driver's preferred packet size, so bulk fragments
-//! already at the route MTU keep their single-packet zero-copy path. The
-//! next hop splits the train and re-coalesces by its own queue state;
-//! batch frames are never forwarded verbatim.
+//! staging) for every packet, and every hand-off between the polling and
+//! the forwarding side costs a buffer switch. Senders therefore aggregate
+//! a stream's small packets into one [`gtm`] batch frame, and the engine
+//! keeps what arrived as one wire packet together: the packets of a frame
+//! each go through the per-packet rules, then every run of consecutive
+//! packets that leave on the same conduit travels as one unit — one
+//! pipeline slot, one credit pass, one batch frame out, within the
+//! *outgoing* driver's preferred packet size (so bulk fragments already at
+//! the route MTU keep their single-packet zero-copy path). Credits are
+//! still consumed per fragment *before* a packet joins a train (the
+//! occupancy bound is unchanged) and grants are aggregated into one
+//! credit packet per stream afterwards. [`GatewayConfig::max_batch`] ≥ 2
+//! additionally lets the forwarding side coalesce, when the pipeline has a
+//! backlog, packets that arrived *separately* into the same frame.
 //!
 //! ## Credit-based flow control
 //!
@@ -97,9 +100,10 @@
 //!
 //! What a packet means is decided once, for both cores: `Inbound::serve`
 //! is the receive side (receive → count → demultiplex into an
-//! [`ItemSink`] → degrade on a fault → re-pin), `Train` is the transmit
-//! side's coalescing rule, `transmit_batch` puts a train on the wire, and
-//! every control packet goes to the node's `ControlPlane`. The cores
+//! [`ItemSink`], a received frame as one unit per outgoing conduit →
+//! degrade on a fault → re-pin), `Train` is the transmit side's
+//! coalescing rule, `transmit_batch` puts a train on the wire, and every
+//! control packet goes to the node's `ControlPlane`. The cores
 //! differ only in *who waits how*: a thread blocked in
 //! `select_ready_after`, a bounded `RtQueue` and `take_blocking` — or a
 //! `try_select_ready_after` scan, a `VecDeque` and reactor timers for the
@@ -130,7 +134,7 @@
 )]
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -141,7 +145,7 @@ use mad_util::pool::PooledBuf;
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
-use crate::conduit::{BufferMode, Conduit, DriverCaps, StaticBuf};
+use crate::conduit::{gather, BufferMode, Conduit, DriverCaps, StaticBuf};
 use crate::control::Tuning;
 use crate::control_plane::{ControlPlane, Dispatch};
 use crate::credit::{CreditLedger, TakeFailure, TakeOutcome};
@@ -586,17 +590,18 @@ pub struct GatewayConfig {
     /// to end before abandoning them (a fault may have killed a source
     /// that will never send its end packet).
     pub drain_timeout_ns: u64,
-    /// Maximum packets a forwarding thread coalesces into one batch frame
-    /// per outbound send. `1` (the default) transmits packet-at-a-time —
-    /// exactly the pre-batching behaviour. With a backlogged pipeline and
-    /// `max_batch ≥ 2`, queued packets bound for the same conduit ride one
-    /// wire send (one per-send overhead for the whole train), which is
-    /// where slow outbound networks with high fixed send costs win. A
-    /// frame never exceeds the outgoing driver's preferred packet size,
-    /// so route-MTU-sized bulk fragments are still sent singly and keep
-    /// their zero-copy static path. Batching needs `pipeline_depth ≥ 2`
-    /// (the queue is the coalescing buffer); the depth-1 inline path
-    /// ignores this knob.
+    /// How long a train the forwarding side may build by reaching into
+    /// *later* pipeline slots: while a train is shorter than this, queued
+    /// packets bound for the same conduit join it (one wire send, one
+    /// per-send overhead for the whole train) — where several senders'
+    /// small packets meet at a slow outbound network. `1` (the default)
+    /// never reaches past the unit in hand. It is not a cap on that unit:
+    /// the packets of one received batch frame that leave the same way go
+    /// out as one frame at any setting. A frame never exceeds the outgoing
+    /// driver's preferred packet size, so route-MTU-sized bulk fragments
+    /// are always sent singly and keep their zero-copy static path.
+    /// Coalescing across slots needs `pipeline_depth ≥ 2` (the queue is
+    /// the coalescing buffer).
     pub max_batch: usize,
     /// Execution core: dedicated threads per direction, or poll-driven
     /// tasks on the node's shared reactor. Defaults to
@@ -877,7 +882,7 @@ impl Drop for StageBusy<'_> {
     }
 }
 
-/// A buffer traveling through the gateway pipeline: one wire packet,
+/// A buffer traveling through the gateway pipeline: one GTM packet,
 /// forwarded verbatim.
 enum FwdBuf {
     /// The incoming driver's own buffer (outgoing driver is dynamic),
@@ -885,6 +890,9 @@ enum FwdBuf {
     Owned(PooledBuf),
     /// An outgoing-driver static buffer, filled by the receive.
     Static(StaticBuf),
+    /// One packet of a received batch frame: a window onto the landed
+    /// frame, which goes back to its pool when its last packet is consumed.
+    Slice(Arc<FwdBuf>, std::ops::Range<usize>),
 }
 
 impl FwdBuf {
@@ -892,13 +900,15 @@ impl FwdBuf {
         match self {
             FwdBuf::Owned(v) => v,
             FwdBuf::Static(sb) => sb.as_slice(),
+            FwdBuf::Slice(frame, at) => &frame.bytes()[at.clone()],
         }
     }
 }
 
-/// One self-contained pipeline slot: a packet plus where it goes. Items of
-/// different streams interleave freely in the queue.
+/// One packet on its way through the pipeline, plus where it goes. Items
+/// of different streams interleave freely in the queue.
 struct FwdItem {
+    out_net: NetworkId,
     to: NodeId,
     last_hop: bool,
     buf: FwdBuf,
@@ -933,12 +943,65 @@ struct FwdItem {
     restage: Option<Landing>,
 }
 
-/// Where the polling thread pushes pipeline items.
+impl FwdItem {
+    /// The outgoing conduit: which network, which peer, and whether over
+    /// the regular (last hop) or the special channel.
+    fn conduit(&self) -> (NetworkId, NodeId, bool) {
+        (self.out_net, self.to, self.last_hop)
+    }
+
+    /// Payload fragments are the packets the held-bytes gauge counts.
+    fn is_frag(&self) -> bool {
+        self.held_bytes > 0
+    }
+}
+
+/// One pipeline slot: what one received wire packet turned into for one
+/// outgoing conduit. A plain packet is a unit of one; the packets of a
+/// batch frame that share a conduit stay together, in order, so the flush
+/// side can put them back on the wire as one frame — a frame in costs one
+/// queue hand-off and one send out, like the single packet it is on the
+/// wire. `pipeline_depth` counts these (the paper's "buffers").
+enum FwdUnit {
+    One(FwdItem),
+    Frame(Vec<FwdItem>),
+}
+
+impl FwdUnit {
+    fn items(&self) -> &[FwdItem] {
+        match self {
+            FwdUnit::One(item) => std::slice::from_ref(item),
+            FwdUnit::Frame(items) => items,
+        }
+    }
+
+    /// The outbound network the unit leaves on (a unit is never empty).
+    fn out_net(&self) -> Option<NetworkId> {
+        self.items().first().map(|item| item.out_net)
+    }
+
+    /// Account every packet of a unit that will never be sent.
+    fn drop_all(&self, shared: &FwdShared) {
+        for item in self.items() {
+            drop_item(item, shared);
+        }
+    }
+
+    /// Hand the unit's packets, in order, to the flush side's work list.
+    fn unpack_into(self, pending: &mut VecDeque<FwdItem>) {
+        match self {
+            FwdUnit::One(item) => pending.push_back(item),
+            FwdUnit::Frame(items) => pending.extend(items),
+        }
+    }
+}
+
+/// Where the polling thread pushes pipeline units.
 enum Sink {
     /// Pipelined: a bounded queue drained by a forwarding thread.
-    Queue(RtSender<FwdItem>),
+    Queue(RtSender<FwdUnit>),
     /// Depth-1: the polling thread retransmits synchronously.
-    Inline(OutPath),
+    Inline(OutPath, Flush),
 }
 
 /// Where the demultiplexer hands accepted packets. [`Inbound`] is generic
@@ -950,17 +1013,12 @@ enum Sink {
 trait ItemSink {
     /// Does this gateway bridge onto `net`?
     fn bridges(&self, net: NetworkId) -> bool;
-    /// Accept one packet for the stream's outbound network. Failing with
-    /// [`MadError::Disconnected`] shuts the inbound side down (the
-    /// outbound consumer is gone); the implementation must account the
-    /// item (via [`drop_item`]) before failing.
-    fn accept(
-        &mut self,
-        stream: &InStream,
-        item: FwdItem,
-        is_frag: bool,
-        shared: &FwdShared,
-    ) -> Result<()>;
+    /// Accept one unit — its packets all leave on the same conduit of the
+    /// same outbound network. Failing with [`MadError::Disconnected`]
+    /// shuts the inbound side down (the outbound consumer is gone); the
+    /// implementation must account the unit's packets (via [`drop_item`])
+    /// before failing.
+    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()>;
 }
 
 /// The threaded engine's sink set: one [`Sink`] per outbound network,
@@ -972,14 +1030,15 @@ impl ItemSink for ThreadedSinks {
         self.0.contains_key(&net)
     }
 
-    fn accept(
-        &mut self,
-        stream: &InStream,
-        item: FwdItem,
-        is_frag: bool,
-        shared: &FwdShared,
-    ) -> Result<()> {
-        dispatch(&self.0[&stream.out_net], stream, item, is_frag, shared)
+    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+        match unit.out_net().and_then(|net| self.0.get_mut(&net)) {
+            Some(sink) => dispatch(sink, unit, shared),
+            None => {
+                // `bridges` is checked before a stream is accepted.
+                unit.drop_all(shared);
+                Err(MadError::Protocol("no sink for the unit's network".into()))
+            }
+        }
     }
 }
 
@@ -1198,10 +1257,10 @@ pub(crate) fn spawn_gateway(
         let mut sinks: BTreeMap<NetworkId, Sink> = BTreeMap::new();
         for (net_out, out_path) in paths {
             if cfg.pipeline_depth == 1 {
-                sinks.insert(net_out, Sink::Inline(out_path));
+                sinks.insert(net_out, Sink::Inline(out_path, Flush::default()));
                 continue;
             }
-            let (tx, rx) = RtQueue::<FwdItem>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
+            let (tx, rx) = RtQueue::<FwdUnit>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
             sinks.insert(net_out, Sink::Queue(tx));
             let name = format!("gw{}-{}-fwd-{}-{}", rank.0, vc_name, net_in, net_out);
             let shared = shared.clone();
@@ -1254,23 +1313,17 @@ struct InStream {
 /// open streams (headers always precede fragments on a conduit, so every
 /// receivable packet fits). Recomputed on stream open *and* close: the
 /// old monotone high-water grow leaked the largest MTU ever seen across
-/// the rest of the session. With batching on, upstream gateways may send
-/// whole trains, bounded by their outgoing driver's preferred packet size
-/// — which is this thread's inbound driver.
-fn landing_size(
-    streams: &BTreeMap<StreamKey, InStream>,
-    max_batch: usize,
-    caps: &DriverCaps,
-) -> usize {
+/// the rest of the session. A train always fits, stream or no stream:
+/// writers and upstream gateways send whole trains — a stream's header
+/// arrives *inside* one — bounded by their outgoing driver's frame budget,
+/// and that driver is this side's inbound driver.
+fn landing_size(streams: &BTreeMap<StreamKey, InStream>, caps: &DriverCaps) -> usize {
     // Floor and per-stream sizing share `gtm::landing_size_for` with the
     // endpoint assembler's rendezvous pre-reservation, so both sides of
     // a handshake agree on the buffer class being reserved.
-    let mut size = gtm::landing_size_for(0);
+    let mut size = gtm::landing_size_for(0).max(caps.preferred_mtu);
     for s in streams.values() {
         size = size.max(gtm::landing_size_for(s.mtu as usize));
-    }
-    if max_batch > 1 {
-        size = size.max(caps.preferred_mtu.min(caps.max_packet));
     }
     size.min(caps.max_packet)
 }
@@ -1342,7 +1395,7 @@ impl Inbound {
     ) -> Inbound {
         let in_caps = in_channel.caps();
         let streams = BTreeMap::new();
-        let max_pkt = landing_size(&streams, cfg.max_batch, &in_caps);
+        let max_pkt = landing_size(&streams, &in_caps);
         Inbound {
             ctx: InboundCtx {
                 rank,
@@ -1479,10 +1532,16 @@ fn polling_thread(mut inbound: Inbound, mut sinks: ThreadedSinks) {
 
 impl InboundCtx {
     fn resize_landing(&self, d: &mut Demux) {
-        d.max_pkt = landing_size(&d.streams, self.cfg.max_batch, &self.in_caps);
+        d.max_pkt = landing_size(&d.streams, &self.in_caps);
     }
 
-    /// Demultiplex and forward one received packet.
+    /// Demultiplex and forward one received wire packet. A batch frame is
+    /// taken apart — every packet of the train goes through the same
+    /// per-packet rules as if it had arrived alone — and put back together
+    /// per outgoing conduit: the flush side gets one unit per run of
+    /// consecutive packets that leave the same way, so a train in is a
+    /// train out wherever the outbound driver's frame budget and the
+    /// streams' credits allow, and never a reordering.
     fn relay<S: ItemSink>(
         &self,
         d: &mut Demux,
@@ -1493,40 +1552,86 @@ impl InboundCtx {
     ) -> Result<()> {
         let shared = &self.shared;
         let (tag, body) = gtm::decode_packet(buf.bytes())?;
-        let key = tag.key();
         // Arrival timestamp for the forward-latency histogram: one clock read
-        // per relayed packet, and only when telemetry is on.
+        // per wire packet, and only when telemetry is on.
         let recv_ns = match &shared.metrics {
             Some(_) => shared.runtime.now_nanos(),
             None => 0,
         };
+        if !matches!(body, PacketBody::Batch) {
+            return self.relay_one(d, peer, buf, tag, body, recv_ns, restage, sinks);
+        }
 
-        // A batch frame from an upstream gateway: split the train and relay
-        // each packet on its own. Frames are never forwarded verbatim — this
-        // gateway re-coalesces by its *own* queue state, so a batch shaped
-        // for a fast hop does not dictate the framing of a slow one.
-        if matches!(body, PacketBody::Batch) {
-            let mut subs: Vec<FwdBuf> = Vec::new();
-            for sub in gtm::batch_packets(buf.bytes())? {
-                let mut landed = shared.runtime.pool().get(sub.len());
-                landed.vec().extend_from_slice(sub);
-                subs.push(FwdBuf::Owned(landed));
+        // The packets are windows onto the landed frame, not copies.
+        let frame = Arc::new(buf);
+        let mut train = FrameItems {
+            bridges: sinks,
+            items: Vec::new(),
+        };
+        let mut at = PRELUDE_LEN;
+        for sub in gtm::batch_packets(frame.bytes())? {
+            at += gtm::BATCH_ENTRY_OVERHEAD;
+            let packet = FwdBuf::Slice(frame.clone(), at..at + sub.len());
+            at += sub.len();
+            let relayed = gtm::decode_packet(sub).and_then(|(tag, body)| {
+                self.relay_one(d, peer, packet, tag, body, recv_ns, None, &mut train)
+            });
+            if relayed.is_err() {
+                // One bad packet poisons only itself, as on the unbatched
+                // path (the collecting sink itself never fails).
+                shared.stats.on_error();
+                trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
             }
-            drop(buf);
-            for sub in subs {
-                match self.relay(d, peer, sub, None, sinks) {
-                    Ok(()) => {}
-                    Err(MadError::Disconnected) => return Err(MadError::Disconnected),
-                    Err(_) => {
-                        // One bad packet poisons only itself, as on the
-                        // unbatched path.
-                        shared.stats.on_error();
-                        trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
+        }
+        let mut items = train.items;
+        // A fragment whose stream's last word came in the same frame earns
+        // its sender nothing by a grant: the sender closed the stream's
+        // account before it sent that word, so the grant would be dropped
+        // on arrival — after costing a buffer, a send and a wake-up.
+        for last in 0..items.len() {
+            if items[last].end_of_stream {
+                let key = items[last].tag.key();
+                for item in &mut items[..last] {
+                    if item.tag.key() == key {
+                        item.grant = None;
                     }
                 }
             }
-            return Ok(());
         }
+        while let Some(head) = items.first() {
+            let conduit = head.conduit();
+            let run = items
+                .iter()
+                .take_while(|item| item.conduit() == conduit)
+                .count();
+            let rest = items.split_off(run);
+            let unit = FwdUnit::Frame(std::mem::replace(&mut items, rest));
+            if let Err(e) = sinks.accept(unit, shared) {
+                for item in &items {
+                    drop_item(item, shared);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Demultiplex and forward one GTM packet — a wire packet of its own,
+    /// or one packet of a received train.
+    #[allow(clippy::too_many_arguments)] // internal helper of relay
+    fn relay_one<S: ItemSink>(
+        &self,
+        d: &mut Demux,
+        peer: NodeId,
+        buf: FwdBuf,
+        tag: StreamTag,
+        body: PacketBody,
+        recv_ns: u64,
+        restage: Option<Landing>,
+        sinks: &mut S,
+    ) -> Result<()> {
+        let shared = &self.shared;
+        let key = tag.key();
 
         // Control traffic rides the special conduits but never touches
         // stream state: returning credits, cancels and CTS grants of
@@ -1613,7 +1718,7 @@ impl InboundCtx {
                     "dest" = tag.dest.0 as u64,
                 );
                 let item = self.item(stream, buf, false, false, peer, recv_ns, restage);
-                sinks.accept(stream, item, false, shared)
+                sinks.accept(FwdUnit::One(item), shared)
             }
             PacketBody::Header(header) => {
                 if header.tag.dest == self.rank {
@@ -1681,7 +1786,7 @@ impl InboundCtx {
                 shared.live.opened();
                 *d.open_from.entry(peer).or_insert(0) += 1;
                 let item = self.item(&stream, buf, false, false, peer, recv_ns, restage);
-                sinks.accept(&stream, item, false, shared)?;
+                sinks.accept(FwdUnit::One(item), shared)?;
                 d.streams.insert(key, stream);
                 self.resize_landing(d);
                 Ok(())
@@ -1691,7 +1796,7 @@ impl InboundCtx {
                     MadError::Protocol(format!("GTM descriptor for unknown stream {key:?}"))
                 })?;
                 let item = self.item(stream, buf, false, false, peer, recv_ns, restage);
-                sinks.accept(stream, item, false, shared)
+                sinks.accept(FwdUnit::One(item), shared)
             }
             PacketBody::Frag => {
                 let stream = d.streams.get(&key).ok_or_else(|| {
@@ -1702,7 +1807,7 @@ impl InboundCtx {
                 shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
                 let item = self.item(stream, buf, true, false, peer, recv_ns, restage);
                 shared.stats.held.add(item.held_bytes as i64);
-                sinks.accept(stream, item, true, shared)
+                sinks.accept(FwdUnit::One(item), shared)
             }
             PacketBody::Stripe(_) => {
                 // A stripe envelope is an opaque body packet of its stream: it
@@ -1721,7 +1826,7 @@ impl InboundCtx {
                 }
                 let item = self.item(stream, buf, is_frag, false, peer, recv_ns, restage);
                 shared.stats.held.add(item.held_bytes as i64);
-                sinks.accept(stream, item, is_frag, shared)
+                sinks.accept(FwdUnit::One(item), shared)
             }
             PacketBody::End => {
                 let stream = d.streams.remove(&key).ok_or_else(|| {
@@ -1733,7 +1838,7 @@ impl InboundCtx {
                 self.resize_landing(d);
                 shared.stats.on_end(stream.pair);
                 let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
-                sinks.accept(&stream, item, false, shared)
+                sinks.accept(FwdUnit::One(item), shared)
             }
             PacketBody::Cancel(reason) => {
                 // Only a cancel of a stream in this table gets here (see
@@ -1761,7 +1866,7 @@ impl InboundCtx {
                 // successful handoff — never ack it.
                 stream.ack = false;
                 let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
-                sinks.accept(&stream, item, false, shared)
+                sinks.accept(FwdUnit::One(item), shared)
             }
         }
     }
@@ -1794,6 +1899,7 @@ impl InboundCtx {
             None
         };
         FwdItem {
+            out_net: stream.out_net,
             to: stream.to,
             last_hop: stream.last_hop,
             buf,
@@ -1854,7 +1960,7 @@ impl InboundCtx {
         stream.ack = false;
         let peer = stream.upstream;
         let item = self.item(&stream, FwdBuf::Owned(cancel), false, true, peer, 0, None);
-        let _ = sinks.accept(&stream, item, false, shared);
+        let _ = sinks.accept(FwdUnit::One(item), shared);
     }
 
     /// Cancel every stream that entered through `peer` (its conduit framing is
@@ -1905,10 +2011,11 @@ fn receive_packet(
         staged => staged,
     };
     if can_defer && stats.flush_active.load(Ordering::Relaxed) == 0 {
-        let buf = FwdBuf::Owned(pool.adopt(conduit.recv_owned()?));
         // Flush-placed while flush was idle: an idle-stage placement by
-        // construction.
-        stats.copy_idle_hits.fetch_add(1, Ordering::Relaxed);
+        // construction, counted where the copy is made (`restage_item`) —
+        // a batch frame taken this way is never copied at all: its
+        // packets leave as a gather the outgoing driver stages itself.
+        let buf = FwdBuf::Owned(pool.adopt(conduit.recv_owned()?));
         return Ok((buf, Some(staged)));
     }
     let buf = match staged {
@@ -1962,6 +2069,7 @@ fn restage_item(item: &mut FwdItem, shared: &FwdShared) {
     };
     shared.runtime.charge_copy(bytes);
     shared.stats.copies_flush.fetch_add(1, Ordering::Relaxed);
+    shared.stats.copy_idle_hits.fetch_add(1, Ordering::Relaxed);
     if let Some(m) = &shared.metrics {
         m.copy_bytes.record(bytes as u64);
     }
@@ -1992,52 +2100,72 @@ fn landing_policy<'a>(paths: impl Iterator<Item = &'a OutPath>, cfg: GatewayConf
     owner.map_or(Landing::Owned, Landing::Static)
 }
 
-/// Hand one packet to its sink: enqueue for the forwarding thread (counting
+/// The sink [`InboundCtx::relay`] takes a received train apart into: it
+/// only collects, in order, what the per-packet rules make of each packet,
+/// so the train can be handed on per outgoing conduit once it is whole.
+struct FrameItems<'a, S> {
+    bridges: &'a S,
+    items: Vec<FwdItem>,
+}
+
+impl<S: ItemSink> ItemSink for FrameItems<'_, S> {
+    fn bridges(&self, net: NetworkId) -> bool {
+        self.bridges.bridges(net)
+    }
+
+    fn accept(&mut self, unit: FwdUnit, _shared: &FwdShared) -> Result<()> {
+        match unit {
+            FwdUnit::One(item) => self.items.push(item),
+            FwdUnit::Frame(items) => self.items.extend(items),
+        }
+        Ok(())
+    }
+}
+
+/// Hand one unit to its sink: enqueue for the forwarding thread (counting
 /// backpressure stalls) or retransmit inline at depth 1.
-fn dispatch(
-    sink: &Sink,
-    stream: &InStream,
-    item: FwdItem,
-    is_frag: bool,
-    shared: &FwdShared,
-) -> Result<()> {
+fn dispatch(sink: &mut Sink, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
     match sink {
         Sink::Queue(tx) => {
-            if is_frag {
-                shared.stats.on_switch(stream.pair);
+            for item in unit.items().iter().filter(|item| item.is_frag()) {
+                shared.stats.on_switch((item.tag.src, item.tag.dest));
             }
-            match tx.try_push(item) {
+            match tx.try_push(unit) {
                 Ok(()) => {
                     shared.queue_depth(1);
                     Ok(())
                 }
-                Err(item) => {
-                    shared.stats.on_stall(stream.pair);
-                    trace_instant!(
-                        shared.tracer,
-                        "gw",
-                        "stall",
-                        "src" = stream.pair.0 .0 as u64,
-                        "dest" = stream.pair.1 .0 as u64,
-                    );
+                Err(unit) => {
+                    if let Some(head) = unit.items().first() {
+                        shared.stats.on_stall((head.tag.src, head.tag.dest));
+                        trace_instant!(
+                            shared.tracer,
+                            "gw",
+                            "stall",
+                            "src" = head.tag.src.0 as u64,
+                            "dest" = head.tag.dest.0 as u64,
+                        );
+                    }
                     let _wait = trace_span!(shared.tracer, "gw", "stall-wait");
-                    match tx.push(item) {
+                    match tx.push(unit) {
                         Ok(()) => {
                             shared.queue_depth(1);
                             Ok(())
                         }
-                        Err(item) => {
+                        Err(unit) => {
                             // The forwarding thread is gone: account the
-                            // item ourselves, then shut this side down.
-                            drop_item(&item, shared);
+                            // unit ourselves, then shut this side down.
+                            unit.drop_all(shared);
                             Err(MadError::Disconnected)
                         }
                     }
                 }
             }
         }
-        Sink::Inline(path) => {
-            if consume_item(path, item, shared) {
+        Sink::Inline(path, flush) => {
+            unit.unpack_into(&mut flush.pending);
+            // Depth 1 has no queue to coalesce from: the unit is the train.
+            if flush.run(path, 1, shared, || None) {
                 Ok(())
             } else {
                 Err(MadError::Disconnected)
@@ -2146,22 +2274,11 @@ fn take_credit_blocking(path: &OutPath, item: FwdItem, shared: &FwdShared) -> Op
     }
 }
 
-/// Retransmit one pipeline item on its outgoing conduit, driving the
-/// credit protocol around it: consume an outbound credit first (deadline-
-/// bounded), return an upstream grant after, degrade the stream — not the
-/// engine — on failure. Returns `false` only on an orderly disconnect,
-/// which shuts the consuming thread down.
-fn consume_item(path: &OutPath, item: FwdItem, shared: &FwdShared) -> bool {
-    match take_credit_blocking(path, item, shared) {
-        Some(item) => transmit_item(path, item, shared),
-        None => true,
-    }
-}
-
 /// Retransmit one pipeline item whose credit (if any) is already in hand.
 fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool {
     restage_item(&mut item, shared);
     let FwdItem {
+        out_net: _,
         to,
         last_hop,
         buf,
@@ -2204,8 +2321,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
             }
             shared.stats.held.add(-(held_bytes as i64));
             if let Some((grant_ch, grant_peer)) = &grant {
-                let mut credit = shared.runtime.pool().get(PRELUDE_LEN + 4);
-                gtm::encode_credit_into(credit.vec(), &tag, 1);
+                let credit = gtm::credit_packet(&tag, 1);
                 if grant_ch.send_packet(*grant_peer, &[&credit]).is_ok() {
                     shared.stats.credits_granted.fetch_add(1, Ordering::Relaxed);
                 }
@@ -2257,16 +2373,18 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
 /// Retransmit a train of credit-holding pipeline items bound for the same
 /// conduit as one batch frame: one wire send, one per-send overhead. A
 /// train of one degenerates to the plain single-packet path (no framing).
-/// Upstream credit grants are aggregated into one packet per stream.
-/// Returns `false` only on an orderly disconnect.
-fn transmit_batch(path: &OutPath, mut batch: Vec<FwdItem>, shared: &FwdShared) -> bool {
-    if batch.len() == 1 {
-        let Some(item) = batch.into_iter().next() else {
-            return true;
+/// Upstream credit grants are aggregated into one packet per stream. The
+/// train is consumed: `batch` comes back empty, every member accounted
+/// exactly once whatever the outcome. Returns `false` only on an orderly
+/// disconnect.
+fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) -> bool {
+    if batch.len() <= 1 {
+        return match batch.pop() {
+            Some(item) => transmit_item(path, item, shared),
+            None => true,
         };
-        return transmit_item(path, item, shared);
     }
-    for item in &mut batch {
+    for item in batch.iter_mut() {
         restage_item(item, shared);
     }
     let to = batch[0].to;
@@ -2282,11 +2400,8 @@ fn transmit_batch(path: &OutPath, mut batch: Vec<FwdItem>, shared: &FwdShared) -
     );
     let sent = match channel.lock_conduit(to) {
         Ok(mut conduit) => {
-            let packets: Vec<&[u8]> = batch.iter().map(|i| i.buf.bytes()).collect();
-            let r = conduit.send_batch(&packets);
-            drop(packets);
-            drop(conduit);
-            r
+            let packets = batch.iter().map(|i| i.buf.bytes());
+            gather(batch.len(), packets, |packets| conduit.send_batch(packets))
         }
         Err(e) => Err(e),
     };
@@ -2296,37 +2411,34 @@ fn transmit_batch(path: &OutPath, mut batch: Vec<FwdItem>, shared: &FwdShared) -
             channel.stats().on_send(to.0, bytes);
             if let Some(m) = &shared.metrics {
                 let now = shared.runtime.now_nanos();
-                for item in &batch {
+                for item in batch.iter() {
                     if item.recv_ns > 0 {
                         m.forward_ns.record(now.saturating_sub(item.recv_ns));
                     }
                 }
             }
             // One aggregated grant per (upstream peer, stream) instead of
-            // one packet per fragment.
-            let mut grants: Vec<(Arc<Channel>, NodeId, StreamTag, u32)> = Vec::new();
-            for item in &batch {
-                if let Some((ch, p)) = &item.grant {
-                    match grants
-                        .iter_mut()
-                        .find(|g| g.1 == *p && g.2.key() == item.tag.key())
-                    {
-                        Some(g) => g.3 += 1,
-                        None => grants.push((ch.clone(), *p, item.tag, 1)),
-                    }
+            // one packet per fragment: the first fragment of each sends
+            // the count of all of them.
+            for (i, item) in batch.iter().enumerate() {
+                let Some((ch, p)) = &item.grant else { continue };
+                let same = |other: &&FwdItem| {
+                    other.tag.key() == item.tag.key()
+                        && other.grant.as_ref().is_some_and(|(_, q)| q == p)
+                };
+                if batch[..i].iter().any(|other| same(&other)) {
+                    continue;
                 }
-            }
-            for (ch, p, tag, n) in grants {
-                let mut credit = shared.runtime.pool().get(PRELUDE_LEN + 4);
-                gtm::encode_credit_into(credit.vec(), &tag, n);
-                if ch.send_packet(p, &[&credit]).is_ok() {
+                let n = batch[i..].iter().filter(same).count() as u32;
+                let credit = gtm::credit_packet(&item.tag, n);
+                if ch.send_packet(*p, &[&credit]).is_ok() {
                     shared
                         .stats
                         .credits_granted
                         .fetch_add(n as u64, Ordering::Relaxed);
                 }
             }
-            for item in &batch {
+            for item in batch.drain(..) {
                 if let Some((ack_ch, ack_peer)) = &item.ack {
                     let mut ackp = shared.runtime.pool().get(PRELUDE_LEN);
                     gtm::encode_ack_into(ackp.vec(), &item.tag);
@@ -2343,17 +2455,18 @@ fn transmit_batch(path: &OutPath, mut batch: Vec<FwdItem>, shared: &FwdShared) -
             true
         }
         Err(MadError::Disconnected) => {
-            for item in &batch {
-                drop_item(item, shared);
+            for item in batch.drain(..) {
+                drop_item(&item, shared);
             }
             false
         }
         Err(_) => {
             // A hard fault kills every stream with a packet on the train
             // (the conduit's framing is gone for all of them) — cancel
-            // each once, keep the engine alive.
+            // each once (`cancel_outbound` notifies only on a stream's
+            // first cancellation), keep the engine alive.
             shared.stats.on_error();
-            for item in &batch {
+            for item in batch.drain(..) {
                 cancel_outbound(
                     path,
                     item.to,
@@ -2364,7 +2477,7 @@ fn transmit_batch(path: &OutPath, mut batch: Vec<FwdItem>, shared: &FwdShared) -
                     false,
                     shared,
                 );
-                drop_item(item, shared);
+                drop_item(&item, shared);
             }
             true
         }
@@ -2376,30 +2489,22 @@ fn send_buf(conduit: &mut dyn Conduit, buf: FwdBuf) -> Result<()> {
     match buf {
         FwdBuf::Owned(v) => conduit.send(&[&v]),
         FwdBuf::Static(sb) => conduit.send_static(sb),
+        FwdBuf::Slice(..) => conduit.send(&[buf.bytes()]),
     }
 }
 
 /// A train being coalesced for one outgoing conduit — the one place both
-/// engine cores decide what may ride a batch frame. After the head item's
-/// credit is secured, already-queued items bound for the same conduit
-/// join (non-blocking credit takes only) until the train reaches the batch
-/// cap, the driver's preferred packet size, its gather limit, or an item
-/// that cannot join, which stays the next train's head — FIFO order is
-/// never broken. How the next candidate is *looked at* is the caller's:
-/// the threaded engine pops it from its bounded queue and stashes it on
-/// [`Admit::Stop`]; the reactor peeks at its `VecDeque` and pops only on
-/// [`Admit::Join`].
-struct Train {
-    batch: Vec<FwdItem>,
-    to: NodeId,
-    last_hop: bool,
+/// engine cores and the depth-1 inline path decide what may ride a batch
+/// frame. After the head item's credit is secured, the items behind it
+/// join (non-blocking credit takes only) until the train reaches the
+/// driver's frame budget or an item that cannot join, which stays the
+/// next train's head — FIFO order is never broken.
+struct Train<'a> {
+    batch: &'a mut Vec<FwdItem>,
+    conduit: (NetworkId, NodeId, bool),
     /// Frame bytes the train occupies so far.
     frame: usize,
-    /// Never exceed what the driver performs best with — a route-MTU bulk
-    /// fragment fails this check alone and is sent singly (keeping its
-    /// zero-copy static path), so batching cannot penalize bulk streams.
-    budget: usize,
-    max_gather: usize,
+    budget: gtm::FrameBudget,
     max_batch: usize,
 }
 
@@ -2414,31 +2519,37 @@ enum Admit {
     Dead(CancelReason),
 }
 
-impl Train {
-    fn start(head: FwdItem, caps: &DriverCaps, max_batch: usize) -> Train {
-        Train {
-            to: head.to,
-            last_hop: head.last_hop,
+impl<'a> Train<'a> {
+    /// Start a train in `batch` (a scratch list the caller reuses; empty
+    /// between trains) with `head`, whose credit is already in hand.
+    fn start(
+        head: FwdItem,
+        caps: &DriverCaps,
+        max_batch: usize,
+        batch: &'a mut Vec<FwdItem>,
+    ) -> Train<'a> {
+        let train = Train {
+            conduit: head.conduit(),
             frame: PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len(),
-            budget: caps.preferred_mtu.min(caps.max_packet),
-            max_gather: caps.max_gather,
+            budget: gtm::FrameBudget::of(caps),
             max_batch,
-            batch: vec![head],
-        }
+            batch,
+        };
+        train.batch.push(head);
+        train
     }
 
+    /// Could any packet at all still join? (A head over the frame budget —
+    /// every route-MTU bulk fragment — answers no, and leaves alone.)
     fn has_room(&self) -> bool {
-        self.batch.len() < self.max_batch
-            && self.frame <= self.budget
-            && 2 * (self.batch.len() + 1) < self.max_gather
+        self.budget
+            .admits(self.frame, self.batch.len(), PRELUDE_LEN)
     }
 
     fn admit(&mut self, next: &FwdItem, ledger: &CreditLedger) -> Admit {
-        if next.to != self.to || next.last_hop != self.last_hop {
-            return Admit::Stop;
-        }
-        let need = gtm::BATCH_ENTRY_OVERHEAD + next.buf.bytes().len();
-        if self.frame + need > self.budget {
+        let len = next.buf.bytes().len();
+        if next.conduit() != self.conduit || !self.budget.admits(self.frame, self.batch.len(), len)
+        {
             return Admit::Stop;
         }
         if next.consume {
@@ -2448,23 +2559,113 @@ impl Train {
                 TakeOutcome::Cancelled(r) => return Admit::Dead(r),
             }
         }
-        self.frame += need;
+        self.frame += gtm::BATCH_ENTRY_OVERHEAD + len;
         Admit::Join
+    }
+
+    /// Fill the train. Followers come from `pending` — what is left of the
+    /// unit the head came out of, so a received frame goes back out as a
+    /// frame — and, once that is used up, from later queue slots through
+    /// `next_slot`, but only while the train is shorter than `max_batch`:
+    /// the knob bounds *opportunistic* coalescing across slots, not a unit
+    /// that arrived as one wire packet. An item that cannot join stays at
+    /// the front of `pending`; items of dead streams come back in `dead`
+    /// for the caller to cancel (that is I/O, and the reactor holds a lock
+    /// here).
+    fn fill(
+        &mut self,
+        pending: &mut VecDeque<FwdItem>,
+        ledger: &CreditLedger,
+        mut next_slot: impl FnMut() -> Option<FwdUnit>,
+        dead: &mut Vec<(FwdItem, CancelReason)>,
+    ) {
+        while self.has_room() {
+            if pending.is_empty() {
+                if self.batch.len() >= self.max_batch {
+                    break;
+                }
+                match next_slot() {
+                    Some(unit) => unit.unpack_into(pending),
+                    None => break, // queue drained: send what we have
+                }
+            }
+            let verdict = match pending.front() {
+                Some(next) => self.admit(next, ledger),
+                None => break,
+            };
+            if let Admit::Stop = verdict {
+                break;
+            }
+            let Some(next) = pending.pop_front() else {
+                break;
+            };
+            match verdict {
+                Admit::Dead(r) => dead.push((next, r)),
+                _ => self.batch.push(next),
+            }
+        }
+    }
+}
+
+/// The blocking flush side of one outgoing network: the work list and the
+/// train scratch of a forwarding thread, or of the polling thread itself
+/// at depth 1.
+#[derive(Default)]
+struct Flush {
+    /// Packets taken off the queue and not yet on the wire, in order.
+    pending: VecDeque<FwdItem>,
+    batch: Vec<FwdItem>,
+}
+
+impl Flush {
+    /// Put everything in `pending` on the wire, train by train: the head's
+    /// credit may block (deadline-bounded; on failure its stream is
+    /// cancelled and the item accounted), followers join by [`Train`]'s
+    /// rules, a follower that cannot join heads the next train. Each
+    /// outgoing conduit is locked per train — the §7b lesson-2 invariant
+    /// at train granularity — so packets of concurrent streams interleave.
+    /// Returns `false` on an orderly disconnect, with everything still
+    /// pending accounted.
+    fn run(
+        &mut self,
+        path: &OutPath,
+        max_batch: usize,
+        shared: &FwdShared,
+        mut next_slot: impl FnMut() -> Option<FwdUnit>,
+    ) -> bool {
+        while let Some(head) = self.pending.pop_front() {
+            let Some(head) = take_credit_blocking(path, head, shared) else {
+                continue; // stream cancelled; item accounted
+            };
+            let caps = path.channel(head.last_hop).caps();
+            let mut dead = Vec::new();
+            Train::start(head, &caps, max_batch, &mut self.batch).fill(
+                &mut self.pending,
+                shared.ledger(),
+                &mut next_slot,
+                &mut dead,
+            );
+            for (item, reason) in dead {
+                cancel_and_drop(path, &item, reason, shared);
+            }
+            if !transmit_batch(path, &mut self.batch, shared) {
+                for item in self.pending.drain(..) {
+                    drop_item(&item, shared);
+                }
+                return false;
+            }
+        }
+        true
     }
 }
 
 /// The forwarding thread of one (inbound, outbound) network pair: drains
-/// the pipeline and retransmits. Each item is self-contained, so the
-/// outgoing conduit is locked per train — the §7b lesson-2 invariant at
-/// fragment granularity — and packets of concurrent streams interleave.
-///
-/// With `max_batch ≥ 2` the thread coalesces opportunistically through a
-/// [`Train`]; a credit-dry candidate is stashed as the next head and the
-/// blocking wait runs for it. An idle pipeline degenerates to
-/// packet-at-a-time, so batching never adds latency, only removes
-/// per-send overhead when a backlog exists.
+/// the pipeline and retransmits, unit by unit. With `max_batch ≥ 2` it
+/// also coalesces opportunistically across queue slots; an idle pipeline
+/// degenerates to unit-at-a-time, so batching never adds latency, only
+/// removes per-send overhead when a backlog exists.
 fn forwarding_thread(
-    rx: RtReceiver<FwdItem>,
+    rx: RtReceiver<FwdUnit>,
     path: OutPath,
     shared: FwdShared,
     cfg_max_batch: usize,
@@ -2473,63 +2674,281 @@ fn forwarding_thread(
         live: shared.live.clone(),
     };
     let timed = shared.timed();
-    let mut pending: Option<FwdItem> = None;
-    loop {
-        let max_batch = shared.max_batch(cfg_max_batch);
-        let head = match pending.take() {
-            Some(item) => item,
-            None => match rx.pop() {
-                Some(item) => {
-                    shared.queue_depth(-1);
-                    item
-                }
-                None => return, // polling thread gone: shut down
-            },
-        };
-        // The flush stage is busy from the moment it holds an item until
-        // the train leaves the wire — the copy-placement scheduler reads
-        // `flush_active` to decide where a relay copy overlaps best.
+    let mut flush = Flush::default();
+    // The polling thread gone means shut down.
+    while let Some(unit) = rx.pop() {
+        shared.queue_depth(-1);
+        // The flush stage is busy from the moment it holds a unit until
+        // its last train leaves the wire — the copy-placement scheduler
+        // reads `flush_active` to decide where a relay copy overlaps best.
         let _stage = StageBusy::enter(
             Some(&shared.stats.flush_active),
             &shared.stats.flush_busy_ns,
             &*shared.runtime,
             timed,
         );
-        if max_batch <= 1 {
-            if !consume_item(&path, head, &shared) {
-                return;
-            }
-            continue;
-        }
-        let Some(head) = take_credit_blocking(&path, head, &shared) else {
-            continue; // stream cancelled; item accounted
-        };
-        let caps = path.channel(head.last_hop).caps();
-        let mut train = Train::start(head, &caps, max_batch);
-        while train.has_room() {
-            let Some(next) = rx.try_pop() else {
-                break; // queue drained: send what we have
-            };
+        unit.unpack_into(&mut flush.pending);
+        // Re-read per unit so a controller retune takes effect on the
+        // next coalescing decision, not the next session.
+        let max_batch = shared.max_batch(cfg_max_batch);
+        let next_slot = || {
+            let unit = rx.try_pop()?;
             shared.queue_depth(-1);
-            match train.admit(&next, shared.ledger()) {
-                Admit::Join => train.batch.push(next),
-                Admit::Stop => {
-                    pending = Some(next);
-                    break;
-                }
-                Admit::Dead(r) => cancel_and_drop(&path, &next, r, &shared),
-            }
-        }
-        if !transmit_batch(&path, train.batch, &shared) {
+            Some(unit)
+        };
+        if !flush.run(&path, max_batch, &shared, next_slot) {
             return;
         }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::conduit::Driver;
+    use crate::routing::{NetworkMembers, RouteTable};
+    use crate::runtime::StdRuntime;
     use crate::testutil::{channel_pair, MockDriver};
+    use crate::types::ChannelId;
+    use crate::{RecvMode, SendMode};
+
+    /// One gateway (rank 1) between network 0 = {0, 1} and network 1 =
+    /// {1, 2, 3}, over mock drivers, with the far ends of its conduits in
+    /// the test's hands: what rank 0 sends it on the special channel, and
+    /// what ranks 2 and 3 find on their regular channels.
+    struct Rig {
+        /// Rank 0's special channel toward the gateway.
+        up: Channel,
+        /// Regular channels of ranks 2 and 3, from the gateway.
+        down: BTreeMap<u32, Channel>,
+        /// Far ends nobody reads, kept open for the engine's sake.
+        _idle: Vec<Channel>,
+        stopctl: Arc<GatewayStop>,
+        handles: Option<GatewayHandles>,
+        reactor: Option<Arc<GatewayReactor>>,
+        ledger: Arc<CreditLedger>,
+    }
+
+    impl Rig {
+        fn new(cfg: GatewayConfig, out_driver: Arc<MockDriver>) -> Rig {
+            let rt = StdRuntime::shared();
+            let gw_event = rt.event();
+            let in_driver = MockDriver::dynamic();
+            // One channel of the gateway: its conduits to `peers`, whose
+            // far ends come back as one single-conduit channel each.
+            let mesh = |driver: &Arc<MockDriver>, net: u32, peers: &[u32]| {
+                let mut near: BTreeMap<NodeId, Box<dyn Conduit>> = BTreeMap::new();
+                let mut far = BTreeMap::new();
+                for &peer in peers {
+                    let ev = rt.event();
+                    let (c_gw, c_peer) =
+                        driver.connect(NodeId(1), NodeId(peer), gw_event.clone(), ev.clone());
+                    near.insert(NodeId(peer), c_gw);
+                    let conduits = BTreeMap::from([(NodeId(1), c_peer)]);
+                    far.insert(
+                        peer,
+                        Channel::assemble(
+                            ChannelId(0),
+                            "far",
+                            NetworkId(net),
+                            NodeId(peer),
+                            driver.caps(),
+                            conduits,
+                            ev,
+                            rt.clone(),
+                        ),
+                    );
+                }
+                let gw = Channel::assemble(
+                    ChannelId(0),
+                    "gw",
+                    NetworkId(net),
+                    NodeId(1),
+                    driver.caps(),
+                    near,
+                    gw_event.clone(),
+                    rt.clone(),
+                );
+                (Arc::new(gw), far)
+            };
+            let (sp0, mut up) = mesh(&in_driver, 0, &[0]);
+            let (sp1, idle_sp1) = mesh(&out_driver, 1, &[2, 3]);
+            let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0]);
+            let (rg1, down) = mesh(&out_driver, 1, &[2, 3]);
+            let members = |net: u32, ranks: &[u32]| NetworkMembers {
+                net: NetworkId(net),
+                members: ranks.iter().map(|&r| NodeId(r)).collect(),
+            };
+            let nets = [members(0, &[0, 1]), members(1, &[1, 2, 3])];
+            let ledger = CreditLedger::new(gw_event.clone());
+            let ctl = ControlPlane::new(
+                NodeId(1),
+                ledger.clone(),
+                RouteTable::compute(&nets, NodeId(1)),
+                BTreeMap::from([(NetworkId(0), sp0), (NetworkId(1), sp1)]),
+            );
+            let reactor = (cfg.engine == EngineKind::Reactor)
+                .then(|| GatewayReactor::new(NodeId(1), &rt, gw_event, cfg.reactor_workers));
+            let stopctl = Arc::new(GatewayStop::new());
+            let handles = spawn_gateway(
+                NodeId(1),
+                "vc",
+                BTreeMap::from([(NetworkId(0), rg0), (NetworkId(1), rg1)]),
+                cfg,
+                rt,
+                stopctl.clone(),
+                ctl,
+                reactor.as_ref(),
+                None,
+            );
+            Rig {
+                up: up.remove(&0).unwrap(),
+                down,
+                _idle: idle_sp1
+                    .into_values()
+                    .chain(idle_rg0.into_values())
+                    .collect(),
+                stopctl,
+                handles: Some(handles),
+                reactor,
+                ledger,
+            }
+        }
+
+        /// Block for the next wire packet rank `rank` receives.
+        fn recv(&self, rank: u32) -> Vec<u8> {
+            let mut conduit = self.down[&rank].lock_conduit(NodeId(1)).unwrap();
+            conduit.recv_owned().unwrap()
+        }
+
+        /// Drain the engine, stop it, and return its final counters.
+        fn finish(&mut self) -> GatewayTotals {
+            self.stopctl.request_stop();
+            let handles = self.handles.take().unwrap();
+            let stats = handles.stats().clone();
+            handles.join();
+            if let Some(reactor) = &self.reactor {
+                reactor.shutdown_and_join();
+            }
+            stats.totals()
+        }
+
+        fn pending(channel: &Channel) -> bool {
+            channel.lock_conduit(NodeId(1)).unwrap().ready()
+        }
+    }
+
+    /// The packets of one single-block stream `0 → dest`, as its writer
+    /// encodes them.
+    fn stream_packets(dest: u32, msg_id: u32, payload: &[u8]) -> Vec<Vec<u8>> {
+        let tag = StreamTag {
+            src: NodeId(0),
+            dest: NodeId(dest),
+            msg_id,
+        };
+        let desc = gtm::GtmPartDesc {
+            len: payload.len() as u64,
+            send: SendMode::Later,
+            recv: RecvMode::Cheaper,
+        };
+        let mut frag = gtm::frag_prelude(&tag).to_vec();
+        frag.extend_from_slice(payload);
+        vec![
+            gtm::encode_header(&gtm::GtmHeader::new(tag, 4096, false)),
+            gtm::encode_part(&tag, &desc),
+            frag,
+            gtm::encode_end(&tag),
+        ]
+    }
+
+    fn frame_of(packets: &[Vec<u8>]) -> Vec<u8> {
+        let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
+        gtm::encode_batch(&refs)
+    }
+
+    fn flow_controlled(engine: EngineKind, pipeline_depth: usize) -> GatewayConfig {
+        GatewayConfig {
+            engine,
+            pipeline_depth,
+            credit_window: Some(4),
+            ..Default::default()
+        }
+    }
+
+    /// A train in is a train out: one conduit send, nothing sent back —
+    /// the fragment's grant would find its account closed — and every
+    /// per-packet account settled, on every path a unit can take.
+    #[test]
+    fn frame_in_is_one_send_out_and_no_dead_grant() {
+        for (engine, depth) in [
+            (EngineKind::Threaded, 2),
+            (EngineKind::Threaded, 1),
+            (EngineKind::Reactor, 2),
+        ] {
+            let mut rig = Rig::new(flow_controlled(engine, depth), MockDriver::dynamic());
+            let packets = stream_packets(2, 7, b"sixty-four bytes, more or less");
+            let frame = frame_of(&packets);
+            rig.up.send_packet(NodeId(1), &[&frame]).unwrap();
+            assert_eq!(rig.recv(2), frame, "{engine:?} depth {depth}");
+            let totals = rig.finish();
+            assert!(!Rig::pending(&rig.down[&2]), "one send carried it all");
+            assert!(!Rig::pending(&rig.up), "no grant, ack or cancel came back");
+            assert_eq!(totals.credits_granted, 0);
+            assert_eq!((totals.messages, totals.fragments), (1, 1));
+            assert_eq!((totals.errors, totals.cancelled), (0, 0));
+            assert_eq!(totals.held_bytes, 0);
+            assert!(rig.ledger.is_idle(), "the outbound account is closed");
+        }
+    }
+
+    /// Packets of one train that leave different ways split where the way
+    /// changes, each run one send, each conduit's order the train's order.
+    #[test]
+    fn frame_mixing_two_destinations_splits_in_order() {
+        let mut rig = Rig::new(
+            flow_controlled(EngineKind::Threaded, 2),
+            MockDriver::dynamic(),
+        );
+        let to2 = stream_packets(2, 1, b"for rank two");
+        let to3 = stream_packets(3, 2, b"for rank three");
+        let again2 = stream_packets(2, 3, b"rank two again");
+        let all: Vec<Vec<u8>> = [to2.clone(), to3.clone(), again2.clone()].concat();
+        rig.up.send_packet(NodeId(1), &[&frame_of(&all)]).unwrap();
+        assert_eq!(rig.recv(2), frame_of(&to2));
+        assert_eq!(rig.recv(3), frame_of(&to3));
+        assert_eq!(rig.recv(2), frame_of(&again2));
+        let totals = rig.finish();
+        assert!(!Rig::pending(&rig.down[&2]) && !Rig::pending(&rig.down[&3]));
+        assert_eq!((totals.messages, totals.fragments), (3, 3));
+        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+    }
+
+    /// A stream's header arrives *inside* its train, so the landing buffer
+    /// cannot wait for a header to size itself: a train bigger than every
+    /// control packet must land with no stream open.
+    #[test]
+    fn train_lands_in_a_static_buffer_with_no_stream_open() {
+        let static_out = MockDriver::new(DriverCaps {
+            name: "mock-static",
+            mode: BufferMode::Static,
+            max_gather: usize::MAX,
+            max_packet: usize::MAX,
+            preferred_mtu: 4096,
+        });
+        // Depth 1: no flush stage to defer the landing copy to.
+        let mut rig = Rig::new(flow_controlled(EngineKind::Threaded, 1), static_out);
+        let packets = stream_packets(2, 5, &[0xA5; 3000]);
+        let frame = frame_of(&packets);
+        assert!(frame.len() > gtm::landing_size_for(0));
+        rig.up.send_packet(NodeId(1), &[&frame]).unwrap();
+        assert_eq!(rig.recv(2), frame);
+        let totals = rig.finish();
+        assert_eq!(
+            (totals.messages, totals.errors, totals.cancelled),
+            (1, 0, 0)
+        );
+    }
 
     /// The teardown quiescence contract, station by station: a stop only
     /// takes effect once no registered inbound conduit holds packets, no

@@ -65,8 +65,8 @@ use mad_util::reactor::{Context, Park, Poll, PollTask, Reactor};
 use mad_util::sync::{Condvar, Mutex};
 
 use super::{
-    Admit, FwdItem, FwdShared, GatewayConfig, GatewayStop, InStream, Inbound, ItemSink, OutPath,
-    Served, ThreadExitGuard, Train,
+    FwdItem, FwdShared, FwdUnit, GatewayConfig, GatewayStop, Inbound, ItemSink, OutPath, Served,
+    ThreadExitGuard, Train,
 };
 use crate::credit::TakeOutcome;
 use crate::error::{MadError, Result};
@@ -243,7 +243,12 @@ impl GatewayReactor {
 /// pipelines provide. Per-stream FIFO holds because a stream pins to one
 /// outbound net for its whole life.
 struct NetQueue {
-    q: VecDeque<FwdItem>,
+    /// The pipeline slots: one unit per received wire packet and outgoing
+    /// conduit. Its length is what gates intake at `pipeline_depth`.
+    q: VecDeque<FwdUnit>,
+    /// The flush side's work list: the packets of the unit in hand that
+    /// are not on the wire yet (the threaded engine's `Flush::pending`).
+    pending: VecDeque<FwdItem>,
     /// When the head item first found its credit window empty — the start
     /// of the current credit-blocked episode, whose deadline becomes a
     /// reactor timer.
@@ -274,32 +279,26 @@ impl ItemSink for ReactorSinks {
         self.nets.contains(&net)
     }
 
-    fn accept(
-        &mut self,
-        stream: &InStream,
-        item: FwdItem,
-        is_frag: bool,
-        shared: &FwdShared,
-    ) -> Result<()> {
+    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
         {
+            let net = unit.out_net();
             let mut g = self.queues.lock();
-            let Some(nq) = g.nets.get_mut(&stream.out_net) else {
+            let Some(nq) = net.and_then(|net| g.nets.get_mut(&net)) else {
                 // `bridges` is checked before a stream is accepted, so this
-                // is unreachable in practice; account the item and poison
+                // is unreachable in practice; account the unit and poison
                 // only it.
-                super::drop_item(&item, shared);
+                unit.drop_all(shared);
                 return Err(MadError::Protocol(format!(
-                    "no reactor queue for network {}",
-                    stream.out_net
+                    "no reactor queue for network {net:?}"
                 )));
             };
-            if is_frag {
-                // Every reactor item crosses a queue boundary — the analog
-                // of the threaded pipeline handoff.
-                shared.stats.on_switch(stream.pair);
+            // Every reactor fragment crosses a queue boundary — the analog
+            // of the threaded pipeline handoff.
+            for item in unit.items().iter().filter(|item| item.is_frag()) {
+                shared.stats.on_switch((item.tag.src, item.tag.dest));
             }
             shared.queue_depth(1);
-            nq.q.push_back(item);
+            nq.q.push_back(unit);
         }
         self.wake.bump();
         Ok(())
@@ -425,12 +424,9 @@ impl PollTask for RecvTask {
 /// One step the flush task resolved under the queue lock, executed (any
 /// conduit I/O) after the lock is released.
 enum FlushStep {
-    /// A coalesced train ready to transmit, plus any ledger-cancelled
-    /// items popped while building it.
-    Train {
-        batch: Vec<FwdItem>,
-        cancels: Vec<(FwdItem, CancelReason)>,
-    },
+    /// A coalesced train ready to transmit (in the task's `batch`
+    /// scratch), plus any ledger-cancelled items popped while building it.
+    Train(Vec<(FwdItem, CancelReason)>),
     /// The head item's stream is dead (ledger cancel or credit timeout).
     Cancel(FwdItem, CancelReason),
     /// Nothing sendable: queue empty, or head credit-blocked with the
@@ -438,14 +434,11 @@ enum FlushStep {
     Idle,
 }
 
-/// Pop a queue head whose stream is dead, for cancellation outside the
+/// Pop a head item whose stream is dead, for cancellation outside the
 /// queue lock.
-fn pop_dead(q: &mut VecDeque<FwdItem>, reason: CancelReason, shared: &FwdShared) -> FlushStep {
-    match q.pop_front() {
-        Some(item) => {
-            shared.queue_depth(-1);
-            FlushStep::Cancel(item, reason)
-        }
+fn pop_dead(pending: &mut VecDeque<FwdItem>, reason: CancelReason) -> FlushStep {
+    match pending.pop_front() {
+        Some(item) => FlushStep::Cancel(item, reason),
         None => FlushStep::Idle,
     }
 }
@@ -468,6 +461,9 @@ struct FlushTask {
     /// Whether stage-busy brackets pay for clock reads; `flush_active` is
     /// maintained either way so the receive task can place copies.
     timed: bool,
+    /// The train between `next_step` (built under the queue lock) and its
+    /// transmission (outside it); empty otherwise.
+    batch: Vec<FwdItem>,
     drain_deadline: Option<u64>,
     _latch: LatchGuard,
     _exit: ThreadExitGuard,
@@ -475,8 +471,9 @@ struct FlushTask {
 
 impl FlushTask {
     /// Resolve the next action for `net`'s queue under the lock: cancel a
-    /// dead head, arm the credit timer for a blocked one, or pop a train
-    /// (coalescing through the same [`Train`] as `forwarding_thread`).
+    /// dead head, arm the credit timer for a blocked one, or build a train
+    /// into `self.batch` (coalescing through the same [`Train`] as the
+    /// threaded engine's `Flush::run`).
     fn next_step(&mut self, net: NetworkId, cx: &mut Context) -> FlushStep {
         let now = cx.now_ns();
         let shared = &self.shared;
@@ -488,8 +485,22 @@ impl FlushTask {
         let Some(nq) = g.nets.get_mut(&net) else {
             return FlushStep::Idle;
         };
-        let NetQueue { q, blocked_since } = nq;
-        let Some(head) = q.front() else {
+        let NetQueue {
+            q,
+            pending,
+            blocked_since,
+        } = nq;
+        let mut next_slot = || {
+            let unit = q.pop_front()?;
+            shared.queue_depth(-1);
+            Some(unit)
+        };
+        if pending.is_empty() {
+            if let Some(unit) = next_slot() {
+                unit.unpack_into(pending);
+            }
+        }
+        let Some(head) = pending.front() else {
             *blocked_since = None;
             return FlushStep::Idle;
         };
@@ -506,7 +517,7 @@ impl FlushTask {
                 }
                 TakeOutcome::Cancelled(r) => {
                     *blocked_since = None;
-                    return pop_dead(q, r, shared);
+                    return pop_dead(pending, r);
                 }
                 TakeOutcome::Empty => {
                     let since = match *blocked_since {
@@ -530,7 +541,7 @@ impl FlushTask {
                         // now: same degradation, same order.
                         shared.stats.credit_timeouts.fetch_add(1, Ordering::Relaxed);
                         *blocked_since = None;
-                        return pop_dead(q, CancelReason::CreditTimeout, shared);
+                        return pop_dead(pending, CancelReason::CreditTimeout);
                     }
                     cx.wake_at(deadline);
                     return FlushStep::Idle; // blocked head holds this net's FIFO
@@ -538,30 +549,19 @@ impl FlushTask {
             }
         }
         *blocked_since = None;
-        let Some(head) = q.pop_front() else {
+        let Some(head) = pending.pop_front() else {
             return FlushStep::Idle;
         };
-        shared.queue_depth(-1);
         let caps = path.channel(head.last_hop).caps();
-        let mut train = Train::start(head, &caps, shared.max_batch(cfg.max_batch));
+        let max_batch = shared.max_batch(cfg.max_batch);
         let mut cancels = Vec::new();
-        while train.has_room() {
-            let Some(next) = q.front() else { break };
-            let verdict = train.admit(next, shared.ledger());
-            if let Admit::Stop = verdict {
-                break; // it stays the queue head for the next flush
-            }
-            let Some(next) = q.pop_front() else { break };
-            shared.queue_depth(-1);
-            match verdict {
-                Admit::Dead(r) => cancels.push((next, r)), // drops out of the train
-                _ => train.batch.push(next),
-            }
-        }
-        FlushStep::Train {
-            batch: train.batch,
-            cancels,
-        }
+        Train::start(head, &caps, max_batch, &mut self.batch).fill(
+            pending,
+            shared.ledger(),
+            next_slot,
+            &mut cancels,
+        );
+        FlushStep::Train(cancels)
     }
 
     fn cancel_and_drop(&self, net: NetworkId, item: FwdItem, reason: CancelReason) {
@@ -588,14 +588,14 @@ impl FlushTask {
                         self.cancel_and_drop(net, item, r);
                         progress = true;
                     }
-                    FlushStep::Train { batch, cancels } => {
+                    FlushStep::Train(cancels) => {
                         for (item, r) in cancels {
                             self.cancel_and_drop(net, item, r);
                         }
                         let Some(path) = self.paths.get(&net) else {
                             break;
                         };
-                        if !super::transmit_batch(path, batch, &self.shared) {
+                        if !super::transmit_batch(path, &mut self.batch, &self.shared) {
                             self.output_dead.store(true, Ordering::Release);
                             return true;
                         }
@@ -614,8 +614,11 @@ impl FlushTask {
     fn drain_all(&self) {
         let mut g = self.queues.lock();
         for nq in g.nets.values_mut() {
-            while let Some(item) = nq.q.pop_front() {
+            while let Some(unit) = nq.q.pop_front() {
                 self.shared.queue_depth(-1);
+                unit.unpack_into(&mut nq.pending);
+            }
+            for item in nq.pending.drain(..) {
                 super::drop_item(&item, &self.shared);
             }
             nq.blocked_since = None;
@@ -623,7 +626,8 @@ impl FlushTask {
     }
 
     fn queued(&self) -> usize {
-        self.queues.lock().nets.values().map(|n| n.q.len()).sum()
+        let g = self.queues.lock();
+        g.nets.values().map(|n| n.q.len() + n.pending.len()).sum()
     }
 }
 
@@ -724,6 +728,7 @@ pub(super) fn spawn_task_pair(
         .map(|&net_out| {
             let queue = NetQueue {
                 q: VecDeque::new(),
+                pending: VecDeque::new(),
                 blocked_since: None,
             };
             (net_out, queue)
@@ -753,6 +758,7 @@ pub(super) fn spawn_task_pair(
     let flush = FlushTask {
         cfg: recv.inbound.ctx.cfg,
         timed: shared.timed(),
+        batch: Vec::new(),
         stopctl,
         queues,
         paths,

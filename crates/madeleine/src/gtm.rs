@@ -74,12 +74,18 @@
 //! offset 15  len₀ (u32 LE) ‖ packet₀ ‖ len₁ (u32 LE) ‖ packet₁ ‖ …
 //! ```
 //!
-//! Gateways use it to amortize the per-send buffer-switch overhead: several
-//! queued packets bound for the same next hop leave as one conduit send and
-//! are split back into individual packets by the receiving relay or
-//! [`StreamAssembler`]. Batches never nest, and they are a transport-hop
-//! artifact — a relay always re-batches (or not) according to its own queue
-//! state rather than forwarding a batch frame verbatim.
+//! It amortizes the per-send buffer-switch overhead — the paper's reason
+//! for aggregating small buffers (§2.1.1, §3.3.1) — at every hop. The
+//! sender builds the first train itself: [`GtmWriter`] stages a stream's
+//! header, descriptors, end and every fragment small enough, and puts them
+//! on the wire as one frame, so a small message is one wire packet, not
+//! four. A gateway takes a received train apart (every packet obeys the
+//! per-packet rules) and forwards what leaves the same way as one frame
+//! again, within its *outgoing* driver's budget; packets that arrived
+//! separately may also be coalesced there. The final receiver's
+//! [`StreamAssembler`] splits frames back into packets. Batches never
+//! nest, and a frame is a transport-hop artifact: above the GTM, and in
+//! every stream's packet sequence, it is invisible.
 
 #![deny(clippy::redundant_clone, clippy::large_types_passed_by_value)]
 
@@ -89,9 +95,11 @@ use mad_trace::{trace_count, trace_span};
 use mad_util::pool::PooledBuf;
 
 use crate::channel::Channel;
+use crate::conduit::DriverCaps;
 use crate::credit::WriterFlow;
 use crate::error::{MadError, Result};
 use crate::flags::{RecvMode, SendMode};
+use crate::plan;
 use crate::types::NodeId;
 
 /// First byte of every GTM packet.
@@ -400,25 +408,38 @@ pub struct RendezvousMsg {
     pub window: u32,
 }
 
+/// The common prelude of a `kind` packet of stream `tag`, on the stack.
+fn prelude(kind: u8, tag: &StreamTag) -> [u8; PRELUDE_LEN] {
+    let mut p = [0u8; PRELUDE_LEN];
+    p[0] = GTM_MAGIC;
+    p[1] = GTM_VERSION;
+    p[2] = kind;
+    p[3..7].copy_from_slice(&tag.src.0.to_le_bytes());
+    p[7..11].copy_from_slice(&tag.dest.0.to_le_bytes());
+    p[11..15].copy_from_slice(&tag.msg_id.to_le_bytes());
+    p
+}
+
 fn prelude_into(v: &mut Vec<u8>, kind: u8, tag: &StreamTag) {
-    v.push(GTM_MAGIC);
-    v.push(GTM_VERSION);
-    v.push(kind);
-    v.extend_from_slice(&tag.src.0.to_le_bytes());
-    v.extend_from_slice(&tag.dest.0.to_le_bytes());
-    v.extend_from_slice(&tag.msg_id.to_le_bytes());
+    v.extend_from_slice(&prelude(kind, tag));
 }
 
 /// Encode a header packet into `v` (cleared first). The `_into` encoders
 /// exist so hot paths can stage control packets in recycled buffers
 /// instead of allocating a fresh `Vec` per packet.
 pub fn encode_header_into(v: &mut Vec<u8>, h: &GtmHeader) {
+    v.clear();
+    put_header(v, h);
+}
+
+/// Append a header packet to `v`. The `put_*` functions are the encoders
+/// proper; [`GtmWriter`] appends with them straight into its staged train.
+fn put_header(v: &mut Vec<u8>, h: &GtmHeader) {
     assert_ne!(h.stripes, 1, "a striped stream uses at least two paths");
     assert!(
         !(h.retry && h.stripes > 0),
         "striped streams do not retry (fragments have no replay cursor)"
     );
-    v.clear();
     v.reserve(HEADER_LEN + 1);
     prelude_into(v, KIND_HEADER, &h.tag);
     v.extend_from_slice(&h.mtu.to_le_bytes());
@@ -451,6 +472,10 @@ pub fn encode_header(h: &GtmHeader) -> Vec<u8> {
 /// Encode a block-descriptor packet into `v` (cleared first).
 pub fn encode_part_into(v: &mut Vec<u8>, tag: &StreamTag, d: &GtmPartDesc) {
     v.clear();
+    put_part(v, tag, d);
+}
+
+fn put_part(v: &mut Vec<u8>, tag: &StreamTag, d: &GtmPartDesc) {
     v.reserve(PART_LEN);
     prelude_into(v, KIND_PART, tag);
     v.extend_from_slice(&d.len.to_le_bytes());
@@ -468,6 +493,10 @@ pub fn encode_part(tag: &StreamTag, d: &GtmPartDesc) -> Vec<u8> {
 /// Encode the end-of-stream packet into `v` (cleared first).
 pub fn encode_end_into(v: &mut Vec<u8>, tag: &StreamTag) {
     v.clear();
+    put_end(v, tag);
+}
+
+fn put_end(v: &mut Vec<u8>, tag: &StreamTag) {
     v.reserve(PRELUDE_LEN);
     prelude_into(v, KIND_END, tag);
 }
@@ -483,11 +512,18 @@ pub fn encode_end(tag: &StreamTag) -> Vec<u8> {
 /// (cleared first). Credits travel hop-by-hop on the same (bidirectional)
 /// conduit as the stream, in the opposite direction.
 pub fn encode_credit_into(v: &mut Vec<u8>, tag: &StreamTag, count: u32) {
-    assert!(count > 0, "a credit grant must carry at least one credit");
     v.clear();
-    v.reserve(CREDIT_LEN);
-    prelude_into(v, KIND_CREDIT, tag);
-    v.extend_from_slice(&count.to_le_bytes());
+    v.extend_from_slice(&credit_packet(tag, count));
+}
+
+/// A credit grant on the stack: what a forwarding engine sends back after
+/// every train — too small and too frequent to stage through the pool.
+pub(crate) fn credit_packet(tag: &StreamTag, count: u32) -> [u8; CREDIT_LEN] {
+    assert!(count > 0, "a credit grant must carry at least one credit");
+    let mut p = [0u8; CREDIT_LEN];
+    p[..PRELUDE_LEN].copy_from_slice(&prelude(KIND_CREDIT, tag));
+    p[PRELUDE_LEN..].copy_from_slice(&count.to_le_bytes());
+    p
 }
 
 /// Encode a credit grant of `count` fragments for a stream.
@@ -500,6 +536,10 @@ pub fn encode_credit(tag: &StreamTag, count: u32) -> Vec<u8> {
 /// Encode a stream-cancel packet into `v` (cleared first).
 pub fn encode_cancel_into(v: &mut Vec<u8>, tag: &StreamTag, reason: CancelReason) {
     v.clear();
+    put_cancel(v, tag, reason);
+}
+
+fn put_cancel(v: &mut Vec<u8>, tag: &StreamTag, reason: CancelReason) {
     v.reserve(CANCEL_LEN);
     prelude_into(v, KIND_CANCEL, tag);
     v.push(reason.to_wire());
@@ -590,14 +630,13 @@ pub fn encode_member(tag: &StreamTag, msg: &MemberMsg) -> Vec<u8> {
     v
 }
 
-fn encode_rendezvous_into(v: &mut Vec<u8>, tag: &StreamTag, direction: u8, msg: &RendezvousMsg) {
+fn put_rendezvous(v: &mut Vec<u8>, tag: &StreamTag, direction: u8, msg: &RendezvousMsg) {
     assert!(msg.total > 0, "a rendezvous announces a non-empty block");
     assert!(msg.mtu > 0, "a rendezvous carries the stream MTU");
     assert!(
         msg.window > 0,
         "a rendezvous window is at least one fragment"
     );
-    v.clear();
     v.reserve(RENDEZVOUS_PACKET_LEN);
     prelude_into(v, KIND_RENDEZVOUS, tag);
     v.push(direction);
@@ -610,7 +649,8 @@ fn encode_rendezvous_into(v: &mut Vec<u8>, tag: &StreamTag, direction: u8, msg: 
 /// sender announces the next block of the stream before any of its
 /// fragments leave, `window` being the block's fragment count.
 pub fn encode_rendezvous_rts_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &RendezvousMsg) {
-    encode_rendezvous_into(v, tag, RENDEZVOUS_RTS, msg);
+    v.clear();
+    put_rendezvous(v, tag, RENDEZVOUS_RTS, msg);
 }
 
 /// Encode a rendezvous request-to-send.
@@ -623,7 +663,8 @@ pub fn encode_rendezvous_rts(tag: &StreamTag, msg: &RendezvousMsg) -> Vec<u8> {
 /// Encode a rendezvous clear-to-send into `v` (cleared first): the
 /// downstream hop grants `window` fragments of credit up front.
 pub fn encode_rendezvous_cts_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &RendezvousMsg) {
-    encode_rendezvous_into(v, tag, RENDEZVOUS_CTS, msg);
+    v.clear();
+    put_rendezvous(v, tag, RENDEZVOUS_CTS, msg);
 }
 
 /// Encode a rendezvous clear-to-send.
@@ -637,17 +678,12 @@ pub fn encode_rendezvous_cts(tag: &StreamTag, msg: &RendezvousMsg) -> Vec<u8> {
 /// own, so the tag fields are zero; the sub-packet train follows as a
 /// gather send `[prelude, len₀, packet₀, len₁, packet₁, …]`.
 pub fn batch_prelude() -> [u8; PRELUDE_LEN] {
-    let mut v = Vec::with_capacity(PRELUDE_LEN);
-    prelude_into(
-        &mut v,
-        KIND_BATCH,
-        &StreamTag {
-            src: NodeId(0),
-            dest: NodeId(0),
-            msg_id: 0,
-        },
-    );
-    v.try_into().expect("prelude length")
+    let no_stream = StreamTag {
+        src: NodeId(0),
+        dest: NodeId(0),
+        msg_id: 0,
+    };
+    prelude(KIND_BATCH, &no_stream)
 }
 
 /// Assemble a batch frame from complete packets. Test/diagnostic helper —
@@ -706,9 +742,7 @@ impl<'a> Iterator for BatchPackets<'a> {
 /// The constant fragment prelude for a stream. Senders emit each fragment
 /// as one gather send `[prelude, chunk]`, so the tag costs no extra packet.
 pub fn frag_prelude(tag: &StreamTag) -> [u8; PRELUDE_LEN] {
-    let mut v = Vec::with_capacity(PRELUDE_LEN);
-    prelude_into(&mut v, KIND_FRAG, tag);
-    v.try_into().expect("prelude length")
+    prelude(KIND_FRAG, tag)
 }
 
 /// Borrow the payload bytes of a fragment packet.
@@ -962,22 +996,64 @@ pub fn landing_size_for(mtu: usize) -> usize {
     (PRELUDE_LEN + mtu).max(256).max(METRICS_PACKET_MAX)
 }
 
+/// What one batch frame may hold on a given driver — the one budget the
+/// writer's staged train and the gateway's transmit trains share, so a
+/// frame a writer builds is a frame a gateway on the same driver could
+/// have built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameBudget {
+    /// Never exceed what the driver performs best with: a route-MTU bulk
+    /// fragment fails this check alone and travels singly, keeping its
+    /// zero-copy path.
+    bytes: usize,
+    /// A gathered frame is the prelude plus a length prefix and a body per
+    /// packet, within the driver's gather limit.
+    packets: usize,
+}
+
+impl FrameBudget {
+    pub(crate) fn of(caps: &DriverCaps) -> Self {
+        FrameBudget {
+            bytes: caps.preferred_mtu.min(caps.max_packet),
+            packets: caps.max_gather.saturating_sub(1) / 2,
+        }
+    }
+
+    /// Would a `len`-byte packet still fit a frame of `frame` bytes that
+    /// already holds `packets` packets? (An empty frame is its prelude.)
+    pub(crate) fn admits(&self, frame: usize, packets: usize, len: usize) -> bool {
+        packets < self.packets
+            && frame
+                .saturating_add(BATCH_ENTRY_OVERHEAD)
+                .saturating_add(len)
+                <= self.bytes
+    }
+}
+
 /// Sender side of the GTM: writes a self-described, MTU-fragmented stream
 /// toward the first hop (a gateway over a *special* channel, or — for
 /// direct streams from gateway-resident senders — the destination itself
 /// over the *regular* channel).
 ///
-/// The GTM transmits eagerly — each block leaves at `pack` time — which is
-/// what keeps the gateway pipeline fed. Unlike version 1, the conduit is
-/// *not* held across the message: every packet is self-described, so each
-/// is sent under its own lock hold and packets of concurrent streams
-/// interleave freely on shared conduits.
+/// The writer *aggregates*, the way the paper's BMMs do (§2.1.1): header,
+/// descriptors, end, and every fragment small enough are staged into one
+/// train and leave as one batch frame — one buffer switch at every hop
+/// instead of one per packet. The train leaves when the writer can see it
+/// must: it is full, the block's flags say the receiver needs it now
+/// ([`plan::flush_after`]), the stream ends, or the writer is about to
+/// wait for something only the next hop can send (a credit, a rendezvous
+/// grant) — which it can only earn with what is staged. A fragment too
+/// big for any frame (every route-MTU bulk fragment) leaves alone, straight
+/// from user memory. The conduit is held per send, never across the
+/// message: every packet is self-described, so trains of concurrent
+/// streams interleave freely on shared conduits.
 pub struct GtmWriter<'c> {
     channel: &'c Channel,
     first_hop: NodeId,
     tag: StreamTag,
     frag_prelude: [u8; PRELUDE_LEN],
     mtu: usize,
+    /// Sealed: ended, or dead after a failed `pack`.
     finished: bool,
     flow: Option<WriterFlow>,
     /// Blocks of at least this many bytes run the rendezvous handshake
@@ -988,17 +1064,30 @@ pub struct GtmWriter<'c> {
     /// Fragments already paid for by a rendezvous grant: while positive,
     /// fragments leave without touching the per-fragment credit ledger.
     prepaid: u64,
-    /// Recycled staging buffer for the stream's control packets (header,
-    /// descriptors, end, cancel) — one pool hit per stream instead of one
-    /// heap allocation per packet.
-    scratch: PooledBuf,
+    /// The train being staged, already in wire form: the batch prelude,
+    /// then `len ‖ packet` per staged packet. One recycled buffer per
+    /// stream.
+    stage: PooledBuf,
+    /// Packets in `stage`.
+    staged: usize,
+    /// Fragments in `stage` that each took a credit from the window.
+    paid: u32,
+    /// What a frame toward the first hop may hold.
+    budget: FrameBudget,
+    /// Whether anything of the stream has reached the first hop. Until
+    /// then no hop holds state for it, and a failure needs no cancel.
+    on_wire: bool,
+    /// The origin waits for a handoff ack after the end, reading the
+    /// conduit itself (and looking for this stream's cancel on it).
+    acked: bool,
 }
 
 impl<'c> GtmWriter<'c> {
-    /// Start a stream: emits the header packet immediately. When `flow` is
-    /// given the stream is credit-controlled: each fragment consumes one
-    /// credit from the stream's window before it may leave, and the wait is
-    /// deadline-bounded (see [`crate::credit`]).
+    /// Start a stream: stages the header packet. When `flow` is given the
+    /// stream is credit-controlled: each fragment consumes one credit from
+    /// the stream's window before it may be staged, and the wait is
+    /// deadline-bounded (see [`crate::credit`]). Nothing touches the wire
+    /// yet, so a dead first hop surfaces at the first flush.
     pub fn begin(
         channel: &'c Channel,
         first_hop: NodeId,
@@ -1029,33 +1118,21 @@ impl<'c> GtmWriter<'c> {
         flow: Option<WriterFlow>,
     ) -> Result<Self> {
         assert!(mtu > 0, "GTM MTU must be positive");
+        let caps = channel.caps();
         assert!(
-            mtu.saturating_add(PRELUDE_LEN) <= channel.caps().max_packet,
+            mtu.saturating_add(PRELUDE_LEN) <= caps.max_packet,
             "GTM MTU plus fragment prelude exceeds the first hop's max packet size"
         );
-        let mut scratch = channel.runtime().pool().get(PART_LEN);
-        encode_header_into(
-            scratch.vec(),
-            &GtmHeader {
-                tag,
-                mtu: mtu as u32,
-                direct,
-                retry,
-                stripes: 0,
-                acked,
-            },
-        );
+        let budget = FrameBudget::of(&caps);
+        // A whole frame's worth up front: a buffer that grew while staging
+        // would come back to a different pool class than the next stream
+        // draws from, and every stream would miss.
+        let mut stage = channel.runtime().pool().get(budget.bytes);
+        stage.vec().extend_from_slice(&batch_prelude());
         if let Some(flow) = &flow {
             flow.open(tag.key());
         }
-        if let Err(e) = channel.send_packet(first_hop, &[&scratch]) {
-            if let Some(flow) = &flow {
-                flow.close(tag.key());
-            }
-            return Err(e);
-        }
-        trace_count!(channel.tracer(), "gtm", "encode", 1);
-        Ok(GtmWriter {
+        let mut w = GtmWriter {
             channel,
             first_hop,
             tag,
@@ -1065,8 +1142,23 @@ impl<'c> GtmWriter<'c> {
             flow,
             rendezvous_threshold: 0,
             prepaid: 0,
-            scratch,
-        })
+            stage,
+            staged: 0,
+            paid: 0,
+            budget,
+            on_wire: false,
+            acked,
+        };
+        let header = GtmHeader {
+            tag,
+            mtu: mtu as u32,
+            direct,
+            retry,
+            stripes: 0,
+            acked,
+        };
+        w.stage(HEADER_LEN, |v| put_header(v, &header))?;
+        Ok(w)
     }
 
     /// Enable the size-adaptive protocol switch: blocks of at least
@@ -1079,13 +1171,15 @@ impl<'c> GtmWriter<'c> {
     }
 
     /// Append a block: descriptor packet, then tagged MTU-sized fragments.
+    /// What of it fits the staged train rides it; the block is on the wire
+    /// when `pack` returns only if its flags ask for that.
     ///
     /// On error the stream is dead: the writer seals itself (no further
     /// packets, dropping it is fine), the stream's credit account is
     /// released, and — if the stream was cancelled (credit timeout or
-    /// unreachable peer) — a best-effort cancel packet chases the stream so
-    /// downstream hops can release its state instead of waiting for an end
-    /// that will never come.
+    /// unreachable peer) after some hop had seen it — a best-effort cancel
+    /// packet chases the stream so downstream hops can release its state
+    /// instead of waiting for an end that will never come.
     pub fn pack(&mut self, data: &[u8], send: SendMode, recv: RecvMode) -> Result<()> {
         match self.pack_inner(data, send, recv) {
             Ok(()) => Ok(()),
@@ -1104,6 +1198,7 @@ impl<'c> GtmWriter<'c> {
             "dest" = self.tag.dest.0 as u64,
             "bytes" = data.len() as u64,
         );
+        let tag = self.tag;
         // Size-adaptive protocol switch: a bulk block announces itself
         // with an RTS and waits for the first hop's whole-window CTS, so
         // its fragments leave back-to-back with no per-fragment credit
@@ -1113,44 +1208,39 @@ impl<'c> GtmWriter<'c> {
             && self.flow.is_some();
         if rendezvous {
             let window = fragment_count(data.len() as u64, self.mtu as u32).min(u32::MAX as u64);
-            encode_rendezvous_rts_into(
-                self.scratch.vec(),
-                &self.tag,
-                &RendezvousMsg {
-                    total: data.len() as u64,
-                    mtu: self.mtu as u32,
-                    window: window as u32,
-                },
-            );
-            self.channel.send_packet(self.first_hop, &[&self.scratch])?;
-            trace_count!(self.channel.tracer(), "gtm", "encode", 1);
+            let rts = RendezvousMsg {
+                total: data.len() as u64,
+                mtu: self.mtu as u32,
+                window: window as u32,
+            };
+            self.stage(RENDEZVOUS_PACKET_LEN, |v| {
+                put_rendezvous(v, &tag, RENDEZVOUS_RTS, &rts)
+            })?;
+            // The grant answers the RTS: it must be out before the wait.
+            self.flush()?;
             if let Some(flow) = &self.flow {
-                let granted = flow.wait_grant(self.channel, self.first_hop, &self.tag)?;
+                let granted = flow.wait_grant(self.channel, self.first_hop, &tag)?;
                 self.prepaid = self.prepaid.saturating_add(granted as u64);
             }
         }
-        encode_part_into(
-            self.scratch.vec(),
-            &self.tag,
-            &GtmPartDesc {
-                len: data.len() as u64,
-                send,
-                recv,
-            },
-        );
-        self.channel.send_packet(self.first_hop, &[&self.scratch])?;
-        trace_count!(self.channel.tracer(), "gtm", "encode", 1);
+        let desc = GtmPartDesc {
+            len: data.len() as u64,
+            send,
+            recv,
+        };
+        self.stage(PART_LEN, |v| put_part(v, &tag, &desc))?;
         let mut granted_fragments = 0u64;
         for chunk in data.chunks(self.mtu) {
             if self.prepaid > 0 {
                 self.prepaid -= 1;
                 granted_fragments += 1;
-            } else if let Some(flow) = &self.flow {
-                flow.take(self.channel, self.first_hop, &self.tag)?;
+            } else {
+                self.take_credit()?;
             }
-            self.channel
-                .send_packet(self.first_hop, &[&self.frag_prelude, chunk])?;
-            trace_count!(self.channel.tracer(), "gtm", "encode", 1);
+            self.stage_fragment(chunk)?;
+        }
+        if plan::flush_after(send, recv) {
+            self.flush()?;
         }
         if let Some(flow) = &self.flow {
             flow.note_block(rendezvous, granted_fragments);
@@ -1158,35 +1248,138 @@ impl<'c> GtmWriter<'c> {
         Ok(())
     }
 
-    /// Seal a failed stream: release its credit account and, when the local
-    /// credit wait is what gave up, tell downstream hops to drop it.
+    /// Pay one window credit for the next fragment of a flow-controlled
+    /// stream, flushing the staged train first when that keeps both ends
+    /// of the first hop busy.
+    fn take_credit(&mut self) -> Result<()> {
+        let tag = self.tag;
+        let window = match &self.flow {
+            Some(flow) => flow.window(),
+            None => return Ok(()),
+        };
+        // Two trains to the window, the paper's double buffering: a train
+        // that took the whole window would leave the first hop nothing to
+        // forward while the next one is staged, and this writer nothing to
+        // stage until that whole train has been forwarded and granted —
+        // stop-and-wait, no overlap.
+        if 2 * self.paid >= window {
+            self.flush()?;
+        }
+        if let Some(flow) = &self.flow {
+            if !flow.try_take(&tag)? {
+                // A dry window means a wait for grants the first hop
+                // returns only for fragments it has seen: everything
+                // staged — the header before all — goes out first.
+                self.flush()?;
+                if let Some(flow) = &self.flow {
+                    flow.take(self.channel, self.first_hop, &tag)?;
+                }
+            }
+        }
+        self.paid += 1;
+        Ok(())
+    }
+
+    /// Stage one `len`-byte control packet, written by `put`, behind
+    /// whatever is staged — flushing that first when the frame is full.
+    fn stage(&mut self, len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        if self.staged > 0 && !self.budget.admits(self.stage.len(), self.staged, len) {
+            self.flush()?;
+        }
+        let v = self.stage.vec();
+        v.extend_from_slice(&(len as u32).to_le_bytes());
+        let at = v.len();
+        put(v);
+        debug_assert_eq!(v.len() - at, len, "staged packet length");
+        self.staged += 1;
+        trace_count!(self.channel.tracer(), "gtm", "encode", 1);
+        Ok(())
+    }
+
+    /// One fragment: into the train if a frame can hold it at all, else
+    /// out on its own as a zero-copy `[prelude, chunk]` gather, after what
+    /// was staged ahead of it.
+    fn stage_fragment(&mut self, chunk: &[u8]) -> Result<()> {
+        let len = PRELUDE_LEN + chunk.len();
+        if self.budget.admits(PRELUDE_LEN, 0, len) {
+            let prelude = self.frag_prelude;
+            return self.stage(len, |v| {
+                v.extend_from_slice(&prelude);
+                v.extend_from_slice(chunk);
+            });
+        }
+        self.flush()?;
+        self.channel
+            .send_packet(self.first_hop, &[&self.frag_prelude, chunk])?;
+        self.on_wire = true;
+        trace_count!(self.channel.tracer(), "gtm", "encode", 1);
+        Ok(())
+    }
+
+    /// Put the staged train on the wire: a batch frame, or the packet
+    /// itself when only one is staged. Whatever the outcome, nothing stays
+    /// staged — after a failed send the stream is dead.
+    fn flush(&mut self) -> Result<()> {
+        let frame: &[u8] = match self.staged {
+            0 => return Ok(()),
+            1 => &self.stage[PRELUDE_LEN + BATCH_ENTRY_OVERHEAD..],
+            _ => &self.stage,
+        };
+        let sent = self.channel.send_packet(self.first_hop, &[frame]);
+        self.stage.vec().truncate(PRELUDE_LEN);
+        self.staged = 0;
+        self.paid = 0;
+        sent?;
+        self.on_wire = true;
+        Ok(())
+    }
+
+    /// Seal a failed stream: release its credit account, forget what was
+    /// staged and — when some hop has seen the stream and the failure is
+    /// one the protocol names — tell downstream hops to drop it.
     fn abort(&mut self, cause: &MadError) {
         self.finished = true;
         if let Some(flow) = self.flow.take() {
             flow.close(self.tag.key());
         }
+        self.stage.vec().truncate(PRELUDE_LEN);
+        self.staged = 0;
         let reason = match cause {
             MadError::CreditTimeout { .. } => Some(CancelReason::CreditTimeout),
             MadError::PeerUnreachable(_) => Some(CancelReason::PeerUnreachable),
             _ => None,
         };
-        if let Some(reason) = reason {
+        if let (Some(reason), true) = (reason, self.on_wire) {
             // Best effort — the first hop may itself be unreachable.
-            encode_cancel_into(self.scratch.vec(), &self.tag, reason);
-            let _ = self.channel.send_packet(self.first_hop, &[&self.scratch]);
+            let tag = self.tag;
+            let _ = self
+                .stage(CANCEL_LEN, |v| put_cancel(v, &tag, reason))
+                .and_then(|()| self.flush());
         }
     }
 
-    /// Finish the stream with the end packet.
+    /// Finish the stream: stage the end packet and flush the train. A
+    /// stream that died before anything of it left has nothing to end. A
+    /// writer that reads its own conduit (no engine does it for it, and no
+    /// ack wait follows) then drains what is already pending there,
+    /// without blocking — the grants that arrive after the last credit
+    /// wait would otherwise sit in its receive queue until teardown.
     pub fn end_packing(mut self) -> Result<()> {
+        if self.finished && !self.on_wire {
+            return Ok(());
+        }
         self.finished = true;
-        if let Some(flow) = self.flow.take() {
+        let flow = self.flow.take();
+        if let Some(flow) = &flow {
             flow.close(self.tag.key());
         }
-        encode_end_into(self.scratch.vec(), &self.tag);
-        self.channel.send_packet(self.first_hop, &[&self.scratch])?;
-        trace_count!(self.channel.tracer(), "gtm", "encode", 1);
-        Ok(())
+        let tag = self.tag;
+        self.stage(PRELUDE_LEN, |v| put_end(v, &tag))?;
+        self.flush()?;
+        match flow {
+            Some(flow) if !self.acked => flow.drain(self.channel, self.first_hop),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -1307,23 +1500,22 @@ impl StreamAssembler {
         if matches!(body, PacketBody::Batch) {
             let mut opened = Vec::new();
             for sub in batch_packets(&packet)? {
-                let buf = match &self.pool {
-                    Some(pool) => {
+                let (tag, body) = decode_packet(sub)?;
+                // Only fragments (bare or enveloped) are kept as bytes;
+                // every other kind is spent once decoded.
+                let buf = match (&body, &self.pool) {
+                    (PacketBody::Frag | PacketBody::Stripe(_), Some(pool)) => {
                         let mut b = pool.get(sub.len());
                         b.vec().extend_from_slice(sub);
                         b
                     }
-                    None => PooledBuf::from(sub.to_vec()),
+                    (PacketBody::Frag | PacketBody::Stripe(_), None) => sub.to_vec().into(),
+                    _ => PooledBuf::default(),
                 };
-                opened.extend(self.push_one(origin, buf)?);
+                opened.append(&mut self.push_one_decoded(origin, buf, tag, body)?);
             }
             return Ok(opened);
         }
-        self.push_one_decoded(origin, packet, tag, body)
-    }
-
-    fn push_one(&mut self, origin: u64, packet: PooledBuf) -> Result<Vec<StreamKey>> {
-        let (tag, body) = decode_packet(&packet)?;
         self.push_one_decoded(origin, packet, tag, body)
     }
 
@@ -1649,6 +1841,189 @@ mod tests {
             dest: NodeId(dest),
             msg_id,
         }
+    }
+
+    /// The packets on the wire toward node 1, frames split into their
+    /// members, in order — and how many wire packets carried them.
+    fn drain_wire(peer: &Channel) -> (Vec<Vec<u8>>, usize) {
+        let mut conduit = peer.lock_conduit(NodeId(0)).unwrap();
+        let (mut packets, mut sends) = (Vec::new(), 0);
+        while conduit.ready() {
+            let wire = conduit.recv_owned().unwrap();
+            sends += 1;
+            match decode_packet(&wire).unwrap().1 {
+                PacketBody::Batch => {
+                    packets.extend(batch_packets(&wire).unwrap().map(<[u8]>::to_vec))
+                }
+                _ => packets.push(wire),
+            }
+        }
+        (packets, sends)
+    }
+
+    fn kinds(packets: &[Vec<u8>]) -> Vec<u8> {
+        packets.iter().map(|p| p[2]).collect()
+    }
+
+    /// A flow-controlled writer's credit account on a plane with nothing
+    /// behind it: the peer never grants.
+    fn silent_flow(window: u32, timeout_ns: u64) -> (crate::credit::FlowControl, WriterFlow) {
+        let plane = crate::control_plane::ControlPlane::bare(NodeId(0));
+        let flow = crate::credit::FlowControl::new(plane, window, timeout_ns);
+        let writer = flow.writer(true);
+        (flow, writer)
+    }
+
+    #[test]
+    fn small_message_leaves_as_one_frame_at_end_packing() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        let t = tag(0, 2, 1);
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 1024, false, None).unwrap();
+        w.pack(&[7u8; 64], SendMode::Later, RecvMode::Cheaper)
+            .unwrap();
+        w.pack(&[8u8; 32], SendMode::Cheaper, RecvMode::Cheaper)
+            .unwrap();
+        assert_eq!(drain_wire(&b).1, 0, "deferred blocks wait for the end");
+        w.end_packing().unwrap();
+        let (packets, sends) = drain_wire(&b);
+        assert_eq!(
+            sends, 1,
+            "header, descriptors, fragments and end share a frame"
+        );
+        assert_eq!(
+            kinds(&packets),
+            [
+                KIND_HEADER,
+                KIND_PART,
+                KIND_FRAG,
+                KIND_PART,
+                KIND_FRAG,
+                KIND_END
+            ]
+        );
+    }
+
+    #[test]
+    fn express_block_is_on_the_wire_when_pack_returns() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        let t = tag(0, 2, 1);
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 1024, false, None).unwrap();
+        w.pack(&[1u8; 16], SendMode::Later, RecvMode::Express)
+            .unwrap();
+        let (packets, sends) = drain_wire(&b);
+        assert_eq!(sends, 1);
+        assert_eq!(kinds(&packets), [KIND_HEADER, KIND_PART, KIND_FRAG]);
+        // `Safer` flushes too: the caller may reuse its buffer right away.
+        w.pack(&[2u8; 16], SendMode::Safer, RecvMode::Cheaper)
+            .unwrap();
+        assert_eq!(kinds(&drain_wire(&b).0), [KIND_PART, KIND_FRAG]);
+        w.end_packing().unwrap();
+        let (packets, sends) = drain_wire(&b);
+        assert_eq!(sends, 1);
+        assert_eq!(packets, [encode_end(&t)], "a lone packet leaves unframed");
+    }
+
+    #[test]
+    fn bulk_fragments_leave_alone_between_the_trains() {
+        use crate::testutil::{channel_pair, MockDriver};
+        // Frame budget 4096: a 4096-byte fragment plus its prelude never
+        // fits, a 100-byte tail does.
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        let t = tag(0, 2, 1);
+        let data = vec![5u8; 2 * 4096 + 100];
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 4096, false, None).unwrap();
+        w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
+        w.end_packing().unwrap();
+        let mut conduit = b.lock_conduit(NodeId(0)).unwrap();
+        let mut wire = Vec::new();
+        while conduit.ready() {
+            wire.push(conduit.recv_owned().unwrap());
+        }
+        let wire_kinds: Vec<u8> = wire.iter().map(|p| p[2]).collect();
+        assert_eq!(wire_kinds, [KIND_BATCH, KIND_FRAG, KIND_FRAG, KIND_BATCH]);
+        let inner =
+            |frame: &[u8]| -> Vec<u8> { batch_packets(frame).unwrap().map(|p| p[2]).collect() };
+        assert_eq!(inner(&wire[0]), [KIND_HEADER, KIND_PART]);
+        assert_eq!(inner(&wire[3]), [KIND_FRAG, KIND_END]);
+    }
+
+    /// More fragments than the window, and a first hop that never grants.
+    /// A train holds half a window, so the hop has one to forward while
+    /// the next is staged; and whatever is staged when the window runs
+    /// dry — on a shorter stream, the header before all — is on the wire
+    /// before the writer starts waiting, and the wait ends typed.
+    #[test]
+    fn trains_are_half_windows_and_a_dry_window_flushes_before_waiting() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        let t = tag(0, 2, 9);
+        let (_flow, writer) = silent_flow(3, 20_000_000);
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 1024, false, Some(writer)).unwrap();
+        let block = [3u8; 8];
+        let pack = |w: &mut GtmWriter| w.pack(&block, SendMode::Later, RecvMode::Cheaper);
+        pack(&mut w).unwrap();
+        pack(&mut w).unwrap();
+        assert_eq!(
+            drain_wire(&b).1,
+            0,
+            "within the window nothing has to leave"
+        );
+        pack(&mut w).unwrap();
+        let (packets, sends) = drain_wire(&b);
+        assert_eq!(sends, 1, "the third fragment sends the first two ahead");
+        assert_eq!(
+            kinds(&packets),
+            [
+                KIND_HEADER,
+                KIND_PART,
+                KIND_FRAG,
+                KIND_PART,
+                KIND_FRAG,
+                KIND_PART
+            ]
+        );
+        let err = pack(&mut w).unwrap_err();
+        assert!(matches!(err, MadError::CreditTimeout { .. }), "{err:?}");
+        let (packets, sends) = drain_wire(&b);
+        assert_eq!(sends, 2, "what was staged, then the cancel that chases it");
+        assert_eq!(kinds(&packets), [KIND_FRAG, KIND_PART, KIND_CANCEL]);
+        // Hops hold state for the stream, so a sealed writer still ends it.
+        w.end_packing().unwrap();
+        assert_eq!(kinds(&drain_wire(&b).0), [KIND_END]);
+    }
+
+    #[test]
+    fn abort_before_the_first_flush_emits_nothing() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        let t = tag(0, 2, 4);
+        let (flow, writer) = silent_flow(4, 20_000_000);
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 1024, false, Some(writer)).unwrap();
+        // The stream dies (a downstream cancel reached the ledger) while
+        // its header is still staged.
+        flow.ledger().cancel(t.key(), CancelReason::PeerUnreachable);
+        let err = w
+            .pack(&[1u8; 8], SendMode::Later, RecvMode::Cheaper)
+            .unwrap_err();
+        assert_eq!(err, MadError::PeerUnreachable(NodeId(2)));
+        w.end_packing().unwrap();
+        assert_eq!(drain_wire(&b).1, 0, "no hop ever knew the stream");
+        assert!(flow.ledger().is_idle(), "the account is released");
+    }
+
+    #[test]
+    fn dead_first_hop_surfaces_at_the_first_flush() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        drop(b);
+        let t = tag(0, 2, 4);
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 1024, false, None)
+            .expect("beginning a stream touches no wire");
+        w.pack(&[1u8; 8], SendMode::Later, RecvMode::Cheaper)
+            .expect("a deferred block is only staged");
+        assert_eq!(w.end_packing(), Err(MadError::Disconnected));
     }
 
     #[test]

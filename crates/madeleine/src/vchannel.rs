@@ -525,52 +525,47 @@ pub struct MultipathWriter<'c, 'd> {
 }
 
 impl<'d> MultipathWriter<'_, 'd> {
-    /// Bind the stream to the cheapest live untried path and send its
-    /// header. Path faults during the header send mark the path dead and
-    /// move on; only running out of paths (or a non-path error) fails.
+    /// Bind the stream to the cheapest live untried path and stage its
+    /// header there. Nothing reaches the wire yet: a dead path shows at the
+    /// writer's first flush, inside `pack` or `end_packing`, whose path
+    /// faults drive [`Self::failover`]. Only running out of paths fails.
     fn start(&mut self, retry: bool) -> Result<()> {
-        loop {
-            let Some(hop) = self.mp.choose(self.dest, &self.paths, &self.tried) else {
-                return Err(MadError::PeerUnreachable(self.dest));
-            };
-            let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
-            let flow = self.vc.flow.as_ref().map(|f| f.writer(!self.vc.is_gateway));
-            // Request a handoff ack: the retry machinery can then also
-            // cover a gateway that dies *after* accepting the whole stream
-            // but before relaying its tail.
-            match GtmWriter::begin_attempt(
-                channel,
-                NodeId(hop.node),
-                self.tag,
-                self.vc.mtu,
-                false,
-                retry,
-                true,
-                flow,
-            ) {
-                Ok(w) => {
-                    self.inner = Some(w);
-                    self.hop = hop;
-                    if retry {
-                        self.mp.note_failover();
-                        trace_instant!(
-                            self.vc.tracer,
-                            "route",
-                            "failover",
-                            "gateway" = hop.node as u64,
-                        );
-                    }
-                    return Ok(());
+        let Some(hop) = self.mp.choose(self.dest, &self.paths, &self.tried) else {
+            return Err(MadError::PeerUnreachable(self.dest));
+        };
+        let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
+        let flow = self.vc.flow.as_ref().map(|f| f.writer(!self.vc.is_gateway));
+        // Request a handoff ack: the retry machinery can then also cover a
+        // gateway that dies *after* accepting the whole stream but before
+        // relaying its tail.
+        let attempt = GtmWriter::begin_attempt(
+            channel,
+            NodeId(hop.node),
+            self.tag,
+            self.vc.mtu,
+            false,
+            retry,
+            true,
+            flow,
+        );
+        match attempt {
+            Ok(w) => {
+                self.inner = Some(w);
+                self.hop = hop;
+                if retry {
+                    self.mp.note_failover();
+                    trace_instant!(
+                        self.vc.tracer,
+                        "route",
+                        "failover",
+                        "gateway" = hop.node as u64,
+                    );
                 }
-                Err(e) if is_path_fault(&e) => {
-                    self.mp.mark_dead(hop.node);
-                    self.mp.complete(hop.node);
-                    self.tried.push(hop.node);
-                }
-                Err(e) => {
-                    self.mp.complete(hop.node);
-                    return Err(e);
-                }
+                Ok(())
+            }
+            Err(e) => {
+                self.mp.complete(hop.node);
+                Err(e)
             }
         }
     }

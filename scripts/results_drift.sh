@@ -15,7 +15,7 @@
 #
 # Not gated, because they differ from run to run under machine load (the
 # same-instant tie-break DESIGN §6b admits) until the seeded vtime
-# tie-break lands: fig7_myri_to_sci, a8_multipath_scaling,
+# tie-break lands: fig7_myri_to_sci, fig8_conflict_trace, a8_multipath_scaling,
 # ablation_zero_copy, ext_copy_matrix, ext_mpi_collectives,
 # a12_protocol_crossover. Wall-clock CSVs (a10_*) are never regenerated.
 set -euo pipefail
@@ -44,6 +44,7 @@ STABLE_CSVS=(
   ablation_hol_blocking
   ablation_batching
   ablation_batching_occupancy
+  ablation_batching_flushed
   ablation_flow_control
   ablation_flow_control_credit_window
   ablation_pipeline_depth

@@ -3,10 +3,19 @@
 //! through [`StreamAssembler`] must be the identity — for arbitrary block
 //! contents, MTUs, flags, and interleave schedules.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use mad_util::prop::{self, Config};
 use mad_util::{prop_assert, prop_assert_eq, prop_require};
-use madeleine::gtm::{self, GtmHeader, GtmPartDesc, StreamAssembler, StreamItem, StreamTag};
-use madeleine::{NodeId, RecvMode, SendMode};
+use madeleine::conduit::{BufferMode, Conduit, DriverCaps, StaticBuf};
+use madeleine::gtm::{
+    self, GtmHeader, GtmPartDesc, GtmWriter, StreamAssembler, StreamItem, StreamTag,
+};
+use madeleine::runtime::RtEvent;
+use madeleine::{
+    Channel, ChannelId, MadError, NetworkId, NodeId, RecvMode, Runtime, SendMode, StdRuntime,
+};
 
 /// One generated stream: tag fields, MTU, direct flag, and its blocks
 /// (bytes plus flag selectors).
@@ -30,7 +39,8 @@ fn recv_mode(sel: u32) -> RecvMode {
     }
 }
 
-/// Encode a stream exactly the way `GtmWriter` does, as a packet list.
+/// Encode a stream packet by packet — the sequence `GtmWriter`'s wire
+/// output must split back into.
 fn encode_stream(
     tag: &StreamTag,
     mtu: u32,
@@ -367,4 +377,168 @@ fn strict_round_robin_three_streams() {
         .collect();
     let schedule: Vec<u32> = (0..400).map(|i| i % 3).collect();
     interleave_identity(&(streams, schedule)).unwrap();
+}
+
+/// A first hop that only records: every wire packet, and the widest
+/// gather list it was sent with.
+struct Capture {
+    caps: DriverCaps,
+    wire: Arc<Mutex<Vec<Vec<u8>>>>,
+    widest_gather: Arc<Mutex<usize>>,
+    event: Arc<dyn RtEvent>,
+}
+
+impl Conduit for Capture {
+    fn caps(&self) -> DriverCaps {
+        self.caps
+    }
+    fn send(&mut self, parts: &[&[u8]]) -> madeleine::Result<()> {
+        let mut widest = self.widest_gather.lock().unwrap();
+        *widest = (*widest).max(parts.len());
+        self.wire.lock().unwrap().push(parts.concat());
+        Ok(())
+    }
+    fn send_static(&mut self, buf: StaticBuf) -> madeleine::Result<()> {
+        self.wire.lock().unwrap().push(buf.into_vec());
+        Ok(())
+    }
+    fn alloc_static(&mut self, _len: usize) -> Option<StaticBuf> {
+        None
+    }
+    fn recv_into(&mut self, _dst: &mut [u8]) -> madeleine::Result<usize> {
+        Err(MadError::Disconnected)
+    }
+    fn recv_owned(&mut self) -> madeleine::Result<Vec<u8>> {
+        Err(MadError::Disconnected)
+    }
+    fn ready(&self) -> bool {
+        false
+    }
+    fn closed(&self) -> bool {
+        true
+    }
+    fn recv_event(&self) -> Arc<dyn RtEvent> {
+        self.event.clone()
+    }
+}
+
+/// The writer stages, the wire carries trains — and nothing else changes:
+/// for any blocks, flags, MTU and first-hop capabilities, splitting the
+/// frames on the wire gives back exactly the packet sequence of the
+/// stream, every frame respects the driver's preferred size and gather
+/// limit, and the flags' "receiver needs it now" is honoured — a block
+/// that flushes is wholly on the wire when its `pack` returns.
+#[test]
+fn writer_trains_split_back_into_the_stream() {
+    /// MTU, preferred packet size, gather limit, blocks.
+    type Case = (u32, u32, u32, Vec<(Vec<u8>, u32, u32)>);
+    prop::check(
+        "writer_trains_split_back_into_the_stream",
+        &Config::default(),
+        |rng| -> Case {
+            (
+                rng.gen_range(1u32..300),
+                rng.gen_range(1u32..700),
+                rng.gen_range(0u32..12),
+                prop::vec_of(rng, 0..6, |r| {
+                    (prop::bytes(r, 0..500), r.next_u32(), r.next_u32())
+                }),
+            )
+        },
+        |(mtu, preferred, gather, blocks): &Case| -> Result<(), String> {
+            prop_require!(*mtu > 0 && *preferred > 0); // shrinking reaches 0
+            let caps = DriverCaps {
+                name: "capture",
+                mode: BufferMode::Dynamic,
+                // 0 and 1 stand for "no limit": a bulk fragment leaves as
+                // a two-segment gather, so two is the least a first hop
+                // can offer.
+                max_gather: match *gather {
+                    0 | 1 => usize::MAX,
+                    g => g as usize,
+                },
+                max_packet: 1024,
+                preferred_mtu: *preferred as usize,
+            };
+            let rt: Arc<dyn Runtime> = StdRuntime::shared();
+            let wire = Arc::new(Mutex::new(Vec::new()));
+            let widest_gather = Arc::new(Mutex::new(0));
+            let conduit: Box<dyn Conduit> = Box::new(Capture {
+                caps,
+                wire: wire.clone(),
+                widest_gather: widest_gather.clone(),
+                event: rt.event(),
+            });
+            let channel = Channel::assemble(
+                ChannelId(0),
+                "capture",
+                NetworkId(0),
+                NodeId(0),
+                caps,
+                BTreeMap::from([(NodeId(1), conduit)]),
+                rt.event(),
+                rt.clone(),
+            );
+            let tag = StreamTag {
+                src: NodeId(0),
+                dest: NodeId(2),
+                msg_id: 3,
+            };
+            let expected = encode_stream(&tag, *mtu, false, blocks);
+            let split = |wire: &[Vec<u8>]| -> Result<Vec<Vec<u8>>, String> {
+                let mut packets = Vec::new();
+                for frame in wire {
+                    match gtm::decode_packet(frame).map_err(|e| e.to_string())?.1 {
+                        gtm::PacketBody::Batch => packets.extend(
+                            gtm::batch_packets(frame)
+                                .map_err(|e| e.to_string())?
+                                .map(<[u8]>::to_vec),
+                        ),
+                        _ => packets.push(frame.clone()),
+                    }
+                }
+                Ok(packets)
+            };
+
+            let err = |e: MadError| e.to_string();
+            let mut w = GtmWriter::begin(&channel, NodeId(1), tag, *mtu as usize, false, None)
+                .map_err(err)?;
+            // Packets the stream holds once each block is packed.
+            let mut so_far = 1;
+            for (data, s, r) in blocks {
+                let (send, recv) = (send_mode(*s), recv_mode(*r));
+                w.pack(data, send, recv).map_err(err)?;
+                so_far += 1 + data.len().div_ceil(*mtu as usize);
+                if madeleine::plan::flush_after(send, recv) {
+                    let on_wire = split(&wire.lock().unwrap())?;
+                    prop_assert_eq!(
+                        &on_wire[..],
+                        &expected[..so_far],
+                        "a flushing block is on the wire when pack returns"
+                    );
+                }
+            }
+            w.end_packing().map_err(err)?;
+
+            let wire = wire.lock().unwrap();
+            prop_assert_eq!(&split(&wire)?, &expected, "the trains carry the stream");
+            let budget = caps.preferred_mtu.min(caps.max_packet);
+            for frame in wire.iter() {
+                prop_assert!(frame.len() <= caps.max_packet);
+                if let Ok(members) = gtm::batch_packets(frame) {
+                    let n = members.count();
+                    prop_assert!(n >= 2, "a train of one leaves unframed");
+                    prop_assert!(frame.len() <= budget, "frame over the preferred size");
+                    // A gathered frame is the prelude, then a length prefix
+                    // and a body per packet.
+                    prop_assert!(
+                        2 * n < caps.max_gather,
+                        "a relay could not re-gather a train of {n}"
+                    );
+                }
+            }
+            prop_assert!(*widest_gather.lock().unwrap() <= caps.max_gather);
+            Ok(())
+        },
+    );
 }
