@@ -10,16 +10,14 @@
 //!
 //! The sweep crosses batch depth with fragment size and the modeled
 //! buffer-switch overhead on the overhead-dominated SCI→FastEthernet
-//! route, for two traffic shapes. **Aggregated**: one deferred block. The
-//! GTM writer stages its own trains, so the fragments already arrive as
-//! full frames, the gateway forwards each as one send at any `max_batch`,
-//! and every column reads what only the deepest batch column used to —
-//! the coalescing moved to the sender. **Flushed**: the same bytes as one
-//! `Safer` block per fragment, each on the wire when its `pack` returns.
-//! These arrive as separate small trains, which is the traffic the knob is
-//! still for: with a backlog, `max_batch ≥ 2` coalesces across pipeline
-//! slots. Bulk fragments at the route MTU never fit a frame and ride the
-//! unchanged zero-copy path in both.
+//! route. The traffic is one deferred block from one writer, and since the
+//! GTM writer stages its own trains that traffic reaches the gateway as
+//! full frames, which leave as full frames at any `max_batch`: every
+//! column now reads what only the deepest batch column used to, and the
+//! claim this sweep was built to show — `max_batch ≥ 4` beats 1 on sub-KB
+//! fragments — no longer holds for it (EXPERIMENTS A7 reports that as a
+//! finding). Bulk fragments at the route MTU never fit a frame under the
+//! frame budget and ride the unchanged zero-copy path.
 //!
 //! Part two re-checks the A4c invariant under batching: the credit window
 //! still bounds peak gateway occupancy (credits are taken per fragment
@@ -42,74 +40,52 @@ fn main() {
     };
     let overheads_us: &[u64] = if smoke { &[40] } else { &[0, 40, 80] };
 
-    // (title, CSV stem, one `Safer` block per fragment?)
-    let shapes = [
-        (
-            "A7 — SCI→FastEthernet forwarded bandwidth (MB/s) vs gateway transmit batching, \
-             one deferred block (the writer aggregates)",
-            "ablation_batching",
-            false,
-        ),
-        (
-            "A7c — the same, one Safer block per fragment (every block arrives separately)",
-            "ablation_batching_flushed",
-            true,
-        ),
-    ];
-    for (title, csv, flushed) in shapes {
-        let mut header = vec!["frag".to_string(), "switch_us".to_string()];
-        header.extend(batches.iter().map(|b| format!("b{b}_MB/s")));
-        header.push("best_gain_%".to_string());
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(title, &header_refs);
-        for &(frag, total) in frags {
-            for &overhead in overheads_us {
-                let mut row = vec![fmt_bytes(frag), format!("{overhead}")];
-                let mut by_batch = Vec::new();
-                for &max_batch in batches {
-                    let setup = GwSetup {
-                        mtu: frag,
-                        pipeline_depth: 32,
-                        switch_overhead_ns: overhead * 1000,
-                        max_batch,
-                        safer_block: flushed.then_some(frag),
-                        ..Default::default()
-                    };
-                    let (m, _) =
-                        forwarded_oneway_stats(SimTech::Sci, SimTech::FastEthernet, total, setup);
-                    by_batch.push((max_batch, m.mbps()));
-                    row.push(format!("{:.2}", m.mbps()));
+    let mut header = vec!["frag".to_string(), "switch_us".to_string()];
+    header.extend(batches.iter().map(|b| format!("b{b}_MB/s")));
+    header.push("best_gain_%".to_string());
+    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
+    let mut table = Table::new(
+        "A7 — SCI→FastEthernet forwarded bandwidth (MB/s) vs gateway transmit batching",
+        &header_refs,
+    );
+
+    for &(frag, total) in frags {
+        for &overhead in overheads_us {
+            let mut row = vec![fmt_bytes(frag), format!("{overhead}")];
+            let mut base = 0.0f64;
+            let mut best = 0.0f64;
+            for &max_batch in batches {
+                let setup = GwSetup {
+                    mtu: frag,
+                    pipeline_depth: 32,
+                    switch_overhead_ns: overhead * 1000,
+                    max_batch,
+                    ..Default::default()
+                };
+                let (m, _) =
+                    forwarded_oneway_stats(SimTech::Sci, SimTech::FastEthernet, total, setup);
+                let bw = m.mbps();
+                if max_batch == 1 {
+                    base = bw;
                 }
-                let base = by_batch[0].1;
-                let best = by_batch.iter().map(|&(_, bw)| bw).fold(0.0, f64::max);
-                row.push(format!("{:+.1}", (best / base - 1.0) * 100.0));
-                table.row(row);
-                // What the knob is kept for: small blocks that arrive
-                // separately, at the calibrated switch overhead.
-                if flushed && overhead == 40 && frag <= 1024 {
-                    let deep = by_batch.iter().filter(|&&(b, _)| b >= 4);
-                    let deep = deep.map(|&(_, bw)| bw).fold(f64::INFINITY, f64::min);
-                    assert!(
-                        deep >= 1.2 * base,
-                        "{frag} B flushed blocks: max_batch >= 4 reads {deep:.2} MB/s \
-                         against {base:.2} at 1 — under the 20% bar"
-                    );
-                }
+                best = best.max(bw);
+                row.push(format!("{bw:.2}"));
             }
-        }
-        table.print();
-        if !smoke {
-            table.write_csv(csv);
+            row.push(format!("{:+.1}", (best / base - 1.0) * 100.0));
+            table.row(row);
         }
     }
+    table.print();
+    if !smoke {
+        table.write_csv("ablation_batching");
+    }
     println!(
-        "\nshape check: aggregated, the columns agree — a single writer's small\n\
-         fragments reach the gateway as full trains and leave it as full trains\n\
-         at any max_batch (the b1 column reads what b16 alone used to). Flushed,\n\
-         every block is its own two-packet train, so max_batch 2 is max_batch 1,\n\
-         and max_batch >= 4 gains over 20% at the calibrated 40us switch\n\
-         overhead for <=1KB blocks (asserted; 8 gains over 35%). 32KB\n\
-         fragments exceed the frame budget and stay on the zero-copy path."
+        "\nshape check: the columns agree. A single writer's small fragments\n\
+         reach the gateway as full trains and leave it as full trains at any\n\
+         max_batch, so the b1 column reads what b16 alone used to and the old\n\
+         'max_batch >= 4 gains well over 25% on <=1KB fragments' no longer\n\
+         holds for this traffic. 32KB fragments exceed the frame budget and\n\
+         stay on the zero-copy path."
     );
 
     // Part two: the A4c occupancy bound must survive batching. Credits are

@@ -8,8 +8,7 @@
 //!    load concurrently and their per-stream-routed streams share the
 //!    relay fabric. The relays are the bottleneck, so this is where path
 //!    count pays: the single-gateway row is the E3 baseline fabric and the
-//!    acceptance bar (≥ 1.6× at 2 paths; 1.5× on the smoke grid) is
-//!    asserted here.
+//!    acceptance bar (≥ 1.6× at 2 paths) is asserted here.
 //! 2. **Single-stream per-fragment striping** — one bulk message striped
 //!    across every path. Honest but endpoint-bound: one sender (and one
 //!    receiver) serializes per-fragment host costs, so extra paths only
@@ -88,16 +87,9 @@ fn main() {
         agg.write_csv("a8_multipath_scaling");
     }
     println!("2-path aggregate speedup over the single-gateway E3 baseline: {speedup_at_2:.2}x");
-    // Which of two free gateways a stream picks is decided by live stall
-    // rates, i.e. by how the gateway threads happened to interleave: the
-    // same tree reads 1.53x-1.69x on the smoke grid (1.33x-1.91x on the
-    // full one) from run to run, in a handful of discrete outcomes. The
-    // smoke bar sits under the lowest of them — it is there to catch
-    // "everything went through one gateway", which reads 1.0x.
-    let bar = if smoke { 1.5 } else { 1.6 };
     assert!(
-        speedup_at_2 >= bar,
-        "2 parallel gateways must aggregate >= {bar}x the single-relay bandwidth, got {speedup_at_2:.2}x"
+        speedup_at_2 >= 1.6,
+        "2 parallel gateways must aggregate >= 1.6x the single-relay bandwidth, got {speedup_at_2:.2}x"
     );
 
     // 2. Single-stream per-fragment striping: one bulk message, every

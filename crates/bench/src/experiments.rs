@@ -66,11 +66,6 @@ pub struct GwSetup {
     /// instead of per-fragment eager credits; 0 keeps every block eager.
     /// Only meaningful with a `credit_window`.
     pub rendezvous_threshold: usize,
-    /// `Some(n)`: the message is packed as `n`-byte blocks, each
-    /// `SendMode::Safer` — on the wire when its `pack` returns, so the
-    /// gateway receives every block separately. `None`: one deferred
-    /// block, which the GTM writer is free to aggregate.
-    pub safer_block: Option<usize>,
 }
 
 impl Default for GwSetup {
@@ -85,7 +80,6 @@ impl Default for GwSetup {
             credit_window: None,
             max_batch: 1,
             rendezvous_threshold: 0,
-            safer_block: None,
         }
     }
 }
@@ -184,10 +178,6 @@ fn run_forwarded_stats(
             ..Default::default()
         },
     );
-    let (block, send_mode) = match setup.safer_block {
-        Some(block) => (block, SendMode::Safer),
-        None => (total.max(1), SendMode::Later),
-    };
     let (stamps, gw_stats) = sb.run_with_gateway_stats(move |node| {
         let vc = node.vchannel("vc");
         let rt = node.runtime().clone();
@@ -197,9 +187,7 @@ fn run_forwarded_stats(
                 let t0 = rt.now_nanos();
                 let data = vec![0x5Au8; total];
                 let mut w = vc.begin_packing(NodeId(2)).unwrap();
-                for block in data.chunks(block) {
-                    w.pack(block, send_mode, RecvMode::Cheaper).unwrap();
-                }
+                w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                 w.end_packing().unwrap();
                 t0
             }
@@ -207,9 +195,8 @@ fn run_forwarded_stats(
             2 => {
                 let mut buf = vec![0u8; total];
                 let mut r = vc.begin_unpacking().unwrap();
-                for block in buf.chunks_mut(block) {
-                    r.unpack(block, send_mode, RecvMode::Cheaper).unwrap();
-                }
+                r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
+                    .unwrap();
                 r.end_unpacking().unwrap();
                 assert!(
                     buf.iter().all(|&b| b == 0x5A),
@@ -346,19 +333,6 @@ fn run_protocol_mix(
     let (results, gw_stats) = sb.run_with_gateway_stats(move |node| {
         let vc = node.vchannel("vc");
         let rt = node.runtime().clone();
-        if node.rank() == NodeId(0) {
-            // The steady-state count below is about payload landings. The
-            // control-packet classes get their spares up front: which stage
-            // copies a 15-byte end packet is the placement scheduler's
-            // call, made from live busy gauges, so those classes' high-water
-            // mark is a matter of timing, not of the workload.
-            let spares: Vec<_> = [64, 128, 256]
-                .into_iter()
-                .flat_map(|class| (0..4).map(move |_| class))
-                .map(|class| rt.pool().get(class))
-                .collect();
-            drop(spares);
-        }
         node.barrier().wait();
         let mut out = (0u64, 0u64, 0u64); // (t0, t_end, steady misses)
         let mut warm_misses = 0u64;

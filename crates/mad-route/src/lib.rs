@@ -26,9 +26,11 @@
 //!   (reorder-safe: the wire layer sequences striped packets).
 //! * [`Selector`] — the adaptive cost model. Live gateway snapshots
 //!   (occupancy, stall and throughput *rates*, not lifetime counters) are
-//!   folded into an EWMA per-gateway cost; `choose` picks the cheapest
-//!   live path with an in-flight-stream penalty and deterministic
-//!   round-robin tie-breaking, and a dead-set drives failover.
+//!   folded into an EWMA per-gateway cost; `choose` picks the live path
+//!   where a new stream would finish soonest — the cost scales the
+//!   gateway's in-flight stream count, it does not compete with it — with
+//!   deterministic round-robin tie-breaking, and a dead-set drives
+//!   failover.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
@@ -319,8 +321,6 @@ impl GatewayLoad {
 
 /// EWMA smoothing factor for fed gateway costs.
 const EWMA_ALPHA: f64 = 0.5;
-/// Cost added per in-flight stream already bound to a gateway.
-const INFLIGHT_PENALTY: f64 = 0.125;
 /// Costs within this margin are ties, resolved round-robin.
 const TIE_EPSILON: f64 = 1e-9;
 
@@ -467,7 +467,7 @@ impl Selector {
 
     /// Pick a path for a new stream toward `dest`, skipping dead gateways
     /// and any in `exclude` (already-failed attempts of this stream).
-    /// Cheapest EWMA cost plus an in-flight penalty wins; ties rotate
+    /// Lowest `(1 + EWMA cost) x (1 + in-flight streams)` wins; ties rotate
     /// round-robin per destination. Bumps the winner's in-flight count —
     /// pair with [`Selector::complete`].
     pub fn choose(&self, dest: u32, paths: &[PathHop], exclude: &[u32]) -> Option<PathHop> {
@@ -480,9 +480,16 @@ impl Selector {
         if live.is_empty() {
             return None;
         }
+        // A stream bound to `h` shares the gateway with the `inflight`
+        // streams already there, and each of them runs `1 + cost` times
+        // slower than on an idle gateway: the product estimates when the
+        // new stream would finish. In-flight counts are exact and current;
+        // costs are a window old and noisy, so they must outweigh a whole
+        // stream's share (2x against one in flight, 1.5x against two)
+        // before they overrule the count.
         let score = |st: &SelectorState, h: &PathHop| {
-            st.cost.get(&h.node).copied().unwrap_or(0.0)
-                + INFLIGHT_PENALTY * st.inflight.get(&h.node).copied().unwrap_or(0) as f64
+            (1.0 + st.cost.get(&h.node).copied().unwrap_or(0.0))
+                * (1.0 + st.inflight.get(&h.node).copied().unwrap_or(0) as f64)
         };
         let best = live
             .iter()
@@ -803,5 +810,35 @@ mod tests {
             .collect();
         assert_eq!(picks.iter().filter(|&&n| n == 1).count(), 2);
         assert_eq!(picks.iter().filter(|&&n| n == 2).count(), 2);
+    }
+
+    #[test]
+    fn noisy_costs_do_not_overrule_inflight_counts() {
+        // Four equally loaded gateways whose fed costs differ in the third
+        // digit (what A8's fabric reports): streams must spread one per
+        // gateway, not pile onto the one that reads a hair cheaper.
+        let sel = Selector::new();
+        let paths: Vec<PathHop> = (1..=4)
+            .map(|node| PathHop {
+                net: 0,
+                node,
+                last: false,
+            })
+            .collect();
+        for (node, stall_rate) in [(1, 88.4), (2, 88.4), (3, 87.9), (4, 88.4)] {
+            sel.feed(
+                node,
+                GatewayLoad {
+                    stall_rate,
+                    ..Default::default()
+                },
+            );
+        }
+        let mut picks: Vec<u32> = (0..4)
+            .map(|dest| sel.choose(dest, &paths, &[]).unwrap().node)
+            .collect();
+        assert_eq!(picks[0], 3, "an idle fabric still prefers the cheapest");
+        picks.sort_unstable();
+        assert_eq!(picks, [1, 2, 3, 4]);
     }
 }

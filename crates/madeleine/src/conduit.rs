@@ -136,27 +136,6 @@ impl StaticBuf {
     }
 }
 
-/// Slices [`gather`] keeps on the stack: a framed train of sixteen packets.
-const GATHER_INLINE: usize = 33;
-
-/// Call `f` with the `n` slices of `parts` as one slice of slices — on the
-/// stack for the trains that occur in practice, so putting a train on the
-/// wire costs no allocation.
-pub(crate) fn gather<'a, R>(
-    n: usize,
-    parts: impl Iterator<Item = &'a [u8]>,
-    f: impl FnOnce(&[&'a [u8]]) -> R,
-) -> R {
-    if n > GATHER_INLINE {
-        return f(&parts.collect::<Vec<_>>());
-    }
-    let mut few: [&[u8]; GATHER_INLINE] = [&[]; GATHER_INLINE];
-    for (slot, part) in few.iter_mut().zip(parts) {
-        *slot = part;
-    }
-    f(&few[..n])
-}
-
 /// One side of a reliable, in-order, packet-granular connection.
 ///
 /// All methods take `&mut self`; a conduit is owned by one logical user at a
@@ -181,21 +160,17 @@ pub trait Conduit: Send {
     /// `caps().max_gather`.
     fn send_batch(&mut self, packets: &[&[u8]]) -> Result<()> {
         let prelude = crate::gtm::batch_prelude();
-        let mut few = [[0u8; 4]; GATHER_INLINE / 2];
-        let many: Vec<[u8; 4]>;
-        let len_of = |p: &&[u8]| (p.len() as u32).to_le_bytes();
-        let lens: &[[u8; 4]] = if packets.len() <= few.len() {
-            for (len, p) in few.iter_mut().zip(packets) {
-                *len = len_of(p);
-            }
-            &few[..packets.len()]
-        } else {
-            many = packets.iter().map(len_of).collect();
-            &many
-        };
-        let framed = lens.iter().zip(packets).flat_map(|(len, p)| [&len[..], *p]);
-        let parts = std::iter::once(&prelude[..]).chain(framed);
-        gather(1 + 2 * packets.len(), parts, |parts| self.send(parts))
+        let lens: Vec<[u8; 4]> = packets
+            .iter()
+            .map(|p| (p.len() as u32).to_le_bytes())
+            .collect();
+        let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + 2 * packets.len());
+        parts.push(&prelude);
+        for (len, p) in lens.iter().zip(packets) {
+            parts.push(len);
+            parts.push(p);
+        }
+        self.send(&parts)
     }
 
     /// Send a driver-allocated buffer as one packet without any copy.

@@ -145,7 +145,7 @@ use mad_util::pool::PooledBuf;
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
-use crate::conduit::{gather, BufferMode, Conduit, DriverCaps, StaticBuf};
+use crate::conduit::{BufferMode, Conduit, DriverCaps, StaticBuf};
 use crate::control::Tuning;
 use crate::control_plane::{ControlPlane, Dispatch};
 use crate::credit::{CreditLedger, TakeFailure, TakeOutcome};
@@ -940,7 +940,7 @@ struct FwdItem {
     /// The copy-placement scheduler deferred this packet's unavoidable
     /// staging copy: `buf` is the raw received buffer, and the flush
     /// stage restages it into this landing before transmitting.
-    restage: Option<Landing>,
+    restage: Option<Restage>,
 }
 
 impl FwdItem {
@@ -1120,6 +1120,16 @@ enum Landing {
     Static(&'static str),
     /// Naive extra-copy path (`zero_copy = false`).
     Tmp,
+}
+
+/// A staging copy the receive stage left to the flush stage: the landing to
+/// rebuild, and the size the receive stage would have landed the packet in.
+/// The copy draws on that size's pool class whichever stage makes it, so
+/// the classes a warmed-up gateway needs do not depend on placement.
+#[derive(Clone, Copy)]
+struct Restage {
+    landing: Landing,
+    size: usize,
 }
 
 /// Running gateway engine; joining waits for clean shutdown (which happens
@@ -1547,7 +1557,7 @@ impl InboundCtx {
         d: &mut Demux,
         peer: NodeId,
         buf: FwdBuf,
-        restage: Option<Landing>,
+        restage: Option<Restage>,
         sinks: &mut S,
     ) -> Result<()> {
         let shared = &self.shared;
@@ -1627,7 +1637,7 @@ impl InboundCtx {
         tag: StreamTag,
         body: PacketBody,
         recv_ns: u64,
-        restage: Option<Landing>,
+        restage: Option<Restage>,
         sinks: &mut S,
     ) -> Result<()> {
         let shared = &self.shared;
@@ -1881,7 +1891,7 @@ impl InboundCtx {
         end_of_stream: bool,
         peer: NodeId,
         recv_ns: u64,
-        restage: Option<Landing>,
+        restage: Option<Restage>,
     ) -> FwdItem {
         let flow_controlled = self.cfg.credit_window.is_some();
         let held_bytes = if is_frag { buf.bytes().len() } else { 0 };
@@ -2002,7 +2012,7 @@ fn receive_packet(
     pool: &Arc<mad_util::pool::BufferPool>,
     can_defer: bool,
     stats: &GatewayStats,
-) -> Result<(FwdBuf, Option<Landing>)> {
+) -> Result<(FwdBuf, Option<Restage>)> {
     let mut conduit = in_channel.lock_conduit(peer)?;
     let staged = match landing {
         Landing::Owned => {
@@ -2016,7 +2026,11 @@ fn receive_packet(
         // a batch frame taken this way is never copied at all: its
         // packets leave as a gather the outgoing driver stages itself.
         let buf = FwdBuf::Owned(pool.adopt(conduit.recv_owned()?));
-        return Ok((buf, Some(staged)));
+        let restage = Restage {
+            landing: staged,
+            size: max_pkt,
+        };
+        return Ok((buf, Some(restage)));
     }
     let buf = match staged {
         Landing::Owned => unreachable!("owned landing returned above"),
@@ -2049,31 +2063,27 @@ fn receive_packet(
 /// `charge_copy`), which is the whole point — it overlaps with the next
 /// receive instead of serializing behind it.
 fn restage_item(item: &mut FwdItem, shared: &FwdShared) {
-    let Some(landing) = item.restage.take() else {
+    let Some(Restage { landing, size }) = item.restage.take() else {
         return;
     };
-    let bytes = item.buf.bytes().len();
-    let pool = shared.runtime.pool();
-    let staged = match landing {
+    let owner = match landing {
         Landing::Owned => return, // nothing to restage
-        Landing::Static(owner) => {
-            let mut sb = StaticBuf::from_pooled(owner, pool.take(bytes));
-            sb.as_mut_slice().copy_from_slice(item.buf.bytes());
-            FwdBuf::Static(sb)
-        }
-        Landing::Tmp => {
-            let mut tmp = pool.get(bytes);
-            tmp.vec().extend_from_slice(item.buf.bytes());
-            FwdBuf::Owned(tmp)
-        }
+        Landing::Static(owner) => Some(owner),
+        Landing::Tmp => None,
     };
+    let bytes = item.buf.bytes().len();
+    let mut copy = shared.runtime.pool().get(size.max(bytes));
+    copy.vec().extend_from_slice(item.buf.bytes());
     shared.runtime.charge_copy(bytes);
     shared.stats.copies_flush.fetch_add(1, Ordering::Relaxed);
     shared.stats.copy_idle_hits.fetch_add(1, Ordering::Relaxed);
     if let Some(m) = &shared.metrics {
         m.copy_bytes.record(bytes as u64);
     }
-    item.buf = staged;
+    item.buf = match owner {
+        Some(owner) => FwdBuf::Static(StaticBuf::from_pooled(owner, copy)),
+        None => FwdBuf::Owned(copy),
+    };
 }
 
 /// Derive the landing policy of one inbound direction from the buffer
@@ -2400,8 +2410,8 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
     );
     let sent = match channel.lock_conduit(to) {
         Ok(mut conduit) => {
-            let packets = batch.iter().map(|i| i.buf.bytes());
-            gather(batch.len(), packets, |packets| conduit.send_batch(packets))
+            let packets: Vec<&[u8]> = batch.iter().map(|i| i.buf.bytes()).collect();
+            conduit.send_batch(&packets)
         }
         Err(e) => Err(e),
     };

@@ -244,7 +244,8 @@ impl GatewayReactor {
 /// outbound net for its whole life.
 struct NetQueue {
     /// The pipeline slots: one unit per received wire packet and outgoing
-    /// conduit. Its length is what gates intake at `pipeline_depth`.
+    /// conduit. Its length, plus one while `pending` holds the unit in
+    /// hand, is what gates intake at `pipeline_depth`.
     q: VecDeque<FwdUnit>,
     /// The flush side's work list: the packets of the unit in hand that
     /// are not on the wire yet (the threaded engine's `Flush::pending`).
@@ -340,6 +341,9 @@ struct RecvTask {
 }
 
 impl RecvTask {
+    /// The unit the flush side has in hand — a credit-blocked head above
+    /// all — still occupies a slot: `pipeline_depth` bounds the received
+    /// wire packets this direction holds, not the ones behind the first.
     fn queues_full(&self) -> bool {
         let depth = self.inbound.ctx.cfg.pipeline_depth;
         self.sinks
@@ -347,7 +351,7 @@ impl RecvTask {
             .lock()
             .nets
             .values()
-            .any(|n| n.q.len() >= depth)
+            .any(|n| n.q.len() + usize::from(!n.pending.is_empty()) >= depth)
     }
 }
 

@@ -1320,6 +1320,9 @@ impl<'c> GtmWriter<'c> {
     /// itself when only one is staged. Whatever the outcome, nothing stays
     /// staged — after a failed send the stream is dead.
     fn flush(&mut self) -> Result<()> {
+        // A fragment about to leave alone comes through here as well, with
+        // nothing staged: its credit is not the next train's.
+        self.paid = 0;
         let frame: &[u8] = match self.staged {
             0 => return Ok(()),
             1 => &self.stage[PRELUDE_LEN + BATCH_ENTRY_OVERHEAD..],
@@ -1328,7 +1331,6 @@ impl<'c> GtmWriter<'c> {
         let sent = self.channel.send_packet(self.first_hop, &[frame]);
         self.stage.vec().truncate(PRELUDE_LEN);
         self.staged = 0;
-        self.paid = 0;
         sent?;
         self.on_wire = true;
         Ok(())
@@ -1992,6 +1994,39 @@ mod tests {
         // Hops hold state for the stream, so a sealed writer still ends it.
         w.end_packing().unwrap();
         assert_eq!(kinds(&drain_wire(&b).0), [KIND_END]);
+    }
+
+    /// Bulk fragments leave alone and take their credits with them: the
+    /// small block behind them starts a fresh train, descriptor included.
+    #[test]
+    fn small_block_after_a_bulk_block_rides_one_train() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        let t = tag(0, 2, 5);
+        let (_flow, writer) = silent_flow(8, 20_000_000);
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 4096, false, Some(writer)).unwrap();
+        // Five lone fragments. The first flushes the header's train ahead
+        // of it; were the other four counted as staged, they would make
+        // half a window and send the next descriptor off on its own.
+        w.pack(&vec![5u8; 5 * 4096], SendMode::Later, RecvMode::Cheaper)
+            .unwrap();
+        w.pack(&[6u8; 8], SendMode::Later, RecvMode::Cheaper)
+            .unwrap();
+        w.end_packing().unwrap();
+        let mut conduit = b.lock_conduit(NodeId(0)).unwrap();
+        let mut wire = Vec::new();
+        while conduit.ready() {
+            wire.push(conduit.recv_owned().unwrap());
+        }
+        let wire_kinds: Vec<u8> = wire.iter().map(|p| p[2]).collect();
+        assert_eq!(
+            wire_kinds,
+            [KIND_BATCH, KIND_FRAG, KIND_FRAG, KIND_FRAG, KIND_FRAG, KIND_FRAG, KIND_BATCH]
+        );
+        let inner =
+            |frame: &[u8]| -> Vec<u8> { batch_packets(frame).unwrap().map(|p| p[2]).collect() };
+        assert_eq!(inner(&wire[0]), [KIND_HEADER, KIND_PART]);
+        assert_eq!(inner(&wire[6]), [KIND_PART, KIND_FRAG, KIND_END]);
     }
 
     #[test]

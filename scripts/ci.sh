@@ -84,7 +84,7 @@ echo "== ablation_batching --smoke (gateway transmit batching)"
 cargo run -q --release --offline -p mad-bench --bin ablation_batching -- \
   --smoke --trace "$trace_dir/a7.jsonl"
 
-# A8 smoke: multi-path gateway scaling (with its >=1.5x two-path
+# A8 smoke: multi-path gateway scaling (with its >=1.6x two-path
 # aggregate-bandwidth assertion) plus the seeded gateway-death soak, with
 # a traced 2-gateway run — the one trace that must carry the `route:`
 # track, which trace_check enforces via --require-route.
@@ -140,7 +140,7 @@ MAD_SOAK_SEED=20010914 MAD_ENGINE=reactor cargo run -q --release --offline -p ma
 
 # A12 smoke, both engine cores: the eager/rendezvous crossover sweep
 # (bulk rendezvous must beat eager, eager must never handshake) plus the
-# paced mixed-protocol leg with its >=70% idle-placement and
+# paced mixed-protocol leg with its >=80% idle-placement and
 # zero-steady-state-pool-miss assertions, traced — the exports must
 # carry the proto: track, enforced via trace_check --require-proto
 # below.

@@ -44,7 +44,6 @@ STABLE_CSVS=(
   ablation_hol_blocking
   ablation_batching
   ablation_batching_occupancy
-  ablation_batching_flushed
   ablation_flow_control
   ablation_flow_control_credit_window
   ablation_pipeline_depth
