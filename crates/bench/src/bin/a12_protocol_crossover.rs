@@ -41,7 +41,6 @@ const DEFAULT_THRESHOLD: usize = 64 * 1024;
 fn setup(threshold: usize) -> GwSetup {
     GwSetup {
         credit_window: Some(WINDOW),
-        max_batch: 4,
         rendezvous_threshold: threshold,
         ..GwSetup::with_mtu(MTU)
     }

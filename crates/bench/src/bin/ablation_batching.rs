@@ -1,27 +1,24 @@
-//! Ablation A7: gateway transmit batching.
+//! Ablation A7: what travels together through the gateway.
 //!
 //! Small forwarded fragments pay one per-send software overhead each on
 //! the outbound wire, plus the gateway's per-fragment buffer switch
-//! (§3.3.1). Coalescing up to `max_batch` consecutive same-destination
-//! packets into one batched wire frame amortizes the per-send cost while
-//! fragment granularity — and with it the pipelining the paper's §2.3
+//! (§3.3.1). The GTM writer therefore stages a stream's small packets
+//! into one batched wire frame, and the gateway has exactly one batching
+//! rule: packets that arrived as one frame and leave on one conduit go
+//! out as one frame, bounded by the outgoing driver's frame budget.
+//! Fragment granularity — and with it the pipelining the paper's §2.3
 //! design is built on — is preserved end-to-end: the frame is split back
 //! into fragments at the next hop.
 //!
-//! The sweep crosses batch depth with fragment size and the modeled
-//! buffer-switch overhead on the overhead-dominated SCI→FastEthernet
-//! route. The traffic is one deferred block from one writer, and since the
-//! GTM writer stages its own trains that traffic reaches the gateway as
-//! full frames, which leave as full frames at any `max_batch`: every
-//! column now reads what only the deepest batch column used to, and the
-//! claim this sweep was built to show — `max_batch ≥ 4` beats 1 on sub-KB
-//! fragments — no longer holds for it (EXPERIMENTS A7 reports that as a
-//! finding). Bulk fragments at the route MTU never fit a frame under the
-//! frame budget and ride the unchanged zero-copy path.
+//! The sweep crosses fragment size with the modeled buffer-switch
+//! overhead on the overhead-dominated SCI→FastEthernet route; there is no
+//! batching knob to sweep (EXPERIMENTS A7). Bulk fragments at the route
+//! MTU never fit a frame under the frame budget and ride the unchanged
+//! zero-copy path.
 //!
-//! Part two re-checks the A4c invariant under batching: the credit window
+//! Part two re-checks the A4c invariant under trains: the credit window
 //! still bounds peak gateway occupancy (credits are taken per fragment
-//! *before* it may join a train, so a batch cannot overdraw the window).
+//! *before* it may join a train, so a train cannot overdraw the window).
 
 use mad_bench::cli;
 use mad_bench::experiments::{forwarded_oneway_stats, forwarded_oneway_traced, GwSetup};
@@ -30,7 +27,6 @@ use mad_sim::SimTech;
 
 fn main() {
     let smoke = cli::flag("--smoke");
-    let batches: &[usize] = if smoke { &[1, 8] } else { &[1, 2, 4, 8, 16] };
     // (fragment size, message size): smaller messages for tiny fragments
     // keep the event count — and the run time — flat across rows.
     let frags: &[(usize, usize)] = if smoke {
@@ -40,39 +36,24 @@ fn main() {
     };
     let overheads_us: &[u64] = if smoke { &[40] } else { &[0, 40, 80] };
 
-    let mut header = vec!["frag".to_string(), "switch_us".to_string()];
-    header.extend(batches.iter().map(|b| format!("b{b}_MB/s")));
-    header.push("best_gain_%".to_string());
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(
-        "A7 — SCI→FastEthernet forwarded bandwidth (MB/s) vs gateway transmit batching",
-        &header_refs,
+        "A7 — SCI→FastEthernet forwarded bandwidth (MB/s), writer-staged trains forwarded as trains",
+        &["frag", "switch_us", "fwd_MB/s"],
     );
-
     for &(frag, total) in frags {
         for &overhead in overheads_us {
-            let mut row = vec![fmt_bytes(frag), format!("{overhead}")];
-            let mut base = 0.0f64;
-            let mut best = 0.0f64;
-            for &max_batch in batches {
-                let setup = GwSetup {
-                    mtu: frag,
-                    pipeline_depth: 32,
-                    switch_overhead_ns: overhead * 1000,
-                    max_batch,
-                    ..Default::default()
-                };
-                let (m, _) =
-                    forwarded_oneway_stats(SimTech::Sci, SimTech::FastEthernet, total, setup);
-                let bw = m.mbps();
-                if max_batch == 1 {
-                    base = bw;
-                }
-                best = best.max(bw);
-                row.push(format!("{bw:.2}"));
-            }
-            row.push(format!("{:+.1}", (best / base - 1.0) * 100.0));
-            table.row(row);
+            let setup = GwSetup {
+                mtu: frag,
+                pipeline_depth: 32,
+                switch_overhead_ns: overhead * 1000,
+                ..Default::default()
+            };
+            let (m, _) = forwarded_oneway_stats(SimTech::Sci, SimTech::FastEthernet, total, setup);
+            table.row(vec![
+                fmt_bytes(frag),
+                format!("{overhead}"),
+                format!("{:.2}", m.mbps()),
+            ]);
         }
     }
     table.print();
@@ -80,65 +61,51 @@ fn main() {
         table.write_csv("ablation_batching");
     }
     println!(
-        "\nshape check: the columns agree. A single writer's small fragments\n\
-         reach the gateway as full trains and leave it as full trains at any\n\
-         max_batch, so the b1 column reads what b16 alone used to and the old\n\
-         'max_batch >= 4 gains well over 25% on <=1KB fragments' no longer\n\
-         holds for this traffic. 32KB fragments exceed the frame budget and\n\
-         stay on the zero-copy path."
+        "\nshape check: sub-KB fragments cross the wire as full trains and still\n\
+         pay the per-fragment switch overhead (256B: 9.2 -> 2.9 MB/s at 80 us);\n\
+         32KB fragments exceed the frame budget and keep the zero-copy path."
     );
 
-    // Part two: the A4c occupancy bound must survive batching. Credits are
+    // Part two: the A4c occupancy bound must survive trains. Credits are
     // taken per fragment before it may join a train, so peak held bytes
-    // stay under window × MTU regardless of batch depth.
+    // stay under window × MTU.
     let mut bound_tbl = Table::new(
-        "A7b — credit-window occupancy bound under batching (1KB fragments)",
-        &[
-            "window_frags",
-            "max_batch",
-            "fwd_MB/s",
-            "peak_held_KB",
-            "bound_KB",
-        ],
+        "A7b — credit-window occupancy bound under trains (1KB fragments)",
+        &["window_frags", "fwd_MB/s", "peak_held_KB", "bound_KB"],
     );
     let windows: &[u32] = if smoke { &[8] } else { &[8, 16] };
-    let bound_batches: &[usize] = if smoke { &[8] } else { &[1, 4, 16] };
     for &window in windows {
-        for &max_batch in bound_batches {
-            let setup = GwSetup {
-                mtu: 1024,
-                pipeline_depth: 64,
-                credit_window: Some(window),
-                max_batch,
-                ..Default::default()
-            };
-            let (m, totals) =
-                forwarded_oneway_stats(SimTech::Sci, SimTech::FastEthernet, 1 << 20, setup);
-            // A held fragment is payload plus the GTM prelude; same slack
-            // formula as the tier-1 occupancy test.
-            let bound = window as i64 * (1024 + 64) + 4096;
-            assert!(
-                totals.peak_held_bytes <= bound,
-                "occupancy bound violated under batching: held {} > bound {}",
-                totals.peak_held_bytes,
-                bound
-            );
-            bound_tbl.row(vec![
-                format!("{window}"),
-                format!("{max_batch}"),
-                format!("{:.2}", m.mbps()),
-                format!("{:.1}", totals.peak_held_bytes as f64 / 1024.0),
-                format!("{}", bound / 1024),
-            ]);
-        }
+        let setup = GwSetup {
+            mtu: 1024,
+            pipeline_depth: 64,
+            credit_window: Some(window),
+            ..Default::default()
+        };
+        let (m, totals) =
+            forwarded_oneway_stats(SimTech::Sci, SimTech::FastEthernet, 1 << 20, setup);
+        // A held fragment is payload plus the GTM prelude; same slack
+        // formula as the tier-1 occupancy test.
+        let bound = window as i64 * (1024 + 64) + 4096;
+        assert!(
+            totals.peak_held_bytes <= bound,
+            "occupancy bound violated under trains: held {} > bound {}",
+            totals.peak_held_bytes,
+            bound
+        );
+        bound_tbl.row(vec![
+            format!("{window}"),
+            format!("{:.2}", m.mbps()),
+            format!("{:.1}", totals.peak_held_bytes as f64 / 1024.0),
+            format!("{}", bound / 1024),
+        ]);
     }
     bound_tbl.print();
     if !smoke {
         bound_tbl.write_csv("ablation_batching_occupancy");
     }
     println!(
-        "\nshape check: peak occupancy never exceeds window × MTU at any batch\n\
-         depth (asserted above, not just eyeballed)."
+        "\nshape check: peak occupancy never exceeds window × MTU (asserted\n\
+         above, not just eyeballed)."
     );
 
     if let Some(path) = cli::trace_path() {
@@ -149,7 +116,6 @@ fn main() {
             GwSetup {
                 mtu: 1024,
                 pipeline_depth: 32,
-                max_batch: 8,
                 ..Default::default()
             },
         );

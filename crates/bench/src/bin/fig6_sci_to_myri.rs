@@ -8,8 +8,6 @@ use mad_bench::report::{fmt_bytes, Table};
 use mad_sim::SimTech;
 
 fn main() {
-    // Optional gateway transmit batching (A7): --max-batch <n>, default 1.
-    let max_batch = mad_bench::cli::max_batch();
     // Optional protocol switch (A12): --rendezvous-threshold <bytes>,
     // default 0 = eager-only. The handshake needs flow control, so a
     // nonzero threshold also turns on the standard credit window.
@@ -33,7 +31,6 @@ fn main() {
                 SimTech::Myrinet,
                 msg,
                 GwSetup {
-                    max_batch,
                     rendezvous_threshold,
                     credit_window,
                     ..GwSetup::with_mtu(packet)
@@ -57,7 +54,6 @@ fn main() {
             SimTech::Myrinet,
             512 * 1024,
             GwSetup {
-                max_batch,
                 rendezvous_threshold,
                 credit_window,
                 ..GwSetup::with_mtu(32 * 1024)

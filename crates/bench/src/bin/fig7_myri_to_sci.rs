@@ -9,8 +9,6 @@ use mad_bench::report::{fmt_bytes, Table};
 use mad_sim::SimTech;
 
 fn main() {
-    // Optional gateway transmit batching (A7): --max-batch <n>, default 1.
-    let max_batch = mad_bench::cli::max_batch();
     // Optional protocol switch (A12): --rendezvous-threshold <bytes>,
     // default 0 = eager-only. The handshake needs flow control, so a
     // nonzero threshold also turns on the standard credit window.
@@ -34,7 +32,6 @@ fn main() {
                 SimTech::Sci,
                 msg,
                 GwSetup {
-                    max_batch,
                     rendezvous_threshold,
                     credit_window,
                     ..GwSetup::with_mtu(packet)
@@ -58,7 +55,6 @@ fn main() {
             SimTech::Sci,
             512 * 1024,
             GwSetup {
-                max_batch,
                 rendezvous_threshold,
                 credit_window,
                 ..GwSetup::with_mtu(16 * 1024)

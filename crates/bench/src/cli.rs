@@ -17,15 +17,6 @@ pub fn flag(name: &str) -> bool {
     std::env::args().skip(1).any(|a| a == name)
 }
 
-/// The gateway transmit-batching depth from `--max-batch <n>` (or
-/// `--max-batch=<n>`), defaulting to 1 (batching off) — accepted by the
-/// forwarded-route bench binaries.
-pub fn max_batch() -> usize {
-    opt_value("--max-batch")
-        .map(|v| v.parse().expect("--max-batch takes a positive integer"))
-        .unwrap_or(1)
-}
-
 /// The protocol-switch threshold in bytes from `--rendezvous-threshold
 /// <n>` (or `--rendezvous-threshold=<n>`), defaulting to 0 — eager-only,
 /// the pre-switch ablation. Accepted by the forwarded-route bench

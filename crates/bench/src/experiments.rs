@@ -58,9 +58,6 @@ pub struct GwSetup {
     /// Per-stream credit window in fragments at the gateway; `None`
     /// disables flow control (unbounded gateway occupancy).
     pub credit_window: Option<u32>,
-    /// Max packets the gateway coalesces into one batched wire send
-    /// (1 = batching off).
-    pub max_batch: usize,
     /// Blocks of at least this many bytes run the kind-12 RTS/CTS
     /// rendezvous handshake (whole-window grant, pre-reserved landing)
     /// instead of per-fragment eager credits; 0 keeps every block eager.
@@ -78,7 +75,6 @@ impl Default for GwSetup {
             inbound_rate_cap: None,
             outbound_override: None,
             credit_window: None,
-            max_batch: 1,
             rendezvous_threshold: 0,
         }
     }
@@ -171,7 +167,6 @@ fn run_forwarded_stats(
                 switch_overhead_ns: setup.switch_overhead_ns,
                 zero_copy: setup.zero_copy,
                 credit_window: setup.credit_window,
-                max_batch: setup.max_batch,
                 rendezvous_threshold: setup.rendezvous_threshold,
                 ..Default::default()
             },
@@ -322,7 +317,6 @@ fn run_protocol_mix(
                 switch_overhead_ns: setup.switch_overhead_ns,
                 zero_copy: setup.zero_copy,
                 credit_window: setup.credit_window,
-                max_batch: setup.max_batch,
                 rendezvous_threshold: setup.rendezvous_threshold,
                 ..Default::default()
             },

@@ -2,9 +2,8 @@
 //!
 //! Shared harness for every figure and table of the paper's §3 plus the
 //! ablations listed in DESIGN.md. Binaries under `src/bin/` drive the
-//! sweeps and emit a printed table plus a CSV under `results/`; Criterion
-//! microbenches under `benches/` measure the real (wall-clock) costs of the
-//! library's hot paths.
+//! sweeps and emit a printed table plus a CSV under `results/`. Wall-clock
+//! costs of the library's hot paths are the `benchmark/` package's job.
 
 #![warn(missing_docs)]
 

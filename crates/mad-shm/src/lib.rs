@@ -5,8 +5,9 @@
 //! gather. It serves two purposes:
 //!
 //! * functional testing of the whole Madeleine stack at real speed, and
-//! * a *real* transport for the Criterion microbenchmarks (pack/unpack
-//!   throughput, gateway pipeline behaviour on actual threads).
+//! * a *real* transport for the wall-clock `benchmark/` workloads
+//!   (pack/unpack throughput, gateway pipeline behaviour on actual
+//!   threads).
 //!
 //! Because all blocking goes through [`madeleine::runtime::Runtime`]
 //! events, the same driver also runs deterministically under the simulated

@@ -491,15 +491,12 @@ pub const MEMBERSHIP_EVENT_NAMES: [&str; 18] = [
 /// Event names allowed on a `ctl:` track (all `count`s, cat `ctl`): the
 /// self-tuning controller's live retune steps (each carrying the new
 /// value) plus the final operating point its stop tick records.
-pub const CONTROL_EVENT_NAMES: [&str; 10] = [
+pub const CONTROL_EVENT_NAMES: [&str; 7] = [
     "window_raise",
     "window_lower",
-    "batch_raise",
-    "batch_lower",
     "rendezvous_raise",
     "rendezvous_lower",
     "window",
-    "batch",
     "rendezvous",
     "adjustments",
 ];

@@ -2,7 +2,7 @@
 //!
 //! This environment builds with **zero crates.io dependencies**: there is no
 //! registry access, no vendor directory, and therefore no `parking_lot`,
-//! `crossbeam`, `bytes`, `rand`, `proptest`, or `criterion`. Everything the
+//! `crossbeam`, `bytes`, `rand` or `proptest`. Everything the
 //! Madeleine reproduction needs from those crates is reimplemented here, on
 //! `std` alone, with APIs close enough that call sites migrate nearly 1:1 —
 //! and tailored where it pays: the PRNG and property harness are
@@ -20,8 +20,6 @@
 //! * [`rng`] — a seedable SplitMix64 PRNG for workload generation.
 //! * [`prop`] — a small deterministic property-testing harness with
 //!   shrinking and failing-input reports.
-//! * [`microbench`] — a warmup + median-of-N wall-clock timing harness for
-//!   `harness = false` bench targets.
 //! * [`pool`] — a size-classed recycling byte-buffer pool with
 //!   return-on-drop handles and hit/miss counters.
 //! * [`hist`] — lock-free log2-bucketed histograms (relaxed-atomic
@@ -36,7 +34,6 @@
 pub mod bytes;
 pub mod chan;
 pub mod hist;
-pub mod microbench;
 pub mod pool;
 pub mod prop;
 pub mod reactor;

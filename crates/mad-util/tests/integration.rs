@@ -164,7 +164,7 @@ fn rng_split_streams_are_independent_and_deterministic() {
 
 // ------------------------------------------------- condvar, vtime-style
 
-/// The vtime clock's monitor discipline (DESIGN.md §7b lesson 1): state
+/// The vtime clock's monitor discipline (DESIGN.md §8.3 rule 1): state
 /// mutations and wakeups share one `Mutex` + `Condvar`; waiters loop on
 /// `wait_for` with a grace timeout and re-check their *own* predicate on
 /// every wakeup, because `notify_all` wakes everyone and timeouts race

@@ -1,24 +1,25 @@
 //! Self-tuning control plane: online retuning of the credit window and
-//! forwarding batch size.
+//! the rendezvous crossover.
 //!
-//! The static `credit_window` / `max_batch` knobs in
+//! The static `credit_window` / `rendezvous_threshold` knobs in
 //! [`crate::gateway::GatewayConfig`] pick one operating point for the
 //! whole run. Under churn (nodes joining and leaving, paths dying and
 //! reviving) no single point is right: a window sized for the steady
-//! state starves when a rejoin floods the fabric, and a batch sized for
-//! bulk wastes latency on a trickle. This module closes the loop:
+//! state starves when a rejoin floods the fabric. This module closes the
+//! loop, on those two legs and no third:
 //!
 //! * [`Tuning`] is the shared mutable operating point — one per virtual
 //!   channel, read lock-free by the hot paths (the gateway self-grant
-//!   site, the forwarding/flush batching loops, the writer's stream
-//!   open) on every use, so a retune takes effect on the next stream or
-//!   batch without touching anything in flight.
+//!   site, the writer's stream open and protocol switch) on every use, so
+//!   a retune takes effect on the next stream or block without touching
+//!   anything in flight.
 //! * [`Controller`] is the per-gateway-node policy loop. Each tick it
-//!   consumes the same [`crate::gateway::GatewayStats`] delta stream the
-//!   watchdog uses (its own [`crate::gateway::DeltaCursor`] lane, so
-//!   neither steals the other's window) and nudges the tuning: credit
-//!   starvation raises the window, queue saturation grows the batch and
-//!   trims the window, sustained calm decays both back toward the
+//!   reads its own [`crate::gateway::GatewayWindow`] over the engine's
+//!   counters (the watchdog has another, so neither steals the other's
+//!   window) and nudges the tuning: credit starvation raises the window
+//!   and lowers the crossover, queue saturation
+//!   ([`crate::gateway::GatewayDelta::saturated`]) trims the window and
+//!   raises the crossover, sustained calm decays both back toward the
 //!   configured baseline. Every step is hysteresis-gated and clamped to
 //!   a bounded stride inside `[floor, ceil]`, so the loop cannot
 //!   oscillate unboundedly even with several gateway controllers
@@ -26,19 +27,18 @@
 //!   trace track (validated by `trace_check --require-membership`).
 //!
 //! Retunes are safe by construction: windows only govern streams opened
-//! after the change (grants are issued at stream open), and batch sizes
-//! never exceed the configured ceiling, which the session caps at the
-//! bootstrap `max_batch` unless batching was enabled (> 1) to begin
-//! with — landing buffers on the receive side size their trains from
-//! their own config, so a node that never expected trains never sees
-//! them.
+//! after the change (grants are issued at stream open), and the
+//! controller moves an enabled window or crossover, it never turns flow
+//! control or the rendezvous path on or off. What travels together in one
+//! wire frame is not a tuning at all — the gateway forwards a frame as it
+//! arrived (DESIGN §10.3).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mad_trace::Tracer;
 
-use crate::gateway::{DeltaCursor, GatewayStats};
+use crate::gateway::GatewayWindow;
 use crate::ticker::Ticker;
 
 /// The live operating point of one virtual channel, shared between the
@@ -49,8 +49,6 @@ pub struct Tuning {
     /// (a `None` bootstrap window stays off — the controller never turns
     /// flow control on or off, only resizes an enabled window).
     window: AtomicU32,
-    /// Effective forwarding batch cap in sub-packets per train.
-    batch: AtomicUsize,
     /// Effective rendezvous threshold in bytes; 0 encodes "eager-only"
     /// (a zero bootstrap threshold stays eager-only — the controller
     /// never turns the rendezvous path on or off, only moves an enabled
@@ -60,14 +58,9 @@ pub struct Tuning {
 
 impl Tuning {
     /// Seed the tuning from the bootstrap gateway knobs.
-    pub fn new(
-        credit_window: Option<u32>,
-        max_batch: usize,
-        rendezvous_threshold: usize,
-    ) -> Arc<Self> {
+    pub fn new(credit_window: Option<u32>, rendezvous_threshold: usize) -> Arc<Self> {
         Arc::new(Tuning {
             window: AtomicU32::new(credit_window.unwrap_or(0)),
-            batch: AtomicUsize::new(max_batch.max(1)),
             rendezvous: AtomicUsize::new(rendezvous_threshold),
         })
     }
@@ -78,11 +71,6 @@ impl Tuning {
             0 => None,
             w => Some(w),
         }
-    }
-
-    /// The effective forwarding batch cap.
-    pub fn max_batch(&self) -> usize {
-        self.batch.load(Ordering::Relaxed)
     }
 
     /// The effective rendezvous threshold in bytes (0 = eager-only).
@@ -103,9 +91,6 @@ pub struct ControllerConfig {
     pub window_floor: u32,
     /// Upper clamp of the retuned window.
     pub window_ceil: u32,
-    /// Upper clamp of the retuned batch (the session additionally caps
-    /// this at the bootstrap `max_batch` when batching is disabled).
-    pub batch_ceil: usize,
     /// Consecutive ticks a signal must persist before a step is taken.
     pub hysteresis_ticks: u32,
     /// Stall count below which a window never counts as saturated
@@ -129,7 +114,6 @@ impl Default for ControllerConfig {
             window_step: 4,
             window_floor: 2,
             window_ceil: 256,
-            batch_ceil: 8,
             hysteresis_ticks: 2,
             saturation_min_stalls: 8,
             saturation_stall_ratio: 0.5,
@@ -146,17 +130,14 @@ impl Default for ControllerConfig {
 pub(crate) struct Controller {
     cfg: ControllerConfig,
     tuning: Arc<Tuning>,
-    stats: Arc<GatewayStats>,
+    /// This controller's own window over the engine's counters.
+    window: GatewayWindow,
     tracer: Tracer,
     /// The `ctl:{vc}@{rank}` trace track.
     track: String,
     /// Bootstrap operating point calm decays back toward.
     base_window: u32,
-    base_batch: usize,
     base_rendezvous: usize,
-    /// True when the bootstrap config enabled batching — the only case
-    /// in which the controller may raise the batch (see module docs).
-    may_batch: bool,
     starve_streak: u32,
     sat_streak: u32,
     calm_streak: u32,
@@ -167,23 +148,20 @@ impl Controller {
     pub(crate) fn new(
         cfg: ControllerConfig,
         tuning: Arc<Tuning>,
-        stats: Arc<GatewayStats>,
+        window: GatewayWindow,
         tracer: Tracer,
         track: String,
     ) -> Controller {
         let base_window = tuning.window.load(Ordering::Relaxed);
-        let base_batch = tuning.batch.load(Ordering::Relaxed);
         let base_rendezvous = tuning.rendezvous.load(Ordering::Relaxed);
         Controller {
             cfg,
             tuning,
-            stats,
+            window,
             tracer,
             track,
             base_window,
-            base_batch,
             base_rendezvous,
-            may_batch: base_batch > 1,
             starve_streak: 0,
             sat_streak: 0,
             calm_streak: 0,
@@ -198,7 +176,7 @@ impl Controller {
     /// Step the window by `delta` packets, clamped to the configured
     /// band, tracing the new value. No-op when flow control is off or
     /// the clamp absorbs the whole step.
-    fn step_window(&mut self, delta: i64, name: &'static str) {
+    fn step_window(&mut self, delta: i64) {
         let cur = self.tuning.window.load(Ordering::Relaxed);
         if cur == 0 {
             return;
@@ -209,22 +187,11 @@ impl Controller {
         if next != cur {
             self.tuning.window.store(next, Ordering::Relaxed);
             self.adjustments += 1;
-            self.trace(name, next as i64);
-        }
-    }
-
-    /// Step the batch cap by `delta` trains, clamped to
-    /// `[1, batch_ceil]`, tracing the new value. No-op unless batching
-    /// was enabled at bootstrap.
-    fn step_batch(&mut self, delta: i64, name: &'static str) {
-        if !self.may_batch {
-            return;
-        }
-        let cur = self.tuning.batch.load(Ordering::Relaxed);
-        let next = (cur as i64 + delta).clamp(1, self.cfg.batch_ceil as i64) as usize;
-        if next != cur {
-            self.tuning.batch.store(next, Ordering::Relaxed);
-            self.adjustments += 1;
+            let name = if next > cur {
+                "window_raise"
+            } else {
+                "window_lower"
+            };
             self.trace(name, next as i64);
         }
     }
@@ -234,7 +201,7 @@ impl Controller {
     /// path is off (threshold 0) or the clamp absorbs the whole step —
     /// the controller moves the crossover point, it never flips the
     /// protocol switch itself.
-    fn step_rendezvous(&mut self, delta: i64, name: &'static str) {
+    fn step_rendezvous(&mut self, delta: i64) {
         let cur = self.tuning.rendezvous.load(Ordering::Relaxed);
         if cur == 0 {
             return;
@@ -246,6 +213,11 @@ impl Controller {
         if next != cur {
             self.tuning.rendezvous.store(next, Ordering::Relaxed);
             self.adjustments += 1;
+            let name = if next > cur {
+                "rendezvous_raise"
+            } else {
+                "rendezvous_lower"
+            };
             self.trace(name, next as i64);
         }
     }
@@ -258,12 +230,12 @@ impl Ticker for Controller {
 
     /// Evaluate one window ending `now`.
     fn tick(&mut self, now_ns: u64) {
-        let d = self.stats.delta_for(DeltaCursor::Controller, now_ns);
+        let d = self.window.advance(now_ns);
         let starved = d.credit_timeouts > 0;
-        let attempts = d.stalls + d.fragments;
-        let saturated = d.stalls >= self.cfg.saturation_min_stalls
-            && attempts > 0
-            && d.stalls as f64 / attempts as f64 >= self.cfg.saturation_stall_ratio;
+        let saturated = d.saturated(
+            self.cfg.saturation_min_stalls,
+            self.cfg.saturation_stall_ratio,
+        );
 
         if starved {
             self.starve_streak += 1;
@@ -283,62 +255,40 @@ impl Ticker for Controller {
             // the window so freshly opened streams get deeper credit,
             // and lower the rendezvous crossover so more blocks take the
             // whole-window grant instead of per-fragment takes.
-            self.step_window(self.cfg.window_step as i64, "window_raise");
-            self.step_rendezvous(-(self.cfg.rendezvous_step as i64), "rendezvous_lower");
+            self.step_window(self.cfg.window_step as i64);
+            self.step_rendezvous(-(self.cfg.rendezvous_step as i64));
             self.starve_streak = 0;
             return;
         }
         if self.sat_streak >= self.cfg.hysteresis_ticks {
             // Queue saturation: handoffs keep finding the pipeline full.
-            // Amortize per-train overhead with a bigger batch, trim the
-            // window so fewer packets pile into the choked hop, and
-            // raise the rendezvous crossover so fewer whole windows
+            // Trim the window so fewer packets pile into the choked hop,
+            // and raise the rendezvous crossover so fewer whole windows
             // flood into it at once.
-            self.step_batch(1, "batch_raise");
-            self.step_window(-(self.cfg.window_step as i64), "window_lower");
-            self.step_rendezvous(self.cfg.rendezvous_step as i64, "rendezvous_raise");
+            self.step_window(-(self.cfg.window_step as i64));
+            self.step_rendezvous(self.cfg.rendezvous_step as i64);
             self.sat_streak = 0;
             return;
         }
         if !starved && !saturated {
             self.calm_streak += 1;
             if self.calm_streak >= self.cfg.hysteresis_ticks.saturating_mul(4) {
-                // Sustained calm: decay one stride back toward the
-                // bootstrap operating point.
-                let w = self.tuning.window.load(Ordering::Relaxed);
-                if w != 0 && w != self.base_window {
-                    let (delta, name) = if w > self.base_window {
-                        (
-                            -((w - self.base_window).min(self.cfg.window_step) as i64),
-                            "window_lower",
-                        )
-                    } else {
-                        (
-                            ((self.base_window - w).min(self.cfg.window_step)) as i64,
-                            "window_raise",
-                        )
-                    };
-                    self.step_window(delta, name);
-                }
-                let b = self.tuning.batch.load(Ordering::Relaxed);
-                if b > self.base_batch {
-                    self.step_batch(-1, "batch_lower");
-                }
-                let r = self.tuning.rendezvous.load(Ordering::Relaxed);
-                if r != 0 && r != self.base_rendezvous {
-                    let (delta, name) = if r > self.base_rendezvous {
-                        (
-                            -((r - self.base_rendezvous).min(self.cfg.rendezvous_step) as i64),
-                            "rendezvous_lower",
-                        )
-                    } else {
-                        (
-                            ((self.base_rendezvous - r).min(self.cfg.rendezvous_step)) as i64,
-                            "rendezvous_raise",
-                        )
-                    };
-                    self.step_rendezvous(delta, name);
-                }
+                // Sustained calm: each leg decays one stride (or what is
+                // left of one) back toward its bootstrap value; a leg that
+                // is off or already there does not move.
+                let toward = |cur: i64, base: i64, step: i64| (base - cur).clamp(-step, step);
+                let w = self.tuning.window.load(Ordering::Relaxed) as i64;
+                self.step_window(toward(
+                    w,
+                    self.base_window as i64,
+                    self.cfg.window_step as i64,
+                ));
+                let r = self.tuning.rendezvous.load(Ordering::Relaxed) as i64;
+                self.step_rendezvous(toward(
+                    r,
+                    self.base_rendezvous as i64,
+                    self.cfg.rendezvous_step as i64,
+                ));
                 self.calm_streak = 0;
             }
         }
@@ -352,7 +302,6 @@ impl Ticker for Controller {
         self.tick(now_ns);
         self.trace("adjustments", self.adjustments as i64);
         self.trace("window", self.tuning.window.load(Ordering::Relaxed) as i64);
-        self.trace("batch", self.tuning.batch.load(Ordering::Relaxed) as i64);
         self.trace(
             "rendezvous",
             self.tuning.rendezvous.load(Ordering::Relaxed) as i64,
@@ -363,50 +312,49 @@ impl Ticker for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gateway::GatewayStats;
     use mad_trace::Tracer;
 
-    fn controller(cfg: ControllerConfig, window: Option<u32>, batch: usize) -> Controller {
-        controller_rdv(cfg, window, batch, 0)
+    fn controller(cfg: ControllerConfig, window: Option<u32>, rendezvous: usize) -> Controller {
+        let tuning = Tuning::new(window, rendezvous);
+        let stats = Arc::new(GatewayStats::default());
+        let window = GatewayWindow::open(stats, 0);
+        Controller::new(cfg, tuning, window, Tracer::off(), "ctl:t@0".into())
     }
 
-    fn controller_rdv(
-        cfg: ControllerConfig,
-        window: Option<u32>,
-        batch: usize,
-        rendezvous: usize,
-    ) -> Controller {
-        let tuning = Tuning::new(window, batch, rendezvous);
-        let stats = Arc::new(GatewayStats::default());
-        Controller::new(cfg, tuning, stats, Tracer::off(), "ctl:t@0".into())
+    /// Hysteresis 1: every signalled tick is a decision.
+    fn no_hysteresis() -> ControllerConfig {
+        ControllerConfig {
+            hysteresis_ticks: 1,
+            ..ControllerConfig::default()
+        }
     }
 
     fn starve(c: &Controller) {
-        c.stats.credit_timeouts.fetch_add(1, Ordering::Relaxed);
+        let stats = c.window.stats();
+        stats.credit_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     fn saturate(c: &Controller) {
-        c.stats.stalls.fetch_add(64, Ordering::Relaxed);
-        c.stats.fragments.fetch_add(8, Ordering::Relaxed);
+        let stats = c.window.stats();
+        stats.stalls.fetch_add(64, Ordering::Relaxed);
+        stats.fragments.fetch_add(8, Ordering::Relaxed);
     }
 
     #[test]
     fn tuning_encodes_disabled_window_as_none() {
-        let t = Tuning::new(None, 4, 0);
+        let t = Tuning::new(None, 0);
         assert_eq!(t.credit_window(), None);
-        assert_eq!(t.max_batch(), 4);
         assert_eq!(t.rendezvous_threshold(), 0);
-        let t = Tuning::new(Some(8), 1, 64 * 1024);
+        let t = Tuning::new(Some(8), 64 * 1024);
         assert_eq!(t.credit_window(), Some(8));
         assert_eq!(t.rendezvous_threshold(), 64 * 1024);
     }
 
     #[test]
     fn starvation_lowers_rendezvous_threshold() {
-        let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller_rdv(cfg, Some(8), 1, 64 * 1024);
+        let cfg = no_hysteresis();
+        let mut c = controller(cfg, Some(8), 64 * 1024);
         starve(&c);
         c.tick(cfg.interval_ns);
         assert_eq!(
@@ -422,15 +370,18 @@ mod tests {
     #[test]
     fn rendezvous_steps_stay_clamped_and_calm_decays() {
         let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
             rendezvous_floor: 40 * 1024,
-            ..ControllerConfig::default()
+            ..no_hysteresis()
         };
-        let mut c = controller_rdv(cfg, Some(8), 1, 48 * 1024);
+        let mut c = controller(cfg, Some(8), 48 * 1024);
         starve(&c);
         c.tick(cfg.interval_ns);
-        assert_eq!(c.tuning.rendezvous_threshold(), 40 * 1024); // clamped at floor
-                                                                // Calm decays back toward the bootstrap threshold.
+        assert_eq!(
+            c.tuning.rendezvous_threshold(),
+            40 * 1024,
+            "clamped at floor"
+        );
+        // Calm decays back toward the bootstrap threshold.
         let mut now = cfg.interval_ns;
         for _ in 0..4 {
             now += cfg.interval_ns;
@@ -441,11 +392,8 @@ mod tests {
 
     #[test]
     fn controller_never_enables_eager_only_rendezvous() {
-        let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller_rdv(cfg, Some(8), 1, 0);
+        let cfg = no_hysteresis();
+        let mut c = controller(cfg, Some(8), 0);
         saturate(&c);
         c.tick(cfg.interval_ns);
         assert_eq!(c.tuning.rendezvous_threshold(), 0); // stays eager-only
@@ -454,7 +402,7 @@ mod tests {
     #[test]
     fn starvation_raises_window_after_hysteresis() {
         let cfg = ControllerConfig::default();
-        let mut c = controller(cfg, Some(8), 1);
+        let mut c = controller(cfg, Some(8), 0);
         // One starved tick is not enough (hysteresis = 2)…
         starve(&c);
         c.tick(cfg.interval_ns);
@@ -470,10 +418,9 @@ mod tests {
     fn window_steps_stay_clamped() {
         let cfg = ControllerConfig {
             window_ceil: 10,
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
+            ..no_hysteresis()
         };
-        let mut c = controller(cfg, Some(8), 1);
+        let mut c = controller(cfg, Some(8), 0);
         for i in 1..=5 {
             starve(&c);
             c.tick(i * cfg.interval_ns);
@@ -481,63 +428,72 @@ mod tests {
         assert_eq!(c.tuning.credit_window(), Some(10)); // clamped at ceil
     }
 
+    /// Saturation moves both remaining legs, one stride each, in one
+    /// decision: the window down, the crossover up.
     #[test]
-    fn saturation_grows_batch_and_trims_window_when_batching_enabled() {
-        let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller(cfg, Some(32), 2);
+    fn saturation_trims_window_and_raises_crossover() {
+        let cfg = no_hysteresis();
+        let mut c = controller(cfg, Some(32), 64 * 1024);
         saturate(&c);
         c.tick(cfg.interval_ns);
-        assert_eq!(c.tuning.max_batch(), 3);
         assert_eq!(c.tuning.credit_window(), Some(32 - cfg.window_step));
+        assert_eq!(
+            c.tuning.rendezvous_threshold(),
+            64 * 1024 + cfg.rendezvous_step
+        );
+        assert_eq!(c.adjustments, 2);
+    }
+
+    /// A window below the saturation gate on either threshold is calm.
+    #[test]
+    fn blips_below_the_saturation_gate_move_nothing() {
+        let cfg = no_hysteresis();
+        let mut c = controller(cfg, Some(32), 64 * 1024);
+        let stats = c.window.stats();
+        // Too few stalls, however high their share…
+        stats
+            .stalls
+            .fetch_add(cfg.saturation_min_stalls - 1, Ordering::Relaxed);
+        c.tick(cfg.interval_ns);
+        // …then enough stalls, but a small share of a busy window.
+        let stats = c.window.stats();
+        stats
+            .stalls
+            .fetch_add(cfg.saturation_min_stalls, Ordering::Relaxed);
+        stats.fragments.fetch_add(1000, Ordering::Relaxed);
+        c.tick(2 * cfg.interval_ns);
+        assert_eq!(c.tuning.credit_window(), Some(32));
+        assert_eq!(c.adjustments, 0);
     }
 
     #[test]
-    fn batch_never_retuned_when_batching_disabled() {
-        let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller(cfg, Some(32), 1);
+    fn calm_decays_both_legs_back_to_baseline() {
+        let cfg = no_hysteresis();
+        let mut c = controller(cfg, Some(8), 64 * 1024);
+        // Two saturated decisions push the window down and the crossover out.
         saturate(&c);
-        c.tick(cfg.interval_ns);
-        assert_eq!(c.tuning.max_batch(), 1); // batching stays off
-        assert_eq!(c.tuning.credit_window(), Some(32 - cfg.window_step));
-    }
-
-    #[test]
-    fn calm_decays_back_to_baseline() {
-        let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller(cfg, Some(8), 2);
-        // Push the window up and the batch out.
-        starve(&c);
         c.tick(cfg.interval_ns);
         saturate(&c);
         c.tick(2 * cfg.interval_ns);
-        assert_eq!(c.tuning.credit_window(), Some(8));
-        assert_eq!(c.tuning.max_batch(), 3);
+        assert_eq!(c.tuning.credit_window(), Some(cfg.window_floor));
+        assert_eq!(
+            c.tuning.rendezvous_threshold(),
+            64 * 1024 + 2 * cfg.rendezvous_step
+        );
         // Then calm: 4×hysteresis quiet ticks per decay step.
         let mut now = 2 * cfg.interval_ns;
         for _ in 0..8 {
             now += cfg.interval_ns;
             c.tick(now);
         }
-        assert_eq!(c.tuning.max_batch(), 2);
         assert_eq!(c.tuning.credit_window(), Some(8));
+        assert_eq!(c.tuning.rendezvous_threshold(), 64 * 1024);
     }
 
     #[test]
     fn controller_never_enables_disabled_flow_control() {
-        let cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            ..ControllerConfig::default()
-        };
-        let mut c = controller(cfg, None, 2);
+        let cfg = no_hysteresis();
+        let mut c = controller(cfg, None, 0);
         starve(&c);
         c.tick(cfg.interval_ns);
         assert_eq!(c.tuning.credit_window(), None);

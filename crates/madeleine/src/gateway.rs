@@ -37,9 +37,10 @@
 //! the route MTU keep their single-packet zero-copy path). Credits are
 //! still consumed per fragment *before* a packet joins a train (the
 //! occupancy bound is unchanged) and grants are aggregated into one
-//! credit packet per stream afterwards. [`GatewayConfig::max_batch`] ≥ 2
-//! additionally lets the forwarding side coalesce, when the pipeline has a
-//! backlog, packets that arrived *separately* into the same frame.
+//! credit packet per stream afterwards. That is the only batching rule:
+//! packets that arrived separately leave separately, and
+//! [`gtm::FrameBudget`] is the only bound on a frame — there is no knob
+//! (EXPERIMENTS A7 has the counts behind that).
 //!
 //! ## Credit-based flow control
 //!
@@ -101,8 +102,8 @@
 //! What a packet means is decided once, for both cores: `Inbound::serve`
 //! is the receive side (receive → count → demultiplex into an
 //! [`ItemSink`], a received frame as one unit per outgoing conduit →
-//! degrade on a fault → re-pin), `Train` is the transmit side's
-//! coalescing rule, `transmit_batch` puts a train on the wire, and every
+//! degrade on a fault → re-pin), `build_train` is the transmit side's one
+//! batching rule, `transmit_batch` puts a train on the wire, and every
 //! control packet goes to the node's `ControlPlane`. The cores
 //! differ only in *who waits how*: a thread blocked in
 //! `select_ready_after`, a bounded `RtQueue` and `take_blocking` — or a
@@ -159,25 +160,11 @@ pub mod reactor_engine;
 
 pub use reactor_engine::GatewayReactor;
 
-/// Per-(source, destination) forwarding counters of one gateway.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StreamCounters {
-    /// Complete messages relayed for this pair.
-    pub messages: u64,
-    /// Payload fragment bytes relayed (control packets excluded).
-    pub bytes: u64,
-    /// Payload fragments relayed.
-    pub fragments: u64,
-    /// Pipeline pushes that found the bounded queue full.
-    pub stalls: u64,
-    /// Fragment handoffs through the pipeline (0 at depth 1).
-    pub buffer_switches: u64,
-}
-
 /// Live counters of one gateway's forwarding engine, updated by its
-/// polling threads. Totals are cheap relaxed atomics; per-stream counters
-/// live behind a mutex. Read them after the session (or at any point for
-/// monitoring).
+/// receive and flush sides with relaxed atomic adds — nothing here takes a
+/// lock, on the per-packet path or off it. Read them after the session, at
+/// any point through [`GatewayStats::totals`], or periodically through a
+/// [`GatewayWindow`] of the reader's own.
 #[derive(Debug, Default)]
 pub struct GatewayStats {
     /// Complete messages relayed.
@@ -239,60 +226,16 @@ pub struct GatewayStats {
     /// Streams currently open in the engine's demultiplexing table
     /// (header accepted, end/cancel not yet relayed).
     open_streams: AtomicI64,
-    per_stream: Mutex<BTreeMap<(NodeId, NodeId), StreamCounters>>,
-    delta_prev: Mutex<[DeltaPrev; DELTA_CURSORS]>,
 }
 
-/// Independent windowed readers of one [`GatewayStats`]. Each cursor
-/// keeps its own baseline, so the multi-path selector's refresh, the
-/// telemetry sampler, and the health watchdog all see complete disjoint
-/// windows instead of stealing deltas from each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaCursor {
-    /// The multi-path selector's refresh windows
-    /// ([`GatewayStats::delta_since_last`]).
-    Selector = 0,
-    /// The telemetry plane's sampling windows.
-    Metrics = 1,
-    /// The health watchdog's evaluation windows.
-    Watchdog = 2,
-    /// The self-tuning controller's evaluation windows.
-    Controller = 3,
-}
-
-/// Number of [`DeltaCursor`] variants (baseline array length).
-const DELTA_CURSORS: usize = 4;
-
-/// Baseline of one cursor's previous windowed snapshot.
-#[derive(Debug, Default)]
-struct DeltaPrev {
-    at_ns: u64,
-    totals: GatewayTotals,
-    per_stream: BTreeMap<(NodeId, NodeId), StreamCounters>,
-}
-
-/// Activity of one forwarded (source, destination) pair since the
-/// previous snapshot — deltas over the window, not lifetime counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LinkDelta {
-    /// Payload fragment bytes relayed in the window.
-    pub bytes: u64,
-    /// Payload fragments relayed in the window.
-    pub fragments: u64,
-    /// Backpressure stalls hit in the window.
-    pub stalls: u64,
-    /// Pipeline buffer switches in the window.
-    pub switches: u64,
-}
-
-/// Windowed view of one gateway between two successive
-/// [`GatewayStats::delta_since_last`] calls: per-link deltas plus the
-/// derived rates route selection feeds on. Unlike [`GatewayTotals`] every
-/// count here covers only the elapsed window, so a long-running session
-/// sees *current* load, not its lifetime average.
+/// Activity of one gateway between two [`GatewayTotals`] snapshots of a
+/// reader's own — every count covers only that window, so a long-running
+/// session sees *current* load, not its lifetime average.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct GatewayDelta {
-    /// Nanoseconds covered by this window (0 on the first call).
+    /// Nanoseconds the window covers: since the reader's previous
+    /// [`GatewayWindow::advance`], or since its [`GatewayWindow::open`] on
+    /// the first.
     pub interval_ns: u64,
     /// Complete messages relayed in the window.
     pub messages: u64,
@@ -307,13 +250,20 @@ pub struct GatewayDelta {
     /// Payload throughput over the window in bytes per second (0 if the
     /// window is empty).
     pub bytes_per_sec: f64,
-    /// Stalls per relayed fragment in the window — the congestion signal
-    /// (0 when idle, approaches 1 when every handoff blocks).
-    pub stall_rate: f64,
-    /// Packet bytes resident in the engine at snapshot time.
+    /// Packet bytes resident in the engine at the window's end.
     pub occupancy_bytes: i64,
-    /// Per-(source, destination) deltas, sorted by pair.
-    pub per_link: Vec<((NodeId, NodeId), LinkDelta)>,
+}
+
+impl GatewayDelta {
+    /// Queue saturation: at least `min_stalls` hand-offs in the window
+    /// found the pipeline full (one-off blips stay below that), and they
+    /// are at least `ratio` of all hand-offs attempted. The thresholds
+    /// belong to the caller — the watchdog and the controller each keep
+    /// their own.
+    pub fn saturated(&self, min_stalls: u64, ratio: f64) -> bool {
+        let attempts = self.stalls + self.fragments;
+        self.stalls >= min_stalls && attempts > 0 && self.stalls as f64 / attempts as f64 >= ratio
+    }
 }
 
 /// A point-in-time copy of a gateway's total counters, safe to take
@@ -360,16 +310,68 @@ pub struct GatewayTotals {
     pub peak_held_bytes: i64,
 }
 
-impl GatewayStats {
-    /// Snapshot the totals as (messages, fragments, fragment_bytes).
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.messages.load(Ordering::Relaxed),
-            self.fragments.load(Ordering::Relaxed),
-            self.fragment_bytes.load(Ordering::Relaxed),
-        )
+impl GatewayTotals {
+    /// What the engine did between `prev` and `self`, two snapshots of the
+    /// same [`GatewayStats`] taken `interval_ns` apart. Counter reads are
+    /// relaxed, so a window may attribute an in-flight update to the next
+    /// one — harmless for load estimation, and nothing is counted twice or
+    /// lost: a reader's windows sum to the lifetime totals.
+    pub fn since(&self, prev: &GatewayTotals, interval_ns: u64) -> GatewayDelta {
+        let bytes = self.fragment_bytes.saturating_sub(prev.fragment_bytes);
+        let secs = interval_ns as f64 / 1e9;
+        GatewayDelta {
+            interval_ns,
+            messages: self.messages.saturating_sub(prev.messages),
+            credit_timeouts: self.credit_timeouts.saturating_sub(prev.credit_timeouts),
+            fragments: self.fragments.saturating_sub(prev.fragments),
+            bytes,
+            stalls: self.stalls.saturating_sub(prev.stalls),
+            bytes_per_sec: if secs > 0.0 { bytes as f64 / secs } else { 0.0 },
+            occupancy_bytes: self.held_bytes,
+        }
+    }
+}
+
+/// One periodic reader's view of a gateway: the engine's counters plus the
+/// baseline *this reader* took last. The multi-path selector's refresh, the
+/// telemetry sampler, the health watchdog and the controller each own one,
+/// so each sees every window exactly once and the engine keeps no
+/// per-reader state.
+#[derive(Debug)]
+pub struct GatewayWindow {
+    stats: Arc<GatewayStats>,
+    prev: GatewayTotals,
+    at_ns: u64,
+}
+
+impl GatewayWindow {
+    /// Start reading `stats` at `now_ns`: the first window runs from here,
+    /// whatever the engine did before and however long the clock has run.
+    pub fn open(stats: Arc<GatewayStats>, now_ns: u64) -> Self {
+        GatewayWindow {
+            prev: stats.totals(),
+            at_ns: now_ns,
+            stats,
+        }
     }
 
+    /// The engine's live counters.
+    pub fn stats(&self) -> &GatewayStats {
+        &self.stats
+    }
+
+    /// Everything since the previous call (or [`GatewayWindow::open`]);
+    /// the baseline moves to `now_ns`.
+    pub fn advance(&mut self, now_ns: u64) -> GatewayDelta {
+        let totals = self.stats.totals();
+        let delta = totals.since(&self.prev, now_ns.saturating_sub(self.at_ns));
+        self.prev = totals;
+        self.at_ns = now_ns;
+        delta
+    }
+}
+
+impl GatewayStats {
     /// Cheap mid-run snapshot of every total (relaxed loads, no locks).
     pub fn totals(&self) -> GatewayTotals {
         GatewayTotals {
@@ -394,81 +396,6 @@ impl GatewayStats {
         }
     }
 
-    /// Windowed snapshot: everything that happened since the *previous*
-    /// `delta_since_last` call (or engine start, on the first call), with
-    /// rates derived from the caller-supplied clock. The baseline advances
-    /// on every call, so periodic callers see disjoint windows. Counter
-    /// reads are relaxed; a window may misattribute an in-flight update by
-    /// one tick, which is harmless for load estimation.
-    pub fn delta_since_last(&self, now_ns: u64) -> GatewayDelta {
-        self.delta_for(DeltaCursor::Selector, now_ns)
-    }
-
-    /// [`GatewayStats::delta_since_last`] on an explicit cursor: each
-    /// [`DeltaCursor`] advances its own baseline, so concurrent periodic
-    /// readers (route selection, sampling, health checks) each see every
-    /// window exactly once.
-    pub fn delta_for(&self, cursor: DeltaCursor, now_ns: u64) -> GatewayDelta {
-        let totals = self.totals();
-        let per: BTreeMap<(NodeId, NodeId), StreamCounters> = self
-            .per_stream
-            .lock()
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        let mut prevs = self.delta_prev.lock();
-        let prev = &mut prevs[cursor as usize];
-        let interval_ns = now_ns.saturating_sub(prev.at_ns);
-        let messages = totals.messages.saturating_sub(prev.totals.messages);
-        let credit_timeouts = totals
-            .credit_timeouts
-            .saturating_sub(prev.totals.credit_timeouts);
-        let fragments = totals.fragments.saturating_sub(prev.totals.fragments);
-        let bytes = totals
-            .fragment_bytes
-            .saturating_sub(prev.totals.fragment_bytes);
-        let stalls = totals.stalls.saturating_sub(prev.totals.stalls);
-        let per_link: Vec<((NodeId, NodeId), LinkDelta)> = per
-            .iter()
-            .map(|(&pair, &c)| {
-                let p = prev.per_stream.get(&pair).copied().unwrap_or_default();
-                (
-                    pair,
-                    LinkDelta {
-                        bytes: c.bytes.saturating_sub(p.bytes),
-                        fragments: c.fragments.saturating_sub(p.fragments),
-                        stalls: c.stalls.saturating_sub(p.stalls),
-                        switches: c.buffer_switches.saturating_sub(p.buffer_switches),
-                    },
-                )
-            })
-            .collect();
-        let secs = interval_ns as f64 / 1e9;
-        let bytes_per_sec = if secs > 0.0 { bytes as f64 / secs } else { 0.0 };
-        let stall_rate = if fragments > 0 {
-            stalls as f64 / fragments as f64
-        } else {
-            0.0
-        };
-        *prev = DeltaPrev {
-            at_ns: now_ns,
-            totals,
-            per_stream: per,
-        };
-        GatewayDelta {
-            interval_ns,
-            messages,
-            credit_timeouts,
-            fragments,
-            bytes,
-            stalls,
-            bytes_per_sec,
-            stall_rate,
-            occupancy_bytes: totals.held_bytes,
-            per_link,
-        }
-    }
-
     /// Streams currently open in the engine (accepted header, end or
     /// cancel not yet relayed) — the live companion of the windowed
     /// counters, read by the health watchdog's stalled-stream detector.
@@ -476,47 +403,26 @@ impl GatewayStats {
         self.open_streams.load(Ordering::Relaxed)
     }
 
-    /// Per-(source, destination) counters, sorted by pair.
-    pub fn per_stream(&self) -> Vec<((NodeId, NodeId), StreamCounters)> {
-        self.per_stream
-            .lock()
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    fn with_pair(&self, pair: (NodeId, NodeId), f: impl FnOnce(&mut StreamCounters)) {
-        f(self.per_stream.lock().entry(pair).or_default())
-    }
-
-    fn on_header(&self, pair: (NodeId, NodeId)) {
+    fn on_header(&self) {
         self.open_streams.fetch_add(1, Ordering::Relaxed);
-        self.with_pair(pair, |_| {});
     }
 
-    fn on_frag(&self, pair: (NodeId, NodeId), bytes: u64) {
+    fn on_frag(&self, bytes: u64) {
         self.fragments.fetch_add(1, Ordering::Relaxed);
         self.fragment_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.with_pair(pair, |c| {
-            c.fragments += 1;
-            c.bytes += bytes;
-        });
     }
 
-    fn on_end(&self, pair: (NodeId, NodeId)) {
+    fn on_end(&self) {
         self.open_streams.fetch_sub(1, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
-        self.with_pair(pair, |c| c.messages += 1);
     }
 
-    fn on_stall(&self, pair: (NodeId, NodeId)) {
+    fn on_stall(&self) {
         self.stalls.fetch_add(1, Ordering::Relaxed);
-        self.with_pair(pair, |c| c.stalls += 1);
     }
 
-    fn on_switch(&self, pair: (NodeId, NodeId)) {
-        self.buffer_switches.fetch_add(1, Ordering::Relaxed);
-        self.with_pair(pair, |c| c.buffer_switches += 1);
+    fn on_switch(&self, frags: u64) {
+        self.buffer_switches.fetch_add(frags, Ordering::Relaxed);
     }
 
     fn on_error(&self) {
@@ -590,19 +496,6 @@ pub struct GatewayConfig {
     /// to end before abandoning them (a fault may have killed a source
     /// that will never send its end packet).
     pub drain_timeout_ns: u64,
-    /// How long a train the forwarding side may build by reaching into
-    /// *later* pipeline slots: while a train is shorter than this, queued
-    /// packets bound for the same conduit join it (one wire send, one
-    /// per-send overhead for the whole train) — where several senders'
-    /// small packets meet at a slow outbound network. `1` (the default)
-    /// never reaches past the unit in hand. It is not a cap on that unit:
-    /// the packets of one received batch frame that leave the same way go
-    /// out as one frame at any setting. A frame never exceeds the outgoing
-    /// driver's preferred packet size, so route-MTU-sized bulk fragments
-    /// are always sent singly and keep their zero-copy static path.
-    /// Coalescing across slots needs `pipeline_depth ≥ 2` (the queue is
-    /// the coalescing buffer).
-    pub max_batch: usize,
     /// Execution core: dedicated threads per direction, or poll-driven
     /// tasks on the node's shared reactor. Defaults to
     /// [`EngineKind::from_env`], so `MAD_ENGINE=reactor` flips every
@@ -633,7 +526,6 @@ impl Default for GatewayConfig {
             credit_window: None,
             credit_timeout_ns: 500_000_000,
             drain_timeout_ns: 2_000_000_000,
-            max_batch: 1,
             engine: EngineKind::from_env(),
             reactor_workers: 2,
             rendezvous_threshold: 0,
@@ -975,6 +867,11 @@ impl FwdUnit {
         }
     }
 
+    /// Payload fragments in the unit — each one a pipeline hand-off.
+    fn frags(&self) -> u64 {
+        self.items().iter().filter(|item| item.is_frag()).count() as u64
+    }
+
     /// The outbound network the unit leaves on (a unit is never empty).
     fn out_net(&self) -> Option<NetworkId> {
         self.items().first().map(|item| item.out_net)
@@ -1076,23 +973,14 @@ struct FwdShared {
     /// the forwarding path entirely (the metrics-off default).
     metrics: Option<GwMetrics>,
     /// The channel's live operating point; when present the self-grant
-    /// window and the batching caps are read from it per use instead of
-    /// from the static config.
+    /// window is read from it per stream open instead of from the static
+    /// config.
     tuning: Option<Arc<Tuning>>,
 }
 
 impl FwdShared {
     fn ledger(&self) -> &CreditLedger {
         self.ctl.ledger()
-    }
-
-    /// The batch cap, re-read per train so a controller retune takes
-    /// effect on the next coalescing decision, not the next session.
-    fn max_batch(&self, configured: usize) -> usize {
-        self.tuning
-            .as_ref()
-            .map(|t| t.max_batch())
-            .unwrap_or(configured)
     }
 
     /// Whether stage-busy brackets pay for clock reads (metrics or trace
@@ -1276,7 +1164,7 @@ pub(crate) fn spawn_gateway(
             let shared = shared.clone();
             threads.push(runtime.spawn(
                 name,
-                Box::new(move || forwarding_thread(rx, out_path, shared, cfg.max_batch)),
+                Box::new(move || forwarding_thread(rx, out_path, shared)),
             ));
         }
         let name = format!("gw{}-{}-in-{}", rank.0, vc_name, net_in);
@@ -1297,7 +1185,6 @@ struct InStream {
     out_net: NetworkId,
     to: NodeId,
     last_hop: bool,
-    pair: (NodeId, NodeId),
     tag: StreamTag,
     /// The inbound peer the stream arrives from (cancellations go back
     /// this way).
@@ -1758,7 +1645,6 @@ impl InboundCtx {
                     out_net: hop.net,
                     to: hop.node,
                     last_hop: hop.last,
-                    pair: (tag.src, tag.dest),
                     tag,
                     upstream: peer,
                     // Striped streams wrap every fragment in a seq envelope, so
@@ -1785,7 +1671,7 @@ impl InboundCtx {
                 if let (Some(w), false) = (window, hop.last) {
                     shared.ledger().open(key, w);
                 }
-                shared.stats.on_header(stream.pair);
+                shared.stats.on_header();
                 trace_instant!(
                     shared.tracer,
                     "gw",
@@ -1813,7 +1699,7 @@ impl InboundCtx {
                     MadError::Protocol(format!("GTM fragment for unknown stream {key:?}"))
                 })?;
                 let payload = (buf.bytes().len() - PRELUDE_LEN) as u64;
-                shared.stats.on_frag(stream.pair, payload);
+                shared.stats.on_frag(payload);
                 shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
                 let item = self.item(stream, buf, true, false, peer, recv_ns, restage);
                 shared.stats.held.add(item.held_bytes as i64);
@@ -1831,7 +1717,7 @@ impl InboundCtx {
                 let is_frag = inner.get(2) == Some(&gtm::KIND_FRAG);
                 if is_frag {
                     let payload = (inner.len() - PRELUDE_LEN) as u64;
-                    shared.stats.on_frag(stream.pair, payload);
+                    shared.stats.on_frag(payload);
                     shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
                 }
                 let item = self.item(stream, buf, is_frag, false, peer, recv_ns, restage);
@@ -1846,7 +1732,7 @@ impl InboundCtx {
                     *n = n.saturating_sub(1);
                 }
                 self.resize_landing(d);
-                shared.stats.on_end(stream.pair);
+                shared.stats.on_end();
                 let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
                 sinks.accept(FwdUnit::One(item), shared)
             }
@@ -2137,9 +2023,7 @@ impl<S: ItemSink> ItemSink for FrameItems<'_, S> {
 fn dispatch(sink: &mut Sink, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
     match sink {
         Sink::Queue(tx) => {
-            for item in unit.items().iter().filter(|item| item.is_frag()) {
-                shared.stats.on_switch((item.tag.src, item.tag.dest));
-            }
+            shared.stats.on_switch(unit.frags());
             match tx.try_push(unit) {
                 Ok(()) => {
                     shared.queue_depth(1);
@@ -2147,7 +2031,7 @@ fn dispatch(sink: &mut Sink, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
                 }
                 Err(unit) => {
                     if let Some(head) = unit.items().first() {
-                        shared.stats.on_stall((head.tag.src, head.tag.dest));
+                        shared.stats.on_stall();
                         trace_instant!(
                             shared.tracer,
                             "gw",
@@ -2174,8 +2058,7 @@ fn dispatch(sink: &mut Sink, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
         }
         Sink::Inline(path, flush) => {
             unit.unpack_into(&mut flush.pending);
-            // Depth 1 has no queue to coalesce from: the unit is the train.
-            if flush.run(path, 1, shared, || None) {
+            if flush.run(path, shared) {
                 Ok(())
             } else {
                 Err(MadError::Disconnected)
@@ -2503,115 +2386,55 @@ fn send_buf(conduit: &mut dyn Conduit, buf: FwdBuf) -> Result<()> {
     }
 }
 
-/// A train being coalesced for one outgoing conduit — the one place both
+/// Put a train back together for one outgoing conduit — the one place both
 /// engine cores and the depth-1 inline path decide what may ride a batch
-/// frame. After the head item's credit is secured, the items behind it
-/// join (non-blocking credit takes only) until the train reaches the
-/// driver's frame budget or an item that cannot join, which stays the
-/// next train's head — FIFO order is never broken.
-struct Train<'a> {
-    batch: &'a mut Vec<FwdItem>,
-    conduit: (NetworkId, NodeId, bool),
-    /// Frame bytes the train occupies so far.
-    frame: usize,
-    budget: gtm::FrameBudget,
-    max_batch: usize,
-}
-
-/// [`Train::admit`]'s verdict on the next queued item.
-enum Admit {
-    /// Credit taken, frame space reserved: push it.
-    Join,
-    /// Different conduit, over budget, or credit-dry: it heads the next
-    /// train (never reorder behind it).
-    Stop,
-    /// Its stream is cancelled in the ledger: drop it out of the queue.
-    Dead(CancelReason),
-}
-
-impl<'a> Train<'a> {
-    /// Start a train in `batch` (a scratch list the caller reuses; empty
-    /// between trains) with `head`, whose credit is already in hand.
-    fn start(
-        head: FwdItem,
-        caps: &DriverCaps,
-        max_batch: usize,
-        batch: &'a mut Vec<FwdItem>,
-    ) -> Train<'a> {
-        let train = Train {
-            conduit: head.conduit(),
-            frame: PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len(),
-            budget: gtm::FrameBudget::of(caps),
-            max_batch,
-            batch,
-        };
-        train.batch.push(head);
-        train
-    }
-
-    /// Could any packet at all still join? (A head over the frame budget —
-    /// every route-MTU bulk fragment — answers no, and leaves alone.)
-    fn has_room(&self) -> bool {
-        self.budget
-            .admits(self.frame, self.batch.len(), PRELUDE_LEN)
-    }
-
-    fn admit(&mut self, next: &FwdItem, ledger: &CreditLedger) -> Admit {
+/// frame. `head`, whose credit is already in hand, starts the train in
+/// `batch` (a scratch list the caller reuses; empty between trains); what
+/// is left in `pending` of the unit it came out of joins behind it
+/// (non-blocking credit takes only) until the train reaches the driver's
+/// frame budget or an item that cannot join — different conduit, over
+/// budget, or credit-dry — which stays at the front of `pending` and heads
+/// the next train. FIFO order is never broken, and a train never reaches
+/// into a later pipeline slot. Items of streams cancelled in the ledger
+/// come back in `dead` for the caller to cancel (that is I/O, and the
+/// reactor holds a lock here).
+fn build_train(
+    head: FwdItem,
+    caps: &DriverCaps,
+    batch: &mut Vec<FwdItem>,
+    pending: &mut VecDeque<FwdItem>,
+    ledger: &CreditLedger,
+    dead: &mut Vec<(FwdItem, CancelReason)>,
+) {
+    let conduit = head.conduit();
+    let budget = gtm::FrameBudget::of(caps);
+    // Frame bytes the train occupies so far.
+    let mut frame = PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len();
+    batch.push(head);
+    // A head over the frame budget — every route-MTU bulk fragment — has
+    // room for nothing, and leaves alone.
+    while budget.admits(frame, batch.len(), PRELUDE_LEN) {
+        let Some(next) = pending.front() else { break };
         let len = next.buf.bytes().len();
-        if next.conduit() != self.conduit || !self.budget.admits(self.frame, self.batch.len(), len)
-        {
-            return Admit::Stop;
+        if next.conduit() != conduit || !budget.admits(frame, batch.len(), len) {
+            break;
         }
-        if next.consume {
-            match ledger.try_take(next.tag.key()) {
-                TakeOutcome::Taken => {}
-                TakeOutcome::Empty => return Admit::Stop,
-                TakeOutcome::Cancelled(r) => return Admit::Dead(r),
-            }
+        let credit = if next.consume {
+            ledger.try_take(next.tag.key())
+        } else {
+            TakeOutcome::Taken
+        };
+        if let TakeOutcome::Empty = credit {
+            break;
         }
-        self.frame += gtm::BATCH_ENTRY_OVERHEAD + len;
-        Admit::Join
-    }
-
-    /// Fill the train. Followers come from `pending` — what is left of the
-    /// unit the head came out of, so a received frame goes back out as a
-    /// frame — and, once that is used up, from later queue slots through
-    /// `next_slot`, but only while the train is shorter than `max_batch`:
-    /// the knob bounds *opportunistic* coalescing across slots, not a unit
-    /// that arrived as one wire packet. An item that cannot join stays at
-    /// the front of `pending`; items of dead streams come back in `dead`
-    /// for the caller to cancel (that is I/O, and the reactor holds a lock
-    /// here).
-    fn fill(
-        &mut self,
-        pending: &mut VecDeque<FwdItem>,
-        ledger: &CreditLedger,
-        mut next_slot: impl FnMut() -> Option<FwdUnit>,
-        dead: &mut Vec<(FwdItem, CancelReason)>,
-    ) {
-        while self.has_room() {
-            if pending.is_empty() {
-                if self.batch.len() >= self.max_batch {
-                    break;
-                }
-                match next_slot() {
-                    Some(unit) => unit.unpack_into(pending),
-                    None => break, // queue drained: send what we have
-                }
-            }
-            let verdict = match pending.front() {
-                Some(next) => self.admit(next, ledger),
-                None => break,
-            };
-            if let Admit::Stop = verdict {
-                break;
-            }
-            let Some(next) = pending.pop_front() else {
-                break;
-            };
-            match verdict {
-                Admit::Dead(r) => dead.push((next, r)),
-                _ => self.batch.push(next),
+        let Some(next) = pending.pop_front() else {
+            break;
+        };
+        match credit {
+            TakeOutcome::Cancelled(reason) => dead.push((next, reason)),
+            _ => {
+                frame += gtm::BATCH_ENTRY_OVERHEAD + len;
+                batch.push(next);
             }
         }
     }
@@ -2630,29 +2453,24 @@ struct Flush {
 impl Flush {
     /// Put everything in `pending` on the wire, train by train: the head's
     /// credit may block (deadline-bounded; on failure its stream is
-    /// cancelled and the item accounted), followers join by [`Train`]'s
+    /// cancelled and the item accounted), followers join by [`build_train`]'s
     /// rules, a follower that cannot join heads the next train. Each
-    /// outgoing conduit is locked per train — the §7b lesson-2 invariant
-    /// at train granularity — so packets of concurrent streams interleave.
-    /// Returns `false` on an orderly disconnect, with everything still
-    /// pending accounted.
-    fn run(
-        &mut self,
-        path: &OutPath,
-        max_batch: usize,
-        shared: &FwdShared,
-        mut next_slot: impl FnMut() -> Option<FwdUnit>,
-    ) -> bool {
+    /// outgoing conduit is locked per train, never per stream, so packets
+    /// of concurrent streams interleave. Returns `false` on an orderly
+    /// disconnect, with everything still pending accounted.
+    fn run(&mut self, path: &OutPath, shared: &FwdShared) -> bool {
         while let Some(head) = self.pending.pop_front() {
             let Some(head) = take_credit_blocking(path, head, shared) else {
                 continue; // stream cancelled; item accounted
             };
             let caps = path.channel(head.last_hop).caps();
             let mut dead = Vec::new();
-            Train::start(head, &caps, max_batch, &mut self.batch).fill(
+            build_train(
+                head,
+                &caps,
+                &mut self.batch,
                 &mut self.pending,
                 shared.ledger(),
-                &mut next_slot,
                 &mut dead,
             );
             for (item, reason) in dead {
@@ -2670,16 +2488,8 @@ impl Flush {
 }
 
 /// The forwarding thread of one (inbound, outbound) network pair: drains
-/// the pipeline and retransmits, unit by unit. With `max_batch ≥ 2` it
-/// also coalesces opportunistically across queue slots; an idle pipeline
-/// degenerates to unit-at-a-time, so batching never adds latency, only
-/// removes per-send overhead when a backlog exists.
-fn forwarding_thread(
-    rx: RtReceiver<FwdUnit>,
-    path: OutPath,
-    shared: FwdShared,
-    cfg_max_batch: usize,
-) {
+/// the pipeline and retransmits, unit by unit.
+fn forwarding_thread(rx: RtReceiver<FwdUnit>, path: OutPath, shared: FwdShared) {
     let _exit = ThreadExitGuard {
         live: shared.live.clone(),
     };
@@ -2698,15 +2508,7 @@ fn forwarding_thread(
             timed,
         );
         unit.unpack_into(&mut flush.pending);
-        // Re-read per unit so a controller retune takes effect on the
-        // next coalescing decision, not the next session.
-        let max_batch = shared.max_batch(cfg_max_batch);
-        let next_slot = || {
-            let unit = rx.try_pop()?;
-            shared.queue_depth(-1);
-            Some(unit)
-        };
-        if !flush.run(&path, max_batch, &shared, next_slot) {
+        if !flush.run(&path, &shared) {
             return;
         }
     }
@@ -2958,6 +2760,76 @@ mod tests {
             (totals.messages, totals.errors, totals.cancelled),
             (1, 0, 0)
         );
+    }
+
+    /// A reader's first window starts where the reader did: what the
+    /// engine relayed before, and however long the clock ran before, are
+    /// in neither its counts nor its rates. (The shared cursors this
+    /// replaced started every first window at the clock's zero.)
+    #[test]
+    fn first_window_runs_from_open_not_from_clock_zero() {
+        const SEC: u64 = 1_000_000_000;
+        let stats = Arc::new(GatewayStats::default());
+        stats.on_frag(4096);
+        let mut late = GatewayWindow::open(stats.clone(), 10 * SEC);
+        stats.on_frag(1000);
+        let d = late.advance(10 * SEC + SEC / 1000);
+        assert_eq!(d.interval_ns, SEC / 1000);
+        assert_eq!((d.fragments, d.bytes), (1, 1000));
+        assert_eq!(d.bytes_per_sec, 1e6);
+    }
+
+    /// Two readers interleaved over one engine each see every event in
+    /// exactly one of their own windows: neither steals from the other,
+    /// and each one's windows sum to the lifetime totals.
+    #[test]
+    fn two_readers_see_disjoint_complete_windows() {
+        let stats = Arc::new(GatewayStats::default());
+        let mut a = GatewayWindow::open(stats.clone(), 0);
+        let mut b = GatewayWindow::open(stats.clone(), 0);
+        let mut sums = [[0u64; 5]; 2];
+        let add = |sum: &mut [u64; 5], d: GatewayDelta| {
+            let d = [
+                d.interval_ns,
+                d.messages,
+                d.bytes,
+                d.stalls,
+                d.credit_timeouts,
+            ];
+            for (s, v) in sum.iter_mut().zip(d) {
+                *s += v;
+            }
+        };
+        for step in 1..=60u64 {
+            stats.on_header();
+            stats.on_frag(step);
+            if step % 4 == 0 {
+                stats.on_stall();
+            }
+            if step % 15 == 0 {
+                stats.credit_timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            stats.on_end();
+            // `a` reads every 2nd step, `b` every 5th: their windows overlap
+            // in every possible phase.
+            if step % 2 == 0 {
+                add(&mut sums[0], a.advance(step));
+            }
+            if step % 5 == 0 {
+                add(&mut sums[1], b.advance(step));
+            }
+        }
+        let t = stats.totals();
+        let lifetime = [
+            60,
+            t.messages,
+            t.fragment_bytes,
+            t.stalls,
+            t.credit_timeouts,
+        ];
+        assert_eq!(lifetime, [60, 60, 1830, 15, 4]);
+        assert_eq!(sums, [lifetime; 2]);
+        assert_eq!(stats.open_streams(), 0);
     }
 
     /// The teardown quiescence contract, station by station: a stop only

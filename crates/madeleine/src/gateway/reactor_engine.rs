@@ -4,8 +4,8 @@
 //!
 //! The threaded engine burns `nets × (1 + (nets−1))` OS threads per
 //! gateway per virtual channel. This module runs the *same* forwarding
-//! body — [`Inbound::serve`] (receive, demultiplex, degrade), [`Train`]
-//! coalescing, the credit protocol, cancellation — under a different
+//! body — [`Inbound::serve`] (receive, demultiplex, degrade),
+//! [`build_train`], the credit protocol, cancellation — under a different
 //! scheduler: a pair of tasks per inbound network (a [`RecvTask`] and a
 //! [`FlushTask`] sharing the outbound queues) on a per-gateway-node
 //! [`GatewayReactor`] whose worker count is fixed no matter how many
@@ -43,8 +43,8 @@
 //!   non-blocking `try_select_ready_after` scan, re-armed by stirs;
 //! * the forwarding thread's bounded queue becomes a per-outbound-net
 //!   `VecDeque` whose length gates intake at `pipeline_depth` (same
-//!   backpressure, no parked thread), flushed through the same [`Train`]
-//!   builder as `forwarding_thread`;
+//!   backpressure, no parked thread), flushed through the same
+//!   [`build_train`] as `forwarding_thread`;
 //! * blocking credit takes become `try_take` plus a reactor timer at the
 //!   credit deadline (on expiry the stream is cancelled exactly as the
 //!   threaded engine's `take_blocking` timeout would);
@@ -65,8 +65,8 @@ use mad_util::reactor::{Context, Park, Poll, PollTask, Reactor};
 use mad_util::sync::{Condvar, Mutex};
 
 use super::{
-    FwdItem, FwdShared, FwdUnit, GatewayConfig, GatewayStop, Inbound, ItemSink, OutPath, Served,
-    ThreadExitGuard, Train,
+    build_train, FwdItem, FwdShared, FwdUnit, GatewayConfig, GatewayStop, Inbound, ItemSink,
+    OutPath, Served, ThreadExitGuard,
 };
 use crate::credit::TakeOutcome;
 use crate::error::{MadError, Result};
@@ -267,8 +267,8 @@ struct Queues {
 
 /// The reactor engine's [`ItemSink`]: relayed packets land in the
 /// outbound net's queue and the flush task transmits them with
-/// non-blocking credit takes and train coalescing. Enqueueing bumps the
-/// node event so a drained flush task wakes up.
+/// non-blocking credit takes and the shared [`build_train`] rule.
+/// Enqueueing bumps the node event so a drained flush task wakes up.
 struct ReactorSinks {
     nets: BTreeSet<NetworkId>,
     queues: Arc<Mutex<Queues>>,
@@ -295,9 +295,7 @@ impl ItemSink for ReactorSinks {
             };
             // Every reactor fragment crosses a queue boundary — the analog
             // of the threaded pipeline handoff.
-            for item in unit.items().iter().filter(|item| item.is_frag()) {
-                shared.stats.on_switch((item.tag.src, item.tag.dest));
-            }
+            shared.stats.on_switch(unit.frags());
             shared.queue_depth(1);
             nq.q.push_back(unit);
         }
@@ -428,7 +426,7 @@ impl PollTask for RecvTask {
 /// One step the flush task resolved under the queue lock, executed (any
 /// conduit I/O) after the lock is released.
 enum FlushStep {
-    /// A coalesced train ready to transmit (in the task's `batch`
+    /// A train ready to transmit (in the task's `batch`
     /// scratch), plus any ledger-cancelled items popped while building it.
     Train(Vec<(FwdItem, CancelReason)>),
     /// The head item's stream is dead (ledger cancel or credit timeout).
@@ -448,7 +446,7 @@ fn pop_dead(pending: &mut VecDeque<FwdItem>, reason: CancelReason) -> FlushStep 
 }
 
 /// The transmit half of one inbound network: the threaded engine's
-/// forwarding threads (credit + train coalescing + transmit) as a
+/// forwarding threads (credit + train building + transmit) as a
 /// non-blocking task. It pops decisions under the queue lock but performs
 /// every conduit send outside it, so its partner keeps receiving while it
 /// transmits — that concurrency is what keeps reactor bulk bandwidth at
@@ -476,12 +474,11 @@ struct FlushTask {
 impl FlushTask {
     /// Resolve the next action for `net`'s queue under the lock: cancel a
     /// dead head, arm the credit timer for a blocked one, or build a train
-    /// into `self.batch` (coalescing through the same [`Train`] as the
+    /// into `self.batch` (through the same [`build_train`] as the
     /// threaded engine's `Flush::run`).
     fn next_step(&mut self, net: NetworkId, cx: &mut Context) -> FlushStep {
         let now = cx.now_ns();
         let shared = &self.shared;
-        let cfg = self.cfg;
         let Some(path) = self.paths.get(&net) else {
             return FlushStep::Idle;
         };
@@ -494,13 +491,9 @@ impl FlushTask {
             pending,
             blocked_since,
         } = nq;
-        let mut next_slot = || {
-            let unit = q.pop_front()?;
-            shared.queue_depth(-1);
-            Some(unit)
-        };
         if pending.is_empty() {
-            if let Some(unit) = next_slot() {
+            if let Some(unit) = q.pop_front() {
+                shared.queue_depth(-1);
                 unit.unpack_into(pending);
             }
         }
@@ -527,7 +520,7 @@ impl FlushTask {
                     let since = match *blocked_since {
                         Some(s) => s,
                         None => {
-                            shared.stats.on_stall((head.tag.src, head.tag.dest));
+                            shared.stats.on_stall();
                             trace_instant!(
                                 shared.tracer,
                                 "gw",
@@ -557,12 +550,13 @@ impl FlushTask {
             return FlushStep::Idle;
         };
         let caps = path.channel(head.last_hop).caps();
-        let max_batch = shared.max_batch(cfg.max_batch);
         let mut cancels = Vec::new();
-        Train::start(head, &caps, max_batch, &mut self.batch).fill(
+        build_train(
+            head,
+            &caps,
+            &mut self.batch,
             pending,
             shared.ledger(),
-            next_slot,
             &mut cancels,
         );
         FlushStep::Train(cancels)

@@ -52,9 +52,9 @@
 //! Because each packet names its stream, packets from concurrent messages
 //! may interleave freely on a shared conduit: gateways forward at fragment
 //! granularity instead of draining one message at a time, and the receive
-//! side demultiplexes with [`StreamAssembler`]. The §7b lesson-2 atomicity
-//! invariant consequently shrinks from hold-the-conduit-per-message to
-//! hold-per-packet — each packet is sent as a single gather operation
+//! side demultiplexes with [`StreamAssembler`]. The conduit-atomicity invariant
+//! (DESIGN §8.3 rule 2) consequently shrinks from
+//! hold-the-conduit-per-message to hold-per-packet — each packet is sent as a single gather operation
 //! under a single conduit-lock hold.
 //!
 //! The stream tag rides *inside* the fragment packet (as a gather prelude)
@@ -82,7 +82,7 @@
 //! four. A gateway takes a received train apart (every packet obeys the
 //! per-packet rules) and forwards what leaves the same way as one frame
 //! again, within its *outgoing* driver's budget; packets that arrived
-//! separately may also be coalesced there. The final receiver's
+//! separately leave separately. The final receiver's
 //! [`StreamAssembler`] splits frames back into packets. Batches never
 //! nest, and a frame is a transport-hop artifact: above the GTM, and in
 //! every stream's packet sequence, it is invisible.

@@ -18,9 +18,9 @@
 //! * **Health watchdogs** — one per gateway node per channel, a
 //!   [`Ticker`] driven by a dedicated thread in [`EngineKind::Threaded`]
 //!   and by a timer task on the node's shared reactor in
-//!   [`EngineKind::Reactor`]. Each tick takes a windowed
-//!   [`GatewayStats::delta_for`] snapshot on its own cursor and turns
-//!   threshold breaches into typed `health:` trace events plus
+//!   [`EngineKind::Reactor`]. Each tick advances the watchdog's own
+//!   [`GatewayWindow`] over the engine's counters and turns threshold
+//!   breaches into typed `health:` trace events plus
 //!   registry counters: credit starvation, queue saturation, stalled
 //!   streams, dead-path flapping.
 //!
@@ -36,7 +36,6 @@
 //!
 //! [`EngineKind::Threaded`]: crate::gateway::EngineKind::Threaded
 //! [`EngineKind::Reactor`]: crate::gateway::EngineKind::Reactor
-//! [`GatewayStats::delta_for`]: crate::gateway::GatewayStats::delta_for
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -49,7 +48,7 @@ use mad_util::sync::Mutex;
 use crate::channel::Channel;
 use crate::control_plane::{self, ControlPlane};
 use crate::error::MadError;
-use crate::gateway::{DeltaCursor, GatewayStats, GatewayStop};
+use crate::gateway::{GatewayStats, GatewayStop, GatewayWindow};
 use crate::gtm::{self, PacketBody, StreamTag};
 use crate::multipath::MultiPath;
 use crate::runtime::{RtEvent, Runtime};
@@ -173,8 +172,9 @@ pub struct MetricsPlane {
     runtime: Arc<dyn Runtime>,
     next_pull: AtomicU32,
     hub: Mutex<HubState>,
-    /// Gateway engines feeding this node's live gauges.
-    feeds: Mutex<Vec<Arc<GatewayStats>>>,
+    /// Gateway engines feeding this node's live gauges, each behind the
+    /// sampler's own window.
+    feeds: Mutex<Vec<GatewayWindow>>,
     /// The channel's multi-path plane, for per-path stripe-byte gauges.
     mp: Mutex<Option<Arc<MultiPath>>>,
     // Cached refresh handles (interned once at wiring time).
@@ -241,7 +241,8 @@ impl MetricsPlane {
 
     /// Register a gateway engine whose stats feed the live gauges.
     pub(crate) fn register_gateway(&self, stats: &Arc<GatewayStats>) {
-        self.feeds.lock().push(stats.clone());
+        let window = GatewayWindow::open(stats.clone(), self.runtime.now_nanos());
+        self.feeds.lock().push(window);
     }
 
     /// Register the channel's multi-path plane (per-path stripe gauges).
@@ -251,9 +252,9 @@ impl MetricsPlane {
 
     /// Refresh the sampled gauges that mirror other subsystems: runtime
     /// thread count (live, not just at teardown), pool hit/miss
-    /// counters, gateway occupancy and throughput (on the metrics
-    /// plane's *own* delta cursor, so the multi-path selector's windows
-    /// are untouched), and per-path stripe bytes.
+    /// counters, gateway occupancy and throughput (over the plane's own
+    /// windows, so no other reader's are touched), and per-path stripe
+    /// bytes.
     pub fn refresh_live(&self) {
         self.rt_threads.set(self.runtime.threads_spawned() as i64);
         let ps = self.runtime.pool().stats();
@@ -264,11 +265,11 @@ impl MetricsPlane {
         let mut held = 0i64;
         let mut open = 0i64;
         let mut bps = 0f64;
-        for stats in self.feeds.lock().iter() {
-            let d = stats.delta_for(DeltaCursor::Metrics, now);
+        for window in self.feeds.lock().iter_mut() {
+            let d = window.advance(now);
             held += d.occupancy_bytes;
             bps += d.bytes_per_sec;
-            open += stats.open_streams();
+            open += window.stats().open_streams();
         }
         self.gw_held.set(held);
         self.gw_open.set(open);
@@ -434,7 +435,8 @@ const HEALTH_NAMES: [&str; 4] = [
 /// last tick and the stop request is still reported.
 pub(crate) struct Watchdog {
     cfg: WatchdogConfig,
-    stats: Arc<GatewayStats>,
+    /// This watchdog's own window over the engine's counters.
+    window: GatewayWindow,
     mp: Option<Arc<MultiPath>>,
     tracer: Tracer,
     /// The `health:{vc}@{rank}` trace track.
@@ -450,7 +452,7 @@ pub(crate) struct Watchdog {
 impl Watchdog {
     pub(crate) fn new(
         cfg: WatchdogConfig,
-        stats: Arc<GatewayStats>,
+        window: GatewayWindow,
         mp: Option<Arc<MultiPath>>,
         registry: &Registry,
         tracer: Tracer,
@@ -464,7 +466,7 @@ impl Watchdog {
         ];
         Watchdog {
             cfg,
-            stats,
+            window,
             mp,
             tracer,
             track,
@@ -490,7 +492,7 @@ impl Ticker for Watchdog {
 
     /// Evaluate one window ending `now`.
     fn tick(&mut self, now_ns: u64) {
-        let d = self.stats.delta_for(DeltaCursor::Watchdog, now_ns);
+        let d = self.window.advance(now_ns);
         // Credit starvation: the outbound side hit its credit deadline
         // (each hit already cancelled a stream).
         if d.credit_timeouts > 0 {
@@ -498,18 +500,17 @@ impl Ticker for Watchdog {
         }
         // Queue saturation: nearly every handoff in a busy window found
         // the pipeline full.
-        let attempts = d.stalls + d.fragments;
-        if d.stalls >= self.cfg.saturation_min_stalls
-            && attempts > 0
-            && d.stalls as f64 / attempts as f64 >= self.cfg.saturation_stall_ratio
-        {
+        if d.saturated(
+            self.cfg.saturation_min_stalls,
+            self.cfg.saturation_stall_ratio,
+        ) {
             self.fire(1, 1);
         }
         // Stalled stream: accepted streams are open but the window moved
         // no fragments and finished no messages — the upstream or
         // downstream side went quiet mid-stream. Fires once per episode
         // (on the tick crossing the threshold), not on every idle tick.
-        if self.stats.open_streams() > 0 && d.fragments == 0 && d.messages == 0 {
+        if self.window.stats().open_streams() > 0 && d.fragments == 0 && d.messages == 0 {
             self.idle_ticks = self.idle_ticks.saturating_add(1);
             if self.idle_ticks == self.cfg.stalled_stream_ticks {
                 self.fire(2, 1);

@@ -3,8 +3,8 @@
 //! This module is the transport-side owner of the policy crate
 //! [`mad_route`]: it computes the session's [`mad_route::RoutingTable`]
 //! from the same topology declaration the legacy router uses, feeds the
-//! adaptive [`mad_route::Selector`] with live [`GatewayStats`] windows
-//! ([`GatewayStats::delta_since_last`]), and keeps the per-path byte
+//! adaptive [`mad_route::Selector`] with live gateway load (one
+//! [`GatewayWindow`] of its own per engine), and keeps the per-path byte
 //! accounting that ends up on the `route:` trace track.
 //!
 //! One [`MultiPath`] instance is shared by every node of a virtual
@@ -22,7 +22,7 @@ use mad_route::{GatewayLoad, PathHop, RoutePlan, Selector, SelectorCounters, Str
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
-use crate::gateway::GatewayStats;
+use crate::gateway::{GatewayStats, GatewayWindow};
 use crate::routing::NetworkMembers;
 use crate::types::NodeId;
 
@@ -64,8 +64,8 @@ pub struct MultiPath {
     ack_timeout_ns: u64,
     last_refresh: AtomicU64,
     /// Live counter feeds of the session's gateway engines, registered
-    /// after spawn: (gateway rank, its stats block).
-    feeds: Mutex<Vec<(u32, Arc<GatewayStats>)>>,
+    /// after spawn: (gateway rank, the selector's window over its stats).
+    feeds: Mutex<Vec<(u32, GatewayWindow)>>,
     /// Payload bytes the session's senders bound to each gateway path.
     path_bytes: Mutex<BTreeMap<u32, u64>>,
     tracer: Mutex<Option<(Tracer, String)>>,
@@ -117,9 +117,11 @@ impl MultiPath {
         *self.tracer.lock() = Some((tracer, vc_name.to_string()));
     }
 
-    /// Register one gateway engine's live counters as a cost-model feed.
-    pub fn register_gateway(&self, gw: NodeId, stats: Arc<GatewayStats>) {
-        self.feeds.lock().push((gw.0, stats));
+    /// Register one gateway engine's live counters as a cost-model feed;
+    /// the first refresh window runs from `now_ns`.
+    pub fn register_gateway(&self, gw: NodeId, stats: Arc<GatewayStats>, now_ns: u64) {
+        let window = GatewayWindow::open(stats, now_ns);
+        self.feeds.lock().push((gw.0, window));
     }
 
     /// Rate-limited cost-model refresh, called from the send path: at most
@@ -138,8 +140,8 @@ impl MultiPath {
             return; // another sender refreshed this window
         }
         let trace = self.tracer.lock().clone();
-        for (gw, stats) in self.feeds.lock().iter() {
-            let d = stats.delta_since_last(now_ns);
+        for (gw, window) in self.feeds.lock().iter_mut() {
+            let d = window.advance(now_ns);
             let secs = d.interval_ns as f64 / 1e9;
             let load = GatewayLoad {
                 stall_rate: if secs > 0.0 {

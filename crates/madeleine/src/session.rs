@@ -18,7 +18,9 @@ use crate::channel::Channel;
 use crate::conduit::{Conduit, Driver};
 use crate::control_plane::ControlPlane;
 use crate::credit::{CreditLedger, FlowControl};
-use crate::gateway::{spawn_gateway, GatewayConfig, GatewayHandles, GatewayReactor, GatewayStop};
+use crate::gateway::{
+    spawn_gateway, GatewayConfig, GatewayHandles, GatewayReactor, GatewayStop, GatewayWindow,
+};
 use crate::membership::MembershipPlane;
 use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog};
 use crate::multipath::{MultiPath, MultipathConfig};
@@ -108,7 +110,7 @@ pub struct VcOptions {
     /// behaviour byte-identical.
     pub membership: Option<crate::membership::MembershipOptions>,
     /// Self-tuning control plane: when set, the channel's credit window
-    /// and forwarding batch cap become a live [`crate::control::Tuning`]
+    /// and rendezvous crossover become a live [`crate::control::Tuning`]
     /// retuned online by one [`crate::control::Controller`] per gateway
     /// node. `None` (the default) keeps the static bootstrap knobs.
     pub controller: Option<crate::control::ControllerConfig>,
@@ -464,7 +466,6 @@ impl SessionBuilder {
             let tuning = vdef.options.controller.map(|_| {
                 crate::control::Tuning::new(
                     vdef.options.gateway.credit_window,
-                    vdef.options.gateway.max_batch,
                     vdef.options.gateway.rendezvous_threshold,
                 )
             });
@@ -498,11 +499,13 @@ impl SessionBuilder {
                     tuning.clone(),
                 );
                 if let Some(mp) = &mp {
-                    mp.register_gateway(gw, handles.stats().clone());
+                    mp.register_gateway(gw, handles.stats().clone(), runtime.now_nanos());
                 }
                 // Periodic evaluators beside the engine: a dedicated thread
                 // each in threaded mode, timer tasks on the node's shared
-                // worker pool in reactor mode.
+                // worker pool in reactor mode. Each reads the engine's
+                // counters through a window of its own, opened here.
+                let window = || GatewayWindow::open(handles.stats().clone(), runtime.now_nanos());
                 let mut spawn_ticker = |ticker: Box<dyn Ticker>, what: &str| {
                     aux_threads.extend(ticker::spawn(
                         ticker,
@@ -523,7 +526,7 @@ impl SessionBuilder {
                     if let Some(wd_cfg) = vdef.options.metrics.as_ref().and_then(|m| m.watchdog) {
                         let wd = Watchdog::new(
                             wd_cfg,
-                            handles.stats().clone(),
+                            window(),
                             mp.clone(),
                             plane.registry(),
                             runtime.tracer(),
@@ -536,7 +539,7 @@ impl SessionBuilder {
                     let ctl = crate::control::Controller::new(
                         ctl_cfg,
                         tuning.clone(),
-                        handles.stats().clone(),
+                        window(),
                         runtime.tracer(),
                         format!("ctl:{}@{}", vdef.name, gw.0),
                     );

@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
+# Every user-settable option is counted; a count above the number
+# committed in the script fails, so a new option shows in the diff.
+echo
+echo "== option count (scripts/options.sh)"
+./scripts/options.sh
+
 echo
 echo "== cargo test -q --offline"
 cargo test -q --offline
@@ -76,11 +82,12 @@ trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 cargo run -q --release --offline --example trace_dump -- "$trace_dir/ci"
 
-# A7 smoke: a reduced transmit-batching sweep (including its occupancy-
-# bound assertion) with a traced batched run. Smoke mode skips the CSVs
-# so it never clobbers the committed full-grid results.
+# A7 smoke: a reduced fragment-size sweep of writer-staged trains through
+# the gateway (including A7b's occupancy-bound assertion) with a traced
+# run. Smoke mode skips the CSVs so it never clobbers the committed
+# full-grid results.
 echo
-echo "== ablation_batching --smoke (gateway transmit batching)"
+echo "== ablation_batching --smoke (trains through the gateway)"
 cargo run -q --release --offline -p mad-bench --bin ablation_batching -- \
   --smoke --trace "$trace_dir/a7.jsonl"
 

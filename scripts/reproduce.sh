@@ -34,7 +34,3 @@ for b in "${BINS[@]}"; do
   echo "################ $b ################"
   cargo run --release -q -p mad-bench --bin "$b"
 done
-
-echo
-echo "################ microbenches (mad_util::microbench) ################"
-cargo bench -p mad-bench --bench microbench

@@ -14,7 +14,7 @@
 #                                     and report (never gate on) their drift
 #
 # Not gated, because they differ from run to run under machine load (the
-# same-instant tie-break DESIGN §6b admits) until the seeded vtime
+# same-instant tie-break DESIGN §2 admits) until the seeded vtime
 # tie-break lands: fig7_myri_to_sci, fig8_conflict_trace, a8_multipath_scaling,
 # ablation_zero_copy, ext_copy_matrix, ext_mpi_collectives,
 # a12_protocol_crossover. Wall-clock CSVs (a10_*) are never regenerated.

@@ -416,7 +416,6 @@ fn controller_raises_window_under_injected_starvation() {
                 window_step: STEP,
                 window_floor: 2,
                 window_ceil: CEIL,
-                batch_ceil: 8,
                 hysteresis_ticks: 1,
                 // Isolate the starvation response: no saturation trims.
                 saturation_min_stalls: u64::MAX,

@@ -28,7 +28,6 @@ struct Scenario {
     hops: usize,
     mtu: usize,
     pipeline_depth: usize,
-    max_batch: usize,
     credit_window: Option<u32>,
     rendezvous_threshold: usize,
     messages: Vec<Vec<u8>>,
@@ -55,8 +54,7 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         hops: *rng.choose(&[1usize, 2]).unwrap(),
         mtu: *rng.choose(&[256usize, 1024, 8 * 1024]).unwrap(),
         pipeline_depth: *rng.choose(&[1usize, 2, 3]).unwrap(),
-        max_batch: *rng.choose(&[1usize, 4]).unwrap(),
-        credit_window: *rng.choose(&[None, Some(4u32)]).unwrap(),
+        credit_window: *rng.choose(&[None, Some(2u32), Some(4), Some(16)]).unwrap(),
         // 0 keeps everything eager; the nonzero thresholds sit below and
         // inside the payload distribution so bulk messages go rendezvous.
         rendezvous_threshold: *rng.choose(&[0usize, 2048, 16 * 1024]).unwrap(),
@@ -88,7 +86,6 @@ fn run_engine(sc: &Scenario, engine: EngineKind) -> (Vec<Vec<u8>>, u64) {
             gateway: GatewayConfig {
                 engine,
                 pipeline_depth: sc.pipeline_depth,
-                max_batch: sc.max_batch,
                 credit_window: sc.credit_window,
                 rendezvous_threshold: sc.rendezvous_threshold,
                 ..Default::default()
@@ -218,7 +215,6 @@ fn mixed_protocol_soak_delivers_exact_bytes() {
         hops: 2,
         mtu: 1024,
         pipeline_depth: 2,
-        max_batch: 4,
         credit_window: Some(4),
         rendezvous_threshold: 8 * 1024,
         messages: prop::vec_of(&mut rng, 24..25, |r| prop::bytes(r, 0..32_000)),

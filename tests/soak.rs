@@ -526,9 +526,10 @@ fn fault_soak_stall_jitter_peer_death() {
 /// *zero* heap allocations per fragment — every staging, landing, and
 /// control buffer is a pool hit. Warm-up rounds populate the size-class
 /// free lists; after them the session-wide miss counter must not move,
-/// while the get counter keeps growing with traffic. Runs with transmit
-/// batching and flow control on, so grant/cancel control buffers and
-/// batch-split copies are covered by the assertion too.
+/// while the get counter keeps growing with traffic. Runs with 1 KB
+/// fragments (so they cross as trains) and flow control on, so
+/// grant/cancel control buffers and the landed frames the trains are
+/// windows onto are covered by the assertion too.
 #[test]
 fn pool_reaches_zero_miss_steady_state() {
     const ROUNDS: u32 = 12;
@@ -548,7 +549,6 @@ fn pool_reaches_zero_miss_steady_state() {
             gateway: GatewayConfig {
                 pipeline_depth: 16,
                 credit_window: Some(8),
-                max_batch: 4,
                 ..Default::default()
             },
             ..Default::default()
