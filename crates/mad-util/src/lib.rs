@@ -13,9 +13,8 @@
 //!
 //! * [`sync`] — non-poisoning `Mutex`/`RwLock`/`Condvar` wrappers over
 //!   `std::sync` with the `parking_lot` lock API (`lock()` returns a guard,
-//!   `Condvar::wait` takes `&mut MutexGuard`).
-//! * [`chan`] — bounded + unbounded MPMC channels with the
-//!   `crossbeam::channel` send/recv/timeout/disconnect surface.
+//!   `Condvar::wait` takes `&mut MutexGuard`), and `Epoch`, the counted
+//!   wake-up event every blocking wait on real threads goes through.
 //! * [`bytes`] — a cheaply-cloneable `Bytes` buffer (shared owner + range).
 //! * [`rng`] — a seedable SplitMix64 PRNG for workload generation.
 //! * [`prop`] — a small deterministic property-testing harness with
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod bytes;
-pub mod chan;
 pub mod hist;
 pub mod pool;
 pub mod prop;

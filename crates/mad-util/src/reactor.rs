@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Epoch, Mutex};
 
 /// Result of one task poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,19 +126,17 @@ pub trait Park: Send + Sync {
     fn unpark(&self);
 }
 
-/// A [`Park`] over `std` condvars and `Instant` — the real-time substrate,
-/// and the one the reactor's own tests use.
+/// A [`Park`] over [`Epoch`] and `Instant` — the real-time substrate, and
+/// the one the reactor's own tests use.
 pub struct StdPark {
-    epoch: Mutex<u64>,
-    cv: Condvar,
+    epoch: Epoch,
     start: Instant,
 }
 
 impl Default for StdPark {
     fn default() -> Self {
         StdPark {
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
+            epoch: Epoch::default(),
             start: Instant::now(),
         }
     }
@@ -157,35 +155,21 @@ impl Park for StdPark {
     }
 
     fn prepare(&self) -> u64 {
-        *self.epoch.lock()
+        self.epoch.epoch()
     }
 
     fn park(&self, token: u64) {
-        let mut e = self.epoch.lock();
-        while *e <= token {
-            self.cv.wait(&mut e);
-        }
+        self.epoch.wait_past(token);
     }
 
     fn park_timeout(&self, token: u64, timeout_ns: u64) {
-        let deadline = Instant::now() + Duration::from_nanos(timeout_ns);
-        let mut e = self.epoch.lock();
-        while *e <= token {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let res = self.cv.wait_for(&mut e, deadline - now);
-            if res.timed_out() {
-                return;
-            }
-        }
+        let _ = self
+            .epoch
+            .wait_past_timeout(token, Duration::from_nanos(timeout_ns));
     }
 
     fn unpark(&self) {
-        let mut e = self.epoch.lock();
-        *e += 1;
-        self.cv.notify_all();
+        self.epoch.bump();
     }
 }
 

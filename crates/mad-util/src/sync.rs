@@ -1,4 +1,5 @@
-//! Non-poisoning lock primitives with the `parking_lot` API shape.
+//! Non-poisoning lock primitives with the `parking_lot` API shape, and the
+//! [`Epoch`] event built on them.
 //!
 //! `std::sync` locks return `LockResult` because a panicking holder poisons
 //! the lock; every call site in this workspace treated that as impossible
@@ -10,7 +11,8 @@
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// A mutual-exclusion lock that never poisons.
 pub struct Mutex<T: ?Sized> {
@@ -276,11 +278,6 @@ impl Condvar {
         }
     }
 
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     /// Wake every waiter.
     pub fn notify_all(&self) {
         self.inner.notify_all();
@@ -329,6 +326,93 @@ impl Condvar {
 impl fmt::Debug for Condvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("Condvar")
+    }
+}
+
+/// An epoch counter threads can block on — the workspace's one blocking
+/// primitive on real threads (`RtEvent` in `madeleine` and the reactor's
+/// `StdPark` both wrap it; `vtime::Signal` is its virtual-clock twin).
+///
+/// The protocol is the classic one: a waiter reads [`Epoch::epoch`]
+/// *before* it inspects the state it is waiting on and passes that value
+/// to [`Epoch::wait_past`]; whoever changes the state calls
+/// [`Epoch::bump`] afterwards. A bump between the check and the wait
+/// moves the epoch past the value read, so the wait returns at once.
+///
+/// A bump wakes a thread only when one is asleep, and only after its own
+/// lock is free. Waiters are counted under the mutex that guards every
+/// epoch change: `bump` increments, reads the count, drops the guard and
+/// calls `notify_all` only when the count was not zero — with nobody
+/// waiting it costs one uncontended lock and no system call, and a woken
+/// waiter never finds the mutex still held by its waker. No wake-up is
+/// lost: a waiter checks the epoch and registers under the mutex and only
+/// gives it up inside the condvar wait, so a bump either comes first (the
+/// waiter sees the new epoch and does not sleep) or finds it counted.
+/// `Epoch::default()` is epoch 0 with nobody waiting.
+#[derive(Default)]
+pub struct Epoch {
+    /// Threads inside a wait. Guards every write of `epoch`.
+    waiters: Mutex<usize>,
+    /// Only written under `waiters`' lock. The `Release` store in `bump`
+    /// pairs with the `Acquire` load in `epoch()`: a thread that reads the
+    /// new epoch also sees the state change the bump announced.
+    epoch: AtomicU64,
+    cv: Condvar,
+}
+
+impl Epoch {
+    /// The current epoch, without taking the lock.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Threads inside a wait right now (tests and diagnostics).
+    pub fn waiters(&self) -> usize {
+        *self.waiters.lock()
+    }
+
+    /// Increment the epoch and wake every thread waiting on it.
+    pub fn bump(&self) {
+        let waiters = {
+            let guard = self.waiters.lock();
+            self.epoch.fetch_add(1, Ordering::Release);
+            *guard
+        };
+        if waiters > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until the epoch exceeds `seen`; returns the epoch observed at
+    /// wake-up.
+    pub fn wait_past(&self, seen: u64) -> u64 {
+        let mut waiters = self.waiters.lock();
+        loop {
+            let now = self.epoch.load(Ordering::Relaxed);
+            if now > seen {
+                return now;
+            }
+            *waiters += 1;
+            self.cv.wait(&mut waiters);
+            *waiters -= 1;
+        }
+    }
+
+    /// Like [`Epoch::wait_past`], but give up after `timeout`: `Some(epoch)`
+    /// when the epoch moved, `None` on timeout.
+    pub fn wait_past_timeout(&self, seen: u64, timeout: Duration) -> Option<u64> {
+        let deadline = Instant::now() + timeout;
+        let mut waiters = self.waiters.lock();
+        loop {
+            let now = self.epoch.load(Ordering::Relaxed);
+            if now > seen {
+                return Some(now);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            *waiters += 1;
+            self.cv.wait_for(&mut waiters, left);
+            *waiters -= 1;
+        }
     }
 }
 
@@ -405,5 +489,82 @@ mod tests {
         // The guard still guards: deref works and the mutex is still held.
         drop(g);
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn epoch_wait_and_bump() {
+        let ev = Arc::new(Epoch::default());
+        assert_eq!(ev.epoch(), 0);
+        ev.bump(); // nobody waits: no notify, the epoch still moves
+        assert_eq!(ev.epoch(), 1);
+        assert_eq!(ev.wait_past(0), 1, "an epoch already past returns at once");
+        let ev2 = ev.clone();
+        let h = std::thread::spawn(move || ev2.wait_past(1));
+        while ev.waiters() == 0 {
+            std::thread::yield_now();
+        }
+        ev.bump();
+        assert_eq!(h.join().unwrap(), 2);
+        assert_eq!(ev.waiters(), 0);
+    }
+
+    #[test]
+    fn epoch_timed_wait_expires_uncounted() {
+        let ev = Epoch::default();
+        assert_eq!(ev.wait_past_timeout(0, Duration::from_millis(5)), None);
+        assert_eq!(ev.wait_past_timeout(0, Duration::ZERO), None);
+        assert_eq!(ev.waiters(), 0, "a waiter that gave up is not counted");
+        ev.bump();
+        assert_eq!(ev.wait_past_timeout(0, Duration::from_secs(5)), Some(1));
+    }
+
+    /// 4 bumpers against 4 waiters, half of them on short timed waits: a
+    /// stale waiter count would either skip a notify somebody needs (a
+    /// waiter never reaches the final epoch) or stay above zero for good
+    /// (every later bump pays a notify).
+    #[test]
+    fn epoch_storm() {
+        const BUMPS: u64 = 2_000;
+        let ev = Arc::new(Epoch::default());
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let bumpers: Vec<_> = (0..4)
+            .map(|_| {
+                let (ev, start) = (ev.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..BUMPS {
+                        ev.bump();
+                    }
+                })
+            })
+            .collect();
+        for w in 0..4 {
+            let (ev, start, done) = (ev.clone(), start.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut seen = ev.epoch();
+                while seen < 4 * BUMPS {
+                    seen = if w % 2 == 0 {
+                        ev.wait_past(seen)
+                    } else {
+                        ev.wait_past_timeout(seen, Duration::from_micros(50))
+                            .unwrap_or(seen)
+                    };
+                }
+                let _ = done.send(seen);
+            });
+        }
+        for b in bumpers {
+            b.join().unwrap();
+        }
+        for _ in 0..4 {
+            let reached = done_rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("a waiter never saw the final epoch: lost wake-up");
+            assert_eq!(reached, 4 * BUMPS);
+        }
+        assert_eq!(ev.epoch(), 4 * BUMPS);
+        assert_eq!(ev.waiters(), 0);
     }
 }

@@ -2,129 +2,10 @@
 //! workspace leans on, exercised with real threads.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mad_util::chan::{self, RecvTimeoutError, TryRecvError, TrySendError};
 use mad_util::rng::Rng;
 use mad_util::sync::{Condvar, Mutex};
-
-// ---------------------------------------------------------------- channels
-
-#[test]
-fn chan_fifo_order_single_consumer() {
-    let (tx, rx) = chan::unbounded();
-    for i in 0..1000 {
-        tx.send(i).unwrap();
-    }
-    for i in 0..1000 {
-        assert_eq!(rx.recv().unwrap(), i);
-    }
-}
-
-#[test]
-fn chan_bounded_blocks_at_capacity_until_pop() {
-    let (tx, rx) = chan::bounded(2);
-    tx.send(1).unwrap();
-    tx.send(2).unwrap();
-    assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-
-    let t0 = Instant::now();
-    let h = std::thread::spawn(move || {
-        tx.send(3).unwrap(); // blocks until the consumer pops
-        tx
-    });
-    std::thread::sleep(Duration::from_millis(30));
-    assert_eq!(rx.recv().unwrap(), 1);
-    let tx = h.join().unwrap();
-    assert!(
-        t0.elapsed() >= Duration::from_millis(25),
-        "send returned early"
-    );
-    assert_eq!(rx.recv().unwrap(), 2);
-    assert_eq!(rx.recv().unwrap(), 3);
-    drop(tx);
-    assert!(rx.recv().is_err());
-}
-
-#[test]
-fn chan_disconnect_semantics_both_directions() {
-    // Sender side gone: drain, then error.
-    let (tx, rx) = chan::unbounded();
-    tx.send(7u32).unwrap();
-    drop(tx);
-    assert_eq!(rx.recv(), Ok(7));
-    assert!(rx.recv().is_err());
-    assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-
-    // Receiver side gone: send fails and returns the value.
-    let (tx, rx) = chan::unbounded();
-    drop(rx);
-    assert_eq!(tx.send(9u32), Err(chan::SendError(9)));
-
-    // A clone keeps the channel alive; only the last drop disconnects.
-    let (tx, rx) = chan::unbounded::<u32>();
-    let tx2 = tx.clone();
-    drop(tx);
-    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    tx2.send(1).unwrap();
-    assert_eq!(rx.recv(), Ok(1));
-}
-
-#[test]
-fn chan_recv_timeout_fires_and_recovers() {
-    let (tx, rx) = chan::unbounded::<u8>();
-    let t0 = Instant::now();
-    assert_eq!(
-        rx.recv_timeout(Duration::from_millis(30)),
-        Err(RecvTimeoutError::Timeout)
-    );
-    assert!(t0.elapsed() >= Duration::from_millis(25));
-    tx.send(5).unwrap();
-    assert_eq!(rx.recv_timeout(Duration::from_millis(30)), Ok(5));
-    drop(tx);
-    assert_eq!(
-        rx.recv_timeout(Duration::from_millis(30)),
-        Err(RecvTimeoutError::Disconnected)
-    );
-}
-
-#[test]
-fn chan_mpmc_under_contention_delivers_exactly_once() {
-    const PRODUCERS: u64 = 4;
-    const CONSUMERS: usize = 4;
-    const PER_PRODUCER: u64 = 2_000;
-    let (tx, rx) = chan::bounded(8);
-    let mut handles = Vec::new();
-    for p in 0..PRODUCERS {
-        let tx = tx.clone();
-        handles.push(std::thread::spawn(move || {
-            for i in 0..PER_PRODUCER {
-                tx.send(p * PER_PRODUCER + i).unwrap();
-            }
-        }));
-    }
-    drop(tx);
-    let mut consumers = Vec::new();
-    for _ in 0..CONSUMERS {
-        let rx = rx.clone();
-        consumers.push(std::thread::spawn(move || {
-            let mut got = Vec::new();
-            while let Ok(v) = rx.recv() {
-                got.push(v);
-            }
-            got
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let mut all: Vec<u64> = consumers
-        .into_iter()
-        .flat_map(|h| h.join().unwrap())
-        .collect();
-    all.sort_unstable();
-    assert_eq!(all, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
-}
 
 // -------------------------------------------------------------------- rng
 

@@ -7,6 +7,21 @@
 //! polling thread receives packet *k+1* while the forwarding thread
 //! retransmits packet *k* on the other network.
 //!
+//! ## Who transmits
+//!
+//! The second thread exists to overlap that receive with that
+//! retransmission, and the hand-off to it costs a wake-up. When there is
+//! no packet *k+1* — the unit in hand is a whole message, the flush side
+//! of its (in, out) pair has nothing in hand or queued, and the credit it
+//! needs first is there — the polling thread transmits the unit itself,
+//! under the lock the forwarding thread holds from pop to last send, so
+//! arrival order stays wire order (`dispatch`, `Sink`). Every mid-stream
+//! bulk fragment, and anything behind a backlog or a dry credit window,
+//! crosses the two-stage pipeline; `pipeline_depth: 1`, which has no
+//! second stage, is the same rule with nothing to hand over to. The
+//! choice is read from the unit, the queue, the lock and the ledger —
+//! there is no size threshold and no knob.
+//!
 //! ## Fragment-granular scheduling
 //!
 //! Since GTM wire-format version 2, every packet names its stream (source,
@@ -106,7 +121,8 @@
 //! batching rule, `transmit_batch` puts a train on the wire, and every
 //! control packet goes to the node's `ControlPlane`. The cores
 //! differ only in *who waits how*: a thread blocked in
-//! `select_ready_after`, a bounded `RtQueue` and `take_blocking` — or a
+//! `select_ready_after`, a bounded `RtQueue` (or the polling thread
+//! itself, see above) and `take_blocking` — or a
 //! `try_select_ready_after` scan, a `VecDeque` and reactor timers for the
 //! credit deadline and the teardown drain. That is also why their
 //! forwarded byte streams are identical (asserted by the `prop_engine`
@@ -175,7 +191,8 @@ pub struct GatewayStats {
     pub fragments: AtomicU64,
     /// Pipeline pushes that found the bounded queue full (backpressure).
     pub stalls: AtomicU64,
-    /// Fragment handoffs through the pipeline (0 at depth 1).
+    /// Fragment handoffs through the pipeline: 0 at depth 1, and none for
+    /// a unit the polling thread transmits itself.
     pub buffer_switches: AtomicU64,
     /// Credit grants returned upstream (one per retransmitted fragment of
     /// a flow-controlled stream).
@@ -818,7 +835,7 @@ struct FwdItem {
     /// the start of the per-fragment forward-latency measurement.
     recv_ns: u64,
     /// Consume one outbound credit before retransmitting (flow-controlled
-    /// stream on a non-final hop).
+    /// stream on a non-final hop); cleared once that credit is in hand.
     consume: bool,
     /// Return one credit on this channel to this peer after a successful
     /// retransmission (the upstream side of a flow-controlled fragment).
@@ -877,6 +894,44 @@ impl FwdUnit {
         self.items().first().map(|item| item.out_net)
     }
 
+    /// A whole message: every stream the unit carries also ends in it, so
+    /// once it is on the wire nothing of it is left to receive — there is
+    /// no next packet whose receive a second thread could overlap with
+    /// this one's retransmission.
+    fn is_whole_message(&self) -> bool {
+        let items = self.items();
+        items.iter().all(|item| {
+            items
+                .iter()
+                .any(|last| last.end_of_stream && last.tag.key() == item.tag.key())
+        })
+    }
+
+    /// Take the credit of the unit's first flow-controlled packet if it is
+    /// there now; `false` when that stream's window is dry. A stream that
+    /// was cancelled counts as ready: the flush side finds that out
+    /// without waiting.
+    fn take_head_credit(&mut self, shared: &FwdShared) -> bool {
+        let items = match self {
+            FwdUnit::One(item) => std::slice::from_mut(item),
+            FwdUnit::Frame(items) => items.as_mut_slice(),
+        };
+        let Some(head) = items.iter_mut().find(|item| item.consume) else {
+            return true;
+        };
+        match shared.ledger().try_take(head.tag.key()) {
+            TakeOutcome::Taken => {
+                head.consume = false;
+                if let Some(m) = &shared.metrics {
+                    m.credit_wait_ns.record(0);
+                }
+                true
+            }
+            TakeOutcome::Cancelled(_) => true,
+            TakeOutcome::Empty => false,
+        }
+    }
+
     /// Account every packet of a unit that will never be sent.
     fn drop_all(&self, shared: &FwdShared) {
         for item in self.items() {
@@ -893,12 +948,23 @@ impl FwdUnit {
     }
 }
 
-/// Where the polling thread pushes pipeline units.
-enum Sink {
-    /// Pipelined: a bounded queue drained by a forwarding thread.
-    Queue(RtSender<FwdUnit>),
-    /// Depth-1: the polling thread retransmits synchronously.
-    Inline(OutPath, Flush),
+/// Where the polling thread hands the units of one outgoing network: the
+/// way out, the flush side's state, and — unless `pipeline_depth` is 1 —
+/// the bounded queue to the forwarding thread that shares that state.
+///
+/// Whoever transmits holds the `flush` lock from taking a unit to its last
+/// send. The forwarding thread pops *under* it, so the lock free and the
+/// queue empty together mean the flush side has nothing in hand — which
+/// is what lets [`dispatch`] transmit a unit on the polling thread without
+/// overtaking one that arrived before it. The lock is never waited on
+/// across a send: the polling thread only try-locks while a queue exists,
+/// and the forwarding thread locks only after it saw a unit queued, which
+/// the polling thread — the queue's one producer — cannot have pushed
+/// while it transmits. So a plain mutex is safe under the virtual clock.
+struct Sink {
+    path: OutPath,
+    flush: Arc<Mutex<Flush>>,
+    queue: Option<RtSender<FwdUnit>>,
 }
 
 /// Where the demultiplexer hands accepted packets. [`Inbound`] is generic
@@ -918,8 +984,7 @@ trait ItemSink {
     fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()>;
 }
 
-/// The threaded engine's sink set: one [`Sink`] per outbound network,
-/// dispatching to forwarding threads (or inline at depth 1).
+/// The threaded engine's sink set: one [`Sink`] per outbound network.
 struct ThreadedSinks(BTreeMap<NetworkId, Sink>);
 
 impl ItemSink for ThreadedSinks {
@@ -928,7 +993,7 @@ impl ItemSink for ThreadedSinks {
     }
 
     fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
-        match unit.out_net().and_then(|net| self.0.get_mut(&net)) {
+        match unit.out_net().and_then(|net| self.0.get(&net)) {
             Some(sink) => dispatch(sink, unit, shared),
             None => {
                 // `bridges` is checked before a stream is accepted.
@@ -1153,19 +1218,19 @@ pub(crate) fn spawn_gateway(
             continue;
         }
         let mut sinks: BTreeMap<NetworkId, Sink> = BTreeMap::new();
-        for (net_out, out_path) in paths {
-            if cfg.pipeline_depth == 1 {
-                sinks.insert(net_out, Sink::Inline(out_path, Flush::default()));
-                continue;
-            }
-            let (tx, rx) = RtQueue::<FwdUnit>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
-            sinks.insert(net_out, Sink::Queue(tx));
-            let name = format!("gw{}-{}-fwd-{}-{}", rank.0, vc_name, net_in, net_out);
-            let shared = shared.clone();
-            threads.push(runtime.spawn(
-                name,
-                Box::new(move || forwarding_thread(rx, out_path, shared)),
-            ));
+        for (net_out, path) in paths {
+            let flush = Arc::new(Mutex::new(Flush::default()));
+            let queue = (cfg.pipeline_depth > 1).then(|| {
+                let (tx, rx) = RtQueue::<FwdUnit>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
+                let name = format!("gw{}-{}-fwd-{}-{}", rank.0, vc_name, net_in, net_out);
+                let (flush, path, shared) = (flush.clone(), path.clone(), shared.clone());
+                threads.push(runtime.spawn(
+                    name,
+                    Box::new(move || forwarding_thread(rx, flush, path, shared)),
+                ));
+                tx
+            });
+            sinks.insert(net_out, Sink { path, flush, queue });
         }
         let name = format!("gw{}-{}-in-{}", rank.0, vc_name, net_in);
         threads.push(runtime.spawn(
@@ -2018,51 +2083,56 @@ impl<S: ItemSink> ItemSink for FrameItems<'_, S> {
     }
 }
 
-/// Hand one unit to its sink: enqueue for the forwarding thread (counting
-/// backpressure stalls) or retransmit inline at depth 1.
-fn dispatch(sink: &mut Sink, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
-    match sink {
-        Sink::Queue(tx) => {
-            shared.stats.on_switch(unit.frags());
-            match tx.try_push(unit) {
-                Ok(()) => {
-                    shared.queue_depth(1);
-                    Ok(())
-                }
-                Err(unit) => {
-                    if let Some(head) = unit.items().first() {
-                        shared.stats.on_stall();
-                        trace_instant!(
-                            shared.tracer,
-                            "gw",
-                            "stall",
-                            "src" = head.tag.src.0 as u64,
-                            "dest" = head.tag.dest.0 as u64,
-                        );
-                    }
-                    let _wait = trace_span!(shared.tracer, "gw", "stall-wait");
-                    match tx.push(unit) {
-                        Ok(()) => {
-                            shared.queue_depth(1);
-                            Ok(())
-                        }
-                        Err(unit) => {
-                            // The forwarding thread is gone: account the
-                            // unit ourselves, then shut this side down.
-                            unit.drop_all(shared);
-                            Err(MadError::Disconnected)
-                        }
-                    }
-                }
+/// Hand one unit to its sink. Who transmits it is read from what the
+/// engine already knows, never from a size or a setting: the polling
+/// thread does, in place, when there is nothing to overlap the
+/// retransmission with — no forwarding thread at all (depth 1), or a unit
+/// that is a whole message, a flush side with nothing in hand or queued,
+/// and the head's credit there without waiting. Everything else — every
+/// mid-stream bulk fragment, anything behind a backlog or a dry window —
+/// crosses the paper's two-stage pipeline, counting buffer switches and
+/// backpressure stalls. Either way a unit leaves after every unit accepted
+/// before it (see [`Sink`]).
+fn dispatch(sink: &Sink, mut unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+    let Some(tx) = &sink.queue else {
+        return sink.flush.lock().transmit(unit, &sink.path, shared);
+    };
+    if unit.is_whole_message() {
+        if let Some(mut flush) = sink.flush.try_lock() {
+            if tx.is_empty() && unit.take_head_credit(shared) {
+                return flush.transmit(unit, &sink.path, shared);
             }
         }
-        Sink::Inline(path, flush) => {
-            unit.unpack_into(&mut flush.pending);
-            if flush.run(path, shared) {
-                Ok(())
-            } else {
-                Err(MadError::Disconnected)
-            }
+    }
+    shared.stats.on_switch(unit.frags());
+    let unit = match tx.try_push(unit) {
+        Ok(()) => {
+            shared.queue_depth(1);
+            return Ok(());
+        }
+        Err(unit) => unit,
+    };
+    if let Some(head) = unit.items().first() {
+        shared.stats.on_stall();
+        trace_instant!(
+            shared.tracer,
+            "gw",
+            "stall",
+            "src" = head.tag.src.0 as u64,
+            "dest" = head.tag.dest.0 as u64,
+        );
+    }
+    let _wait = trace_span!(shared.tracer, "gw", "stall-wait");
+    match tx.push(unit) {
+        Ok(()) => {
+            shared.queue_depth(1);
+            Ok(())
+        }
+        Err(unit) => {
+            // The forwarding thread is gone: account the unit ourselves,
+            // then shut this side down.
+            unit.drop_all(shared);
+            Err(MadError::Disconnected)
         }
     }
 }
@@ -2387,8 +2457,8 @@ fn send_buf(conduit: &mut dyn Conduit, buf: FwdBuf) -> Result<()> {
 }
 
 /// Put a train back together for one outgoing conduit — the one place both
-/// engine cores and the depth-1 inline path decide what may ride a batch
-/// frame. `head`, whose credit is already in hand, starts the train in
+/// engine cores decide what may ride a batch frame. `head`, whose credit is
+/// already in hand, starts the train in
 /// `batch` (a scratch list the caller reuses; empty between trains); what
 /// is left in `pending` of the unit it came out of joins behind it
 /// (non-blocking credit takes only) until the train reaches the driver's
@@ -2440,25 +2510,35 @@ fn build_train(
     }
 }
 
-/// The blocking flush side of one outgoing network: the work list and the
-/// train scratch of a forwarding thread, or of the polling thread itself
-/// at depth 1.
+/// The blocking flush side of one (inbound, outbound) network pair: the
+/// work list and the train scratch of whichever thread transmits — the
+/// forwarding thread, or the polling thread in place (see [`dispatch`]).
 #[derive(Default)]
 struct Flush {
-    /// Packets taken off the queue and not yet on the wire, in order.
+    /// Packets of the unit in hand that are not yet on the wire, in order.
     pending: VecDeque<FwdItem>,
     batch: Vec<FwdItem>,
 }
 
 impl Flush {
-    /// Put everything in `pending` on the wire, train by train: the head's
-    /// credit may block (deadline-bounded; on failure its stream is
-    /// cancelled and the item accounted), followers join by [`build_train`]'s
-    /// rules, a follower that cannot join heads the next train. Each
-    /// outgoing conduit is locked per train, never per stream, so packets
-    /// of concurrent streams interleave. Returns `false` on an orderly
-    /// disconnect, with everything still pending accounted.
-    fn run(&mut self, path: &OutPath, shared: &FwdShared) -> bool {
+    /// Put one unit on the wire, train by train: the head's credit may
+    /// block (deadline-bounded; on failure its stream is cancelled and the
+    /// item accounted), followers join by [`build_train`]'s rules, a
+    /// follower that cannot join heads the next train. Each outgoing
+    /// conduit is locked per train, never per stream, so packets of
+    /// concurrent streams interleave. The flush stage is busy from here
+    /// until the unit's last train leaves the wire, on whichever thread —
+    /// the copy-placement scheduler reads `flush_active` to decide where a
+    /// relay copy overlaps best. Fails with [`MadError::Disconnected`] on
+    /// an orderly disconnect, with everything still pending accounted.
+    fn transmit(&mut self, unit: FwdUnit, path: &OutPath, shared: &FwdShared) -> Result<()> {
+        let _stage = StageBusy::enter(
+            Some(&shared.stats.flush_active),
+            &shared.stats.flush_busy_ns,
+            &*shared.runtime,
+            shared.timed(),
+        );
+        unit.unpack_into(&mut self.pending);
         while let Some(head) = self.pending.pop_front() {
             let Some(head) = take_credit_blocking(path, head, shared) else {
                 continue; // stream cancelled; item accounted
@@ -2480,35 +2560,31 @@ impl Flush {
                 for item in self.pending.drain(..) {
                     drop_item(&item, shared);
                 }
-                return false;
+                return Err(MadError::Disconnected);
             }
         }
-        true
+        Ok(())
     }
 }
 
 /// The forwarding thread of one (inbound, outbound) network pair: drains
 /// the pipeline and retransmits, unit by unit.
-fn forwarding_thread(rx: RtReceiver<FwdUnit>, path: OutPath, shared: FwdShared) {
+fn forwarding_thread(
+    rx: RtReceiver<FwdUnit>,
+    flush: Arc<Mutex<Flush>>,
+    path: OutPath,
+    shared: FwdShared,
+) {
     let _exit = ThreadExitGuard {
         live: shared.live.clone(),
     };
-    let timed = shared.timed();
-    let mut flush = Flush::default();
     // The polling thread gone means shut down.
-    while let Some(unit) = rx.pop() {
+    while rx.wait_pending() {
+        // Popped under the lock: see `Sink`.
+        let mut flush = flush.lock();
+        let Some(unit) = rx.try_pop() else { continue };
         shared.queue_depth(-1);
-        // The flush stage is busy from the moment it holds a unit until
-        // its last train leaves the wire — the copy-placement scheduler
-        // reads `flush_active` to decide where a relay copy overlaps best.
-        let _stage = StageBusy::enter(
-            Some(&shared.stats.flush_active),
-            &shared.stats.flush_busy_ns,
-            &*shared.runtime,
-            timed,
-        );
-        unit.unpack_into(&mut flush.pending);
-        if !flush.run(&path, &shared) {
+        if flush.transmit(unit, &path, &shared).is_err() {
             return;
         }
     }
@@ -2528,12 +2604,16 @@ mod tests {
     /// One gateway (rank 1) between network 0 = {0, 1} and network 1 =
     /// {1, 2, 3}, over mock drivers, with the far ends of its conduits in
     /// the test's hands: what rank 0 sends it on the special channel, and
-    /// what ranks 2 and 3 find on their regular channels.
+    /// what ranks 2 and 3 find on their regular channels. Rank 3 is itself
+    /// a gateway onto network 2 = {3, 4}, so a stream for rank 4 leaves on
+    /// rank 3's special channel and spends credits doing so.
     struct Rig {
         /// Rank 0's special channel toward the gateway.
         up: Channel,
         /// Regular channels of ranks 2 and 3, from the gateway.
         down: BTreeMap<u32, Channel>,
+        /// Special channels of ranks 2 and 3, from the gateway.
+        down_special: BTreeMap<u32, Channel>,
         /// Far ends nobody reads, kept open for the engine's sake.
         _idle: Vec<Channel>,
         stopctl: Arc<GatewayStop>,
@@ -2585,14 +2665,18 @@ mod tests {
                 (Arc::new(gw), far)
             };
             let (sp0, mut up) = mesh(&in_driver, 0, &[0]);
-            let (sp1, idle_sp1) = mesh(&out_driver, 1, &[2, 3]);
+            let (sp1, down_special) = mesh(&out_driver, 1, &[2, 3]);
             let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0]);
             let (rg1, down) = mesh(&out_driver, 1, &[2, 3]);
             let members = |net: u32, ranks: &[u32]| NetworkMembers {
                 net: NetworkId(net),
                 members: ranks.iter().map(|&r| NodeId(r)).collect(),
             };
-            let nets = [members(0, &[0, 1]), members(1, &[1, 2, 3])];
+            let nets = [
+                members(0, &[0, 1]),
+                members(1, &[1, 2, 3]),
+                members(2, &[3, 4]),
+            ];
             let ledger = CreditLedger::new(gw_event.clone());
             let ctl = ControlPlane::new(
                 NodeId(1),
@@ -2617,10 +2701,8 @@ mod tests {
             Rig {
                 up: up.remove(&0).unwrap(),
                 down,
-                _idle: idle_sp1
-                    .into_values()
-                    .chain(idle_rg0.into_values())
-                    .collect(),
+                down_special,
+                _idle: idle_rg0.into_values().collect(),
                 stopctl,
                 handles: Some(handles),
                 reactor,
@@ -2632,6 +2714,17 @@ mod tests {
         fn recv(&self, rank: u32) -> Vec<u8> {
             let mut conduit = self.down[&rank].lock_conduit(NodeId(1)).unwrap();
             conduit.recv_owned().unwrap()
+        }
+
+        /// The same on its special channel: a stream it is to forward.
+        fn recv_special(&self, rank: u32) -> Vec<u8> {
+            let mut conduit = self.down_special[&rank].lock_conduit(NodeId(1)).unwrap();
+            conduit.recv_owned().unwrap()
+        }
+
+        /// The running engine's counters.
+        fn totals(&self) -> GatewayTotals {
+            self.handles.as_ref().unwrap().stats().totals()
         }
 
         /// Drain the engine, stop it, and return its final counters.
@@ -2652,8 +2745,9 @@ mod tests {
     }
 
     /// The packets of one single-block stream `0 → dest`, as its writer
-    /// encodes them.
-    fn stream_packets(dest: u32, msg_id: u32, payload: &[u8]) -> Vec<Vec<u8>> {
+    /// encodes them: header, descriptor, the payload in `frags` equal
+    /// fragments, end.
+    fn stream_in_frags(dest: u32, msg_id: u32, payload: &[u8], frags: usize) -> Vec<Vec<u8>> {
         let tag = StreamTag {
             src: NodeId(0),
             dest: NodeId(dest),
@@ -2664,14 +2758,21 @@ mod tests {
             send: SendMode::Later,
             recv: RecvMode::Cheaper,
         };
-        let mut frag = gtm::frag_prelude(&tag).to_vec();
-        frag.extend_from_slice(payload);
-        vec![
+        let mut packets = vec![
             gtm::encode_header(&gtm::GtmHeader::new(tag, 4096, false)),
             gtm::encode_part(&tag, &desc),
-            frag,
-            gtm::encode_end(&tag),
-        ]
+        ];
+        for chunk in payload.chunks(payload.len().div_ceil(frags)) {
+            let mut frag = gtm::frag_prelude(&tag).to_vec();
+            frag.extend_from_slice(chunk);
+            packets.push(frag);
+        }
+        packets.push(gtm::encode_end(&tag));
+        packets
+    }
+
+    fn stream_packets(dest: u32, msg_id: u32, payload: &[u8]) -> Vec<Vec<u8>> {
+        stream_in_frags(dest, msg_id, payload, 1)
     }
 
     fn frame_of(packets: &[Vec<u8>]) -> Vec<u8> {
@@ -2711,7 +2812,85 @@ mod tests {
             assert_eq!((totals.errors, totals.cancelled), (0, 0));
             assert_eq!(totals.held_bytes, 0);
             assert!(rig.ledger.is_idle(), "the outbound account is closed");
+            if engine == EngineKind::Threaded {
+                // A whole message into an idle flush side leaves on the
+                // thread that received it, at any depth.
+                assert_eq!((totals.buffer_switches, totals.stalls), (0, 0));
+            }
         }
+    }
+
+    /// Mid-stream fragments have a next packet to overlap with: each one
+    /// crosses the pipeline. A whole message sent behind them leaves
+    /// whichever way the flush side's state says, and either way after
+    /// everything that arrived before it.
+    #[test]
+    fn bulk_fragments_still_cross_the_pipeline() {
+        let mut rig = Rig::new(
+            flow_controlled(EngineKind::Threaded, 2),
+            MockDriver::dynamic(),
+        );
+        let bulk = stream_in_frags(2, 1, &[0x5A; 3000], 3);
+        let small = frame_of(&stream_packets(2, 2, b"a whole message, behind"));
+        for packet in &bulk {
+            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+        }
+        rig.up.send_packet(NodeId(1), &[&small]).unwrap();
+        for packet in &bulk {
+            assert_eq!(
+                &rig.recv(2),
+                packet,
+                "packets that arrived apart leave apart"
+            );
+        }
+        assert_eq!(rig.recv(2), small, "and the frame after the stream's end");
+        let totals = rig.finish();
+        assert_eq!((totals.messages, totals.fragments), (2, 4));
+        // The three bulk fragments, plus the small one's if the forwarding
+        // thread was still busy with the stream when it arrived.
+        assert!(
+            (3..=4).contains(&totals.buffer_switches),
+            "{} switches",
+            totals.buffer_switches
+        );
+        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+    }
+
+    /// The polling thread transmits only what needs no waiting: a whole
+    /// message whose stream's window is dry goes to the queue, where the
+    /// forwarding thread waits for the credit as for any other packet.
+    #[test]
+    fn dry_window_goes_to_the_queue() {
+        let mut rig = Rig::new(
+            flow_controlled(EngineKind::Threaded, 2),
+            MockDriver::dynamic(),
+        );
+        // Rank 4 is behind rank 3: not the last hop, so credits are spent.
+        let packets = stream_packets(4, 9, b"the tail of a longer stream");
+        let key = StreamTag {
+            src: NodeId(0),
+            dest: NodeId(4),
+            msg_id: 9,
+        }
+        .key();
+        let (open, tail) = packets.split_at(2);
+        rig.up.send_packet(NodeId(1), &[&frame_of(open)]).unwrap();
+        assert_eq!(rig.recv_special(3), frame_of(open));
+        while rig.ledger.try_take(key) == TakeOutcome::Taken {}
+        // [fragment, end] is a whole message by the rule, the flush side
+        // is idle — and the window is taken.
+        rig.up.send_packet(NodeId(1), &[&frame_of(tail)]).unwrap();
+        while rig.totals().buffer_switches == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!Rig::pending(&rig.down_special[&3]), "nothing left dry");
+        rig.ledger.deposit(key, 1);
+        assert_eq!(rig.recv_special(3), frame_of(tail));
+        let totals = rig.finish();
+        assert_eq!((totals.buffer_switches, totals.stalls), (1, 0));
+        assert_eq!((totals.messages, totals.credit_timeouts), (1, 0));
+        assert_eq!((totals.errors, totals.cancelled), (0, 0));
+        assert!(rig.ledger.is_idle());
     }
 
     /// Packets of one train that leave different ways split where the way

@@ -475,7 +475,7 @@ impl FlushTask {
     /// Resolve the next action for `net`'s queue under the lock: cancel a
     /// dead head, arm the credit timer for a blocked one, or build a train
     /// into `self.batch` (through the same [`build_train`] as the
-    /// threaded engine's `Flush::run`).
+    /// threaded engine's `Flush::transmit`).
     fn next_step(&mut self, net: NetworkId, cx: &mut Context) -> FlushStep {
         let now = cx.now_ns();
         let shared = &self.shared;

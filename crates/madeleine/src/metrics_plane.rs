@@ -402,8 +402,7 @@ pub(crate) fn run_responder(ctl: Arc<ControlPlane>, stop: Arc<GatewayStop>) {
         while any {
             any = false;
             for ch in &channels {
-                let peers: Vec<NodeId> = ch.peers().collect();
-                for peer in peers {
+                for peer in ch.peers() {
                     match ctl.pump(ch, peer) {
                         Ok(consumed) => any |= consumed,
                         // The offending packet is gone; keep draining.

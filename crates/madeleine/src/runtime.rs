@@ -9,12 +9,21 @@
 //! [`StdRuntime`] is the real-time implementation; the simulated one lives
 //! in the `mad-sim` crate (it must not be here: this crate stays ignorant of
 //! virtual time).
+//!
+//! ## What a wake-up costs
+//!
+//! On real threads every blocking wait — a conduit's arrival event, a
+//! queue's, a lock's, the credit ledger's — is one
+//! [`mad_util::sync::Epoch`], and on one CPU the message rate *is* the
+//! number of times the scheduler is called for (EXPERIMENTS A13, A14). So
+//! a bump pays it only for somebody: it wakes a thread only when one is
+//! asleep on that event, and only after the event's own lock is free.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mad_util::sync::{Condvar, Mutex};
+use mad_util::sync::{Epoch, Mutex};
 
 /// An epoch counter that threads can block on — the one blocking primitive
 /// the library needs. Semantically identical to `vtime::Signal` so the
@@ -22,7 +31,10 @@ use mad_util::sync::{Condvar, Mutex};
 pub trait RtEvent: Send + Sync {
     /// Current epoch.
     fn epoch(&self) -> u64;
-    /// Increment the epoch and wake all waiters.
+    /// Increment the epoch and wake all waiters. On real threads a bump
+    /// that finds nobody waiting costs no system call, and a waiter is
+    /// woken only after the bumper has let go of the event's own lock
+    /// ([`mad_util::sync::Epoch`]).
     fn bump(&self);
     /// Block the calling thread until the epoch exceeds `seen`; returns the
     /// epoch observed at wake-up.
@@ -92,45 +104,26 @@ pub trait Runtime: Send + Sync {
     }
 }
 
+/// [`RtEvent`] on real threads: [`Epoch`] is the whole implementation.
 #[derive(Default)]
-struct StdEvent {
-    epoch: Mutex<u64>,
-    cv: Condvar,
-}
+struct StdEvent(Epoch);
 
 impl RtEvent for StdEvent {
     fn epoch(&self) -> u64 {
-        *self.epoch.lock()
+        self.0.epoch()
     }
 
     fn bump(&self) {
-        let mut e = self.epoch.lock();
-        *e += 1;
-        self.cv.notify_all();
+        self.0.bump();
     }
 
     fn wait_past(&self, seen: u64) -> u64 {
-        let mut e = self.epoch.lock();
-        while *e <= seen {
-            self.cv.wait(&mut e);
-        }
-        *e
+        self.0.wait_past(seen)
     }
 
     fn wait_past_timeout(&self, seen: u64, timeout_ns: u64) -> Option<u64> {
-        let deadline = Instant::now() + std::time::Duration::from_nanos(timeout_ns);
-        let mut e = self.epoch.lock();
-        while *e <= seen {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let res = self.cv.wait_for(&mut e, deadline - now);
-            if res.timed_out() && *e <= seen {
-                return None;
-            }
-        }
-        Some(*e)
+        self.0
+            .wait_past_timeout(seen, std::time::Duration::from_nanos(timeout_ns))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -230,10 +223,6 @@ impl Runtime for StdRuntime {
     }
 }
 
-/// A multi-producer multi-consumer FIFO whose blocking operations go through
-/// an [`RtEvent`], so it works under both runtimes. Used for driver receive
-/// queues and the gateway pipeline slots. This type is only a constructor
-/// namespace; the live halves are [`RtSender`] and [`RtReceiver`].
 /// A mutex whose waiters block through an [`RtEvent`], making contention
 /// visible to the virtual clock. A plain mutex held across a blocking
 /// driver operation would freeze the simulation: the waiter appears
@@ -433,6 +422,11 @@ impl<T> RtSender<T> {
         }
     }
 
+    /// True if nothing is queued right now.
+    pub fn is_empty(&self) -> bool {
+        self.inner.q.lock().items.is_empty()
+    }
+
     /// Non-blocking push: `Err(item)` when the queue is at capacity or every
     /// receiver is gone. Lets producers observe backpressure (the gateway
     /// counts these as pipeline stalls) before falling back to a blocking
@@ -477,17 +471,27 @@ impl<T> RtReceiver<T> {
     /// Pop, blocking until an item arrives; `None` once all producers are
     /// gone and the queue is drained.
     pub fn pop(&self) -> Option<T> {
+        while self.wait_pending() {
+            if let Some(v) = self.try_pop() {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Block until an item is queued, without taking it; `false` once all
+    /// producers are gone and the queue is drained. For a consumer that
+    /// must take its own lock before it pops.
+    pub fn wait_pending(&self) -> bool {
         loop {
             let seen = self.inner.nonempty.epoch();
             {
-                let mut st = self.inner.q.lock();
-                if let Some(v) = st.items.pop_front() {
-                    drop(st);
-                    self.inner.nonfull.bump();
-                    return Some(v);
+                let st = self.inner.q.lock();
+                if !st.items.is_empty() {
+                    return true;
                 }
                 if st.producers == 0 {
-                    return None;
+                    return false;
                 }
             }
             self.inner.nonempty.wait_past(seen);

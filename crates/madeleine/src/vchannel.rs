@@ -419,8 +419,7 @@ impl VirtualChannel {
             let seen = self.ctl.event().epoch();
             let mut all_closed = true;
             for (&net, channel) in &self.regular {
-                let peers: Vec<NodeId> = channel.peers().collect();
-                for peer in peers {
+                for peer in channel.peers() {
                     let c = channel.lock_conduit(peer)?;
                     if c.ready() {
                         return Ok((net, peer));

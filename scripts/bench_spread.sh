@@ -10,12 +10,15 @@
 # median (fwd_small after PR 15: 0.10 of 1.46 MB/s is 2.6 % of 5.7 MB/s).
 # Without --parent the width is taken from this tree's own median.
 #
-#   scripts/bench_spread.sh [--runs 10] [--workload fwd_small] [--parent DIR]
+#   scripts/bench_spread.sh [--runs 10] [--workload fwd_small|all] [--parent DIR]
 #
-# DIR is a checkout that has benchmark/run.sh (git clone or git archive of
-# the parent); it builds into DIR/target. About 22 s a run. Run it on an
-# otherwise idle machine: anything busy on the other CPU is in the numbers
-# (EXPERIMENTS A13, "run-to-run spread").
+# `--workload all` runs the four workloads of BENCHMARK.json in every
+# alternating round and prints one table per workload. DIR is a checkout
+# that has benchmark/run.sh (git clone or git archive of the parent); it
+# builds into DIR/target. About 22 s a run (ten runs of all four against a
+# parent: half an hour). Exit 1 on any TOO WIDE or any failed operation.
+# Run it on an otherwise idle machine: anything busy on the other CPU is in
+# the numbers (EXPERIMENTS A13, "run-to-run spread").
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 runs=10
@@ -26,23 +29,30 @@ while [ $# -gt 0 ]; do
         --runs) runs="$2"; shift 2 ;;
         --workload) workload="$2"; shift 2 ;;
         --parent) parent="$(cd "$2" && pwd)"; shift 2 ;;
-        *) echo "usage: bench_spread.sh [--runs N] [--workload W] [--parent DIR]" >&2; exit 2 ;;
+        *) echo "usage: bench_spread.sh [--runs N] [--workload W|all] [--parent DIR]" >&2; exit 2 ;;
     esac
 done
+workloads=("$workload")
+if [ "$workload" = all ]; then
+    workloads=(direct_bulk fwd_bulk fwd_small chain_duplex_mix)
+fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# one_run <checkout> <seed> <file>: the run's one-line result object.
+# one_run <checkout> <side> <workload> <seed>: the run's one-line result
+# object, appended to the side's file for that workload.
 one_run() {
     CARGO_TARGET_DIR="$1/target" "$1/benchmark/run.sh" \
-        --workload "$workload" --seed "$2" --seconds 30 --trace 0 2>/dev/null | tail -n 1 >>"$3"
+        --workload "$3" --seed "$4" --seconds 30 --trace 0 2>/dev/null | tail -n 1 >>"$tmp/$2.$3"
 }
 for k in $(seq 1 "$runs"); do
     seed=$((700 + k))
-    echo "bench_spread: $workload run $k/$runs" >&2
-    if [ -n "$parent" ] && [ $((k % 2)) -eq 1 ]; then one_run "$parent" "$seed" "$tmp/parent"; fi
-    one_run "$root" "$seed" "$tmp/change"
-    if [ -n "$parent" ] && [ $((k % 2)) -eq 0 ]; then one_run "$parent" "$seed" "$tmp/parent"; fi
+    for w in "${workloads[@]}"; do
+        echo "bench_spread: $w run $k/$runs" >&2
+        if [ -n "$parent" ] && [ $((k % 2)) -eq 1 ]; then one_run "$parent" parent "$w" "$seed"; fi
+        one_run "$root" change "$w" "$seed"
+        if [ -n "$parent" ] && [ $((k % 2)) -eq 0 ]; then one_run "$parent" parent "$w" "$seed"; fi
+    done
 done
 
 # stats <file> <metric>: "median iqr" over the runs in <file>.
@@ -58,30 +68,33 @@ stats() {
         }
         END { printf "%.6g %.6g", q(0.5), q(0.75) - q(0.25) }'
 }
-failed="$(cat "$tmp"/* | grep -c '"failed": [1-9]' || true)"
-printf '%-14s %-8s %12s %12s %12s  %s\n' metric side median iqr allowed verdict
 status=0
-for metric in goodput_MBps msg_rate_kps rtt_p50_us rtt_p90_us setup_s; do
-    bound="$(grep -A4 "\"name\": \"$metric\"" "$root/BENCHMARK.json" | sed -n 's/.*"bound": \([0-9.]*\).*/\1/p' | head -n 1)"
-    read -r cmed ciqr <<<"$(stats "$tmp/change" "$metric")"
-    base="$cmed"
-    if [ -n "$parent" ]; then
-        read -r pmed piqr <<<"$(stats "$tmp/parent" "$metric")"
-        base="$pmed"
-    fi
-    allowed="$(awk -v b="$bound" -v m="$base" 'BEGIN { printf "%.6g", b * m }')"
-    for side in parent change; do
-        if [ "$side" = parent ]; then
-            [ -n "$parent" ] || continue
-            med="$pmed"; iqr="$piqr"
-        else
-            med="$cmed"; iqr="$ciqr"
+for w in "${workloads[@]}"; do
+    echo "== $w"
+    printf '%-14s %-8s %12s %12s %12s  %s\n' metric side median iqr allowed verdict
+    for metric in goodput_MBps msg_rate_kps rtt_p50_us rtt_p90_us setup_s; do
+        bound="$(grep -A4 "\"name\": \"$metric\"" "$root/BENCHMARK.json" | sed -n 's/.*"bound": \([0-9.]*\).*/\1/p' | head -n 1)"
+        read -r cmed ciqr <<<"$(stats "$tmp/change.$w" "$metric")"
+        base="$cmed"
+        if [ -n "$parent" ]; then
+            read -r pmed piqr <<<"$(stats "$tmp/parent.$w" "$metric")"
+            base="$pmed"
         fi
-        verdict="$(awk -v i="$iqr" -v a="$allowed" 'BEGIN { print (i <= a) ? "ok" : "TOO WIDE" }')"
-        [ "$verdict" = ok ] || status=1
-        printf '%-14s %-8s %12s %12s %12s  %s\n' "$metric" "$side" "$med" "$iqr" "$allowed" "$verdict"
+        allowed="$(awk -v b="$bound" -v m="$base" 'BEGIN { printf "%.6g", b * m }')"
+        for side in parent change; do
+            if [ "$side" = parent ]; then
+                [ -n "$parent" ] || continue
+                med="$pmed"; iqr="$piqr"
+            else
+                med="$cmed"; iqr="$ciqr"
+            fi
+            verdict="$(awk -v i="$iqr" -v a="$allowed" 'BEGIN { print (i <= a) ? "ok" : "TOO WIDE" }')"
+            [ "$verdict" = ok ] || status=1
+            printf '%-14s %-8s %12s %12s %12s  %s\n' "$metric" "$side" "$med" "$iqr" "$allowed" "$verdict"
+        done
     done
 done
+failed="$(cat "$tmp"/* | grep -c '"failed": [1-9]' || true)"
 echo "runs with failed operations: $failed"
 [ "$failed" -eq 0 ] || status=1
 exit "$status"

@@ -20,6 +20,18 @@ echo
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+# Every blocking wait on real threads is one mad_util::sync::Epoch, and
+# its bump skips the notify when no waiter is counted. A lost wake-up or a
+# stale count shows as a hang or a non-zero count in the storm (4 bumpers
+# x 4 waiters, half on timed waits), but not in every run: 50 of them,
+# optimised, a few seconds.
+echo
+echo "== epoch storm x50 (mad-util, release)"
+for i in $(seq 1 50); do
+  out="$(cargo test -q --offline --release -p mad-util --lib epoch_storm 2>&1)" ||
+    { echo "$out"; echo "epoch storm: run $i of 50 failed" >&2; exit 1; }
+done
+
 # The randomized soaks, pinned to a fixed seed so CI failures reproduce
 # byte-for-byte (developers can explore other schedules by exporting
 # their own MAD_SOAK_SEED). This includes the fault-injection soak:
