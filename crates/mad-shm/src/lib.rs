@@ -1,8 +1,12 @@
 //! # mad-shm — in-process shared-memory driver for Madeleine
 //!
 //! The fastest "network" available: conduits are runtime-backed FIFOs of
-//! owned packets, with dynamic buffers (no staging copies) and unbounded
-//! gather. It serves two purposes:
+//! owned packets, with dynamic buffers and unbounded gather. A FIFO of
+//! owned packets must own what it queues: `send` stages its borrowed
+//! gather into one recycled buffer — the driver's one copy, which no cost
+//! model charges — while `send_owned` and `send_static` queue the very
+//! buffer they are handed, so a packet a gateway forwards crosses this
+//! driver without being copied. It serves two purposes:
 //!
 //! * functional testing of the whole Madeleine stack at real speed, and
 //! * a *real* transport for the wall-clock `benchmark/` workloads
@@ -18,6 +22,7 @@
 
 use std::sync::Arc;
 
+use mad_util::pool::PooledBuf;
 use madeleine::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::error::{MadError, Result};
 use madeleine::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime};
@@ -113,6 +118,13 @@ impl Conduit for ShmConduit {
         self.tx.push(packet).map_err(|_| MadError::Disconnected)
     }
 
+    fn send_owned(&mut self, packet: PooledBuf) -> Result<()> {
+        // The buffer the sender gives up is the buffer the receiver adopts.
+        self.tx
+            .push(packet.detach())
+            .map_err(|_| MadError::Disconnected)
+    }
+
     fn send_static(&mut self, buf: StaticBuf) -> Result<()> {
         // A dynamic driver sends from anywhere; accept the buffer as-is.
         self.tx
@@ -174,6 +186,20 @@ mod tests {
         a.send(&[b"he", b"llo", b""]).unwrap();
         let got = b.recv_owned().unwrap();
         assert_eq!(got, b"hello");
+    }
+
+    /// The `Vec` a by-value send is given is the `Vec` the peer receives:
+    /// same allocation, nothing staged in between.
+    #[test]
+    fn send_owned_hands_over_the_allocation() {
+        let (mut a, mut b) = pair();
+        let mut packet = Vec::with_capacity(4096);
+        packet.extend_from_slice(b"landed here, sent from here");
+        let (ptr, cap) = (packet.as_ptr(), packet.capacity());
+        a.send_owned(packet.into()).unwrap();
+        let got = b.recv_owned().unwrap();
+        assert_eq!(got, b"landed here, sent from here");
+        assert_eq!((got.as_ptr(), got.capacity()), (ptr, cap));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! in the conduit operations themselves:
 //!
 //! * **dynamic** drivers transfer straight from/into user memory
-//!   (`send` gathers without copying, `recv_into` lands data directly);
+//!   (`send` gathers without copying, `recv_into` lands data directly;
+//!   one that must own what it queues takes a whole packet by value
+//!   through [`Conduit::send_owned`] instead of staging it);
 //! * **static** drivers require data to pass through driver-provided
 //!   buffers: `send` must first copy into one (the driver charges that copy
 //!   through the runtime), but [`Conduit::alloc_static`] +
@@ -171,6 +173,20 @@ pub trait Conduit: Send {
             parts.push(p);
         }
         self.send(&parts)
+    }
+
+    /// Send one complete packet the caller gives up: the by-value form of
+    /// [`Conduit::send`], for a buffer that has no use after the send — the
+    /// gateway's landed packet above all. The default gathers it through
+    /// `send`, so a driver that stages every send copies and charges
+    /// exactly as it does for a borrowed packet; a driver that queues owned
+    /// buffers (shared memory) overrides it to put *this* buffer on the
+    /// wire, which is what makes "any → dynamic: 0 copies" (paper §2.3)
+    /// true of the driver as well as of the engine above it. A wrapper
+    /// conduit that does not forward this call falls back to the default —
+    /// correct, and one silent copy per packet slower.
+    fn send_owned(&mut self, packet: mad_util::pool::PooledBuf) -> Result<()> {
+        self.send(&[&packet])
     }
 
     /// Send a driver-allocated buffer as one packet without any copy.

@@ -2447,10 +2447,12 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
     }
 }
 
-/// Transmit one pipeline buffer on an outgoing conduit.
+/// Transmit one pipeline buffer on an outgoing conduit. A landed packet is
+/// handed over whole: a driver that queues owned buffers sends the buffer
+/// the packet arrived in.
 fn send_buf(conduit: &mut dyn Conduit, buf: FwdBuf) -> Result<()> {
     match buf {
-        FwdBuf::Owned(v) => conduit.send(&[&v]),
+        FwdBuf::Owned(v) => conduit.send_owned(v),
         FwdBuf::Static(sb) => conduit.send_static(sb),
         FwdBuf::Slice(..) => conduit.send(&[buf.bytes()]),
     }
@@ -2854,6 +2856,42 @@ mod tests {
             totals.buffer_switches
         );
         assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+    }
+
+    /// A packet that arrived alone is handed to the outgoing driver whole:
+    /// it leaves in the allocation it landed in, under either core. The
+    /// packets of a frame are windows onto one landed buffer and still
+    /// leave as a gather.
+    #[test]
+    fn bulk_fragment_leaves_in_the_buffer_it_arrived_in() {
+        for (engine, depth) in [
+            (EngineKind::Threaded, 2),
+            (EngineKind::Threaded, 1),
+            (EngineKind::Reactor, 2),
+        ] {
+            let out = MockDriver::dynamic();
+            let mut rig = Rig::new(flow_controlled(engine, depth), out.clone());
+            let packets = stream_in_frags(2, 1, &[0x3C; 2000], 2);
+            let mut sent = Vec::new();
+            for packet in packets.iter().cloned() {
+                sent.push(packet.as_ptr() as usize);
+                let mut conduit = rig.up.lock_conduit(NodeId(1)).unwrap();
+                conduit.send_owned(packet.into()).unwrap();
+            }
+            for (packet, at) in packets.iter().zip(&sent) {
+                let got = rig.recv(2);
+                assert_eq!(&got, packet, "{engine:?} depth {depth}");
+                assert_eq!(got.as_ptr() as usize, *at, "copied on the way");
+            }
+            assert_eq!(out.owned_sends(), sent);
+            let frame = frame_of(&stream_packets(2, 2, b"a train is gathered"));
+            rig.up.send_packet(NodeId(1), &[&frame]).unwrap();
+            assert_eq!(rig.recv(2), frame);
+            assert_eq!(out.owned_sends().len(), sent.len());
+            let totals = rig.finish();
+            assert_eq!((totals.messages, totals.fragments), (2, 3));
+            assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        }
     }
 
     /// The polling thread transmits only what needs no waiting: a whole

@@ -7,6 +7,9 @@
 
 use std::sync::Arc;
 
+use mad_util::pool::PooledBuf;
+use mad_util::sync::Mutex;
+
 use crate::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use crate::error::{MadError, Result};
 use crate::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime, StdRuntime};
@@ -17,6 +20,9 @@ use crate::types::NodeId;
 pub struct MockDriver {
     pub caps: DriverCaps,
     runtime: Arc<dyn Runtime>,
+    /// Where every packet handed whole to a conduit of this driver
+    /// ([`Conduit::send_owned`]) lived, in send order.
+    owned_sends: Arc<Mutex<Vec<usize>>>,
 }
 
 impl MockDriver {
@@ -24,7 +30,13 @@ impl MockDriver {
         Arc::new(MockDriver {
             caps,
             runtime: StdRuntime::shared(),
+            owned_sends: Arc::default(),
         })
+    }
+
+    /// Addresses of the packets sent through [`Conduit::send_owned`].
+    pub fn owned_sends(&self) -> Vec<usize> {
+        self.owned_sends.lock().clone()
     }
 
     pub fn dynamic() -> Arc<Self> {
@@ -69,6 +81,7 @@ impl Driver for MockDriver {
                 rx: rx_a,
                 ev: ev_a,
                 sent_packets: 0,
+                owned_sends: self.owned_sends.clone(),
             }),
             Box::new(MockConduit {
                 caps: self.caps,
@@ -76,6 +89,7 @@ impl Driver for MockDriver {
                 rx: rx_b,
                 ev: ev_b,
                 sent_packets: 0,
+                owned_sends: self.owned_sends.clone(),
             }),
         )
     }
@@ -88,6 +102,7 @@ pub struct MockConduit {
     ev: Arc<dyn RtEvent>,
     /// Observable packet count, for grouping assertions.
     pub sent_packets: usize,
+    owned_sends: Arc<Mutex<Vec<usize>>>,
 }
 
 impl Conduit for MockConduit {
@@ -105,6 +120,15 @@ impl Conduit for MockConduit {
             v.extend_from_slice(p);
         }
         self.tx.push(v).map_err(|_| MadError::Disconnected)
+    }
+
+    fn send_owned(&mut self, packet: PooledBuf) -> Result<()> {
+        assert!(packet.len() <= self.caps.max_packet, "packet over limit");
+        self.sent_packets += 1;
+        self.owned_sends.lock().push(packet.as_ptr() as usize);
+        self.tx
+            .push(packet.detach())
+            .map_err(|_| MadError::Disconnected)
     }
 
     fn send_static(&mut self, buf: StaticBuf) -> Result<()> {

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mad_shm::ShmDriver;
+use mad_util::pool::PooledBuf;
 use madeleine::conduit::{Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::gateway::GatewayConfig;
 use madeleine::runtime::RtEvent;
@@ -21,6 +22,8 @@ use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 #[derive(Default)]
 struct Edge {
     sent: AtomicU64,
+    /// Of `sent`, the packets handed over whole (`send_owned`).
+    owned: AtomicU64,
     received: AtomicU64,
 }
 
@@ -96,6 +99,13 @@ impl Conduit for CountingConduit {
     fn send(&mut self, parts: &[&[u8]]) -> madeleine::Result<()> {
         self.out.sent.fetch_add(1, Ordering::SeqCst);
         self.inner.send(parts)
+    }
+    // Forwarded, not defaulted: the default would turn the hand-off back
+    // into a staged `send` below this wrapper.
+    fn send_owned(&mut self, packet: PooledBuf) -> madeleine::Result<()> {
+        self.out.sent.fetch_add(1, Ordering::SeqCst);
+        self.out.owned.fetch_add(1, Ordering::SeqCst);
+        self.inner.send_owned(packet)
     }
     fn send_static(&mut self, buf: StaticBuf) -> madeleine::Result<()> {
         self.out.sent.fetch_add(1, Ordering::SeqCst);
