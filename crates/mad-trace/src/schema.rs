@@ -375,13 +375,14 @@ pub const ROUTE_EVENT_NAMES: [&str; 5] = [
 
 /// Event names allowed on a `gw:` track (all `count`s, cat `gateway`):
 /// the teardown totals plus the windowed cost-model deltas.
-pub const GW_EVENT_NAMES: [&str; 14] = [
+pub const GW_EVENT_NAMES: [&str; 15] = [
     "messages",
     "fragments",
     "fragment_bytes",
     "stalls",
     "buffer_switches",
     "credits_granted",
+    "grants_sent",
     "cancelled",
     "credit_timeouts",
     "errors",

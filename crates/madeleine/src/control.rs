@@ -54,15 +54,36 @@ pub struct Tuning {
     /// never turns the rendezvous path on or off, only moves an enabled
     /// crossover point).
     rendezvous: AtomicUsize,
+    /// The smallest window `window` can ever have read: the controller's
+    /// floor, or the bootstrap window where that is lower still (the clamp
+    /// applies from the first step on). 0 with flow control off.
+    smallest: u32,
 }
 
 impl Tuning {
-    /// Seed the tuning from the bootstrap gateway knobs.
-    pub fn new(credit_window: Option<u32>, rendezvous_threshold: usize) -> Arc<Self> {
+    /// Seed the tuning from the bootstrap gateway knobs; `window_floor` is
+    /// the lower clamp of the controllers that will retune it.
+    pub fn new(
+        credit_window: Option<u32>,
+        rendezvous_threshold: usize,
+        window_floor: u32,
+    ) -> Arc<Self> {
         Arc::new(Tuning {
             window: AtomicU32::new(credit_window.unwrap_or(0)),
             rendezvous: AtomicUsize::new(rendezvous_threshold),
+            smallest: credit_window.map_or(0, |w| w.min(window_floor)),
         })
+    }
+
+    /// The smallest window an account of this channel can have been opened
+    /// with, whenever it was opened (`None` = flow control off). A gateway
+    /// sizes its grant period from it: the sender of a stream it relays
+    /// may have read the window before any retune the gateway has seen.
+    pub fn smallest_window(&self) -> Option<u32> {
+        match self.smallest {
+            0 => None,
+            w => Some(w),
+        }
     }
 
     /// The effective credit window (`None` = flow control off).
@@ -316,7 +337,7 @@ mod tests {
     use mad_trace::Tracer;
 
     fn controller(cfg: ControllerConfig, window: Option<u32>, rendezvous: usize) -> Controller {
-        let tuning = Tuning::new(window, rendezvous);
+        let tuning = Tuning::new(window, rendezvous, cfg.window_floor);
         let stats = Arc::new(GatewayStats::default());
         let window = GatewayWindow::open(stats, 0);
         Controller::new(cfg, tuning, window, Tracer::off(), "ctl:t@0".into())
@@ -343,12 +364,16 @@ mod tests {
 
     #[test]
     fn tuning_encodes_disabled_window_as_none() {
-        let t = Tuning::new(None, 0);
+        let t = Tuning::new(None, 0, 2);
         assert_eq!(t.credit_window(), None);
+        assert_eq!(t.smallest_window(), None);
         assert_eq!(t.rendezvous_threshold(), 0);
-        let t = Tuning::new(Some(8), 64 * 1024);
+        let t = Tuning::new(Some(8), 64 * 1024, 2);
         assert_eq!(t.credit_window(), Some(8));
+        assert_eq!(t.smallest_window(), Some(2));
         assert_eq!(t.rendezvous_threshold(), 64 * 1024);
+        // A bootstrap window below the floor is the smallest there is.
+        assert_eq!(Tuning::new(Some(1), 0, 2).smallest_window(), Some(1));
     }
 
     #[test]

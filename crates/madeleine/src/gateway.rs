@@ -194,9 +194,14 @@ pub struct GatewayStats {
     /// Fragment handoffs through the pipeline: 0 at depth 1, and none for
     /// a unit the polling thread transmits itself.
     pub buffer_switches: AtomicU64,
-    /// Credit grants returned upstream (one per retransmitted fragment of
-    /// a flow-controlled stream).
+    /// Credits returned upstream: one for every retransmitted fragment of
+    /// a flow-controlled stream that a grant covered (the last fragments
+    /// of a stream, short of a grant period, are never granted — their
+    /// sender closed the account).
     pub credits_granted: AtomicU64,
+    /// Credit packets (kind 5) those credits travelled in: one per grant
+    /// period of a stream, not one per fragment.
+    pub grants_sent: AtomicU64,
     /// Streams dropped mid-flight by a cancellation (either received from
     /// a neighbour hop or initiated here).
     pub cancelled: AtomicU64,
@@ -299,8 +304,10 @@ pub struct GatewayTotals {
     pub stalls: u64,
     /// Fragment handoffs through the pipeline.
     pub buffer_switches: u64,
-    /// Credit grants returned upstream.
+    /// Credits returned upstream.
     pub credits_granted: u64,
+    /// Credit packets those credits travelled in.
+    pub grants_sent: u64,
     /// Streams dropped mid-flight by a cancellation.
     pub cancelled: u64,
     /// Credit waits that hit their deadline here.
@@ -398,6 +405,7 @@ impl GatewayStats {
             stalls: self.stalls.load(Ordering::Relaxed),
             buffer_switches: self.buffer_switches.load(Ordering::Relaxed),
             credits_granted: self.credits_granted.load(Ordering::Relaxed),
+            grants_sent: self.grants_sent.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             credit_timeouts: self.credit_timeouts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
@@ -837,9 +845,10 @@ struct FwdItem {
     /// Consume one outbound credit before retransmitting (flow-controlled
     /// stream on a non-final hop); cleared once that credit is in hand.
     consume: bool,
-    /// Return one credit on this channel to this peer after a successful
-    /// retransmission (the upstream side of a flow-controlled fragment).
-    grant: Option<(Arc<Channel>, NodeId)>,
+    /// The upstream side of a flow-controlled fragment that earns its
+    /// sender a credit: where the stream's grants go after a successful
+    /// retransmission, and its cancel if it dies on the way out.
+    upstream: Option<Upstream>,
     /// Send a handoff ack on this channel to this peer after the end
     /// packet is successfully retransmitted (an acked stream whose origin
     /// is our upstream neighbour). Never set together with a failed
@@ -850,6 +859,29 @@ struct FwdItem {
     /// staging copy: `buf` is the raw received buffer, and the flush
     /// stage restages it into this landing before transmitting.
     restage: Option<Restage>,
+}
+
+/// Where a fragment's stream arrives from, and what goes back there once
+/// the fragment is retransmitted.
+struct Upstream {
+    channel: Arc<Channel>,
+    peer: NodeId,
+    /// Credits to return: the stream's whole count on the fragment that
+    /// completes a grant period, 0 on every other one.
+    credits: u32,
+}
+
+impl Upstream {
+    /// Return `credits` upstream as one credit packet.
+    fn grant(&self, tag: &StreamTag, credits: u32, stats: &GatewayStats) {
+        let credit = gtm::credit_packet(tag, credits);
+        if self.channel.send_packet(self.peer, &[&credit]).is_ok() {
+            stats
+                .credits_granted
+                .fetch_add(credits as u64, Ordering::Relaxed);
+            stats.grants_sent.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl FwdItem {
@@ -1269,6 +1301,9 @@ struct InStream {
     /// must not be returned on top of it. `Cell` because the polling
     /// side decrements it per fragment while holding only `&InStream`.
     rendezvous_pending: Cell<u64>,
+    /// Fragments received since the last one that carried a grant: credits
+    /// the sender is owed and no fragment has been told to return yet.
+    grant_due: Cell<u32>,
 }
 
 /// Size of the static/naive landing buffer, derived from the currently
@@ -1290,6 +1325,26 @@ fn landing_size(streams: &BTreeMap<StreamKey, InStream>, caps: &DriverCaps) -> u
     size.min(caps.max_packet)
 }
 
+/// How many fragments of a stream one credit packet answers for: half the
+/// smallest window a sender on this channel can hold, and at least one.
+///
+/// A sender that ran dry has its whole window on the way through this
+/// gateway — a full period, two for any window of 2 or more — and the
+/// fragment that completes each period carries the grant, so no sender
+/// waits for a credit no fragment will bring, with no timer and no flush.
+/// Half, not whole: a window returned in one piece would make sender and
+/// gateway take turns instead of overlapping. Both ends of a conduit read
+/// the window from the same configuration; where a controller retunes it,
+/// an account may have been opened under any window down to the
+/// controller's floor, so the floor is the number read.
+fn grant_period(cfg: &GatewayConfig, tuning: Option<&Tuning>) -> u32 {
+    let smallest = match tuning {
+        Some(t) => t.smallest_window(),
+        None => cfg.credit_window,
+    };
+    (smallest.unwrap_or(1) / 2).max(1)
+}
+
 /// The fixed facts of one inbound network direction.
 struct InboundCtx {
     rank: NodeId,
@@ -1304,6 +1359,9 @@ struct InboundCtx {
     /// staging copy in `recv_owned` anyway).
     can_defer: bool,
     timed: bool,
+    /// Fragments of a stream per credit packet returned upstream; see
+    /// [`grant_period`].
+    grant_period: u32,
 }
 
 /// The demultiplexing state of one inbound network direction.
@@ -1364,6 +1422,7 @@ impl Inbound {
                 landing: landing_policy(paths, cfg),
                 can_defer: has_flush_stage && in_caps.mode == BufferMode::Dynamic,
                 timed: shared.timed(),
+                grant_period: grant_period(&cfg, shared.tuning.as_deref()),
                 in_channel,
                 in_caps,
                 cfg,
@@ -1548,14 +1607,15 @@ impl InboundCtx {
         let mut items = train.items;
         // A fragment whose stream's last word came in the same frame earns
         // its sender nothing by a grant: the sender closed the stream's
-        // account before it sent that word, so the grant would be dropped
-        // on arrival — after costing a buffer, a send and a wake-up.
+        // account before it sent that word, so the grant — and whatever the
+        // stream was still owed, gone with its table entry — would be
+        // dropped on arrival, after costing a buffer, a send and a wake-up.
         for last in 0..items.len() {
             if items[last].end_of_stream {
                 let key = items[last].tag.key();
                 for item in &mut items[..last] {
                     if item.tag.key() == key {
-                        item.grant = None;
+                        item.upstream = None;
                     }
                 }
             }
@@ -1724,6 +1784,7 @@ impl InboundCtx {
                     // origin, so a chained gateway never acks on its behalf.
                     ack: header.acked && peer == tag.src,
                     rendezvous_pending: Cell::new(0),
+                    grant_due: Cell::new(0),
                 };
                 // On a non-final hop this gateway is the next conduit's
                 // sender: self-grant the window it will spend re-sending. The
@@ -1846,15 +1907,24 @@ impl InboundCtx {
     ) -> FwdItem {
         let flow_controlled = self.cfg.credit_window.is_some();
         let held_bytes = if is_frag { buf.bytes().len() } else { 0 };
-        // A fragment prepaid by a rendezvous CTS must not also return its
-        // per-fragment grant — the whole window went upstream at once.
-        let grant = if is_frag && flow_controlled {
+        // A fragment prepaid by a rendezvous CTS must not also earn a
+        // credit — the whole window went upstream at once. Every other one
+        // does, and the one that completes a grant period carries them all
+        // back: the one place that decides which fragment carries a grant.
+        let upstream = if is_frag && flow_controlled {
             let pending = stream.rendezvous_pending.get();
             if pending > 0 {
                 stream.rendezvous_pending.set(pending - 1);
                 None
             } else {
-                Some((self.in_channel.clone(), peer))
+                let due = stream.grant_due.get() + 1;
+                let credits = if due >= self.grant_period { due } else { 0 };
+                stream.grant_due.set(due - credits);
+                Some(Upstream {
+                    channel: self.in_channel.clone(),
+                    peer,
+                    credits,
+                })
             }
         } else {
             None
@@ -1870,7 +1940,7 @@ impl InboundCtx {
             // Forward latency is measured on payload fragments only.
             recv_ns: if is_frag { recv_ns } else { 0 },
             consume: is_frag && flow_controlled && !stream.last_hop,
-            grant,
+            upstream,
             ack: (end_of_stream && stream.ack).then(|| (self.in_channel.clone(), peer)),
             restage,
         }
@@ -2159,7 +2229,7 @@ fn cancel_outbound(
     to: NodeId,
     last_hop: bool,
     tag: &StreamTag,
-    grant: &Option<(Arc<Channel>, NodeId)>,
+    upstream: &Option<Upstream>,
     reason: CancelReason,
     tell_downstream: bool,
     shared: &FwdShared,
@@ -2182,8 +2252,8 @@ fn cancel_outbound(
     if tell_downstream {
         let _ = path.channel(last_hop).send_packet(to, &[&cancel]);
     }
-    if let Some((grant_ch, grant_peer)) = grant {
-        let _ = grant_ch.send_packet(*grant_peer, &[&cancel]);
+    if let Some(up) = upstream {
+        let _ = up.channel.send_packet(up.peer, &[&cancel]);
     }
 }
 
@@ -2196,7 +2266,7 @@ fn cancel_and_drop(path: &OutPath, item: &FwdItem, reason: CancelReason, shared:
         item.to,
         item.last_hop,
         &item.tag,
-        &item.grant,
+        &item.upstream,
         reason,
         true,
         shared,
@@ -2250,7 +2320,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
         held_bytes,
         recv_ns,
         consume: _,
-        grant,
+        upstream,
         ack,
         restage: _,
     } = item;
@@ -2283,11 +2353,8 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
                 }
             }
             shared.stats.held.add(-(held_bytes as i64));
-            if let Some((grant_ch, grant_peer)) = &grant {
-                let credit = gtm::credit_packet(&tag, 1);
-                if grant_ch.send_packet(*grant_peer, &[&credit]).is_ok() {
-                    shared.stats.credits_granted.fetch_add(1, Ordering::Relaxed);
-                }
+            if let Some(up) = upstream.as_ref().filter(|up| up.credits > 0) {
+                up.grant(&tag, up.credits, &shared.stats);
             }
             if let Some((ack_ch, ack_peer)) = &ack {
                 // The stream's end packet is on the wire: tell the origin
@@ -2322,7 +2389,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
                 to,
                 last_hop,
                 &tag,
-                &grant,
+                &upstream,
                 CancelReason::PeerUnreachable,
                 false,
                 shared,
@@ -2380,25 +2447,25 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                     }
                 }
             }
-            // One aggregated grant per (upstream peer, stream) instead of
-            // one packet per fragment: the first fragment of each sends
-            // the count of all of them.
+            // At most one credit packet per (upstream peer, stream): the
+            // first fragment of each returns what all of them carry.
             for (i, item) in batch.iter().enumerate() {
-                let Some((ch, p)) = &item.grant else { continue };
+                let Some(up) = &item.upstream else { continue };
                 let same = |other: &&FwdItem| {
                     other.tag.key() == item.tag.key()
-                        && other.grant.as_ref().is_some_and(|(_, q)| q == p)
+                        && other.upstream.as_ref().is_some_and(|o| o.peer == up.peer)
                 };
                 if batch[..i].iter().any(|other| same(&other)) {
                     continue;
                 }
-                let n = batch[i..].iter().filter(same).count() as u32;
-                let credit = gtm::credit_packet(&item.tag, n);
-                if ch.send_packet(*p, &[&credit]).is_ok() {
-                    shared
-                        .stats
-                        .credits_granted
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                let credits: u32 = batch[i..]
+                    .iter()
+                    .filter(same)
+                    .filter_map(|other| other.upstream.as_ref())
+                    .map(|o| o.credits)
+                    .sum();
+                if credits > 0 {
+                    up.grant(&item.tag, credits, &shared.stats);
                 }
             }
             for item in batch.drain(..) {
@@ -2435,7 +2502,7 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                     item.to,
                     item.last_hop,
                     &item.tag,
-                    &item.grant,
+                    &item.upstream,
                     CancelReason::PeerUnreachable,
                     false,
                     shared,
@@ -2602,6 +2669,7 @@ mod tests {
     use crate::testutil::{channel_pair, MockDriver};
     use crate::types::ChannelId;
     use crate::{RecvMode, SendMode};
+    use std::time::{Duration, Instant};
 
     /// One gateway (rank 1) between network 0 = {0, 1} and network 1 =
     /// {1, 2, 3}, over mock drivers, with the far ends of its conduits in
@@ -2626,6 +2694,15 @@ mod tests {
 
     impl Rig {
         fn new(cfg: GatewayConfig, out_driver: Arc<MockDriver>) -> Rig {
+            Rig::with_tuning(cfg, out_driver, None)
+        }
+
+        /// The same gateway on a channel a controller governs.
+        fn with_tuning(
+            cfg: GatewayConfig,
+            out_driver: Arc<MockDriver>,
+            tuning: Option<Arc<Tuning>>,
+        ) -> Rig {
             let rt = StdRuntime::shared();
             let gw_event = rt.event();
             let in_driver = MockDriver::dynamic();
@@ -2698,7 +2775,7 @@ mod tests {
                 stopctl.clone(),
                 ctl,
                 reactor.as_ref(),
-                None,
+                tuning,
             );
             Rig {
                 up: up.remove(&0).unwrap(),
@@ -2743,6 +2820,42 @@ mod tests {
 
         fn pending(channel: &Channel) -> bool {
             channel.lock_conduit(NodeId(1)).unwrap().ready()
+        }
+
+        /// Block for the next packet the gateway sends back to rank 0: it
+        /// must be a credit packet, and this is how many credits it holds.
+        fn recv_grant(&self) -> u32 {
+            let packet = self.up.lock_conduit(NodeId(1)).unwrap().recv_owned();
+            match gtm::decode_packet(&packet.unwrap()).unwrap() {
+                (_, PacketBody::Credit(n)) => n,
+                (_, body) => panic!("expected a grant, got {body:?}"),
+            }
+        }
+
+        /// Rank 0 as a flow-controlled writer would send `packets`: each
+        /// fragment only with a credit of a `window`-credit account in
+        /// hand, waiting up to `timeout` for the gateway's grants when the
+        /// account is dry. `false` is that writer's `CreditTimeout`.
+        fn send_windowed(&self, packets: &[Vec<u8>], window: u32, timeout: Duration) -> bool {
+            let mut credits = window;
+            for packet in packets {
+                if packet[2] == gtm::KIND_FRAG {
+                    while credits == 0 {
+                        let deadline = Instant::now() + timeout;
+                        let left = || {
+                            let left = deadline.saturating_duration_since(Instant::now());
+                            Some(left.as_nanos() as u64)
+                        };
+                        if self.up.select_ready_after(None, || false, left).is_err() {
+                            return false;
+                        }
+                        credits += self.recv_grant();
+                    }
+                    credits -= 1;
+                }
+                self.up.send_packet(NodeId(1), &[packet]).unwrap();
+            }
+            true
         }
     }
 
@@ -2891,6 +3004,146 @@ mod tests {
             let totals = rig.finish();
             assert_eq!((totals.messages, totals.fragments), (2, 3));
             assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        }
+    }
+
+    /// Credits come back by the half window: of a 16-fragment stream under
+    /// a window of 8, fragments 4, 8, 12 and 16 each return four credits in
+    /// one packet and the others return nothing. Each fragment is sent only
+    /// after the one before it came out the far side, and the gateway
+    /// grants before it transmits the next packet of a stream — so a grant
+    /// from any other fragment would be read first, with the wrong count.
+    #[test]
+    fn half_window_grants() {
+        let window8 = |engine| GatewayConfig {
+            credit_window: Some(8),
+            ..flow_controlled(engine, 2)
+        };
+        for engine in [EngineKind::Threaded, EngineKind::Reactor] {
+            let mut rig = Rig::new(window8(engine), MockDriver::dynamic());
+            let packets = stream_in_frags(2, 1, &[0x6B; 16 * 100], 16);
+            let mut frags = 0;
+            for packet in &packets {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                assert_eq!(&rig.recv(2), packet);
+                frags += u32::from(packet[2] == gtm::KIND_FRAG);
+                if packet[2] == gtm::KIND_FRAG && frags % 4 == 0 {
+                    assert_eq!(rig.recv_grant(), 4, "{engine:?}: after fragment {frags}");
+                }
+            }
+            let totals = rig.finish();
+            assert!(!Rig::pending(&rig.up), "four grants and no more");
+            assert_eq!((totals.credits_granted, totals.grants_sent), (16, 4));
+            assert_eq!((totals.messages, totals.fragments), (1, 16));
+
+            // The last fragment in one frame with the end: the sender closed
+            // its account before that frame left, and the fourth grant
+            // stays home.
+            let mut rig = Rig::new(window8(engine), MockDriver::dynamic());
+            let (apart, tail) = packets.split_at(packets.len() - 2);
+            for packet in apart {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                assert_eq!(&rig.recv(2), packet);
+            }
+            rig.up.send_packet(NodeId(1), &[&frame_of(tail)]).unwrap();
+            assert_eq!(rig.recv(2), frame_of(tail));
+            let totals = rig.finish();
+            assert_eq!((totals.credits_granted, totals.grants_sent), (12, 3));
+            assert_eq!(
+                [rig.recv_grant(), rig.recv_grant(), rig.recv_grant()],
+                [4; 3]
+            );
+            assert!(!Rig::pending(&rig.up));
+        }
+    }
+
+    /// No window is too small to be granted by the half: a writer that
+    /// sends only what its account covers gets through under every one,
+    /// well inside a deadline a single missing grant would hit.
+    #[test]
+    fn half_window_grants_starve_no_window() {
+        for engine in [EngineKind::Threaded, EngineKind::Reactor] {
+            for window in [1, 2, 3, 5] {
+                let cfg = GatewayConfig {
+                    credit_window: Some(window),
+                    credit_timeout_ns: 200_000_000,
+                    ..flow_controlled(engine, 2)
+                };
+                let mut rig = Rig::new(cfg, MockDriver::dynamic());
+                // Rank 4 is behind rank 3: the gateway spends credits of its
+                // own on the way out, which rank 3 — this test — returns one
+                // by one, as a gateway of period 1 would.
+                let packets = stream_in_frags(4, window, &[0x1D; 16 * 100], 16);
+                let key = (gtm::decode_packet(&packets[0]).unwrap().0).key();
+                let far = std::thread::scope(|scope| {
+                    let far = scope.spawn(|| {
+                        for packet in &packets {
+                            assert_eq!(&rig.recv_special(3), packet);
+                            if packet[2] == gtm::KIND_FRAG {
+                                rig.ledger.deposit(key, 1);
+                            }
+                        }
+                    });
+                    let sent = rig.send_windowed(&packets, window, Duration::from_millis(200));
+                    assert!(sent, "{engine:?}: window {window} ran dry for good");
+                    far.join()
+                });
+                far.unwrap();
+                let totals = rig.finish();
+                assert_eq!((totals.messages, totals.fragments), (1, 16));
+                assert_eq!((totals.credit_timeouts, totals.cancelled), (0, 0));
+                assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+            }
+        }
+    }
+
+    /// Where a controller retunes the window, the grant period follows the
+    /// smallest window a sender can hold, not the live one: this sender
+    /// opened its account at 2, the window went to 10 before the gateway
+    /// saw the stream's header, and a period of 10 / 2 would wait for five
+    /// fragments from a sender that may send two.
+    #[test]
+    fn controller_floor_bounds_the_grant_period() {
+        use crate::control::{Controller, ControllerConfig};
+        use crate::ticker::Ticker;
+        let ctl_cfg = ControllerConfig {
+            hysteresis_ticks: 1,
+            window_step: 8,
+            ..Default::default()
+        };
+        for engine in [EngineKind::Threaded, EngineKind::Reactor] {
+            let cfg = GatewayConfig {
+                credit_window: Some(2),
+                credit_timeout_ns: 200_000_000,
+                ..flow_controlled(engine, 2)
+            };
+            let tuning = Tuning::new(cfg.credit_window, 0, ctl_cfg.window_floor);
+            let mut rig = Rig::with_tuning(cfg, MockDriver::dynamic(), Some(tuning.clone()));
+            // A controller, starved (on counters of its own), raises it.
+            let starved = Arc::new(GatewayStats::default());
+            let mut ctl = Controller::new(
+                ctl_cfg,
+                tuning.clone(),
+                GatewayWindow::open(starved.clone(), 0),
+                Tracer::off(),
+                "ctl:vc@1".into(),
+            );
+            starved.credit_timeouts.fetch_add(1, Ordering::Relaxed);
+            ctl.tick(ctl_cfg.interval_ns);
+            assert_eq!(tuning.credit_window(), Some(10));
+
+            let packets = stream_in_frags(2, 3, &[0x77; 8 * 100], 8);
+            let sent = rig.send_windowed(&packets, 2, Duration::from_millis(200));
+            assert!(
+                sent,
+                "{engine:?}: the sender's window of 2 ran dry for good"
+            );
+            for packet in &packets {
+                assert_eq!(&rig.recv(2), packet);
+            }
+            let totals = rig.finish();
+            assert_eq!((totals.messages, totals.credit_timeouts), (1, 0));
+            assert_eq!((totals.errors, totals.cancelled), (0, 0));
         }
     }
 

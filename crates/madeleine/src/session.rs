@@ -463,10 +463,11 @@ impl SessionBuilder {
             // controller and hot-path reader. Seeded from the bootstrap
             // knobs; absent (all reads fall back to the static config)
             // when no controller governs the channel.
-            let tuning = vdef.options.controller.map(|_| {
+            let tuning = vdef.options.controller.map(|ctl_cfg| {
                 crate::control::Tuning::new(
                     vdef.options.gateway.credit_window,
                     vdef.options.gateway.rendezvous_threshold,
+                    ctl_cfg.window_floor,
                 )
             });
 
@@ -758,6 +759,7 @@ impl SessionBuilder {
                     t.credits_granted as i64,
                     &[],
                 );
+                tracer.count_on(&track, "gateway", "grants_sent", t.grants_sent as i64, &[]);
                 tracer.count_on(&track, "gateway", "cancelled", t.cancelled as i64, &[]);
                 tracer.count_on(
                     &track,

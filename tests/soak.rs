@@ -389,14 +389,20 @@ fn credit_window_bounds_gateway_occupancy() {
         capped.held_bytes, 0,
         "engine still holds bytes after teardown"
     );
-    // Every relayed fragment grants a credit — except the tail ones whose
-    // grants race the sender's exit (its conduits close once the message
-    // is fully handed over), at most a window's worth.
+    // Every relayed fragment earns a credit, returned by the half window —
+    // except the tail ones whose grants race the sender's exit (its
+    // conduits close once the message is fully handed over), at most a
+    // window's worth.
     let frags = (TOTAL / MTU) as u64;
     assert!(
         capped.credits_granted >= frags - WINDOW as u64,
         "missing credit grants: granted {} of {frags} fragments",
         capped.credits_granted
+    );
+    assert_eq!(
+        capped.credits_granted,
+        capped.grants_sent * (WINDOW / 2) as u64,
+        "every credit packet carries half a window"
     );
     assert_eq!(capped.cancelled, 0);
     assert_eq!(capped.credit_timeouts, 0);
