@@ -609,7 +609,9 @@ impl GatewayStop {
 
     /// Ask the engines to stop once all in-flight streams are drained.
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        // `SeqCst`, with the two loads in `should_stop` and the pair in
+        // `end_forwarded`: see there.
+        self.stop.store(true, Ordering::SeqCst);
         self.wake_all();
     }
 
@@ -626,7 +628,7 @@ impl GatewayStop {
     }
 
     fn should_stop(&self) -> bool {
-        if !self.stop.load(Ordering::Acquire) {
+        if !self.stop.load(Ordering::SeqCst) {
             return false;
         }
         if self.forced.load(Ordering::Acquire) {
@@ -640,7 +642,7 @@ impl GatewayStop {
         // one did, the scan may have looked at both its old and new
         // station while it was in neither, so the result is void.
         let before = self.transitions.load(Ordering::Acquire);
-        if self.open.load(Ordering::Acquire) != 0 || self.busy.load(Ordering::Acquire) != 0 {
+        if self.open.load(Ordering::SeqCst) != 0 || self.busy.load(Ordering::Acquire) != 0 {
             return false;
         }
         let pending = self
@@ -659,9 +661,18 @@ impl GatewayStop {
         self.transitions.fetch_add(1, Ordering::AcqRel);
     }
 
+    /// The last open stream ending matters to one kind of waiter: an engine
+    /// whose `should_stop` said "not yet" — and that says so before it
+    /// looks at `open` unless a stop was requested. So only then are the
+    /// engines woken; in a running session the end of a message wakes
+    /// nobody it is not for. The decrement and the look at `stop` here,
+    /// against `request_stop`'s store and `should_stop`'s two loads, are
+    /// `SeqCst` so that one side always sees the other: this thread sees
+    /// the request and wakes the engines, or `request_stop`'s own wake-up
+    /// comes after the decrement and an engine it wakes reads zero.
     fn end_forwarded(&self) {
         self.transitions.fetch_add(1, Ordering::AcqRel);
-        if self.open.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if self.open.fetch_sub(1, Ordering::SeqCst) == 1 && self.stop.load(Ordering::SeqCst) {
             self.wake_all();
         }
     }
@@ -2690,6 +2701,8 @@ mod tests {
         handles: Option<GatewayHandles>,
         reactor: Option<Arc<GatewayReactor>>,
         ledger: Arc<CreditLedger>,
+        /// The gateway's own special channels, by network.
+        special: BTreeMap<u32, Arc<Channel>>,
     }
 
     impl Rig {
@@ -2708,45 +2721,54 @@ mod tests {
             let in_driver = MockDriver::dynamic();
             // One channel of the gateway: its conduits to `peers`, whose
             // far ends come back as one single-conduit channel each.
-            let mesh = |driver: &Arc<MockDriver>, net: u32, peers: &[u32]| {
-                let mut near: BTreeMap<NodeId, Box<dyn Conduit>> = BTreeMap::new();
-                let mut far = BTreeMap::new();
-                for &peer in peers {
-                    let ev = rt.event();
-                    let (c_gw, c_peer) =
-                        driver.connect(NodeId(1), NodeId(peer), gw_event.clone(), ev.clone());
-                    near.insert(NodeId(peer), c_gw);
-                    let conduits = BTreeMap::from([(NodeId(1), c_peer)]);
-                    far.insert(
-                        peer,
-                        Channel::assemble(
-                            ChannelId(0),
-                            "far",
-                            NetworkId(net),
-                            NodeId(peer),
-                            driver.caps(),
-                            conduits,
-                            ev,
-                            rt.clone(),
-                        ),
+            let mesh =
+                |driver: &Arc<MockDriver>, net: u32, peers: &[u32], gw_event: &Arc<dyn RtEvent>| {
+                    let mut near: BTreeMap<NodeId, Box<dyn Conduit>> = BTreeMap::new();
+                    let mut far = BTreeMap::new();
+                    for &peer in peers {
+                        let ev = rt.event();
+                        let (c_gw, c_peer) =
+                            driver.connect(NodeId(1), NodeId(peer), gw_event.clone(), ev.clone());
+                        near.insert(NodeId(peer), c_gw);
+                        let conduits = BTreeMap::from([(NodeId(1), c_peer)]);
+                        far.insert(
+                            peer,
+                            Channel::assemble(
+                                ChannelId(0),
+                                "far",
+                                NetworkId(net),
+                                NodeId(peer),
+                                driver.caps(),
+                                conduits,
+                                ev,
+                                rt.clone(),
+                            ),
+                        );
+                    }
+                    let gw = Channel::assemble(
+                        ChannelId(0),
+                        "gw",
+                        NetworkId(net),
+                        NodeId(1),
+                        driver.caps(),
+                        near,
+                        gw_event.clone(),
+                        rt.clone(),
                     );
-                }
-                let gw = Channel::assemble(
-                    ChannelId(0),
-                    "gw",
-                    NetworkId(net),
-                    NodeId(1),
-                    driver.caps(),
-                    near,
-                    gw_event.clone(),
-                    rt.clone(),
-                );
-                (Arc::new(gw), far)
+                    (Arc::new(gw), far)
+                };
+            // The session's wiring: a thread-driven gateway's special
+            // channels each have an arrival event of their own, everything
+            // else of the node shares one.
+            let special_event = || match cfg.engine {
+                EngineKind::Threaded => rt.event(),
+                EngineKind::Reactor => gw_event.clone(),
             };
-            let (sp0, mut up) = mesh(&in_driver, 0, &[0]);
-            let (sp1, down_special) = mesh(&out_driver, 1, &[2, 3]);
-            let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0]);
-            let (rg1, down) = mesh(&out_driver, 1, &[2, 3]);
+            let (sp0, mut up) = mesh(&in_driver, 0, &[0], &special_event());
+            let (sp1, down_special) = mesh(&out_driver, 1, &[2, 3], &special_event());
+            let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0], &gw_event);
+            let (rg1, down) = mesh(&out_driver, 1, &[2, 3], &gw_event);
+            let special = BTreeMap::from([(0, sp0.clone()), (1, sp1.clone())]);
             let members = |net: u32, ranks: &[u32]| NetworkMembers {
                 net: NetworkId(net),
                 members: ranks.iter().map(|&r| NodeId(r)).collect(),
@@ -2786,6 +2808,7 @@ mod tests {
                 handles: Some(handles),
                 reactor,
                 ledger,
+                special,
             }
         }
 
@@ -3145,6 +3168,32 @@ mod tests {
             assert_eq!((totals.messages, totals.credit_timeouts), (1, 0));
             assert_eq!((totals.errors, totals.cancelled), (0, 0));
         }
+    }
+
+    /// Each polling thread sleeps on its own channel's arrivals: a message
+    /// that comes in on network 0 and leaves on network 1's regular channel
+    /// moves network 0's event and leaves network 1's where it was —
+    /// nothing along the way stirs the polling thread that has no part in
+    /// it.
+    #[test]
+    fn arrival_on_one_net_does_not_stir_the_other() {
+        let mut rig = Rig::new(
+            flow_controlled(EngineKind::Threaded, 2),
+            MockDriver::dynamic(),
+        );
+        let epochs = |rig: &Rig| [0, 1].map(|net| rig.special[&net].recv_event().epoch());
+        let [own, other] = epochs(&rig);
+        let bulk = stream_in_frags(2, 1, &[0x2E; 4000], 4);
+        let small = frame_of(&stream_packets(2, 2, b"and a whole message"));
+        for packet in bulk.iter().chain([&small]) {
+            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+            assert_eq!(&rig.recv(2), packet);
+        }
+        let [own_after, other_after] = epochs(&rig);
+        assert!(own_after >= own + 7, "seven arrivals, seven bumps");
+        assert_eq!(other_after, other, "network 1's polling thread was stirred");
+        let totals = rig.finish();
+        assert_eq!((totals.messages, totals.errors), (2, 0));
     }
 
     /// The polling thread transmits only what needs no waiting: a whole

@@ -246,8 +246,10 @@ impl SessionBuilder {
         let runtime = self.runtime.clone();
         let guard = runtime.setup_guard();
 
-        // One arrival event per node, shared by all its conduits so a node
-        // can block for "anything from anyone".
+        // One arrival event per node, shared by its conduits so a node can
+        // block for "anything from anyone" — all of them but the special
+        // channels of a thread-driven gateway, which each get their own
+        // (see the virtual channels below).
         let node_events: Vec<Arc<dyn RtEvent>> = (0..n).map(|_| runtime.event()).collect();
 
         let mut next_channel_id = 0u32;
@@ -258,41 +260,54 @@ impl SessionBuilder {
         };
 
         // Builds one channel over a network: a full conduit mesh among the
-        // members, assembled into one per-node Channel.
-        let build_channel =
-            |id: ChannelId, label: String, net_idx: usize| -> HashMap<NodeId, Channel> {
-                let def = &self.networks[net_idx];
-                let mut per_node: HashMap<NodeId, BTreeMap<NodeId, Box<dyn Conduit>>> =
-                    def.members.iter().map(|&m| (m, BTreeMap::new())).collect();
-                for (i, &a) in def.members.iter().enumerate() {
-                    for &b in def.members.iter().skip(i + 1) {
-                        let (ca, cb) = def.driver.connect(
-                            a,
-                            b,
-                            node_events[a.index()].clone(),
-                            node_events[b.index()].clone(),
-                        );
-                        per_node.get_mut(&a).unwrap().insert(b, ca);
-                        per_node.get_mut(&b).unwrap().insert(a, cb);
+        // members, assembled into one per-node Channel. `own_event` names
+        // the members whose end of it gets an arrival event of its own;
+        // every other end bumps its node's.
+        let build_channel = |id: ChannelId,
+                             label: String,
+                             net_idx: usize,
+                             own_event: &[NodeId]|
+         -> HashMap<NodeId, Channel> {
+            let def = &self.networks[net_idx];
+            let events: HashMap<NodeId, Arc<dyn RtEvent>> = def
+                .members
+                .iter()
+                .map(|&m| {
+                    if own_event.contains(&m) {
+                        (m, runtime.event())
+                    } else {
+                        (m, node_events[m.index()].clone())
                     }
+                })
+                .collect();
+            let mut per_node: HashMap<NodeId, BTreeMap<NodeId, Box<dyn Conduit>>> =
+                def.members.iter().map(|&m| (m, BTreeMap::new())).collect();
+            for (i, &a) in def.members.iter().enumerate() {
+                for &b in def.members.iter().skip(i + 1) {
+                    let (ca, cb) = def
+                        .driver
+                        .connect(a, b, events[&a].clone(), events[&b].clone());
+                    per_node.get_mut(&a).unwrap().insert(b, ca);
+                    per_node.get_mut(&b).unwrap().insert(a, cb);
                 }
-                per_node
-                    .into_iter()
-                    .map(|(rank, conduits)| {
-                        let ch = Channel::assemble(
-                            id,
-                            label.clone(),
-                            NetworkId(net_idx as u32),
-                            rank,
-                            def.driver.caps(),
-                            conduits,
-                            node_events[rank.index()].clone(),
-                            runtime.clone(),
-                        );
-                        (rank, ch)
-                    })
-                    .collect()
-            };
+            }
+            per_node
+                .into_iter()
+                .map(|(rank, conduits)| {
+                    let ch = Channel::assemble(
+                        id,
+                        label.clone(),
+                        NetworkId(net_idx as u32),
+                        rank,
+                        def.driver.caps(),
+                        conduits,
+                        events[&rank].clone(),
+                        runtime.clone(),
+                    );
+                    (rank, ch)
+                })
+                .collect()
+        };
 
         // Per-channel traffic counters, collected for the end-of-run
         // trace flush: (channel label, rank, counters).
@@ -303,7 +318,7 @@ impl SessionBuilder {
         for cdef in &self.channels {
             let id = alloc_channel_id();
             let built: HashMap<NodeId, Arc<Channel>> =
-                build_channel(id, cdef.name.clone(), cdef.net)
+                build_channel(id, cdef.name.clone(), cdef.net, &[])
                     .into_iter()
                     .map(|(k, v)| (k, Arc::new(v)))
                     .collect();
@@ -349,6 +364,21 @@ impl SessionBuilder {
                 })
                 .collect();
 
+            // A gateway's polling thread sleeps on its inbound special
+            // channel alone, so that channel's arrivals get an event of
+            // their own: a packet from the left wakes the left polling
+            // thread and nobody else. Everything else on the node — its
+            // regular channels, its ledger, an endpoint's special channels
+            // — stays on the node event, where a pumping writer or a reader
+            // needs "an arrival or a deposit" in one wait; and so do a
+            // reactor-driven gateway's special channels: its workers park
+            // on the node event for whatever happens on the node.
+            let gateways = routing::gateways(&nm);
+            let polled: &[NodeId] = match vdef.options.gateway.engine {
+                crate::gateway::EngineKind::Threaded => &gateways,
+                crate::gateway::EngineKind::Reactor => &[],
+            };
+
             // Build the per-network channel pairs.
             let mut regular_by_node: HashMap<NodeId, BTreeMap<NetworkId, Arc<Channel>>> =
                 HashMap::new();
@@ -359,14 +389,14 @@ impl SessionBuilder {
                 let net_name = &self.networks[net_idx].name;
                 let reg_id = alloc_channel_id();
                 let reg_label = format!("{}.regular.{net_name}", vdef.name);
-                for (rank, ch) in build_channel(reg_id, reg_label.clone(), net_idx) {
+                for (rank, ch) in build_channel(reg_id, reg_label.clone(), net_idx, &[]) {
                     let ch = Arc::new(ch);
                     channel_stats.push((reg_label.clone(), rank, ch.stats().clone()));
                     regular_by_node.entry(rank).or_default().insert(net_id, ch);
                 }
                 let spec_id = alloc_channel_id();
                 let spec_label = format!("{}.special.{net_name}", vdef.name);
-                for (rank, ch) in build_channel(spec_id, spec_label.clone(), net_idx) {
+                for (rank, ch) in build_channel(spec_id, spec_label.clone(), net_idx, polled) {
                     let ch = Arc::new(ch);
                     channel_stats.push((spec_label.clone(), rank, ch.stats().clone()));
                     special_by_node.entry(rank).or_default().insert(net_id, ch);
@@ -395,10 +425,10 @@ impl SessionBuilder {
 
             // One control plane per (virtual channel, node): the node's
             // credit ledger — keyed off the node's arrival event so a
-            // blocked writer wakes on either a conduit arrival or a credit
-            // deposit, and present even without a credit window because it
-            // doubles as the cancellation bus — plus its one route table
-            // and its special channels. The node's gateway engine (if
+            // blocked writer wakes on either an arrival on a conduit it
+            // pumps or a credit deposit, and present even without a credit
+            // window because it doubles as the cancellation bus — plus its
+            // one route table and its special channels. The node's gateway engine (if
             // any), its writers, its responder and its optional planes
             // all share it.
             let ctls: HashMap<NodeId, Arc<ControlPlane>> = special_by_node
@@ -472,7 +502,6 @@ impl SessionBuilder {
             });
 
             // Gateway engines.
-            let gateways = routing::gateways(&nm);
             for &gw in &gateways {
                 let reactor = (vdef.options.gateway.engine == crate::gateway::EngineKind::Reactor)
                     .then(|| {
