@@ -32,6 +32,19 @@ for i in $(seq 1 50); do
     { echo "$out"; echo "epoch storm: run $i of 50 failed" >&2; exit 1; }
 done
 
+# A credit that no fragment is told to return, or a waiter asleep on an
+# event its waker does not bump, is a hang until a deadline — and does not
+# show in every run: the half-window grant rigs (both cores, windows 1 to
+# 8, a writer that sends only what its account covers) and the acked
+# origin whose ack somebody else reads, 50 times, optimised, a few seconds.
+echo
+echo "== half-window grants + acked-origin wake-up x50 (madeleine, release)"
+for i in $(seq 1 50); do
+  out="$(cargo test -q --offline --release -p madeleine --lib -- \
+    half_window_grants acked_origin_wakes 2>&1)" ||
+    { echo "$out"; echo "grant/wake-up loop: run $i of 50 failed" >&2; exit 1; }
+done
+
 # The randomized soaks, pinned to a fixed seed so CI failures reproduce
 # byte-for-byte (developers can explore other schedules by exporting
 # their own MAD_SOAK_SEED). This includes the fault-injection soak:
@@ -55,7 +68,8 @@ MAD_ENGINE=reactor cargo test -q --offline --release --test metrics
 
 # Wire counts under the reactor core too (the main pass above ran them
 # under the default): one small forwarded message is one packet per hop
-# and no grant, and an eager sender's conduit does not fill with them.
+# and no grant, a bulk one returns its credits by the half window in the
+# buffers it arrived in, and an eager sender's conduit does not fill.
 echo
 echo "== wire counts, reactor engine (MAD_ENGINE=reactor)"
 MAD_ENGINE=reactor cargo test -q --offline --release --test wire_counts
