@@ -128,8 +128,9 @@ impl ControlPlane {
         &self.special
     }
 
-    /// The node's arrival event: conduit arrivals, ledger changes and ack
-    /// deposits all bump it.
+    /// The node's event: ledger changes and ack deposits bump it, and so
+    /// does every arrival but those on a thread-driven gateway's special
+    /// conduits, whose polling threads have events of their own.
     pub(crate) fn event(&self) -> &Arc<dyn RtEvent> {
         self.ledger.event()
     }

@@ -6,8 +6,9 @@
 //! the classic link-level answer (credit/buffer accounting, as in the
 //! APENet-style interconnects of the related work): every *fragment* sent
 //! toward a gateway consumes one credit from a per-stream window, and the
-//! gateway returns one credit upstream each time it finishes
-//! *retransmitting* a fragment. Fragments resident in a gateway are
+//! gateway returns a credit upstream for each fragment it has finished
+//! *retransmitting* — half a window of them per credit packet. Fragments
+//! resident in a gateway are
 //! therefore bounded by `window` per stream — occupancy becomes
 //! `window × MTU` instead of message size — while a window larger than the
 //! pipeline depth keeps the retransmission overlap intact.
@@ -106,8 +107,12 @@ impl std::fmt::Debug for CreditLedger {
 impl CreditLedger {
     /// A ledger whose waiters block on `event`. Sessions pass the node's
     /// shared arrival event, so one wait covers both "a credit was
-    /// deposited" and "a packet arrived on some conduit" — a writer
-    /// pumping its own conduit needs exactly that disjunction.
+    /// deposited" and "a packet arrived" — on any regular conduit of the
+    /// node, and on the special conduits of an endpoint, which a writer
+    /// pumps itself and so needs exactly that disjunction. The special
+    /// conduits of a thread-driven gateway bump events of their own: their
+    /// one reader is a polling thread, which deposits here on behalf of
+    /// every waiter of the node.
     pub fn new(event: Arc<dyn RtEvent>) -> Arc<Self> {
         Arc::new(CreditLedger {
             state: Mutex::new(HashMap::new()),

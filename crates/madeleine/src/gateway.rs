@@ -64,12 +64,14 @@
 //! gateway when the outbound network is slower. With
 //! [`GatewayConfig::credit_window`] set, every *fragment* sent toward a
 //! gateway consumes one credit from the stream's window, and the gateway
-//! returns one credit upstream each time it finishes *retransmitting* one
+//! returns a credit upstream for each one it has finished *retransmitting*
 //! — so at most `window` fragments of a stream are resident per gateway
 //! and occupancy is bounded by `window × (MTU + prelude)` instead of the
 //! message size. Credits travel hop-by-hop as [`gtm`] control packets on
-//! the same conduits as the stream, in the opposite direction; the
-//! per-node accounting lives in a shared [`CreditLedger`].
+//! the same conduits as the stream, in the opposite direction, half a
+//! window to the packet: the fragment that completes a period carries the
+//! stream's whole count back (`grant_period`), the others carry nothing.
+//! The per-node accounting lives in a shared [`CreditLedger`].
 //!
 //! Every credit wait is deadline-bounded ([`GatewayConfig`]'s
 //! `credit_timeout_ns`): a stalled or dead downstream degrades the
@@ -87,7 +89,7 @@
 //!
 //! | incoming   | outgoing  | behaviour                                        |
 //! |------------|-----------|--------------------------------------------------|
-//! | any        | dynamic   | take the incoming driver's own buffer, send from it (0 copies) |
+//! | any        | dynamic   | take the incoming driver's own buffer, hand it on ([`Conduit::send_owned`]: 0 copies) |
 //! | dynamic    | static    | receive *into* an outgoing-driver static buffer (0 copies)     |
 //! | static     | static    | receive into an outgoing static buffer — one unavoidable copy  |
 //!
@@ -2720,54 +2722,53 @@ mod tests {
             let gw_event = rt.event();
             let in_driver = MockDriver::dynamic();
             // One channel of the gateway: its conduits to `peers`, whose
-            // far ends come back as one single-conduit channel each.
-            let mesh =
-                |driver: &Arc<MockDriver>, net: u32, peers: &[u32], gw_event: &Arc<dyn RtEvent>| {
-                    let mut near: BTreeMap<NodeId, Box<dyn Conduit>> = BTreeMap::new();
-                    let mut far = BTreeMap::new();
-                    for &peer in peers {
-                        let ev = rt.event();
-                        let (c_gw, c_peer) =
-                            driver.connect(NodeId(1), NodeId(peer), gw_event.clone(), ev.clone());
-                        near.insert(NodeId(peer), c_gw);
-                        let conduits = BTreeMap::from([(NodeId(1), c_peer)]);
-                        far.insert(
-                            peer,
-                            Channel::assemble(
-                                ChannelId(0),
-                                "far",
-                                NetworkId(net),
-                                NodeId(peer),
-                                driver.caps(),
-                                conduits,
-                                ev,
-                                rt.clone(),
-                            ),
-                        );
-                    }
-                    let gw = Channel::assemble(
-                        ChannelId(0),
-                        "gw",
-                        NetworkId(net),
-                        NodeId(1),
-                        driver.caps(),
-                        near,
-                        gw_event.clone(),
-                        rt.clone(),
-                    );
-                    (Arc::new(gw), far)
-                };
-            // The session's wiring: a thread-driven gateway's special
+            // far ends come back as one single-conduit channel each. Wired
+            // as a session does it: a thread-driven gateway's special
             // channels each have an arrival event of their own, everything
             // else of the node shares one.
-            let special_event = || match cfg.engine {
-                EngineKind::Threaded => rt.event(),
-                EngineKind::Reactor => gw_event.clone(),
+            let mesh = |driver: &Arc<MockDriver>, net: u32, peers: &[u32], special: bool| {
+                let gw_event = match cfg.engine {
+                    EngineKind::Threaded if special => rt.event(),
+                    _ => gw_event.clone(),
+                };
+                let mut near: BTreeMap<NodeId, Box<dyn Conduit>> = BTreeMap::new();
+                let mut far = BTreeMap::new();
+                for &peer in peers {
+                    let ev = rt.event();
+                    let (c_gw, c_peer) =
+                        driver.connect(NodeId(1), NodeId(peer), gw_event.clone(), ev.clone());
+                    near.insert(NodeId(peer), c_gw);
+                    let conduits = BTreeMap::from([(NodeId(1), c_peer)]);
+                    far.insert(
+                        peer,
+                        Channel::assemble(
+                            ChannelId(0),
+                            "far",
+                            NetworkId(net),
+                            NodeId(peer),
+                            driver.caps(),
+                            conduits,
+                            ev,
+                            rt.clone(),
+                        ),
+                    );
+                }
+                let gw = Channel::assemble(
+                    ChannelId(0),
+                    "gw",
+                    NetworkId(net),
+                    NodeId(1),
+                    driver.caps(),
+                    near,
+                    gw_event.clone(),
+                    rt.clone(),
+                );
+                (Arc::new(gw), far)
             };
-            let (sp0, mut up) = mesh(&in_driver, 0, &[0], &special_event());
-            let (sp1, down_special) = mesh(&out_driver, 1, &[2, 3], &special_event());
-            let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0], &gw_event);
-            let (rg1, down) = mesh(&out_driver, 1, &[2, 3], &gw_event);
+            let (sp0, mut up) = mesh(&in_driver, 0, &[0], true);
+            let (sp1, down_special) = mesh(&out_driver, 1, &[2, 3], true);
+            let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0], false);
+            let (rg1, down) = mesh(&out_driver, 1, &[2, 3], false);
             let special = BTreeMap::from([(0, sp0.clone()), (1, sp1.clone())]);
             let members = |net: u32, ranks: &[u32]| NetworkMembers {
                 net: NetworkId(net),

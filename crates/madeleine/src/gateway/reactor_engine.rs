@@ -26,8 +26,9 @@
 //!
 //! ## Why one reactor per gateway *node*
 //!
-//! A session creates every conduit of a node against that node's single
-//! arrival event, and the node's
+//! A session creates every conduit of a reactor-driven gateway node
+//! against that node's single arrival event (a thread-driven one gives
+//! each special channel its own, for its polling thread), and the node's
 //! [`CreditLedger`](crate::credit::CreditLedger) shares it: any packet
 //! arrival, credit deposit, or cancellation bumps exactly that event. The
 //! reactor parks its workers on it ([`RtPark`]), so "anything happened on

@@ -428,9 +428,9 @@ impl SessionBuilder {
             // blocked writer wakes on either an arrival on a conduit it
             // pumps or a credit deposit, and present even without a credit
             // window because it doubles as the cancellation bus — plus its
-            // one route table and its special channels. The node's gateway engine (if
-            // any), its writers, its responder and its optional planes
-            // all share it.
+            // one route table and its special channels. The node's gateway
+            // engine (if any), its writers, its responder and its optional
+            // planes all share it.
             let ctls: HashMap<NodeId, Arc<ControlPlane>> = special_by_node
                 .into_iter()
                 .map(|(rank, special)| {
