@@ -56,8 +56,8 @@ pub struct Tuning {
     rendezvous: AtomicUsize,
     /// The smallest window `window` can ever have read: the controller's
     /// floor, or the bootstrap window where that is lower still (the clamp
-    /// applies from the first step on). 0 with flow control off.
-    smallest: u32,
+    /// applies from the first step on). `None` with flow control off.
+    smallest: Option<u32>,
 }
 
 impl Tuning {
@@ -71,7 +71,7 @@ impl Tuning {
         Arc::new(Tuning {
             window: AtomicU32::new(credit_window.unwrap_or(0)),
             rendezvous: AtomicUsize::new(rendezvous_threshold),
-            smallest: credit_window.map_or(0, |w| w.min(window_floor)),
+            smallest: credit_window.map(|w| w.min(window_floor)),
         })
     }
 
@@ -80,10 +80,7 @@ impl Tuning {
     /// sizes its grant period from it: the sender of a stream it relays
     /// may have read the window before any retune the gateway has seen.
     pub fn smallest_window(&self) -> Option<u32> {
-        match self.smallest {
-            0 => None,
-            w => Some(w),
-        }
+        self.smallest
     }
 
     /// The effective credit window (`None` = flow control off).

@@ -8,10 +8,10 @@
 //! toward a gateway consumes one credit from a per-stream window, and the
 //! gateway returns a credit upstream for each fragment it has finished
 //! *retransmitting* — half a window of them per credit packet. Fragments
-//! resident in a gateway are
-//! therefore bounded by `window` per stream — occupancy becomes
-//! `window × MTU` instead of message size — while a window larger than the
-//! pipeline depth keeps the retransmission overlap intact.
+//! resident in a gateway are therefore bounded by `window` per stream —
+//! occupancy becomes `window × MTU` instead of message size — while a
+//! window larger than the pipeline depth keeps the retransmission overlap
+//! intact.
 //!
 //! One [`CreditLedger`] exists per (virtual channel, node) and is shared by
 //! everything on that node that participates in flow control:

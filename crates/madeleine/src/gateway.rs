@@ -874,8 +874,11 @@ struct Upstream {
 }
 
 impl Upstream {
-    /// Return `credits` upstream as one credit packet.
+    /// Return `credits` upstream as one credit packet, if there are any.
     fn grant(&self, tag: &StreamTag, credits: u32, stats: &GatewayStats) {
+        if credits == 0 {
+            return;
+        }
         let credit = gtm::credit_packet(tag, credits);
         if self.channel.send_packet(self.peer, &[&credit]).is_ok() {
             stats
@@ -2355,7 +2358,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
                 }
             }
             shared.stats.held.add(-(held_bytes as i64));
-            if let Some(up) = upstream.as_ref().filter(|up| up.credits > 0) {
+            if let Some(up) = &upstream {
                 up.grant(&tag, up.credits, &shared.stats);
             }
             if let Some((ack_ch, ack_peer)) = &ack {
@@ -2466,9 +2469,7 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                     .filter_map(|other| other.upstream.as_ref())
                     .map(|o| o.credits)
                     .sum();
-                if credits > 0 {
-                    up.grant(&item.tag, credits, &shared.stats);
-                }
+                up.grant(&item.tag, credits, &shared.stats);
             }
             for item in batch.drain(..) {
                 if let Some((ack_ch, ack_peer)) = &item.ack {

@@ -41,7 +41,7 @@ field() { sed -n "s/^{\"workload\".*\"$1\": \([a-z0-9.]*\).*/\1/p" "$result"; }
 metrics() {
     grep '^    {"name": ' "$result" |
         { if [ "$2" = keep ]; then grep -E "\"name\": \"($1)\""; else grep -vE "\"name\": \"($1)\""; fi; } |
-        sed -e 's/, "samples": \[.*\]}/}/' -e 's/,$//' -e 's/^ */      /' | paste -sd, | sed 's/},/},\n/g'
+        sed -e 's/, "samples": \[.*\]}/}/' -e 's/,$//' -e 's/^ */      /' | sed '$!s/$/,/'
 }
 dirty=false
 [ -z "$(git -C "$root" status --porcelain 2>/dev/null)" ] || dirty=true
