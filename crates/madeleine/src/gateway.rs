@@ -874,8 +874,14 @@ struct Upstream {
 }
 
 impl Upstream {
-    /// Return `credits` upstream as one credit packet, if there are any.
-    fn grant(&self, tag: &StreamTag, credits: u32, stats: &GatewayStats) {
+    /// Return what this fragment carries, if anything.
+    fn grant(&self, tag: &StreamTag, stats: &GatewayStats) {
+        self.grant_sum(tag, self.credits, stats);
+    }
+
+    /// Return `credits` upstream as one credit packet, if there are any: a
+    /// train returns what all its fragments of a stream carry in one.
+    fn grant_sum(&self, tag: &StreamTag, credits: u32, stats: &GatewayStats) {
         if credits == 0 {
             return;
         }
@@ -1615,12 +1621,14 @@ impl InboundCtx {
         // account before it sent that word, so the grant — and whatever the
         // stream was still owed, gone with its table entry — would be
         // dropped on arrival, after costing a buffer, a send and a wake-up.
+        // Only the count goes: a fragment that fails on its way out still
+        // has to tell the upstream hop.
         for last in 0..items.len() {
             if items[last].end_of_stream {
                 let key = items[last].tag.key();
-                for item in &mut items[..last] {
-                    if item.tag.key() == key {
-                        item.upstream = None;
+                for item in items[..last].iter_mut().filter(|i| i.tag.key() == key) {
+                    if let Some(up) = &mut item.upstream {
+                        up.credits = 0;
                     }
                 }
             }
@@ -2359,7 +2367,7 @@ fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool 
             }
             shared.stats.held.add(-(held_bytes as i64));
             if let Some(up) = &upstream {
-                up.grant(&tag, up.credits, &shared.stats);
+                up.grant(&tag, &shared.stats);
             }
             if let Some((ack_ch, ack_peer)) = &ack {
                 // The stream's end packet is on the wire: tell the origin
@@ -2469,7 +2477,7 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                     .filter_map(|other| other.upstream.as_ref())
                     .map(|o| o.credits)
                     .sum();
-                up.grant(&item.tag, credits, &shared.stats);
+                up.grant_sum(&item.tag, credits, &shared.stats);
             }
             for item in batch.drain(..) {
                 if let Some((ack_ch, ack_peer)) = &item.ack {
@@ -3226,6 +3234,50 @@ mod tests {
         assert_eq!((totals.messages, totals.credit_timeouts), (1, 0));
         assert_eq!((totals.errors, totals.cancelled), (0, 0));
         assert!(rig.ledger.is_idle());
+    }
+
+    /// The dead-grant rule takes a framed fragment's count, not its way
+    /// back: one that dies waiting for its outbound credit still tells the
+    /// hop it came from.
+    #[test]
+    fn dead_grant_fragment_still_cancels_upstream() {
+        let cfg = GatewayConfig {
+            credit_timeout_ns: 20_000_000,
+            ..flow_controlled(EngineKind::Threaded, 2)
+        };
+        let mut rig = Rig::new(cfg, MockDriver::dynamic());
+        let packets = stream_packets(4, 9, b"shares a frame with its end");
+        let tag = StreamTag {
+            src: NodeId(0),
+            dest: NodeId(4),
+            msg_id: 9,
+        };
+        let (open, tail) = packets.split_at(2);
+        rig.up.send_packet(NodeId(1), &[&frame_of(open)]).unwrap();
+        assert_eq!(rig.recv_special(3), frame_of(open));
+        while rig.ledger.try_take(tag.key()) == TakeOutcome::Taken {}
+        rig.up.send_packet(NodeId(1), &[&frame_of(tail)]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let left = || {
+            let left = deadline.saturating_duration_since(Instant::now());
+            Some(left.as_nanos() as u64)
+        };
+        rig.up
+            .select_ready_after(None, || false, left)
+            .expect("the stream's sender is told");
+        let back = rig
+            .up
+            .lock_conduit(NodeId(1))
+            .unwrap()
+            .recv_owned()
+            .unwrap();
+        assert_eq!(
+            gtm::decode_packet(&back).unwrap(),
+            (tag, PacketBody::Cancel(CancelReason::CreditTimeout)),
+        );
+        let totals = rig.finish();
+        assert_eq!((totals.credit_timeouts, totals.credits_granted), (1, 0));
+        assert_eq!(totals.held_bytes, 0);
     }
 
     /// Packets of one train that leave different ways split where the way
