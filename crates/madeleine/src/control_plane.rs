@@ -345,6 +345,19 @@ mod tests {
         assert!(!p.take_ack(t.key()), "a claim forgets the key");
     }
 
+    /// A parked ack wakes whoever sleeps on the plane's event past the
+    /// epoch it saw — which is where a writer awaiting its handoff ack
+    /// sleeps (`wait_ack_inner`), not on its conduit's event: on a
+    /// thread-driven gateway that is another object, bumped by arrivals
+    /// only, and the reader of the ack is the polling thread.
+    #[test]
+    fn parked_ack_wakes_a_sleeper_on_the_plane_event() {
+        let p = plane(0);
+        let seen = p.event().epoch();
+        p.dispatch(&tag(0, 3, 41), &PacketBody::Ack, &[]);
+        assert!(p.event().wait_past_timeout(seen, 1_000_000_000).is_some());
+    }
+
     #[test]
     fn ack_table_stays_bounded_and_drops_oldest() {
         let p = plane(0);

@@ -1055,154 +1055,3 @@ impl VcReader<'_> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::conduit::{Conduit, Driver};
-    use crate::credit::CreditLedger;
-    use crate::multipath::MultipathConfig;
-    use crate::routing::{NetworkMembers, RouteTable};
-    use crate::runtime::{RtEvent, Runtime, StdRuntime};
-    use crate::testutil::MockDriver;
-    use crate::types::ChannelId;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
-
-    /// An event that counts the waits entered on it.
-    struct Spy {
-        inner: Arc<dyn RtEvent>,
-        waits: AtomicU64,
-    }
-
-    impl Spy {
-        fn new(rt: &dyn Runtime) -> Arc<Spy> {
-            Arc::new(Spy {
-                inner: rt.event(),
-                waits: AtomicU64::new(0),
-            })
-        }
-    }
-
-    impl RtEvent for Spy {
-        fn epoch(&self) -> u64 {
-            self.inner.epoch()
-        }
-        fn bump(&self) {
-            self.inner.bump();
-        }
-        fn wait_past(&self, seen: u64) -> u64 {
-            self.waits.fetch_add(1, Ordering::SeqCst);
-            self.inner.wait_past(seen)
-        }
-        fn wait_past_timeout(&self, seen: u64, timeout_ns: u64) -> Option<u64> {
-            self.waits.fetch_add(1, Ordering::SeqCst);
-            self.inner.wait_past_timeout(seen, timeout_ns)
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-    }
-
-    /// A writer waiting for its handoff ack sleeps on the event the ack's
-    /// depositor bumps — the control plane's — and not on its conduit's.
-    /// On an endpoint the two are one object; on a thread-driven gateway
-    /// the special channel has an event of its own, the polling thread is
-    /// the one that reads the ack off the conduit, and a writer asleep on
-    /// the conduit's event would hear of it at `ack_timeout`. No
-    /// gateway-resident sender takes the multi-path writer today
-    /// (`begin_packing` falls through for them), so the channel here is
-    /// wired the way a gateway's would be and the test stands in for the
-    /// polling thread.
-    #[test]
-    fn acked_origin_wakes_on_the_deposit_not_on_the_conduit() {
-        let rt = StdRuntime::shared();
-        let (node_event, special_event) = (Spy::new(&*rt), Spy::new(&*rt));
-        let driver = MockDriver::dynamic();
-        // Rank 0 on network 0 with gateways 1 and 2, both bridging to
-        // network 1 where rank 3 lives: two paths to 3.
-        let members = |net: u32, ranks: &[u32]| NetworkMembers {
-            net: NetworkId(net),
-            members: ranks.iter().map(|&r| NodeId(r)).collect(),
-        };
-        let nets = [members(0, &[0, 1, 2]), members(1, &[1, 2, 3])];
-        // Each channel of rank 0, and the gateways' ends of its conduits.
-        let channel = |label: &str, event: Arc<dyn RtEvent>| {
-            let mut conduits: BTreeMap<NodeId, Box<dyn Conduit>> = BTreeMap::new();
-            let mut far = Vec::new();
-            for gw in [1, 2] {
-                let (near, end) = driver.connect(NodeId(0), NodeId(gw), event.clone(), rt.event());
-                conduits.insert(NodeId(gw), near);
-                far.push(end);
-            }
-            let channel = Arc::new(Channel::assemble(
-                ChannelId(0),
-                label,
-                NetworkId(0),
-                NodeId(0),
-                driver.caps(),
-                conduits,
-                event,
-                rt.clone(),
-            ));
-            (channel, far)
-        };
-        let (regular, _open) = channel("regular", node_event.clone());
-        let (special, mut far) = channel("special", special_event.clone());
-        let ctl = ControlPlane::new(
-            NodeId(0),
-            CreditLedger::new(node_event.clone()),
-            RouteTable::compute(&nets, NodeId(0)),
-            BTreeMap::from([(NetworkId(0), special)]),
-        );
-        let cfg = MultipathConfig {
-            ack_timeout_ns: 5_000_000_000,
-            ..Default::default()
-        };
-        let vc = VirtualChannel::assemble(
-            "vc".into(),
-            BTreeMap::from([(NetworkId(0), regular)]),
-            ctl.clone(),
-            1024,
-            false,
-            None,
-            Some(Arc::new(MultiPath::new(&nets, cfg))),
-        );
-
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                let mut w = vc.begin_packing(NodeId(3)).unwrap();
-                assert!(matches!(w, VcWriter::Multi(_)));
-                w.pack(b"acked", SendMode::Cheaper, RecvMode::Cheaper)
-                    .unwrap();
-                w.end_packing()
-            });
-            // The polling thread's part: wait until the writer sleeps, take
-            // the stream's tag from what it sent, and deposit the ack.
-            while node_event.waits.load(Ordering::SeqCst)
-                + special_event.waits.load(Ordering::SeqCst)
-                == 0
-            {
-                assert!(
-                    started.elapsed() < Duration::from_secs(4),
-                    "writer never waited"
-                );
-                std::thread::yield_now();
-            }
-            let sent = far.iter_mut().find(|c| c.ready()).unwrap();
-            let frame = sent.recv_owned().unwrap();
-            let header = gtm::batch_packets(&frame).unwrap().next().unwrap();
-            let (tag, _) = gtm::decode_packet(header).unwrap();
-            assert_eq!((tag.src, tag.dest), (NodeId(0), NodeId(3)));
-            assert_eq!(ctl.dispatch(&tag, &PacketBody::Ack, &[]), Dispatch::Handled);
-            writer.join().unwrap().unwrap();
-        });
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "the ack was slept through: {:?}",
-            started.elapsed()
-        );
-        assert_eq!(special_event.waits.load(Ordering::SeqCst), 0);
-    }
-}

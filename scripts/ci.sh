@@ -32,17 +32,16 @@ for i in $(seq 1 50); do
     { echo "$out"; echo "epoch storm: run $i of 50 failed" >&2; exit 1; }
 done
 
-# A credit that no fragment is told to return, or a waiter asleep on an
-# event its waker does not bump, is a hang until a deadline — and does not
-# show in every run: the half-window grant rigs (both cores, windows 1 to
-# 8, a writer that sends only what its account covers) and the acked
-# origin whose ack somebody else reads, 50 times, optimised, a few seconds.
+# A credit that no fragment is told to return is a hang until a deadline —
+# and does not show in every run: the half-window grant rigs (both cores,
+# windows 1 to 8, a writer that sends only what its account covers), 50
+# times, optimised, a few seconds.
 echo
-echo "== half-window grants + acked-origin wake-up x50 (madeleine, release)"
+echo "== half-window grants x50 (madeleine, release)"
 for i in $(seq 1 50); do
-  out="$(cargo test -q --offline --release -p madeleine --lib -- \
-    half_window_grants acked_origin_wakes 2>&1)" ||
-    { echo "$out"; echo "grant/wake-up loop: run $i of 50 failed" >&2; exit 1; }
+  out="$(cargo test -q --offline --release -p madeleine --lib \
+    half_window_grants 2>&1)" ||
+    { echo "$out"; echo "grant loop: run $i of 50 failed" >&2; exit 1; }
 done
 
 # The randomized soaks, pinned to a fixed seed so CI failures reproduce
