@@ -11,24 +11,19 @@
 # change by alternating pairs (scripts/bench_spread.sh), and read a diff of
 # two BENCH files against the spread recorded in EXPERIMENTS.
 #
-#   scripts/bench_snapshot.sh <pr> [--seconds 30] [--seed 7]
+#   scripts/bench_snapshot.sh <pr>
 #
 # Writes BENCH_<pr>.json at the repository root. The sha inside is the
 # commit measured (with "dirty": true if the tree had uncommitted changes),
 # not the commit the file lands in. Run it on an otherwise idle machine.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-[ $# -ge 1 ] || { echo "usage: bench_snapshot.sh <pr> [--seconds N] [--seed N]" >&2; exit 2; }
-pr="$1"; shift
+[ $# -eq 1 ] || { echo "usage: bench_snapshot.sh <pr>" >&2; exit 2; }
+pr="$1"
+# Fixed, so that any two BENCH files are the same measurement:
+# BENCHMARK.json's run_seconds and the seed of run.sh's own example.
 seconds=30
 seed=7
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --seconds) seconds="$2"; shift 2 ;;
-        --seed) seed="$2"; shift 2 ;;
-        *) echo "usage: bench_snapshot.sh <pr> [--seconds N] [--seed N]" >&2; exit 2 ;;
-    esac
-done
 out="$root/BENCH_$pr.json"
 result="$root/benchmark/out/result.json"
 e2e='goodput_MBps|msg_rate_kps|rtt_p50_us|rtt_p90_us|setup_s'
