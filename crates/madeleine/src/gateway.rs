@@ -906,6 +906,11 @@ impl FwdItem {
     fn is_frag(&self) -> bool {
         self.held_bytes > 0
     }
+
+    /// The upstream side of a fragment that carries credits back.
+    fn carrying(&self) -> Option<&Upstream> {
+        self.upstream.as_ref().filter(|up| up.credits > 0)
+    }
 }
 
 /// One pipeline slot: what one received wire packet turned into for one
@@ -2461,12 +2466,13 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                 }
             }
             // At most one credit packet per (upstream peer, stream): the
-            // first fragment of each returns what all of them carry.
+            // first fragment of each that carries any returns what all of
+            // them carry.
             for (i, item) in batch.iter().enumerate() {
-                let Some(up) = &item.upstream else { continue };
+                let Some(up) = item.carrying() else { continue };
                 let same = |other: &&FwdItem| {
                     other.tag.key() == item.tag.key()
-                        && other.upstream.as_ref().is_some_and(|o| o.peer == up.peer)
+                        && other.carrying().is_some_and(|o| o.peer == up.peer)
                 };
                 if batch[..i].iter().any(|other| same(&other)) {
                     continue;
@@ -2474,7 +2480,7 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                 let credits: u32 = batch[i..]
                     .iter()
                     .filter(same)
-                    .filter_map(|other| other.upstream.as_ref())
+                    .filter_map(|other| other.carrying())
                     .map(|o| o.credits)
                     .sum();
                 up.grant_sum(&item.tag, credits, &shared.stats);
