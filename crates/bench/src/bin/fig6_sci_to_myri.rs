@@ -8,14 +8,6 @@ use mad_bench::report::{fmt_bytes, Table};
 use mad_sim::SimTech;
 
 fn main() {
-    // Optional protocol switch (A12): --rendezvous-threshold <bytes>,
-    // default 0 = eager-only. The handshake needs flow control, so a
-    // nonzero threshold also turns on the standard credit window.
-    let rendezvous_threshold = mad_bench::cli::rendezvous_threshold();
-    let credit_window = (rendezvous_threshold > 0).then_some(8);
-    if rendezvous_threshold > 0 {
-        println!("protocol switch on: rendezvous >= {rendezvous_threshold} B, credit window 8");
-    }
     let mut header = vec!["message".to_string()];
     header.extend(grids::PACKET_SIZES.iter().map(|p| fmt_bytes(*p)));
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
@@ -30,11 +22,7 @@ fn main() {
                 SimTech::Sci,
                 SimTech::Myrinet,
                 msg,
-                GwSetup {
-                    rendezvous_threshold,
-                    credit_window,
-                    ..GwSetup::with_mtu(packet)
-                },
+                GwSetup::with_mtu(packet),
             );
             row.push(format!("{:.1}", m.mbps()));
         }
@@ -53,11 +41,7 @@ fn main() {
             SimTech::Sci,
             SimTech::Myrinet,
             512 * 1024,
-            GwSetup {
-                rendezvous_threshold,
-                credit_window,
-                ..GwSetup::with_mtu(32 * 1024)
-            },
+            GwSetup::with_mtu(32 * 1024),
         );
         mad_bench::cli::export_trace(&snap, &path);
     }

@@ -9,14 +9,6 @@ use mad_bench::report::{fmt_bytes, Table};
 use mad_sim::SimTech;
 
 fn main() {
-    // Optional protocol switch (A12): --rendezvous-threshold <bytes>,
-    // default 0 = eager-only. The handshake needs flow control, so a
-    // nonzero threshold also turns on the standard credit window.
-    let rendezvous_threshold = mad_bench::cli::rendezvous_threshold();
-    let credit_window = (rendezvous_threshold > 0).then_some(8);
-    if rendezvous_threshold > 0 {
-        println!("protocol switch on: rendezvous >= {rendezvous_threshold} B, credit window 8");
-    }
     let mut header = vec!["message".to_string()];
     header.extend(grids::PACKET_SIZES.iter().map(|p| fmt_bytes(*p)));
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
@@ -31,11 +23,7 @@ fn main() {
                 SimTech::Myrinet,
                 SimTech::Sci,
                 msg,
-                GwSetup {
-                    rendezvous_threshold,
-                    credit_window,
-                    ..GwSetup::with_mtu(packet)
-                },
+                GwSetup::with_mtu(packet),
             );
             row.push(format!("{:.1}", m.mbps()));
         }
@@ -54,11 +42,7 @@ fn main() {
             SimTech::Myrinet,
             SimTech::Sci,
             512 * 1024,
-            GwSetup {
-                rendezvous_threshold,
-                credit_window,
-                ..GwSetup::with_mtu(16 * 1024)
-            },
+            GwSetup::with_mtu(16 * 1024),
         );
         mad_bench::cli::export_trace(&snap, &path);
     }

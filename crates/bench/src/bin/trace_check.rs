@@ -10,17 +10,15 @@
 //! `deaths`, `readmissions`; the gateway totals and `delta_*` windows;
 //! the `rt:` thread-budget totals; the `metrics:` registry flush and
 //! `health:` watchdog verdicts; the `member:` protocol transitions and
-//! `ctl:` retune decisions; the `proto:` rendezvous/eager totals). With
-//! `--require-route`, a file with no `route:` events at all fails — the
-//! flag guards traces that are supposed to come from a multi-path run.
+//! `ctl:` retune decisions). With `--require-route`, a file with no
+//! `route:` events at all fails — the flag guards traces that are
+//! supposed to come from a multi-path run.
 //! With `--require-metrics`, a file with no `metrics:` events fails —
 //! the flag guards traces from runs with the telemetry plane enabled.
 //! With `--require-membership`, a file missing either `member:` or
 //! `ctl:` events fails — the flag guards traces from dynamic-membership
-//! runs with a self-tuning controller. With `--require-proto`, a file
-//! with no `proto:` events fails — the flag guards traces from runs
-//! with the rendezvous protocol switch enabled. Exits non-zero on the
-//! first invalid file, so CI can gate on it.
+//! runs with a self-tuning controller. Exits non-zero on the first
+//! invalid file, so CI can gate on it.
 
 use std::process::ExitCode;
 
@@ -30,7 +28,6 @@ fn main() -> ExitCode {
     let mut require_route = false;
     let mut require_metrics = false;
     let mut require_membership = false;
-    let mut require_proto = false;
     let mut paths: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         if arg == "--require-route" {
@@ -39,15 +36,13 @@ fn main() -> ExitCode {
             require_metrics = true;
         } else if arg == "--require-membership" {
             require_membership = true;
-        } else if arg == "--require-proto" {
-            require_proto = true;
         } else {
             paths.push(arg);
         }
     }
     if paths.is_empty() {
         eprintln!(
-            "usage: trace_check [--require-route] [--require-metrics]              [--require-membership] [--require-proto] <file.jsonl>..."
+            "usage: trace_check [--require-route] [--require-metrics]              [--require-membership] <file.jsonl>..."
         );
         return ExitCode::FAILURE;
     }
@@ -90,14 +85,8 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        if require_proto && route.proto_events == 0 {
-            eprintln!(
-                "{path}: INVALID — no `proto:` track events (expected a rendezvous-enabled trace)"
-            );
-            return ExitCode::FAILURE;
-        }
         println!(
-            "{path}: ok — {} lines, {} threads, {} spans, {} counts, {} instants, {} route events, {} gw events, {} rt events, {} metrics events, {} health events, {} member events, {} ctl events, {} proto events",
+            "{path}: ok — {} lines, {} threads, {} spans, {} counts, {} instants, {} route events, {} gw events, {} rt events, {} metrics events, {} health events, {} member events, {} ctl events",
             base.lines,
             base.threads,
             base.spans,
@@ -109,8 +98,7 @@ fn main() -> ExitCode {
             route.metrics_events,
             route.health_events,
             route.member_events,
-            route.ctl_events,
-            route.proto_events
+            route.ctl_events
         );
     }
     ExitCode::SUCCESS

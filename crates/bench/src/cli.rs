@@ -17,34 +17,6 @@ pub fn flag(name: &str) -> bool {
     std::env::args().skip(1).any(|a| a == name)
 }
 
-/// The protocol-switch threshold in bytes from `--rendezvous-threshold
-/// <n>` (or `--rendezvous-threshold=<n>`), defaulting to 0 — eager-only,
-/// the pre-switch ablation. Accepted by the forwarded-route bench
-/// binaries; blocks of at least this many bytes run the kind-12 RTS/CTS
-/// rendezvous handshake instead of per-fragment eager credits.
-pub fn rendezvous_threshold() -> usize {
-    opt_value("--rendezvous-threshold")
-        .map(|v| {
-            v.parse()
-                .expect("--rendezvous-threshold takes a byte count")
-        })
-        .unwrap_or(0)
-}
-
-fn opt_value(name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn trace_path_from(args: impl Iterator<Item = String>) -> Option<PathBuf> {
     let mut args = args.peekable();
     while let Some(a) = args.next() {

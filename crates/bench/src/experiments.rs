@@ -58,11 +58,6 @@ pub struct GwSetup {
     /// Per-stream credit window in fragments at the gateway; `None`
     /// disables flow control (unbounded gateway occupancy).
     pub credit_window: Option<u32>,
-    /// Blocks of at least this many bytes run the kind-12 RTS/CTS
-    /// rendezvous handshake (whole-window grant, pre-reserved landing)
-    /// instead of per-fragment eager credits; 0 keeps every block eager.
-    /// Only meaningful with a `credit_window`.
-    pub rendezvous_threshold: usize,
 }
 
 impl Default for GwSetup {
@@ -75,7 +70,6 @@ impl Default for GwSetup {
             inbound_rate_cap: None,
             outbound_override: None,
             credit_window: None,
-            rendezvous_threshold: 0,
         }
     }
 }
@@ -167,7 +161,6 @@ fn run_forwarded_stats(
                 switch_overhead_ns: setup.switch_overhead_ns,
                 zero_copy: setup.zero_copy,
                 credit_window: setup.credit_window,
-                rendezvous_threshold: setup.rendezvous_threshold,
                 ..Default::default()
             },
             ..Default::default()
@@ -229,51 +222,30 @@ pub fn forwarded_oneway_stats(
     run_forwarded_stats(&tb, from, to, total, setup)
 }
 
-/// Outcome of one mixed-protocol round workload (see
-/// [`protocol_mix_stats`]).
+/// Outcome of one mixed-size round workload (see [`mix_traced`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MixOutcome {
     /// Aggregate measurement over every round.
     pub m: Measurement,
     /// The gateway engine's forwarding counters, including the
     /// copy-placement split (`copies_recv` / `copies_flush` /
-    /// `copy_idle_hits`) and the rendezvous handshake totals.
+    /// `copy_idle_hits`).
     pub totals: madeleine::gateway::GatewayTotals,
-    /// Buffer-pool misses incurred *after* the first (warm-up) round.
-    /// The rendezvous pre-reservation exists to keep this at zero: every
-    /// landing class a bulk block needs is announced before its
-    /// fragments arrive.
-    pub steady_pool_misses: u64,
 }
 
-/// Mixed eager/rendezvous workload through the E3 gateway: `rounds`
-/// rounds of the `pattern` message sizes, rank 0 → rank 2, with a
-/// barrier between rounds so each round starts from a drained pipeline.
-/// Sizes on both sides of `setup.rendezvous_threshold` keep both
-/// protocols live on the same gateway, which is what the copy-placement
-/// scheduler and the steady-state pool invariant are measured against.
+/// Mixed-size workload through the E3 gateway, recording the unified
+/// event trace: `rounds` rounds of the `pattern` message sizes, rank 0 →
+/// rank 2, with a barrier between rounds so each round starts from a
+/// drained pipeline. Small messages and multi-fragment blocks share the
+/// one gateway, which is what the copy-placement scheduler is measured
+/// against; the teardown flush lands its accounting on the `rt:` track.
 ///
 /// `pace_ns` is a sender-side gap charged before each message: it models
 /// an application that computes between sends, so the gateway pipeline
 /// has drained by the time the next message arrives. A zero pace is a
 /// saturation workload where every stage stays busy and the placement
 /// question is moot (there is no idle stage to find).
-pub fn protocol_mix_stats(
-    from: SimTech,
-    to: SimTech,
-    pattern: &[usize],
-    rounds: u32,
-    pace_ns: u64,
-    setup: GwSetup,
-) -> MixOutcome {
-    let tb = Testbed::new(3);
-    run_protocol_mix(&tb, from, to, pattern, rounds, pace_ns, setup)
-}
-
-/// Like [`protocol_mix_stats`] but recording the unified event trace —
-/// the teardown flush lands the `proto:` handshake totals and the `rt:`
-/// copy-placement accounting on their own tracks.
-pub fn protocol_mix_traced(
+pub fn mix_traced(
     from: SimTech,
     to: SimTech,
     pattern: &[usize],
@@ -283,19 +255,6 @@ pub fn protocol_mix_traced(
 ) -> (MixOutcome, mad_trace::Snapshot) {
     let trace = TraceLog::new();
     let tb = Testbed::with_trace(3, trace.clone());
-    let run = run_protocol_mix(&tb, from, to, pattern, rounds, pace_ns, setup);
-    (run, trace.tracer().snapshot())
-}
-
-fn run_protocol_mix(
-    tb: &Testbed,
-    from: SimTech,
-    to: SimTech,
-    pattern: &[usize],
-    rounds: u32,
-    pace_ns: u64,
-    setup: GwSetup,
-) -> MixOutcome {
     let rt = tb.runtime();
     let mut sb = SessionBuilder::new(3).with_runtime(rt);
     let in_driver = SimDriver::with_params(
@@ -317,7 +276,6 @@ fn run_protocol_mix(
                 switch_overhead_ns: setup.switch_overhead_ns,
                 zero_copy: setup.zero_copy,
                 credit_window: setup.credit_window,
-                rendezvous_threshold: setup.rendezvous_threshold,
                 ..Default::default()
             },
             ..Default::default()
@@ -328,8 +286,7 @@ fn run_protocol_mix(
         let vc = node.vchannel("vc");
         let rt = node.runtime().clone();
         node.barrier().wait();
-        let mut out = (0u64, 0u64, 0u64); // (t0, t_end, steady misses)
-        let mut warm_misses = 0u64;
+        let mut out = (0u64, 0u64); // (t0, t_end)
         for round in 0..rounds {
             match node.rank().0 {
                 0 => {
@@ -363,17 +320,8 @@ fn run_protocol_mix(
                 }
                 _ => {}
             }
-            // Every round drains fully before the next begins, so round 0
-            // warms every pool class the workload can touch and the later
-            // rounds must run miss-free.
+            // Every round drains fully before the next begins.
             node.barrier().wait();
-            if node.rank() == NodeId(0) {
-                if round == 0 {
-                    warm_misses = rt.pool().stats().misses;
-                } else {
-                    out.2 = rt.pool().stats().misses - warm_misses;
-                }
-            }
         }
         out
     });
@@ -382,14 +330,14 @@ fn run_protocol_mix(
         .map(|(_, _, st)| st.totals())
         .unwrap_or_default();
     let bytes: usize = pattern.iter().sum::<usize>() * rounds as usize;
-    MixOutcome {
+    let run = MixOutcome {
         m: Measurement {
             bytes,
             seconds: (results[2].1 - results[0].0) as f64 / 1e9,
         },
         totals,
-        steady_pool_misses: results[0].2,
-    }
+    };
+    (run, trace.tracer().snapshot())
 }
 
 /// One-way transfer of `total` bytes between two directly connected nodes,

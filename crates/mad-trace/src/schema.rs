@@ -492,28 +492,8 @@ pub const MEMBERSHIP_EVENT_NAMES: [&str; 18] = [
 /// Event names allowed on a `ctl:` track (all `count`s, cat `ctl`): the
 /// self-tuning controller's live retune steps (each carrying the new
 /// value) plus the final operating point its stop tick records.
-pub const CONTROL_EVENT_NAMES: [&str; 7] = [
-    "window_raise",
-    "window_lower",
-    "rendezvous_raise",
-    "rendezvous_lower",
-    "window",
-    "rendezvous",
-    "adjustments",
-];
-
-/// Event names allowed on a `proto:` track (all `count`s, cat `proto`):
-/// the protocol plane's teardown totals — the writer-side eager vs
-/// rendezvous block split and prepaid-grant fragment count on endpoint
-/// tracks, the kind-12 RTS/CTS control exchanges served on gateway
-/// tracks (both may appear on one track when a gateway also sends).
-pub const RENDEZVOUS_EVENT_NAMES: [&str; 5] = [
-    "rendezvous_blocks",
-    "eager_blocks",
-    "granted_fragments",
-    "rts_relayed",
-    "cts_sent",
-];
+pub const CONTROL_EVENT_NAMES: [&str; 4] =
+    ["window_raise", "window_lower", "window", "adjustments"];
 
 /// What [`validate_route_tracks`] found.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -532,8 +512,6 @@ pub struct RouteSummary {
     pub member_events: usize,
     /// Events on `ctl:` tracks.
     pub ctl_events: usize,
-    /// Events on `proto:` tracks.
-    pub proto_events: usize,
 }
 
 /// Validate the routing-plane tracks of a JSONL trace: every event on a
@@ -551,7 +529,8 @@ pub struct RouteSummary {
 /// event on a `ctl:`-prefixed track is a `count` of cat `ctl` named in
 /// [`CONTROL_EVENT_NAMES`]. Traces without such tracks validate
 /// trivially (zero counts) — run [`validate_jsonl`] first for the base
-/// schema.
+/// schema. A `proto:` track (retired with GTM kind 12) is an unknown
+/// track: a trace that carries one predates this validator and fails.
 pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
     let mut summary = RouteSummary::default();
     for (i, line) in text.lines().enumerate() {
@@ -581,7 +560,7 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
             } else if thread.starts_with("ctl:") {
                 ("ctl", &CONTROL_EVENT_NAMES, &mut summary.ctl_events)
             } else if thread.starts_with("proto:") {
-                ("proto", &RENDEZVOUS_EVENT_NAMES, &mut summary.proto_events)
+                return Err(format!("line {line_no}: unknown track \"{thread}\""));
             } else {
                 continue;
             };
@@ -745,27 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn proto_tracks_validate() {
-        let text = "\
-{\"ts\":1,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"rendezvous_blocks\",\"value\":4}
-{\"ts\":2,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"eager_blocks\",\"value\":9}
-{\"ts\":3,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"granted_fragments\",\"value\":128}
-{\"ts\":4,\"thread\":\"proto:vc@1\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"rts_relayed\",\"value\":4}
-{\"ts\":5,\"thread\":\"proto:vc@1\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"cts_sent\",\"value\":4}
-{\"ts\":6,\"thread\":\"rt:vc@1\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"copies_flush\",\"value\":3}
-{\"ts\":7,\"thread\":\"ctl:vc@1\",\"kind\":\"count\",\"cat\":\"ctl\",\"name\":\"rendezvous\",\"value\":65536}
-";
-        let s = validate_route_tracks(text).unwrap();
-        assert_eq!((s.proto_events, s.rt_events, s.ctl_events), (5, 1, 1));
-        let bad_name = "{\"ts\":1,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"zap\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_name)
-            .unwrap_err()
-            .contains("unknown event"));
-        let bad_cat = "{\"ts\":1,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"gateway\",\"name\":\"cts_sent\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_cat).unwrap_err().contains("cat"));
-    }
-
-    #[test]
     fn route_tracks_reject_bad_events() {
         // Unknown name on the route track.
         let bad_name = "{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"zap\",\"value\":1}\n";
@@ -785,6 +743,12 @@ mod tests {
         assert!(validate_route_tracks(bad_kind)
             .unwrap_err()
             .contains("only counts"));
+        // A track retired with its packet kind is not passed over in
+        // silence, whatever it carries: the trace is an old one.
+        let retired = "{\"ts\":1,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"eager_blocks\",\"value\":9}\n";
+        assert!(validate_route_tracks(retired)
+            .unwrap_err()
+            .contains("unknown track"));
         // Unrelated tracks are ignored entirely.
         let other = "{\"ts\":1,\"thread\":\"node0\",\"kind\":\"span\",\"cat\":\"x\",\"name\":\"y\",\"dur\":2}\n";
         assert_eq!(

@@ -1,39 +1,35 @@
-//! Self-tuning control plane: online retuning of the credit window and
-//! the rendezvous crossover.
+//! Self-tuning control plane: online retuning of the credit window.
 //!
-//! The static `credit_window` / `rendezvous_threshold` knobs in
-//! [`crate::gateway::GatewayConfig`] pick one operating point for the
-//! whole run. Under churn (nodes joining and leaving, paths dying and
-//! reviving) no single point is right: a window sized for the steady
-//! state starves when a rejoin floods the fabric. This module closes the
-//! loop, on those two legs and no third:
+//! The static `credit_window` knob in [`crate::gateway::GatewayConfig`]
+//! picks one operating point for the whole run. Under churn (nodes
+//! joining and leaving, paths dying and reviving) no single point is
+//! right: a window sized for the steady state starves when a rejoin
+//! floods the fabric. This module closes the loop, on that one leg and no
+//! second:
 //!
 //! * [`Tuning`] is the shared mutable operating point — one per virtual
 //!   channel, read lock-free by the hot paths (the gateway self-grant
-//!   site, the writer's stream open and protocol switch) on every use, so
-//!   a retune takes effect on the next stream or block without touching
-//!   anything in flight.
+//!   site, the writer's stream open) on every use, so a retune takes
+//!   effect on the next stream without touching anything in flight.
 //! * [`Controller`] is the per-gateway-node policy loop. Each tick it
 //!   reads its own [`crate::gateway::GatewayWindow`] over the engine's
 //!   counters (the watchdog has another, so neither steals the other's
-//!   window) and nudges the tuning: credit starvation raises the window
-//!   and lowers the crossover, queue saturation
-//!   ([`crate::gateway::GatewayDelta::saturated`]) trims the window and
-//!   raises the crossover, sustained calm decays both back toward the
-//!   configured baseline. Every step is hysteresis-gated and clamped to
-//!   a bounded stride inside `[floor, ceil]`, so the loop cannot
-//!   oscillate unboundedly even with several gateway controllers
-//!   nudging one shared tuning. Decisions land on a `ctl:{vc}@{rank}`
-//!   trace track (validated by `trace_check --require-membership`).
+//!   window) and nudges the tuning: credit starvation raises the window,
+//!   queue saturation ([`crate::gateway::GatewayDelta::saturated`]) trims
+//!   it, sustained calm decays it back toward the configured baseline.
+//!   Every step is hysteresis-gated and clamped to a bounded stride
+//!   inside `[floor, ceil]`, so the loop cannot oscillate unboundedly even
+//!   with several gateway controllers nudging one shared tuning.
+//!   Decisions land on a `ctl:{vc}@{rank}` trace track (validated by
+//!   `trace_check --require-membership`).
 //!
 //! Retunes are safe by construction: windows only govern streams opened
 //! after the change (grants are issued at stream open), and the
-//! controller moves an enabled window or crossover, it never turns flow
-//! control or the rendezvous path on or off. What travels together in one
-//! wire frame is not a tuning at all — the gateway forwards a frame as it
-//! arrived (DESIGN §10.3).
+//! controller moves an enabled window, it never turns flow control on or
+//! off. What travels together in one wire frame is not a tuning at all —
+//! the gateway forwards a frame as it arrived (DESIGN §10.3).
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use mad_trace::Tracer;
@@ -49,11 +45,6 @@ pub struct Tuning {
     /// (a `None` bootstrap window stays off — the controller never turns
     /// flow control on or off, only resizes an enabled window).
     window: AtomicU32,
-    /// Effective rendezvous threshold in bytes; 0 encodes "eager-only"
-    /// (a zero bootstrap threshold stays eager-only — the controller
-    /// never turns the rendezvous path on or off, only moves an enabled
-    /// crossover point).
-    rendezvous: AtomicUsize,
     /// The smallest window `window` can ever have read: the controller's
     /// floor, or the bootstrap window where that is lower still (the clamp
     /// applies from the first step on). `None` with flow control off.
@@ -61,16 +52,11 @@ pub struct Tuning {
 }
 
 impl Tuning {
-    /// Seed the tuning from the bootstrap gateway knobs; `window_floor` is
+    /// Seed the tuning from the bootstrap gateway knob; `window_floor` is
     /// the lower clamp of the controllers that will retune it.
-    pub fn new(
-        credit_window: Option<u32>,
-        rendezvous_threshold: usize,
-        window_floor: u32,
-    ) -> Arc<Self> {
+    pub fn new(credit_window: Option<u32>, window_floor: u32) -> Arc<Self> {
         Arc::new(Tuning {
             window: AtomicU32::new(credit_window.unwrap_or(0)),
-            rendezvous: AtomicUsize::new(rendezvous_threshold),
             smallest: credit_window.map(|w| w.min(window_floor)),
         })
     }
@@ -89,11 +75,6 @@ impl Tuning {
             0 => None,
             w => Some(w),
         }
-    }
-
-    /// The effective rendezvous threshold in bytes (0 = eager-only).
-    pub fn rendezvous_threshold(&self) -> usize {
-        self.rendezvous.load(Ordering::Relaxed)
     }
 }
 
@@ -117,12 +98,6 @@ pub struct ControllerConfig {
     /// Stall fraction of handoff attempts above which a busy window
     /// counts as saturated.
     pub saturation_stall_ratio: f64,
-    /// Rendezvous-threshold stride per decision, in bytes.
-    pub rendezvous_step: usize,
-    /// Lower clamp of the retuned rendezvous threshold.
-    pub rendezvous_floor: usize,
-    /// Upper clamp of the retuned rendezvous threshold.
-    pub rendezvous_ceil: usize,
 }
 
 impl Default for ControllerConfig {
@@ -135,9 +110,6 @@ impl Default for ControllerConfig {
             hysteresis_ticks: 2,
             saturation_min_stalls: 8,
             saturation_stall_ratio: 0.5,
-            rendezvous_step: 16 * 1024,
-            rendezvous_floor: 4 * 1024,
-            rendezvous_ceil: 1024 * 1024,
         }
     }
 }
@@ -153,9 +125,8 @@ pub(crate) struct Controller {
     tracer: Tracer,
     /// The `ctl:{vc}@{rank}` trace track.
     track: String,
-    /// Bootstrap operating point calm decays back toward.
+    /// Bootstrap window calm decays back toward.
     base_window: u32,
-    base_rendezvous: usize,
     starve_streak: u32,
     sat_streak: u32,
     calm_streak: u32,
@@ -171,7 +142,6 @@ impl Controller {
         track: String,
     ) -> Controller {
         let base_window = tuning.window.load(Ordering::Relaxed);
-        let base_rendezvous = tuning.rendezvous.load(Ordering::Relaxed);
         Controller {
             cfg,
             tuning,
@@ -179,7 +149,6 @@ impl Controller {
             tracer,
             track,
             base_window,
-            base_rendezvous,
             starve_streak: 0,
             sat_streak: 0,
             calm_streak: 0,
@@ -209,32 +178,6 @@ impl Controller {
                 "window_raise"
             } else {
                 "window_lower"
-            };
-            self.trace(name, next as i64);
-        }
-    }
-
-    /// Step the rendezvous threshold by `delta` bytes, clamped to the
-    /// configured band, tracing the new value. No-op when the rendezvous
-    /// path is off (threshold 0) or the clamp absorbs the whole step —
-    /// the controller moves the crossover point, it never flips the
-    /// protocol switch itself.
-    fn step_rendezvous(&mut self, delta: i64) {
-        let cur = self.tuning.rendezvous.load(Ordering::Relaxed);
-        if cur == 0 {
-            return;
-        }
-        let next = (cur as i64 + delta).clamp(
-            self.cfg.rendezvous_floor as i64,
-            self.cfg.rendezvous_ceil as i64,
-        ) as usize;
-        if next != cur {
-            self.tuning.rendezvous.store(next, Ordering::Relaxed);
-            self.adjustments += 1;
-            let name = if next > cur {
-                "rendezvous_raise"
-            } else {
-                "rendezvous_lower"
             };
             self.trace(name, next as i64);
         }
@@ -270,43 +213,27 @@ impl Ticker for Controller {
 
         if self.starve_streak >= self.cfg.hysteresis_ticks {
             // Credit starvation: writers hit their grant deadline. Widen
-            // the window so freshly opened streams get deeper credit,
-            // and lower the rendezvous crossover so more blocks take the
-            // whole-window grant instead of per-fragment takes.
+            // the window so freshly opened streams get deeper credit.
             self.step_window(self.cfg.window_step as i64);
-            self.step_rendezvous(-(self.cfg.rendezvous_step as i64));
             self.starve_streak = 0;
             return;
         }
         if self.sat_streak >= self.cfg.hysteresis_ticks {
             // Queue saturation: handoffs keep finding the pipeline full.
-            // Trim the window so fewer packets pile into the choked hop,
-            // and raise the rendezvous crossover so fewer whole windows
-            // flood into it at once.
+            // Trim the window so fewer packets pile into the choked hop.
             self.step_window(-(self.cfg.window_step as i64));
-            self.step_rendezvous(self.cfg.rendezvous_step as i64);
             self.sat_streak = 0;
             return;
         }
         if !starved && !saturated {
             self.calm_streak += 1;
             if self.calm_streak >= self.cfg.hysteresis_ticks.saturating_mul(4) {
-                // Sustained calm: each leg decays one stride (or what is
-                // left of one) back toward its bootstrap value; a leg that
+                // Sustained calm: the window decays one stride (or what
+                // is left of one) back toward its bootstrap value; one that
                 // is off or already there does not move.
-                let toward = |cur: i64, base: i64, step: i64| (base - cur).clamp(-step, step);
+                let step = self.cfg.window_step as i64;
                 let w = self.tuning.window.load(Ordering::Relaxed) as i64;
-                self.step_window(toward(
-                    w,
-                    self.base_window as i64,
-                    self.cfg.window_step as i64,
-                ));
-                let r = self.tuning.rendezvous.load(Ordering::Relaxed) as i64;
-                self.step_rendezvous(toward(
-                    r,
-                    self.base_rendezvous as i64,
-                    self.cfg.rendezvous_step as i64,
-                ));
+                self.step_window((self.base_window as i64 - w).clamp(-step, step));
                 self.calm_streak = 0;
             }
         }
@@ -320,10 +247,6 @@ impl Ticker for Controller {
         self.tick(now_ns);
         self.trace("adjustments", self.adjustments as i64);
         self.trace("window", self.tuning.window.load(Ordering::Relaxed) as i64);
-        self.trace(
-            "rendezvous",
-            self.tuning.rendezvous.load(Ordering::Relaxed) as i64,
-        );
     }
 }
 
@@ -333,8 +256,8 @@ mod tests {
     use crate::gateway::GatewayStats;
     use mad_trace::Tracer;
 
-    fn controller(cfg: ControllerConfig, window: Option<u32>, rendezvous: usize) -> Controller {
-        let tuning = Tuning::new(window, rendezvous, cfg.window_floor);
+    fn controller(cfg: ControllerConfig, window: Option<u32>) -> Controller {
+        let tuning = Tuning::new(window, cfg.window_floor);
         let stats = Arc::new(GatewayStats::default());
         let window = GatewayWindow::open(stats, 0);
         Controller::new(cfg, tuning, window, Tracer::off(), "ctl:t@0".into())
@@ -361,70 +284,20 @@ mod tests {
 
     #[test]
     fn tuning_encodes_disabled_window_as_none() {
-        let t = Tuning::new(None, 0, 2);
+        let t = Tuning::new(None, 2);
         assert_eq!(t.credit_window(), None);
         assert_eq!(t.smallest_window(), None);
-        assert_eq!(t.rendezvous_threshold(), 0);
-        let t = Tuning::new(Some(8), 64 * 1024, 2);
+        let t = Tuning::new(Some(8), 2);
         assert_eq!(t.credit_window(), Some(8));
         assert_eq!(t.smallest_window(), Some(2));
-        assert_eq!(t.rendezvous_threshold(), 64 * 1024);
         // A bootstrap window below the floor is the smallest there is.
-        assert_eq!(Tuning::new(Some(1), 0, 2).smallest_window(), Some(1));
-    }
-
-    #[test]
-    fn starvation_lowers_rendezvous_threshold() {
-        let cfg = no_hysteresis();
-        let mut c = controller(cfg, Some(8), 64 * 1024);
-        starve(&c);
-        c.tick(cfg.interval_ns);
-        assert_eq!(
-            c.tuning.rendezvous_threshold(),
-            64 * 1024 - cfg.rendezvous_step
-        );
-        // Saturation pushes it back up.
-        saturate(&c);
-        c.tick(2 * cfg.interval_ns);
-        assert_eq!(c.tuning.rendezvous_threshold(), 64 * 1024);
-    }
-
-    #[test]
-    fn rendezvous_steps_stay_clamped_and_calm_decays() {
-        let cfg = ControllerConfig {
-            rendezvous_floor: 40 * 1024,
-            ..no_hysteresis()
-        };
-        let mut c = controller(cfg, Some(8), 48 * 1024);
-        starve(&c);
-        c.tick(cfg.interval_ns);
-        assert_eq!(
-            c.tuning.rendezvous_threshold(),
-            40 * 1024,
-            "clamped at floor"
-        );
-        // Calm decays back toward the bootstrap threshold.
-        let mut now = cfg.interval_ns;
-        for _ in 0..4 {
-            now += cfg.interval_ns;
-            c.tick(now);
-        }
-        assert_eq!(c.tuning.rendezvous_threshold(), 48 * 1024);
-    }
-
-    #[test]
-    fn controller_never_enables_eager_only_rendezvous() {
-        let cfg = no_hysteresis();
-        let mut c = controller(cfg, Some(8), 0);
-        saturate(&c);
-        c.tick(cfg.interval_ns);
-        assert_eq!(c.tuning.rendezvous_threshold(), 0); // stays eager-only
+        assert_eq!(Tuning::new(Some(1), 2).smallest_window(), Some(1));
     }
 
     #[test]
     fn starvation_raises_window_after_hysteresis() {
         let cfg = ControllerConfig::default();
-        let mut c = controller(cfg, Some(8), 0);
+        let mut c = controller(cfg, Some(8));
         // One starved tick is not enough (hysteresis = 2)…
         starve(&c);
         c.tick(cfg.interval_ns);
@@ -442,7 +315,7 @@ mod tests {
             window_ceil: 10,
             ..no_hysteresis()
         };
-        let mut c = controller(cfg, Some(8), 0);
+        let mut c = controller(cfg, Some(8));
         for i in 1..=5 {
             starve(&c);
             c.tick(i * cfg.interval_ns);
@@ -450,27 +323,22 @@ mod tests {
         assert_eq!(c.tuning.credit_window(), Some(10)); // clamped at ceil
     }
 
-    /// Saturation moves both remaining legs, one stride each, in one
-    /// decision: the window down, the crossover up.
+    /// Saturation is one decision on the one leg: the window down a stride.
     #[test]
-    fn saturation_trims_window_and_raises_crossover() {
+    fn saturation_trims_window() {
         let cfg = no_hysteresis();
-        let mut c = controller(cfg, Some(32), 64 * 1024);
+        let mut c = controller(cfg, Some(32));
         saturate(&c);
         c.tick(cfg.interval_ns);
         assert_eq!(c.tuning.credit_window(), Some(32 - cfg.window_step));
-        assert_eq!(
-            c.tuning.rendezvous_threshold(),
-            64 * 1024 + cfg.rendezvous_step
-        );
-        assert_eq!(c.adjustments, 2);
+        assert_eq!(c.adjustments, 1);
     }
 
     /// A window below the saturation gate on either threshold is calm.
     #[test]
     fn blips_below_the_saturation_gate_move_nothing() {
         let cfg = no_hysteresis();
-        let mut c = controller(cfg, Some(32), 64 * 1024);
+        let mut c = controller(cfg, Some(32));
         let stats = c.window.stats();
         // Too few stalls, however high their share…
         stats
@@ -489,19 +357,15 @@ mod tests {
     }
 
     #[test]
-    fn calm_decays_both_legs_back_to_baseline() {
+    fn calm_decays_the_window_back_to_baseline() {
         let cfg = no_hysteresis();
-        let mut c = controller(cfg, Some(8), 64 * 1024);
-        // Two saturated decisions push the window down and the crossover out.
+        let mut c = controller(cfg, Some(8));
+        // Two saturated decisions push the window down to the floor.
         saturate(&c);
         c.tick(cfg.interval_ns);
         saturate(&c);
         c.tick(2 * cfg.interval_ns);
         assert_eq!(c.tuning.credit_window(), Some(cfg.window_floor));
-        assert_eq!(
-            c.tuning.rendezvous_threshold(),
-            64 * 1024 + 2 * cfg.rendezvous_step
-        );
         // Then calm: 4×hysteresis quiet ticks per decay step.
         let mut now = 2 * cfg.interval_ns;
         for _ in 0..8 {
@@ -509,13 +373,12 @@ mod tests {
             c.tick(now);
         }
         assert_eq!(c.tuning.credit_window(), Some(8));
-        assert_eq!(c.tuning.rendezvous_threshold(), 64 * 1024);
     }
 
     #[test]
     fn controller_never_enables_disabled_flow_control() {
         let cfg = no_hysteresis();
-        let mut c = controller(cfg, None, 0);
+        let mut c = controller(cfg, None);
         starve(&c);
         c.tick(cfg.interval_ns);
         assert_eq!(c.tuning.credit_window(), None);

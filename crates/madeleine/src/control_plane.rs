@@ -1,11 +1,11 @@
 //! The control plane of one node on one virtual channel: the single place
 //! that reacts to a decoded control packet.
 //!
-//! Special conduits carry, against and beside the forwarded streams, six
+//! Special conduits carry, against and beside the forwarded streams, five
 //! kinds of packets that never belong to a stream table: credit grants
 //! (kind 5), cancels of streams this node sends (kind 6), handoff acks
-//! (kind 9), in-band metrics pulls (kind 10), membership events (kind 11)
-//! and rendezvous CTS grants (kind 12). Whoever happens to read a special
+//! (kind 9), in-band metrics pulls (kind 10) and membership events
+//! (kind 11). Whoever happens to read a special
 //! conduit — a writer pumping while it waits for credits, an endpoint's
 //! responder thread, a multi-path writer awaiting its ack, a gateway
 //! engine — hands what it read to [`ControlPlane::dispatch`], and only
@@ -152,7 +152,6 @@ impl ControlPlane {
     /// | 9 ack | park for [`ControlPlane::take_ack`] |
     /// | 10 metrics | telemetry plane serves, files or relays it; dropped without one |
     /// | 11 member | membership plane applies or relays it; dropped without one |
-    /// | 12 CTS | a stream of this node's own writer: park the grant; a relayed stream: fund the engine's re-sends |
     pub(crate) fn dispatch(&self, tag: &StreamTag, body: &PacketBody, packet: &[u8]) -> Dispatch {
         let key = tag.key();
         match body {
@@ -171,17 +170,12 @@ impl ControlPlane {
                     plane.handle_packet(tag, body, packet);
                 }
             }
-            PacketBody::RendezvousCts(m) if tag.src == self.rank => {
-                self.ledger.grant(key, m.window)
-            }
-            PacketBody::RendezvousCts(m) => self.ledger.deposit(key, m.window),
             PacketBody::Header(_)
             | PacketBody::Part(_)
             | PacketBody::Frag
             | PacketBody::End
             | PacketBody::Batch
-            | PacketBody::Stripe(_)
-            | PacketBody::RendezvousRts(_) => return Dispatch::NotControl,
+            | PacketBody::Stripe(_) => return Dispatch::NotControl,
         }
         Dispatch::Handled
     }
@@ -312,7 +306,7 @@ pub fn fuzz_dispatch(packet: &[u8]) -> Option<bool> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::gtm::{CancelReason, GtmHeader, GtmPartDesc, MemberEvent, MemberMsg, RendezvousMsg};
+    use crate::gtm::{CancelReason, GtmHeader, GtmPartDesc, MemberEvent, MemberMsg};
     use crate::{RecvMode, SendMode};
 
     fn plane(rank: u32) -> Arc<ControlPlane> {
@@ -391,40 +385,12 @@ mod tests {
         );
     }
 
-    /// A CTS for this node's own stream parks a grant; one for a relayed
-    /// stream funds the engine's re-sends.
-    #[test]
-    fn cts_is_a_grant_at_the_origin_and_a_deposit_on_a_relay() {
-        let p = plane(4);
-        let msg = RendezvousMsg {
-            total: 1 << 20,
-            mtu: 8192,
-            window: 8,
-        };
-        let (own, relayed) = (tag(4, 9, 1), tag(2, 9, 1));
-        p.ledger().open(own.key(), 0);
-        p.ledger().open(relayed.key(), 0);
-        feed(&p, &gtm::encode_rendezvous_cts(&own, &msg));
-        feed(&p, &gtm::encode_rendezvous_cts(&relayed, &msg));
-        assert_eq!(p.ledger().available(own.key()), Some(0));
-        assert_eq!(
-            p.ledger().take_grant(own.key()),
-            crate::credit::GrantOutcome::Granted(8)
-        );
-        assert_eq!(p.ledger().available(relayed.key()), Some(8));
-    }
-
     /// Every packet kind the encoders can produce lands on exactly one
     /// side of the dispatcher, and the handled side is exactly the control
-    /// kinds {5, 6, 9, 10, 11, 12-CTS}.
+    /// kinds {5, 6, 9, 10, 11}.
     #[test]
     fn every_encodable_kind_is_handled_or_not_control() {
         let t = tag(1, 0, 5);
-        let rdv = RendezvousMsg {
-            total: 4096,
-            mtu: 1024,
-            window: 4,
-        };
         let member = MemberMsg {
             event: MemberEvent::Announce,
             node: 1,
@@ -453,8 +419,6 @@ mod tests {
             (gtm::encode_metrics_request(&t), Some(10)),
             (gtm::encode_metrics_reply(&t, b"not a snapshot"), Some(10)),
             (gtm::encode_member(&t, &member), Some(11)),
-            (gtm::encode_rendezvous_rts(&t, &rdv), None),
-            (gtm::encode_rendezvous_cts(&t, &rdv), Some(12)),
         ];
         let p = plane(0);
         let mut handled = std::collections::BTreeSet::new();
@@ -469,10 +433,7 @@ mod tests {
                 None => assert_eq!(got, Dispatch::NotControl, "kind {}", packet[2]),
             }
         }
-        assert_eq!(
-            handled.into_iter().collect::<Vec<_>>(),
-            [5, 6, 9, 10, 11, 12]
-        );
+        assert_eq!(handled.into_iter().collect::<Vec<_>>(), [5, 6, 9, 10, 11]);
         assert!(p.ledger().is_idle(), "nothing here may open an account");
     }
 

@@ -53,21 +53,6 @@ use crate::types::NodeId;
 struct Entry {
     available: u64,
     cancelled: Option<CancelReason>,
-    /// A whole-window rendezvous grant (kind-12 CTS) parked for the
-    /// writer to claim, separate from `available` so per-fragment eager
-    /// takes never consume a grant that a rendezvous block is waiting on.
-    grant: Option<u32>,
-}
-
-/// Outcome of claiming a parked rendezvous grant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantOutcome {
-    /// The receiver's CTS arrived: this many fragments are prepaid.
-    Granted(u32),
-    /// No CTS yet (or the stream is unknown): wait.
-    Pending,
-    /// The stream was cancelled; stop sending and surface the reason.
-    Cancelled(CancelReason),
 }
 
 /// Outcome of a non-blocking credit take.
@@ -132,7 +117,6 @@ impl CreditLedger {
             Entry {
                 available: window as u64,
                 cancelled: None,
-                grant: None,
             },
         );
     }
@@ -151,39 +135,6 @@ impl CreditLedger {
             e.available += n as u64;
             drop(st);
             self.event.bump();
-        }
-    }
-
-    /// Park a rendezvous grant (kind-12 CTS) for the stream's writer.
-    /// Multiple grants accumulate (one CTS per rendezvous block may be in
-    /// flight on a long stream); grants for unknown streams are dropped —
-    /// a late CTS from a drained hop is harmless.
-    pub fn grant(&self, key: StreamKey, window: u32) {
-        let mut st = self.state.lock();
-        if let Some(e) = st.get_mut(&key) {
-            let parked = e.grant.unwrap_or(0);
-            e.grant = Some(parked.saturating_add(window));
-            drop(st);
-            self.event.bump();
-        }
-    }
-
-    /// Claim a parked rendezvous grant, without blocking.
-    pub fn take_grant(&self, key: StreamKey) -> GrantOutcome {
-        let mut st = self.state.lock();
-        match st.get_mut(&key) {
-            Some(e) => {
-                if let Some(r) = e.cancelled {
-                    GrantOutcome::Cancelled(r)
-                } else if let Some(w) = e.grant.take() {
-                    GrantOutcome::Granted(w)
-                } else {
-                    GrantOutcome::Pending
-                }
-            }
-            // An unknown account reads as "no CTS yet": the caller's
-            // deadline turns a genuinely lost account into a typed error.
-            None => GrantOutcome::Pending,
         }
     }
 
@@ -294,26 +245,6 @@ pub struct FlowControl {
     /// The channel's live operating point: when present, freshly opened
     /// streams take their window from it instead of the bootstrap value.
     tuning: Option<Arc<crate::control::Tuning>>,
-    /// Bootstrap rendezvous threshold in bytes (0 = eager-only). Blocks at
-    /// least this large run the kind-12 RTS/CTS handshake.
-    rendezvous: usize,
-    /// Writer-side protocol counters, flushed to the `proto:` trace track
-    /// at session teardown.
-    proto: Option<Arc<ProtoStats>>,
-}
-
-/// Writer-side protocol-plane counters: how many blocks took each path
-/// and how many fragments flowed under prepaid rendezvous grants. Shared
-/// by every writer on one (virtual channel, node).
-#[derive(Debug, Default)]
-pub struct ProtoStats {
-    /// Blocks that ran the kind-12 rendezvous handshake.
-    pub rendezvous_blocks: std::sync::atomic::AtomicU64,
-    /// Blocks that stayed on the eager path.
-    pub eager_blocks: std::sync::atomic::AtomicU64,
-    /// Fragments sent under a prepaid whole-window grant (no per-fragment
-    /// credit take).
-    pub granted_fragments: std::sync::atomic::AtomicU64,
 }
 
 impl FlowControl {
@@ -326,27 +257,12 @@ impl FlowControl {
             window,
             timeout_ns,
             tuning: None,
-            rendezvous: 0,
-            proto: None,
         }
     }
 
     /// Attach the channel's live operating point (session wiring).
     pub(crate) fn with_tuning(mut self, tuning: Option<Arc<crate::control::Tuning>>) -> Self {
         self.tuning = tuning;
-        self
-    }
-
-    /// Set the bootstrap rendezvous threshold (session wiring; 0 disables
-    /// the rendezvous path entirely).
-    pub(crate) fn with_rendezvous(mut self, threshold: usize) -> Self {
-        self.rendezvous = threshold;
-        self
-    }
-
-    /// Attach the node's writer-side protocol counters (session wiring).
-    pub(crate) fn with_proto(mut self, proto: Option<Arc<ProtoStats>>) -> Self {
-        self.proto = proto;
         self
     }
 
@@ -367,16 +283,6 @@ impl FlowControl {
     /// The credit-wait deadline, in nanoseconds.
     pub fn timeout_ns(&self) -> u64 {
         self.timeout_ns
-    }
-
-    /// The rendezvous threshold, in bytes — the live tuned value when a
-    /// controller governs this channel, the bootstrap value otherwise.
-    /// 0 means every block stays eager.
-    pub fn rendezvous_threshold(&self) -> usize {
-        match &self.tuning {
-            Some(t) => t.rendezvous_threshold(),
-            None => self.rendezvous,
-        }
     }
 
     /// The writer-side handle. `pump` must be true on nodes whose special
@@ -423,45 +329,6 @@ impl WriterFlow {
         self.ctl.ledger().close(key);
     }
 
-    /// The channel's live rendezvous threshold (0 = eager-only).
-    pub(crate) fn rendezvous_threshold(&self) -> usize {
-        self.ctl.rendezvous_threshold()
-    }
-
-    /// Count one finished block on its protocol path, plus the fragments
-    /// that flowed under a prepaid grant.
-    pub(crate) fn note_block(&self, rendezvous: bool, granted_fragments: u64) {
-        use std::sync::atomic::Ordering;
-        if let Some(p) = &self.ctl.proto {
-            if rendezvous {
-                p.rendezvous_blocks.fetch_add(1, Ordering::Relaxed);
-                p.granted_fragments
-                    .fetch_add(granted_fragments, Ordering::Relaxed);
-            } else {
-                p.eager_blocks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Wait for the receiver's whole-window CTS after sending an RTS,
-    /// pumping the writer's conduit while waiting. Returns the number of
-    /// prepaid fragments. Deadline-bounded exactly like [`Self::take`].
-    pub(crate) fn wait_grant(
-        &self,
-        channel: &Channel,
-        first_hop: NodeId,
-        tag: &StreamTag,
-    ) -> Result<u32> {
-        let ledger = self.ctl.ledger();
-        self.wait_for(channel, first_hop, tag, || {
-            match ledger.take_grant(tag.key()) {
-                GrantOutcome::Granted(w) => Some(Ok(w)),
-                GrantOutcome::Cancelled(reason) => Some(Err(reason)),
-                GrantOutcome::Pending => None,
-            }
-        })
-    }
-
     /// Consume one credit if the window has one, without waiting or
     /// reading the conduit. `Ok(false)` means the window is dry: the
     /// writer flushes what it has staged and then calls [`Self::take`].
@@ -489,36 +356,18 @@ impl WriterFlow {
     /// conduit for incoming grants while waiting. Deadline-bounded: a
     /// stalled or dead downstream surfaces as
     /// [`MadError::CreditTimeout`] / [`MadError::PeerUnreachable`].
+    ///
+    /// The one wait loop of a flow-controlled writer: try the ledger, pump
+    /// the conduit for the grant that would satisfy it, sleep on the
+    /// ledger event, give up at the credit deadline.
     pub(crate) fn take(&self, channel: &Channel, first_hop: NodeId, tag: &StreamTag) -> Result<()> {
-        let ledger = self.ctl.ledger();
-        self.wait_for(channel, first_hop, tag, || {
-            match ledger.try_take(tag.key()) {
-                TakeOutcome::Taken => Some(Ok(())),
-                TakeOutcome::Cancelled(reason) => Some(Err(reason)),
-                TakeOutcome::Empty => None,
-            }
-        })
-    }
-
-    /// The one wait loop of a flow-controlled writer: poll `probe` on the
-    /// ledger, pump the conduit for whatever would satisfy it, sleep on
-    /// the ledger event, give up at the credit deadline.
-    fn wait_for<T>(
-        &self,
-        channel: &Channel,
-        first_hop: NodeId,
-        tag: &StreamTag,
-        probe: impl Fn() -> Option<std::result::Result<T, CancelReason>>,
-    ) -> Result<T> {
         let rt = channel.runtime();
         let event = &self.ctl.ledger().event;
         let start = rt.now_nanos();
         loop {
             let seen = event.epoch();
-            match probe() {
-                Some(Ok(got)) => return Ok(got),
-                Some(Err(reason)) => return Err(cancel_error(reason, tag)),
-                None => {}
+            if self.try_take(tag)? {
+                return Ok(());
             }
             if self.pump && self.pump_conduit(channel, first_hop)? {
                 continue; // something arrived: re-check before blocking
@@ -605,33 +454,6 @@ mod tests {
             l.try_take(other),
             TakeOutcome::Cancelled(CancelReason::CreditTimeout)
         );
-    }
-
-    #[test]
-    fn grant_accounting() {
-        let l = ledger();
-        let key = (4, 2);
-        l.open(key, 2);
-        // No CTS yet.
-        assert_eq!(l.take_grant(key), GrantOutcome::Pending);
-        // Grants accumulate and are claimed whole, separately from the
-        // eager window.
-        l.grant(key, 8);
-        l.grant(key, 8);
-        assert_eq!(l.available(key), Some(2));
-        assert_eq!(l.take_grant(key), GrantOutcome::Granted(16));
-        assert_eq!(l.take_grant(key), GrantOutcome::Pending);
-        // Cancellation beats a parked grant.
-        l.grant(key, 4);
-        l.cancel(key, CancelReason::CreditTimeout);
-        assert_eq!(
-            l.take_grant(key),
-            GrantOutcome::Cancelled(CancelReason::CreditTimeout)
-        );
-        // Late grants for closed streams are dropped.
-        l.close(key);
-        l.grant(key, 4);
-        assert!(l.is_idle());
     }
 
     #[test]

@@ -216,12 +216,6 @@ pub struct GatewayStats {
     /// Handoff acknowledgments sent back to multi-path stream origins
     /// (one per acked stream whose end packet this engine relayed).
     pub acks_sent: AtomicU64,
-    /// Rendezvous RTS announcements (kind 12) relayed downstream, in
-    /// stream order through the pipeline.
-    pub rts_relayed: AtomicU64,
-    /// Rendezvous CTS whole-window grants sent back upstream (one per
-    /// accepted RTS).
-    pub cts_sent: AtomicU64,
     /// Unavoidable relay staging copies performed on the receive stage.
     pub copies_recv: AtomicU64,
     /// Unavoidable relay staging copies deferred to the flush stage
@@ -318,10 +312,6 @@ pub struct GatewayTotals {
     pub errors: u64,
     /// Handoff acknowledgments sent back to stream origins.
     pub acks_sent: u64,
-    /// Rendezvous RTS announcements relayed downstream.
-    pub rts_relayed: u64,
-    /// Rendezvous CTS whole-window grants sent upstream.
-    pub cts_sent: u64,
     /// Relay staging copies performed on the receive stage.
     pub copies_recv: u64,
     /// Relay staging copies deferred to the flush stage.
@@ -412,8 +402,6 @@ impl GatewayStats {
             credit_timeouts: self.credit_timeouts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             acks_sent: self.acks_sent.load(Ordering::Relaxed),
-            rts_relayed: self.rts_relayed.load(Ordering::Relaxed),
-            cts_sent: self.cts_sent.load(Ordering::Relaxed),
             copies_recv: self.copies_recv.load(Ordering::Relaxed),
             copies_flush: self.copies_flush.load(Ordering::Relaxed),
             copy_idle_hits: self.copy_idle_hits.load(Ordering::Relaxed),
@@ -533,14 +521,6 @@ pub struct GatewayConfig {
     /// channel of a node sizes its pool). Two workers keep receive and
     /// retransmit overlapped — the reactor's double-buffering analog.
     pub reactor_workers: usize,
-    /// Protocol-switch crossover in bytes: blocks at least this large
-    /// run the kind-12 RTS/CTS rendezvous handshake instead of the eager
-    /// path. `0` (the default) keeps every block eager — the pre-switch
-    /// wire behaviour. Requires `credit_window` (the handshake rides the
-    /// credit plane); ignored without it. Every node of the virtual
-    /// channel reads the same configured value, and a controller retunes
-    /// it online when one governs the channel.
-    pub rendezvous_threshold: usize,
 }
 
 impl Default for GatewayConfig {
@@ -555,7 +535,6 @@ impl Default for GatewayConfig {
             drain_timeout_ns: 2_000_000_000,
             engine: EngineKind::from_env(),
             reactor_workers: 2,
-            rendezvous_threshold: 0,
         }
     }
 }
@@ -1311,14 +1290,10 @@ struct InStream {
     /// engine is its first hop (the inbound peer *is* the origin): once
     /// the end packet is retransmitted, send an ack back upstream.
     ack: bool,
-    /// Per-fragment upstream credit grants still suppressed by an
-    /// accepted rendezvous block: the whole-window CTS sent upstream
-    /// prepaid exactly this many fragments, so their individual grants
-    /// must not be returned on top of it. `Cell` because the polling
-    /// side decrements it per fragment while holding only `&InStream`.
-    rendezvous_pending: Cell<u64>,
     /// Fragments received since the last one that carried a grant: credits
     /// the sender is owed and no fragment has been told to return yet.
+    /// `Cell` because the polling side counts per fragment while holding
+    /// only `&InStream`.
     grant_due: Cell<u32>,
 }
 
@@ -1331,9 +1306,6 @@ struct InStream {
 /// arrives *inside* one — bounded by their outgoing driver's frame budget,
 /// and that driver is this side's inbound driver.
 fn landing_size(streams: &BTreeMap<StreamKey, InStream>, caps: &DriverCaps) -> usize {
-    // Floor and per-stream sizing share `gtm::landing_size_for` with the
-    // endpoint assembler's rendezvous pre-reservation, so both sides of
-    // a handshake agree on the buffer class being reserved.
     let mut size = gtm::landing_size_for(0).max(caps.preferred_mtu);
     for s in streams.values() {
         size = size.max(gtm::landing_size_for(s.mtu as usize));
@@ -1674,8 +1646,8 @@ impl InboundCtx {
         let key = tag.key();
 
         // Control traffic rides the special conduits but never touches
-        // stream state: returning credits, cancels and CTS grants of
-        // streams this node sends out on the inbound network, stray
+        // stream state: returning credits and cancels of streams this
+        // node sends out on the inbound network, stray
         // handoff acks, metrics pulls and membership events all belong to
         // the node's control plane. The one exception is this engine's
         // own rule: a cancel whose stream is in the table (or tombstoned)
@@ -1718,48 +1690,9 @@ impl InboundCtx {
             | PacketBody::Ack
             | PacketBody::MetricsRequest
             | PacketBody::MetricsReply
-            | PacketBody::Member(_)
-            | PacketBody::RendezvousCts(_) => Err(MadError::Protocol(format!(
+            | PacketBody::Member(_) => Err(MadError::Protocol(format!(
                 "control packet {body:?} slipped past the dispatcher"
             ))),
-            PacketBody::RendezvousRts(m) => {
-                // A bulk block announced itself. Pre-reserve the landing on
-                // all three stations of this hop before its fragments arrive:
-                // warm the landing-buffer class, prepay the upstream window
-                // (CTS), and relay the RTS downstream *through the pipeline*
-                // so it keeps its FIFO position ahead of the block.
-                let stream = d.streams.get(&key).ok_or_else(|| {
-                    MadError::Protocol(format!("rendezvous RTS for unknown stream {key:?}"))
-                })?;
-                drop(shared.runtime.pool().get(d.max_pkt));
-                let window = m.window;
-                let mut cts = shared.runtime.pool().get(gtm::RENDEZVOUS_PACKET_LEN);
-                gtm::encode_rendezvous_cts_into(
-                    cts.vec(),
-                    &tag,
-                    &gtm::RendezvousMsg {
-                        total: m.total,
-                        mtu: m.mtu,
-                        window,
-                    },
-                );
-                if self.in_channel.send_packet(peer, &[&cts]).is_ok() {
-                    shared.stats.cts_sent.fetch_add(1, Ordering::Relaxed);
-                    stream
-                        .rendezvous_pending
-                        .set(stream.rendezvous_pending.get() + window as u64);
-                }
-                shared.stats.rts_relayed.fetch_add(1, Ordering::Relaxed);
-                trace_instant!(
-                    shared.tracer,
-                    "gw",
-                    "rendezvous",
-                    "src" = tag.src.0 as u64,
-                    "dest" = tag.dest.0 as u64,
-                );
-                let item = self.item(stream, buf, false, false, peer, recv_ns, restage);
-                sinks.accept(FwdUnit::One(item), shared)
-            }
             PacketBody::Header(header) => {
                 if header.tag.dest == self.rank {
                     return Err(MadError::Protocol(format!(
@@ -1801,7 +1734,6 @@ impl InboundCtx {
                     // Only the first hop acks: the inbound peer must *be* the
                     // origin, so a chained gateway never acks on its behalf.
                     ack: header.acked && peer == tag.src,
-                    rendezvous_pending: Cell::new(0),
                     grant_due: Cell::new(0),
                 };
                 // On a non-final hop this gateway is the next conduit's
@@ -1925,28 +1857,19 @@ impl InboundCtx {
     ) -> FwdItem {
         let flow_controlled = self.cfg.credit_window.is_some();
         let held_bytes = if is_frag { buf.bytes().len() } else { 0 };
-        // A fragment prepaid by a rendezvous CTS must not also earn a
-        // credit — the whole window went upstream at once. Every other one
-        // does, and the one that completes a grant period carries them all
-        // back: the one place that decides which fragment carries a grant.
-        let upstream = if is_frag && flow_controlled {
-            let pending = stream.rendezvous_pending.get();
-            if pending > 0 {
-                stream.rendezvous_pending.set(pending - 1);
-                None
-            } else {
-                let due = stream.grant_due.get() + 1;
-                let credits = if due >= self.grant_period { due } else { 0 };
-                stream.grant_due.set(due - credits);
-                Some(Upstream {
-                    channel: self.in_channel.clone(),
-                    peer,
-                    credits,
-                })
+        // Every fragment earns a credit, and the one that completes a grant
+        // period carries them all back: the one place that decides which
+        // fragment carries a grant.
+        let upstream = (is_frag && flow_controlled).then(|| {
+            let due = stream.grant_due.get() + 1;
+            let credits = if due >= self.grant_period { due } else { 0 };
+            stream.grant_due.set(due - credits);
+            Upstream {
+                channel: self.in_channel.clone(),
+                peer,
+                credits,
             }
-        } else {
-            None
-        };
+        });
         FwdItem {
             out_net: stream.out_net,
             to: stream.to,
@@ -2999,6 +2922,37 @@ mod tests {
         assert_eq!((totals.errors, totals.held_bytes), (0, 0));
     }
 
+    /// A retired kind between two fragments of a live stream poisons only
+    /// itself: each former RTS/CTS is one relay error, nothing of it leaves
+    /// or comes back, and the stream completes with its bytes intact.
+    #[test]
+    fn retired_kind_12_is_one_relay_error_each() {
+        for engine in [EngineKind::Threaded, EngineKind::Reactor] {
+            let mut rig = Rig::new(flow_controlled(engine, 2), MockDriver::dynamic());
+            let packets = stream_in_frags(2, 1, &[0xC3; 2000], 2);
+            let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+            let (head, tail) = packets.split_at(3);
+            for packet in head {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+            }
+            for direction in [1u8, 2] {
+                let retired = gtm::tests::retired_kind_12(&tag, direction);
+                rig.up.send_packet(NodeId(1), &[&retired]).unwrap();
+            }
+            for packet in tail {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+            }
+            for packet in &packets {
+                assert_eq!(&rig.recv(2), packet, "{engine:?}");
+            }
+            let totals = rig.finish();
+            assert!(!Rig::pending(&rig.down[&2]), "nothing of kind 12 left");
+            assert_eq!((totals.errors, totals.cancelled), (2, 0));
+            assert_eq!((totals.messages, totals.fragments), (1, 2));
+            assert_eq!(totals.held_bytes, 0);
+        }
+    }
+
     /// A packet that arrived alone is handed to the outgoing driver whole:
     /// it leaves in the allocation it landed in, under either core. The
     /// packets of a frame are windows onto one landed buffer and still
@@ -3145,7 +3099,7 @@ mod tests {
                 credit_timeout_ns: 200_000_000,
                 ..flow_controlled(engine, 2)
             };
-            let tuning = Tuning::new(cfg.credit_window, 0, ctl_cfg.window_floor);
+            let tuning = Tuning::new(cfg.credit_window, ctl_cfg.window_floor);
             let mut rig = Rig::with_tuning(cfg, MockDriver::dynamic(), Some(tuning.clone()));
             // A controller, starved (on counters of its own), raises it.
             let starved = Arc::new(GatewayStats::default());

@@ -120,28 +120,15 @@ pub(crate) const KIND_STRIPE: u8 = 8;
 pub(crate) const KIND_ACK: u8 = 9;
 pub(crate) const KIND_METRICS: u8 = 10;
 pub(crate) const KIND_MEMBER: u8 = 11;
-pub(crate) const KIND_RENDEZVOUS: u8 = 12;
 
 /// Direction byte of a kind-10 metrics packet: a snapshot request.
 const METRICS_REQUEST: u8 = 1;
 /// Direction byte of a kind-10 metrics packet: a snapshot reply.
 const METRICS_REPLY: u8 = 2;
 
-/// Direction byte of a kind-12 rendezvous packet: request-to-send. Flows
-/// *with* the stream, hop by hop, ahead of the block it announces.
-const RENDEZVOUS_RTS: u8 = 1;
-/// Direction byte of a kind-12 rendezvous packet: clear-to-send. Flows
-/// *against* the stream, carrying the whole-window credit grant.
-const RENDEZVOUS_CTS: u8 = 2;
-
 /// Full length of a kind-11 membership packet: prelude, event byte,
 /// subject node (u32 LE), membership epoch (u64 LE).
 pub const MEMBER_PACKET_LEN: usize = PRELUDE_LEN + 1 + 4 + 8;
-
-/// Full length of a kind-12 rendezvous packet: prelude, direction byte,
-/// block length (u64 LE), fragment MTU (u32 LE), window (u32 LE,
-/// requested fragments in an RTS, granted fragments in a CTS).
-pub const RENDEZVOUS_PACKET_LEN: usize = PRELUDE_LEN + 1 + 8 + 4 + 4;
 
 /// Byte budget for the encoded snapshot a metrics reply carries. Bounded
 /// so one reply always fits a single packet on every driver (the gateway
@@ -329,18 +316,6 @@ pub enum PacketBody {
     /// epoch-stamped incarnation. Routed hop by hop over the special
     /// channels like metrics packets; stateless at every relay.
     Member(MemberMsg),
-    /// Rendezvous request-to-send (kind 12, RTS direction): the sender
-    /// announces a bulk block *before* its first fragment leaves, so
-    /// every hop can pre-reserve its landing buffer class and the
-    /// receiver's pool is warm when the fragments arrive. Relayed
-    /// downstream in stream order (between the stream's packets); each
-    /// flow-controlled hop answers upstream with a CTS.
-    RendezvousRts(RendezvousMsg),
-    /// Rendezvous clear-to-send (kind 12, CTS direction): the downstream
-    /// hop grants the announced block's whole credit window up front, so
-    /// rendezvous fragments skip the per-fragment credit takes of the
-    /// eager path. Flows *against* the stream, like credits.
-    RendezvousCts(RendezvousMsg),
 }
 
 /// One membership-protocol event on the wire.
@@ -392,20 +367,6 @@ pub struct MemberMsg {
     pub node: u32,
     /// The incarnation the event asserts (or echoes) for `node`.
     pub epoch: u64,
-}
-
-/// Payload of a kind-12 rendezvous packet (both directions): the block
-/// being announced and the credit window it needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RendezvousMsg {
-    /// Length in bytes of the announced block.
-    pub total: u64,
-    /// Fragment MTU the block will be cut at (every hop sizes its
-    /// landing buffer from this, not from a per-fragment header).
-    pub mtu: u32,
-    /// Fragment window: requested (RTS, the block's fragment count) or
-    /// granted (CTS) up-front credits.
-    pub window: u32,
 }
 
 /// The common prelude of a `kind` packet of stream `tag`, on the stack.
@@ -627,50 +588,6 @@ pub fn encode_member_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &MemberMsg) {
 pub fn encode_member(tag: &StreamTag, msg: &MemberMsg) -> Vec<u8> {
     let mut v = Vec::with_capacity(MEMBER_PACKET_LEN);
     encode_member_into(&mut v, tag, msg);
-    v
-}
-
-fn put_rendezvous(v: &mut Vec<u8>, tag: &StreamTag, direction: u8, msg: &RendezvousMsg) {
-    assert!(msg.total > 0, "a rendezvous announces a non-empty block");
-    assert!(msg.mtu > 0, "a rendezvous carries the stream MTU");
-    assert!(
-        msg.window > 0,
-        "a rendezvous window is at least one fragment"
-    );
-    v.reserve(RENDEZVOUS_PACKET_LEN);
-    prelude_into(v, KIND_RENDEZVOUS, tag);
-    v.push(direction);
-    v.extend_from_slice(&msg.total.to_le_bytes());
-    v.extend_from_slice(&msg.mtu.to_le_bytes());
-    v.extend_from_slice(&msg.window.to_le_bytes());
-}
-
-/// Encode a rendezvous request-to-send into `v` (cleared first): the
-/// sender announces the next block of the stream before any of its
-/// fragments leave, `window` being the block's fragment count.
-pub fn encode_rendezvous_rts_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &RendezvousMsg) {
-    v.clear();
-    put_rendezvous(v, tag, RENDEZVOUS_RTS, msg);
-}
-
-/// Encode a rendezvous request-to-send.
-pub fn encode_rendezvous_rts(tag: &StreamTag, msg: &RendezvousMsg) -> Vec<u8> {
-    let mut v = Vec::with_capacity(RENDEZVOUS_PACKET_LEN);
-    encode_rendezvous_rts_into(&mut v, tag, msg);
-    v
-}
-
-/// Encode a rendezvous clear-to-send into `v` (cleared first): the
-/// downstream hop grants `window` fragments of credit up front.
-pub fn encode_rendezvous_cts_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &RendezvousMsg) {
-    v.clear();
-    put_rendezvous(v, tag, RENDEZVOUS_CTS, msg);
-}
-
-/// Encode a rendezvous clear-to-send.
-pub fn encode_rendezvous_cts(tag: &StreamTag, msg: &RendezvousMsg) -> Vec<u8> {
-    let mut v = Vec::with_capacity(RENDEZVOUS_PACKET_LEN);
-    encode_rendezvous_cts_into(&mut v, tag, msg);
     v
 }
 
@@ -940,38 +857,6 @@ pub fn decode_packet(packet: &[u8]) -> Result<(StreamTag, PacketBody)> {
             }
             PacketBody::Member(MemberMsg { event, node, epoch })
         }
-        KIND_RENDEZVOUS => {
-            if packet.len() != RENDEZVOUS_PACKET_LEN {
-                return Err(err("rendezvous packet length"));
-            }
-            let total =
-                u64::from_le_bytes(packet[PRELUDE_LEN + 1..PRELUDE_LEN + 9].try_into().unwrap());
-            let mtu = u32::from_le_bytes(
-                packet[PRELUDE_LEN + 9..PRELUDE_LEN + 13]
-                    .try_into()
-                    .unwrap(),
-            );
-            let window = u32::from_le_bytes(
-                packet[PRELUDE_LEN + 13..PRELUDE_LEN + 17]
-                    .try_into()
-                    .unwrap(),
-            );
-            if total == 0 {
-                return Err(err("empty rendezvous block"));
-            }
-            if mtu == 0 {
-                return Err(err("zero rendezvous MTU"));
-            }
-            if window == 0 {
-                return Err(err("zero rendezvous window"));
-            }
-            let msg = RendezvousMsg { total, mtu, window };
-            match packet[PRELUDE_LEN] {
-                RENDEZVOUS_RTS => PacketBody::RendezvousRts(msg),
-                RENDEZVOUS_CTS => PacketBody::RendezvousCts(msg),
-                _ => return Err(err("rendezvous direction")),
-            }
-        }
         _ => Err(err("unknown kind"))?,
     };
     Ok((tag, body))
@@ -988,10 +873,7 @@ pub fn fragment_count(len: u64, mtu: u32) -> u64 {
 
 /// Landing-buffer size for packets of a stream fragmented at `mtu`: the
 /// tagged fragment itself, floored so every control packet fits too —
-/// including a full-size in-band metrics reply (kind 10). The single
-/// source of truth for the floor: gateway landing buffers and rendezvous
-/// pre-reservations must agree on the size class, or a pre-warmed pool
-/// buffer would miss the class the receive path actually draws from.
+/// including a full-size in-band metrics reply (kind 10).
 pub fn landing_size_for(mtu: usize) -> usize {
     (PRELUDE_LEN + mtu).max(256).max(METRICS_PACKET_MAX)
 }
@@ -1041,8 +923,8 @@ impl FrameBudget {
 /// instead of one per packet. The train leaves when the writer can see it
 /// must: it is full, the block's flags say the receiver needs it now
 /// ([`plan::flush_after`]), the stream ends, or the writer is about to
-/// wait for something only the next hop can send (a credit, a rendezvous
-/// grant) — which it can only earn with what is staged. A fragment too
+/// wait for something only the next hop can send (a credit) — which it
+/// can only earn with what is staged. A fragment too
 /// big for any frame (every route-MTU bulk fragment) leaves alone, straight
 /// from user memory. The conduit is held per send, never across the
 /// message: every packet is self-described, so trains of concurrent
@@ -1056,14 +938,6 @@ pub struct GtmWriter<'c> {
     /// Sealed: ended, or dead after a failed `pack`.
     finished: bool,
     flow: Option<WriterFlow>,
-    /// Blocks of at least this many bytes run the rendezvous handshake
-    /// (RTS announced, whole-window CTS awaited) instead of the eager
-    /// per-fragment credit takes. `0` — the default — keeps every block
-    /// eager; only single-path flow-controlled writers enable it.
-    rendezvous_threshold: usize,
-    /// Fragments already paid for by a rendezvous grant: while positive,
-    /// fragments leave without touching the per-fragment credit ledger.
-    prepaid: u64,
     /// The train being staged, already in wire form: the batch prelude,
     /// then `len ‖ packet` per staged packet. One recycled buffer per
     /// stream.
@@ -1140,8 +1014,6 @@ impl<'c> GtmWriter<'c> {
             mtu,
             finished: false,
             flow,
-            rendezvous_threshold: 0,
-            prepaid: 0,
             stage,
             staged: 0,
             paid: 0,
@@ -1159,15 +1031,6 @@ impl<'c> GtmWriter<'c> {
         };
         w.stage(HEADER_LEN, |v| put_header(v, &header))?;
         Ok(w)
-    }
-
-    /// Enable the size-adaptive protocol switch: blocks of at least
-    /// `threshold` bytes rendezvous (RTS/CTS whole-window grant) instead
-    /// of going eager. `0` disables the switch. Only meaningful on
-    /// flow-controlled streams — without a credit window there is no
-    /// grant channel, so the writer stays eager regardless.
-    pub fn set_rendezvous_threshold(&mut self, threshold: usize) {
-        self.rendezvous_threshold = threshold;
     }
 
     /// Append a block: descriptor packet, then tagged MTU-sized fragments.
@@ -1199,51 +1062,18 @@ impl<'c> GtmWriter<'c> {
             "bytes" = data.len() as u64,
         );
         let tag = self.tag;
-        // Size-adaptive protocol switch: a bulk block announces itself
-        // with an RTS and waits for the first hop's whole-window CTS, so
-        // its fragments leave back-to-back with no per-fragment credit
-        // round-trips and every hop has its landing pre-reserved.
-        let rendezvous = self.rendezvous_threshold > 0
-            && data.len() >= self.rendezvous_threshold
-            && self.flow.is_some();
-        if rendezvous {
-            let window = fragment_count(data.len() as u64, self.mtu as u32).min(u32::MAX as u64);
-            let rts = RendezvousMsg {
-                total: data.len() as u64,
-                mtu: self.mtu as u32,
-                window: window as u32,
-            };
-            self.stage(RENDEZVOUS_PACKET_LEN, |v| {
-                put_rendezvous(v, &tag, RENDEZVOUS_RTS, &rts)
-            })?;
-            // The grant answers the RTS: it must be out before the wait.
-            self.flush()?;
-            if let Some(flow) = &self.flow {
-                let granted = flow.wait_grant(self.channel, self.first_hop, &tag)?;
-                self.prepaid = self.prepaid.saturating_add(granted as u64);
-            }
-        }
         let desc = GtmPartDesc {
             len: data.len() as u64,
             send,
             recv,
         };
         self.stage(PART_LEN, |v| put_part(v, &tag, &desc))?;
-        let mut granted_fragments = 0u64;
         for chunk in data.chunks(self.mtu) {
-            if self.prepaid > 0 {
-                self.prepaid -= 1;
-                granted_fragments += 1;
-            } else {
-                self.take_credit()?;
-            }
+            self.take_credit()?;
             self.stage_fragment(chunk)?;
         }
         if plan::flush_after(send, recv) {
             self.flush()?;
-        }
-        if let Some(flow) = &self.flow {
-            flow.note_block(rendezvous, granted_fragments);
         }
         Ok(())
     }
@@ -1557,29 +1387,6 @@ impl StreamAssembler {
                     "control-plane packet for {key:?} reached a stream assembler"
                 )))
             }
-            PacketBody::RendezvousRts(m) => {
-                // The last hop relays the RTS to the final receiver in
-                // stream order: pre-warm the pool class the announced
-                // block's fragments will draw from (batch-split landings
-                // request exactly one tagged fragment's size), then
-                // swallow it — the endpoint never consumes credits, so
-                // no CTS goes back. Unknown/ghost/stale streams are
-                // tolerated like any other already-dead stream state.
-                if self.streams.contains_key(&key) {
-                    if let Some(pool) = &self.pool {
-                        drop(pool.get(PRELUDE_LEN + m.mtu as usize));
-                    }
-                }
-                Ok(Vec::new())
-            }
-            PacketBody::RendezvousCts(_) => {
-                // A CTS flows toward stream origins and is consumed by
-                // writer pumps and gateway engines, never by a receiving
-                // assembler.
-                Err(MadError::Protocol(format!(
-                    "rendezvous CTS for stream {key:?} reached a stream assembler"
-                )))
-            }
             PacketBody::Header(header) => self.push_header(origin, key, header),
             body => {
                 if let Some(remaining) = self.stripe_tombstones.get_mut(&key) {
@@ -1631,9 +1438,7 @@ impl StreamAssembler {
                     | PacketBody::Ack
                     | PacketBody::MetricsRequest
                     | PacketBody::MetricsReply
-                    | PacketBody::Member(_)
-                    | PacketBody::RendezvousRts(_)
-                    | PacketBody::RendezvousCts(_) => {
+                    | PacketBody::Member(_) => {
                         unreachable!()
                     }
                 });
@@ -1777,9 +1582,7 @@ impl StreamAssembler {
             | PacketBody::Ack
             | PacketBody::MetricsRequest
             | PacketBody::MetricsReply
-            | PacketBody::Member(_)
-            | PacketBody::RendezvousRts(_)
-            | PacketBody::RendezvousCts(_) => {
+            | PacketBody::Member(_) => {
                 unreachable!()
             }
         }
@@ -1834,7 +1637,7 @@ impl StreamAssembler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tag(src: u32, dest: u32, msg_id: u32) -> StreamTag {
@@ -2098,58 +1901,37 @@ mod tests {
         assert!(decode_packet(&zero_epoch).is_err());
     }
 
-    #[test]
-    fn rendezvous_packets_round_trip_and_validate() {
-        let t = tag(2, 7, 33);
-        let msg = RendezvousMsg {
-            total: 1 << 20,
-            mtu: 8192,
-            window: 128,
-        };
-        let rts = encode_rendezvous_rts(&t, &msg);
-        assert_eq!(rts.len(), RENDEZVOUS_PACKET_LEN);
-        assert_eq!(decode_packet(&rts), Ok((t, PacketBody::RendezvousRts(msg))));
-        let cts = encode_rendezvous_cts(&t, &msg);
-        assert_eq!(cts.len(), RENDEZVOUS_PACKET_LEN);
-        assert_eq!(decode_packet(&cts), Ok((t, PacketBody::RendezvousCts(msg))));
-        // Truncation, unknown direction, and zero fields are rejected.
-        assert!(decode_packet(&rts[..rts.len() - 1]).is_err());
-        let mut bad_dir = rts.clone();
-        bad_dir[PRELUDE_LEN] = 9;
-        assert!(decode_packet(&bad_dir).is_err());
-        let mut zero_total = rts.clone();
-        zero_total[PRELUDE_LEN + 1..PRELUDE_LEN + 9].fill(0);
-        assert!(decode_packet(&zero_total).is_err());
-        let mut zero_mtu = rts.clone();
-        zero_mtu[PRELUDE_LEN + 9..PRELUDE_LEN + 13].fill(0);
-        assert!(decode_packet(&zero_mtu).is_err());
-        let mut zero_window = rts.clone();
-        zero_window[PRELUDE_LEN + 13..PRELUDE_LEN + 17].fill(0);
-        assert!(decode_packet(&zero_window).is_err());
+    /// What kind 12 looked like on the wire while it existed: prelude,
+    /// direction byte (1 = the former rendezvous RTS, 2 = its CTS), block
+    /// length, MTU and window. Written out by hand — no encoder is kept.
+    pub(crate) fn retired_kind_12(t: &StreamTag, direction: u8) -> Vec<u8> {
+        let mut v = prelude(12, t).to_vec();
+        v.push(direction);
+        v.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        v.extend_from_slice(&8192u32.to_le_bytes());
+        v.extend_from_slice(&128u32.to_le_bytes());
+        v
     }
 
+    /// A retired kind is hostile bytes, not a crash: a well-formed former
+    /// RTS or CTS is an unknown kind to the decoder, never reaches a
+    /// control plane (so no ledger account can come of it) and is refused
+    /// by a receiving assembler, whose stream goes on.
     #[test]
-    fn assembler_swallows_rts_and_rejects_cts() {
-        let t = tag(5, 9, 3);
-        let msg = RendezvousMsg {
-            total: 64,
-            mtu: 8,
-            window: 8,
-        };
+    fn retired_kind_12_is_rejected() {
+        let t = tag(2, 7, 33);
         let mut asm = StreamAssembler::new();
-        // An RTS for an unknown stream is tolerated (stale relay).
-        assert_eq!(
-            asm.push_packet(encode_rendezvous_rts(&t, &msg)).unwrap(),
-            Vec::<StreamKey>::new()
-        );
         asm.push_packet(encode_header(&GtmHeader::new(t, 8, false)))
             .unwrap();
-        // An RTS for a live stream is swallowed without queueing an item.
-        asm.push_packet(encode_rendezvous_rts(&t, &msg)).unwrap();
+        for direction in [1u8, 2] {
+            let pkt = retired_kind_12(&t, direction);
+            assert!(matches!(decode_packet(&pkt), Err(MadError::Protocol(_))));
+            assert_eq!(crate::control_plane::fuzz_dispatch(&pkt), None);
+            assert!(matches!(asm.push_packet(pkt), Err(MadError::Protocol(_))));
+        }
+        asm.push_packet(encode_end(&t)).unwrap();
         let k = asm.pop_ready().unwrap();
-        assert_eq!(asm.next_item(k), None);
-        // A CTS must never reach an assembler.
-        assert!(asm.push_packet(encode_rendezvous_cts(&t, &msg)).is_err());
+        assert_eq!(asm.next_item(k), Some(StreamItem::End));
     }
 
     #[test]
@@ -2167,7 +1949,6 @@ mod tests {
             CREDIT_LEN,
             CANCEL_LEN,
             MEMBER_PACKET_LEN,
-            RENDEZVOUS_PACKET_LEN,
             METRICS_PACKET_MAX,
         ] {
             assert!(

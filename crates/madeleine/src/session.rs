@@ -110,9 +110,9 @@ pub struct VcOptions {
     /// behaviour byte-identical.
     pub membership: Option<crate::membership::MembershipOptions>,
     /// Self-tuning control plane: when set, the channel's credit window
-    /// and rendezvous crossover become a live [`crate::control::Tuning`]
-    /// retuned online by one [`crate::control::Controller`] per gateway
-    /// node. `None` (the default) keeps the static bootstrap knobs.
+    /// becomes a live [`crate::control::Tuning`] retuned online by one
+    /// [`crate::control::Controller`] per gateway node. `None` (the
+    /// default) keeps the static bootstrap knob.
     pub controller: Option<crate::control::ControllerConfig>,
 }
 
@@ -333,9 +333,6 @@ impl SessionBuilder {
         let mut vcs: Vec<(String, HashMap<NodeId, Arc<VirtualChannel>>)> = Vec::new();
         let mut gateway_handles: Vec<GatewayHandles> = Vec::new();
         let mut gateway_stats: GatewayStatsReport = Vec::new();
-        // Per-(virtual channel, node) writer-side protocol counters,
-        // flushed to `proto:` trace tracks at teardown.
-        let mut proto_stats: Vec<(String, NodeId, Arc<crate::credit::ProtoStats>)> = Vec::new();
         let mut route_planes: Vec<Arc<MultiPath>> = Vec::new();
         let gateway_stop = Arc::new(GatewayStop::new());
         // Live telemetry: one registry per *node* (shared by all its
@@ -491,12 +488,11 @@ impl SessionBuilder {
 
             // The channel's live operating point, shared by every gateway
             // controller and hot-path reader. Seeded from the bootstrap
-            // knobs; absent (all reads fall back to the static config)
+            // knob; absent (all reads fall back to the static config)
             // when no controller governs the channel.
             let tuning = vdef.options.controller.map(|ctl_cfg| {
                 crate::control::Tuning::new(
                     vdef.options.gateway.credit_window,
-                    vdef.options.gateway.rendezvous_threshold,
                     ctl_cfg.window_floor,
                 )
             });
@@ -631,16 +627,12 @@ impl SessionBuilder {
             let mut per_node = HashMap::new();
             for (&rank, regular) in &regular_by_node {
                 let flow = vdef.options.gateway.credit_window.map(|w| {
-                    let proto = Arc::new(crate::credit::ProtoStats::default());
-                    proto_stats.push((vdef.name.clone(), rank, proto.clone()));
                     FlowControl::new(
                         ctls[&rank].clone(),
                         w,
                         vdef.options.gateway.credit_timeout_ns,
                     )
                     .with_tuning(tuning.clone())
-                    .with_rendezvous(vdef.options.gateway.rendezvous_threshold)
-                    .with_proto(Some(proto))
                 });
                 let vc = VirtualChannel::assemble(
                     vdef.name.clone(),
@@ -833,27 +825,6 @@ impl SessionBuilder {
                     st.flush_busy_ns.load(std::sync::atomic::Ordering::Relaxed) as i64,
                     &[],
                 );
-                // Gateway half of the protocol plane: the kind-12 control
-                // exchanges this engine served (validated by `trace_check
-                // --require-proto`).
-                let proto = format!("proto:{vc}@{}", gw.0);
-                tracer.count_on(&proto, "proto", "rts_relayed", t.rts_relayed as i64, &[]);
-                tracer.count_on(&proto, "proto", "cts_sent", t.cts_sent as i64, &[]);
-            }
-            // Writer half of the protocol plane: per (channel, node)
-            // eager/rendezvous block split and prepaid-grant fragments.
-            for (vc, rank, ps) in &proto_stats {
-                let track = format!("proto:{vc}@{}", rank.0);
-                let rdv = ps
-                    .rendezvous_blocks
-                    .load(std::sync::atomic::Ordering::Relaxed);
-                let eager = ps.eager_blocks.load(std::sync::atomic::Ordering::Relaxed);
-                let granted = ps
-                    .granted_fragments
-                    .load(std::sync::atomic::Ordering::Relaxed);
-                tracer.count_on(&track, "proto", "rendezvous_blocks", rdv as i64, &[]);
-                tracer.count_on(&track, "proto", "eager_blocks", eager as i64, &[]);
-                tracer.count_on(&track, "proto", "granted_fragments", granted as i64, &[]);
             }
             // Session-wide thread-budget accounting: how many OS (or sim
             // actor) threads the runtime ever spawned, plus the reactor

@@ -270,10 +270,7 @@ impl VirtualChannel {
             // special conduits' receive sides and deposit arriving grants;
             // everywhere else the writer must pump its own conduit.
             let flow = self.flow.as_ref().map(|f| f.writer(!self.is_gateway));
-            // Bulk payloads over the (controller-tunable) threshold run
-            // the kind-12 rendezvous handshake; 0 keeps everything eager.
-            let threshold = flow.as_ref().map(|f| f.rendezvous_threshold()).unwrap_or(0);
-            let mut w = GtmWriter::begin(
+            let w = GtmWriter::begin(
                 channel,
                 hop.node,
                 self.next_tag(dest),
@@ -281,7 +278,6 @@ impl VirtualChannel {
                 false,
                 flow,
             )?;
-            w.set_rendezvous_threshold(threshold);
             Ok(VcWriter::Gtm { w, forwarded: true })
         }
     }

@@ -170,30 +170,26 @@ MAD_SOAK_SEED=20010914 cargo run -q --release --offline -p mad-bench --bin membe
 MAD_SOAK_SEED=20010914 MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin membership_churn -- \
   --smoke --trace "$trace_dir/a11-reactor.jsonl"
 
-# A12 smoke, both engine cores: the eager/rendezvous crossover sweep
-# (bulk rendezvous must beat eager, eager must never handshake) plus the
-# paced mixed-protocol leg with its >=80% idle-placement and
-# zero-steady-state-pool-miss assertions, traced — the exports must
-# carry the proto: track, enforced via trace_check --require-proto
-# below.
+# A12 smoke, both engine cores: the paced mixed-size run with zero-copy
+# off and its copy-placement assertion (no more than three staging copies
+# a round on a busy stage), traced — the exports go through the plain
+# trace_check below.
 echo
-echo "== a12_protocol_crossover --smoke, both engine cores, traced (A12 protocol switch)"
-cargo run -q --release --offline -p mad-bench --bin a12_protocol_crossover -- \
+echo "== a12_copy_placement --smoke, both engine cores, traced (A12 copy placement)"
+cargo run -q --release --offline -p mad-bench --bin a12_copy_placement -- \
   --smoke --trace "$trace_dir/a12.jsonl"
-MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin a12_protocol_crossover -- \
+MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin a12_copy_placement -- \
   --smoke --trace "$trace_dir/a12-reactor.jsonl"
 
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   "$trace_dir/ci.sim.jsonl" "$trace_dir/ci.fault.jsonl" "$trace_dir/ci.shm.jsonl" \
-  "$trace_dir/a7.jsonl"
+  "$trace_dir/a7.jsonl" "$trace_dir/a12.jsonl" "$trace_dir/a12-reactor.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   --require-route "$trace_dir/a8.jsonl" "$trace_dir/a8-reactor.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   --require-metrics "$trace_dir/madtop.jsonl" "$trace_dir/madtop-reactor.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   --require-membership "$trace_dir/a11.jsonl" "$trace_dir/a11-reactor.jsonl"
-cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-proto "$trace_dir/a12.jsonl" "$trace_dir/a12-reactor.jsonl"
 
 # Lints gate only when clippy is actually installed (sealed containers
 # may ship a toolchain without the component).

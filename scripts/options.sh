@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# The option count: `pub` fields of the config structs and `--flag`s of
-# mad_bench::cli, against the numbers committed below. Fails when a count
-# exceeds its number, so the next option arrives with a line in this diff.
+# The option count: `pub` fields of the config structs, `--flag`s of
+# mad_bench::cli, GTM packet kinds and trace_check's `--require-*` flags,
+# against the numbers committed below. Fails when a count differs from its
+# number either way, so the next option arrives with a line in this diff
+# and a deletion that forgets to lower its number is caught.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fields() { # <file> <struct>: its `pub` fields
@@ -10,19 +12,23 @@ fields() { # <file> <struct>: its `pub` fields
 }
 m=crates/madeleine/src
 flags=$(sed '/#\[cfg(test)\]/,$d' crates/bench/src/cli.rs | grep -o '"--[a-z-]*"' | sort -u | wc -l)
+kinds=$(grep -c 'const KIND_' $m/gtm.rs)
+requires=$(grep -o '"--require-[a-z-]*"' crates/bench/src/bin/trace_check.rs | sort -u | wc -l)
 status=0
 while read -r name count max; do
   printf '%-17s %2s (committed: %s)\n' "$name" "$count" "$max"
-  if [ "$count" -gt "$max" ]; then
-    echo "options.sh: $name grew to $count; raise its number here, in the diff that adds the option" >&2
+  if [ "$count" -ne "$max" ]; then
+    echo "options.sh: $name is $count, committed $max; change its number here, in the diff that adds or deletes the option" >&2
     status=1
   fi
 done <<EOF2
-GatewayConfig $(fields $m/gateway.rs GatewayConfig) 10
-ControllerConfig $(fields $m/control.rs ControllerConfig) 10
+GatewayConfig $(fields $m/gateway.rs GatewayConfig) 9
+ControllerConfig $(fields $m/control.rs ControllerConfig) 7
 WatchdogConfig $(fields $m/metrics_plane.rs WatchdogConfig) 4
 MetricsOptions $(fields $m/metrics_plane.rs MetricsOptions) 3
 VcOptions $(fields $m/session.rs VcOptions) 6
-cli-flags $flags 2
+cli-flags $flags 1
+gtm-kinds $kinds 11
+require-flags $requires 3
 EOF2
 exit $status

@@ -3,14 +3,9 @@
 //! chained topology, gateway configuration, and message batch, runs it
 //! once under each engine core, and compares the byte streams delivered
 //! to every receiver — plus both against the sent payloads, so a bug that
-//! corrupts both engines identically still fails.
-//!
-//! The same harness also covers the kind-12 protocol switch: cases with a
-//! nonzero `rendezvous_threshold` re-run under both engines with the
-//! threshold forced to 0 (the eager-only ablation), and all four
-//! deliveries must be byte-identical to the sent payloads. A seeded soak
-//! pins the threshold mid-payload-distribution so eager and rendezvous
-//! streams cross the same gateways back to back.
+//! corrupts both engines identically still fails. A seeded soak sends
+//! small and multi-fragment messages across the same gateway chain back
+//! to back.
 
 use mad_shm::ShmDriver;
 use mad_util::prop::{self, Config, Shrink};
@@ -29,7 +24,6 @@ struct Scenario {
     mtu: usize,
     pipeline_depth: usize,
     credit_window: Option<u32>,
-    rendezvous_threshold: usize,
     messages: Vec<Vec<u8>>,
 }
 
@@ -54,18 +48,17 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         hops: *rng.choose(&[1usize, 2]).unwrap(),
         mtu: *rng.choose(&[256usize, 1024, 8 * 1024]).unwrap(),
         pipeline_depth: *rng.choose(&[1usize, 2, 3]).unwrap(),
-        credit_window: *rng.choose(&[None, Some(2u32), Some(4), Some(16)]).unwrap(),
-        // 0 keeps everything eager; the nonzero thresholds sit below and
-        // inside the payload distribution so bulk messages go rendezvous.
-        rendezvous_threshold: *rng.choose(&[0usize, 2048, 16 * 1024]).unwrap(),
+        // Windows of 1 and 3 are where a half-window grant period rounds.
+        credit_window: *rng
+            .choose(&[None, Some(1u32), Some(2), Some(3), Some(4), Some(16)])
+            .unwrap(),
         messages: prop::vec_of(rng, 1..5, |r| prop::bytes(r, 0..40_000)),
     }
 }
 
 /// Run the scenario under `engine` and return the bytes each receiver-side
-/// unpack produced, in order, plus the kind-12 CTS count of the first
-/// gateway (0 when every stream stayed eager).
-fn run_engine(sc: &Scenario, engine: EngineKind) -> (Vec<Vec<u8>>, u64) {
+/// unpack produced, in order.
+fn run_engine(sc: &Scenario, engine: EngineKind) -> Vec<Vec<u8>> {
     let n = sc.hops as u32 + 2; // chain 0-1-…-(n-1), gateways in between
     let mut sb = SessionBuilder::new(n);
     let rt = sb.runtime().clone();
@@ -87,7 +80,6 @@ fn run_engine(sc: &Scenario, engine: EngineKind) -> (Vec<Vec<u8>>, u64) {
                 engine,
                 pipeline_depth: sc.pipeline_depth,
                 credit_window: sc.credit_window,
-                rendezvous_threshold: sc.rendezvous_threshold,
                 ..Default::default()
             },
             ..Default::default()
@@ -95,7 +87,7 @@ fn run_engine(sc: &Scenario, engine: EngineKind) -> (Vec<Vec<u8>>, u64) {
     );
     let last = NodeId(n - 1);
     let messages = sc.messages.clone();
-    let (received, gw_stats) = sb.run_with_gateway_stats(move |node| {
+    let received = sb.run(move |node| {
         let vc = node.vchannel("vc");
         if node.rank() == NodeId(0) {
             for m in &messages {
@@ -119,14 +111,13 @@ fn run_engine(sc: &Scenario, engine: EngineKind) -> (Vec<Vec<u8>>, u64) {
             Vec::new()
         }
     });
-    let cts: u64 = gw_stats.iter().map(|(_, _, st)| st.totals().cts_sent).sum();
-    (received.into_iter().flatten().collect(), cts)
+    received.into_iter().flatten().collect()
 }
 
 fn engines_agree(sc: &Scenario) -> Result<(), String> {
     prop_require!(!sc.messages.is_empty());
-    let (threaded, threaded_cts) = run_engine(sc, EngineKind::Threaded);
-    let (reactor, reactor_cts) = run_engine(sc, EngineKind::Reactor);
+    let threaded = run_engine(sc, EngineKind::Threaded);
+    let reactor = run_engine(sc, EngineKind::Reactor);
     prop_assert!(
         threaded == sc.messages,
         "threaded engine corrupted the stream ({} hops, mtu {})",
@@ -145,46 +136,6 @@ fn engines_agree(sc: &Scenario) -> Result<(), String> {
         sc.hops,
         sc.mtu
     );
-    // The protocol switch must actually engage: any bulk message over an
-    // enabled threshold runs the handshake on the first gateway.
-    let bulk = sc
-        .messages
-        .iter()
-        .filter(|m| sc.rendezvous_threshold > 0 && m.len() >= sc.rendezvous_threshold)
-        .count() as u64;
-    if sc.credit_window.is_some() {
-        prop_assert!(
-            threaded_cts >= bulk && reactor_cts >= bulk,
-            "bulk messages stayed eager ({bulk} over threshold {}, \
-             {threaded_cts} threaded / {reactor_cts} reactor CTS)",
-            sc.rendezvous_threshold
-        );
-    } else {
-        prop_assert!(
-            threaded_cts == 0 && reactor_cts == 0,
-            "rendezvous ran without flow control"
-        );
-    }
-    // Eager/rendezvous equivalence: the same traffic with the protocol
-    // switch disabled must deliver the same bytes under both engines.
-    if sc.rendezvous_threshold > 0 && sc.credit_window.is_some() {
-        let eager = Scenario {
-            rendezvous_threshold: 0,
-            ..sc.clone()
-        };
-        for engine in [EngineKind::Threaded, EngineKind::Reactor] {
-            let (got, eager_cts) = run_engine(&eager, engine);
-            prop_assert!(
-                got == threaded,
-                "eager ablation disagrees with rendezvous delivery \
-                 ({engine:?}, {} hops, mtu {}, threshold {})",
-                sc.hops,
-                sc.mtu,
-                sc.rendezvous_threshold
-            );
-            prop_assert!(eager_cts == 0, "threshold 0 must be eager-only");
-        }
-    }
     Ok(())
 }
 
@@ -199,13 +150,12 @@ fn engines_forward_byte_identical_streams() {
     );
 }
 
-/// Seeded mixed-protocol soak: the rendezvous threshold sits in the
-/// middle of the payload distribution, so small (eager) and bulk
-/// (rendezvous) streams cross the same gateway chain back to back under
-/// both engine cores. Override the seed with `MAD_SOAK_SEED` to replay a
-/// specific run.
+/// Seeded mixed-size soak: sub-fragment and multi-fragment messages (up
+/// to 32 fragments) cross the same two-gateway chain back to back under
+/// both engine cores — the file's only seeded small-then-bulk run.
+/// Override the seed with `MAD_SOAK_SEED` to replay a specific run.
 #[test]
-fn mixed_protocol_soak_delivers_exact_bytes() {
+fn mixed_size_soak_delivers_exact_bytes() {
     let seed = std::env::var("MAD_SOAK_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -216,30 +166,13 @@ fn mixed_protocol_soak_delivers_exact_bytes() {
         mtu: 1024,
         pipeline_depth: 2,
         credit_window: Some(4),
-        rendezvous_threshold: 8 * 1024,
         messages: prop::vec_of(&mut rng, 24..25, |r| prop::bytes(r, 0..32_000)),
     };
-    let (small, bulk): (Vec<_>, Vec<_>) = sc
-        .messages
-        .iter()
-        .partition(|m| m.len() < sc.rendezvous_threshold);
-    assert!(
-        !small.is_empty() && !bulk.is_empty(),
-        "seed must yield traffic on both sides of the threshold \
-         ({} eager, {} rendezvous)",
-        small.len(),
-        bulk.len()
-    );
     for engine in [EngineKind::Threaded, EngineKind::Reactor] {
-        let (got, cts) = run_engine(&sc, engine);
         assert_eq!(
-            got, sc.messages,
-            "mixed-protocol soak corrupted the stream under {engine:?}"
-        );
-        assert!(
-            cts >= bulk.len() as u64,
-            "only {cts} CTS for {} bulk messages under {engine:?}",
-            bulk.len()
+            run_engine(&sc, engine),
+            sc.messages,
+            "mixed-size soak corrupted the stream under {engine:?}"
         );
     }
 }
