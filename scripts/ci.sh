@@ -10,8 +10,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
-# Every user-settable option is counted; a count above the number
-# committed in the script fails, so a new option shows in the diff.
+# Every user-settable option is counted; a count that differs from the
+# number committed in the script fails, so a new option — and a deleted
+# one — shows in the diff.
 echo
 echo "== option count (scripts/options.sh)"
 ./scripts/options.sh

@@ -420,7 +420,6 @@ fn controller_raises_window_under_injected_starvation() {
                 // Isolate the starvation response: no saturation trims.
                 saturation_min_stalls: u64::MAX,
                 saturation_stall_ratio: 1.0,
-                ..Default::default()
             }),
             ..Default::default()
         },
