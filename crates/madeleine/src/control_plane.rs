@@ -4,13 +4,12 @@
 //! Special conduits carry, against and beside the forwarded streams, five
 //! kinds of packets that never belong to a stream table: credit grants
 //! (kind 5), cancels of streams this node sends (kind 6), handoff acks
-//! (kind 9), in-band metrics pulls (kind 10) and membership events
-//! (kind 11). Whoever happens to read a special
-//! conduit — a writer pumping while it waits for credits, an endpoint's
-//! responder thread, a multi-path writer awaiting its ack, a gateway
-//! engine — hands what it read to [`ControlPlane::dispatch`], and only
-//! what dispatch declines ([`Dispatch::NotControl`]) is the reader's own
-//! business.
+//! (kind 9), in-band metrics pulls (kind 10) and membership events (kind
+//! 11). Whoever happens to read a special conduit — a writer pumping
+//! while it waits for credits, an endpoint's responder thread, a
+//! multi-path writer awaiting its ack, a gateway engine — hands what it
+//! read to [`ControlPlane::dispatch`], and only what dispatch declines
+//! ([`Dispatch::NotControl`]) is the reader's own business.
 //!
 //! The plane owns what those reactions need: the node's [`CreditLedger`]
 //! (which exists even without a credit window — it is the cancellation

@@ -1647,11 +1647,11 @@ impl InboundCtx {
 
         // Control traffic rides the special conduits but never touches
         // stream state: returning credits and cancels of streams this
-        // node sends out on the inbound network, stray
-        // handoff acks, metrics pulls and membership events all belong to
-        // the node's control plane. The one exception is this engine's
-        // own rule: a cancel whose stream is in the table (or tombstoned)
-        // below is stream state.
+        // node sends out on the inbound network, stray handoff acks,
+        // metrics pulls and membership events all belong to the node's
+        // control plane. The one exception is this engine's own rule: a
+        // cancel whose stream is in the table (or tombstoned) below is
+        // stream state.
         let stream_cancel = matches!(body, PacketBody::Cancel(_))
             && (d.streams.contains_key(&key) || d.cancelled.contains(&key));
         if !stream_cancel && shared.ctl.dispatch(&tag, &body, buf.bytes()) == Dispatch::Handled {

@@ -924,11 +924,11 @@ impl FrameBudget {
 /// must: it is full, the block's flags say the receiver needs it now
 /// ([`plan::flush_after`]), the stream ends, or the writer is about to
 /// wait for something only the next hop can send (a credit) — which it
-/// can only earn with what is staged. A fragment too
-/// big for any frame (every route-MTU bulk fragment) leaves alone, straight
-/// from user memory. The conduit is held per send, never across the
-/// message: every packet is self-described, so trains of concurrent
-/// streams interleave freely on shared conduits.
+/// can only earn with what is staged. A fragment too big for any frame
+/// (every route-MTU bulk fragment) leaves alone, straight from user
+/// memory. The conduit is held per send, never across the message: every
+/// packet is self-described, so trains of concurrent streams interleave
+/// freely on shared conduits.
 pub struct GtmWriter<'c> {
     channel: &'c Channel,
     first_hop: NodeId,
