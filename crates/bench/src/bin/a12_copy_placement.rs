@@ -62,10 +62,10 @@ fn main() {
         t.copy_idle_hits,
     );
     assert!(placements > 0, "zero-copy off must force staging copies");
+    let allowed = BUSY_PER_ROUND * rounds as u64;
     assert!(
-        busy <= BUSY_PER_ROUND * rounds as u64,
-        "copy-placement scheduler put {busy} copies on a busy stage ({} allowed)",
-        BUSY_PER_ROUND * rounds as u64,
+        busy <= allowed,
+        "copy-placement scheduler put {busy} copies on a busy stage ({allowed} allowed)",
     );
 
     if let Some(path) = mad_bench::cli::trace_path() {

@@ -15,10 +15,10 @@ flags=$(sed '/#\[cfg(test)\]/,$d' crates/bench/src/cli.rs | grep -o '"--[a-z-]*"
 kinds=$(grep -c 'const KIND_' $m/gtm.rs)
 requires=$(grep -o '"--require-[a-z-]*"' crates/bench/src/bin/trace_check.rs | sort -u | wc -l)
 status=0
-while read -r name count max; do
-  printf '%-17s %2s (committed: %s)\n' "$name" "$count" "$max"
-  if [ "$count" -ne "$max" ]; then
-    echo "options.sh: $name is $count, committed $max; change its number here, in the diff that adds or deletes the option" >&2
+while read -r name count committed; do
+  printf '%-17s %2s (committed: %s)\n' "$name" "$count" "$committed"
+  if [ "$count" -ne "$committed" ]; then
+    echo "options.sh: $name is $count, committed $committed; change its number here, in the diff that adds or deletes the option" >&2
     status=1
   fi
 done <<EOF2
