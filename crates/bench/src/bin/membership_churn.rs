@@ -1,6 +1,6 @@
 //! A11 — dynamic membership under traffic: a seeded churn soak where a
-//! gateway cycles leave → rejoin while bulk streams keep flowing, with
-//! the self-tuning controller governing the shared credit window.
+//! gateway cycles leave → rejoin while bulk streams keep flowing under a
+//! credit window of 8.
 //!
 //! The schedule asserts the robustness contract end to end: zero lost
 //! acknowledged streams, every episode retires *and* readmits the path
@@ -10,8 +10,8 @@
 //! stale drop would mean the epoch filter misfired.
 //!
 //! `--smoke` shrinks the schedule for CI; `--trace <path>` re-runs one
-//! seeded schedule with the unified event trace (the `member:`, `ctl:`,
-//! and `health:` tracks alongside `route:`/`gw:`) exported.
+//! seeded schedule with the unified event trace (the `member:` and
+//! `health:` tracks alongside `route:`/`gw:`) exported.
 
 use mad_bench::cli;
 use mad_bench::experiments::{membership_churn_soak, membership_churn_soak_traced};

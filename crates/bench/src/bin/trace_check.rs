@@ -9,16 +9,14 @@
 //! events (`path_bytes` with its `gateway` arg, `switches`, `failovers`,
 //! `deaths`, `readmissions`; the gateway totals and `delta_*` windows;
 //! the `rt:` thread-budget totals; the `metrics:` registry flush and
-//! `health:` watchdog verdicts; the `member:` protocol transitions and
-//! `ctl:` retune decisions). With `--require-route`, a file with no
-//! `route:` events at all fails — the flag guards traces that are
-//! supposed to come from a multi-path run.
+//! `health:` watchdog verdicts; the `member:` protocol transitions).
+//! With `--require-route`, a file with no `route:` events at all fails —
+//! the flag guards traces that are supposed to come from a multi-path run.
 //! With `--require-metrics`, a file with no `metrics:` events fails —
 //! the flag guards traces from runs with the telemetry plane enabled.
-//! With `--require-membership`, a file missing either `member:` or
-//! `ctl:` events fails — the flag guards traces from dynamic-membership
-//! runs with a self-tuning controller. Exits non-zero on the first
-//! invalid file, so CI can gate on it.
+//! With `--require-membership`, a file with no `member:` events fails —
+//! the flag guards traces from dynamic-membership runs. Exits non-zero on
+//! the first invalid file, so CI can gate on it.
 
 use std::process::ExitCode;
 
@@ -78,15 +76,14 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        if require_membership && (route.member_events == 0 || route.ctl_events == 0) {
+        if require_membership && route.member_events == 0 {
             eprintln!(
-                "{path}: INVALID — {} `member:` and {} `ctl:` track events (a                  dynamic-membership trace needs at least one of each)",
-                route.member_events, route.ctl_events
+                "{path}: INVALID — no `member:` track events (expected a dynamic-membership trace)"
             );
             return ExitCode::FAILURE;
         }
         println!(
-            "{path}: ok — {} lines, {} threads, {} spans, {} counts, {} instants, {} route events, {} gw events, {} rt events, {} metrics events, {} health events, {} member events, {} ctl events",
+            "{path}: ok — {} lines, {} threads, {} spans, {} counts, {} instants, {} route events, {} gw events, {} rt events, {} metrics events, {} health events, {} member events",
             base.lines,
             base.threads,
             base.spans,
@@ -97,8 +94,7 @@ fn main() -> ExitCode {
             route.rt_events,
             route.metrics_events,
             route.health_events,
-            route.member_events,
-            route.ctl_events
+            route.member_events
         );
     }
     ExitCode::SUCCESS

@@ -803,10 +803,9 @@ pub struct ChurnSoakRun {
 /// `rounds * msgs_per_round` messages of `len` bytes to rank 3 over the
 /// two-gateway parallel fabric (net0 {0,1,2}, net1 {1,2,3}) while
 /// gateway rank 1 cycles leave → seeded linger → rejoin `rounds` times.
-/// Membership, multi-path routing, the metrics plane, and the
-/// self-tuning controller are all live: every stream must arrive intact
-/// exactly once, every episode must retire and readmit the path, and no
-/// packet may be dropped as stale.
+/// Membership, multi-path routing and the metrics plane are all live:
+/// every stream must arrive intact exactly once, every episode must retire
+/// and readmit the path, and no packet may be dropped as stale.
 fn run_membership_churn(
     tb: &Testbed,
     rounds: u32,
@@ -826,12 +825,10 @@ fn run_membership_churn(
             multipath: Some(madeleine::MultipathConfig::default()),
             membership: Some(madeleine::MembershipOptions::default()),
             metrics: Some(madeleine::MetricsOptions::default()),
-            controller: Some(madeleine::ControllerConfig::default()),
             gateway: GatewayConfig {
                 credit_window: Some(8),
                 ..Default::default()
             },
-            ..Default::default()
         },
     );
     let results = sb.run(move |node| {
@@ -923,8 +920,8 @@ pub fn membership_churn_soak(
 }
 
 /// Like [`membership_churn_soak`] but recording the unified event trace
-/// (the `member:`, `ctl:`, and `health:` tracks ride along with the
-/// `route:` and `gw:` ones).
+/// (the `member:` and `health:` tracks ride along with the `route:` and
+/// `gw:` ones).
 pub fn membership_churn_soak_traced(
     rounds: u32,
     msgs_per_round: u32,

@@ -489,12 +489,6 @@ pub const MEMBERSHIP_EVENT_NAMES: [&str; 18] = [
     "acks_served",
 ];
 
-/// Event names allowed on a `ctl:` track (all `count`s, cat `ctl`): the
-/// self-tuning controller's live retune steps (each carrying the new
-/// value) plus the final operating point its stop tick records.
-pub const CONTROL_EVENT_NAMES: [&str; 4] =
-    ["window_raise", "window_lower", "window", "adjustments"];
-
 /// What [`validate_route_tracks`] found.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RouteSummary {
@@ -510,8 +504,6 @@ pub struct RouteSummary {
     pub health_events: usize,
     /// Events on `member:` tracks.
     pub member_events: usize,
-    /// Events on `ctl:` tracks.
-    pub ctl_events: usize,
 }
 
 /// Validate the routing-plane tracks of a JSONL trace: every event on a
@@ -525,12 +517,12 @@ pub struct RouteSummary {
 /// `stripe_path_bytes` carrying an integer `args.gateway`); every event
 /// on a `health:`-prefixed track is a `count` of cat `health` named in
 /// [`HEALTH_EVENT_NAMES`]; every event on a `member:`-prefixed track is
-/// a `count` of cat `member` named in [`MEMBERSHIP_EVENT_NAMES`]; every
-/// event on a `ctl:`-prefixed track is a `count` of cat `ctl` named in
-/// [`CONTROL_EVENT_NAMES`]. Traces without such tracks validate
-/// trivially (zero counts) — run [`validate_jsonl`] first for the base
-/// schema. A `proto:` track (retired with GTM kind 12) is an unknown
-/// track: a trace that carries one predates this validator and fails.
+/// a `count` of cat `member` named in [`MEMBERSHIP_EVENT_NAMES`]. Traces
+/// without such tracks validate trivially (zero counts) — run
+/// [`validate_jsonl`] first for the base schema. A `proto:` track (retired
+/// with GTM kind 12) or a `ctl:` track (retired with the self-tuning
+/// controller) is an unknown track: a trace that carries one predates
+/// this validator and fails.
 pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
     let mut summary = RouteSummary::default();
     for (i, line) in text.lines().enumerate() {
@@ -557,9 +549,7 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
                     &MEMBERSHIP_EVENT_NAMES,
                     &mut summary.member_events,
                 )
-            } else if thread.starts_with("ctl:") {
-                ("ctl", &CONTROL_EVENT_NAMES, &mut summary.ctl_events)
-            } else if thread.starts_with("proto:") {
+            } else if thread.starts_with("proto:") || thread.starts_with("ctl:") {
                 return Err(format!("line {line_no}: unknown track \"{thread}\""));
             } else {
                 continue;
@@ -709,18 +699,20 @@ mod tests {
 {\"ts\":1,\"thread\":\"member:vc@3\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"phase_connect\",\"value\":1,\"args\":{\"epoch\":2}}
 {\"ts\":2,\"thread\":\"member:vc@3\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"stale_drop\",\"value\":1,\"args\":{\"node\":3,\"epoch\":1}}
 {\"ts\":3,\"thread\":\"member:vc@0\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"rejoins\",\"value\":1}
-{\"ts\":4,\"thread\":\"ctl:vc@1\",\"kind\":\"count\",\"cat\":\"ctl\",\"name\":\"window_raise\",\"value\":12}
-{\"ts\":5,\"thread\":\"ctl:vc@1\",\"kind\":\"count\",\"cat\":\"ctl\",\"name\":\"adjustments\",\"value\":3}
 {\"ts\":6,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"readmissions\",\"value\":1}
 ";
         let s = validate_route_tracks(text).unwrap();
-        assert_eq!((s.member_events, s.ctl_events, s.route_events), (3, 2, 1));
+        assert_eq!((s.member_events, s.route_events), (3, 1));
         let bad_name = "{\"ts\":1,\"thread\":\"member:vc@0\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"zap\",\"value\":1}\n";
         assert!(validate_route_tracks(bad_name)
             .unwrap_err()
             .contains("unknown event"));
-        let bad_cat = "{\"ts\":1,\"thread\":\"ctl:vc@0\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"window\",\"value\":8}\n";
-        assert!(validate_route_tracks(bad_cat).unwrap_err().contains("cat"));
+        // The controller's track went with the controller: an event that
+        // was valid on it while it existed marks the trace as an old one.
+        let retired = "{\"ts\":4,\"thread\":\"ctl:vc@1\",\"kind\":\"count\",\"cat\":\"ctl\",\"name\":\"window_raise\",\"value\":12}\n";
+        assert!(validate_route_tracks(retired)
+            .unwrap_err()
+            .contains("unknown track"));
     }
 
     #[test]

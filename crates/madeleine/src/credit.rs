@@ -242,9 +242,6 @@ pub struct FlowControl {
     plane: Arc<ControlPlane>,
     window: u32,
     timeout_ns: u64,
-    /// The channel's live operating point: when present, freshly opened
-    /// streams take their window from it instead of the bootstrap value.
-    tuning: Option<Arc<crate::control::Tuning>>,
 }
 
 impl FlowControl {
@@ -256,14 +253,7 @@ impl FlowControl {
             plane,
             window,
             timeout_ns,
-            tuning: None,
         }
-    }
-
-    /// Attach the channel's live operating point (session wiring).
-    pub(crate) fn with_tuning(mut self, tuning: Option<Arc<crate::control::Tuning>>) -> Self {
-        self.tuning = tuning;
-        self
     }
 
     /// The shared ledger.
@@ -271,13 +261,9 @@ impl FlowControl {
         self.plane.ledger()
     }
 
-    /// The per-stream window, in fragments — the live tuned value when a
-    /// controller governs this channel, the bootstrap value otherwise.
+    /// The per-stream window, in fragments.
     pub fn window(&self) -> u32 {
-        match &self.tuning {
-            Some(t) => t.credit_window().unwrap_or(self.window),
-            None => self.window,
-        }
+        self.window
     }
 
     /// The credit-wait deadline, in nanoseconds.
@@ -314,8 +300,7 @@ pub struct WriterFlow {
 }
 
 impl WriterFlow {
-    /// Open the stream's account with the initial window (read live, so
-    /// a controller retune governs every stream opened after it).
+    /// Open the stream's account with the initial window.
     pub(crate) fn open(&self, key: StreamKey) {
         self.ctl.ledger().open(key, self.ctl.window());
     }

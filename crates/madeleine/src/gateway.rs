@@ -165,7 +165,6 @@ use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
 use crate::conduit::{BufferMode, Conduit, DriverCaps, StaticBuf};
-use crate::control::Tuning;
 use crate::control_plane::{ControlPlane, Dispatch};
 use crate::credit::{CreditLedger, TakeFailure, TakeOutcome};
 use crate::error::{MadError, Result};
@@ -275,9 +274,7 @@ pub struct GatewayDelta {
 impl GatewayDelta {
     /// Queue saturation: at least `min_stalls` hand-offs in the window
     /// found the pipeline full (one-off blips stay below that), and they
-    /// are at least `ratio` of all hand-offs attempted. The thresholds
-    /// belong to the caller — the watchdog and the controller each keep
-    /// their own.
+    /// are at least `ratio` of all hand-offs attempted.
     pub fn saturated(&self, min_stalls: u64, ratio: f64) -> bool {
         let attempts = self.stalls + self.fragments;
         self.stalls >= min_stalls && attempts > 0 && self.stalls as f64 / attempts as f64 >= ratio
@@ -350,9 +347,8 @@ impl GatewayTotals {
 
 /// One periodic reader's view of a gateway: the engine's counters plus the
 /// baseline *this reader* took last. The multi-path selector's refresh, the
-/// telemetry sampler, the health watchdog and the controller each own one,
-/// so each sees every window exactly once and the engine keeps no
-/// per-reader state.
+/// telemetry sampler and the health watchdog each own one, so each sees
+/// every window exactly once and the engine keeps no per-reader state.
 #[derive(Debug)]
 pub struct GatewayWindow {
     stats: Arc<GatewayStats>,
@@ -1064,10 +1060,6 @@ struct FwdShared {
     /// Hot-path telemetry handles; `None` compiles the recording out of
     /// the forwarding path entirely (the metrics-off default).
     metrics: Option<GwMetrics>,
-    /// The channel's live operating point; when present the self-grant
-    /// window is read from it per stream open instead of from the static
-    /// config.
-    tuning: Option<Arc<Tuning>>,
 }
 
 impl FwdShared {
@@ -1182,7 +1174,6 @@ pub(crate) fn spawn_gateway(
     stopctl: Arc<GatewayStop>,
     ctl: Arc<ControlPlane>,
     reactor: Option<&Arc<GatewayReactor>>,
-    tuning: Option<Arc<Tuning>>,
 ) -> GatewayHandles {
     assert!(cfg.pipeline_depth >= 1, "pipeline depth must be at least 1");
     let nets: Vec<NetworkId> = ctl.special().keys().copied().collect();
@@ -1210,7 +1201,6 @@ pub(crate) fn spawn_gateway(
         metrics: ctl.metrics().map(|plane| GwMetrics::new(plane)),
         runtime: runtime.clone(),
         ctl,
-        tuning,
     };
     let special = shared.ctl.special();
     // Reactor mode borrows the node's shared worker pool and joins through
@@ -1322,15 +1312,9 @@ fn landing_size(streams: &BTreeMap<StreamKey, InStream>, caps: &DriverCaps) -> u
 /// waits for a credit no fragment will bring, with no timer and no flush.
 /// Half, not whole: a window returned in one piece would make sender and
 /// gateway take turns instead of overlapping. Both ends of a conduit read
-/// the window from the same configuration; where a controller retunes it,
-/// an account may have been opened under any window down to the
-/// controller's floor, so the floor is the number read.
-fn grant_period(cfg: &GatewayConfig, tuning: Option<&Tuning>) -> u32 {
-    let smallest = match tuning {
-        Some(t) => t.smallest_window(),
-        None => cfg.credit_window,
-    };
-    (smallest.unwrap_or(1) / 2).max(1)
+/// the window from the same configuration.
+fn grant_period(cfg: &GatewayConfig) -> u32 {
+    (cfg.credit_window.unwrap_or(1) / 2).max(1)
 }
 
 /// The fixed facts of one inbound network direction.
@@ -1410,7 +1394,7 @@ impl Inbound {
                 landing: landing_policy(paths, cfg),
                 can_defer: has_flush_stage && in_caps.mode == BufferMode::Dynamic,
                 timed: shared.timed(),
-                grant_period: grant_period(&cfg, shared.tuning.as_deref()),
+                grant_period: grant_period(&cfg),
                 in_channel,
                 in_caps,
                 cfg,
@@ -1737,14 +1721,8 @@ impl InboundCtx {
                     grant_due: Cell::new(0),
                 };
                 // On a non-final hop this gateway is the next conduit's
-                // sender: self-grant the window it will spend re-sending. The
-                // window is read per stream open, so a controller retune
-                // governs every stream accepted after it.
-                let window = match &shared.tuning {
-                    Some(t) => t.credit_window(),
-                    None => self.cfg.credit_window,
-                };
-                if let (Some(w), false) = (window, hop.last) {
+                // sender: self-grant the window it will spend re-sending.
+                if let (Some(w), false) = (self.cfg.credit_window, hop.last) {
                     shared.ledger().open(key, w);
                 }
                 shared.stats.on_header();
@@ -2636,15 +2614,6 @@ mod tests {
 
     impl Rig {
         fn new(cfg: GatewayConfig, out_driver: Arc<MockDriver>) -> Rig {
-            Rig::with_tuning(cfg, out_driver, None)
-        }
-
-        /// The same gateway on a channel a controller governs.
-        fn with_tuning(
-            cfg: GatewayConfig,
-            out_driver: Arc<MockDriver>,
-            tuning: Option<Arc<Tuning>>,
-        ) -> Rig {
             let rt = StdRuntime::shared();
             let gw_event = rt.event();
             let in_driver = MockDriver::dynamic();
@@ -2725,7 +2694,6 @@ mod tests {
                 stopctl.clone(),
                 ctl,
                 reactor.as_ref(),
-                tuning,
             );
             Rig {
                 up: up.remove(&0).unwrap(),
@@ -3079,53 +3047,24 @@ mod tests {
         }
     }
 
-    /// Where a controller retunes the window, the grant period follows the
-    /// smallest window a sender can hold, not the live one: this sender
-    /// opened its account at 2, the window went to 10 before the gateway
-    /// saw the stream's header, and a period of 10 / 2 would wait for five
-    /// fragments from a sender that may send two.
+    /// The grant period is half the configured window and never zero: flow
+    /// control off and the windows too small to halve all grant fragment
+    /// by fragment.
     #[test]
-    fn controller_floor_bounds_the_grant_period() {
-        use crate::control::{Controller, ControllerConfig};
-        use crate::ticker::Ticker;
-        let ctl_cfg = ControllerConfig {
-            hysteresis_ticks: 1,
-            window_step: 8,
-            ..Default::default()
-        };
-        for engine in [EngineKind::Threaded, EngineKind::Reactor] {
+    fn grant_period_is_half_the_window_and_at_least_one() {
+        for (window, period) in [
+            (None, 1),
+            (Some(1), 1),
+            (Some(2), 1),
+            (Some(3), 1),
+            (Some(8), 4),
+            (Some(9), 4),
+        ] {
             let cfg = GatewayConfig {
-                credit_window: Some(2),
-                credit_timeout_ns: 200_000_000,
-                ..flow_controlled(engine, 2)
+                credit_window: window,
+                ..GatewayConfig::default()
             };
-            let tuning = Tuning::new(cfg.credit_window, ctl_cfg.window_floor);
-            let mut rig = Rig::with_tuning(cfg, MockDriver::dynamic(), Some(tuning.clone()));
-            // A controller, starved (on counters of its own), raises it.
-            let starved = Arc::new(GatewayStats::default());
-            let mut ctl = Controller::new(
-                ctl_cfg,
-                tuning.clone(),
-                GatewayWindow::open(starved.clone(), 0),
-                Tracer::off(),
-                "ctl:vc@1".into(),
-            );
-            starved.credit_timeouts.fetch_add(1, Ordering::Relaxed);
-            ctl.tick(ctl_cfg.interval_ns);
-            assert_eq!(tuning.credit_window(), Some(10));
-
-            let packets = stream_in_frags(2, 3, &[0x77; 8 * 100], 8);
-            let sent = rig.send_windowed(&packets, 2, Duration::from_millis(200));
-            assert!(
-                sent,
-                "{engine:?}: the sender's window of 2 ran dry for good"
-            );
-            for packet in &packets {
-                assert_eq!(&rig.recv(2), packet);
-            }
-            let totals = rig.finish();
-            assert_eq!((totals.messages, totals.credit_timeouts), (1, 0));
-            assert_eq!((totals.errors, totals.cancelled), (0, 0));
+            assert_eq!(grant_period(&cfg), period, "window {window:?}");
         }
     }
 

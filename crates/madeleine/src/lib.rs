@@ -59,7 +59,6 @@
 pub mod baseline;
 pub mod channel;
 pub mod conduit;
-pub mod control;
 mod control_plane;
 pub mod credit;
 pub mod error;
@@ -82,7 +81,6 @@ pub mod vchannel;
 
 pub use channel::Channel;
 pub use conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
-pub use control::{ControllerConfig, Tuning};
 #[doc(hidden)]
 pub use control_plane::fuzz_dispatch;
 pub use credit::{CreditLedger, FlowControl};

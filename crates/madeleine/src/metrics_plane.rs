@@ -15,8 +15,8 @@
 //!   the gateway engine on a gateway node, a pumping writer or the
 //!   [`run_responder`] thread on an endpoint.
 //!
-//! * **Health watchdogs** — one per gateway node per channel, a
-//!   [`Ticker`] driven by a dedicated thread in [`EngineKind::Threaded`]
+//! * **Health watchdogs** — one per gateway node per channel, driven
+//!   ([`crate::ticker`]) by a dedicated thread in [`EngineKind::Threaded`]
 //!   and by a timer task on the node's shared reactor in
 //!   [`EngineKind::Reactor`]. Each tick advances the watchdog's own
 //!   [`GatewayWindow`] over the engine's counters and turns threshold
@@ -52,7 +52,6 @@ use crate::gateway::{GatewayStats, GatewayStop, GatewayWindow};
 use crate::gtm::{self, PacketBody, StreamTag};
 use crate::multipath::MultiPath;
 use crate::runtime::{RtEvent, Runtime};
-use crate::ticker::Ticker;
 use crate::types::NodeId;
 
 /// Per-virtual-channel telemetry configuration
@@ -428,8 +427,8 @@ const HEALTH_NAMES: [&str; 4] = [
 ];
 
 /// One gateway node's health evaluator: turns windowed stat deltas into
-/// typed `health:` trace events and registry counters. A [`Ticker`]: the
-/// session picks the driver (thread or reactor task) per engine core.
+/// typed `health:` trace events and registry counters. The session picks
+/// the driver (thread or reactor task, [`crate::ticker`]) per engine core.
 /// Teardown gets one final evaluation, so a fault that lands between the
 /// last tick and the stop request is still reported.
 pub(crate) struct Watchdog {
@@ -482,15 +481,14 @@ impl Watchdog {
         self.counters[which].add(n);
         self.degradations.add(n);
     }
-}
 
-impl Ticker for Watchdog {
-    fn interval_ns(&self) -> u64 {
+    /// Nanoseconds between evaluations.
+    pub(crate) fn interval_ns(&self) -> u64 {
         self.cfg.interval_ns
     }
 
     /// Evaluate one window ending `now`.
-    fn tick(&mut self, now_ns: u64) {
+    pub(crate) fn tick(&mut self, now_ns: u64) {
         let d = self.window.advance(now_ns);
         // Credit starvation: the outbound side hit its credit deadline
         // (each hit already cancelled a stream).

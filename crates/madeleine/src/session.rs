@@ -26,7 +26,7 @@ use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog};
 use crate::multipath::{MultiPath, MultipathConfig};
 use crate::routing::{self, NetworkMembers, RouteTable};
 use crate::runtime::{RtEvent, Runtime, StdRuntime};
-use crate::ticker::{self, Ticker};
+use crate::ticker;
 use crate::types::{ChannelId, NetworkId, NodeId};
 use crate::vchannel::VirtualChannel;
 
@@ -109,11 +109,6 @@ pub struct VcOptions {
     /// conduits. `None` (the default) keeps the static-membership wire
     /// behaviour byte-identical.
     pub membership: Option<crate::membership::MembershipOptions>,
-    /// Self-tuning control plane: when set, the channel's credit window
-    /// becomes a live [`crate::control::Tuning`] retuned online by one
-    /// [`crate::control::Controller`] per gateway node. `None` (the
-    /// default) keeps the static bootstrap knob.
-    pub controller: Option<crate::control::ControllerConfig>,
 }
 
 struct NetworkDef {
@@ -486,17 +481,6 @@ impl SessionBuilder {
                 }
             }
 
-            // The channel's live operating point, shared by every gateway
-            // controller and hot-path reader. Seeded from the bootstrap
-            // knob; absent (all reads fall back to the static config)
-            // when no controller governs the channel.
-            let tuning = vdef.options.controller.map(|ctl_cfg| {
-                crate::control::Tuning::new(
-                    vdef.options.gateway.credit_window,
-                    ctl_cfg.window_floor,
-                )
-            });
-
             // Gateway engines.
             for &gw in &gateways {
                 let reactor = (vdef.options.gateway.engine == crate::gateway::EngineKind::Reactor)
@@ -522,26 +506,10 @@ impl SessionBuilder {
                     gateway_stop.clone(),
                     ctls[&gw].clone(),
                     reactor.as_ref(),
-                    tuning.clone(),
                 );
                 if let Some(mp) = &mp {
                     mp.register_gateway(gw, handles.stats().clone(), runtime.now_nanos());
                 }
-                // Periodic evaluators beside the engine: a dedicated thread
-                // each in threaded mode, timer tasks on the node's shared
-                // worker pool in reactor mode. Each reads the engine's
-                // counters through a window of its own, opened here.
-                let window = || GatewayWindow::open(handles.stats().clone(), runtime.now_nanos());
-                let mut spawn_ticker = |ticker: Box<dyn Ticker>, what: &str| {
-                    aux_threads.extend(ticker::spawn(
-                        ticker,
-                        format!("gw{}-{}-{what}", gw.0, vdef.name),
-                        reactor.as_deref(),
-                        &runtime,
-                        &node_events[gw.index()],
-                        &gateway_stop,
-                    ));
-                };
                 if let Some(plane) = ctls[&gw].metrics() {
                     plane.register_gateway(handles.stats());
                     if let Some(r) = &reactor {
@@ -549,27 +517,28 @@ impl SessionBuilder {
                             plane.registry().histogram("reactor_poll_ns").shared(),
                         );
                     }
+                    // The health watchdog beside the engine: a dedicated
+                    // thread in threaded mode, a timer task on the node's
+                    // shared worker pool in reactor mode. It reads the
+                    // engine's counters through a window of its own.
                     if let Some(wd_cfg) = vdef.options.metrics.as_ref().and_then(|m| m.watchdog) {
                         let wd = Watchdog::new(
                             wd_cfg,
-                            window(),
+                            GatewayWindow::open(handles.stats().clone(), runtime.now_nanos()),
                             mp.clone(),
                             plane.registry(),
                             runtime.tracer(),
                             format!("health:{}@{}", vdef.name, gw.0),
                         );
-                        spawn_ticker(Box::new(wd), "watchdog");
+                        aux_threads.extend(ticker::spawn(
+                            wd,
+                            format!("gw{}-{}-watchdog", gw.0, vdef.name),
+                            reactor.as_deref(),
+                            &runtime,
+                            &node_events[gw.index()],
+                            &gateway_stop,
+                        ));
                     }
-                }
-                if let (Some(ctl_cfg), Some(tuning)) = (vdef.options.controller, &tuning) {
-                    let ctl = crate::control::Controller::new(
-                        ctl_cfg,
-                        tuning.clone(),
-                        window(),
-                        runtime.tracer(),
-                        format!("ctl:{}@{}", vdef.name, gw.0),
-                    );
-                    spawn_ticker(Box::new(ctl), "ctl");
                 }
                 gateway_stats.push((vdef.name.clone(), gw, handles.stats().clone()));
                 gateway_handles.push(handles);
@@ -632,7 +601,6 @@ impl SessionBuilder {
                         w,
                         vdef.options.gateway.credit_timeout_ns,
                     )
-                    .with_tuning(tuning.clone())
                 });
                 let vc = VirtualChannel::assemble(
                     vdef.name.clone(),

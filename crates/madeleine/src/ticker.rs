@@ -1,5 +1,4 @@
-//! Periodic evaluators of a gateway node (the health watchdog, the
-//! self-tuning controller) and the two ways of driving them: a dedicated
+//! The two ways of driving a gateway node's health watchdog: a dedicated
 //! runtime thread beside a threaded engine, a timer task on the node's
 //! shared worker pool beside a reactor engine — zero extra threads, the
 //! reactor core's whole point. The evaluator is the same either way.
@@ -10,27 +9,17 @@ use std::thread::JoinHandle;
 use mad_util::reactor::{Context, Poll, PollTask};
 
 use crate::gateway::{GatewayReactor, GatewayStop};
+use crate::metrics_plane::Watchdog;
 use crate::runtime::{RtEvent, Runtime};
 
-/// Something evaluated once per interval until the session stops.
-pub(crate) trait Ticker: Send + 'static {
-    /// Nanoseconds between evaluations.
-    fn interval_ns(&self) -> u64;
-    /// Evaluate the window ending at `now_ns`.
-    fn tick(&mut self, now_ns: u64);
-    /// The teardown evaluation: whatever landed since the last tick must
-    /// still be seen.
-    fn finish(&mut self, now_ns: u64) {
-        self.tick(now_ns);
-    }
-}
-
-/// Start driving `ticker` beside a gateway engine: as a timer task on the
-/// node's `reactor` when the engine runs there, on a dedicated thread
-/// named `name` (whose handle is returned for the session to join)
-/// otherwise.
+/// Start driving `watchdog` beside a gateway engine, once per interval until
+/// the session stops: as a timer task on the node's `reactor` when the
+/// engine runs there, on a dedicated thread named `name` (whose handle is
+/// returned for the session to join) otherwise. Teardown gets one last
+/// evaluation either way: whatever landed since the last tick must still
+/// be seen.
 pub(crate) fn spawn(
-    ticker: Box<dyn Ticker>,
+    watchdog: Watchdog,
     name: String,
     reactor: Option<&GatewayReactor>,
     runtime: &Arc<dyn Runtime>,
@@ -41,7 +30,7 @@ pub(crate) fn spawn(
     match reactor {
         Some(r) => {
             r.spawn_task(Box::new(TickerTask {
-                ticker,
+                watchdog,
                 stop,
                 next: 0,
             }));
@@ -49,7 +38,10 @@ pub(crate) fn spawn(
         }
         None => {
             let (rt, event) = (runtime.clone(), event.clone());
-            Some(runtime.spawn(name, Box::new(move || run_ticker(ticker, rt, event, stop))))
+            Some(runtime.spawn(
+                name,
+                Box::new(move || run_ticker(watchdog, rt, event, stop)),
+            ))
         }
     }
 }
@@ -57,22 +49,22 @@ pub(crate) fn spawn(
 /// The thread driver: tick at the interval, woken early by teardown bumps
 /// of the node `event`.
 fn run_ticker(
-    mut ticker: Box<dyn Ticker>,
+    mut watchdog: Watchdog,
     runtime: Arc<dyn Runtime>,
     event: Arc<dyn RtEvent>,
     stop: Arc<GatewayStop>,
 ) {
-    let mut next = runtime.now_nanos().saturating_add(ticker.interval_ns());
+    let mut next = runtime.now_nanos().saturating_add(watchdog.interval_ns());
     loop {
         let seen = event.epoch();
         if stop.stop_requested() {
-            ticker.finish(runtime.now_nanos());
+            watchdog.tick(runtime.now_nanos());
             return;
         }
         let now = runtime.now_nanos();
         if now >= next {
-            ticker.tick(now);
-            next = now.saturating_add(ticker.interval_ns());
+            watchdog.tick(now);
+            next = now.saturating_add(watchdog.interval_ns());
         }
         let wait = next.saturating_sub(runtime.now_nanos()).max(1);
         let _ = event.wait_past_timeout(seen, wait);
@@ -81,7 +73,7 @@ fn run_ticker(
 
 /// The reactor driver: the same loop as a timer task.
 struct TickerTask {
-    ticker: Box<dyn Ticker>,
+    watchdog: Watchdog,
     stop: Arc<GatewayStop>,
     /// Next evaluation time; 0 until the first poll reads the clock.
     next: u64,
@@ -90,16 +82,16 @@ struct TickerTask {
 impl PollTask for TickerTask {
     fn poll(&mut self, cx: &mut Context) -> Poll {
         if self.stop.stop_requested() {
-            self.ticker.finish(cx.now_ns());
+            self.watchdog.tick(cx.now_ns());
             return Poll::Ready;
         }
         let now = cx.now_ns();
         if self.next == 0 {
-            self.next = now.saturating_add(self.ticker.interval_ns());
+            self.next = now.saturating_add(self.watchdog.interval_ns());
         }
         if now >= self.next {
-            self.ticker.tick(now);
-            self.next = now.saturating_add(self.ticker.interval_ns());
+            self.watchdog.tick(now);
+            self.next = now.saturating_add(self.watchdog.interval_ns());
         }
         cx.wake_at(self.next);
         Poll::Pending

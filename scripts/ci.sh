@@ -82,14 +82,14 @@ echo "== benchmark/ builds against the tree"
 CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --quiet \
   --manifest-path benchmark/Cargo.toml
 
-# The dynamic-membership suite under both engine cores: the seeded churn
+# The dynamic-membership suite: the lifecycle episode and the seeded churn
 # soak (join/leave/rejoin under bulk traffic — zero hangs, zero lost
-# acknowledged streams, zero stale-incarnation drops) plus the
-# self-tuning controller's starvation response.
+# acknowledged streams, zero stale-incarnation drops, gateway occupancy
+# inside the credit window's bound). Every test in it names its engine
+# core and covers both, so one run is both.
 echo
 echo "== membership suite, both engine cores (MAD_SOAK_SEED=20010914)"
 MAD_SOAK_SEED=20010914 cargo test -q --offline --release --test membership
-MAD_SOAK_SEED=20010914 MAD_ENGINE=reactor cargo test -q --offline --release --test membership
 
 # Modeled-time drift gate: regenerate the CSVs that are a pure function
 # of the source and require them to match results/ byte for byte (the
@@ -162,7 +162,7 @@ MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin multipath
 
 # A11 smoke, both engine cores: the seeded membership-churn soak with its
 # in-binary delivery/readmission/stale-drop assertions, traced — the
-# exports must carry the member: and ctl: tracks, enforced via
+# exports must carry the member: track, enforced via
 # trace_check --require-membership below.
 echo
 echo "== membership_churn --smoke, both engine cores, traced (A11 dynamic membership)"

@@ -23,10 +23,11 @@ while read -r name count committed; do
   fi
 done <<EOF2
 GatewayConfig $(fields $m/gateway.rs GatewayConfig) 9
-ControllerConfig $(fields $m/control.rs ControllerConfig) 7
 WatchdogConfig $(fields $m/metrics_plane.rs WatchdogConfig) 4
 MetricsOptions $(fields $m/metrics_plane.rs MetricsOptions) 3
-VcOptions $(fields $m/session.rs VcOptions) 6
+VcOptions $(fields $m/session.rs VcOptions) 5
+MultipathConfig $(fields $m/multipath.rs MultipathConfig) 3
+MembershipOptions $(fields $m/membership.rs MembershipOptions) 1
 cli-flags $flags 1
 gtm-kinds $kinds 11
 require-flags $requires 3
