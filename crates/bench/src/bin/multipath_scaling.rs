@@ -2,18 +2,11 @@
 //! the parallel-gateway count goes 1 → 2 → 4, plus a seeded gateway-death
 //! soak.
 //!
-//! Two measurements, deliberately separated:
-//!
-//! 1. **Aggregate fabric bandwidth** — several sender/receiver pairs offer
-//!    load concurrently and their per-stream-routed streams share the
-//!    relay fabric. The relays are the bottleneck, so this is where path
-//!    count pays: the single-gateway row is the E3 baseline fabric and the
-//!    acceptance bar (≥ 1.6× at 2 paths) is asserted here.
-//! 2. **Single-stream per-fragment striping** — one bulk message striped
-//!    across every path. Honest but endpoint-bound: one sender (and one
-//!    receiver) serializes per-fragment host costs, so extra paths only
-//!    help until the endpoints saturate (the same effect the paper hits in
-//!    §3.4.1 on a single relay's bus).
+//! **Aggregate fabric bandwidth** — several sender/receiver pairs offer
+//! load concurrently and their per-stream-routed streams share the relay
+//! fabric. The relays are the bottleneck, so this is where path count
+//! pays: the single-gateway row is the E3 baseline fabric and the
+//! acceptance bar (≥ 1.6× at 2 paths) is asserted here.
 //!
 //! `--smoke` shrinks the grids for CI; `--trace <path>` re-runs the
 //! 2-gateway aggregate point with the unified event trace (the `route:`
@@ -21,10 +14,9 @@
 
 use mad_bench::cli;
 use mad_bench::experiments::{
-    multipath_aggregate, multipath_aggregate_traced, multipath_death_soak, multipath_oneway,
+    multipath_aggregate, multipath_aggregate_traced, multipath_death_soak,
 };
 use mad_bench::report::{fmt_bytes, Table};
-use madeleine::mad_route::StripePolicy;
 
 /// One xorshift64 step — enough to spread the soak seed over a kill window.
 fn xorshift(mut s: u64) -> u64 {
@@ -92,36 +84,7 @@ fn main() {
         "2 parallel gateways must aggregate >= 1.6x the single-relay bandwidth, got {speedup_at_2:.2}x"
     );
 
-    // 2. Single-stream per-fragment striping: one bulk message, every
-    //    fragment round-robined over the live paths.
-    let total: usize = if smoke { 4 << 20 } else { 32 << 20 };
-    let mut one = Table::new(
-        format!(
-            "A8 single-stream striping — one {} message, per-fragment",
-            fmt_bytes(total)
-        ),
-        &["gateways", "MB/s", "speedup", "per-path payload split"],
-    );
-    let mut one_base = 0.0;
-    for k in [1usize, 2, 4] {
-        let run = multipath_oneway(k, total, StripePolicy::PerFragment);
-        let mbps = run.m.mbps();
-        if k == 1 {
-            one_base = mbps;
-        }
-        one.row(vec![
-            k.to_string(),
-            format!("{mbps:.1}"),
-            format!("{:.2}x", mbps / one_base),
-            split_cell(&run.split),
-        ]);
-    }
-    one.print();
-    if !smoke {
-        one.write_csv("a8_multipath_striping");
-    }
-
-    // 3. Seeded death soak: one of two gateways silently dies
+    // 2. Seeded death soak: one of two gateways silently dies
     //    mid-schedule; every stream must still arrive intact, exactly
     //    once, with no hang.
     let seed: u64 = std::env::var("MAD_SOAK_SEED")

@@ -460,120 +460,11 @@ pub struct MultipathRun {
     pub split: Vec<(u32, u64)>,
 }
 
-/// Wire a `gateways`-wide parallel relay fabric on `sb`: rank 0 on the
-/// inbound network, ranks `1..=gateways` spanning both clusters, rank
-/// `gateways + 1` on the outbound network — the E3 topology widened from
-/// one relay box to `gateways` of them.
-fn multipath_vchannel(
-    sb: &mut SessionBuilder,
-    tb: &Testbed,
-    gateways: usize,
-    mtu: usize,
-    policy: madeleine::mad_route::StripePolicy,
-    drain_timeout_ns: Option<u64>,
-) {
-    let inbound: Vec<u32> = (0..=gateways as u32).collect();
-    let outbound: Vec<u32> = (1..=gateways as u32 + 1).collect();
-    let n_in = sb.network("net-in", tb.driver(SimTech::Myrinet), &inbound);
-    let n_out = sb.network("net-out", tb.driver(SimTech::Sci), &outbound);
-    sb.vchannel(
-        "vc",
-        &[n_in, n_out],
-        VcOptions {
-            mtu: Some(mtu),
-            multipath: Some(madeleine::MultipathConfig {
-                policy,
-                ..Default::default()
-            }),
-            gateway: GatewayConfig {
-                switch_overhead_ns: calibration::gateway_switch_overhead().as_nanos(),
-                drain_timeout_ns: drain_timeout_ns.unwrap_or(2_000_000_000),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-}
-
-/// Stripe unit of the A8 scaling runs. Coarser than the paper's 16 KB
-/// crossover MTU on purpose: striping wants fragments big enough to
-/// amortize the sender's fixed per-packet cost, otherwise the sending
-/// host — not the relay fabric — is the first bottleneck and extra paths
-/// cannot show.
-pub const STRIPE_MTU: usize = 128 * 1024;
-
-fn run_multipath(
-    tb: &Testbed,
-    gateways: usize,
-    total: usize,
-    policy: madeleine::mad_route::StripePolicy,
-) -> MultipathRun {
-    let mut sb = SessionBuilder::new(gateways as u32 + 2).with_runtime(tb.runtime());
-    multipath_vchannel(&mut sb, tb, gateways, STRIPE_MTU, policy, None);
-    let sink = gateways as u32 + 1;
-    let results = sb.run(move |node| {
-        let vc = node.vchannel("vc");
-        let rt = node.runtime().clone();
-        node.barrier().wait();
-        match node.rank().0 {
-            0 => {
-                let t0 = rt.now_nanos();
-                let data = vec![0x5Au8; total];
-                let mut w = vc.begin_packing(NodeId(sink)).unwrap();
-                w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
-                w.end_packing().unwrap();
-                let split = vc.multipath().expect("multipath enabled").path_bytes();
-                (t0, split)
-            }
-            r if r == sink => {
-                let mut buf = vec![0u8; total];
-                let mut r = vc.begin_unpacking().unwrap();
-                r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
-                    .unwrap();
-                r.end_unpacking().unwrap();
-                assert!(
-                    buf.iter().all(|&b| b == 0x5A),
-                    "payload corrupted in flight"
-                );
-                (rt.now_nanos(), Vec::new())
-            }
-            _ => (0, Vec::new()), // the relay ranks
-        }
-    });
-    MultipathRun {
-        m: Measurement {
-            bytes: total,
-            seconds: (results[sink as usize].0 - results[0].0) as f64 / 1e9,
-        },
-        split: results[0].1.clone(),
-    }
-}
-
-/// Aggregate one-way bandwidth of one bulk message through `gateways`
-/// parallel relays (the A8 scaling curve; `gateways = 1` is the E3
-/// baseline fabric with the routing plane enabled).
-pub fn multipath_oneway(
-    gateways: usize,
-    total: usize,
-    policy: madeleine::mad_route::StripePolicy,
-) -> MultipathRun {
-    let tb = Testbed::new(gateways + 2);
-    run_multipath(&tb, gateways, total, policy)
-}
-
-/// Like [`multipath_oneway`] but recording the unified event trace — the
-/// `route:` per-path byte splits and the `gw:` delta counters land on their
-/// own tracks at session teardown.
-pub fn multipath_oneway_traced(
-    gateways: usize,
-    total: usize,
-    policy: madeleine::mad_route::StripePolicy,
-) -> (MultipathRun, mad_trace::Snapshot) {
-    let trace = TraceLog::new();
-    let tb = Testbed::with_trace(gateways + 2, trace.clone());
-    let run = run_multipath(&tb, gateways, total, policy);
-    (run, trace.tracer().snapshot())
-}
+/// Fragment size of the A8 scaling runs. Coarser than the paper's 16 KB
+/// crossover MTU on purpose: fragments big enough to amortize the
+/// sender's fixed per-packet cost, otherwise the sending host — not the
+/// relay fabric — is the first bottleneck and extra paths cannot show.
+const SCALING_MTU: usize = 128 * 1024;
 
 fn run_multipath_aggregate(
     tb: &Testbed,
@@ -595,8 +486,8 @@ fn run_multipath_aggregate(
         "vc",
         &[n_in, n_out],
         VcOptions {
-            mtu: Some(STRIPE_MTU),
-            multipath: Some(madeleine::MultipathConfig::default()),
+            mtu: Some(SCALING_MTU),
+            multipath: true,
             gateway: GatewayConfig {
                 switch_overhead_ns: calibration::gateway_switch_overhead().as_nanos(),
                 ..Default::default()
@@ -720,13 +611,26 @@ pub fn multipath_death_soak(
     let tb = Testbed::new(gateways + 2);
     tb.kill_host(1, kill_at_ns);
     let mut sb = SessionBuilder::new(gateways as u32 + 2).with_runtime(tb.runtime());
-    multipath_vchannel(
-        &mut sb,
-        &tb,
-        gateways,
-        calibration::CROSSOVER_PACKET,
-        madeleine::mad_route::StripePolicy::PerStream,
-        Some(100_000_000), // the dead engine must not hang teardown
+    // Rank 0 on the inbound network, ranks `1..=gateways` spanning both
+    // clusters, the sink on the outbound one: the E3 topology widened from
+    // one relay box to `gateways` of them.
+    let inbound: Vec<u32> = (0..=gateways as u32).collect();
+    let outbound: Vec<u32> = (1..=gateways as u32 + 1).collect();
+    let n_in = sb.network("net-in", tb.driver(SimTech::Myrinet), &inbound);
+    let n_out = sb.network("net-out", tb.driver(SimTech::Sci), &outbound);
+    sb.vchannel(
+        "vc",
+        &[n_in, n_out],
+        VcOptions {
+            mtu: Some(calibration::CROSSOVER_PACKET),
+            multipath: true,
+            gateway: GatewayConfig {
+                switch_overhead_ns: calibration::gateway_switch_overhead().as_nanos(),
+                drain_timeout_ns: 100_000_000, // the dead engine must not hang teardown
+                ..Default::default()
+            },
+            ..Default::default()
+        },
     );
     let sink = gateways as u32 + 1;
     let results = sb.run(move |node| {
@@ -822,8 +726,8 @@ fn run_membership_churn(
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: Some(madeleine::MultipathConfig::default()),
-            membership: Some(madeleine::MembershipOptions::default()),
+            multipath: true,
+            membership: true,
             metrics: Some(madeleine::MetricsOptions::default()),
             gateway: GatewayConfig {
                 credit_window: Some(8),

@@ -14,9 +14,7 @@
 //! node runs. Snapshots encode to a compact length-prefixed wire form
 //! ([`Snapshot::encode_into`], budget-bounded with a `truncated` flag)
 //! so Madeleine's GTM layer can carry them across clusters in a single
-//! control packet (the kind-10 in-band pull), and render to
-//! Prometheus-style exposition text or CSV for scraping and offline
-//! diffing.
+//! control packet (the kind-10 in-band pull).
 //!
 //! The `noop` cargo feature compiles every recording call to nothing
 //! (same contract as `mad-trace/noop`): [`COMPILED_IN`] flips to

@@ -1,6 +1,5 @@
-//! Plain snapshots of a [`crate::Registry`], their compact wire
-//! encoding (the payload of Madeleine's kind-10 metrics packets), and
-//! the Prometheus-style / CSV exposition renderers.
+//! Plain snapshots of a [`crate::Registry`] and their compact wire
+//! encoding (the payload of Madeleine's kind-10 metrics packets).
 
 use crate::HistSnapshot;
 
@@ -256,84 +255,6 @@ impl Snapshot {
     pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// Render Prometheus-style exposition text. Every series carries
-    /// `labels` (e.g. `[("node", "3")]`); histograms expose `_count`,
-    /// `_sum`, `_max` and `{quantile=...}` series from the log2
-    /// buckets.
-    pub fn render_prometheus(&self, out: &mut String, labels: &[(&str, &str)]) {
-        use std::fmt::Write;
-        let label_str = |extra: Option<(&str, &str)>| {
-            let mut s = String::new();
-            let mut first = true;
-            for (k, v) in labels.iter().copied().chain(extra) {
-                s.push(if first { '{' } else { ',' });
-                first = false;
-                let _ = write!(s, "{k}=\"{v}\"");
-            }
-            if !first {
-                s.push('}');
-            }
-            s
-        };
-        let sane = |name: &str| {
-            name.chars()
-                .map(|ch| if ch.is_ascii_alphanumeric() { ch } else { '_' })
-                .collect::<String>()
-        };
-        for (name, v) in &self.counters {
-            let name = sane(name);
-            let _ = writeln!(out, "# TYPE mad_{name} counter");
-            let _ = writeln!(out, "mad_{name}{} {v}", label_str(None));
-        }
-        for (name, v, peak) in &self.gauges {
-            let name = sane(name);
-            let _ = writeln!(out, "# TYPE mad_{name} gauge");
-            let _ = writeln!(out, "mad_{name}{} {v}", label_str(None));
-            let _ = writeln!(out, "mad_{name}_peak{} {peak}", label_str(None));
-        }
-        for (name, h) in &self.hists {
-            let name = sane(name);
-            let _ = writeln!(out, "# TYPE mad_{name} summary");
-            for (q, qs) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                let _ = writeln!(
-                    out,
-                    "mad_{name}{} {}",
-                    label_str(Some(("quantile", qs))),
-                    h.quantile(q)
-                );
-            }
-            let _ = writeln!(out, "mad_{name}_count{} {}", label_str(None), h.count());
-            let _ = writeln!(out, "mad_{name}_sum{} {}", label_str(None), h.sum);
-            let _ = writeln!(out, "mad_{name}_max{} {}", label_str(None), h.max);
-        }
-    }
-
-    /// Render one CSV block: `kind,name,value,peak_or_sum,max,p50,p90,p99`.
-    pub fn render_csv(&self, out: &mut String) {
-        use std::fmt::Write;
-        if out.is_empty() {
-            out.push_str("kind,name,value,peak_or_sum,max,p50,p90,p99\n");
-        }
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "counter,{name},{v},,,,,");
-        }
-        for (name, v, peak) in &self.gauges {
-            let _ = writeln!(out, "gauge,{name},{v},{peak},,,,");
-        }
-        for (name, h) in &self.hists {
-            let _ = writeln!(
-                out,
-                "hist,{name},{},{},{},{},{},{}",
-                h.count(),
-                h.sum,
-                h.max,
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.99)
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -354,22 +275,5 @@ mod tests {
         assert_eq!(Snapshot::decode(&[9, 0]), Err(DecodeError::Version(9)));
         // A counter section claiming an entry the image doesn't have.
         assert_eq!(Snapshot::decode(&[1, 0, 5, 0]), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn exposition_renders() {
-        let r = crate::Registry::new();
-        r.counter("degradations").add(2);
-        r.gauge("queue_depth").set(7);
-        r.histogram("gw_forward_ns").record(4096);
-        let snap = r.snapshot();
-        let mut prom = String::new();
-        snap.render_prometheus(&mut prom, &[("node", "2")]);
-        assert!(prom.contains("mad_queue_depth{node=\"2\"}"));
-        assert!(prom.contains("# TYPE mad_gw_forward_ns summary"));
-        let mut csv = String::new();
-        snap.render_csv(&mut csv);
-        assert!(csv.starts_with("kind,name,"));
-        assert!(csv.contains("gauge,queue_depth,"));
     }
 }

@@ -5,14 +5,14 @@
 //! keep only ~63–65 % of one-way bandwidth and chains inherit the worst
 //! link. This crate attacks the bottleneck with *path count* instead of a
 //! hotter box: a session declares several parallel gateways between
-//! cluster pairs, and traffic is striped across them.
+//! cluster pairs, and traffic spreads across them.
 //!
 //! The crate is deliberately policy-only — plain graph + cost-model code
 //! over `u32` network/node ids, with no knowledge of channels, packets or
 //! threads — so the transport layer (`madeleine`) owns all I/O and this
 //! layer stays trivially unit-testable.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`RoutePlan`] / [`RoutingTable`] — per-source multi-path first-hop
 //!   tables computed from the session topology. `paths(dest)[0]` is
@@ -20,10 +20,6 @@
 //!   algorithm, same tie-breaks), so a one-path plan reproduces existing
 //!   behavior exactly; the remaining entries are every other minimum-hop
 //!   first edge, in deterministic `(net, node)` order.
-//! * [`StripePolicy`] — how a stream uses the plan: `PerStream` (default)
-//!   binds each message to one path chosen at `begin_packing`;
-//!   `PerFragment` round-robins individual fragments over all live paths
-//!   (reorder-safe: the wire layer sequences striped packets).
 //! * [`Selector`] — the adaptive cost model. Live gateway snapshots
 //!   (occupancy, stall and throughput *rates*, not lifetime counters) are
 //!   folded into an EWMA per-gateway cost; `choose` picks the live path
@@ -88,7 +84,7 @@ impl RoutePlan {
     }
 
     /// Maximum path count over all destinations (1 for a single-gateway
-    /// topology; the session uses this to size striping).
+    /// topology).
     pub fn max_width(&self) -> usize {
         self.paths.values().map(Vec::len).max().unwrap_or(0)
     }
@@ -279,22 +275,6 @@ pub fn compute_table(networks: &[NetworkDecl]) -> RoutingTable {
             .map(|n| (n, compute_plan(networks, n)))
             .collect(),
     }
-}
-
-// ------------------------------------------------------------- striping
-
-/// How a stream spreads over the plan's parallel paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StripePolicy {
-    /// Each message is bound to one path chosen at `begin_packing`
-    /// (adaptive per-stream load balancing; failover re-issues the stream
-    /// on a surviving path).
-    #[default]
-    PerStream,
-    /// Individual fragments round-robin over every live path; the wire
-    /// layer sequences them so reassembly is reorder-safe. Highest
-    /// aggregate bandwidth for one bulk stream.
-    PerFragment,
 }
 
 // ------------------------------------------------------------ cost model

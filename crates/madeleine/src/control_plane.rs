@@ -173,8 +173,7 @@ impl ControlPlane {
             | PacketBody::Part(_)
             | PacketBody::Frag
             | PacketBody::End
-            | PacketBody::Batch
-            | PacketBody::Stripe(_) => return Dispatch::NotControl,
+            | PacketBody::Batch => return Dispatch::NotControl,
         }
         Dispatch::Handled
     }
@@ -403,8 +402,6 @@ mod tests {
         let mut frag = gtm::frag_prelude(&t).to_vec();
         frag.extend_from_slice(b"abc");
         let end = gtm::encode_end(&t);
-        let mut stripe = gtm::stripe_prelude(&t, 0).to_vec();
-        stripe.extend_from_slice(&end);
         let cases: Vec<(Vec<u8>, Option<u8>)> = vec![
             (gtm::encode_header(&GtmHeader::new(t, 1024, false)), None),
             (gtm::encode_part(&t, &part), None),
@@ -413,7 +410,6 @@ mod tests {
             (gtm::encode_credit(&t, 3), Some(5)),
             (gtm::encode_cancel(&t, CancelReason::CreditTimeout), Some(6)),
             (gtm::encode_batch(&[&end, &end]), None),
-            (stripe, None),
             (gtm::encode_ack(&t), Some(9)),
             (gtm::encode_metrics_request(&t), Some(10)),
             (gtm::encode_metrics_reply(&t, b"not a snapshot"), Some(10)),

@@ -512,11 +512,6 @@ pub struct GatewayConfig {
     /// [`EngineKind::from_env`], so `MAD_ENGINE=reactor` flips every
     /// default-constructed config.
     pub engine: EngineKind,
-    /// Worker threads of the per-gateway-node reactor (only read in
-    /// [`EngineKind::Reactor`] mode; the first reactor-mode virtual
-    /// channel of a node sizes its pool). Two workers keep receive and
-    /// retransmit overlapped — the reactor's double-buffering analog.
-    pub reactor_workers: usize,
 }
 
 impl Default for GatewayConfig {
@@ -530,7 +525,6 @@ impl Default for GatewayConfig {
             credit_timeout_ns: 500_000_000,
             drain_timeout_ns: 2_000_000_000,
             engine: EngineKind::from_env(),
-            reactor_workers: 2,
         }
     }
 }
@@ -1707,14 +1701,7 @@ impl InboundCtx {
                     last_hop: hop.last,
                     tag,
                     upstream: peer,
-                    // Striped streams wrap every fragment in a seq envelope, so
-                    // the landing buffer must fit the envelope, not just the
-                    // inner packet.
-                    mtu: if header.stripes > 0 {
-                        header.mtu + gtm::STRIPE_OVERHEAD as u32
-                    } else {
-                        header.mtu
-                    },
+                    mtu: header.mtu,
                     // Only the first hop acks: the inbound peer must *be* the
                     // origin, so a chained gateway never acks on its behalf.
                     ack: header.acked && peer == tag.src,
@@ -1756,25 +1743,6 @@ impl InboundCtx {
                 shared.stats.on_frag(payload);
                 shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
                 let item = self.item(stream, buf, true, false, peer, recv_ns, restage);
-                shared.stats.held.add(item.held_bytes as i64);
-                sinks.accept(FwdUnit::One(item), shared)
-            }
-            PacketBody::Stripe(_) => {
-                // A stripe envelope is an opaque body packet of its stream: it
-                // follows the stored route like any fragment and only the final
-                // receiver unwraps it. The per-path raw end — not the enveloped
-                // one — is what closes this gateway's stream state.
-                let stream = d.streams.get(&key).ok_or_else(|| {
-                    MadError::Protocol(format!("GTM stripe for unknown stream {key:?}"))
-                })?;
-                let inner = gtm::stripe_inner(buf.bytes());
-                let is_frag = inner.get(2) == Some(&gtm::KIND_FRAG);
-                if is_frag {
-                    let payload = (inner.len() - PRELUDE_LEN) as u64;
-                    shared.stats.on_frag(payload);
-                    shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
-                }
-                let item = self.item(stream, buf, is_frag, false, peer, recv_ns, restage);
                 shared.stats.held.add(item.held_bytes as i64);
                 sinks.accept(FwdUnit::One(item), shared)
             }
@@ -2683,7 +2651,7 @@ mod tests {
                 BTreeMap::from([(NetworkId(0), sp0), (NetworkId(1), sp1)]),
             );
             let reactor = (cfg.engine == EngineKind::Reactor)
-                .then(|| GatewayReactor::new(NodeId(1), &rt, gw_event, cfg.reactor_workers));
+                .then(|| GatewayReactor::new(NodeId(1), &rt, gw_event));
             let stopctl = Arc::new(GatewayStop::new());
             let handles = spawn_gateway(
                 NodeId(1),
@@ -2891,10 +2859,11 @@ mod tests {
     }
 
     /// A retired kind between two fragments of a live stream poisons only
-    /// itself: each former RTS/CTS is one relay error, nothing of it leaves
-    /// or comes back, and the stream completes with its bytes intact.
+    /// itself: each former RTS, CTS or stripe envelope is one relay error,
+    /// nothing of it leaves or comes back, and the stream completes with
+    /// its bytes intact.
     #[test]
-    fn retired_kind_12_is_one_relay_error_each() {
+    fn retired_kinds_8_and_12_are_one_relay_error_each() {
         for engine in [EngineKind::Threaded, EngineKind::Reactor] {
             let mut rig = Rig::new(flow_controlled(engine, 2), MockDriver::dynamic());
             let packets = stream_in_frags(2, 1, &[0xC3; 2000], 2);
@@ -2903,8 +2872,7 @@ mod tests {
             for packet in head {
                 rig.up.send_packet(NodeId(1), &[packet]).unwrap();
             }
-            for direction in [1u8, 2] {
-                let retired = gtm::tests::retired_kind_12(&tag, direction);
+            for retired in gtm::tests::retired_kinds(&tag) {
                 rig.up.send_packet(NodeId(1), &[&retired]).unwrap();
             }
             for packet in tail {
@@ -2914,8 +2882,11 @@ mod tests {
                 assert_eq!(&rig.recv(2), packet, "{engine:?}");
             }
             let totals = rig.finish();
-            assert!(!Rig::pending(&rig.down[&2]), "nothing of kind 12 left");
-            assert_eq!((totals.errors, totals.cancelled), (2, 0));
+            assert!(
+                !Rig::pending(&rig.down[&2]),
+                "nothing of a retired kind left"
+            );
+            assert_eq!((totals.errors, totals.cancelled), (3, 0));
             assert_eq!((totals.messages, totals.fragments), (1, 2));
             assert_eq!(totals.held_bytes, 0);
         }

@@ -164,22 +164,22 @@ pub struct GatewayReactor {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
+/// Worker threads of a gateway node's reactor. Two keep receive and
+/// retransmit overlapped — the reactor's double-buffering analog; A9c
+/// measured 1 and 4 and both lost.
+const REACTOR_WORKERS: usize = 2;
+
 impl GatewayReactor {
-    /// Build the reactor of gateway node `rank` and spawn `workers`
-    /// worker threads (at least one) through the runtime — so they are
+    /// Build the reactor of gateway node `rank` and spawn its
+    /// `REACTOR_WORKERS` worker threads through the runtime — so they are
     /// virtual-clock actors under simulation and counted in the session
     /// thread budget.
-    pub fn new(
-        rank: NodeId,
-        runtime: &Arc<dyn Runtime>,
-        event: Arc<dyn RtEvent>,
-        workers: usize,
-    ) -> Arc<Self> {
+    pub fn new(rank: NodeId, runtime: &Arc<dyn Runtime>, event: Arc<dyn RtEvent>) -> Arc<Self> {
         let core = Reactor::new(Arc::new(RtPark {
             ev: event,
             rt: runtime.clone(),
         }));
-        let handles = (0..workers.max(1))
+        let handles = (0..REACTOR_WORKERS)
             .map(|i| {
                 let core = core.clone();
                 runtime.spawn(

@@ -20,8 +20,8 @@
 //! offset 0   GTM_MAGIC (0xAD)
 //! offset 1   GTM_VERSION (2)
 //! offset 2   kind: 1 = header, 2 = part descriptor, 3 = end, 4 = fragment,
-//!            5 = credit, 6 = cancel, 7 = batch, 8 = stripe envelope,
-//!            9 = handoff ack
+//!            5 = credit, 6 = cancel, 7 = batch, 9 = handoff ack
+//!            (8 and 12 are retired and rejected as unknown)
 //! offset 3   source rank       (u32 LE)
 //! offset 7   destination rank  (u32 LE)
 //! offset 11  message id        (u32 LE, per-source counter)
@@ -33,21 +33,12 @@
 //!   message is a *direct* delivery from a gateway-resident sender and
 //!   never crossed a gateway; bit 1: *retry*, the stream re-issues an
 //!   earlier failed attempt with the same tag and replaces its partial
-//!   state; bit 2: *striped*, the stream's packets arrive over several
-//!   parallel paths inside sequence-numbered stripe envelopes — a striped
-//!   header carries one extra byte, the path count);
+//!   state; bit 2 is retired and rejected; bit 3: *acked*, the origin
+//!   wants a handoff acknowledgment);
 //! * **part** — block length (u64 LE) + emission/reception constraint
 //!   bytes;
 //! * **fragment** — raw block bytes (at most MTU of them) at offset 15;
-//! * **end** — nothing ("the description of an empty message");
-//! * **stripe envelope** — a u32 LE global sequence number followed by one
-//!   complete part/fragment/end packet of the same stream. Multi-path
-//!   (striped) senders round-robin envelopes over parallel gateway routes;
-//!   each route preserves order, and the receive side replays envelopes in
-//!   sequence order, so reassembly is byte-identical to the single-path
-//!   stream no matter how the paths interleave. On each path a plain
-//!   (unenveloped) end packet additionally trails the stream so every
-//!   relay on that path can close its per-stream state.
+//! * **end** — nothing ("the description of an empty message").
 //!
 //! Because each packet names its stream, packets from concurrent messages
 //! may interleave freely on a shared conduit: gateways forward at fragment
@@ -116,7 +107,6 @@ pub(crate) const KIND_FRAG: u8 = 4;
 pub(crate) const KIND_CREDIT: u8 = 5;
 pub(crate) const KIND_CANCEL: u8 = 6;
 pub(crate) const KIND_BATCH: u8 = 7;
-pub(crate) const KIND_STRIPE: u8 = 8;
 pub(crate) const KIND_ACK: u8 = 9;
 pub(crate) const KIND_METRICS: u8 = 10;
 pub(crate) const KIND_MEMBER: u8 = 11;
@@ -149,18 +139,10 @@ const PART_LEN: usize = PRELUDE_LEN + 10;
 const CREDIT_LEN: usize = PRELUDE_LEN + 4;
 const CANCEL_LEN: usize = PRELUDE_LEN + 1;
 
-/// Bytes a stripe envelope adds in front of its inner packet (the common
-/// prelude plus the u32 LE sequence number). Striped senders budget
-/// `mtu + PRELUDE_LEN + STRIPE_OVERHEAD` against the conduit packet limit.
-pub const STRIPE_OVERHEAD: usize = PRELUDE_LEN + 4;
-
 /// Flag bit: the stream is a direct (zero-gateway) delivery.
 const FLAG_DIRECT: u8 = 1;
 /// Flag bit: the stream re-issues a failed earlier attempt (same tag).
 const FLAG_RETRY: u8 = 2;
-/// Flag bit: the stream is striped over parallel paths; the header carries
-/// an extra path-count byte and body packets travel in stripe envelopes.
-const FLAG_STRIPED: u8 = 4;
 /// Flag bit: the origin wants a handoff acknowledgment — the first-hop
 /// gateway sends an ack packet back upstream once it has retransmitted the
 /// stream's end packet. Multi-path senders set this to close the silent
@@ -206,11 +188,6 @@ pub struct GtmHeader {
     /// same tag: the receiver discards the partial first attempt and
     /// restarts the stream from scratch (multi-path failover).
     pub retry: bool,
-    /// Number of parallel paths the stream is striped over (0 = not
-    /// striped; striped streams use ≥ 2). Each path carries a copy of
-    /// the header, sequence-numbered stripe envelopes, and a trailing
-    /// plain end packet.
-    pub stripes: u8,
     /// True when the origin wants a handoff acknowledgment from the
     /// first-hop gateway after the end packet is relayed (multi-path
     /// failover; see [`FLAG_ACKED`]).
@@ -218,14 +195,13 @@ pub struct GtmHeader {
 }
 
 impl GtmHeader {
-    /// A plain single-path header (no retry, no striping, no ack).
+    /// A plain single-path header (no retry, no ack).
     pub fn new(tag: StreamTag, mtu: u32, direct: bool) -> GtmHeader {
         GtmHeader {
             tag,
             mtu,
             direct,
             retry: false,
-            stripes: 0,
             acked: false,
         }
     }
@@ -293,9 +269,6 @@ pub enum PacketBody {
     /// operation; split with [`batch_packets`]. Carries no stream tag of
     /// its own.
     Batch,
-    /// A sequence-numbered envelope around one part/fragment/end packet of
-    /// a striped stream; borrow the inner packet with [`stripe_inner`].
-    Stripe(u32),
     /// Handoff acknowledgment: the first-hop gateway has retransmitted the
     /// stream's end packet (the whole stream left the gateway). Flows
     /// *against* the stream direction, like credits, and only for streams
@@ -396,12 +369,7 @@ pub fn encode_header_into(v: &mut Vec<u8>, h: &GtmHeader) {
 /// Append a header packet to `v`. The `put_*` functions are the encoders
 /// proper; [`GtmWriter`] appends with them straight into its staged train.
 fn put_header(v: &mut Vec<u8>, h: &GtmHeader) {
-    assert_ne!(h.stripes, 1, "a striped stream uses at least two paths");
-    assert!(
-        !(h.retry && h.stripes > 0),
-        "striped streams do not retry (fragments have no replay cursor)"
-    );
-    v.reserve(HEADER_LEN + 1);
+    v.reserve(HEADER_LEN);
     prelude_into(v, KIND_HEADER, &h.tag);
     v.extend_from_slice(&h.mtu.to_le_bytes());
     let mut flags = 0u8;
@@ -411,16 +379,10 @@ fn put_header(v: &mut Vec<u8>, h: &GtmHeader) {
     if h.retry {
         flags |= FLAG_RETRY;
     }
-    if h.stripes > 0 {
-        flags |= FLAG_STRIPED;
-    }
     if h.acked {
         flags |= FLAG_ACKED;
     }
     v.push(flags);
-    if h.stripes > 0 {
-        v.push(h.stripes);
-    }
 }
 
 /// Encode a header packet.
@@ -667,22 +629,6 @@ pub fn frag_payload(packet: &[u8]) -> &[u8] {
     &packet[PRELUDE_LEN..]
 }
 
-/// The stripe-envelope prelude for one sequence number: common prelude
-/// plus the u32 LE sequence. Striped senders emit each envelope as a
-/// gather send `[stripe_prelude, inner packet…]`, so striping costs
-/// [`STRIPE_OVERHEAD`] bytes and no extra copy.
-pub fn stripe_prelude(tag: &StreamTag, seq: u32) -> [u8; STRIPE_OVERHEAD] {
-    let mut v = Vec::with_capacity(STRIPE_OVERHEAD);
-    prelude_into(&mut v, KIND_STRIPE, tag);
-    v.extend_from_slice(&seq.to_le_bytes());
-    v.try_into().expect("stripe prelude length")
-}
-
-/// Borrow the complete inner packet of a stripe envelope.
-pub fn stripe_inner(packet: &[u8]) -> &[u8] {
-    &packet[STRIPE_OVERHEAD..]
-}
-
 /// Decode any GTM packet into its stream tag and body. Fails on anything
 /// that is not well-formed version-2 framing.
 pub fn decode_packet(packet: &[u8]) -> Result<(StreamTag, PacketBody)> {
@@ -700,7 +646,7 @@ pub fn decode_packet(packet: &[u8]) -> Result<(StreamTag, PacketBody)> {
     };
     let body = match packet[2] {
         KIND_HEADER => {
-            if packet.len() < HEADER_LEN {
+            if packet.len() != HEADER_LEN {
                 return Err(err("header length"));
             }
             let mtu = u32::from_le_bytes(packet[15..19].try_into().unwrap());
@@ -708,28 +654,14 @@ pub fn decode_packet(packet: &[u8]) -> Result<(StreamTag, PacketBody)> {
                 return Err(err("zero MTU"));
             }
             let flags = packet[19];
-            if flags & !(FLAG_DIRECT | FLAG_RETRY | FLAG_STRIPED | FLAG_ACKED) != 0 {
+            if flags & !(FLAG_DIRECT | FLAG_RETRY | FLAG_ACKED) != 0 {
                 return Err(err("unknown header flags"));
-            }
-            let striped = flags & FLAG_STRIPED != 0;
-            // Only a striped header carries the extra path-count byte.
-            if packet.len() != HEADER_LEN + usize::from(striped) {
-                return Err(err("header length"));
-            }
-            let stripes = if striped { packet[HEADER_LEN] } else { 0 };
-            if striped && stripes < 2 {
-                return Err(err("striped header with fewer than two paths"));
-            }
-            let retry = flags & FLAG_RETRY != 0;
-            if retry && striped {
-                return Err(err("striped retry"));
             }
             PacketBody::Header(GtmHeader {
                 tag,
                 mtu,
                 direct: flags & FLAG_DIRECT != 0,
-                retry,
-                stripes,
+                retry: flags & FLAG_RETRY != 0,
                 acked: flags & FLAG_ACKED != 0,
             })
         }
@@ -794,24 +726,6 @@ pub fn decode_packet(packet: &[u8]) -> Result<(StreamTag, PacketBody)> {
                 rest = &rest[len..];
             }
             PacketBody::Batch
-        }
-        KIND_STRIPE => {
-            if packet.len() < STRIPE_OVERHEAD + PRELUDE_LEN {
-                return Err(err("stripe envelope length"));
-            }
-            let seq = u32::from_le_bytes(packet[15..19].try_into().unwrap());
-            // The inner packet must itself be well-formed, belong to the
-            // same stream, and be one of the enveloped kinds — validated
-            // here so consumers can unwrap envelopes infallibly.
-            let (inner_tag, inner_body) = decode_packet(&packet[STRIPE_OVERHEAD..])?;
-            if inner_tag != tag {
-                return Err(err("stripe envelope around a foreign stream"));
-            }
-            match inner_body {
-                PacketBody::Part(_) | PacketBody::Frag | PacketBody::End => {}
-                _ => return Err(err("stripe envelope around a non-body packet")),
-            }
-            PacketBody::Stripe(seq)
         }
         KIND_ACK => {
             if packet.len() != PRELUDE_LEN {
@@ -1026,7 +940,6 @@ impl<'c> GtmWriter<'c> {
             mtu: mtu as u32,
             direct,
             retry,
-            stripes: 0,
             acked,
         };
         w.stage(HEADER_LEN, |v| put_header(v, &header))?;
@@ -1245,23 +1158,13 @@ pub enum StreamItem {
     Restart,
 }
 
-/// Reorder state of a striped stream: envelopes are replayed in sequence
-/// order, and per-path plain end packets are counted for teardown.
-struct StripeState {
-    next_seq: u32,
-    pending: BTreeMap<u32, PooledBuf>,
-    path_ends: u8,
-}
-
 struct PendingStream {
     header: GtmHeader,
     items: VecDeque<StreamItem>,
     /// Conduit the stream's header arrived on (0 = unconstrained). Body
     /// packets from other origins are stale leftovers of a failed-over
-    /// path and are dropped silently. Striped streams are unconstrained —
-    /// their packets legitimately arrive from every path.
+    /// path and are dropped silently.
     origin: u64,
-    stripe: Option<StripeState>,
     /// A ghost stream is the retry of a stream that was already delivered
     /// (the handoff ack was lost, not the stream). It is never surfaced to
     /// the application: its body packets are swallowed and the stream is
@@ -1280,19 +1183,22 @@ struct PendingStream {
 pub struct StreamAssembler {
     streams: BTreeMap<StreamKey, PendingStream>,
     ready: VecDeque<StreamKey>,
-    /// Finished striped streams still owed per-path end packets: the
-    /// remaining count is parked here so slow paths' trailing ends are
-    /// swallowed instead of reported as unknown-stream errors.
-    stripe_tombstones: BTreeMap<StreamKey, u8>,
     /// When present, fragments split out of batch frames are copied into
     /// recycled buffers instead of fresh heap allocations.
     pool: Option<std::sync::Arc<mad_util::pool::BufferPool>>,
-    /// Streams whose end packet was consumed successfully (recorded by
-    /// [`StreamAssembler::finish_delivered`]). A retry header for such a
-    /// stream means only the sender's handoff ack was lost — the replay is
-    /// absorbed as a ghost instead of delivered twice.
+    /// Acked streams whose end packet was consumed successfully (recorded
+    /// by [`StreamAssembler::finish_delivered`]), per source no further
+    /// than [`DELIVERED_SPAN`] ids behind the newest. A retry header for
+    /// such a stream means only the sender's handoff ack was lost — the
+    /// replay is absorbed as a ghost instead of delivered twice.
     delivered: BTreeSet<StreamKey>,
 }
+
+/// How far behind a source's newest delivered `msg_id` a delivered stream
+/// is still remembered. A retry header can only come from a writer still
+/// inside `end_packing`, and `msg_id` is one counter per source, so an id
+/// this far back belongs to a writer that returned long ago.
+const DELIVERED_SPAN: u32 = 1024;
 
 impl StreamAssembler {
     /// An empty assembler.
@@ -1320,8 +1226,7 @@ impl StreamAssembler {
     /// receivers pass distinct origins per conduit: a single-path stream is
     /// pinned to the conduit its header came from, so stale packets of a
     /// failed-over (dead) path are dropped silently instead of corrupting
-    /// the replayed stream. Striped streams are exempt — their packets
-    /// legitimately arrive from every path.
+    /// the replayed stream.
     pub fn push_packet_from(
         &mut self,
         origin: u64,
@@ -1333,15 +1238,15 @@ impl StreamAssembler {
             let mut opened = Vec::new();
             for sub in batch_packets(&packet)? {
                 let (tag, body) = decode_packet(sub)?;
-                // Only fragments (bare or enveloped) are kept as bytes;
-                // every other kind is spent once decoded.
+                // Only fragments are kept as bytes; every other kind is
+                // spent once decoded.
                 let buf = match (&body, &self.pool) {
-                    (PacketBody::Frag | PacketBody::Stripe(_), Some(pool)) => {
+                    (PacketBody::Frag, Some(pool)) => {
                         let mut b = pool.get(sub.len());
                         b.vec().extend_from_slice(sub);
                         b
                     }
-                    (PacketBody::Frag | PacketBody::Stripe(_), None) => sub.to_vec().into(),
+                    (PacketBody::Frag, None) => sub.to_vec().into(),
                     _ => PooledBuf::default(),
                 };
                 opened.append(&mut self.push_one_decoded(origin, buf, tag, body)?);
@@ -1389,20 +1294,6 @@ impl StreamAssembler {
             }
             PacketBody::Header(header) => self.push_header(origin, key, header),
             body => {
-                if let Some(remaining) = self.stripe_tombstones.get_mut(&key) {
-                    // A finished striped stream is owed only its slower
-                    // paths' trailing end packets.
-                    if !matches!(body, PacketBody::End) {
-                        return Err(MadError::Protocol(format!(
-                            "non-end packet for finished striped stream {key:?}"
-                        )));
-                    }
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        self.stripe_tombstones.remove(&key);
-                    }
-                    return Ok(Vec::new());
-                }
                 let stream = self.streams.get_mut(&key).ok_or_else(|| {
                     MadError::Protocol(format!("GTM packet for unknown stream {key:?}"))
                 })?;
@@ -1418,20 +1309,11 @@ impl StreamAssembler {
                     // Stale leftover of a path the stream failed away from.
                     return Ok(Vec::new());
                 }
-                if stream.stripe.is_some() {
-                    Self::push_striped(stream, packet, body)?;
-                    return Ok(Vec::new());
-                }
                 stream.items.push_back(match body {
                     PacketBody::Part(d) => StreamItem::Part(d),
                     PacketBody::Frag => StreamItem::Frag(packet),
                     PacketBody::End => StreamItem::End,
                     PacketBody::Cancel(reason) => StreamItem::Cancelled(reason),
-                    PacketBody::Stripe(_) => {
-                        return Err(MadError::Protocol(format!(
-                            "stripe envelope for unstriped stream {key:?}"
-                        )))
-                    }
                     PacketBody::Header(_)
                     | PacketBody::Credit(_)
                     | PacketBody::Batch
@@ -1454,9 +1336,6 @@ impl StreamAssembler {
         header: GtmHeader,
     ) -> Result<Vec<StreamKey>> {
         let duplicate = || MadError::Protocol(format!("duplicate GTM header for stream {key:?}"));
-        if self.stripe_tombstones.contains_key(&key) {
-            return Err(duplicate());
-        }
         match self.streams.get_mut(&key) {
             None => {
                 if header.retry && self.delivered.contains(&key) {
@@ -1470,24 +1349,17 @@ impl StreamAssembler {
                             header,
                             items: VecDeque::new(),
                             origin,
-                            stripe: None,
                             ghost: true,
                         },
                     );
                     return Ok(Vec::new());
                 }
-                let striped = header.stripes > 0;
                 self.streams.insert(
                     key,
                     PendingStream {
                         header,
                         items: VecDeque::new(),
-                        origin: if striped { 0 } else { origin },
-                        stripe: striped.then(|| StripeState {
-                            next_seq: 0,
-                            pending: BTreeMap::new(),
-                            path_ends: 0,
-                        }),
+                        origin,
                         ghost: false,
                     },
                 );
@@ -1505,11 +1377,7 @@ impl StreamAssembler {
                     }
                     return Err(duplicate());
                 }
-                if header.stripes > 0 && stream.header == header {
-                    // Another path's copy of a striped header.
-                    return Ok(Vec::new());
-                }
-                if header.retry && stream.stripe.is_none() {
+                if header.retry {
                     // Failover graft: the sender re-issues the stream from
                     // scratch on a surviving path. Unconsumed buffered
                     // items (including a queued cancel) are superseded by
@@ -1522,68 +1390,6 @@ impl StreamAssembler {
                     return Ok(Vec::new());
                 }
                 Err(duplicate())
-            }
-        }
-    }
-
-    /// Apply one body packet to a striped stream: count per-path transport
-    /// ends, surface cancels immediately, and replay stripe envelopes in
-    /// sequence order.
-    fn push_striped(stream: &mut PendingStream, packet: PooledBuf, body: PacketBody) -> Result<()> {
-        let PendingStream {
-            items,
-            stripe,
-            header,
-            ..
-        } = stream;
-        let st = match stripe.as_mut() {
-            Some(st) => st,
-            None => unreachable!("push_striped on an unstriped stream"),
-        };
-        match body {
-            PacketBody::End => {
-                // A path's transport terminator; the logical end of the
-                // stream travels inside an envelope.
-                st.path_ends = st.path_ends.saturating_add(1);
-                Ok(())
-            }
-            PacketBody::Cancel(reason) => {
-                items.push_back(StreamItem::Cancelled(reason));
-                Ok(())
-            }
-            PacketBody::Stripe(seq) => {
-                if seq < st.next_seq || st.pending.contains_key(&seq) {
-                    return Err(MadError::Protocol(format!(
-                        "duplicate stripe sequence {seq} for stream {:?}",
-                        header.tag.key()
-                    )));
-                }
-                st.pending.insert(seq, packet);
-                while let Some(mut buf) = st.pending.remove(&st.next_seq) {
-                    buf.vec().drain(..STRIPE_OVERHEAD);
-                    // Envelope decoding already validated the inner packet.
-                    let (_, inner) = decode_packet(&buf)?;
-                    items.push_back(match inner {
-                        PacketBody::Part(d) => StreamItem::Part(d),
-                        PacketBody::Frag => StreamItem::Frag(buf),
-                        PacketBody::End => StreamItem::End,
-                        _ => unreachable!("validated at envelope decode"),
-                    });
-                    st.next_seq += 1;
-                }
-                Ok(())
-            }
-            PacketBody::Part(_) | PacketBody::Frag => Err(MadError::Protocol(
-                "bare body packet on a striped stream".into(),
-            )),
-            PacketBody::Header(_)
-            | PacketBody::Credit(_)
-            | PacketBody::Batch
-            | PacketBody::Ack
-            | PacketBody::MetricsRequest
-            | PacketBody::MetricsReply
-            | PacketBody::Member(_) => {
-                unreachable!()
             }
         }
     }
@@ -1603,29 +1409,25 @@ impl StreamAssembler {
         self.streams.get_mut(&key)?.items.pop_front()
     }
 
-    /// Drop a fully consumed stream. A striped stream still owed trailing
-    /// per-path end packets leaves a tombstone so they are swallowed when
-    /// the slower paths deliver them.
+    /// Drop a fully consumed stream.
     pub fn finish(&mut self, key: StreamKey) {
-        if let Some(stream) = self.streams.remove(&key) {
-            if let Some(st) = stream.stripe {
-                let expected = stream.header.stripes;
-                if st.path_ends < expected {
-                    self.stripe_tombstones.insert(key, expected - st.path_ends);
-                }
-            }
-        }
+        self.streams.remove(&key);
     }
 
     /// Like [`StreamAssembler::finish`], for a stream whose end packet was
     /// consumed successfully. Streams that requested a handoff ack are
     /// remembered so a later retry — meaning the ack, not the stream, was
-    /// lost — is absorbed as a ghost instead of delivered twice. Only
-    /// acked streams are recorded, keeping the set bounded to multi-path
-    /// traffic.
+    /// lost — is absorbed as a ghost instead of delivered twice. Recording
+    /// one forgets what its source delivered `DELIVERED_SPAN` ids ago.
     pub fn finish_delivered(&mut self, key: StreamKey) {
         if self.streams.get(&key).is_some_and(|s| s.header.acked) {
             self.delivered.insert(key);
+            let (src, id) = key;
+            if let Some(stale) = id.checked_sub(DELIVERED_SPAN) {
+                while let Some(&old) = self.delivered.range((src, 0)..=(src, stale)).next() {
+                    self.delivered.remove(&old);
+                }
+            }
         }
         self.finish(key);
     }
@@ -1901,30 +1703,41 @@ pub(crate) mod tests {
         assert!(decode_packet(&zero_epoch).is_err());
     }
 
-    /// What kind 12 looked like on the wire while it existed: prelude,
+    /// What the retired kinds looked like on the wire while they existed,
+    /// written out by hand — no encoder is kept. Kind 12: prelude,
     /// direction byte (1 = the former rendezvous RTS, 2 = its CTS), block
-    /// length, MTU and window. Written out by hand — no encoder is kept.
-    pub(crate) fn retired_kind_12(t: &StreamTag, direction: u8) -> Vec<u8> {
-        let mut v = prelude(12, t).to_vec();
-        v.push(direction);
-        v.extend_from_slice(&(1u64 << 20).to_le_bytes());
-        v.extend_from_slice(&8192u32.to_le_bytes());
-        v.extend_from_slice(&128u32.to_le_bytes());
-        v
+    /// length, MTU and window. Kind 8: prelude, a `u32` sequence number and
+    /// one whole fragment packet of the same stream (the former stripe
+    /// envelope).
+    pub(crate) fn retired_kinds(t: &StreamTag) -> Vec<Vec<u8>> {
+        let mut packets = Vec::new();
+        for direction in [1u8, 2] {
+            let mut v = prelude(12, t).to_vec();
+            v.push(direction);
+            v.extend_from_slice(&(1u64 << 20).to_le_bytes());
+            v.extend_from_slice(&8192u32.to_le_bytes());
+            v.extend_from_slice(&128u32.to_le_bytes());
+            packets.push(v);
+        }
+        let mut v = prelude(8, t).to_vec();
+        v.extend_from_slice(&0u32.to_le_bytes());
+        v.extend_from_slice(&frag_prelude(t));
+        v.extend_from_slice(b"data");
+        packets.push(v);
+        packets
     }
 
     /// A retired kind is hostile bytes, not a crash: a well-formed former
-    /// RTS or CTS is an unknown kind to the decoder, never reaches a
-    /// control plane (so no ledger account can come of it) and is refused
-    /// by a receiving assembler, whose stream goes on.
+    /// RTS, CTS or stripe envelope is an unknown kind to the decoder, never
+    /// reaches a control plane (so no ledger account can come of it) and is
+    /// refused by a receiving assembler, whose stream goes on.
     #[test]
-    fn retired_kind_12_is_rejected() {
+    fn retired_kinds_are_rejected() {
         let t = tag(2, 7, 33);
         let mut asm = StreamAssembler::new();
         asm.push_packet(encode_header(&GtmHeader::new(t, 8, false)))
             .unwrap();
-        for direction in [1u8, 2] {
-            let pkt = retired_kind_12(&t, direction);
+        for pkt in retired_kinds(&t) {
             assert!(matches!(decode_packet(&pkt), Err(MadError::Protocol(_))));
             assert_eq!(crate::control_plane::fuzz_dispatch(&pkt), None);
             assert!(matches!(asm.push_packet(pkt), Err(MadError::Protocol(_))));
@@ -1944,7 +1757,7 @@ pub(crate) mod tests {
         assert_eq!(landing_size_for(bulk), PRELUDE_LEN + bulk);
         // Every fixed-size packet this module can emit fits the floor.
         for fixed in [
-            HEADER_LEN + 1,
+            HEADER_LEN,
             PART_LEN,
             CREDIT_LEN,
             CANCEL_LEN,
@@ -2128,6 +1941,36 @@ pub(crate) mod tests {
         );
     }
 
+    /// The delivered set holds one source's last `DELIVERED_SPAN` ids and
+    /// no more, however long the channel lives: a recent id is still
+    /// absorbed as a ghost, an id a span back opens as a new stream.
+    #[test]
+    fn delivered_set_is_bounded_per_source() {
+        const STREAMS: u32 = 10_000;
+        let mut asm = StreamAssembler::new();
+        let acked = |id: u32, retry: bool| {
+            let mut h = GtmHeader::new(tag(3, 9, id), 8, false);
+            h.acked = true;
+            h.retry = retry;
+            encode_header(&h)
+        };
+        for id in 0..STREAMS {
+            asm.push_packet_from(1, acked(id, false)).unwrap();
+            let k = asm.pop_ready().unwrap();
+            asm.finish_delivered(k);
+            assert!(asm.delivered.len() <= DELIVERED_SPAN as usize);
+        }
+        assert!(asm
+            .push_packet_from(2, acked(STREAMS - 1, true))
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            asm.push_packet_from(2, acked(0, true)).unwrap(),
+            [(3, 0)],
+            "an id a span behind the newest is forgotten"
+        );
+    }
+
     #[test]
     fn assembler_rejects_stray_credits_and_queues_cancels() {
         let t = tag(5, 6, 1);
@@ -2280,116 +2123,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn striped_and_retry_headers_round_trip() {
+    fn retry_header_round_trips_and_the_retired_flag_is_rejected() {
         let t = tag(3, 9, 5);
-        let mut striped = GtmHeader::new(t, 4096, false);
-        striped.stripes = 3;
-        let pkt = encode_header(&striped);
-        assert_eq!(
-            pkt.len(),
-            HEADER_LEN + 1,
-            "striped header carries the path count"
-        );
-        assert_eq!(decode_packet(&pkt), Ok((t, PacketBody::Header(striped))));
-
         let mut retry = GtmHeader::new(t, 4096, false);
         retry.retry = true;
         let pkt = encode_header(&retry);
         assert_eq!(pkt.len(), HEADER_LEN);
         assert_eq!(decode_packet(&pkt), Ok((t, PacketBody::Header(retry))));
 
-        // One declared path is not striping; a striped retry is forbidden.
-        let mut one = pkt.clone();
-        one[19] |= FLAG_STRIPED;
-        one.push(1);
-        assert!(decode_packet(&one).is_err());
-        let mut both = encode_header(&striped);
-        both[19] |= FLAG_RETRY;
-        assert!(decode_packet(&both).is_err());
-    }
-
-    fn envelope(t: &StreamTag, seq: u32, inner: &[u8]) -> Vec<u8> {
-        let mut v = stripe_prelude(t, seq).to_vec();
-        v.extend_from_slice(inner);
-        v
-    }
-
-    #[test]
-    fn stripe_envelopes_round_trip_and_validate() {
-        let t = tag(1, 2, 3);
-        let mut frag = frag_prelude(&t).to_vec();
-        frag.extend_from_slice(b"data");
-        let env = envelope(&t, 7, &frag);
-        assert_eq!(decode_packet(&env), Ok((t, PacketBody::Stripe(7))));
-        assert_eq!(stripe_inner(&env), &frag[..]);
-
-        // Inner packet of a different stream.
-        let foreign = frag_prelude(&tag(9, 2, 3)).to_vec();
-        let mut bad = foreign.clone();
-        bad.push(1);
-        assert!(decode_packet(&envelope(&t, 0, &bad)).is_err());
-        // Inner packet of a non-body kind.
-        let hdr = encode_header(&GtmHeader::new(t, 16, false));
-        assert!(decode_packet(&envelope(&t, 0, &hdr)).is_err());
-        // Truncated envelope.
-        assert!(decode_packet(&stripe_prelude(&t, 0)).is_err());
-    }
-
-    #[test]
-    fn assembler_replays_stripes_in_sequence_order() {
-        let t = tag(4, 8, 1);
-        let mut h = GtmHeader::new(t, 4, false);
-        h.stripes = 2;
-        let part = encode_part(
-            &t,
-            &GtmPartDesc {
-                len: 6,
-                send: SendMode::Later,
-                recv: RecvMode::Cheaper,
-            },
-        );
-        let frag = |b: &[u8]| {
-            let mut f = frag_prelude(&t).to_vec();
-            f.extend_from_slice(b);
-            f
-        };
-        let (f0, f1) = (frag(b"abcd"), frag(b"ef"));
-        let end = encode_end(&t);
-
-        let mut asm = StreamAssembler::new();
-        // Path A delivers the header first; path B's copy is tolerated.
-        asm.push_packet_from(1, encode_header(&h)).unwrap();
-        asm.push_packet_from(2, encode_header(&h)).unwrap();
-        // Envelopes arrive out of order across the two paths.
-        asm.push_packet_from(2, envelope(&t, 1, &f0)).unwrap();
-        asm.push_packet_from(2, envelope(&t, 3, &end)).unwrap();
-        asm.push_packet_from(1, envelope(&t, 0, &part)).unwrap();
-        let k = asm.pop_ready().unwrap();
-        // Nothing past seq 1 is visible until seq 2 fills the gap.
-        assert!(matches!(asm.next_item(k), Some(StreamItem::Part(d)) if d.len == 6));
-        assert!(matches!(asm.next_item(k), Some(StreamItem::Frag(_))));
-        assert_eq!(asm.next_item(k), None);
-        asm.push_packet_from(1, envelope(&t, 2, &f1)).unwrap();
-        match asm.next_item(k) {
-            Some(StreamItem::Frag(f)) => assert_eq!(frag_payload(&f), b"ef"),
-            other => panic!("expected fragment, got {other:?}"),
-        }
-        assert_eq!(asm.next_item(k), Some(StreamItem::End));
-        // One path's transport end arrives before finish, one straggles.
-        asm.push_packet_from(1, end.clone()).unwrap();
-        asm.finish(k);
-        assert!(!asm.is_idle() || !asm.stripe_tombstones.is_empty());
-        asm.push_packet_from(2, end.clone()).unwrap();
-        assert!(asm.is_idle() && asm.stripe_tombstones.is_empty());
-        // A third end would be a protocol violation (unknown stream).
-        assert!(asm.push_packet_from(2, end).is_err());
-        // Duplicate sequence numbers are rejected while the stream lives.
-        let mut asm = StreamAssembler::new();
-        asm.push_packet_from(1, encode_header(&h)).unwrap();
-        asm.push_packet_from(1, envelope(&t, 0, &part)).unwrap();
-        assert!(asm.push_packet_from(2, envelope(&t, 0, &part)).is_err());
-        // Bare body packets may not bypass the envelope layer.
-        assert!(asm.push_packet_from(1, f0).is_err());
+        // Flag bit 2 once meant "striped" and announced a path-count byte:
+        // with or without that byte it is an unknown flag now.
+        let mut striped = pkt.clone();
+        striped[19] |= 4;
+        assert!(matches!(
+            decode_packet(&striped),
+            Err(MadError::Protocol(_))
+        ));
+        striped.push(2);
+        assert!(matches!(
+            decode_packet(&striped),
+            Err(MadError::Protocol(_))
+        ));
     }
 
     #[test]

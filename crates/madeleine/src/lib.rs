@@ -88,10 +88,10 @@ pub use error::{MadError, Result};
 pub use flags::{RecvMode, SendMode};
 pub use mad_route;
 pub use mad_trace;
-pub use membership::{JoinPhase, MemberState, MembershipOptions, MembershipPlane};
+pub use membership::{JoinPhase, MemberState, MembershipPlane};
 pub use message::{MessageReader, MessageWriter};
-pub use metrics_plane::{MetricsOptions, MetricsPlane, WatchdogConfig};
-pub use multipath::{MultiPath, MultipathConfig};
+pub use metrics_plane::{MetricsOptions, MetricsPlane};
+pub use multipath::MultiPath;
 pub use runtime::{Runtime, StdRuntime};
 pub use session::{Node, SessionBuilder};
 pub use types::{ChannelId, NetworkId, NodeId};

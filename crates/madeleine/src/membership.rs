@@ -43,24 +43,6 @@ use crate::multipath::MultiPath;
 use crate::runtime::{RtEvent, Runtime};
 use crate::types::NodeId;
 
-/// Per-virtual-channel membership configuration
-/// ([`crate::session::VcOptions::membership`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MembershipOptions {
-    /// Deadline of the bootstrap verify phase: how long a joining node
-    /// waits for its peers' acknowledgments before the handshake fails
-    /// (the completed phases stay logged, so a retry resumes at verify).
-    pub join_timeout_ns: u64,
-}
-
-impl Default for MembershipOptions {
-    fn default() -> Self {
-        MembershipOptions {
-            join_timeout_ns: 500_000_000, // 500 ms
-        }
-    }
-}
-
 /// Lifecycle state of one node as seen by a peer's plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberState {

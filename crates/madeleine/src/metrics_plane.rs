@@ -24,15 +24,12 @@
 //!   registry counters: credit starvation, queue saturation, stalled
 //!   streams, dead-path flapping.
 //!
-//! * **Exposition** — an optional per-node sampler thread dumping
-//!   Prometheus-style text and CSV at a fixed interval, and
-//!   [`flush_snapshot_to_trace`], which folds a final snapshot into the
-//!   session trace on `metrics:` tracks (validated by `trace_check
-//!   --require-metrics`).
+//! * **Exposition** — [`flush_snapshot_to_trace`] folds a final snapshot
+//!   into the session trace on `metrics:` tracks (validated by
+//!   `trace_check --require-metrics`).
 //!
 //! Recording stays lock-free: the plane only touches locks at wiring
-//! time (handle interning), pull time, and sampling time — never on a
-//! per-packet path.
+//! time (handle interning) and pull time — never on a per-packet path.
 //!
 //! [`EngineKind::Threaded`]: crate::gateway::EngineKind::Threaded
 //! [`EngineKind::Reactor`]: crate::gateway::EngineKind::Reactor
@@ -54,70 +51,12 @@ use crate::multipath::MultiPath;
 use crate::runtime::{RtEvent, Runtime};
 use crate::types::NodeId;
 
-/// Per-virtual-channel telemetry configuration
-/// ([`crate::session::VcOptions::metrics`]). The default enables the
-/// watchdog with its default thresholds and no file exposition.
-#[derive(Debug, Clone)]
-pub struct MetricsOptions {
-    /// Health watchdog thresholds; `None` disables the watchdog (the
-    /// registry and in-band pull still run).
-    pub watchdog: Option<WatchdogConfig>,
-    /// Directory the per-node sampler dumps Prometheus-style text and
-    /// CSV exposition into (`mad-metrics-node<rank>.prom` / `.csv`,
-    /// rewritten every interval). `None` disables the sampler thread.
-    pub dump_dir: Option<std::path::PathBuf>,
-    /// Sampler rewrite interval in nanoseconds (0 picks the 5 ms
-    /// default). Only read when `dump_dir` is set.
-    pub sample_interval_ns: u64,
-}
-
-impl Default for MetricsOptions {
-    fn default() -> Self {
-        Self {
-            watchdog: Some(WatchdogConfig::default()),
-            dump_dir: None,
-            sample_interval_ns: 0,
-        }
-    }
-}
-
-impl MetricsOptions {
-    /// The effective sampler interval (5 ms unless overridden).
-    pub fn effective_sample_interval_ns(&self) -> u64 {
-        if self.sample_interval_ns == 0 {
-            5_000_000
-        } else {
-            self.sample_interval_ns
-        }
-    }
-}
-
-/// Thresholds of one gateway health watchdog (DESIGN §13.4).
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
-    /// Evaluation tick interval in nanoseconds.
-    pub interval_ns: u64,
-    /// Minimum backpressure stalls in a window before queue saturation
-    /// is even considered (filters one-off blips).
-    pub saturation_min_stalls: u64,
-    /// Stall fraction `stalls / (stalls + fragments)` at or above which
-    /// a window counts as queue saturation.
-    pub saturation_stall_ratio: f64,
-    /// Consecutive zero-progress ticks (open streams but no fragments
-    /// and no messages) before a stalled stream is reported.
-    pub stalled_stream_ticks: u32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            interval_ns: 5_000_000,
-            saturation_min_stalls: 8,
-            saturation_stall_ratio: 0.75,
-            stalled_stream_ticks: 2,
-        }
-    }
-}
+/// Turns a virtual channel's telemetry plane on
+/// ([`crate::session::VcOptions::metrics`]): registry, in-band pull and
+/// the health watchdog. It has no fields — nobody ever set one — and stays
+/// a type because the frozen `benchmark/` names `MetricsOptions::default`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MetricsOptions {}
 
 /// Cached hot-path metric handles of one gateway engine, cloned into
 /// every `FwdShared`. Absent (engine-wide) when the channel runs without
@@ -172,9 +111,9 @@ pub struct MetricsPlane {
     next_pull: AtomicU32,
     hub: Mutex<HubState>,
     /// Gateway engines feeding this node's live gauges, each behind the
-    /// sampler's own window.
+    /// plane's own window.
     feeds: Mutex<Vec<GatewayWindow>>,
-    /// The channel's multi-path plane, for per-path stripe-byte gauges.
+    /// The channel's multi-path plane, for the per-path byte gauges.
     mp: Mutex<Option<Arc<MultiPath>>>,
     // Cached refresh handles (interned once at wiring time).
     rt_threads: Gauge,
@@ -244,7 +183,7 @@ impl MetricsPlane {
         self.feeds.lock().push(window);
     }
 
-    /// Register the channel's multi-path plane (per-path stripe gauges).
+    /// Register the channel's multi-path plane (per-path byte gauges).
     pub(crate) fn register_multipath(&self, mp: &Arc<MultiPath>) {
         *self.mp.lock() = Some(mp.clone());
     }
@@ -252,8 +191,7 @@ impl MetricsPlane {
     /// Refresh the sampled gauges that mirror other subsystems: runtime
     /// thread count (live, not just at teardown), pool hit/miss
     /// counters, gateway occupancy and throughput (over the plane's own
-    /// windows, so no other reader's are touched), and per-path stripe
-    /// bytes.
+    /// windows, so no other reader's are touched), and per-path bytes.
     pub fn refresh_live(&self) {
         self.rt_threads.set(self.runtime.threads_spawned() as i64);
         let ps = self.runtime.pool().stats();
@@ -418,6 +356,16 @@ pub(crate) fn run_responder(ctl: Arc<ControlPlane>, stop: Arc<GatewayStop>) {
     }
 }
 
+/// Minimum backpressure stalls in a window before queue saturation is
+/// even considered (filters one-off blips).
+const SATURATION_MIN_STALLS: u64 = 8;
+/// Stall fraction `stalls / (stalls + fragments)` at or above which a
+/// window counts as queue saturation.
+const SATURATION_STALL_RATIO: f64 = 0.75;
+/// Consecutive zero-progress ticks (open streams but no fragments and no
+/// messages) before a stalled stream is reported.
+const STALLED_STREAM_TICKS: u32 = 2;
+
 /// Health event names, in the fixed order the watchdog's counters use.
 const HEALTH_NAMES: [&str; 4] = [
     "credit_starvation",
@@ -432,7 +380,6 @@ const HEALTH_NAMES: [&str; 4] = [
 /// Teardown gets one final evaluation, so a fault that lands between the
 /// last tick and the stop request is still reported.
 pub(crate) struct Watchdog {
-    cfg: WatchdogConfig,
     /// This watchdog's own window over the engine's counters.
     window: GatewayWindow,
     mp: Option<Arc<MultiPath>>,
@@ -449,7 +396,6 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     pub(crate) fn new(
-        cfg: WatchdogConfig,
         window: GatewayWindow,
         mp: Option<Arc<MultiPath>>,
         registry: &Registry,
@@ -463,7 +409,6 @@ impl Watchdog {
             registry.counter("health_dead_path_flap"),
         ];
         Watchdog {
-            cfg,
             window,
             mp,
             tracer,
@@ -482,11 +427,6 @@ impl Watchdog {
         self.degradations.add(n);
     }
 
-    /// Nanoseconds between evaluations.
-    pub(crate) fn interval_ns(&self) -> u64 {
-        self.cfg.interval_ns
-    }
-
     /// Evaluate one window ending `now`.
     pub(crate) fn tick(&mut self, now_ns: u64) {
         let d = self.window.advance(now_ns);
@@ -497,10 +437,7 @@ impl Watchdog {
         }
         // Queue saturation: nearly every handoff in a busy window found
         // the pipeline full.
-        if d.saturated(
-            self.cfg.saturation_min_stalls,
-            self.cfg.saturation_stall_ratio,
-        ) {
+        if d.saturated(SATURATION_MIN_STALLS, SATURATION_STALL_RATIO) {
             self.fire(1, 1);
         }
         // Stalled stream: accepted streams are open but the window moved
@@ -509,7 +446,7 @@ impl Watchdog {
         // (on the tick crossing the threshold), not on every idle tick.
         if self.window.stats().open_streams() > 0 && d.fragments == 0 && d.messages == 0 {
             self.idle_ticks = self.idle_ticks.saturating_add(1);
-            if self.idle_ticks == self.cfg.stalled_stream_ticks {
+            if self.idle_ticks == STALLED_STREAM_TICKS {
                 self.fire(2, 1);
             }
         } else {
@@ -529,44 +466,9 @@ impl Watchdog {
     }
 }
 
-/// The per-node sampler: rewrites Prometheus-style and CSV exposition
-/// files at a fixed interval until the session stops, then once more on
-/// the way out (so short runs still leave a dump). Best-effort I/O —
-/// an unwritable directory degrades to a no-op, never an engine fault.
-pub(crate) fn run_sampler(
-    plane: Arc<MetricsPlane>,
-    dir: std::path::PathBuf,
-    interval_ns: u64,
-    stop: Arc<GatewayStop>,
-) {
-    let _ = std::fs::create_dir_all(&dir);
-    let rank = plane.rank().0;
-    let prom_path = dir.join(format!("mad-metrics-node{rank}.prom"));
-    let csv_path = dir.join(format!("mad-metrics-node{rank}.csv"));
-    let node_label = format!("{rank}");
-    let dump = |plane: &MetricsPlane| {
-        let snap = plane.local_snapshot();
-        let mut prom = String::new();
-        snap.render_prometheus(&mut prom, &[("node", &node_label)]);
-        let mut csv = String::new();
-        snap.render_csv(&mut csv);
-        let _ = std::fs::write(&prom_path, prom);
-        let _ = std::fs::write(&csv_path, csv);
-    };
-    loop {
-        let seen = plane.event.epoch();
-        if stop.stop_requested() {
-            dump(&plane);
-            return;
-        }
-        dump(&plane);
-        let _ = plane.event.wait_past_timeout(seen, interval_ns.max(1));
-    }
-}
-
 /// Scalar metric names the teardown trace flush recognizes. Dynamic or
-/// application-defined registry entries are exposed through snapshots
-/// and the samplers, but only this fixed schema reaches the trace
+/// application-defined registry entries are exposed through snapshots,
+/// but only this fixed schema reaches the trace
 /// (trace event names must be static; `mad-trace` schema validation
 /// enforces the same list).
 const SCALAR_TRACE_NAMES: &[&str] = &[
@@ -636,7 +538,7 @@ fn static_scalar_name(name: &str) -> Option<&'static str> {
 
 /// Fold one node's final snapshot into the session trace on a
 /// `metrics:` track: counters and gauges as-is, histograms as derived
-/// quantiles, per-path stripe gauges folded into one event family keyed
+/// quantiles, per-path byte gauges folded into one event family keyed
 /// by a `gateway` arg.
 pub(crate) fn flush_snapshot_to_trace(snap: &Snapshot, tracer: &Tracer, track: &str) {
     for (name, v) in &snap.counters {

@@ -11,14 +11,14 @@
 //! channel, which is what makes the cost model *global*: a sender on
 //! rank 0 sheds load off a gateway that rank 5's streams congested. The
 //! per-node send machinery (path choice at `begin_packing`, failover
-//! re-issue, fragment striping) lives in [`crate::vchannel`]; this module
-//! only decides *where* packets should go.
+//! re-issue) lives in [`crate::vchannel`]; this module only decides
+//! *where* packets should go.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mad_route::{GatewayLoad, PathHop, RoutePlan, Selector, SelectorCounters, StripePolicy};
+use mad_route::{GatewayLoad, PathHop, RoutePlan, Selector, SelectorCounters};
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
@@ -26,32 +26,10 @@ use crate::gateway::{GatewayStats, GatewayWindow};
 use crate::routing::NetworkMembers;
 use crate::types::NodeId;
 
-/// Multi-path behaviour of one virtual channel, set through
-/// [`crate::session::VcOptions`].
-#[derive(Debug, Clone, Copy)]
-pub struct MultipathConfig {
-    /// How streams spread over parallel paths.
-    pub policy: StripePolicy,
-    /// Minimum interval between cost-model refreshes: a send-path call to
-    /// [`MultiPath::refresh`] inside the window is free. Windows also pace
-    /// the `gw:` delta trace events.
-    pub refresh_interval_ns: u64,
-    /// How long a sender waits for the first-hop gateway's handoff
-    /// acknowledgment after the stream's end packet. Expiry means the
-    /// gateway died after accepting the stream — the sender marks the
-    /// path dead and re-issues on a survivor.
-    pub ack_timeout_ns: u64,
-}
-
-impl Default for MultipathConfig {
-    fn default() -> Self {
-        MultipathConfig {
-            policy: StripePolicy::PerStream,
-            refresh_interval_ns: 2_000_000, // 2 ms
-            ack_timeout_ns: 500_000_000,    // 500 ms
-        }
-    }
-}
+/// Minimum interval between cost-model refreshes: a send-path call to
+/// [`MultiPath::refresh`] inside the window is free. Windows also pace
+/// the `gw:` delta trace events.
+const REFRESH_INTERVAL_NS: u64 = 2_000_000;
 
 /// The shared routing plane of one virtual channel: multi-path plans,
 /// the adaptive selector, registered gateway feeds, and per-path byte
@@ -59,9 +37,6 @@ impl Default for MultipathConfig {
 pub struct MultiPath {
     table: mad_route::RoutingTable,
     selector: Selector,
-    policy: StripePolicy,
-    refresh_interval_ns: u64,
-    ack_timeout_ns: u64,
     last_refresh: AtomicU64,
     /// Live counter feeds of the session's gateway engines, registered
     /// after spawn: (gateway rank, the selector's window over its stats).
@@ -74,7 +49,6 @@ pub struct MultiPath {
 impl std::fmt::Debug for MultiPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiPath")
-            .field("policy", &self.policy)
             .field("nodes", &self.table.nodes().collect::<Vec<_>>())
             .finish()
     }
@@ -82,28 +56,15 @@ impl std::fmt::Debug for MultiPath {
 
 impl MultiPath {
     /// Build the routing plane for a virtual channel topology.
-    pub fn new(networks: &[NetworkMembers], cfg: MultipathConfig) -> Self {
+    pub fn new(networks: &[NetworkMembers]) -> Self {
         MultiPath {
             table: mad_route::compute_table(&crate::routing::decls(networks)),
             selector: Selector::new(),
-            policy: cfg.policy,
-            refresh_interval_ns: cfg.refresh_interval_ns,
-            ack_timeout_ns: cfg.ack_timeout_ns,
             last_refresh: AtomicU64::new(0),
             feeds: Mutex::new(Vec::new()),
             path_bytes: Mutex::new(BTreeMap::new()),
             tracer: Mutex::new(None),
         }
-    }
-
-    /// The striping policy of this channel.
-    pub fn policy(&self) -> StripePolicy {
-        self.policy
-    }
-
-    /// The handoff-ack deadline of this channel's multi-path senders.
-    pub fn ack_timeout_ns(&self) -> u64 {
-        self.ack_timeout_ns
     }
 
     /// The multi-path plan of one node.
@@ -125,11 +86,11 @@ impl MultiPath {
     }
 
     /// Rate-limited cost-model refresh, called from the send path: at most
-    /// once per configured window, fold every registered gateway's delta
-    /// since the previous window into the selector's EWMA costs.
+    /// once per `REFRESH_INTERVAL_NS`, fold every registered gateway's
+    /// delta since the previous window into the selector's EWMA costs.
     pub fn refresh(&self, now_ns: u64) {
         let last = self.last_refresh.load(Ordering::Relaxed);
-        if now_ns.saturating_sub(last) < self.refresh_interval_ns {
+        if now_ns.saturating_sub(last) < REFRESH_INTERVAL_NS {
             return;
         }
         if self
@@ -169,11 +130,6 @@ impl MultiPath {
     /// in-flight count — pair with [`MultiPath::complete`].
     pub fn choose(&self, dest: NodeId, paths: &[PathHop], exclude: &[u32]) -> Option<PathHop> {
         self.selector.choose(dest.0, paths, exclude)
-    }
-
-    /// The live (not-known-dead) subset of `paths`, in plan order.
-    pub fn live(&self, paths: &[PathHop]) -> Vec<PathHop> {
-        self.selector.live(paths)
     }
 
     /// A stream bound to gateway `gw` finished or failed.

@@ -23,7 +23,7 @@ use crate::gateway::{
 };
 use crate::membership::MembershipPlane;
 use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog};
-use crate::multipath::{MultiPath, MultipathConfig};
+use crate::multipath::MultiPath;
 use crate::routing::{self, NetworkMembers, RouteTable};
 use crate::runtime::{RtEvent, Runtime, StdRuntime};
 use crate::ticker;
@@ -93,22 +93,22 @@ pub struct VcOptions {
     /// Gateway engine tuning.
     pub gateway: GatewayConfig,
     /// Multi-path routing plane: when set, topologies with parallel
-    /// gateways between the same cluster pair stripe traffic across them
-    /// and fail over when a gateway dies. `None` (the default) keeps the
-    /// legacy single-path router, byte-identical on the wire.
-    pub multipath: Option<MultipathConfig>,
+    /// gateways between the same cluster pair spread their streams across
+    /// them and fail over when a gateway dies. `false` (the default) keeps
+    /// the legacy single-path router, byte-identical on the wire.
+    pub multipath: bool,
     /// Live telemetry plane: when set, every member node gets a metrics
-    /// registry wired into the engine hot paths, answers in-band kind-10
-    /// snapshot pulls, and (by default) runs a health watchdog on each
-    /// gateway node. `None` (the default) compiles the recording out of
-    /// every hot path.
+    /// registry wired into the engine hot paths and answers in-band
+    /// kind-10 snapshot pulls, and each gateway node runs a health
+    /// watchdog. `None` (the default) compiles the recording out of every
+    /// hot path.
     pub metrics: Option<MetricsOptions>,
     /// Dynamic membership plane: when set, every member node gets a
     /// [`crate::membership::MembershipPlane`] speaking the epoch-stamped
     /// kind-11 join/leave/rejoin protocol over the channel's special
-    /// conduits. `None` (the default) keeps the static-membership wire
+    /// conduits. `false` (the default) keeps the static-membership wire
     /// behaviour byte-identical.
-    pub membership: Option<crate::membership::MembershipOptions>,
+    pub membership: bool,
 }
 
 struct NetworkDef {
@@ -332,14 +332,12 @@ impl SessionBuilder {
         let gateway_stop = Arc::new(GatewayStop::new());
         // Live telemetry: one registry per *node* (shared by all its
         // telemetry-enabled virtual channels), one plane per (virtual
-        // channel, node), plus the auxiliary threads driving watchdogs,
-        // endpoint responders, and samplers.
+        // channel, node), plus the auxiliary threads driving watchdogs and
+        // endpoint responders.
         let mut node_registries: HashMap<NodeId, Arc<mad_metrics::Registry>> = HashMap::new();
         let mut metrics_planes: Vec<Arc<MetricsPlane>> = Vec::new();
         let mut member_planes: Vec<Arc<MembershipPlane>> = Vec::new();
         let mut aux_threads = Vec::new();
-        let mut samplers_spawned: std::collections::HashSet<NodeId> =
-            std::collections::HashSet::new();
         // One shared reactor per gateway *node*, built lazily on the first
         // reactor-mode virtual channel that needs it: every virtual channel
         // of the node multiplexes onto the same fixed worker pool, which is
@@ -438,17 +436,8 @@ impl SessionBuilder {
 
             // Multi-path routing plane, shared by every node of the
             // virtual channel so the cost model is session-global.
-            let mp = vdef.options.multipath.map(|cfg| {
-                if matches!(cfg.policy, mad_route::StripePolicy::PerFragment) {
-                    assert!(
-                        vdef.options.gateway.credit_window.is_none(),
-                        "virtual channel `{}`: per-fragment striping is \
-                         incompatible with credit flow control (credits are \
-                         granted per path, fragments interleave across paths)",
-                        vdef.name
-                    );
-                }
-                let mp = Arc::new(MultiPath::new(&nm, cfg));
+            let mp = vdef.options.multipath.then(|| {
+                let mp = Arc::new(MultiPath::new(&nm));
                 mp.set_trace(runtime.tracer(), &vdef.name);
                 mp
             });
@@ -470,7 +459,7 @@ impl SessionBuilder {
 
             // Membership planes: one per member node, speaking the
             // kind-11 protocol on the channel's special conduits.
-            if vdef.options.membership.is_some() {
+            if vdef.options.membership {
                 for ctl in ctls.values() {
                     let plane = MembershipPlane::new(ctl, runtime.clone(), &vdef.name);
                     if let Some(mp) = &mp {
@@ -488,12 +477,7 @@ impl SessionBuilder {
                         reactors
                             .entry(gw)
                             .or_insert_with(|| {
-                                GatewayReactor::new(
-                                    gw,
-                                    &runtime,
-                                    node_events[gw.index()].clone(),
-                                    vdef.options.gateway.reactor_workers,
-                                )
+                                GatewayReactor::new(gw, &runtime, node_events[gw.index()].clone())
                             })
                             .clone()
                     });
@@ -521,24 +505,21 @@ impl SessionBuilder {
                     // thread in threaded mode, a timer task on the node's
                     // shared worker pool in reactor mode. It reads the
                     // engine's counters through a window of its own.
-                    if let Some(wd_cfg) = vdef.options.metrics.as_ref().and_then(|m| m.watchdog) {
-                        let wd = Watchdog::new(
-                            wd_cfg,
-                            GatewayWindow::open(handles.stats().clone(), runtime.now_nanos()),
-                            mp.clone(),
-                            plane.registry(),
-                            runtime.tracer(),
-                            format!("health:{}@{}", vdef.name, gw.0),
-                        );
-                        aux_threads.extend(ticker::spawn(
-                            wd,
-                            format!("gw{}-{}-watchdog", gw.0, vdef.name),
-                            reactor.as_deref(),
-                            &runtime,
-                            &node_events[gw.index()],
-                            &gateway_stop,
-                        ));
-                    }
+                    let wd = Watchdog::new(
+                        GatewayWindow::open(handles.stats().clone(), runtime.now_nanos()),
+                        mp.clone(),
+                        plane.registry(),
+                        runtime.tracer(),
+                        format!("health:{}@{}", vdef.name, gw.0),
+                    );
+                    aux_threads.extend(ticker::spawn(
+                        wd,
+                        format!("gw{}-{}-watchdog", gw.0, vdef.name),
+                        reactor.as_deref(),
+                        &runtime,
+                        &node_events[gw.index()],
+                        &gateway_stop,
+                    ));
                 }
                 gateway_stats.push((vdef.name.clone(), gw, handles.stats().clone()));
                 gateway_handles.push(handles);
@@ -553,7 +534,7 @@ impl SessionBuilder {
             // pulls would sit unread. Gateway nodes are served by their
             // engine instead. One responder per node covers both control
             // planes — either may be enabled without the other.
-            if vdef.options.metrics.is_some() || vdef.options.membership.is_some() {
+            if vdef.options.metrics.is_some() || vdef.options.membership {
                 for (&rank, ctl) in &ctls {
                     if gateways.contains(&rank) {
                         continue;
@@ -564,31 +545,6 @@ impl SessionBuilder {
                         format!("resp-{}-{}", vdef.name, rank.0),
                         Box::new(move || metrics_plane::run_responder(ctl, stop)),
                     ));
-                }
-            }
-
-            // Per-node exposition samplers (at most one per node even when
-            // several virtual channels enable telemetry — they share the
-            // node registry anyway).
-            if let Some(mopts) = &vdef.options.metrics {
-                if let Some(dir) = &mopts.dump_dir {
-                    for (&rank, ctl) in &ctls {
-                        let Some(plane) = ctl.metrics().cloned() else {
-                            continue;
-                        };
-                        if !samplers_spawned.insert(rank) {
-                            continue;
-                        }
-                        let dir = dir.clone();
-                        let interval = mopts.effective_sample_interval_ns();
-                        let stop = gateway_stop.clone();
-                        aux_threads.push(runtime.spawn(
-                            format!("metrics-dump-{}", rank.0),
-                            Box::new(move || {
-                                metrics_plane::run_sampler(plane, dir, interval, stop)
-                            }),
-                        ));
-                    }
                 }
             }
 
@@ -691,8 +647,8 @@ impl SessionBuilder {
         for g in gateway_handles {
             g.join();
         }
-        // Auxiliary telemetry threads (watchdogs, responders, samplers)
-        // exit once the stop latch is set and their node event bumps.
+        // Auxiliary telemetry threads (watchdogs, responders) exit once
+        // the stop latch is set and their node event bumps.
         for t in aux_threads {
             if let Err(e) = t.join() {
                 panic.get_or_insert(e);

@@ -12,6 +12,9 @@ use crate::gateway::{GatewayReactor, GatewayStop};
 use crate::metrics_plane::Watchdog;
 use crate::runtime::{RtEvent, Runtime};
 
+/// Nanoseconds between two evaluations of a watchdog.
+const TICK_INTERVAL_NS: u64 = 5_000_000;
+
 /// Start driving `watchdog` beside a gateway engine, once per interval until
 /// the session stops: as a timer task on the node's `reactor` when the
 /// engine runs there, on a dedicated thread named `name` (whose handle is
@@ -54,7 +57,7 @@ fn run_ticker(
     event: Arc<dyn RtEvent>,
     stop: Arc<GatewayStop>,
 ) {
-    let mut next = runtime.now_nanos().saturating_add(watchdog.interval_ns());
+    let mut next = runtime.now_nanos().saturating_add(TICK_INTERVAL_NS);
     loop {
         let seen = event.epoch();
         if stop.stop_requested() {
@@ -64,7 +67,7 @@ fn run_ticker(
         let now = runtime.now_nanos();
         if now >= next {
             watchdog.tick(now);
-            next = now.saturating_add(watchdog.interval_ns());
+            next = now.saturating_add(TICK_INTERVAL_NS);
         }
         let wait = next.saturating_sub(runtime.now_nanos()).max(1);
         let _ = event.wait_past_timeout(seen, wait);
@@ -87,11 +90,11 @@ impl PollTask for TickerTask {
         }
         let now = cx.now_ns();
         if self.next == 0 {
-            self.next = now.saturating_add(self.watchdog.interval_ns());
+            self.next = now.saturating_add(TICK_INTERVAL_NS);
         }
         if now >= self.next {
             self.watchdog.tick(now);
-            self.next = now.saturating_add(self.watchdog.interval_ns());
+            self.next = now.saturating_add(TICK_INTERVAL_NS);
         }
         cx.wake_at(self.next);
         Poll::Pending

@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mad_route::{PathHop, StripePolicy};
+use mad_route::PathHop;
 use mad_trace::{trace_count, trace_instant, trace_span, Tracer};
 
 use crate::channel::Channel;
@@ -52,8 +52,8 @@ use crate::credit::{cancel_error, FlowControl};
 use crate::error::{MadError, Result};
 use crate::flags::{RecvMode, SendMode};
 use crate::gtm::{
-    self, CancelReason, GtmHeader, GtmPartDesc, GtmWriter, PacketBody, StreamAssembler, StreamItem,
-    StreamKey, StreamTag, PRELUDE_LEN, STRIPE_OVERHEAD,
+    self, CancelReason, GtmHeader, GtmWriter, PacketBody, StreamAssembler, StreamItem, StreamKey,
+    StreamTag,
 };
 use crate::message::{MessageReader, MessageWriter};
 use crate::multipath::MultiPath;
@@ -236,8 +236,8 @@ impl VirtualChannel {
             }
         } else {
             // Forwarded: with a multi-path plan of width ≥ 2 the stream
-            // goes through the routing plane (adaptive path choice or
-            // fragment striping). A one-path plan falls through to the
+            // goes through the routing plane (adaptive path choice and
+            // failover). A one-path plan falls through to the
             // legacy code below, keeping single-gateway sessions
             // byte-identical to the pre-multipath library. Gateway-resident
             // senders also fall through: their engine's polling threads own
@@ -255,10 +255,7 @@ impl VirtualChannel {
                     .copied()
                     .collect();
                 if paths.len() >= 2 {
-                    return match mp.policy() {
-                        StripePolicy::PerFragment => self.begin_striped(dest, mp.clone(), paths),
-                        StripePolicy::PerStream => self.begin_adaptive(dest, mp.clone(), paths),
-                    };
+                    return self.begin_adaptive(dest, mp.clone(), paths);
                 }
             }
             let channel = self
@@ -305,52 +302,6 @@ impl VirtualChannel {
         };
         w.start(false)?;
         Ok(VcWriter::Multi(w))
-    }
-
-    /// Start a fragment-striped message over every live path (see
-    /// [`StripedWriter`]). Falls back to the adaptive writer if fewer than
-    /// two paths are currently live.
-    fn begin_striped(
-        &self,
-        dest: NodeId,
-        mp: Arc<MultiPath>,
-        paths: Vec<PathHop>,
-    ) -> Result<VcWriter<'_, '_>> {
-        let mut live = mp.live(&paths);
-        live.truncate(u8::MAX as usize);
-        if live.len() < 2 {
-            return self.begin_adaptive(dest, mp, paths);
-        }
-        // The stripe envelope must fit every path's packet limit; shrink
-        // the announced MTU if a path is tighter than the route MTU.
-        let mut mtu = self.mtu;
-        for h in &live {
-            let cap = self.ctl.special()[&NetworkId(h.net)].caps().max_packet;
-            mtu = mtu.min(cap.saturating_sub(PRELUDE_LEN + STRIPE_OVERHEAD));
-        }
-        assert!(mtu >= 1, "stripe envelope cannot fit any fragment");
-        let tag = self.next_tag(dest);
-        let mut header = GtmHeader::new(tag, mtu as u32, false);
-        header.stripes = live.len() as u8;
-        let pkt = gtm::encode_header(&header);
-        // Every path's relays see the header before any envelope (conduit
-        // FIFO per path), so each can open its per-stream state.
-        for h in &live {
-            self.ctl.special()[&NetworkId(h.net)].send_packet(NodeId(h.node), &[&pkt])?;
-        }
-        let bytes_by_path = vec![0u64; live.len()];
-        Ok(VcWriter::Striped(StripedWriter {
-            vc: self,
-            mp,
-            tag,
-            frag_prelude: gtm::frag_prelude(&tag),
-            paths: live,
-            mtu,
-            next_seq: 0,
-            rr: 0,
-            bytes_by_path,
-            finished: false,
-        }))
     }
 
     /// Block until a whole message is available to start receiving: either
@@ -449,8 +400,6 @@ pub enum VcWriter<'c, 'd> {
     /// Adaptive multi-path GTM stream: bound to one gateway path now,
     /// re-issued on a surviving path if that gateway dies mid-stream.
     Multi(MultipathWriter<'c, 'd>),
-    /// Fragment-striped GTM stream over every live parallel path.
-    Striped(StripedWriter<'c>),
 }
 
 impl<'d> VcWriter<'_, 'd> {
@@ -460,7 +409,6 @@ impl<'d> VcWriter<'_, 'd> {
             VcWriter::Direct(w) => w.pack(data, send, recv),
             VcWriter::Gtm { w, .. } => w.pack(data, send, recv),
             VcWriter::Multi(w) => w.pack(data, send, recv),
-            VcWriter::Striped(w) => w.pack(data, send, recv),
         }
     }
 
@@ -470,7 +418,6 @@ impl<'d> VcWriter<'_, 'd> {
             VcWriter::Direct(w) => w.end_packing(),
             VcWriter::Gtm { w, .. } => w.end_packing(),
             VcWriter::Multi(w) => w.end_packing(),
-            VcWriter::Striped(w) => w.end_packing(),
         }
     }
 
@@ -482,10 +429,15 @@ impl<'d> VcWriter<'_, 'd> {
                 forwarded: true,
                 ..
             } | VcWriter::Multi(_)
-                | VcWriter::Striped(_)
         )
     }
 }
+
+/// How long a multi-path sender waits for the first-hop gateway's handoff
+/// acknowledgment after the stream's end packet. Expiry means the gateway
+/// died after accepting the stream — the sender marks the path dead and
+/// re-issues on a survivor.
+const ACK_TIMEOUT_NS: u64 = 500_000_000;
 
 /// True when a send error means *this path* is unusable (the stream can be
 /// re-issued on another path) rather than the stream itself being invalid.
@@ -668,7 +620,7 @@ impl<'d> MultipathWriter<'_, 'd> {
         let channel = &ctl.special()[&NetworkId(self.hop.net)];
         let peer = NodeId(self.hop.node);
         let runtime = channel.runtime();
-        let deadline = runtime.now_nanos().saturating_add(self.mp.ack_timeout_ns());
+        let deadline = runtime.now_nanos().saturating_add(ACK_TIMEOUT_NS);
         loop {
             let seen = ctl.event().epoch();
             if ctl.take_ack(key) {
@@ -693,133 +645,6 @@ impl<'d> MultipathWriter<'_, 'd> {
                 return Err(MadError::PeerUnreachable(peer));
             }
             ctl.event().wait_past_timeout(seen, deadline - now);
-        }
-    }
-}
-
-/// Fragment-striped writer: the stream's header travels on *every* path,
-/// and each body packet (descriptor, fragment, logical end) is wrapped in
-/// a sequence-numbered stripe envelope and round-robined across the paths.
-/// The receiver's assembler replays envelopes in sequence order, so the
-/// reader sees exactly the single-path stream. Each path finally carries a
-/// plain end packet as its transport terminator.
-pub struct StripedWriter<'c> {
-    vc: &'c VirtualChannel,
-    mp: Arc<MultiPath>,
-    tag: StreamTag,
-    frag_prelude: [u8; PRELUDE_LEN],
-    paths: Vec<PathHop>,
-    /// Effective fragment size: the route MTU shrunk so prelude + envelope
-    /// + fragment fits every path's packet limit.
-    mtu: usize,
-    next_seq: u32,
-    rr: usize,
-    bytes_by_path: Vec<u64>,
-    finished: bool,
-}
-
-impl StripedWriter<'_> {
-    /// Envelope one body packet and send it on the next path round-robin.
-    /// Returns the path index used. A send failure marks unreachable paths
-    /// dead so *future* streams shrink to the live set.
-    fn send_next(&mut self, inner: &[&[u8]]) -> Result<usize> {
-        let i = self.rr % self.paths.len();
-        self.rr += 1;
-        let hop = self.paths[i];
-        let sp = gtm::stripe_prelude(&self.tag, self.next_seq);
-        self.next_seq += 1;
-        let mut parts: Vec<&[u8]> = Vec::with_capacity(inner.len() + 1);
-        parts.push(&sp);
-        parts.extend_from_slice(inner);
-        let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
-        match channel.send_packet(NodeId(hop.node), &parts) {
-            Ok(()) => Ok(i),
-            Err(e) => {
-                if matches!(e, MadError::PeerUnreachable(_)) {
-                    self.mp.mark_dead(hop.node);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn pack(&mut self, data: &[u8], send: SendMode, recv: RecvMode) -> Result<()> {
-        match self.pack_inner(data, send, recv) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.finished = true;
-                self.cancel_paths(0);
-                Err(e)
-            }
-        }
-    }
-
-    fn pack_inner(&mut self, data: &[u8], send: SendMode, recv: RecvMode) -> Result<()> {
-        let part = gtm::encode_part(
-            &self.tag,
-            &GtmPartDesc {
-                len: data.len() as u64,
-                send,
-                recv,
-            },
-        );
-        self.send_next(&[&part])?;
-        for chunk in data.chunks(self.mtu) {
-            let fp = self.frag_prelude;
-            let i = self.send_next(&[&fp, chunk])?;
-            self.bytes_by_path[i] += chunk.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Best-effort cancel on paths `from..` so downstream hops (and the
-    /// receiver) release the stream instead of waiting for ends that will
-    /// never come. Paths before `from` already carried their terminator.
-    fn cancel_paths(&self, from: usize) {
-        let pkt = gtm::encode_cancel(&self.tag, CancelReason::PeerUnreachable);
-        for hop in &self.paths[from..] {
-            let _ =
-                self.vc.ctl.special()[&NetworkId(hop.net)].send_packet(NodeId(hop.node), &[&pkt]);
-        }
-    }
-
-    fn end_packing(mut self) -> Result<()> {
-        let r = self.end_inner();
-        self.finished = true;
-        r
-    }
-
-    fn end_inner(&mut self) -> Result<()> {
-        let end = gtm::encode_end(&self.tag);
-        // The *logical* end rides an envelope (it carries the stream's
-        // highest sequence number); the plain ends below only terminate
-        // each path's transport-level stream state.
-        if let Err(e) = self.send_next(&[&end]) {
-            self.cancel_paths(0);
-            return Err(e);
-        }
-        for i in 0..self.paths.len() {
-            let hop = self.paths[i];
-            let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
-            if let Err(e) = channel.send_packet(NodeId(hop.node), &[&end]) {
-                if matches!(e, MadError::PeerUnreachable(_)) {
-                    self.mp.mark_dead(hop.node);
-                }
-                self.cancel_paths(i);
-                return Err(e);
-            }
-        }
-        for (i, hop) in self.paths.iter().enumerate() {
-            self.mp.note_bytes(hop.node, self.bytes_by_path[i]);
-        }
-        Ok(())
-    }
-}
-
-impl Drop for StripedWriter<'_> {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            panic!("StripedWriter dropped without end_packing");
         }
     }
 }
@@ -863,8 +688,8 @@ impl GtmStreamReader<'_> {
 
     /// Next item of this stream, pumping conduits as needed. Without a
     /// routing plane only the stream's via-conduit is pumped; with one,
-    /// any ready conduit is (stripes and failover replays arrive on paths
-    /// other than the one the header came in on).
+    /// any ready conduit is (a failover replay arrives on a path other
+    /// than the one the header came in on).
     fn next_item(&mut self) -> Result<StreamItem> {
         loop {
             let buffered = self.vc.demux.lock().unwrap().asm.next_item(self.key);

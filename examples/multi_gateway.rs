@@ -2,29 +2,19 @@
 //!
 //! Two clusters — Myrinet {0,1,2} and SCI {1,2,3} — are bridged by *two*
 //! gateway hosts (ranks 1 and 2), so the `RoutePlan` for 0 → 3 has width
-//! 2. Two virtual channels over the same wires demonstrate both striping
-//! policies:
-//!
-//! * `streams` (per-stream, the default): each message binds to the
-//!   cheapest path at its header and stays there; concurrent messages
-//!   spread across both gateways.
-//! * `striped` (per-fragment): a single bulk message round-robins its
-//!   fragments over both paths inside sequence-numbered stripe envelopes
-//!   and is reassembled byte-identically at the receiver.
-//!
-//! Either way the routing plane accounts every payload byte to the
-//! gateway that carried it — the per-path splits printed at the end.
+//! 2. Each message binds to the cheapest path at its header and stays
+//! there; a schedule of messages spreads across both gateways, and the
+//! routing plane accounts every payload byte to the gateway that carried
+//! it — the per-path split printed at the end.
 //!
 //! Run with: `cargo run --release --example multi_gateway`
 
 use mad_sim::{SimTech, Testbed};
-use madeleine::mad_route::StripePolicy;
 use madeleine::session::VcOptions;
-use madeleine::{MultipathConfig, NodeId, RecvMode, SendMode, SessionBuilder};
+use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
 const MSGS: u32 = 6;
 const LEN: usize = 200 * 1024;
-const BULK: usize = 1 << 20;
 
 fn split_line(split: &[(u32, u64)]) -> String {
     split
@@ -44,26 +34,13 @@ fn main() {
         &[myri, sci],
         VcOptions {
             mtu: Some(16 * 1024),
-            multipath: Some(MultipathConfig::default()),
-            ..Default::default()
-        },
-    );
-    session.vchannel(
-        "striped",
-        &[myri, sci],
-        VcOptions {
-            mtu: Some(16 * 1024),
-            multipath: Some(MultipathConfig {
-                policy: StripePolicy::PerFragment,
-                ..Default::default()
-            }),
+            multipath: true,
             ..Default::default()
         },
     );
 
     let results = session.run(|node| {
         let streams = node.vchannel("streams");
-        let striped = node.vchannel("striped");
         node.barrier().wait();
         match node.rank().0 {
             0 => {
@@ -72,7 +49,7 @@ fn main() {
                 let width = mp.plan(NodeId(0)).width(3);
                 assert_eq!(width, 2, "expected two parallel paths to rank 3");
 
-                // A schedule of per-stream-routed messages...
+                // A schedule of per-stream-routed messages.
                 for i in 0..MSGS {
                     let data = vec![i as u8; LEN];
                     let hdr = [i as u8];
@@ -81,18 +58,9 @@ fn main() {
                     w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                     w.end_packing().unwrap();
                 }
-                // ...then one bulk message striped fragment-by-fragment.
-                let bulk: Vec<u8> = (0..BULK).map(|i| i as u8).collect();
-                let mut w = striped.begin_packing(NodeId(3)).unwrap();
-                w.pack(&bulk, SendMode::Later, RecvMode::Cheaper).unwrap();
-                w.end_packing().unwrap();
-
-                let stream_split = mp.path_bytes();
-                let stripe_split = striped.multipath().unwrap().path_bytes();
                 format!(
-                    "plan width {width}\n         per-stream split: {}\n         per-fragment split: {}",
-                    split_line(&stream_split),
-                    split_line(&stripe_split),
+                    "plan width {width}, per-path split: {}",
+                    split_line(&mp.path_bytes()),
                 )
             }
             3 => {
@@ -109,19 +77,7 @@ fn main() {
                     assert!(buf.iter().all(|&b| b == hdr[0]), "stream corrupted");
                     seen += 1;
                 }
-                let mut bulk = vec![0u8; BULK];
-                let mut r = striped.begin_unpacking().unwrap();
-                r.unpack(&mut bulk, SendMode::Later, RecvMode::Cheaper)
-                    .unwrap();
-                r.end_unpacking().unwrap();
-                assert!(
-                    bulk.iter().enumerate().all(|(i, &b)| b == i as u8),
-                    "striped bulk message corrupted"
-                );
-                format!(
-                    "received {seen} per-stream messages and a {} KB striped bulk intact",
-                    BULK >> 10
-                )
+                format!("received {seen} messages intact")
             }
             r => format!("gateway {r} Myrinet↔SCI (library threads only)"),
         }

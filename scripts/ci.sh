@@ -12,7 +12,8 @@ cargo build --release --offline
 
 # Every user-settable option is counted; a count that differs from the
 # number committed in the script fails, so a new option — and a deleted
-# one — shows in the diff.
+# one — shows in the diff. Each counted field must also be set by some
+# file outside the library, or it is not an option.
 echo
 echo "== option count (scripts/options.sh)"
 ./scripts/options.sh

@@ -9,10 +9,7 @@ use mad_sim::{SimTech, Testbed};
 use madeleine::gateway::{EngineKind, GatewayConfig};
 use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
 use madeleine::session::VcOptions;
-use madeleine::{
-    MemberState, MembershipOptions, MetricsOptions, MultipathConfig, NodeId, RecvMode, SendMode,
-    SessionBuilder, WatchdogConfig,
-};
+use madeleine::{MemberState, MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder};
 use simnet::TraceLog;
 
 /// Root seed of the randomized pieces; override with
@@ -70,12 +67,9 @@ fn lifecycle_episode(engine: EngineKind) {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: Some(MultipathConfig::default()),
-            membership: Some(MembershipOptions::default()),
-            metrics: Some(MetricsOptions {
-                watchdog: Some(WatchdogConfig::default()),
-                ..Default::default()
-            }),
+            multipath: true,
+            membership: true,
+            metrics: Some(MetricsOptions::default()),
             gateway: GatewayConfig {
                 engine,
                 ..Default::default()
@@ -274,8 +268,8 @@ fn churn_soak(engine: EngineKind) {
         &[n0, n1],
         VcOptions {
             mtu: Some(MTU),
-            multipath: Some(MultipathConfig::default()),
-            membership: Some(MembershipOptions::default()),
+            multipath: true,
+            membership: true,
             metrics: Some(MetricsOptions::default()),
             gateway: GatewayConfig {
                 engine,

@@ -12,9 +12,8 @@ use mad_util::rng::Rng;
 use madeleine::gateway::{EngineKind, GatewayConfig};
 use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
 use madeleine::session::VcOptions;
-use madeleine::{MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder, WatchdogConfig};
+use madeleine::{MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder};
 use simnet::TraceLog;
-use vtime::SimDuration;
 
 /// Root seed of the randomized pieces; override with
 /// `MAD_SOAK_SEED=<u64>` (CI pins one fixed value).
@@ -173,13 +172,7 @@ fn watchdog_fires_on_injected_credit_starvation() {
                 drain_timeout_ns: 100_000_000,
                 ..Default::default()
             },
-            metrics: Some(MetricsOptions {
-                watchdog: Some(WatchdogConfig {
-                    interval_ns: SimDuration::from_millis(5).as_nanos(),
-                    ..Default::default()
-                }),
-                ..Default::default()
-            }),
+            metrics: Some(MetricsOptions::default()),
             ..Default::default()
         },
     );
@@ -261,13 +254,7 @@ fn watchdog_silent_on_clean_run() {
                 drain_timeout_ns: 100_000_000,
                 ..Default::default()
             },
-            metrics: Some(MetricsOptions {
-                watchdog: Some(WatchdogConfig {
-                    interval_ns: SimDuration::from_millis(5).as_nanos(),
-                    ..Default::default()
-                }),
-                ..Default::default()
-            }),
+            metrics: Some(MetricsOptions::default()),
             ..Default::default()
         },
     );

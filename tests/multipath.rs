@@ -1,12 +1,11 @@
 //! End-to-end tests of the multi-path routing plane (`mad-route` +
-//! `madeleine::multipath`): parallel-gateway topologies, per-stream and
-//! per-fragment striping, and failover when a gateway host dies mid-run.
+//! `madeleine::multipath`): parallel-gateway topologies, per-stream
+//! routing, and failover when a gateway host dies mid-run.
 
 use mad_sim::{SimTech, Testbed};
 use madeleine::gateway::GatewayConfig;
-use madeleine::mad_route::StripePolicy;
 use madeleine::session::VcOptions;
-use madeleine::{MultipathConfig, NodeId, RecvMode, SendMode, SessionBuilder};
+use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
 /// Deterministic payload, distinct per (sender, index).
 fn payload(from: u32, idx: u32, len: usize) -> Vec<u8> {
@@ -34,7 +33,7 @@ fn parallel_testbed() -> (Testbed, SessionBuilder) {
             &nets,
             VcOptions {
                 mtu: Some(8 * 1024),
-                multipath: Some(MultipathConfig::default()),
+                multipath: true,
                 ..Default::default()
             },
         );
@@ -100,66 +99,6 @@ fn adaptive_streams_round_trip_over_parallel_gateways() {
     assert!(ok.into_iter().all(|x| x));
 }
 
-/// Per-fragment striping: one bulk message round-robins its fragments over
-/// both gateways and reassembles byte-identically; both paths carry real
-/// payload (round-robin guarantees a near-even split).
-#[test]
-fn fragment_striping_splits_bulk_across_both_gateways() {
-    const LEN: usize = 1 << 20;
-
-    let tb = Testbed::new(4);
-    let mut sb = SessionBuilder::new(4).with_runtime(tb.runtime());
-    let n0 = sb.network("myri", tb.driver(SimTech::Myrinet), &[0, 1, 2]);
-    let n1 = sb.network("sci", tb.driver(SimTech::Sci), &[1, 2, 3]);
-    sb.vchannel(
-        "vc",
-        &[n0, n1],
-        VcOptions {
-            mtu: Some(8 * 1024),
-            multipath: Some(MultipathConfig {
-                policy: StripePolicy::PerFragment,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
-    );
-    let ok = sb.run(move |node| {
-        let vc = node.vchannel("vc");
-        node.barrier().wait();
-        match node.rank().0 {
-            0 => {
-                let data = payload(0, 0, LEN);
-                let mut w = vc.begin_packing(NodeId(3)).unwrap();
-                w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
-                w.end_packing().unwrap();
-                let mp = vc.multipath().expect("multipath enabled");
-                let split = mp.path_bytes();
-                let total: u64 = split.iter().map(|&(_, b)| b).sum();
-                assert_eq!(total, LEN as u64, "striped bytes not conserved");
-                assert_eq!(split.len(), 2, "expected two gateway paths, got {split:?}");
-                for &(gw, bytes) in &split {
-                    assert!(
-                        bytes as f64 >= 0.4 * LEN as f64,
-                        "path through gateway {gw} starved: {split:?}"
-                    );
-                }
-                true
-            }
-            3 => {
-                let mut buf = vec![0u8; LEN];
-                let mut r = vc.begin_unpacking().unwrap();
-                r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
-                    .unwrap();
-                r.end_unpacking().unwrap();
-                assert_eq!(buf, payload(0, 0, LEN), "striped payload corrupted");
-                true
-            }
-            _ => true,
-        }
-    });
-    assert!(ok.into_iter().all(|x| x));
-}
-
 /// Failover: one of the two gateways dies while a schedule of streams is
 /// in flight. Streams bound to the dead gateway are re-issued on the
 /// survivor; every message still arrives intact, nothing hangs, and the
@@ -180,7 +119,7 @@ fn gateway_death_fails_over_to_surviving_path() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: Some(MultipathConfig::default()),
+            multipath: true,
             gateway: GatewayConfig {
                 drain_timeout_ns: 100_000_000, // dead engine must not hang teardown
                 ..Default::default()
@@ -255,7 +194,7 @@ fn single_path_plan_uses_legacy_writer() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: Some(MultipathConfig::default()),
+            multipath: true,
             ..Default::default()
         },
     );

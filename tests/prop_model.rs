@@ -83,10 +83,11 @@ fn gtm_decode_never_panics() {
 
 /// Hostile bytes reach the control plane's dispatcher on every special
 /// conduit. Random bytes rarely get past the magic, so aim: take a valid
-/// packet of each control kind (5, 6, 9, 10, 11) with random fields,
+/// packet of each of the ten kinds (1–7, 9, 10, 11) with random fields,
 /// and feed every truncation of it — plus the whole packet with one byte
 /// flipped — through decode + dispatch. Nothing may panic; the intact
-/// packet must decode and be handled.
+/// packet must decode, and be handled exactly when its kind is a control
+/// kind (5, 6, 9, 10, 11).
 #[test]
 fn control_packets_truncated_or_corrupted_never_panic_the_dispatcher() {
     prop::check(
@@ -111,20 +112,37 @@ fn control_packets_truncated_or_corrupted_never_panic_the_dispatcher() {
                 node: n,
                 epoch: seed | 1, // the wire format rejects epoch 0
             };
+            let part = gtm::GtmPartDesc {
+                len: seed,
+                send: madeleine::SendMode::Later,
+                recv: madeleine::RecvMode::Cheaper,
+            };
+            let mut frag = gtm::frag_prelude(&tag).to_vec();
+            frag.extend_from_slice(payload);
+            frag.push(0); // a fragment carries at least one byte
+            let end = gtm::encode_end(&tag);
+            let batch = gtm::encode_batch(&[&frag, &end]);
             let packets = [
+                gtm::encode_header(&gtm::GtmHeader::new(tag, n | 1, n & 2 != 0)),
+                gtm::encode_part(&tag, &part),
+                end,
+                frag,
                 gtm::encode_credit(&tag, n),
                 gtm::encode_cancel(&tag, gtm::CancelReason::CreditTimeout),
+                batch,
                 gtm::encode_ack(&tag),
                 gtm::encode_metrics_request(&tag),
                 gtm::encode_metrics_reply(&tag, payload),
                 gtm::encode_member(&tag, &member),
             ];
             let mut rng = mad_util::rng::Rng::new(seed);
-            for (i, pkt) in packets.iter().enumerate() {
+            for pkt in &packets {
+                let control = matches!(pkt[2], 5 | 6 | 9 | 10 | 11);
                 prop_assert_eq!(
                     madeleine::fuzz_dispatch(pkt),
-                    Some(true),
-                    "intact packet #{i} must decode and be control"
+                    Some(control),
+                    "intact kind-{} packet must decode and be control or not",
+                    pkt[2]
                 );
                 for cut in 0..pkt.len() {
                     let _ = madeleine::fuzz_dispatch(&pkt[..cut]);
@@ -369,9 +387,8 @@ fn legacy_bfs(nets: &[(u32, Vec<u32>)], src: u32) -> BTreeMap<u32, (u32, u32, bo
 
 /// The multi-path plan must agree with the legacy single-path router on
 /// every topology: same reachable set, and `paths(dest)[0]` — the hop the
-/// transport uses whenever it is not striping — identical to the BFS hop,
-/// so a width-1 plan forwards byte-identically to the pre-multipath
-/// library. Plus the plan invariants: no duplicate parallel edges, every
+/// single-path transport uses — identical to the BFS hop, so a width-1
+/// plan forwards byte-identically to the pre-multipath library. Plus the plan invariants: no duplicate parallel edges, every
 /// edge starts at `src`, `last` exactly for distance-1 destinations.
 fn plan_matches_legacy_router_property(nets: &[(u32, Vec<u32>)]) -> Result<(), String> {
     let decls: Vec<mad_route::NetworkDecl> = nets
@@ -458,124 +475,6 @@ fn route_plan_regression_parallel_gateways() {
     assert_eq!(paths.len(), 2);
     assert_eq!((paths[0].net, paths[0].node), (0, 1));
     assert_eq!((paths[1].net, paths[1].node), (0, 2));
-}
-
-/// Per-fragment striping reassembles byte-identically: the envelopes of a
-/// striped stream are dealt to random paths and delivered in any
-/// order-preserving interleaving of the per-path queues (each path is a
-/// FIFO conduit, but paths race each other freely); the assembler must
-/// reconstruct every block exactly, then drain the per-path transport
-/// ends and go idle.
-fn striped_reassembly_property(input: &(Vec<Vec<u8>>, usize, usize, u64)) -> Result<(), String> {
-    let (parts, mtu, paths, seed) = input;
-    let (mtu, paths) = (*mtu, *paths);
-    prop_require!(mtu >= 1 && (2..=4).contains(&paths) && !parts.is_empty());
-
-    let t = gtm::StreamTag {
-        src: madeleine::NodeId(0),
-        dest: madeleine::NodeId(9),
-        msg_id: 7,
-    };
-    let mut h = gtm::GtmHeader::new(t, mtu as u32, false);
-    h.stripes = paths as u8;
-
-    // The sender's global envelope sequence: per block, a part descriptor
-    // followed by its MTU-sized fragments; then the logical end.
-    let mut inners: Vec<Vec<u8>> = Vec::new();
-    for data in parts {
-        inners.push(gtm::encode_part(
-            &t,
-            &gtm::GtmPartDesc {
-                len: data.len() as u64,
-                send: madeleine::SendMode::Later,
-                recv: madeleine::RecvMode::Cheaper,
-            },
-        ));
-        for chunk in data.chunks(mtu) {
-            let mut f = gtm::frag_prelude(&t).to_vec();
-            f.extend_from_slice(chunk);
-            inners.push(f);
-        }
-    }
-    inners.push(gtm::encode_end(&t));
-
-    // Deal the envelopes to random paths (any deal is legal — the writer
-    // happens to round-robin); each path opens with its header copy and
-    // closes with its plain transport end.
-    let mut rng = mad_util::rng::Rng::new(*seed);
-    let mut queues: Vec<std::collections::VecDeque<Vec<u8>>> = (0..paths)
-        .map(|_| std::collections::VecDeque::from([gtm::encode_header(&h)]))
-        .collect();
-    for (seq, inner) in inners.iter().enumerate() {
-        let mut pkt = gtm::stripe_prelude(&t, seq as u32).to_vec();
-        pkt.extend_from_slice(inner);
-        queues[rng.gen_range(0..paths)].push_back(pkt);
-    }
-    for q in &mut queues {
-        q.push_back(gtm::encode_end(&t));
-    }
-
-    // Random order-preserving merge, one packet at a time.
-    let mut asm = gtm::StreamAssembler::new();
-    while queues.iter().any(|q| !q.is_empty()) {
-        let nonempty: Vec<usize> = (0..paths).filter(|&i| !queues[i].is_empty()).collect();
-        let i = nonempty[rng.gen_range(0..nonempty.len())];
-        let pkt = queues[i].pop_front().unwrap();
-        asm.push_packet_from(i as u64 + 1, pkt)
-            .map_err(|e| format!("push rejected: {e:?}"))?;
-    }
-
-    // Drain: blocks must come back byte-identical, in order.
-    let key = asm.pop_ready().ok_or("stream never became ready")?;
-    let mut got: Vec<Vec<u8>> = Vec::new();
-    let mut ended = false;
-    while let Some(item) = asm.next_item(key) {
-        match item {
-            gtm::StreamItem::Part(d) => {
-                if let Some(prev) = got.last() {
-                    prop_assert_eq!(prev.len(), parts[got.len() - 1].len(), "short block");
-                }
-                got.push(Vec::with_capacity(d.len as usize));
-            }
-            gtm::StreamItem::Frag(f) => {
-                let cur = got.last_mut().ok_or("fragment before any part")?;
-                cur.extend_from_slice(gtm::frag_payload(&f));
-            }
-            gtm::StreamItem::End => {
-                ended = true;
-                break;
-            }
-            other => return Err(format!("unexpected item {other:?}")),
-        }
-    }
-    prop_assert!(ended, "logical end never surfaced");
-    prop_assert_eq!(got.len(), parts.len(), "block count differs");
-    for (i, (g, p)) in got.iter().zip(parts).enumerate() {
-        prop_assert_eq!(g, p, "block #{i} not byte-identical");
-    }
-    asm.finish(key);
-    prop_assert!(
-        asm.is_idle(),
-        "assembler not idle after finish + all path ends"
-    );
-    Ok(())
-}
-
-#[test]
-fn striped_stream_reassembles_byte_identically() {
-    prop::check(
-        "striped_stream_reassembles_byte_identically",
-        &Config::default(),
-        |rng| {
-            (
-                prop::vec_of(rng, 1..4, |r| prop::bytes(r, 0..5_000)),
-                rng.gen_range(1usize..2_048),
-                rng.gen_range(2usize..5),
-                rng.next_u64(),
-            )
-        },
-        striped_reassembly_property,
-    );
 }
 
 // -------------------------------------------------------------- wire flags

@@ -8,7 +8,7 @@ use mad_util::rng::Rng;
 use madeleine::error::MadError;
 use madeleine::gateway::GatewayConfig;
 use madeleine::session::VcOptions;
-use madeleine::{MultipathConfig, NodeId, RecvMode, SendMode, SessionBuilder};
+use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 use vtime::SimDuration;
 
 /// Root seed of the randomized soaks; override with `MAD_SOAK_SEED=<u64>`
@@ -646,7 +646,7 @@ fn multipath_death_soak_delivers_every_stream() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: Some(MultipathConfig::default()),
+            multipath: true,
             gateway: GatewayConfig {
                 drain_timeout_ns: 100_000_000, // dead engine must not hang teardown
                 ..Default::default()
