@@ -30,7 +30,7 @@ fn driver_spans(snap: &Snapshot, track: &str, name: &str) -> Vec<(u64, u64)> {
 /// get their own lane: they used to share the overhead lane and overwrite
 /// its marks, hiding the buffer-switch gaps the figures are about.
 pub fn print_gateway_timeline(snap: &Snapshot, recv_label: &str, send_label: &str) {
-    let lanes: [(&str, char, Vec<(u64, u64)>); 4] = [
+    let lanes = [
         ("recv  ", 'R', driver_spans(snap, recv_label, "recv")),
         ("send  ", 'S', driver_spans(snap, send_label, "send")),
         ("copy  ", 'c', driver_spans(snap, recv_label, "copy")),

@@ -6,7 +6,11 @@
 //! gather into one recycled buffer — the driver's one copy, which no cost
 //! model charges — while `send_owned` and `send_static` queue the very
 //! buffer they are handed, so a packet a gateway forwards crosses this
-//! driver without being copied. It serves two purposes:
+//! driver without being copied. Every send is one push onto an unbounded
+//! queue that never waits on the peer, and the driver says so
+//! (`queued_send`): a gateway sends a packet bound here on the thread that
+//! received it, since there is no slow send for a second thread to
+//! overlap. It serves two purposes:
 //!
 //! * functional testing of the whole Madeleine stack at real speed, and
 //! * a *real* transport for the wall-clock `benchmark/` workloads
@@ -35,6 +39,7 @@ pub const SHM_CAPS: DriverCaps = DriverCaps {
     max_gather: usize::MAX,
     max_packet: usize::MAX,
     preferred_mtu: 64 * 1024,
+    queued_send: true,
 };
 
 /// The shared-memory Protocol Management Module.
@@ -178,6 +183,14 @@ mod tests {
         let driver = ShmDriver::new(rt.clone());
         let (ev_a, ev_b) = (rt.event(), rt.event());
         driver.connect(NodeId(0), NodeId(1), ev_a, ev_b)
+    }
+
+    /// Every send is one push onto the peer's FIFO: a gateway sends on the
+    /// thread that received.
+    #[test]
+    fn every_send_is_a_queue_push() {
+        let (a, b) = pair();
+        assert!(a.caps().queued_send && b.caps().queued_send);
     }
 
     #[test]

@@ -54,6 +54,7 @@ impl SimTech {
                 max_gather: 32,
                 max_packet: 512 * 1024,
                 preferred_mtu: calibration::CROSSOVER_PACKET,
+                queued_send: false,
             },
             SimTech::Sci => DriverCaps {
                 name: "sim-sci/sisci",
@@ -61,6 +62,7 @@ impl SimTech {
                 max_gather: usize::MAX,
                 max_packet: 512 * 1024,
                 preferred_mtu: calibration::CROSSOVER_PACKET,
+                queued_send: false,
             },
             SimTech::FastEthernet => DriverCaps {
                 name: "sim-tcp/fast-ethernet",
@@ -68,6 +70,7 @@ impl SimTech {
                 max_gather: usize::MAX,
                 max_packet: 512 * 1024,
                 preferred_mtu: 32 * 1024,
+                queued_send: false,
             },
             SimTech::Sbp => DriverCaps {
                 name: "sim-sbp",
@@ -75,6 +78,7 @@ impl SimTech {
                 max_gather: usize::MAX,
                 max_packet: 512 * 1024,
                 preferred_mtu: 32 * 1024,
+                queued_send: false,
             },
         }
     }

@@ -167,6 +167,8 @@ mod driver_units {
             let caps = tech.caps();
             assert!(caps.max_gather >= 1);
             assert!(caps.preferred_mtu <= caps.max_packet);
+            // A modeled send takes time: a gateway keeps its pipeline.
+            assert!(!caps.queued_send, "{tech:?}");
             let p = tech.params();
             assert!(p.link_bw_bps > 0.0 && p.dev_in_bps > 0.0 && p.dev_out_bps > 0.0);
         }

@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use mad_util::pool::BufferPool;
 use mad_util::rng::Rng;
 
 use madeleine::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
@@ -50,6 +51,7 @@ pub const TCP_CAPS: DriverCaps = DriverCaps {
     max_gather: 1024,
     max_packet: 16 * 1024 * 1024,
     preferred_mtu: 32 * 1024,
+    queued_send: false,
 };
 
 /// Attempts a [`connect_retry`] makes before giving up.
@@ -190,6 +192,7 @@ impl TcpConduit {
     fn new(rt: &dyn Runtime, stream: TcpStream, ev: Arc<dyn RtEvent>, name: String) -> Self {
         let (tx, rx) = RtQueue::with_event(rt, usize::MAX, ev.clone());
         let mut reader = stream.try_clone().expect("cloning stream for reader");
+        let pool = rt.pool().clone();
         // Spawned through the runtime so the session's thread-budget
         // accounting sees it; it still blocks in kernel reads, invisible
         // to any virtual clock — which is why this driver is real-runtime
@@ -204,7 +207,9 @@ impl TcpConduit {
                         return; // peer closed: dropping tx disconnects
                     }
                     let len = u32::from_le_bytes(len_buf) as usize;
-                    let mut frame = vec![0u8; len];
+                    // From the session pool the receiving side adopts
+                    // the spent frame back into.
+                    let mut frame = pool.take(len).detach();
                     if reader.read_exact(&mut frame).is_err() {
                         return;
                     }
@@ -326,6 +331,8 @@ struct Entry {
     /// `None` once the conduit was dropped mid-frame (push failed); the
     /// entry then only lingers until the next pass removes it.
     tx: Option<RtSender<Vec<u8>>>,
+    /// Where frame bodies come from (the receiving side adopts them back).
+    pool: Arc<BufferPool>,
     len_buf: [u8; 4],
     len_got: usize,
     body: Vec<u8>,
@@ -397,7 +404,7 @@ impl Entry {
             self.len_got += n;
             if self.len_got == 4 {
                 let len = u32::from_le_bytes(self.len_buf) as usize;
-                self.body = vec![0u8; len];
+                self.body = self.pool.take(len).detach();
                 self.body_got = 0;
             }
         } else {
@@ -522,6 +529,7 @@ impl MuxConduit {
         poller.register(Entry {
             stream: reader,
             tx: Some(tx),
+            pool: poller.runtime.pool().clone(),
             len_buf: [0u8; 4],
             len_got: 0,
             body: Vec::new(),
@@ -626,6 +634,15 @@ mod tests {
         let rt = StdRuntime::shared();
         let driver = TcpDriver::multiplexed(rt.clone());
         driver.connect(NodeId(0), NodeId(1), rt.event(), rt.event())
+    }
+
+    /// A socket write can wait on the peer: a gateway keeps its pipeline
+    /// in front of this driver.
+    #[test]
+    fn a_send_is_not_a_queue_push() {
+        for (a, b) in [pair(), pair_mux()] {
+            assert!(!a.caps().queued_send && !b.caps().queued_send);
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub enum BufferMode {
     Static,
 }
 
-/// Capabilities a Transmission Module advertises to the layers above.
+/// Capabilities a Transmission Module advertises to the layers above. The
+/// layers read them rather than the driver's name: the GTM's frame budget
+/// from `preferred_mtu` and `max_gather`, the gateway's landing policy
+/// from `mode`, who transmits a forwarded unit from `queued_send`.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverCaps {
     /// Protocol name (e.g. `"sim-myrinet/bip"`).
@@ -53,6 +56,12 @@ pub struct DriverCaps {
     /// minimum across a route (paper §2.3: "an optimal packet size for every
     /// network they go through").
     pub preferred_mtu: usize,
+    /// Every send is a push onto an in-memory queue: it never waits on the
+    /// peer and is charged no modeled time. A gateway then has nothing to
+    /// overlap a retransmission with, and sends on the thread that received
+    /// (`gateway::dispatch`); a driver whose send takes time keeps the
+    /// paper's two-stage pipeline.
+    pub queued_send: bool,
 }
 
 /// A driver-owned buffer for zero-copy staging on static-buffer networks.

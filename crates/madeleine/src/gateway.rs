@@ -11,16 +11,20 @@
 //!
 //! The second thread exists to overlap that receive with that
 //! retransmission, and the hand-off to it costs a wake-up. When there is
-//! no packet *k+1* — the unit in hand is a whole message, the flush side
-//! of its (in, out) pair has nothing in hand or queued, and the credit it
-//! needs first is there — the polling thread transmits the unit itself,
-//! under the lock the forwarding thread holds from pop to last send, so
-//! arrival order stays wire order (`dispatch`, `Sink`). Every mid-stream
-//! bulk fragment, and anything behind a backlog or a dry credit window,
-//! crosses the two-stage pipeline; `pipeline_depth: 1`, which has no
-//! second stage, is the same rule with nothing to hand over to. The
-//! choice is read from the unit, the queue, the lock and the ledger —
-//! there is no size threshold and no knob.
+//! nothing to overlap — the unit in hand is a whole message (no packet
+//! *k+1*), or the outgoing conduit's send is a push onto an in-memory
+//! queue that takes no time ([`DriverCaps::queued_send`]: shared memory)
+//! — and the flush side of its (in, out) pair has nothing in hand or
+//! queued, and the credit it needs first is there, the polling thread
+//! transmits the unit itself, under the lock the forwarding thread holds
+//! from pop to last send, so arrival order stays wire order (`dispatch`,
+//! `Sink`). Every mid-stream bulk fragment bound for a network whose send
+//! takes time (TCP, every modeled network), and anything behind a backlog
+//! or a dry credit window, crosses the two-stage pipeline;
+//! `pipeline_depth: 1`, which has no second stage, is the same rule with
+//! nothing to hand over to. The choice is read from the unit, the
+//! conduit's capabilities, the queue, the lock and the ledger — there is
+//! no size threshold and no knob.
 //!
 //! ## Fragment-granular scheduling
 //!
@@ -967,7 +971,9 @@ impl FwdUnit {
 
 /// Where the polling thread hands the units of one outgoing network: the
 /// way out, the flush side's state, and — unless `pipeline_depth` is 1 —
-/// the bounded queue to the forwarding thread that shares that state.
+/// the bounded queue to the forwarding thread that shares that state. Over
+/// a network whose send is a queue push that thread only ever gets what
+/// found the flush side busy or a window dry.
 ///
 /// Whoever transmits holds the `flush` lock from taking a unit to its last
 /// send. The forwarding thread pops *under* it, so the lock free and the
@@ -982,6 +988,10 @@ struct Sink {
     path: OutPath,
     flush: Arc<Mutex<Flush>>,
     queue: Option<RtSender<FwdUnit>>,
+    /// Every send on the way out is a queue push
+    /// ([`DriverCaps::queued_send`], read once at spawn): there is nothing
+    /// a second thread could overlap, whatever the unit.
+    queued_send: bool,
 }
 
 /// Where the demultiplexer hands accepted packets. [`Inbound`] is generic
@@ -1241,7 +1251,16 @@ pub(crate) fn spawn_gateway(
                 ));
                 tx
             });
-            sinks.insert(net_out, Sink { path, flush, queue });
+            let queued_send = path.regular.caps().queued_send && path.special.caps().queued_send;
+            sinks.insert(
+                net_out,
+                Sink {
+                    path,
+                    flush,
+                    queue,
+                    queued_send,
+                },
+            );
         }
         let name = format!("gw{}-{}-in-{}", rank.0, vc_name, net_in);
         threads.push(runtime.spawn(
@@ -1551,12 +1570,15 @@ impl InboundCtx {
 
         // The packets are windows onto the landed frame, not copies.
         let frame = Arc::new(buf);
+        let packets = gtm::batch_packets(frame.bytes())?;
+        // One slot per packet: a bulk stream's [H,P] train takes two
+        // items' worth, not the four a growing `Vec` starts with.
         let mut train = FrameItems {
             bridges: sinks,
-            items: Vec::new(),
+            items: Vec::with_capacity(packets.clone().count()),
         };
         let mut at = PRELUDE_LEN;
-        for sub in gtm::batch_packets(frame.bytes())? {
+        for sub in packets {
             at += gtm::BATCH_ENTRY_OVERHEAD;
             let packet = FwdBuf::Slice(frame.clone(), at..at + sub.len());
             at += sub.len();
@@ -2044,17 +2066,18 @@ impl<S: ItemSink> ItemSink for FrameItems<'_, S> {
 /// engine already knows, never from a size or a setting: the polling
 /// thread does, in place, when there is nothing to overlap the
 /// retransmission with — no forwarding thread at all (depth 1), or a unit
-/// that is a whole message, a flush side with nothing in hand or queued,
-/// and the head's credit there without waiting. Everything else — every
-/// mid-stream bulk fragment, anything behind a backlog or a dry window —
-/// crosses the paper's two-stage pipeline, counting buffer switches and
-/// backpressure stalls. Either way a unit leaves after every unit accepted
-/// before it (see [`Sink`]).
+/// that is a whole message or bound for a conduit whose send is a queue
+/// push, a flush side with nothing in hand or queued, and the head's
+/// credit there without waiting. Everything else — a mid-stream bulk
+/// fragment whose send takes time, anything behind a backlog or a dry
+/// window — crosses the paper's two-stage pipeline, counting buffer
+/// switches and backpressure stalls. Either way a unit leaves after every
+/// unit accepted before it (see [`Sink`]).
 fn dispatch(sink: &Sink, mut unit: FwdUnit, shared: &FwdShared) -> Result<()> {
     let Some(tx) = &sink.queue else {
         return sink.flush.lock().transmit(unit, &sink.path, shared);
     };
-    if unit.is_whole_message() {
+    if sink.queued_send || unit.is_whole_message() {
         if let Some(mut flush) = sink.flush.try_lock() {
             if tx.is_empty() && unit.take_head_credit(shared) {
                 return flush.transmit(unit, &sink.path, shared);
@@ -2858,6 +2881,79 @@ mod tests {
         assert_eq!((totals.errors, totals.held_bytes), (0, 0));
     }
 
+    /// The same packets over a conduit whose send is a queue push: there is
+    /// nothing to overlap, so every unit that finds the flush side idle and
+    /// its credit there leaves on the thread that received it — mid-stream
+    /// fragments included — and in the order it arrived.
+    #[test]
+    fn bulk_fragments_leave_in_place_over_a_queued_conduit() {
+        let mut rig = Rig::new(
+            flow_controlled(EngineKind::Threaded, 2),
+            MockDriver::queued(),
+        );
+        let bulk = stream_in_frags(2, 1, &[0x5A; 3000], 3);
+        let small = frame_of(&stream_packets(2, 2, b"a whole message, behind"));
+        for packet in &bulk {
+            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+        }
+        rig.up.send_packet(NodeId(1), &[&small]).unwrap();
+        for packet in &bulk {
+            assert_eq!(&rig.recv(2), packet, "arrival order is wire order");
+        }
+        assert_eq!(rig.recv(2), small);
+        let totals = rig.finish();
+        assert_eq!((totals.messages, totals.fragments), (2, 4));
+        assert_eq!((totals.buffer_switches, totals.stalls), (0, 0));
+        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+    }
+
+    /// A queued conduit changes who transmits, not the order: a fragment
+    /// whose window is dry goes to the queue, every fragment behind it
+    /// follows it there instead of overtaking, and each leaves only with a
+    /// credit of its own.
+    #[test]
+    fn dry_window_keeps_fifo_over_a_queued_conduit() {
+        let mut rig = Rig::new(
+            flow_controlled(EngineKind::Threaded, 2),
+            MockDriver::queued(),
+        );
+        // Rank 4 is behind rank 3: not the last hop, so credits are spent.
+        let packets = stream_in_frags(4, 9, &[0x7E; 3000], 3);
+        let key = (gtm::decode_packet(&packets[0]).unwrap().0).key();
+        let (open, rest) = packets.split_at(2);
+        for packet in open {
+            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+            assert_eq!(&rig.recv_special(3), packet);
+        }
+        while rig.ledger.try_take(key) == TakeOutcome::Taken {}
+        for packet in rest {
+            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+        }
+        // The first fragment found the window dry; the other two found it
+        // queued or in hand, and followed it.
+        while rig.totals().buffer_switches < 3 {
+            std::thread::yield_now();
+        }
+        assert!(!Rig::pending(&rig.down_special[&3]), "nothing left dry");
+        let (end, frags) = rest.split_last().unwrap();
+        for (i, packet) in frags.iter().enumerate() {
+            rig.ledger.deposit(key, 1);
+            assert_eq!(&rig.recv_special(3), packet, "send order");
+            if i + 1 < frags.len() {
+                assert!(
+                    !Rig::pending(&rig.down_special[&3]),
+                    "one credit, one fragment"
+                );
+            }
+        }
+        assert_eq!(&rig.recv_special(3), end);
+        let totals = rig.finish();
+        assert_eq!((totals.messages, totals.fragments), (1, 3));
+        assert_eq!((totals.credit_timeouts, totals.cancelled), (0, 0));
+        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        assert!(rig.ledger.is_idle());
+    }
+
     /// A retired kind between two fragments of a live stream poisons only
     /// itself: each former RTS, CTS or stripe envelope is one relay error,
     /// nothing of it leaves or comes back, and the stream completes with
@@ -3183,6 +3279,7 @@ mod tests {
             max_gather: usize::MAX,
             max_packet: usize::MAX,
             preferred_mtu: 4096,
+            queued_send: false,
         });
         // Depth 1: no flush stage to defer the landing copy to.
         let mut rig = Rig::new(flow_controlled(EngineKind::Threaded, 1), static_out);

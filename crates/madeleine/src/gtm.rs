@@ -600,6 +600,7 @@ pub fn batch_packets(frame: &[u8]) -> Result<BatchPackets<'_>> {
 /// Iterator over the sub-packet slices of a batch frame; see
 /// [`batch_packets`]. Infallible because the frame was validated whole at
 /// decode time.
+#[derive(Clone)]
 pub struct BatchPackets<'a> {
     rest: &'a [u8],
 }
@@ -1698,7 +1699,7 @@ pub(crate) mod tests {
         let mut bad_event = good.clone();
         bad_event[PRELUDE_LEN] = 9;
         assert!(decode_packet(&bad_event).is_err());
-        let mut zero_epoch = good.clone();
+        let mut zero_epoch = good;
         zero_epoch[PRELUDE_LEN + 5..PRELUDE_LEN + 13].fill(0);
         assert!(decode_packet(&zero_epoch).is_err());
     }
@@ -1847,7 +1848,7 @@ pub(crate) mod tests {
         z[15..19].copy_from_slice(&0u32.to_le_bytes());
         assert!(decode_packet(&z).is_err());
         // Unknown flag bits.
-        let mut f = h.clone();
+        let mut f = h;
         f[19] = 0xF0;
         assert!(decode_packet(&f).is_err());
         // Bad flag bytes in a descriptor.
@@ -2133,7 +2134,7 @@ pub(crate) mod tests {
 
         // Flag bit 2 once meant "striped" and announced a path-count byte:
         // with or without that byte it is an unknown flag now.
-        let mut striped = pkt.clone();
+        let mut striped = pkt;
         striped[19] |= 4;
         assert!(matches!(
             decode_packet(&striped),

@@ -46,6 +46,17 @@ impl MockDriver {
             max_gather: usize::MAX,
             max_packet: usize::MAX,
             preferred_mtu: 4096,
+            queued_send: false,
+        })
+    }
+
+    /// A dynamic driver that reports what a shared-memory FIFO does: every
+    /// send is a queue push.
+    pub fn queued() -> Arc<Self> {
+        Self::new(DriverCaps {
+            name: "mock-queued",
+            queued_send: true,
+            ..Self::dynamic().caps
         })
     }
 
@@ -56,6 +67,7 @@ impl MockDriver {
             max_gather,
             max_packet,
             preferred_mtu: max_packet,
+            queued_send: false,
         })
     }
 }

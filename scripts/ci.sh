@@ -18,9 +18,12 @@ echo
 echo "== option count (scripts/options.sh)"
 ./scripts/options.sh
 
+# Every package of the workspace: the root package's tests/*.rs and each
+# crate's unit tests (the gateway Rig, FIFO and in-place tests among
+# them) — a bare `cargo test` at the root runs the root package only.
 echo
-echo "== cargo test -q --offline"
-cargo test -q --offline
+echo "== cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
 
 # Every blocking wait on real threads is one mad_util::sync::Epoch, and
 # its bump skips the notify when no waiter is counted. A lost wake-up or a
@@ -197,8 +200,8 @@ cargo run -q --release --offline -p mad-bench --bin trace_check -- \
 # may ship a toolchain without the component).
 if cargo clippy --version >/dev/null 2>&1; then
   echo
-  echo "== cargo clippy -q --all-targets"
-  cargo clippy -q --all-targets --offline -- -D warnings
+  echo "== cargo clippy -q --workspace --all-targets"
+  cargo clippy -q --workspace --all-targets --offline -- -D warnings
 else
   echo
   echo "== cargo clippy skipped (clippy not installed)"

@@ -459,6 +459,7 @@ fn writer_trains_split_back_into_the_stream() {
                 },
                 max_packet: 1024,
                 preferred_mtu: *preferred as usize,
+                queued_send: false,
             };
             let rt: Arc<dyn Runtime> = StdRuntime::shared();
             let wire = Arc::new(Mutex::new(Vec::new()));

@@ -2,7 +2,7 @@
 //! channels, virtual channels, gateway forwarding, multi-gateway chains.
 
 use mad_shm::ShmDriver;
-use madeleine::gateway::GatewayConfig;
+use madeleine::gateway::{EngineKind, GatewayConfig};
 use madeleine::session::VcOptions;
 use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
@@ -419,4 +419,64 @@ fn gateway_stats_count_relayed_traffic() {
     assert_eq!(t.messages, 2);
     assert_eq!(t.fragments, 3 + 1);
     assert_eq!(t.fragment_bytes, 2510);
+}
+
+/// Over shared memory every send is a queue push, so the thread that
+/// receives a bulk fragment sends it on: 1 MiB messages in 64 KiB
+/// fragments cross the gateway with no buffer switch at all, and intact.
+#[test]
+fn shm_gateway_forwards_bulk_on_the_receiving_thread() {
+    const LEN: usize = 1 << 20;
+    const MESSAGES: u8 = 4;
+    let mut sb = SessionBuilder::new(3);
+    let rt = sb.runtime().clone();
+    let n0 = sb.network("shm0", ShmDriver::new(rt.clone()), &[0, 1]);
+    let n1 = sb.network("shm1", ShmDriver::new(rt), &[1, 2]);
+    sb.vchannel(
+        "vc",
+        &[n0, n1],
+        VcOptions {
+            mtu: Some(64 * 1024),
+            gateway: GatewayConfig {
+                credit_window: None,
+                engine: EngineKind::Threaded,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let (results, stats) = sb.run_with_gateway_stats(|node| {
+        let vc = node.vchannel("vc");
+        match node.rank().0 {
+            0 => {
+                for seed in 0..MESSAGES {
+                    let data = payload(LEN, seed);
+                    let mut w = vc.begin_packing(NodeId(2)).unwrap();
+                    w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
+                    w.end_packing().unwrap();
+                }
+                true
+            }
+            1 => true,
+            2 => (0..MESSAGES).all(|seed| {
+                let mut buf = vec![0u8; LEN];
+                let mut r = vc.begin_unpacking().unwrap();
+                r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
+                    .unwrap();
+                r.end_unpacking().unwrap();
+                buf == payload(LEN, seed)
+            }),
+            _ => unreachable!(),
+        }
+    });
+    assert!(results.into_iter().all(|ok| ok), "payload corrupted");
+    let t = stats[0].2.totals();
+    assert_eq!(t.messages, MESSAGES as u64);
+    assert!(
+        t.fragments >= 16 * MESSAGES as u64,
+        "{} fragments",
+        t.fragments
+    );
+    assert_eq!((t.buffer_switches, t.stalls), (0, 0));
+    assert_eq!((t.errors, t.held_bytes), (0, 0));
 }
