@@ -16,6 +16,14 @@ pub enum MadError {
         /// Bytes required by the incoming packet or part.
         need: usize,
     },
+    /// A packet longer than the driver's `max_packet` was offered to
+    /// `Conduit::send`; nothing of it was written.
+    PacketTooLarge {
+        /// Bytes offered.
+        len: usize,
+        /// The driver's limit.
+        max: usize,
+    },
     /// Unpack sequence diverged from the pack sequence (Madeleine messages
     /// are not self-described: order, sizes, and flags must match).
     SequenceMismatch(String),
@@ -57,6 +65,9 @@ impl fmt::Display for MadError {
             MadError::Disconnected => write!(f, "connection closed by peer"),
             MadError::BufferTooSmall { have, need } => {
                 write!(f, "destination buffer too small: have {have}, need {need}")
+            }
+            MadError::PacketTooLarge { len, max } => {
+                write!(f, "packet of {len} bytes exceeds the driver limit of {max}")
             }
             MadError::SequenceMismatch(s) => write!(f, "pack/unpack sequence mismatch: {s}"),
             MadError::Protocol(s) => write!(f, "protocol violation: {s}"),

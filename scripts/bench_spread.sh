@@ -17,6 +17,14 @@
 # that has benchmark/run.sh (git clone or git archive of the parent); it
 # builds into DIR/target. About 22 s a run (ten runs of all four against a
 # parent: half an hour). Exit 1 on any TOO WIDE or any failed operation.
+#
+# With --parent each workload also gets the claim rule's table: round k of
+# the parent and of this tree ran on the same seed and make pair k; per
+# metric, the pairs this tree won (in the metric's better direction, ties
+# for neither), the median gain (positive is better) beside the parent's
+# interquartile range, and "holds" when the tree won at least nine tenths
+# of the pairs and the gain is larger than that range. The table never
+# changes the exit status.
 # Run it on an otherwise idle machine: anything busy on the other CPU is in
 # the numbers (EXPERIMENTS A13, "run-to-run spread").
 set -euo pipefail
@@ -55,9 +63,18 @@ for k in $(seq 1 "$runs"); do
     done
 done
 
+# values <file> <metric>: the metric's value of each run in <file>, in run
+# order, one a line.
+values() {
+    sed -n "s/.*\"$2\": {\"value\": \([0-9.eE+-]*\).*/\1/p" "$1"
+}
+# spec <metric> <key>: the metric's field <key> in BENCHMARK.json.
+spec() {
+    grep -A4 "\"name\": \"$1\"" "$root/BENCHMARK.json" | sed -n "s/.*\"$2\": \"\{0,1\}\([a-z0-9.]*\).*/\1/p" | head -n 1
+}
 # stats <file> <metric>: "median iqr" over the runs in <file>.
 stats() {
-    sed -n "s/.*\"$2\": {\"value\": \([0-9.eE+-]*\).*/\1/p" "$1" | sort -g | awk '
+    values "$1" "$2" | sort -g | awk '
         { x[NR] = $1 }
         function q(p,   pos, lo, hi) {
             pos = p * (NR + 1); lo = int(pos)
@@ -73,7 +90,7 @@ for w in "${workloads[@]}"; do
     echo "== $w"
     printf '%-14s %-8s %12s %12s %12s  %s\n' metric side median iqr allowed verdict
     for metric in goodput_MBps msg_rate_kps rtt_p50_us rtt_p90_us setup_s; do
-        bound="$(grep -A4 "\"name\": \"$metric\"" "$root/BENCHMARK.json" | sed -n 's/.*"bound": \([0-9.]*\).*/\1/p' | head -n 1)"
+        bound="$(spec "$metric" bound)"
         read -r cmed ciqr <<<"$(stats "$tmp/change.$w" "$metric")"
         base="$cmed"
         if [ -n "$parent" ]; then
@@ -92,6 +109,21 @@ for w in "${workloads[@]}"; do
             [ "$verdict" = ok ] || status=1
             printf '%-14s %-8s %12s %12s %12s  %s\n' "$metric" "$side" "$med" "$iqr" "$allowed" "$verdict"
         done
+    done
+    [ -n "$parent" ] || continue
+    echo "-- $w: claim rule, pair k = round k of both sides on one seed"
+    printf '%-14s %9s %12s %12s  %s\n' metric won gain parent_iqr claim
+    for metric in goodput_MBps msg_rate_kps rtt_p50_us rtt_p90_us setup_s; do
+        read -r cmed _ <<<"$(stats "$tmp/change.$w" "$metric")"
+        read -r pmed piqr <<<"$(stats "$tmp/parent.$w" "$metric")"
+        paste <(values "$tmp/parent.$w" "$metric") <(values "$tmp/change.$w" "$metric") |
+            awk -v m="$metric" -v better="$(spec "$metric" better)" -v pm="$pmed" -v cm="$cmed" -v iqr="$piqr" '
+                { s = (better == "higher") ? 1 : -1; n++; if (s * ($2 - $1) > 0) won++ }
+                END {
+                    gain = s * (cm - pm) + 0
+                    claim = (won >= 0.9 * n && gain > iqr) ? "holds" : "no"
+                    printf "%-14s %9s %12.6g %12.6g  %s\n", m, (won + 0) "/" n, gain, iqr, claim
+                }'
     done
 done
 failed="$(cat "$tmp"/* | grep -c '"failed": [1-9]' || true)"
