@@ -116,12 +116,6 @@ impl Hist {
         }
     }
 
-    /// The shared histogram itself, for subsystems that record through
-    /// `mad_util` directly (the reactor's poll hook).
-    pub fn shared(&self) -> Arc<AtomicHistogram> {
-        self.0.clone()
-    }
-
     /// Copy the current buckets out.
     pub fn snapshot(&self) -> HistSnapshot {
         self.0.snapshot()

@@ -12,37 +12,31 @@
 //! into a segment for its prefix and one per part, and wakes the peer's
 //! reader once. A frame longer than `max_packet` is refused before a byte
 //! is written, and a prefix announcing one is read as a broken connection,
-//! never allocated for. It offers two receive architectures:
+//! never allocated for.
 //!
-//! * **Thread-per-conduit** ([`TcpDriver::new`]): each conduit side owns a
-//!   socket plus a reader thread that pumps incoming frames into a runtime
-//!   queue, so `ready`/`closed`/multiplexed receive behave exactly like the
-//!   other drivers. The thread reads into a small stash (8 KiB) and cuts
-//!   frames out of it, so frames that arrived together cost one `read`; a
-//!   frame longer than the stash holds gets the stashed prefix copied into
-//!   its pool buffer and the rest read straight into it. Simple, but the
-//!   thread count grows with the connection count.
-//! * **Multiplexed** ([`TcpDriver::multiplexed`]): sockets are switched to
-//!   non-blocking mode and ONE shared poller thread per driver pumps every
-//!   connection's frames, with per-entry incremental reassembly state — so
-//!   thousands of conduits cost one thread. This is the backend the
-//!   reactor gateway engine pairs with to keep a whole session on a fixed
-//!   thread budget.
+//! Each conduit side owns a blocking socket plus a reader thread that
+//! pumps incoming frames into a runtime queue, so `ready`/`closed`/
+//! multiplexed receive behave exactly like the other drivers. The thread
+//! reads into a small stash (8 KiB) and cuts frames out of it, so frames
+//! that arrived together cost one `read`; a frame longer than the stash
+//! holds gets the stashed prefix copied into its pool buffer and the rest
+//! read straight into it. The thread count grows with the connection
+//! count.
 //!
 //! Connecting retries with seeded-jittered exponential backoff instead of
 //! failing fast, so a transient refusal (listener backlog full under a
 //! connection storm) does not kill session bootstrap — and a mass rejoin
 //! after a gateway restart does not retry in lockstep.
 //!
-//! This driver runs on the real-threads runtime only (its reader and
-//! poller threads block in kernel calls, which virtual time cannot see).
+//! This driver runs on the real-threads runtime only (its reader threads
+//! block in kernel calls, which virtual time cannot see).
 
 #![warn(missing_docs)]
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mad_util::pool::BufferPool;
@@ -50,7 +44,7 @@ use mad_util::rng::Rng;
 
 use madeleine::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::error::{MadError, Result};
-use madeleine::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime};
+use madeleine::runtime::{RtEvent, RtQueue, RtReceiver, Runtime};
 use madeleine::types::NodeId;
 
 /// Driver capabilities of the TCP loopback transport.
@@ -132,46 +126,13 @@ fn connect_retry(addr: SocketAddr) -> std::io::Result<TcpStream> {
 /// The TCP Protocol Management Module.
 pub struct TcpDriver {
     runtime: Arc<dyn Runtime>,
-    /// Shared frame poller — present in multiplexed mode only.
-    poller: Option<Arc<Poller>>,
 }
 
 impl TcpDriver {
-    /// Create a thread-per-conduit driver whose receive queues block
-    /// through `runtime` (must be the real-threads runtime).
+    /// Create a driver whose receive queues block through `runtime` (must
+    /// be the real-threads runtime).
     pub fn new(runtime: Arc<dyn Runtime>) -> Arc<Self> {
-        Arc::new(TcpDriver {
-            runtime,
-            poller: None,
-        })
-    }
-
-    /// Create a multiplexed driver: every conduit's socket is
-    /// non-blocking and one shared poller thread (spawned lazily through
-    /// `runtime`, so it is counted in the session thread budget) pumps
-    /// all of their incoming frames. Receive-side behavior is identical
-    /// to [`TcpDriver::new`]; only the thread economics change.
-    pub fn multiplexed(runtime: Arc<dyn Runtime>) -> Arc<Self> {
-        Arc::new(TcpDriver {
-            poller: Some(Arc::new(Poller {
-                runtime: runtime.clone(),
-                state: Mutex::new(PollerState {
-                    entries: Vec::new(),
-                    running: false,
-                }),
-            })),
-            runtime,
-        })
-    }
-
-    /// One side of a connection over `stream`: its frames pumped by this
-    /// driver's shared poller, or else by a reader thread of its own named
-    /// `name`.
-    fn conduit(&self, stream: TcpStream, ev: Arc<dyn RtEvent>, name: String) -> TcpConduit {
-        match &self.poller {
-            Some(poller) => TcpConduit::polled(poller, stream, ev),
-            None => TcpConduit::threaded(&*self.runtime, stream, ev, name),
-        }
+        Arc::new(TcpDriver { runtime })
     }
 }
 
@@ -193,9 +154,10 @@ impl Driver for TcpDriver {
         let (server, _) = listener.accept().expect("loopback accept");
         client.set_nodelay(true).ok();
         server.set_nodelay(true).ok();
+        let rt = &*self.runtime;
         (
-            Box::new(self.conduit(client, ev_a, format!("tcp-rd-{a}-{b}"))),
-            Box::new(self.conduit(server, ev_b, format!("tcp-rd-{b}-{a}"))),
+            Box::new(TcpConduit::new(rt, client, ev_a, format!("tcp-rd-{a}-{b}"))),
+            Box::new(TcpConduit::new(rt, server, ev_b, format!("tcp-rd-{b}-{a}"))),
         )
     }
 }
@@ -205,10 +167,6 @@ impl Driver for TcpDriver {
 /// takes it all, resumed with [`IoSlice::advance_slices`] when it takes
 /// less (a full send buffer, or more than `IOV_MAX` slices, which std
 /// clamps). The list lives on the stack up to [`STACK_SLICES`] entries.
-/// `WouldBlock` — only a multiplexed conduit's non-blocking socket says
-/// it — is waited out with a short sleep: the loopback send buffer drains
-/// in microseconds, so the sleep is a politeness yield, not a latency
-/// cliff.
 fn write_frame(stream: &mut impl Write, parts: &[&[u8]]) -> Result<()> {
     let total: usize = parts.iter().map(|p| p.len()).sum();
     if total > TCP_CAPS.max_packet {
@@ -239,9 +197,6 @@ fn write_frame(stream: &mut impl Write, parts: &[&[u8]]) -> Result<()> {
             Ok(n) => {
                 left -= n;
                 IoSlice::advance_slices(&mut slices, n);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(50));
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return Err(MadError::Disconnected),
@@ -322,205 +277,9 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// One registered connection of the shared poller: its read-half socket
-/// plus the incremental reassembly state of the frame currently being
-/// read. Non-blocking reads can stop anywhere — mid-length-prefix,
-/// mid-body — so the partial state lives here between poll passes.
-struct Entry {
-    stream: TcpStream,
-    /// `None` once the conduit was dropped mid-frame (push failed); the
-    /// entry then only lingers until the next pass removes it.
-    tx: Option<RtSender<Vec<u8>>>,
-    /// Where frame bodies come from (the receiving side adopts them back).
-    pool: Arc<BufferPool>,
-    len_buf: [u8; 4],
-    len_got: usize,
-    body: Vec<u8>,
-    body_got: usize,
-}
-
-enum PumpOutcome {
-    /// Made progress (bytes read or frames delivered).
-    Progress,
-    /// Nothing to read right now.
-    Idle,
-    /// Connection finished (EOF, error, or conduit dropped): remove.
-    Dead,
-}
-
-/// Completed frames one entry may deliver per poller pass, so one
-/// fire-hosing connection cannot starve the rest of the registry.
-const PUMP_FRAME_BUDGET: usize = 64;
-
-impl Entry {
-    /// Drain whatever the socket has ready, delivering completed frames
-    /// (up to [`PUMP_FRAME_BUDGET`]), without ever blocking.
-    fn pump(&mut self) -> PumpOutcome {
-        let mut progressed = false;
-        let mut delivered = 0usize;
-        loop {
-            if delivered >= PUMP_FRAME_BUDGET {
-                return PumpOutcome::Progress;
-            }
-            let (dst, done_len) = if self.len_got < 4 {
-                (&mut self.len_buf[self.len_got..], true)
-            } else {
-                (&mut self.body[self.body_got..], false)
-            };
-            if dst.is_empty() {
-                // Zero-length frame (or length prefix just completed with
-                // len 0): fall through to frame completion below.
-                if !self.advance(0, done_len)
-                    || self.deliver_if_complete(&mut delivered) == PumpOutcome::Dead
-                {
-                    return PumpOutcome::Dead;
-                }
-                progressed = true;
-                continue;
-            }
-            match self.stream.read(dst) {
-                Ok(0) => return PumpOutcome::Dead, // EOF
-                Ok(n) => {
-                    progressed = true;
-                    if !self.advance(n, done_len)
-                        || self.deliver_if_complete(&mut delivered) == PumpOutcome::Dead
-                    {
-                        return PumpOutcome::Dead;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    return if progressed {
-                        PumpOutcome::Progress
-                    } else {
-                        PumpOutcome::Idle
-                    };
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return PumpOutcome::Dead,
-            }
-        }
-    }
-
-    /// Account `n` bytes read; false if they completed a length prefix
-    /// over `max_packet`, which ends the connection unallocated.
-    fn advance(&mut self, n: usize, reading_len: bool) -> bool {
-        if reading_len {
-            self.len_got += n;
-            if self.len_got == 4 {
-                let len = u32::from_le_bytes(self.len_buf) as usize;
-                if len > TCP_CAPS.max_packet {
-                    return false;
-                }
-                self.body = self.pool.take(len).detach();
-                self.body_got = 0;
-            }
-        } else {
-            self.body_got += n;
-        }
-        true
-    }
-
-    fn deliver_if_complete(&mut self, delivered: &mut usize) -> PumpOutcome {
-        if self.len_got < 4 || self.body_got < self.body.len() {
-            return PumpOutcome::Progress;
-        }
-        let frame = std::mem::take(&mut self.body);
-        self.len_got = 0;
-        self.body_got = 0;
-        match &self.tx {
-            Some(tx) => {
-                if tx.push(frame).is_err() {
-                    self.tx = None; // conduit dropped
-                    return PumpOutcome::Dead;
-                }
-                *delivered += 1;
-                PumpOutcome::Progress
-            }
-            None => PumpOutcome::Dead,
-        }
-    }
-}
-
-impl PartialEq for PumpOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        matches!(
-            (self, other),
-            (PumpOutcome::Progress, PumpOutcome::Progress)
-                | (PumpOutcome::Idle, PumpOutcome::Idle)
-                | (PumpOutcome::Dead, PumpOutcome::Dead)
-        )
-    }
-}
-
-struct PollerState {
-    entries: Vec<Entry>,
-    /// True while a poller thread is live; a connect after the previous
-    /// poller drained and exited spawns a fresh one.
-    running: bool,
-}
-
-/// The shared frame pump of a multiplexed driver: one thread, every
-/// connection. Std-only, so readiness is polled (non-blocking reads with
-/// a short sleep between idle passes) rather than epoll-driven; on
-/// loopback at gateway packet rates the pump is virtually always
-/// progressing, so the sleep rarely triggers.
-struct Poller {
-    runtime: Arc<dyn Runtime>,
-    state: Mutex<PollerState>,
-}
-
-impl Poller {
-    /// Register a connection's read half and make sure a poller thread is
-    /// running to serve it.
-    fn register(self: &Arc<Self>, entry: Entry) {
-        let mut st = self.state.lock().expect("poller state lock");
-        st.entries.push(entry);
-        if !st.running {
-            st.running = true;
-            drop(st);
-            let poller = self.clone();
-            // Through the runtime, so the budget accounting counts the
-            // (single) poller thread; the handle is dropped, the thread
-            // exits once every entry is gone.
-            let _detached = self
-                .runtime
-                .spawn("tcp-poller".to_string(), Box::new(move || poller.run()));
-        }
-    }
-
-    fn run(&self) {
-        loop {
-            let mut progressed = false;
-            {
-                let mut st = self.state.lock().expect("poller state lock");
-                st.entries.retain_mut(|e| match e.pump() {
-                    PumpOutcome::Progress => {
-                        progressed = true;
-                        true
-                    }
-                    PumpOutcome::Idle => true,
-                    PumpOutcome::Dead => {
-                        // Dropping the entry (and its tx) wakes the
-                        // conduit with a disconnect.
-                        progressed = true;
-                        false
-                    }
-                });
-                if st.entries.is_empty() {
-                    st.running = false;
-                    return;
-                }
-            }
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
-    }
-}
-
 /// One side of a connection. The write half is used in place by whoever
 /// sends ([`write_frame`]); the read half is pumped into `frames` by the
-/// conduit's own reader thread or by the driver's shared poller.
+/// conduit's own reader thread, named `name`.
 struct TcpConduit {
     stream: TcpStream,
     frames: RtReceiver<Vec<u8>>,
@@ -528,8 +287,7 @@ struct TcpConduit {
 }
 
 impl TcpConduit {
-    /// A conduit whose frames a reader thread of its own pumps.
-    fn threaded(rt: &dyn Runtime, stream: TcpStream, ev: Arc<dyn RtEvent>, name: String) -> Self {
+    fn new(rt: &dyn Runtime, stream: TcpStream, ev: Arc<dyn RtEvent>, name: String) -> Self {
         let (tx, rx) = RtQueue::with_event(rt, usize::MAX, ev.clone());
         let reader = stream.try_clone().expect("cloning stream for reader");
         let pool = rt.pool().clone();
@@ -556,30 +314,6 @@ impl TcpConduit {
         }
     }
 
-    /// A conduit served by `poller`: the socket becomes non-blocking, so
-    /// writes wait out `WouldBlock`, and the poller pumps the read half.
-    fn polled(poller: &Arc<Poller>, stream: TcpStream, ev: Arc<dyn RtEvent>) -> Self {
-        stream
-            .set_nonblocking(true)
-            .expect("setting socket non-blocking");
-        let reader = stream.try_clone().expect("cloning stream for poller");
-        let (tx, rx) = RtQueue::with_event(&*poller.runtime, usize::MAX, ev.clone());
-        poller.register(Entry {
-            stream: reader,
-            tx: Some(tx),
-            pool: poller.runtime.pool().clone(),
-            len_buf: [0u8; 4],
-            len_got: 0,
-            body: Vec::new(),
-            body_got: 0,
-        });
-        TcpConduit {
-            stream,
-            frames: rx,
-            ev,
-        }
-    }
-
     fn pop_blocking(&self) -> Result<Vec<u8>> {
         loop {
             let seen = self.ev.epoch();
@@ -596,7 +330,7 @@ impl TcpConduit {
 
 impl Drop for TcpConduit {
     fn drop(&mut self) {
-        // The reader thread or the poller sees the shutdown as an EOF.
+        // The reader thread sees the shutdown as an EOF.
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
@@ -659,17 +393,6 @@ mod tests {
         driver.connect(NodeId(0), NodeId(1), rt.event(), rt.event())
     }
 
-    fn pair_mux() -> (Box<dyn Conduit>, Box<dyn Conduit>) {
-        let rt = StdRuntime::shared();
-        let driver = TcpDriver::multiplexed(rt.clone());
-        driver.connect(NodeId(0), NodeId(1), rt.event(), rt.event())
-    }
-
-    /// Both conduit kinds, thread-per-conduit first.
-    fn pairs() -> [(Box<dyn Conduit>, Box<dyn Conduit>); 2] {
-        [pair(), pair_mux()]
-    }
-
     /// The bytes a frame of `parts` puts on the wire: `len ‖ parts`.
     fn wire(parts: &[&[u8]]) -> Vec<u8> {
         let total: usize = parts.iter().map(|p| p.len()).sum();
@@ -715,9 +438,8 @@ mod tests {
     /// ten pairs (DESIGN §10.1, EXPERIMENTS A16).
     #[test]
     fn a_send_is_not_a_queue_push() {
-        for (a, b) in pairs() {
-            assert!(!a.caps().queued_send && !b.caps().queued_send);
-        }
+        let (a, b) = pair();
+        assert!(!a.caps().queued_send && !b.caps().queued_send);
     }
 
     #[test]
@@ -795,11 +517,10 @@ mod tests {
         };
         assert_eq!(write_frame(&mut sink, &over), refused);
         assert_eq!(sink.calls, 0);
-        for (mut a, mut b) in pairs() {
-            assert_eq!(a.send(&over), refused);
-            a.send(&[b"after"]).unwrap();
-            assert_eq!(b.recv_owned().unwrap(), b"after");
-        }
+        let (mut a, mut b) = pair();
+        assert_eq!(a.send(&over), refused);
+        a.send(&[b"after"]).unwrap();
+        assert_eq!(b.recv_owned().unwrap(), b"after");
     }
 
     /// More parts than `IOV_MAX` (1 024): std clamps the `writev`, and the
@@ -811,10 +532,9 @@ mod tests {
             .collect();
         let parts: Vec<&[u8]> = owned.iter().map(|p| &p[..]).collect();
         let expect = wire(&parts)[4..].to_vec();
-        for (mut a, mut b) in pairs() {
-            a.send(&parts).unwrap();
-            assert_eq!(b.recv_owned().unwrap(), expect);
-        }
+        let (mut a, mut b) = pair();
+        a.send(&parts).unwrap();
+        assert_eq!(b.recv_owned().unwrap(), expect);
     }
 
     /// A `Read` that hands out at most `cap` bytes a call and counts calls.
@@ -909,86 +629,55 @@ mod tests {
     /// a disconnect and nothing is taken from the pool for it.
     #[test]
     fn an_oversize_prefix_disconnects_without_allocating() {
-        for multiplexed in [false, true] {
-            let rt = StdRuntime::shared();
-            let driver = if multiplexed {
-                TcpDriver::multiplexed(rt.clone())
-            } else {
-                TcpDriver::new(rt.clone())
-            };
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            let mut conduit = driver.conduit(server, rt.event(), "tcp-rd-test".into());
-            let len = (TCP_CAPS.max_packet as u32 + 1).to_le_bytes();
-            raw.write_all(&len).unwrap();
-            raw.write_all(b"not a frame").unwrap();
-            raw.shutdown(std::net::Shutdown::Write).unwrap();
-            assert_eq!(conduit.recv_owned(), Err(MadError::Disconnected));
-            assert_eq!(rt.pool().stats().gets, 0, "multiplexed: {multiplexed}");
-        }
-    }
-
-    #[test]
-    fn mux_one_poller_serves_many_connections() {
         let rt = StdRuntime::shared();
-        let before = rt.threads_spawned();
-        let driver = TcpDriver::multiplexed(rt.clone());
-        let mut pairs: Vec<_> = (0..32)
-            .map(|i| driver.connect(NodeId(0), NodeId(i + 1), rt.event(), rt.event()))
-            .collect();
-        for (i, (a, b)) in pairs.iter_mut().enumerate() {
-            let msg = vec![i as u8; 100 + i];
-            a.send(&[&msg]).unwrap();
-            assert_eq!(b.recv_owned().unwrap(), msg);
-        }
-        // 32 connections (64 conduits), one poller thread.
-        assert_eq!(
-            rt.threads_spawned() - before,
-            1,
-            "multiplexed driver must run a single shared poller"
-        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let mut conduit = TcpConduit::new(&*rt, server, rt.event(), "tcp-rd-test".into());
+        let len = (TCP_CAPS.max_packet as u32 + 1).to_le_bytes();
+        raw.write_all(&len).unwrap();
+        raw.write_all(b"not a frame").unwrap();
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(conduit.recv_owned(), Err(MadError::Disconnected));
+        assert_eq!(rt.pool().stats().gets, 0);
     }
 
     #[test]
     fn frames_round_trip() {
-        for (mut a, mut b) in pairs() {
-            a.send(&[b"hello ", b"world"]).unwrap();
-            assert_eq!(b.recv_owned().unwrap(), b"hello world");
-            b.send(&[b"pong"]).unwrap();
-            let mut buf = [0u8; 4];
-            assert_eq!(a.recv_into(&mut buf).unwrap(), 4);
-            assert_eq!(&buf, b"pong");
-            a.send(&[]).unwrap();
-            assert_eq!(b.recv_owned().unwrap(), Vec::<u8>::new());
-        }
+        let (mut a, mut b) = pair();
+        a.send(&[b"hello ", b"world"]).unwrap();
+        assert_eq!(b.recv_owned().unwrap(), b"hello world");
+        b.send(&[b"pong"]).unwrap();
+        let mut buf = [0u8; 4];
+        assert_eq!(a.recv_into(&mut buf).unwrap(), 4);
+        assert_eq!(&buf, b"pong");
+        a.send(&[]).unwrap();
+        assert_eq!(b.recv_owned().unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn large_frame_round_trips() {
-        for (mut a, mut b) in pairs() {
-            let big: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
-            let expect = big.clone();
-            let h = std::thread::spawn(move || {
-                a.send(&[b"before"]).unwrap();
-                a.send(&[&big]).unwrap();
-                a.send(&[b"after"]).unwrap();
-                a // keep the conduit alive until the receiver is done
-            });
-            assert_eq!(b.recv_owned().unwrap(), b"before");
-            assert_eq!(b.recv_owned().unwrap(), expect);
-            assert_eq!(b.recv_owned().unwrap(), b"after");
-            h.join().unwrap();
-        }
+        let (mut a, mut b) = pair();
+        let big: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+        let expect = big.clone();
+        let h = std::thread::spawn(move || {
+            a.send(&[b"before"]).unwrap();
+            a.send(&[&big]).unwrap();
+            a.send(&[b"after"]).unwrap();
+            a // keep the conduit alive until the receiver is done
+        });
+        assert_eq!(b.recv_owned().unwrap(), b"before");
+        assert_eq!(b.recv_owned().unwrap(), expect);
+        assert_eq!(b.recv_owned().unwrap(), b"after");
+        h.join().unwrap();
     }
 
     #[test]
     fn disconnect_detected() {
-        for (a, mut b) in pairs() {
-            drop(a);
-            assert_eq!(b.recv_owned(), Err(MadError::Disconnected));
-            assert!(b.closed());
-        }
+        let (a, mut b) = pair();
+        drop(a);
+        assert_eq!(b.recv_owned(), Err(MadError::Disconnected));
+        assert!(b.closed());
     }
 
     #[test]

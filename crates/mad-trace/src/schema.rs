@@ -395,14 +395,12 @@ pub const GW_EVENT_NAMES: [&str; 15] = [
 
 /// Event names allowed on an `rt:` track (all `count`s, cat `runtime`):
 /// the session's end-of-run thread-budget accounting — runtime-spawned
-/// threads plus the reactor pools' worker and task totals — and, on the
-/// per-gateway `rt:{vc}@{node}` tracks, the copy-placement scheduler's
-/// accounting: where relay copies landed (receive- or flush-staged), how
-/// many found their stage idle, and each stage's cumulative busy time.
-pub const RT_EVENT_NAMES: [&str; 8] = [
+/// threads — and, on the per-gateway `rt:{vc}@{node}` tracks, the
+/// copy-placement scheduler's accounting: where relay copies landed
+/// (receive- or flush-staged), how many found their stage idle, and each
+/// stage's cumulative busy time.
+pub const RT_EVENT_NAMES: [&str; 6] = [
     "threads_spawned",
-    "reactor_workers",
-    "reactor_tasks",
     "copies_recv",
     "copies_flush",
     "copy_idle_hits",
@@ -415,8 +413,8 @@ pub const RT_EVENT_NAMES: [&str; 8] = [
 /// counters and gauges by name (per-gateway stripe gauges folded into
 /// `stripe_path_bytes` keyed by `args.gateway`, `queue_depth` paired
 /// with its `queue_depth_peak` high-water mark) plus the derived
-/// quantiles of the three latency histograms.
-pub const METRICS_EVENT_NAMES: [&str; 35] = [
+/// quantiles of the forward-latency, credit-wait and copy-size histograms.
+pub const METRICS_EVENT_NAMES: [&str; 30] = [
     "degradations",
     "health_credit_starvation",
     "health_queue_saturation",
@@ -442,11 +440,6 @@ pub const METRICS_EVENT_NAMES: [&str; 35] = [
     "credit_wait_ns_p99",
     "credit_wait_ns_max",
     "credit_wait_ns_count",
-    "reactor_poll_ns_p50",
-    "reactor_poll_ns_p90",
-    "reactor_poll_ns_p99",
-    "reactor_poll_ns_max",
-    "reactor_poll_ns_count",
     "gw_copy_bytes_p50",
     "gw_copy_bytes_p90",
     "gw_copy_bytes_p99",
@@ -653,9 +646,9 @@ mod tests {
     fn rt_tracks_validate() {
         let text = "\
 {\"ts\":1,\"thread\":\"rt:session\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"threads_spawned\",\"value\":7}
-{\"ts\":1,\"thread\":\"rt:session\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"reactor_workers\",\"value\":2}
-{\"ts\":1,\"thread\":\"rt:session\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"reactor_tasks\",\"value\":4}
-{\"ts\":2,\"thread\":\"gw:vc@1\",\"kind\":\"count\",\"cat\":\"gateway\",\"name\":\"threads_spawned\",\"value\":0}
+{\"ts\":1,\"thread\":\"rt:vc@1\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"copies_recv\",\"value\":2}
+{\"ts\":1,\"thread\":\"rt:vc@1\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"flush_busy_ns\",\"value\":4}
+{\"ts\":2,\"thread\":\"gw:vc@1\",\"kind\":\"count\",\"cat\":\"gateway\",\"name\":\"threads_spawned\",\"value\":4}
 ";
         let s = validate_route_tracks(text).unwrap();
         assert_eq!((s.rt_events, s.gw_events), (3, 1));

@@ -11,8 +11,8 @@
 //! two) and a quantile always lies within its bucket's bounds.
 //!
 //! The histogram lives in `mad-util` rather than the metrics crate so
-//! layers below the registry (the [`crate::reactor`] poll loop, drivers)
-//! can record into one without a dependency cycle.
+//! layers below the registry (drivers) can record into one without a
+//! dependency cycle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

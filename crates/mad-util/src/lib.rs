@@ -24,9 +24,6 @@
 //! * [`hist`] — lock-free log2-bucketed histograms (relaxed-atomic
 //!   record, quantiles derived from plain snapshots) for the live
 //!   metrics plane.
-//! * [`reactor`] — a readiness reactor (poll-driven tasks, timer wheel,
-//!   fixed worker pool) over a pluggable parking substrate, so the same
-//!   event loop runs on real condvars and on the virtual clock.
 
 #![warn(missing_docs)]
 
@@ -34,6 +31,5 @@ pub mod bytes;
 pub mod hist;
 pub mod pool;
 pub mod prop;
-pub mod reactor;
 pub mod rng;
 pub mod sync;

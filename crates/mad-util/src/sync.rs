@@ -330,8 +330,8 @@ impl fmt::Debug for Condvar {
 }
 
 /// An epoch counter threads can block on — the workspace's one blocking
-/// primitive on real threads (`RtEvent` in `madeleine` and the reactor's
-/// `StdPark` both wrap it; `vtime::Signal` is its virtual-clock twin).
+/// primitive on real threads (`RtEvent` in `madeleine` wraps it;
+/// `vtime::Signal` is its virtual-clock twin).
 ///
 /// The protocol is the classic one: a waiter reads [`Epoch::epoch`]
 /// *before* it inspects the state it is waiting on and passes that value

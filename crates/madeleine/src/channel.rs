@@ -282,59 +282,6 @@ impl Channel {
         }
     }
 
-    /// One non-blocking round-robin scan: the poll-mode analog of
-    /// [`Channel::select_ready_after`]. Returns `Ok(Some(peer))` when a
-    /// conduit has a pending packet (preferring the first peer past
-    /// `after`, wrapping), `Ok(None)` when nothing is pending but some
-    /// conduit is still open, and [`MadError::Disconnected`] once every
-    /// peer is gone. Reactor tasks call this instead of blocking and rely
-    /// on the channel's arrival event to stir them when traffic lands.
-    pub(crate) fn try_select_ready_after(&self, after: Option<NodeId>) -> Result<Option<NodeId>> {
-        let mut all_closed = !self.conduits.is_empty();
-        let mut first_ready = None;
-        let mut chosen = None;
-        for (&peer, conduit) in &self.conduits {
-            let c = conduit.lock();
-            if c.ready() {
-                if first_ready.is_none() {
-                    first_ready = Some(peer);
-                }
-                if chosen.is_none() && after.is_none_or(|a| peer > a) {
-                    chosen = Some(peer);
-                }
-            }
-            if !c.closed() {
-                all_closed = false;
-            }
-        }
-        if let Some(peer) = chosen.or(first_ready) {
-            return Ok(Some(peer));
-        }
-        if all_closed {
-            return Err(MadError::Disconnected);
-        }
-        Ok(None)
-    }
-
-    /// Non-blocking readiness probe for one specific peer (the reactor
-    /// analog of the pinned `exclusive_streams` receive). `Ok(true)` when
-    /// a packet is pending, `Ok(false)` when not, [`MadError::Disconnected`]
-    /// when the conduit is gone.
-    pub(crate) fn conduit_ready(&self, peer: NodeId) -> Result<bool> {
-        let conduit = self
-            .conduits
-            .get(&peer)
-            .ok_or(MadError::UnknownPeer(peer))?;
-        let c = conduit.lock();
-        if c.ready() {
-            return Ok(true);
-        }
-        if c.closed() {
-            return Err(MadError::Disconnected);
-        }
-        Ok(false)
-    }
-
     /// The shared arrival event of this channel's conduits.
     pub fn recv_event(&self) -> &Arc<dyn RtEvent> {
         &self.recv_event

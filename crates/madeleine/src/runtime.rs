@@ -96,9 +96,9 @@ pub trait Runtime: Send + Sync {
     fn pool(&self) -> &Arc<mad_util::pool::BufferPool>;
 
     /// Total threads spawned through this runtime so far — engine
-    /// threads, application nodes, driver readers and pollers. This is
-    /// the observable thread budget the reactor engine exists to bound;
-    /// sessions flush it to the `rt:` trace track at teardown.
+    /// threads, application nodes, driver readers. This is the observable
+    /// thread budget; sessions flush it to the `rt:` trace track at
+    /// teardown.
     fn threads_spawned(&self) -> u64 {
         0
     }

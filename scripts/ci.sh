@@ -38,9 +38,9 @@ for i in $(seq 1 50); do
 done
 
 # A credit that no fragment is told to return is a hang until a deadline —
-# and does not show in every run: the half-window grant rigs (both cores,
-# windows 1 to 8, a writer that sends only what its account covers), 50
-# times, optimised, a few seconds.
+# and does not show in every run: the half-window grant rigs (windows 1 to
+# 8, a writer that sends only what its account covers), 50 times,
+# optimised, a few seconds.
 echo
 echo "== half-window grants x50 (madeleine, release)"
 for i in $(seq 1 50); do
@@ -58,26 +58,6 @@ echo
 echo "== soak + fault-injection tests (MAD_SOAK_SEED=20010914)"
 MAD_SOAK_SEED=20010914 cargo test -q --offline --release --test soak
 
-# The same soaks — plus the teardown-drain and multi-path suites — under
-# the reactor engine core. MAD_ENGINE=reactor flips every
-# GatewayConfig::engine default, so the identical test bodies exercise
-# the poll-driven engine; byte-identical forwarding between the two
-# cores is property-checked by tests/prop_engine.rs in the main pass.
-echo
-echo "== soak + drain + multipath suites, reactor engine (MAD_ENGINE=reactor)"
-MAD_SOAK_SEED=20010914 MAD_ENGINE=reactor cargo test -q --offline --release --test soak
-MAD_ENGINE=reactor cargo test -q --offline --release --test gateway_drain
-MAD_ENGINE=reactor cargo test -q --offline --release --test multipath
-MAD_ENGINE=reactor cargo test -q --offline --release --test metrics
-
-# Wire counts under the reactor core too (the main pass above ran them
-# under the default): one small forwarded message is one packet per hop
-# and no grant, a bulk one returns its credits by the half window in the
-# buffers it arrived in, and an eager sender's conduit does not fill.
-echo
-echo "== wire counts, reactor engine (MAD_ENGINE=reactor)"
-MAD_ENGINE=reactor cargo test -q --offline --release --test wire_counts
-
 # The frozen benchmark package compiles against this tree's library: a
 # signature it uses must not change under it. Build only — running it is
 # the benchmark pipeline's job.
@@ -89,10 +69,9 @@ CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --quiet \
 # The dynamic-membership suite: the lifecycle episode and the seeded churn
 # soak (join/leave/rejoin under bulk traffic — zero hangs, zero lost
 # acknowledged streams, zero stale-incarnation drops, gateway occupancy
-# inside the credit window's bound). Every test in it names its engine
-# core and covers both, so one run is both.
+# inside the credit window's bound).
 echo
-echo "== membership suite, both engine cores (MAD_SOAK_SEED=20010914)"
+echo "== membership suite (MAD_SOAK_SEED=20010914)"
 MAD_SOAK_SEED=20010914 cargo test -q --offline --release --test membership
 
 # Modeled-time drift gate: regenerate the CSVs that are a pure function
@@ -130,13 +109,6 @@ echo "== multipath_scaling --smoke (multi-path gateway fabrics)"
 cargo run -q --release --offline -p mad-bench --bin multipath_scaling -- \
   --smoke --trace "$trace_dir/a8.jsonl"
 
-# A9 smoke: the reactor engine core — channel scaling at the 32-thread
-# budget (with its >=8x assertion) and single-stream bulk parity (within
-# 5% of the threaded engine, asserted). Smoke mode skips the CSVs.
-echo
-echo "== reactor_scaling --smoke (reactor engine core)"
-cargo run -q --release --offline -p mad-bench --bin reactor_scaling -- --smoke
-
 # A10 smoke: the telemetry plane's price — registry primitive costs plus
 # the forwarded bulk/short-message runs with metrics off vs on, asserting
 # the modeled throughput moves < 2% and the per-fragment registry cost
@@ -145,56 +117,42 @@ echo
 echo "== metrics_overhead --smoke (A10 telemetry-plane overhead)"
 cargo run -q --release --offline -p mad-bench --bin metrics_overhead -- --smoke
 
-# mad_top, once per engine core: a metrics-enabled run whose mid-run
-# in-band kind-10 pull must reach all 5 nodes (asserted by the binary)
-# and whose exported trace must carry the metrics: track — enforced via
-# trace_check --require-metrics below.
+# mad_top: a metrics-enabled run whose mid-run in-band kind-10 pull must
+# reach all 5 nodes (asserted by the binary) and whose exported trace
+# must carry the metrics: track — enforced via trace_check
+# --require-metrics below.
 echo
-echo "== mad_top --once, both engine cores, traced (in-band metrics pull)"
+echo "== mad_top --once, traced (in-band metrics pull)"
 cargo run -q --release --offline -p mad-bench --bin mad_top -- \
   --once --trace "$trace_dir/madtop.jsonl"
-MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin mad_top -- \
-  --once --trace "$trace_dir/madtop-reactor.jsonl"
 
-# The same multi-path traced run under the reactor engine: its export
-# must still carry the route: track (enforced via --require-route below)
-# and now also the rt: thread-budget track the schema validates.
+# A11 smoke: the seeded membership-churn soak with its in-binary
+# delivery/readmission/stale-drop assertions, traced — the export must
+# carry the member: track, enforced via trace_check --require-membership
+# below.
 echo
-echo "== multipath_scaling --smoke, reactor engine, traced"
-MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin multipath_scaling -- \
-  --smoke --trace "$trace_dir/a8-reactor.jsonl"
-
-# A11 smoke, both engine cores: the seeded membership-churn soak with its
-# in-binary delivery/readmission/stale-drop assertions, traced — the
-# exports must carry the member: track, enforced via
-# trace_check --require-membership below.
-echo
-echo "== membership_churn --smoke, both engine cores, traced (A11 dynamic membership)"
+echo "== membership_churn --smoke, traced (A11 dynamic membership)"
 MAD_SOAK_SEED=20010914 cargo run -q --release --offline -p mad-bench --bin membership_churn -- \
   --smoke --trace "$trace_dir/a11.jsonl"
-MAD_SOAK_SEED=20010914 MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin membership_churn -- \
-  --smoke --trace "$trace_dir/a11-reactor.jsonl"
 
-# A12 smoke, both engine cores: the paced mixed-size run with zero-copy
-# off and its copy-placement assertion (no more than three staging copies
-# a round on a busy stage), traced — the exports go through the plain
-# trace_check below.
+# A12 smoke: the paced mixed-size run with zero-copy off and its
+# copy-placement assertion (no more than three staging copies a round on
+# a busy stage), traced — the export goes through the plain trace_check
+# below.
 echo
-echo "== a12_copy_placement --smoke, both engine cores, traced (A12 copy placement)"
+echo "== a12_copy_placement --smoke, traced (A12 copy placement)"
 cargo run -q --release --offline -p mad-bench --bin a12_copy_placement -- \
   --smoke --trace "$trace_dir/a12.jsonl"
-MAD_ENGINE=reactor cargo run -q --release --offline -p mad-bench --bin a12_copy_placement -- \
-  --smoke --trace "$trace_dir/a12-reactor.jsonl"
 
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   "$trace_dir/ci.sim.jsonl" "$trace_dir/ci.fault.jsonl" "$trace_dir/ci.shm.jsonl" \
-  "$trace_dir/a7.jsonl" "$trace_dir/a12.jsonl" "$trace_dir/a12-reactor.jsonl"
+  "$trace_dir/a7.jsonl" "$trace_dir/a12.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-route "$trace_dir/a8.jsonl" "$trace_dir/a8-reactor.jsonl"
+  --require-route "$trace_dir/a8.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-metrics "$trace_dir/madtop.jsonl" "$trace_dir/madtop-reactor.jsonl"
+  --require-metrics "$trace_dir/madtop.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-membership "$trace_dir/a11.jsonl" "$trace_dir/a11-reactor.jsonl"
+  --require-membership "$trace_dir/a11.jsonl"
 
 # Lints gate only when clippy is actually installed (sealed containers
 # may ship a toolchain without the component).

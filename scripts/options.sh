@@ -30,7 +30,7 @@ while read -r name count committed; do
     status=1
   fi
 done <<EOF2
-GatewayConfig $(echo $gateway | wc -w) 8
+GatewayConfig $(echo $gateway | wc -w) 7
 MetricsOptions $(echo $metrics | wc -w) 0
 VcOptions $(echo $vc | wc -w) 5
 cli-flags $flags 1

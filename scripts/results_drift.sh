@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Do the committed results/*.csv still match the tree?
 #
-# Regenerates the modeled-time (simulated-clock) benches with the default
-# engine, diffs results/ against what was there before, and restores it —
-# the working tree is left exactly as found. Exit 1 if a CSV of the
+# Regenerates the modeled-time (simulated-clock) benches, diffs results/
+# against what was there before, and restores it — the working tree is
+# left exactly as found. Exit 1 if a CSV of the
 # *stable set* changed on three regenerations in a row: those are a pure
 # function of the source (six quiet runs, one output), so a diff means a
 # change moved modeled behaviour and must either be fixed or refresh the
@@ -59,7 +59,6 @@ OTHER_BINS=(
   ext_mpi_collectives
   ext_copy_matrix
   ext_bidirectional
-  reactor_scaling
   multipath_scaling
   membership_churn
 )
@@ -90,8 +89,7 @@ ATTEMPTS=3
 pending=("${STABLE_CSVS[@]}")
 for attempt in $(seq 1 "$ATTEMPTS"); do
   for b in "${bins[@]}"; do
-    # MAD_ENGINE would flip the default engine; the CSVs are the default's.
-    env -u MAD_ENGINE "$target/release/$b" >/dev/null
+    "$target/release/$b" >/dev/null
   done
   if [[ $attempt -eq 1 ]]; then
     # Informational: what regenerating changed relative to the index.

@@ -6,7 +6,7 @@
 //! throughout.
 
 use mad_sim::{SimTech, Testbed};
-use madeleine::gateway::{EngineKind, GatewayConfig};
+use madeleine::gateway::GatewayConfig;
 use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
 use madeleine::session::VcOptions;
 use madeleine::{MemberState, MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder};
@@ -52,7 +52,8 @@ const WAIT_TIMEOUT: u64 = 2_000_000_000;
 /// 5. gateway 1 rejoins under a bumped incarnation epoch — serving its
 ///    join request readmits the retired path (`readmissions`);
 /// 6. traffic flows once more over the readmitted fabric.
-fn lifecycle_episode(engine: EngineKind) {
+#[test]
+fn leave_rejoin_retires_then_readmits_path_threaded() {
     const MSGS: u32 = 4;
     const LEN: usize = 100_000;
 
@@ -70,10 +71,7 @@ fn lifecycle_episode(engine: EngineKind) {
             multipath: true,
             membership: true,
             metrics: Some(MetricsOptions::default()),
-            gateway: GatewayConfig {
-                engine,
-                ..Default::default()
-            },
+            gateway: GatewayConfig::default(),
         },
     );
     let ok = sb.run(move |node| {
@@ -207,13 +205,13 @@ fn lifecycle_episode(engine: EngineKind) {
         if track.starts_with("health:") && name == "dead_path_flap" {
             assert!(
                 *v <= 1,
-                "{track} flapped the dead path {v} times in one episode ({engine:?})"
+                "{track} flapped the dead path {v} times in one episode"
             );
         }
     }
     assert!(
         sum("health:", "dead_path_flap") >= 1,
-        "no watchdog reported the retirement episode ({engine:?})"
+        "no watchdog reported the retirement episode"
     );
 
     let jsonl = tracer.snapshot().to_jsonl_string();
@@ -222,31 +220,15 @@ fn lifecycle_episode(engine: EngineKind) {
     assert!(tracks.member_events > 0, "no member events in the trace");
 }
 
-#[test]
-fn leave_rejoin_retires_then_readmits_path_threaded() {
-    lifecycle_episode(EngineKind::Threaded);
-}
-
-#[test]
-fn leave_rejoin_retires_then_readmits_path_reactor() {
-    lifecycle_episode(EngineKind::Reactor);
-}
-
 /// Seeded churn soak: gateway 1 cycles leave → rejoin while rank 0
 /// streams bulk traffic to rank 3 the whole time under a credit window of
-/// 8, under both engine cores. Zero hangs, zero lost acknowledged streams,
+/// 8. Zero hangs, zero lost acknowledged streams,
 /// every episode retires and readmits the path, stale packets never appear
 /// (graceful churn is epoch-monotone), and neither gateway ever holds more
 /// than the window allows (A4c's bound, which `tests/soak.rs` checks on a
 /// static session).
 #[test]
 fn churn_soak_under_bulk_traffic() {
-    for engine in [EngineKind::Threaded, EngineKind::Reactor] {
-        churn_soak(engine);
-    }
-}
-
-fn churn_soak(engine: EngineKind) {
     const ROUNDS: u32 = 3;
     const MSGS_PER_ROUND: u32 = 6;
     const MTU: usize = 8 * 1024;
@@ -272,7 +254,6 @@ fn churn_soak(engine: EngineKind) {
             membership: true,
             metrics: Some(MetricsOptions::default()),
             gateway: GatewayConfig {
-                engine,
                 // Deep enough that the window, not the queue, is what
                 // bounds occupancy (without one a gateway peaks past the
                 // bound below), as in `tests/soak.rs`.
@@ -357,7 +338,7 @@ fn churn_soak(engine: EngineKind) {
     });
     assert!(
         ok.into_iter().all(|d| d == 0),
-        "graceful churn produced stale drops ({engine:?})"
+        "graceful churn produced stale drops"
     );
 
     // The occupancy promise, through every leave → rejoin: the sender
@@ -370,7 +351,7 @@ fn churn_soak(engine: EngineKind) {
         let t = st.totals();
         assert!(
             t.peak_held_bytes <= bound,
-            "gateway {gw} held {} bytes > bound {bound} ({engine:?})",
+            "gateway {gw} held {} bytes > bound {bound}",
             t.peak_held_bytes
         );
         assert_eq!(t.held_bytes, 0, "gateway {gw} holds bytes after teardown");

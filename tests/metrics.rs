@@ -9,7 +9,7 @@ use mad_metrics::Snapshot;
 use mad_sim::{SimTech, Testbed};
 use mad_util::hist::AtomicHistogram;
 use mad_util::rng::Rng;
-use madeleine::gateway::{EngineKind, GatewayConfig};
+use madeleine::gateway::GatewayConfig;
 use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
 use madeleine::session::VcOptions;
 use madeleine::{MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder};
@@ -36,7 +36,8 @@ fn payload(n: usize, seed: u8) -> Vec<u8> {
 /// gateway for the far cluster) and the gateway pulls a remote endpoint
 /// itself. Every snapshot must arrive, and the gateway's must show the
 /// forward-latency histogram populated by the traffic.
-fn pull_across_clusters(engine: EngineKind) {
+#[test]
+fn in_band_pull_across_clusters_threaded() {
     const MSG: usize = 300_000;
 
     let tb = Testbed::new(5);
@@ -49,7 +50,6 @@ fn pull_across_clusters(engine: EngineKind) {
         VcOptions {
             mtu: Some(8 * 1024),
             gateway: GatewayConfig {
-                engine,
                 credit_window: Some(8),
                 ..Default::default()
             },
@@ -100,7 +100,7 @@ fn pull_across_clusters(engine: EngineKind) {
     assert_eq!(
         swept.keys().copied().collect::<Vec<_>>(),
         vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)],
-        "endpoint pull missed nodes ({engine:?})"
+        "endpoint pull missed nodes"
     );
     // The gateway's snapshot shows the traffic in its forward-latency
     // histogram and a live thread-budget gauge.
@@ -108,10 +108,7 @@ fn pull_across_clusters(engine: EngineKind) {
     let fwd = gw
         .hist("gw_forward_ns")
         .expect("gateway snapshot lacks gw_forward_ns");
-    assert!(
-        fwd.count() > 0,
-        "no forward latencies recorded ({engine:?})"
-    );
+    assert!(fwd.count() > 0, "no forward latencies recorded");
     let (threads, _) = gw
         .gauge("rt_threads_spawned")
         .expect("gateway snapshot lacks rt_threads_spawned");
@@ -124,18 +121,8 @@ fn pull_across_clusters(engine: EngineKind) {
     assert_eq!(
         gw_pull.keys().copied().collect::<Vec<_>>(),
         vec![NodeId(2), NodeId(3)],
-        "gateway pull missed nodes ({engine:?})"
+        "gateway pull missed nodes"
     );
-}
-
-#[test]
-fn in_band_pull_across_clusters_threaded() {
-    pull_across_clusters(EngineKind::Threaded);
-}
-
-#[test]
-fn in_band_pull_across_clusters_reactor() {
-    pull_across_clusters(EngineKind::Reactor);
 }
 
 /// Watchdog soak under an injected fault: a two-gateway chain

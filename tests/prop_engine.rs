@@ -1,17 +1,14 @@
-//! Engine-equivalence property: the reactor engine must forward exactly
-//! the bytes the threaded engine forwards. Every case generates a random
-//! chained topology, gateway configuration, and message batch, runs it
-//! once under each engine core, and compares the byte streams delivered
-//! to every receiver — plus both against the sent payloads, so a bug that
-//! corrupts both engines identically still fails. A seeded soak sends
-//! small and multi-fragment messages across the same gateway chain back
-//! to back.
+//! Delivery property of the forwarding engine: every case generates a
+//! random chained topology, gateway configuration, and message batch, runs
+//! it once, and requires the receiver to unpack exactly the messages that
+//! were sent, byte for byte and in order. A seeded soak sends small and
+//! multi-fragment messages across the same gateway chain back to back.
 
 use mad_shm::ShmDriver;
 use mad_util::prop::{self, Config, Shrink};
 use mad_util::rng::Rng;
 use mad_util::{prop_assert, prop_require};
-use madeleine::gateway::{EngineKind, GatewayConfig};
+use madeleine::gateway::GatewayConfig;
 use madeleine::session::VcOptions;
 use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
@@ -56,9 +53,9 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
     }
 }
 
-/// Run the scenario under `engine` and return the bytes each receiver-side
-/// unpack produced, in order.
-fn run_engine(sc: &Scenario, engine: EngineKind) -> Vec<Vec<u8>> {
+/// Run the scenario and return the bytes each receiver-side unpack
+/// produced, in order.
+fn run(sc: &Scenario) -> Vec<Vec<u8>> {
     let n = sc.hops as u32 + 2; // chain 0-1-…-(n-1), gateways in between
     let mut sb = SessionBuilder::new(n);
     let rt = sb.runtime().clone();
@@ -77,7 +74,6 @@ fn run_engine(sc: &Scenario, engine: EngineKind) -> Vec<Vec<u8>> {
         VcOptions {
             mtu: Some(sc.mtu),
             gateway: GatewayConfig {
-                engine,
                 pipeline_depth: sc.pipeline_depth,
                 credit_window: sc.credit_window,
                 ..Default::default()
@@ -114,46 +110,33 @@ fn run_engine(sc: &Scenario, engine: EngineKind) -> Vec<Vec<u8>> {
     received.into_iter().flatten().collect()
 }
 
-fn engines_agree(sc: &Scenario) -> Result<(), String> {
+fn delivers_exactly(sc: &Scenario) -> Result<(), String> {
     prop_require!(!sc.messages.is_empty());
-    let threaded = run_engine(sc, EngineKind::Threaded);
-    let reactor = run_engine(sc, EngineKind::Reactor);
     prop_assert!(
-        threaded == sc.messages,
-        "threaded engine corrupted the stream ({} hops, mtu {})",
+        run(sc) == sc.messages,
+        "the engine corrupted the stream ({} hops, mtu {}, depth {}, window {:?})",
         sc.hops,
-        sc.mtu
-    );
-    prop_assert!(
-        reactor == sc.messages,
-        "reactor engine corrupted the stream ({} hops, mtu {})",
-        sc.hops,
-        sc.mtu
-    );
-    prop_assert!(
-        threaded == reactor,
-        "engines disagree on delivered bytes ({} hops, mtu {})",
-        sc.hops,
-        sc.mtu
+        sc.mtu,
+        sc.pipeline_depth,
+        sc.credit_window
     );
     Ok(())
 }
 
 #[test]
-fn engines_forward_byte_identical_streams() {
-    // Every case runs TWO full multi-threaded sessions: keep counts low.
+fn engine_delivers_exactly_the_sent_messages() {
     prop::check(
-        "engines_forward_byte_identical_streams",
-        &Config::with_cases(12),
+        "engine_delivers_exactly_the_sent_messages",
+        &Config::with_cases(24),
         gen_scenario,
-        engines_agree,
+        delivers_exactly,
     );
 }
 
 /// Seeded mixed-size soak: sub-fragment and multi-fragment messages (up
-/// to 32 fragments) cross the same two-gateway chain back to back under
-/// both engine cores — the file's only seeded small-then-bulk run.
-/// Override the seed with `MAD_SOAK_SEED` to replay a specific run.
+/// to 32 fragments) cross the same two-gateway chain back to back — the
+/// file's only seeded small-then-bulk run. Override the seed with
+/// `MAD_SOAK_SEED` to replay a specific run.
 #[test]
 fn mixed_size_soak_delivers_exact_bytes() {
     let seed = std::env::var("MAD_SOAK_SEED")
@@ -168,11 +151,9 @@ fn mixed_size_soak_delivers_exact_bytes() {
         credit_window: Some(4),
         messages: prop::vec_of(&mut rng, 24..25, |r| prop::bytes(r, 0..32_000)),
     };
-    for engine in [EngineKind::Threaded, EngineKind::Reactor] {
-        assert_eq!(
-            run_engine(&sc, engine),
-            sc.messages,
-            "mixed-size soak corrupted the stream under {engine:?}"
-        );
-    }
+    assert_eq!(
+        run(&sc),
+        sc.messages,
+        "mixed-size soak corrupted the stream"
+    );
 }

@@ -2,7 +2,7 @@
 //! channels, virtual channels, gateway forwarding, multi-gateway chains.
 
 use mad_shm::ShmDriver;
-use madeleine::gateway::{EngineKind, GatewayConfig};
+use madeleine::gateway::GatewayConfig;
 use madeleine::session::VcOptions;
 use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
@@ -439,7 +439,6 @@ fn shm_gateway_forwards_bulk_on_the_receiving_thread() {
             mtu: Some(64 * 1024),
             gateway: GatewayConfig {
                 credit_window: None,
-                engine: EngineKind::Threaded,
                 ..Default::default()
             },
             ..Default::default()

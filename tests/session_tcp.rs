@@ -4,7 +4,6 @@
 
 use mad_shm::ShmDriver;
 use mad_tcp::TcpDriver;
-use madeleine::gateway::{EngineKind, GatewayConfig};
 use madeleine::session::VcOptions;
 use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
@@ -82,97 +81,6 @@ fn heterogeneous_shm_to_tcp_gateway() {
         }
     });
     assert!(ok.into_iter().all(|x| x));
-}
-
-/// Scalability smoke for the fixed-thread-budget stack: 64 virtual
-/// channels share ONE gateway node in reactor mode over multiplexed TCP,
-/// and the whole session stays under a hard thread bound. The threaded
-/// engine alone would spawn 4 gateway threads per channel (256 here) plus
-/// a reader thread per TCP conduit; the reactor + poller stack spawns a
-/// handful, independent of the channel count.
-#[test]
-fn reactor_mode_scales_channels_on_fixed_thread_budget() {
-    const CHANNELS: usize = 64;
-    const MSG: usize = 2048;
-    // 3 app nodes + 2 reactor workers + 2 TCP pollers (one per driver)
-    // + slack for runtime-internal helpers. Far below the ~400 threads
-    // the threaded stack would need.
-    const THREAD_BOUND: u64 = 16;
-
-    let mut sb = SessionBuilder::new(3);
-    let rt = sb.runtime().clone();
-    let n0 = sb.network("tcp0", TcpDriver::multiplexed(rt.clone()), &[0, 1]);
-    let n1 = sb.network("tcp1", TcpDriver::multiplexed(rt.clone()), &[1, 2]);
-    for i in 0..CHANNELS {
-        sb.vchannel(
-            format!("vc{i}"),
-            &[n0, n1],
-            VcOptions {
-                mtu: Some(4096),
-                gateway: GatewayConfig {
-                    engine: EngineKind::Reactor,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-    }
-    let ok = sb.run(|node| {
-        node.barrier().wait();
-        match node.rank().0 {
-            0 => {
-                for i in 0..CHANNELS {
-                    let data = payload(MSG, i as u8);
-                    let vc = node.vchannel(&format!("vc{i}"));
-                    let mut w = vc.begin_packing(NodeId(2)).unwrap();
-                    w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
-                    w.end_packing().unwrap();
-                }
-                true
-            }
-            1 => true,
-            2 => {
-                let mut all_ok = true;
-                for i in 0..CHANNELS {
-                    let vc = node.vchannel(&format!("vc{i}"));
-                    let mut buf = vec![0u8; MSG];
-                    let mut r = vc.begin_unpacking().unwrap();
-                    r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
-                        .unwrap();
-                    r.end_unpacking().unwrap();
-                    all_ok &= buf == payload(MSG, i as u8);
-                }
-                all_ok
-            }
-            _ => unreachable!(),
-        }
-    });
-    assert!(ok.into_iter().all(|x| x), "payload corrupted");
-    // Threads spawned through the runtime: app nodes, reactor workers,
-    // TCP pollers — and in reactor+multiplexed mode, nothing that grows
-    // with the channel count.
-    let spawned = rt.threads_spawned();
-    assert!(
-        spawned <= THREAD_BOUND,
-        "session spawned {spawned} threads for {CHANNELS} channels — \
-         the fixed thread budget is broken"
-    );
-    // Cross-check against the kernel's view of this test process. Other
-    // tests share the process, so only assert the order of magnitude: a
-    // threaded-engine run of this topology would need hundreds.
-    if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-        if let Some(line) = status.lines().find(|l| l.starts_with("Threads:")) {
-            let os_threads: u64 = line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-            assert!(
-                os_threads < 128,
-                "process holds {os_threads} OS threads after the reactor run"
-            );
-        }
-    }
 }
 
 #[test]

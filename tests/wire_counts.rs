@@ -1,6 +1,5 @@
 //! What a small forwarded message costs on the wire, counted at the
-//! conduits: one packet per hop and nothing coming back — under whichever
-//! engine core `MAD_ENGINE` selects (CI runs this file under both).
+//! conduits: one packet per hop and nothing coming back.
 //!
 //! The counting sits in a driver wrapper, below everything the library
 //! does, so a packet the library sends in any way at all is a packet
