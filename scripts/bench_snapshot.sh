@@ -2,10 +2,10 @@
 # One PR's wall-clock readings as a committed file: BENCH_<pr>.json.
 #
 # Runs benchmark/run.sh once untraced and once traced per workload of
-# BENCHMARK.json, under the default engine core, and folds the two
-# benchmark/out/result.json files of each workload into one object: from the
-# untraced run the five end-to-end metrics (median, quartiles, sample count)
-# and failed/attempted; from the traced run every per-layer value. The
+# BENCHMARK.json and folds the two benchmark/out/result.json files of
+# each workload into one object: from the untraced run the five
+# end-to-end metrics (median, quartiles, sample count) and
+# failed/attempted; from the traced run every per-layer value. The
 # samples themselves stay in benchmark/out/ (git-ignored). About 40 s a run,
 # eight runs. One run per cell is a reading, not a comparison: judge a
 # change by alternating pairs (scripts/bench_spread.sh), and read a diff of
