@@ -410,10 +410,11 @@ pub const RT_EVENT_NAMES: [&str; 6] = [
 
 /// Event names allowed on a `metrics:` track (all `count`s, cat
 /// `metrics`): the teardown flush of each node's live registry —
-/// counters and gauges by name (per-gateway stripe gauges folded into
-/// `stripe_path_bytes` keyed by `args.gateway`, `queue_depth` paired
-/// with its `queue_depth_peak` high-water mark) plus the derived
-/// quantiles of the forward-latency, credit-wait and copy-size histograms.
+/// counters and gauges by name (the multi-path plane's per-gateway byte
+/// gauges folded into `path_bytes` keyed by `args.gateway`,
+/// `queue_depth` paired with its `queue_depth_peak` high-water mark) plus
+/// the derived quantiles of the forward-latency, credit-wait and
+/// copy-size histograms.
 pub const METRICS_EVENT_NAMES: [&str; 30] = [
     "degradations",
     "health_credit_starvation",
@@ -429,7 +430,7 @@ pub const METRICS_EVENT_NAMES: [&str; 30] = [
     "gw_held_bytes",
     "gw_bytes_per_sec",
     "open_streams",
-    "stripe_path_bytes",
+    "path_bytes",
     "gw_forward_ns_p50",
     "gw_forward_ns_p90",
     "gw_forward_ns_p99",
@@ -507,7 +508,7 @@ pub struct RouteSummary {
 /// `rt:`-prefixed track is a `count` of cat `runtime` named in
 /// [`RT_EVENT_NAMES`]; every event on a `metrics:`-prefixed track is a
 /// `count` of cat `metrics` named in [`METRICS_EVENT_NAMES`] (with
-/// `stripe_path_bytes` carrying an integer `args.gateway`); every event
+/// `path_bytes` carrying an integer `args.gateway`); every event
 /// on a `health:`-prefixed track is a `count` of cat `health` named in
 /// [`HEALTH_EVENT_NAMES`]; every event on a `member:`-prefixed track is
 /// a `count` of cat `member` named in [`MEMBERSHIP_EVENT_NAMES`]. Traces
@@ -565,7 +566,7 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
                 "line {line_no}: unknown event \"{name}\" on track \"{thread}\""
             ));
         }
-        if matches!(name, "path_bytes" | "stripe_path_bytes")
+        if name == "path_bytes"
             && v.get("args")
                 .and_then(|a| a.get("gateway"))
                 .and_then(|g| g.as_u64())
@@ -666,13 +667,13 @@ mod tests {
         let text = "\
 {\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"gw_forward_ns_p99\",\"value\":4096}
 {\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"queue_depth_peak\",\"value\":7}
-{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"stripe_path_bytes\",\"value\":512,\"args\":{\"gateway\":2}}
+{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"path_bytes\",\"value\":512,\"args\":{\"gateway\":2}}
 {\"ts\":2,\"thread\":\"health:vc@1\",\"kind\":\"count\",\"cat\":\"health\",\"name\":\"credit_starvation\",\"value\":3}
 {\"ts\":3,\"thread\":\"health:vc@1\",\"kind\":\"count\",\"cat\":\"health\",\"name\":\"stalled_stream\",\"value\":1}
 ";
         let s = validate_route_tracks(text).unwrap();
         assert_eq!((s.metrics_events, s.health_events), (3, 2));
-        // Unknown metric names, wrong cats, and stripe events without
+        // Unknown metric names, wrong cats, and path_bytes events without
         // their gateway arg are all rejected.
         let bad_name = "{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"zap\",\"value\":1}\n";
         assert!(validate_route_tracks(bad_name)
@@ -680,7 +681,7 @@ mod tests {
             .contains("unknown event"));
         let bad_cat = "{\"ts\":1,\"thread\":\"health:vc@1\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"stalled_stream\",\"value\":1}\n";
         assert!(validate_route_tracks(bad_cat).unwrap_err().contains("cat"));
-        let no_gw = "{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"stripe_path_bytes\",\"value\":1}\n";
+        let no_gw = "{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"path_bytes\",\"value\":1}\n";
         assert!(validate_route_tracks(no_gw)
             .unwrap_err()
             .contains("gateway"));

@@ -119,11 +119,12 @@
 //! waits on that queue for a unit, and whoever transmits waits for a dry
 //! window in `take_blocking`, up to the credit deadline. What a packet
 //! means is decided once: `Inbound::serve` is the receive side (receive →
-//! count → demultiplex into an [`ItemSink`], a received frame as one unit
-//! per outgoing conduit → degrade on a fault → re-pin),
+//! count → demultiplex into the pipeline items it accepts, a received
+//! frame as one unit per outgoing conduit → degrade on a fault → re-pin),
 //! `Flush::build_train` is the transmit side's one batching rule,
-//! `transmit_batch` puts a train on the wire, and every control packet
-//! goes to the node's `ControlPlane`. The price is threads: `nets × nets`
+//! `transmit_train` puts a train — of one packet or many — on the wire and
+//! settles it, and every control packet goes to the node's
+//! `ControlPlane`. The price is threads: `nets × nets`
 //! a gateway per virtual channel at depth 2 or more, `nets` at depth 1.
 //!
 //! ## Teardown
@@ -809,11 +810,6 @@ struct Upstream {
 }
 
 impl Upstream {
-    /// Return what this fragment carries, if anything.
-    fn grant(&self, tag: &StreamTag, stats: &GatewayStats) {
-        self.grant_sum(tag, self.credits, stats);
-    }
-
     /// Return `credits` upstream as one credit packet, if there are any: a
     /// train returns what all its fragments of a stream carry in one.
     fn grant_sum(&self, tag: &StreamTag, credits: u32, stats: &GatewayStats) {
@@ -956,31 +952,20 @@ struct Sink {
     queued_send: bool,
 }
 
-/// Where the demultiplexer hands accepted packets: the engine's
-/// [`Sinks`], or — while a received train is taken apart — the
-/// [`FrameItems`] that collect it, so every packet of a train goes through
-/// the same routing, credit and cancellation rules as one that arrived
-/// alone.
-trait ItemSink {
-    /// Does this gateway bridge onto `net`?
-    fn bridges(&self, net: NetworkId) -> bool;
-    /// Accept one unit — its packets all leave on the same conduit of the
-    /// same outbound network. Failing with [`MadError::Disconnected`]
-    /// shuts the inbound side down (the outbound consumer is gone); the
-    /// implementation must account the unit's packets (via [`drop_item`])
-    /// before failing.
-    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()>;
-}
-
 /// The engine's sink set: one [`Sink`] per outbound network.
 struct Sinks(BTreeMap<NetworkId, Sink>);
 
-impl ItemSink for Sinks {
+impl Sinks {
+    /// Does this gateway bridge onto `net`?
     fn bridges(&self, net: NetworkId) -> bool {
         self.0.contains_key(&net)
     }
 
-    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+    /// Accept one unit — its packets all leave on the same conduit of the
+    /// same outbound network. Failing with [`MadError::Disconnected`]
+    /// shuts the inbound side down (the outbound consumer is gone); the
+    /// unit's packets are accounted (via [`drop_item`]) before it fails.
+    fn accept(&self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
         match unit.out_net().and_then(|net| self.0.get(&net)) {
             Some(sink) => dispatch(sink, unit, shared),
             None => {
@@ -1339,7 +1324,7 @@ impl Inbound {
     }
 
     /// One turn: receive and relay the packet `peer` has ready.
-    fn serve<S: ItemSink>(&mut self, peer: NodeId, sinks: &mut S) -> Served {
+    fn serve(&mut self, peer: NodeId, sinks: &Sinks) -> Served {
         let Inbound { ctx, demux, pinned } = self;
         let shared = &ctx.shared;
         let _busy = BusyGuard::enter(&shared.live.stopctl);
@@ -1403,7 +1388,7 @@ impl Inbound {
 
 /// The polling thread of one [`Inbound`]: blocks for the next ready peer,
 /// round-robin past the one served last.
-fn polling_thread(mut inbound: Inbound, mut sinks: Sinks) {
+fn polling_thread(mut inbound: Inbound, sinks: Sinks) {
     let live = inbound.ctx.shared.live.clone();
     let _exit = ThreadExitGuard { live: live.clone() };
     let stopctl = &live.stopctl;
@@ -1445,7 +1430,7 @@ fn polling_thread(mut inbound: Inbound, mut sinks: Sinks) {
             }
         };
         cursor = Some(peer);
-        if let Served::Finished = inbound.serve(peer, &mut sinks) {
+        if let Served::Finished = inbound.serve(peer, &sinks) {
             return;
         }
     }
@@ -1456,6 +1441,19 @@ impl InboundCtx {
         d.max_pkt = landing_size(&d.streams, &self.in_caps);
     }
 
+    /// The one exit from the demultiplexing table — a stream's end, its
+    /// cancel, or a cancellation decided here: forget the stream, release
+    /// its inbound peer's open count and refit the landing buffer to the
+    /// streams still open.
+    fn close(&self, d: &mut Demux, key: StreamKey) -> Option<InStream> {
+        let stream = d.streams.remove(&key)?;
+        if let Some(n) = d.open_from.get_mut(&stream.upstream) {
+            *n = n.saturating_sub(1);
+        }
+        self.resize_landing(d);
+        Some(stream)
+    }
+
     /// Demultiplex and forward one received wire packet. A batch frame is
     /// taken apart — every packet of the train goes through the same
     /// per-packet rules as if it had arrived alone — and put back together
@@ -1463,13 +1461,13 @@ impl InboundCtx {
     /// consecutive packets that leave the same way, so a train in is a
     /// train out wherever the outbound driver's frame budget and the
     /// streams' credits allow, and never a reordering.
-    fn relay<S: ItemSink>(
+    fn relay(
         &self,
         d: &mut Demux,
         peer: NodeId,
         buf: FwdBuf,
         restage: Option<Restage>,
-        sinks: &mut S,
+        sinks: &Sinks,
     ) -> Result<()> {
         let shared = &self.shared;
         let (tag, body) = gtm::decode_packet(buf.bytes())?;
@@ -1480,7 +1478,10 @@ impl InboundCtx {
             None => 0,
         };
         if !matches!(body, PacketBody::Batch) {
-            return self.relay_one(d, peer, buf, tag, body, recv_ns, restage, sinks);
+            return match self.relay_one(d, peer, buf, tag, body, recv_ns, restage, sinks)? {
+                Some(item) => sinks.accept(FwdUnit::One(item), shared),
+                None => Ok(()),
+            };
         }
 
         // The packets are windows onto the landed frame, not copies.
@@ -1488,26 +1489,25 @@ impl InboundCtx {
         let packets = gtm::batch_packets(frame.bytes())?;
         // One slot per packet: a bulk stream's [H,P] train takes two
         // items' worth, not the four a growing `Vec` starts with.
-        let mut train = FrameItems {
-            bridges: sinks,
-            items: Vec::with_capacity(packets.clone().count()),
-        };
+        let mut items = Vec::with_capacity(packets.clone().count());
         let mut at = PRELUDE_LEN;
         for sub in packets {
             at += gtm::BATCH_ENTRY_OVERHEAD;
             let packet = FwdBuf::Slice(frame.clone(), at..at + sub.len());
             at += sub.len();
             let relayed = gtm::decode_packet(sub).and_then(|(tag, body)| {
-                self.relay_one(d, peer, packet, tag, body, recv_ns, None, &mut train)
+                self.relay_one(d, peer, packet, tag, body, recv_ns, None, sinks)
             });
-            if relayed.is_err() {
-                // One bad packet poisons only itself, as on the unbatched
-                // path (the collecting sink itself never fails).
-                shared.stats.on_error();
-                trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
+            match relayed {
+                Ok(item) => items.extend(item),
+                Err(_) => {
+                    // One bad packet poisons only itself, as on the
+                    // unbatched path.
+                    shared.stats.on_error();
+                    trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
+                }
             }
         }
-        let mut items = train.items;
         // A fragment whose stream's last word came in the same frame earns
         // its sender nothing by a grant: the sender closed the stream's
         // account before it sent that word, so the grant — and whatever the
@@ -1543,10 +1543,12 @@ impl InboundCtx {
         Ok(())
     }
 
-    /// Demultiplex and forward one GTM packet — a wire packet of its own,
-    /// or one packet of a received train.
+    /// Demultiplex one GTM packet — a wire packet of its own, or one packet
+    /// of a received train — into the pipeline item that forwards it, or
+    /// `None` when nothing leaves: a control packet the control plane
+    /// took, or a late packet of a stream cancelled here.
     #[allow(clippy::too_many_arguments)] // internal helper of relay
-    fn relay_one<S: ItemSink>(
+    fn relay_one(
         &self,
         d: &mut Demux,
         peer: NodeId,
@@ -1555,8 +1557,8 @@ impl InboundCtx {
         body: PacketBody,
         recv_ns: u64,
         restage: Option<Restage>,
-        sinks: &mut S,
-    ) -> Result<()> {
+        sinks: &Sinks,
+    ) -> Result<Option<FwdItem>> {
         let shared = &self.shared;
         let key = tag.key();
 
@@ -1570,7 +1572,7 @@ impl InboundCtx {
         let stream_cancel = matches!(body, PacketBody::Cancel(_))
             && (d.streams.contains_key(&key) || d.cancelled.contains(&key));
         if !stream_cancel && shared.ctl.dispatch(&tag, &body, buf.bytes()) == Dispatch::Handled {
-            return Ok(());
+            return Ok(None);
         }
 
         // Late packets of a stream cancelled here: swallow until its source
@@ -1579,7 +1581,7 @@ impl InboundCtx {
             if matches!(body, PacketBody::End | PacketBody::Cancel(_)) {
                 d.cancelled.remove(&key);
             }
-            return Ok(());
+            return Ok(None);
         }
 
         // A live in-flight stream marked cancelled in the ledger (its outbound
@@ -1588,14 +1590,13 @@ impl InboundCtx {
         // end, and tombstone the key.
         if d.streams.contains_key(&key) {
             if let Some(reason) = shared.ledger().cancelled(key) {
-                self.cancel_stream(d, key, reason, true, sinks);
-                self.resize_landing(d);
+                let cancel = self.cancel_stream(d, key, reason, true);
                 // The packet in hand belongs to the dead stream: swallow it,
                 // unless it is the source's own last word (no more will come).
                 if matches!(body, PacketBody::End | PacketBody::Cancel(_)) {
                     d.cancelled.remove(&key);
                 }
-                return Ok(());
+                return Ok(cancel);
             }
         }
 
@@ -1660,17 +1661,16 @@ impl InboundCtx {
                 shared.live.opened();
                 *d.open_from.entry(peer).or_insert(0) += 1;
                 let item = self.item(&stream, buf, false, false, peer, recv_ns, restage);
-                sinks.accept(FwdUnit::One(item), shared)?;
                 d.streams.insert(key, stream);
                 self.resize_landing(d);
-                Ok(())
+                Ok(Some(item))
             }
             PacketBody::Part(_) => {
                 let stream = d.streams.get(&key).ok_or_else(|| {
                     MadError::Protocol(format!("GTM descriptor for unknown stream {key:?}"))
                 })?;
                 let item = self.item(stream, buf, false, false, peer, recv_ns, restage);
-                sinks.accept(FwdUnit::One(item), shared)
+                Ok(Some(item))
             }
             PacketBody::Frag => {
                 let stream = d.streams.get(&key).ok_or_else(|| {
@@ -1681,19 +1681,15 @@ impl InboundCtx {
                 shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
                 let item = self.item(stream, buf, true, false, peer, recv_ns, restage);
                 shared.stats.held.add(item.held_bytes as i64);
-                sinks.accept(FwdUnit::One(item), shared)
+                Ok(Some(item))
             }
             PacketBody::End => {
-                let stream = d.streams.remove(&key).ok_or_else(|| {
+                let stream = self.close(d, key).ok_or_else(|| {
                     MadError::Protocol(format!("GTM end for unknown stream {key:?}"))
                 })?;
-                if let Some(n) = d.open_from.get_mut(&peer) {
-                    *n = n.saturating_sub(1);
-                }
-                self.resize_landing(d);
                 shared.stats.on_end();
                 let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
-                sinks.accept(FwdUnit::One(item), shared)
+                Ok(Some(item))
             }
             PacketBody::Cancel(reason) => {
                 // Only a cancel of a stream in this table gets here (see
@@ -1701,13 +1697,9 @@ impl InboundCtx {
                 // stream: drop its state, mark the ledger (waking any
                 // forwarding side blocked on its credits) and relay the
                 // cancel downstream in place of the end packet.
-                let mut stream = d.streams.remove(&key).ok_or_else(|| {
+                let mut stream = self.close(d, key).ok_or_else(|| {
                     MadError::Protocol(format!("GTM cancel for unknown stream {key:?}"))
                 })?;
-                if let Some(n) = d.open_from.get_mut(&peer) {
-                    *n = n.saturating_sub(1);
-                }
-                self.resize_landing(d);
                 shared.ledger().cancel(key, reason);
                 shared.stats.on_cancelled();
                 trace_instant!(
@@ -1721,7 +1713,7 @@ impl InboundCtx {
                 // successful handoff — never ack it.
                 stream.ack = false;
                 let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
-                sinks.accept(FwdUnit::One(item), shared)
+                Ok(Some(item))
             }
         }
     }
@@ -1771,23 +1763,20 @@ impl InboundCtx {
     }
 
     /// Tear down one in-flight stream after a cancellation: notify the
-    /// upstream hop (so its sender stops), enqueue a cancel downstream in
-    /// place of the end packet (so later hops and the receiver drop it), and
-    /// tombstone the key so the source's still-in-flight packets are
-    /// swallowed. Only the affected stream dies — everything else keeps
-    /// flowing.
-    fn cancel_stream<S: ItemSink>(
+    /// upstream hop (so its sender stops), tombstone the key so the
+    /// source's still-in-flight packets are swallowed, and return the
+    /// cancel that replaces the end packet downstream (so later hops and
+    /// the receiver drop it) — `None` if the stream is not in the table.
+    /// Only the affected stream dies — everything else keeps flowing.
+    fn cancel_stream(
         &self,
         d: &mut Demux,
         key: StreamKey,
         reason: CancelReason,
         notify_upstream: bool,
-        sinks: &mut S,
-    ) {
+    ) -> Option<FwdItem> {
         let shared = &self.shared;
-        let Some(mut stream) = d.streams.remove(&key) else {
-            return;
-        };
+        let mut stream = self.close(d, key)?;
         shared.stats.on_cancelled();
         trace_instant!(
             shared.tracer,
@@ -1796,32 +1785,26 @@ impl InboundCtx {
             "src" = stream.tag.src.0 as u64,
             "dest" = stream.tag.dest.0 as u64,
         );
-        if let Some(n) = d.open_from.get_mut(&stream.upstream) {
-            *n = n.saturating_sub(1);
-        }
-        if notify_upstream {
-            let mut cancel = shared.runtime.pool().get(PRELUDE_LEN + 1);
-            gtm::encode_cancel_into(cancel.vec(), &stream.tag, reason);
-            let _ = self.in_channel.send_packet(stream.upstream, &[&cancel]);
-        }
         d.cancelled.insert(key);
-        // A synthesized cancel replaces the end packet downstream; dropping it
-        // on a dead sink is fine — its consumption is what releases the
-        // stream from the drain count either way. A cancelled stream is
-        // never acked: the origin's ack deadline (or the upstream cancel
-        // notification) drives its failover.
         let mut cancel = shared.runtime.pool().get(PRELUDE_LEN + 1);
         gtm::encode_cancel_into(cancel.vec(), &stream.tag, reason);
+        if notify_upstream {
+            let _ = self.in_channel.send_packet(stream.upstream, &[&cancel]);
+        }
+        // Dropping the downstream cancel on a dead sink is fine — its
+        // consumption is what releases the stream from the drain count
+        // either way. A cancelled stream is never acked: the origin's ack
+        // deadline (or the upstream cancel notification) drives its
+        // failover.
         stream.ack = false;
         let peer = stream.upstream;
-        let item = self.item(&stream, FwdBuf::Owned(cancel), false, true, peer, 0, None);
-        let _ = sinks.accept(FwdUnit::One(item), shared);
+        Some(self.item(&stream, FwdBuf::Owned(cancel), false, true, peer, 0, None))
     }
 
     /// Cancel every stream that entered through `peer` (its conduit framing is
     /// lost). Downstream hops are told; the peer itself is not (its conduit
     /// just failed).
-    fn cancel_peer_streams<S: ItemSink>(&self, d: &mut Demux, peer: NodeId, sinks: &mut S) {
+    fn cancel_peer_streams(&self, d: &mut Demux, peer: NodeId, sinks: &Sinks) {
         let keys: Vec<StreamKey> = d
             .streams
             .iter()
@@ -1832,9 +1815,10 @@ impl InboundCtx {
             self.shared
                 .ledger()
                 .cancel(key, CancelReason::PeerUnreachable);
-            self.cancel_stream(d, key, CancelReason::PeerUnreachable, false, sinks);
+            if let Some(cancel) = self.cancel_stream(d, key, CancelReason::PeerUnreachable, false) {
+                let _ = sinks.accept(FwdUnit::One(cancel), &self.shared);
+            }
         }
-        self.resize_landing(d);
     }
 }
 
@@ -1955,28 +1939,6 @@ fn landing_policy<'a>(paths: impl Iterator<Item = &'a OutPath>, cfg: GatewayConf
     owner.map_or(Landing::Owned, Landing::Static)
 }
 
-/// The sink [`InboundCtx::relay`] takes a received train apart into: it
-/// only collects, in order, what the per-packet rules make of each packet,
-/// so the train can be handed on per outgoing conduit once it is whole.
-struct FrameItems<'a, S> {
-    bridges: &'a S,
-    items: Vec<FwdItem>,
-}
-
-impl<S: ItemSink> ItemSink for FrameItems<'_, S> {
-    fn bridges(&self, net: NetworkId) -> bool {
-        self.bridges.bridges(net)
-    }
-
-    fn accept(&mut self, unit: FwdUnit, _shared: &FwdShared) -> Result<()> {
-        match unit {
-            FwdUnit::One(item) => self.items.push(item),
-            FwdUnit::Frame(items) => self.items.extend(items),
-        }
-        Ok(())
-    }
-}
-
 /// Hand one unit to its sink. Who transmits it is read from what the
 /// engine already knows, never from a size or a setting: the polling
 /// thread does, in place, when there is nothing to overlap the
@@ -2043,22 +2005,20 @@ fn drop_item(item: &FwdItem, shared: &FwdShared) {
     }
 }
 
-/// Cancel a stream from its outbound side (credit deadline hit or dead
-/// peer): mark the node's ledger, and — if this is the first cancellation
-/// of the stream — send best-effort cancel packets to the neighbour hops.
-/// `tell_downstream` is false when the downstream conduit itself is what
-/// just failed.
-#[allow(clippy::too_many_arguments)] // internal helper of consume_item
+/// Cancel the stream of `item` from its outbound side (credit deadline hit
+/// or dead peer): mark the node's ledger, and — if this is the first
+/// cancellation of the stream — send best-effort cancel packets to the
+/// neighbour hops: upstream if `item` knows the way back, downstream
+/// unless `tell_downstream` is false (the downstream conduit itself is
+/// what just failed).
 fn cancel_outbound(
     path: &OutPath,
-    to: NodeId,
-    last_hop: bool,
-    tag: &StreamTag,
-    upstream: &Option<Upstream>,
+    item: &FwdItem,
     reason: CancelReason,
     tell_downstream: bool,
     shared: &FwdShared,
 ) {
+    let tag = &item.tag;
     let key = tag.key();
     let first = shared.ledger().cancelled(key).is_none();
     shared.ledger().cancel(key, reason);
@@ -2075,9 +2035,9 @@ fn cancel_outbound(
     let mut cancel = shared.runtime.pool().get(PRELUDE_LEN + 1);
     gtm::encode_cancel_into(cancel.vec(), tag, reason);
     if tell_downstream {
-        let _ = path.channel(last_hop).send_packet(to, &[&cancel]);
+        let _ = path.channel(item.last_hop).send_packet(item.to, &[&cancel]);
     }
-    if let Some(up) = upstream {
+    if let Some(up) = &item.upstream {
         let _ = up.channel.send_packet(up.peer, &[&cancel]);
     }
 }
@@ -2086,16 +2046,7 @@ fn cancel_outbound(
 /// cancel or credit deadline): cancel it both ways, then account the item
 /// as dropped.
 fn cancel_and_drop(path: &OutPath, item: &FwdItem, reason: CancelReason, shared: &FwdShared) {
-    cancel_outbound(
-        path,
-        item.to,
-        item.last_hop,
-        &item.tag,
-        &item.upstream,
-        reason,
-        true,
-        shared,
-    );
+    cancel_outbound(path, item, reason, true, shared);
     drop_item(item, shared);
 }
 
@@ -2132,159 +2083,67 @@ fn take_credit_blocking(path: &OutPath, item: FwdItem, shared: &FwdShared) -> Op
     }
 }
 
-/// Retransmit one pipeline item whose credit (if any) is already in hand.
-fn transmit_item(path: &OutPath, mut item: FwdItem, shared: &FwdShared) -> bool {
-    restage_item(&mut item, shared);
-    let FwdItem {
-        out_net: _,
-        to,
-        last_hop,
-        buf,
-        tag,
-        end_of_stream,
-        held_bytes,
-        recv_ns,
-        consume: _,
-        upstream,
-        ack,
-        restage: _,
-    } = item;
-    let account_drop = |shared: &FwdShared| {
-        shared.stats.held.add(-(held_bytes as i64));
-        if end_of_stream {
-            shared.live.stream_done();
-            shared.ledger().close(tag.key());
-        }
-    };
-    let channel = path.channel(last_hop);
-    let bytes = buf.bytes().len();
-    let send = trace_span!(shared.tracer, "gw", "send", "bytes" = bytes as u64);
-    let sent = match channel.lock_conduit(to) {
-        Ok(mut conduit) => {
-            let r = send_buf(&mut **conduit, buf);
-            drop(conduit);
-            r
-        }
-        Err(e) => Err(e),
-    };
-    drop(send);
-    match sent {
-        Ok(()) => {
-            channel.stats().on_send(to.0, bytes);
-            if let Some(m) = &shared.metrics {
-                if recv_ns > 0 {
-                    m.forward_ns
-                        .record(shared.runtime.now_nanos().saturating_sub(recv_ns));
-                }
-            }
-            shared.stats.held.add(-(held_bytes as i64));
-            if let Some(up) = &upstream {
-                up.grant(&tag, &shared.stats);
-            }
-            if let Some((ack_ch, ack_peer)) = &ack {
-                // The stream's end packet is on the wire: tell the origin
-                // the handoff succeeded. A lost ack is recovered by the
-                // origin's deadline (it re-issues; the receiver absorbs the
-                // ghost), so a failed send here is not an error.
-                let mut ackp = shared.runtime.pool().get(PRELUDE_LEN);
-                gtm::encode_ack_into(ackp.vec(), &tag);
-                if ack_ch.send_packet(*ack_peer, &[&ackp]).is_ok() {
-                    shared.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if end_of_stream {
-                shared.live.stream_done();
-                shared.ledger().close(tag.key());
-            }
-            true
-        }
-        Err(MadError::Disconnected) => {
-            // Orderly teardown of the outbound conduit: account the item
-            // and let the caller shut this side down.
-            account_drop(shared);
-            false
-        }
-        Err(_) => {
-            // A hard fault on the outbound hop (dead peer): this stream
-            // cannot make progress — cancel it both ways, drop the
-            // packet, and keep serving every other stream.
-            shared.stats.on_error();
-            cancel_outbound(
-                path,
-                to,
-                last_hop,
-                &tag,
-                &upstream,
-                CancelReason::PeerUnreachable,
-                false,
-                shared,
-            );
-            account_drop(shared);
-            true
-        }
-    }
-}
-
 /// Retransmit a train of credit-holding pipeline items bound for the same
-/// conduit as one batch frame: one wire send, one per-send overhead. A
-/// train of one degenerates to the plain single-packet path (no framing).
-/// Upstream credit grants are aggregated into one packet per stream. The
-/// train is consumed: `batch` comes back empty, every member accounted
-/// exactly once whatever the outcome. Returns `false` only on an orderly
-/// disconnect.
-fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) -> bool {
-    if batch.len() <= 1 {
-        return match batch.pop() {
-            Some(item) => transmit_item(path, item, shared),
-            None => true,
-        };
-    }
-    for item in batch.iter_mut() {
+/// conduit with one send — a train of one hands its landed buffer to the
+/// driver whole ([`send_buf`]), a longer one leaves as one batch frame —
+/// then settle every member exactly once, whatever the outcome: `train`
+/// comes back empty. Returns `false` only on an orderly disconnect.
+fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) -> bool {
+    let Some((to, last_hop)) = train.first().map(|head| (head.to, head.last_hop)) else {
+        return true;
+    };
+    for item in train.iter_mut() {
         restage_item(item, shared);
     }
-    let to = batch[0].to;
-    let last_hop = batch[0].last_hop;
     let channel = path.channel(last_hop);
-    let bytes: usize = batch.iter().map(|i| i.buf.bytes().len()).sum();
+    let bytes: usize = train.iter().map(|item| item.buf.bytes().len()).sum();
     let send = trace_span!(
         shared.tracer,
         "gw",
-        "send-batch",
-        "packets" = batch.len() as u64,
+        "send",
+        "packets" = train.len() as u64,
         "bytes" = bytes as u64
     );
-    let sent = match channel.lock_conduit(to) {
-        Ok(mut conduit) => {
-            let packets: Vec<&[u8]> = batch.iter().map(|i| i.buf.bytes()).collect();
-            conduit.send_batch(&packets)
-        }
-        Err(e) => Err(e),
-    };
+    let sent = channel
+        .lock_conduit(to)
+        .and_then(|mut conduit| match train.as_mut_slice() {
+            [one] => {
+                // Nothing below reads the buffer again.
+                let buf = std::mem::replace(&mut one.buf, FwdBuf::Owned(PooledBuf::default()));
+                send_buf(&mut **conduit, buf)
+            }
+            items => {
+                let packets: Vec<&[u8]> = items.iter().map(|item| item.buf.bytes()).collect();
+                conduit.send_batch(&packets)
+            }
+        });
     drop(send);
     match sent {
         Ok(()) => {
             channel.stats().on_send(to.0, bytes);
             if let Some(m) = &shared.metrics {
                 let now = shared.runtime.now_nanos();
-                for item in batch.iter() {
-                    if item.recv_ns > 0 {
-                        m.forward_ns.record(now.saturating_sub(item.recv_ns));
-                    }
+                for item in train.iter().filter(|item| item.recv_ns > 0) {
+                    m.forward_ns.record(now.saturating_sub(item.recv_ns));
                 }
             }
+            // Held bytes go down before any grant: a grant lets the sender
+            // send more, and each new fragment adds to the gauge.
+            let held: usize = train.iter().map(|item| item.held_bytes).sum();
+            shared.stats.held.add(-(held as i64));
             // At most one credit packet per (upstream peer, stream): the
             // first fragment of each that carries any returns what all of
             // them carry.
-            for (i, item) in batch.iter().enumerate() {
+            for (i, item) in train.iter().enumerate() {
                 let Some(up) = item.carrying() else { continue };
                 let same = |other: &&FwdItem| {
                     other.tag.key() == item.tag.key()
                         && other.carrying().is_some_and(|o| o.peer == up.peer)
                 };
-                if batch[..i].iter().any(|other| same(&other)) {
+                if train[..i].iter().any(|other| same(&other)) {
                     continue;
                 }
-                let credits: u32 = batch[i..]
+                let credits: u32 = train[i..]
                     .iter()
                     .filter(same)
                     .filter_map(|other| other.carrying())
@@ -2292,15 +2151,19 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
                     .sum();
                 up.grant_sum(&item.tag, credits, &shared.stats);
             }
-            for item in batch.drain(..) {
+            for item in train.drain(..) {
                 if let Some((ack_ch, ack_peer)) = &item.ack {
+                    // The stream's end packet is on the wire: tell the origin
+                    // the handoff succeeded. A lost ack is recovered by the
+                    // origin's deadline (it re-issues; the receiver absorbs
+                    // the ghost), so a failed send here is not an error.
                     let mut ackp = shared.runtime.pool().get(PRELUDE_LEN);
                     gtm::encode_ack_into(ackp.vec(), &item.tag);
                     if ack_ch.send_packet(*ack_peer, &[&ackp]).is_ok() {
                         shared.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                shared.stats.held.add(-(item.held_bytes as i64));
+                // After the ack: a stop must not overtake it.
                 if item.end_of_stream {
                     shared.live.stream_done();
                     shared.ledger().close(item.tag.key());
@@ -2309,28 +2172,32 @@ fn transmit_batch(path: &OutPath, batch: &mut Vec<FwdItem>, shared: &FwdShared) 
             true
         }
         Err(MadError::Disconnected) => {
-            for item in batch.drain(..) {
+            // Orderly teardown of the outbound conduit: account the train
+            // and let the caller shut this side down.
+            for item in train.drain(..) {
                 drop_item(&item, shared);
             }
             false
         }
         Err(_) => {
-            // A hard fault kills every stream with a packet on the train
-            // (the conduit's framing is gone for all of them) — cancel
-            // each once (`cancel_outbound` notifies only on a stream's
-            // first cancellation), keep the engine alive.
+            // A hard fault on the outbound hop (dead peer) kills every
+            // stream with a packet on the train: cancel each once, through
+            // a packet of it that knows the way back upstream if one does
+            // (a header does not), drop the packets, and keep serving
+            // every other stream.
             shared.stats.on_error();
-            for item in batch.drain(..) {
-                cancel_outbound(
-                    path,
-                    item.to,
-                    item.last_hop,
-                    &item.tag,
-                    &item.upstream,
-                    CancelReason::PeerUnreachable,
-                    false,
-                    shared,
-                );
+            for (i, item) in train.iter().enumerate() {
+                let key = item.tag.key();
+                if train[..i].iter().any(|other| other.tag.key() == key) {
+                    continue;
+                }
+                let way_back = train[i..]
+                    .iter()
+                    .find(|other| other.tag.key() == key && other.upstream.is_some())
+                    .unwrap_or(item);
+                cancel_outbound(path, way_back, CancelReason::PeerUnreachable, false, shared);
+            }
+            for item in train.drain(..) {
                 drop_item(&item, shared);
             }
             true
@@ -2431,7 +2298,7 @@ impl Flush {
                 continue; // stream cancelled; item accounted
             };
             self.build_train(head, path, shared);
-            if !transmit_batch(path, &mut self.batch, shared) {
+            if !transmit_train(path, &mut self.batch, shared) {
                 for item in self.pending.drain(..) {
                     drop_item(&item, shared);
                 }
@@ -2656,6 +2523,31 @@ mod tests {
                 self.up.send_packet(NodeId(1), &[packet]).unwrap();
             }
             true
+        }
+
+        /// Rank 0 is told that `tag` died on a dead outbound peer: one
+        /// cancel within a deadline, and no second one by the time the
+        /// engine has dropped the stream's packets (it drops them after
+        /// every cancel is sent) — one relay error, no byte left held.
+        fn expect_one_cancel(&self, tag: StreamTag) {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            let left = || {
+                let left = deadline.saturating_duration_since(Instant::now());
+                Some(left.as_nanos() as u64)
+            };
+            self.up
+                .select_ready_after(None, || false, left)
+                .expect("the stream's sender is told");
+            let back = self.up.lock_conduit(NodeId(1)).unwrap().recv_owned();
+            assert_eq!(
+                gtm::decode_packet(&back.unwrap()).unwrap(),
+                (tag, PacketBody::Cancel(CancelReason::PeerUnreachable)),
+            );
+            while self.totals().held_bytes > 0 {
+                std::thread::yield_now();
+            }
+            assert!(!Rig::pending(&self.up), "one cancel, once");
+            assert_eq!(self.totals().errors, 1);
         }
     }
 
@@ -3099,6 +2991,53 @@ mod tests {
         let totals = rig.finish();
         assert_eq!((totals.credit_timeouts, totals.credits_granted), (1, 0));
         assert_eq!(totals.held_bytes, 0);
+    }
+
+    /// A train that dies on a dead outbound peer tells the hop it came
+    /// from, at either depth: the header at its head knows no way back,
+    /// its fragments do, and the stream is cancelled once, through one of
+    /// them. The source's end then finds the stream cancelled, and the
+    /// stop completes.
+    #[test]
+    fn dead_peer_train_cancels_upstream_once() {
+        for depth in [2, 1] {
+            let out = MockDriver::dynamic();
+            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+            let packets = stream_in_frags(2, 7, &[0x4D; 200], 2);
+            let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+            let (open, end) = packets.split_at(packets.len() - 1);
+            out.fail_sends();
+            rig.up.send_packet(NodeId(1), &[&frame_of(open)]).unwrap();
+            rig.expect_one_cancel(tag);
+            rig.up.send_packet(NodeId(1), &[&end[0]]).unwrap();
+            let totals = rig.finish();
+            assert_eq!(totals.held_bytes, 0, "depth {depth}");
+            assert!(rig.ledger.is_idle());
+        }
+    }
+
+    /// The one-packet shape of the same settlement: the header and the
+    /// descriptor went through, then the peer died and a lone fragment
+    /// finds out.
+    #[test]
+    fn dead_peer_lone_fragment_cancels_upstream_once() {
+        for depth in [2, 1] {
+            let out = MockDriver::dynamic();
+            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+            let packets = stream_in_frags(2, 8, &[0x4E; 100], 1);
+            let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+            for packet in &packets[..2] {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                assert_eq!(&rig.recv(2), packet);
+            }
+            out.fail_sends();
+            rig.up.send_packet(NodeId(1), &[&packets[2]]).unwrap();
+            rig.expect_one_cancel(tag);
+            rig.up.send_packet(NodeId(1), &[&packets[3]]).unwrap();
+            let totals = rig.finish();
+            assert_eq!(totals.held_bytes, 0, "depth {depth}");
+            assert!(rig.ledger.is_idle());
+        }
     }
 
     /// Packets of one train that leave different ways split where the way

@@ -209,7 +209,7 @@ impl MetricsPlane {
         if let Some(mp) = self.mp.lock().as_ref() {
             for (gw, bytes) in mp.path_bytes() {
                 self.registry
-                    .gauge(&format!("stripe_path_bytes_gw{gw}"))
+                    .gauge(&format!("path_bytes_gw{gw}"))
                     .set(bytes as i64);
             }
         }
@@ -532,15 +532,9 @@ pub(crate) fn flush_snapshot_to_trace(snap: &Snapshot, tracer: &Tracer, track: &
         }
     }
     for (name, v, peak) in &snap.gauges {
-        if let Some(rest) = name.strip_prefix("stripe_path_bytes_gw") {
+        if let Some(rest) = name.strip_prefix("path_bytes_gw") {
             if let Ok(gw) = rest.parse::<u64>() {
-                tracer.count_on(
-                    track,
-                    "metrics",
-                    "stripe_path_bytes",
-                    *v,
-                    &[("gateway", gw)],
-                );
+                tracer.count_on(track, "metrics", "path_bytes", *v, &[("gateway", gw)]);
             }
             continue;
         }

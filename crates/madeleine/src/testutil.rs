@@ -5,6 +5,7 @@
 
 #![cfg(test)]
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mad_util::pool::PooledBuf;
@@ -23,6 +24,9 @@ pub struct MockDriver {
     /// Where every packet handed whole to a conduit of this driver
     /// ([`Conduit::send_owned`]) lived, in send order.
     owned_sends: Arc<Mutex<Vec<usize>>>,
+    /// Set: every send of this driver's conduits fails as toward a dead
+    /// peer ([`MockDriver::fail_sends`]).
+    failing: Arc<AtomicBool>,
 }
 
 impl MockDriver {
@@ -31,7 +35,14 @@ impl MockDriver {
             caps,
             runtime: StdRuntime::shared(),
             owned_sends: Arc::default(),
+            failing: Arc::default(),
         })
+    }
+
+    /// From now on every send of this driver's conduits, those already
+    /// connected included, fails with [`MadError::PeerUnreachable`].
+    pub fn fail_sends(&self) {
+        self.failing.store(true, Ordering::SeqCst);
     }
 
     /// Addresses of the packets sent through [`Conduit::send_owned`].
@@ -79,8 +90,8 @@ impl Driver for MockDriver {
 
     fn connect(
         &self,
-        _a: NodeId,
-        _b: NodeId,
+        a: NodeId,
+        b: NodeId,
         ev_a: Arc<dyn RtEvent>,
         ev_b: Arc<dyn RtEvent>,
     ) -> (Box<dyn Conduit>, Box<dyn Conduit>) {
@@ -92,16 +103,20 @@ impl Driver for MockDriver {
                 tx: tx_ab,
                 rx: rx_a,
                 ev: ev_a,
+                peer: b,
                 sent_packets: 0,
                 owned_sends: self.owned_sends.clone(),
+                failing: self.failing.clone(),
             }),
             Box::new(MockConduit {
                 caps: self.caps,
                 tx: tx_ba,
                 rx: rx_b,
                 ev: ev_b,
+                peer: a,
                 sent_packets: 0,
                 owned_sends: self.owned_sends.clone(),
+                failing: self.failing.clone(),
             }),
         )
     }
@@ -112,9 +127,22 @@ pub struct MockConduit {
     tx: RtSender<Vec<u8>>,
     rx: RtReceiver<Vec<u8>>,
     ev: Arc<dyn RtEvent>,
+    /// The far end, named by a send that fails toward it.
+    peer: NodeId,
     /// Observable packet count, for grouping assertions.
     pub sent_packets: usize,
     owned_sends: Arc<Mutex<Vec<usize>>>,
+    failing: Arc<AtomicBool>,
+}
+
+impl MockConduit {
+    /// The error every send returns once [`MockDriver::fail_sends`] is set.
+    fn dead_peer(&self) -> Result<()> {
+        if self.failing.load(Ordering::SeqCst) {
+            return Err(MadError::PeerUnreachable(self.peer));
+        }
+        Ok(())
+    }
 }
 
 impl Conduit for MockConduit {
@@ -126,6 +154,7 @@ impl Conduit for MockConduit {
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert!(total <= self.caps.max_packet, "packet over driver limit");
         assert!(parts.len() <= self.caps.max_gather, "gather over limit");
+        self.dead_peer()?;
         self.sent_packets += 1;
         let mut v = Vec::with_capacity(total);
         for p in parts {
@@ -136,6 +165,7 @@ impl Conduit for MockConduit {
 
     fn send_owned(&mut self, packet: PooledBuf) -> Result<()> {
         assert!(packet.len() <= self.caps.max_packet, "packet over limit");
+        self.dead_peer()?;
         self.sent_packets += 1;
         self.owned_sends.lock().push(packet.as_ptr() as usize);
         self.tx
@@ -144,6 +174,7 @@ impl Conduit for MockConduit {
     }
 
     fn send_static(&mut self, buf: StaticBuf) -> Result<()> {
+        self.dead_peer()?;
         self.sent_packets += 1;
         self.tx
             .push(buf.into_vec())

@@ -37,16 +37,19 @@ for i in $(seq 1 50); do
     { echo "$out"; echo "epoch storm: run $i of 50 failed" >&2; exit 1; }
 done
 
-# A credit that no fragment is told to return is a hang until a deadline —
-# and does not show in every run: the half-window grant rigs (windows 1 to
-# 8, a writer that sends only what its account covers), 50 times,
-# optimised, a few seconds.
+# Credit and cancel settlement. A credit that no fragment is told to
+# return is a hang until a deadline, and a cancel that never goes upstream
+# leaves the sender waiting — neither shows in every run: the half-window
+# grant rigs (windows 1 to 8, a writer that sends only what its account
+# covers) and the dead-peer rigs (a train and a lone fragment that fail on
+# the way out, each on the polling thread in place and through the
+# pipeline), 50 times, optimised, a few seconds.
 echo
-echo "== half-window grants x50 (madeleine, release)"
+echo "== credit and cancel settlement x50 (madeleine, release)"
 for i in $(seq 1 50); do
-  out="$(cargo test -q --offline --release -p madeleine --lib \
-    half_window_grants 2>&1)" ||
-    { echo "$out"; echo "grant loop: run $i of 50 failed" >&2; exit 1; }
+  out="$(cargo test -q --offline --release -p madeleine --lib -- \
+    half_window_grants dead_peer_ 2>&1)" ||
+    { echo "$out"; echo "settlement loop: run $i of 50 failed" >&2; exit 1; }
 done
 
 # The randomized soaks, pinned to a fixed seed so CI failures reproduce
