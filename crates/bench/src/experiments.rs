@@ -32,7 +32,7 @@ impl Measurement {
     }
 
     /// One-way time in microseconds.
-    pub fn micros(&self) -> f64 {
+    fn micros(&self) -> f64 {
         self.seconds * 1e6
     }
 }
@@ -487,7 +487,6 @@ fn run_multipath_aggregate(
         &[n_in, n_out],
         VcOptions {
             mtu: Some(SCALING_MTU),
-            multipath: true,
             gateway: GatewayConfig {
                 switch_overhead_ns: calibration::gateway_switch_overhead().as_nanos(),
                 ..Default::default()
@@ -541,7 +540,7 @@ fn run_multipath_aggregate(
         // path) before rank 0 snapshots the session-wide split.
         node.barrier().wait();
         if rank == 0 {
-            let split = vc.multipath().expect("multipath enabled").path_bytes();
+            let split = vc.multipath().map(|mp| mp.path_bytes()).unwrap_or_default();
             (out.0, out.1, split)
         } else {
             out
@@ -623,7 +622,6 @@ pub fn multipath_death_soak(
         &[n_in, n_out],
         VcOptions {
             mtu: Some(calibration::CROSSOVER_PACKET),
-            multipath: true,
             gateway: GatewayConfig {
                 switch_overhead_ns: calibration::gateway_switch_overhead().as_nanos(),
                 drain_timeout_ns: 100_000_000, // the dead engine must not hang teardown
@@ -649,7 +647,7 @@ pub fn multipath_death_soak(
                     w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                     w.end_packing().unwrap();
                 }
-                let c = vc.multipath().expect("multipath enabled").counters();
+                let c = vc.multipath().expect("parallel gateways").counters();
                 (t0, 0u32, c.failovers, c.deaths)
             }
             r if r == sink => {
@@ -726,7 +724,6 @@ fn run_membership_churn(
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: true,
             membership: true,
             metrics: Some(madeleine::MetricsOptions::default()),
             gateway: GatewayConfig {
@@ -793,7 +790,7 @@ fn run_membership_churn(
                     rt.charge_overhead(2_000_000 + (s >> 8) % 4_000_000);
                     epoch = plane.rejoin(&peers, JOIN_TIMEOUT).expect("rejoin failed");
                 }
-                let c = vc.multipath().expect("multipath enabled").counters();
+                let c = vc.multipath().expect("parallel gateways").counters();
                 (0, 0, c.readmissions, c.deaths, epoch)
             }
             _ => (0, 0, 0, 0, 0),

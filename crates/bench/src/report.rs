@@ -5,7 +5,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Locate the workspace `results/` directory (next to the top Cargo.toml).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     dir.pop(); // crates/
     dir.pop(); // workspace root

@@ -83,7 +83,7 @@ impl Communicator {
     }
 
     /// The session node id of a communicator rank.
-    pub fn node_of(&self, rank: u32) -> NodeId {
+    fn node_of(&self, rank: u32) -> NodeId {
         self.world[rank as usize]
     }
 

@@ -38,7 +38,7 @@ pub fn bytes_to_u64s(b: &[u8]) -> Vec<u64> {
 }
 
 /// Element-wise combine of two little-endian `f64` byte buffers.
-pub fn combine_f64(op: impl Fn(f64, f64) -> f64 + Copy) -> impl Fn(&mut [u8], &[u8]) + Copy {
+fn combine_f64(op: impl Fn(f64, f64) -> f64 + Copy) -> impl Fn(&mut [u8], &[u8]) + Copy {
     move |acc, other| {
         for (a, o) in acc.chunks_exact_mut(8).zip(other.chunks_exact(8)) {
             let x = f64::from_le_bytes(a.try_into().unwrap());
@@ -57,21 +57,6 @@ impl Communicator {
     ) -> Result<()> {
         let mut bytes = f64s_to_bytes(data);
         self.allreduce(&mut bytes, combine_f64(op))?;
-        *data = bytes_to_f64s(&bytes);
-        Ok(())
-    }
-
-    /// Element-wise `f64` sum-reduce to `root`; returns the result there.
-    pub fn reduce_sum_f64(&self, root: u32, data: &[f64]) -> Result<Option<Vec<f64>>> {
-        let mut bytes = f64s_to_bytes(data);
-        let is_root = self.reduce(root, &mut bytes, combine_f64(|a, b| a + b))?;
-        Ok(is_root.then(|| bytes_to_f64s(&bytes)))
-    }
-
-    /// Broadcast a `f64` vector from `root`.
-    pub fn broadcast_f64(&self, root: u32, data: &mut Vec<f64>) -> Result<()> {
-        let mut bytes = f64s_to_bytes(data);
-        self.broadcast(root, &mut bytes)?;
         *data = bytes_to_f64s(&bytes);
         Ok(())
     }

@@ -277,6 +277,17 @@ pub fn compute_table(networks: &[NetworkDecl]) -> RoutingTable {
     }
 }
 
+/// The gateway ranks of a topology: nodes attached to at least two of its
+/// networks, ascending. A node listed twice in one network is not thereby
+/// a gateway.
+pub fn gateways(networks: &[NetworkDecl]) -> Vec<u32> {
+    Graph::build(networks)
+        .nets_of
+        .into_iter()
+        .filter_map(|(n, nets)| (nets.len() >= 2).then_some(n))
+        .collect()
+}
+
 // ------------------------------------------------------------ cost model
 
 /// One gateway's load over the last observation window — *rates*, not
@@ -383,8 +394,8 @@ impl Selector {
         first
     }
 
-    /// True if `node` has been marked dead.
-    pub fn is_dead(&self, node: u32) -> bool {
+    #[cfg(test)]
+    fn is_dead(&self, node: u32) -> bool {
         self.lock().dead.contains(&node)
     }
 
@@ -433,16 +444,6 @@ impl Selector {
     /// Count one stream re-issued on a surviving path.
     pub fn note_failover(&self) {
         self.lock().failovers += 1;
-    }
-
-    /// The live subset of `paths`, in plan order.
-    pub fn live(&self, paths: &[PathHop]) -> Vec<PathHop> {
-        let st = self.lock();
-        paths
-            .iter()
-            .filter(|h| !st.dead.contains(&h.node))
-            .copied()
-            .collect::<Vec<_>>()
     }
 
     /// Pick a path for a new stream toward `dest`, skipping dead gateways
@@ -641,6 +642,25 @@ mod tests {
         assert_eq!(table.nodes().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(table.plan(3).width(0), 2); // via gateway 1 or 2
         assert_eq!(table.plan(0).primary(3).unwrap().node, 1);
+        assert_eq!(gateways(&nets), vec![1, 2]);
+
+        // A two-gateway chain, 0 listed twice in net0: each node's first
+        // hop toward 3 is the next gateway along it, then 3 itself.
+        let nets = [nm(0, &[0, 0, 1]), nm(1, &[1, 2]), nm(2, &[2, 3])];
+        let table = compute_table(&nets);
+        let hop = |net, node, last| Some(PathHop { net, node, last });
+        assert_eq!(table.plan(0).primary(3), hop(0, 1, false));
+        assert_eq!(table.plan(1).primary(3), hop(1, 2, false));
+        assert_eq!(table.plan(2).primary(3), hop(2, 3, true));
+        assert_eq!(gateways(&nets), vec![1, 2]);
+
+        // Two islands: nothing crosses, and nobody is a gateway.
+        let nets = [nm(0, &[0, 1]), nm(1, &[2, 3])];
+        let table = compute_table(&nets);
+        assert_eq!(table.plan(0).primary(2), None);
+        assert!(table.plan(0).paths(2).is_empty());
+        assert_eq!(table.plan(0).primary(1), hop(0, 1, true));
+        assert!(gateways(&nets).is_empty());
     }
 
     #[test]
@@ -714,7 +734,7 @@ mod tests {
         assert!(!sel.mark_dead(1), "second mark is not news");
         assert_eq!(sel.choose(9, &paths, &[]).unwrap().node, 2);
         assert_eq!(sel.choose(9, &paths, &[2]), None);
-        assert_eq!(sel.live(&paths).len(), 1);
+        assert!(sel.is_dead(1) && !sel.is_dead(2));
     }
 
     #[test]
@@ -740,10 +760,10 @@ mod tests {
             },
         );
         assert!(sel.mark_dead(1));
-        assert_eq!(sel.live(&paths).len(), 1);
+        assert!(sel.is_dead(1));
         assert!(sel.readmit(1));
         assert!(!sel.readmit(1), "second readmit is not news");
-        assert_eq!(sel.live(&paths).len(), 2);
+        assert!(!sel.is_dead(1));
         // Cost was reset: node 1 competes again instead of being shunned
         // for its pre-death congestion.
         let picks: Vec<u32> = (0..2)

@@ -116,18 +116,6 @@ impl SimRuntime {
         }
     }
 
-    /// Override the modeled memcpy bandwidth (ablations).
-    pub fn with_memcpy_bps(clock: &Clock, memcpy_bps: f64) -> Arc<Self> {
-        assert!(memcpy_bps > 0.0);
-        Arc::new(SimRuntime {
-            clock: clock.clone(),
-            memcpy_bps,
-            trace: None,
-            pool: mad_util::pool::BufferPool::new(),
-            spawned: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
     /// The virtual clock.
     pub fn clock(&self) -> &Clock {
         &self.clock

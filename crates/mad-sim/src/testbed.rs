@@ -29,7 +29,7 @@ impl Testbed {
     }
 
     /// `n_nodes` hosts with a custom bus arbitration (ablations).
-    pub fn with_arbitration(n_nodes: usize, arb: Arbitration) -> Self {
+    fn with_arbitration(n_nodes: usize, arb: Arbitration) -> Self {
         let clock = Clock::new();
         let runtime = SimRuntime::new(&clock);
         Testbed::assemble(n_nodes, arb, clock, runtime)
@@ -92,12 +92,6 @@ impl Testbed {
     pub fn fault_link(&self, a: usize, b: usize, fault: LinkFault) {
         self.net.fault_link(&self.hosts[a], &self.hosts[b], fault);
         self.net.fault_link(&self.hosts[b], &self.hosts[a], fault);
-    }
-
-    /// Inject `fault` on the `from` → `to` direction only.
-    pub fn fault_link_dir(&self, from: usize, to: usize, fault: LinkFault) {
-        self.net
-            .fault_link(&self.hosts[from], &self.hosts[to], fault);
     }
 
     /// Remove any link-level fault between ranks `a` and `b`, both

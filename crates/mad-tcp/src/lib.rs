@@ -48,7 +48,7 @@ use madeleine::runtime::{RtEvent, RtQueue, RtReceiver, Runtime};
 use madeleine::types::NodeId;
 
 /// Driver capabilities of the TCP loopback transport.
-pub const TCP_CAPS: DriverCaps = DriverCaps {
+const TCP_CAPS: DriverCaps = DriverCaps {
     name: "tcp",
     mode: BufferMode::Static,
     max_gather: 1024,

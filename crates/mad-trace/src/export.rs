@@ -156,7 +156,7 @@ impl Snapshot {
     /// `chrome://tracing`). Timestamps convert to microseconds; each
     /// track becomes a named thread under pid 0; counter events emit
     /// running totals per `(track, cat.name)`.
-    pub fn write_chrome<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    fn write_chrome<W: Write>(&self, w: &mut W) -> io::Result<()> {
         write!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
         let mut first = true;
         let mut emit = |w: &mut W, s: String| -> io::Result<()> {
@@ -240,7 +240,7 @@ impl Snapshot {
 
     /// Counter totals as CSV in the `results/*.csv` style
     /// (`track,cat,name,total` header plus one row per counter).
-    pub fn counters_csv(&self) -> String {
+    fn counters_csv(&self) -> String {
         let mut out = String::from("track,cat,name,total\n");
         for ((track, cat, name), total) in self.counter_totals() {
             out.push_str(&format!("{track},{cat},{name},{total}\n"));

@@ -42,11 +42,11 @@ pub const COMPILED_IN: bool = cfg!(not(feature = "noop"));
 
 /// Default per-track ring capacity (events kept before the oldest are
 /// dropped and counted in [`ThreadSnapshot::dropped`]).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Maximum number of key/value arguments attached to one event;
 /// extra arguments are silently discarded.
-pub const MAX_ARGS: usize = 4;
+const MAX_ARGS: usize = 4;
 
 /// Version of the JSONL event schema emitted by [`Snapshot`] exporters.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -262,14 +262,6 @@ impl Tracer {
         match &self.inner {
             Some(i) => Self::binding(i).clock.now_ns(),
             None => 0,
-        }
-    }
-
-    /// The clock domain name (`"sim"`, `"mono"`, or `"off"`).
-    pub fn clock_domain(&self) -> &'static str {
-        match &self.inner {
-            Some(i) => Self::binding(i).domain,
-            None => "off",
         }
     }
 

@@ -44,7 +44,7 @@ impl JsonValue {
     }
 
     /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
             _ => None,
@@ -60,7 +60,7 @@ impl JsonValue {
     }
 
     /// The numeric payload as u64, if this is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
             _ => None,
@@ -365,7 +365,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
 }
 
 /// Event names allowed on a `route:` track (all `count`s, cat `route`).
-pub const ROUTE_EVENT_NAMES: [&str; 5] = [
+const ROUTE_EVENT_NAMES: [&str; 5] = [
     "path_bytes",
     "switches",
     "failovers",
@@ -375,7 +375,7 @@ pub const ROUTE_EVENT_NAMES: [&str; 5] = [
 
 /// Event names allowed on a `gw:` track (all `count`s, cat `gateway`):
 /// the teardown totals plus the windowed cost-model deltas.
-pub const GW_EVENT_NAMES: [&str; 15] = [
+const GW_EVENT_NAMES: [&str; 15] = [
     "messages",
     "fragments",
     "fragment_bytes",
@@ -399,7 +399,7 @@ pub const GW_EVENT_NAMES: [&str; 15] = [
 /// copy-placement scheduler's accounting: where relay copies landed
 /// (receive- or flush-staged), how many found their stage idle, and each
 /// stage's cumulative busy time.
-pub const RT_EVENT_NAMES: [&str; 6] = [
+const RT_EVENT_NAMES: [&str; 6] = [
     "threads_spawned",
     "copies_recv",
     "copies_flush",
@@ -462,7 +462,7 @@ pub const HEALTH_EVENT_NAMES: [&str; 4] = [
 /// `member`): the membership plane's live protocol transitions (join
 /// phases, requests, acks, leaves, epoch rejections, path retire /
 /// readmit decisions) plus its teardown totals.
-pub const MEMBERSHIP_EVENT_NAMES: [&str; 18] = [
+const MEMBERSHIP_EVENT_NAMES: [&str; 18] = [
     "phase_connect",
     "phase_exchange",
     "phase_verify",

@@ -195,7 +195,7 @@ impl ChannelStats {
     }
 
     /// Copy of the per-peer breakdown (peers that saw traffic).
-    pub fn per_peer(&self) -> BTreeMap<u32, PeerCounters> {
+    fn per_peer(&self) -> BTreeMap<u32, PeerCounters> {
         let mut out = self.overflow().clone();
         for (peer, slot) in self.claimed() {
             let c = PeerCounters {

@@ -29,7 +29,7 @@ impl Bytes {
     }
 
     /// Take ownership of `data` without copying.
-    pub fn from_vec(data: Vec<u8>) -> Self {
+    fn from_vec(data: Vec<u8>) -> Self {
         let end = data.len();
         Bytes {
             data: data.into(),
@@ -71,14 +71,6 @@ impl Bytes {
             start: self.start + lo,
             end: self.start + hi,
         }
-    }
-
-    /// Split off and return the first `at` bytes, leaving the rest in
-    /// `self`. O(1); panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        let head = self.slice(..at);
-        self.start += at;
-        head
     }
 
     /// Split off and return the bytes from `at` onward, leaving the prefix
@@ -177,9 +169,7 @@ mod tests {
         assert_eq!(sub[0], 12);
         assert_eq!(sub.len(), 12);
 
-        let mut rest = b.clone();
-        let head = rest.split_to(10);
-        assert_eq!(head.as_slice(), &(0u8..10).collect::<Vec<_>>()[..]);
+        let mut rest = b.slice(10..);
         assert_eq!(rest[0], 10);
         let tail = rest.split_off(2);
         assert_eq!(rest.as_slice(), &[10, 11]);

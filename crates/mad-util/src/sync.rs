@@ -169,28 +169,6 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    /// Acquire a read guard only if no writer holds the lock.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                inner: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Acquire a write guard only if the lock is free right now.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
-                inner: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Access the value without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
@@ -454,7 +432,7 @@ mod tests {
             let r1 = l.read();
             let r2 = l.read();
             assert_eq!(*r1 + *r2, 10);
-            assert!(l.try_write().is_none());
+            assert!(l.inner.try_write().is_err());
         }
         *l.write() = 7;
         assert_eq!(*l.read(), 7);

@@ -14,7 +14,7 @@
 //! The plane owns what those reactions need: the node's [`CreditLedger`]
 //! (which exists even without a credit window — it is the cancellation
 //! bus), the table of handoff acks read by someone other than the writer
-//! waiting for them, the node's route table and special channels (so a
+//! waiting for them, the node's route plan and special channels (so a
 //! control packet addressed elsewhere can be relayed, and the optional
 //! planes can originate their own), and the optional telemetry and
 //! membership handlers. Every input here is hostile bytes off a wire:
@@ -25,6 +25,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock, Weak};
 
+use mad_route::{PathHop, RoutePlan};
 use mad_util::pool::PooledBuf;
 use mad_util::sync::Mutex;
 
@@ -35,7 +36,6 @@ use crate::error::{MadError, Result};
 use crate::gtm::{self, PacketBody, StreamKey, StreamTag};
 use crate::membership::MembershipPlane;
 use crate::metrics_plane::MetricsPlane;
-use crate::routing::RouteTable;
 use crate::runtime::RtEvent;
 use crate::types::{NetworkId, NodeId};
 
@@ -59,7 +59,9 @@ pub(crate) enum Dispatch {
 pub(crate) struct ControlPlane {
     rank: NodeId,
     ledger: Arc<CreditLedger>,
-    routes: RouteTable,
+    /// The node's plan from the channel's one routing table, by value: a
+    /// hop lookup is one map lookup.
+    plan: RoutePlan,
     special: BTreeMap<NetworkId, Arc<Channel>>,
     /// Parked handoff acks in arrival order (see [`ACK_TABLE_CAP`]).
     acks: Mutex<VecDeque<StreamKey>>,
@@ -68,19 +70,19 @@ pub(crate) struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// The plane of node `rank`: `routes` and `special` are the node's own
+    /// The plane of node `rank`: `plan` and `special` are the node's own
     /// view of the channel, so control packets route exactly like
     /// forwarded messages.
     pub(crate) fn new(
         rank: NodeId,
         ledger: Arc<CreditLedger>,
-        routes: RouteTable,
+        plan: RoutePlan,
         special: BTreeMap<NetworkId, Arc<Channel>>,
     ) -> Arc<Self> {
         Arc::new(ControlPlane {
             rank,
             ledger,
-            routes,
+            plan,
             special,
             acks: Mutex::new(VecDeque::new()),
             metrics: OnceLock::new(),
@@ -96,7 +98,7 @@ impl ControlPlane {
         Self::new(
             rank,
             CreditLedger::new(rt.event()),
-            RouteTable::default(),
+            RoutePlan::default(),
             BTreeMap::new(),
         )
     }
@@ -119,8 +121,13 @@ impl ControlPlane {
         &self.ledger
     }
 
-    pub(crate) fn routes(&self) -> &RouteTable {
-        &self.routes
+    pub(crate) fn plan(&self) -> &RoutePlan {
+        &self.plan
+    }
+
+    /// The first hop toward `dest`: the primary path of the node's plan.
+    pub(crate) fn hop(&self, dest: NodeId) -> Result<PathHop> {
+        self.plan.primary(dest.0).ok_or(MadError::Unroutable(dest))
     }
 
     pub(crate) fn special(&self) -> &BTreeMap<NetworkId, Arc<Channel>> {
@@ -216,12 +223,12 @@ impl ControlPlane {
 
     /// Send one verbatim packet toward `dest` along the routing table.
     pub(crate) fn send_toward(&self, dest: NodeId, packet: &[u8]) -> Result<()> {
-        let hop = self.routes.hop(dest)?;
+        let hop = self.hop(dest)?;
         let ch = self
             .special
-            .get(&hop.net)
+            .get(&NetworkId(hop.net))
             .ok_or(MadError::Unroutable(dest))?;
-        ch.send_packet(hop.node, &[packet])
+        ch.send_packet(NodeId(hop.node), &[packet])
     }
 
     /// Park a handoff ack read by someone other than the writer waiting
@@ -290,7 +297,7 @@ pub(crate) fn send_via(ctl: &Weak<ControlPlane>, dest: NodeId, packet: &[u8]) ->
 }
 
 /// Decode `packet` and, if it decodes, dispatch it on a bare plane
-/// (telemetry and membership off, empty route table). Returns whether the
+/// (telemetry and membership off, empty route plan). Returns whether the
 /// plane handled it. The hook the hostile-bytes property in
 /// `tests/prop_model.rs` drives; not part of the library's API.
 #[doc(hidden)]
@@ -430,6 +437,8 @@ mod tests {
         }
         assert_eq!(handled.into_iter().collect::<Vec<_>>(), [5, 6, 9, 10, 11]);
         assert!(p.ledger().is_idle(), "nothing here may open an account");
+        // A bare plane's plan is empty: every hop is unroutable.
+        assert_eq!(p.hop(NodeId(1)), Err(MadError::Unroutable(NodeId(1))));
     }
 
     /// `pump` over a real conduit: control packets are consumed, a stray

@@ -1626,16 +1626,17 @@ impl InboundCtx {
                         "duplicate GTM header for in-flight stream {key:?}"
                     )));
                 }
-                let hop = shared.ctl.routes().hop(header.tag.dest)?;
-                if !sinks.bridges(hop.net) {
+                let hop = shared.ctl.hop(header.tag.dest)?;
+                let out_net = NetworkId(hop.net);
+                if !sinks.bridges(out_net) {
                     return Err(MadError::Protocol(format!(
-                        "route to {} leaves on {}, which this gateway does not bridge",
-                        header.tag.dest, hop.net
+                        "route to {} leaves on {out_net}, which this gateway does not bridge",
+                        header.tag.dest
                     )));
                 }
                 let stream = InStream {
-                    out_net: hop.net,
-                    to: hop.node,
+                    out_net,
+                    to: NodeId(hop.node),
                     last_hop: hop.last,
                     tag,
                     upstream: peer,
@@ -2337,7 +2338,6 @@ fn forwarding_thread(
 mod tests {
     use super::*;
     use crate::conduit::Driver;
-    use crate::routing::{NetworkMembers, RouteTable};
     use crate::runtime::StdRuntime;
     use crate::testutil::{channel_pair, MockDriver};
     use crate::types::ChannelId;
@@ -2421,9 +2421,9 @@ mod tests {
             let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0], false);
             let (rg1, down) = mesh(&out_driver, 1, &[2, 3], false);
             let special = BTreeMap::from([(0, sp0.clone()), (1, sp1.clone())]);
-            let members = |net: u32, ranks: &[u32]| NetworkMembers {
-                net: NetworkId(net),
-                members: ranks.iter().map(|&r| NodeId(r)).collect(),
+            let members = |net: u32, ranks: &[u32]| mad_route::NetworkDecl {
+                net,
+                members: ranks.to_vec(),
             };
             let nets = [
                 members(0, &[0, 1]),
@@ -2434,7 +2434,7 @@ mod tests {
             let ctl = ControlPlane::new(
                 NodeId(1),
                 ledger.clone(),
-                RouteTable::compute(&nets, NodeId(1)),
+                mad_route::compute_plan(&nets, 1),
                 BTreeMap::from([(NetworkId(0), sp0), (NetworkId(1), sp1)]),
             );
             let stopctl = Arc::new(GatewayStop::new());

@@ -94,9 +94,9 @@ use crate::plan;
 use crate::types::NodeId;
 
 /// First byte of every GTM packet.
-pub const GTM_MAGIC: u8 = 0xAD;
+const GTM_MAGIC: u8 = 0xAD;
 /// Wire-format version emitted and accepted by this module.
-pub const GTM_VERSION: u8 = 2;
+const GTM_VERSION: u8 = 2;
 /// Length of the common packet prelude; also the fragment payload offset.
 pub const PRELUDE_LEN: usize = 15;
 
@@ -118,7 +118,7 @@ const METRICS_REPLY: u8 = 2;
 
 /// Full length of a kind-11 membership packet: prelude, event byte,
 /// subject node (u32 LE), membership epoch (u64 LE).
-pub const MEMBER_PACKET_LEN: usize = PRELUDE_LEN + 1 + 4 + 8;
+const MEMBER_PACKET_LEN: usize = PRELUDE_LEN + 1 + 4 + 8;
 
 /// Byte budget for the encoded snapshot a metrics reply carries. Bounded
 /// so one reply always fits a single packet on every driver (the gateway
@@ -127,7 +127,7 @@ pub const MEMBER_PACKET_LEN: usize = PRELUDE_LEN + 1 + 4 + 8;
 pub const METRICS_MAX: usize = 2048;
 
 /// Largest kind-10 packet: prelude, direction byte, full reply payload.
-pub const METRICS_PACKET_MAX: usize = PRELUDE_LEN + 1 + METRICS_MAX;
+const METRICS_PACKET_MAX: usize = PRELUDE_LEN + 1 + METRICS_MAX;
 
 /// Per-sub-packet framing overhead inside a batch frame (the u32 length
 /// prefix). `PRELUDE_LEN + Σ (BATCH_ENTRY_OVERHEAD + lenᵢ)` is the full
@@ -434,7 +434,7 @@ pub fn encode_end(tag: &StreamTag) -> Vec<u8> {
 /// Encode a credit grant of `count` fragments for a stream into `v`
 /// (cleared first). Credits travel hop-by-hop on the same (bidirectional)
 /// conduit as the stream, in the opposite direction.
-pub fn encode_credit_into(v: &mut Vec<u8>, tag: &StreamTag, count: u32) {
+fn encode_credit_into(v: &mut Vec<u8>, tag: &StreamTag, count: u32) {
     v.clear();
     v.extend_from_slice(&credit_packet(tag, count));
 }
@@ -493,7 +493,7 @@ pub fn encode_ack(tag: &StreamTag) -> Vec<u8> {
 
 /// Encode a metrics-pull request into `v` (cleared first): `tag.src`
 /// asks `tag.dest` for a snapshot, `tag.msg_id` names the pull.
-pub fn encode_metrics_request_into(v: &mut Vec<u8>, tag: &StreamTag) {
+fn encode_metrics_request_into(v: &mut Vec<u8>, tag: &StreamTag) {
     v.clear();
     v.reserve(PRELUDE_LEN + 1);
     prelude_into(v, KIND_METRICS, tag);
@@ -510,7 +510,7 @@ pub fn encode_metrics_request(tag: &StreamTag) -> Vec<u8> {
 /// Encode a metrics-pull reply into `v` (cleared first): `tag.src` (the
 /// replier) carries its encoded snapshot back to `tag.dest`, echoing the
 /// request's `msg_id`. The payload must respect [`METRICS_MAX`].
-pub fn encode_metrics_reply_into(v: &mut Vec<u8>, tag: &StreamTag, payload: &[u8]) {
+fn encode_metrics_reply_into(v: &mut Vec<u8>, tag: &StreamTag, payload: &[u8]) {
     assert!(
         payload.len() <= METRICS_MAX,
         "metrics reply payload over budget"
@@ -537,7 +537,7 @@ pub fn metrics_payload(packet: &[u8]) -> &[u8] {
 /// Encode a membership packet into `v` (cleared first): `tag.src` sends
 /// one protocol event toward `tag.dest`; `tag.msg_id` is the sender's
 /// membership sequence number (idempotent re-runs reuse it).
-pub fn encode_member_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &MemberMsg) {
+fn encode_member_into(v: &mut Vec<u8>, tag: &StreamTag, msg: &MemberMsg) {
     v.clear();
     v.reserve(MEMBER_PACKET_LEN);
     prelude_into(v, KIND_MEMBER, tag);

@@ -70,7 +70,6 @@ pub mod message;
 pub mod metrics_plane;
 pub mod multipath;
 pub mod plan;
-pub mod routing;
 pub mod runtime;
 pub mod session;
 #[cfg(test)]

@@ -41,7 +41,7 @@ use crate::error::{MadError, Result};
 use crate::gtm::{self, MemberEvent, MemberMsg, PacketBody, StreamTag};
 use crate::multipath::MultiPath;
 use crate::runtime::{RtEvent, Runtime};
-use crate::types::NodeId;
+use crate::types::{NetworkId, NodeId};
 
 /// Lifecycle state of one node as seen by a peer's plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +175,7 @@ impl MembershipPlane {
     }
 
     /// The lifecycle state this plane has recorded for `node`.
-    pub fn member_state(&self, node: NodeId) -> Option<MemberState> {
+    fn member_state(&self, node: NodeId) -> Option<MemberState> {
         self.view.lock().get(&node.0).map(|r| r.state)
     }
 
@@ -227,8 +227,8 @@ impl MembershipPlane {
         if !self.phase_done(epoch, JoinPhase::Connect) {
             for &p in peers {
                 let ctl = self.ctl.upgrade().ok_or(MadError::Unroutable(p))?;
-                let hop = ctl.routes().hop(p)?;
-                if !ctl.special().contains_key(&hop.net) {
+                let hop = ctl.hop(p)?;
+                if !ctl.special().contains_key(&NetworkId(hop.net)) {
                     return Err(MadError::Unroutable(p));
                 }
             }

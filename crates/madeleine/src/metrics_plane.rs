@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
 use mad_metrics::{Counter, Gauge, Hist, Registry, Snapshot};
+use mad_trace::schema::{HEALTH_EVENT_NAMES, METRICS_EVENT_NAMES};
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
@@ -361,14 +362,6 @@ const SATURATION_STALL_RATIO: f64 = 0.75;
 /// messages) before a stalled stream is reported.
 const STALLED_STREAM_TICKS: u32 = 2;
 
-/// Health event names, in the fixed order the watchdog's counters use.
-const HEALTH_NAMES: [&str; 4] = [
-    "credit_starvation",
-    "queue_saturation",
-    "stalled_stream",
-    "dead_path_flap",
-];
-
 /// One gateway node's health evaluator: turns windowed stat deltas into
 /// typed `health:` trace events and registry counters, driven by its own
 /// thread ([`crate::ticker`]). Teardown gets one final evaluation, so a
@@ -381,6 +374,7 @@ pub(crate) struct Watchdog {
     tracer: Tracer,
     /// The `health:{vc}@{rank}` trace track.
     track: String,
+    /// One per [`HEALTH_EVENT_NAMES`] entry, in its order.
     counters: [Counter; 4],
     degradations: Counter,
     /// Consecutive zero-progress ticks with streams open.
@@ -397,12 +391,7 @@ impl Watchdog {
         tracer: Tracer,
         track: String,
     ) -> Self {
-        let counters = [
-            registry.counter("health_credit_starvation"),
-            registry.counter("health_queue_saturation"),
-            registry.counter("health_stalled_stream"),
-            registry.counter("health_dead_path_flap"),
-        ];
+        let counters = HEALTH_EVENT_NAMES.map(|n| registry.counter(&format!("health_{n}")));
         Watchdog {
             window,
             mp,
@@ -416,8 +405,13 @@ impl Watchdog {
     }
 
     fn fire(&self, which: usize, n: u64) {
-        self.tracer
-            .count_on(&self.track, "health", HEALTH_NAMES[which], n as i64, &[]);
+        self.tracer.count_on(
+            &self.track,
+            "health",
+            HEALTH_EVENT_NAMES[which],
+            n as i64,
+            &[],
+        );
         self.counters[which].add(n);
         self.degradations.add(n);
     }
@@ -461,64 +455,12 @@ impl Watchdog {
     }
 }
 
-/// Scalar metric names the teardown trace flush recognizes. Dynamic or
-/// application-defined registry entries are exposed through snapshots,
-/// but only this fixed schema reaches the trace
-/// (trace event names must be static; `mad-trace` schema validation
-/// enforces the same list).
-const SCALAR_TRACE_NAMES: &[&str] = &[
-    "degradations",
-    "health_credit_starvation",
-    "health_queue_saturation",
-    "health_stalled_stream",
-    "health_dead_path_flap",
-    "queue_depth",
-    "rt_threads_spawned",
-    "pool_gets",
-    "pool_hits",
-    "pool_misses",
-    "gw_held_bytes",
-    "gw_bytes_per_sec",
-    "open_streams",
-];
-
-/// Quantile-event names per known histogram, in
-/// (p50, p90, p99, max, count) order.
-const HIST_TRACE_NAMES: &[(&str, [&str; 5])] = &[
-    (
-        "gw_forward_ns",
-        [
-            "gw_forward_ns_p50",
-            "gw_forward_ns_p90",
-            "gw_forward_ns_p99",
-            "gw_forward_ns_max",
-            "gw_forward_ns_count",
-        ],
-    ),
-    (
-        "credit_wait_ns",
-        [
-            "credit_wait_ns_p50",
-            "credit_wait_ns_p90",
-            "credit_wait_ns_p99",
-            "credit_wait_ns_max",
-            "credit_wait_ns_count",
-        ],
-    ),
-    (
-        "gw_copy_bytes",
-        [
-            "gw_copy_bytes_p50",
-            "gw_copy_bytes_p90",
-            "gw_copy_bytes_p99",
-            "gw_copy_bytes_max",
-            "gw_copy_bytes_count",
-        ],
-    ),
-];
-
+/// The `metrics:` event name equal to `name`: only names the trace schema
+/// validates reach the trace (event names must be static). Dynamic or
+/// application-defined registry entries are exposed through snapshots
+/// alone.
 fn static_scalar_name(name: &str) -> Option<&'static str> {
-    SCALAR_TRACE_NAMES.iter().copied().find(|n| *n == name)
+    METRICS_EVENT_NAMES.iter().copied().find(|n| *n == name)
 }
 
 /// Fold one node's final snapshot into the session trace on a
@@ -546,18 +488,20 @@ pub(crate) fn flush_snapshot_to_trace(snap: &Snapshot, tracer: &Tracer, track: &
         }
     }
     for (name, h) in &snap.hists {
-        let Some((_, names)) = HIST_TRACE_NAMES.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
         let values = [
-            h.quantile(0.50),
-            h.quantile(0.90),
-            h.quantile(0.99),
-            h.max,
-            h.count(),
+            ("_p50", h.quantile(0.50)),
+            ("_p90", h.quantile(0.90)),
+            ("_p99", h.quantile(0.99)),
+            ("_max", h.max),
+            ("_count", h.count()),
         ];
-        for (n, v) in names.iter().zip(values) {
-            tracer.count_on(track, "metrics", n, v as i64, &[]);
+        for (suffix, v) in values {
+            let derived = METRICS_EVENT_NAMES
+                .iter()
+                .find(|n| n.strip_prefix(name.as_str()) == Some(suffix));
+            if let Some(n) = derived {
+                tracer.count_on(track, "metrics", n, v as i64, &[]);
+            }
         }
     }
 }

@@ -1,11 +1,13 @@
 //! The multi-path routing plane of a virtual channel.
 //!
 //! This module is the transport-side owner of the policy crate
-//! [`mad_route`]: it computes the session's [`mad_route::RoutingTable`]
-//! from the same topology declaration the legacy router uses, feeds the
-//! adaptive [`mad_route::Selector`] with live gateway load (one
-//! [`GatewayWindow`] of its own per engine), and keeps the per-path byte
-//! accounting that ends up on the `route:` trace track.
+//! [`mad_route`]: it holds the virtual channel's one
+//! [`mad_route::RoutingTable`] (session build computes it; every node's
+//! control plane routes by its own plan from it), feeds the adaptive
+//! [`mad_route::Selector`] with live gateway load (one [`GatewayWindow`]
+//! of its own per engine), and keeps the per-path byte accounting that
+//! ends up on the `route:` trace track. Session build creates the plane
+//! only when some plan of the table has two or more paths.
 //!
 //! One [`MultiPath`] instance is shared by every node of a virtual
 //! channel, which is what makes the cost model *global*: a sender on
@@ -18,12 +20,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mad_route::{GatewayLoad, PathHop, RoutePlan, Selector, SelectorCounters};
+use mad_route::{GatewayLoad, PathHop, RoutePlan, RoutingTable, Selector, SelectorCounters};
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
 use crate::gateway::{GatewayStats, GatewayWindow};
-use crate::routing::NetworkMembers;
 use crate::types::NodeId;
 
 /// Minimum interval between cost-model refreshes: a send-path call to
@@ -35,7 +36,7 @@ const REFRESH_INTERVAL_NS: u64 = 2_000_000;
 /// the adaptive selector, registered gateway feeds, and per-path byte
 /// accounting.
 pub struct MultiPath {
-    table: mad_route::RoutingTable,
+    table: RoutingTable,
     selector: Selector,
     last_refresh: AtomicU64,
     /// Live counter feeds of the session's gateway engines, registered
@@ -55,10 +56,10 @@ impl std::fmt::Debug for MultiPath {
 }
 
 impl MultiPath {
-    /// Build the routing plane for a virtual channel topology.
-    pub fn new(networks: &[NetworkMembers]) -> Self {
+    /// The routing plane over a virtual channel's routing table.
+    pub fn new(table: RoutingTable) -> Self {
         MultiPath {
-            table: mad_route::compute_table(&crate::routing::decls(networks)),
+            table,
             selector: Selector::new(),
             last_refresh: AtomicU64::new(0),
             feeds: Mutex::new(Vec::new()),

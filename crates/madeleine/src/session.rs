@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use mad_route::NetworkDecl;
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
@@ -22,7 +23,6 @@ use crate::gateway::{spawn_gateway, GatewayConfig, GatewayHandles, GatewayStop, 
 use crate::membership::MembershipPlane;
 use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog};
 use crate::multipath::MultiPath;
-use crate::routing::{self, NetworkMembers, RouteTable};
 use crate::runtime::{RtEvent, Runtime, StdRuntime};
 use crate::ticker;
 use crate::types::{ChannelId, NetworkId, NodeId};
@@ -90,11 +90,6 @@ pub struct VcOptions {
     pub mtu: Option<usize>,
     /// Gateway engine tuning.
     pub gateway: GatewayConfig,
-    /// Multi-path routing plane: when set, topologies with parallel
-    /// gateways between the same cluster pair spread their streams across
-    /// them and fail over when a gateway dies. `false` (the default) keeps
-    /// the legacy single-path router, byte-identical on the wire.
-    pub multipath: bool,
     /// Live telemetry plane: when set, every member node gets a metrics
     /// registry wired into the engine hot paths and answers in-band
     /// kind-10 snapshot pulls, and each gateway node runs a health
@@ -337,14 +332,18 @@ impl SessionBuilder {
         let mut member_planes: Vec<Arc<MembershipPlane>> = Vec::new();
         let mut aux_threads = Vec::new();
         for vdef in &self.vchannels {
-            let nm: Vec<NetworkMembers> = vdef
+            // One routing table per virtual channel: every node's control
+            // plane routes by its own plan from it, and the multi-path
+            // plane (below) holds it.
+            let decls: Vec<NetworkDecl> = vdef
                 .nets
                 .iter()
-                .map(|&i| NetworkMembers {
-                    net: NetworkId(i as u32),
-                    members: self.networks[i].members.clone(),
+                .map(|&i| NetworkDecl {
+                    net: i as u32,
+                    members: self.networks[i].members.iter().map(|m| m.0).collect(),
                 })
                 .collect();
+            let table = mad_route::compute_table(&decls);
 
             // A gateway's polling thread sleeps on its inbound special
             // channel alone, so that channel's arrivals get an event of
@@ -353,7 +352,10 @@ impl SessionBuilder {
             // regular channels, its ledger, an endpoint's special channels
             // — stays on the node event, where a pumping writer or a reader
             // needs "an arrival or a deposit" in one wait.
-            let gateways = routing::gateways(&nm);
+            let gateways: Vec<NodeId> = mad_route::gateways(&decls)
+                .into_iter()
+                .map(NodeId)
+                .collect();
 
             // Build the per-network channel pairs.
             let mut regular_by_node: HashMap<NodeId, BTreeMap<NetworkId, Arc<Channel>>> =
@@ -404,16 +406,16 @@ impl SessionBuilder {
             // blocked writer wakes on either an arrival on a conduit it
             // pumps or a credit deposit, and present even without a credit
             // window because it doubles as the cancellation bus — plus its
-            // one route table and its special channels. The node's gateway
-            // engine (if any), its writers, its responder and its optional
-            // planes all share it.
+            // plan from the channel's routing table and its special
+            // channels. The node's gateway engine (if any), its writers,
+            // its responder and its optional planes all share it.
             let ctls: HashMap<NodeId, Arc<ControlPlane>> = special_by_node
                 .into_iter()
                 .map(|(rank, special)| {
                     let ctl = ControlPlane::new(
                         rank,
                         CreditLedger::new(node_events[rank.index()].clone()),
-                        RouteTable::compute(&nm, rank),
+                        table.plan(rank.0).clone(),
                         special,
                     );
                     (rank, ctl)
@@ -421,9 +423,12 @@ impl SessionBuilder {
                 .collect();
 
             // Multi-path routing plane, shared by every node of the
-            // virtual channel so the cost model is session-global.
-            let mp = vdef.options.multipath.then(|| {
-                let mp = Arc::new(MultiPath::new(&nm));
+            // virtual channel so the cost model is session-global; it
+            // exists when the topology has parallel gateways, i.e. some
+            // plan has two or more paths to a destination.
+            let parallel = table.nodes().any(|n| table.plan(n).max_width() >= 2);
+            let mp = parallel.then(|| {
+                let mp = Arc::new(MultiPath::new(table));
                 mp.set_trace(runtime.tracer(), &vdef.name);
                 mp
             });
@@ -802,11 +807,6 @@ impl Node {
         self.vchannels
             .get(name)
             .unwrap_or_else(|| panic!("node {} has no virtual channel `{name}`", self.rank))
-    }
-
-    /// True if this node is attached to the named plain channel.
-    pub fn has_channel(&self, name: &str) -> bool {
-        self.channels.contains_key(name)
     }
 
     /// True if this node is attached to the named virtual channel.

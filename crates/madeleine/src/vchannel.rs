@@ -60,7 +60,7 @@ use crate::multipath::MultiPath;
 use crate::types::{NetworkId, NodeId};
 
 /// Note byte announcing a plain direct message (non-gateway senders only).
-pub const NOTE_DIRECT: u8 = 0;
+const NOTE_DIRECT: u8 = 0;
 
 /// Receive-side demultiplexing state: the assembler plus, per stream, the
 /// conduit it arrives on (so a reader knows where to pump for more).
@@ -84,9 +84,9 @@ pub struct VirtualChannel {
     /// Credit-based flow control for forwarded sends, when the session
     /// configured a window (see [`crate::credit`]).
     flow: Option<FlowControl>,
-    /// The channel's shared multi-path routing plane, when the session
-    /// enabled one. `None` keeps every path below byte-identical to the
-    /// single-path library.
+    /// The channel's shared multi-path routing plane, present when the
+    /// topology has parallel gateways. `None` keeps every path below
+    /// byte-identical to the single-path library.
     multipath: Option<Arc<MultiPath>>,
     next_msg_id: AtomicU32,
     demux: Mutex<Demux>,
@@ -164,18 +164,17 @@ impl VirtualChannel {
 
     /// Ranks reachable over this virtual channel.
     pub fn destinations(&self) -> Vec<NodeId> {
-        let mut d: Vec<NodeId> = self.ctl.routes().destinations().collect();
-        d.sort_unstable();
-        d
+        self.ctl.plan().destinations().map(NodeId).collect()
     }
 
     /// True if messages to `dest` cross at least one gateway.
     pub fn is_forwarded(&self, dest: NodeId) -> Result<bool> {
-        Ok(!self.ctl.routes().hop(dest)?.last)
+        Ok(!self.ctl.hop(dest)?.last)
     }
 
-    /// The channel's multi-path routing plane, when the session enabled
-    /// one (per-path byte splits, selector counters, route plans).
+    /// The channel's multi-path routing plane, present when some node's
+    /// plan has two or more paths to a destination (per-path byte splits,
+    /// selector counters, route plans).
     pub fn multipath(&self) -> Option<&Arc<MultiPath>> {
         self.multipath.as_ref()
     }
@@ -209,12 +208,10 @@ impl VirtualChannel {
     /// Begin a message to `dest`; transparently picks the direct path or
     /// the GTM + gateway path.
     pub fn begin_packing(&self, dest: NodeId) -> Result<VcWriter<'_, '_>> {
-        let hop = self.ctl.routes().hop(dest)?;
+        let hop = self.ctl.hop(dest)?;
+        let net = NetworkId(hop.net);
         if hop.last {
-            let channel = self
-                .regular
-                .get(&hop.net)
-                .ok_or(MadError::Unroutable(dest))?;
+            let channel = self.regular.get(&net).ok_or(MadError::Unroutable(dest))?;
             if self.is_gateway {
                 // The forwarding engine interleaves relayed packets on this
                 // conduit, so the body must be self-described: send a GTM
@@ -261,7 +258,7 @@ impl VirtualChannel {
             let channel = self
                 .ctl
                 .special()
-                .get(&hop.net)
+                .get(&net)
                 .ok_or(MadError::Unroutable(dest))?;
             // On a gateway node the engine's polling threads own the
             // special conduits' receive sides and deposit arriving grants;
@@ -269,7 +266,7 @@ impl VirtualChannel {
             let flow = self.flow.as_ref().map(|f| f.writer(!self.is_gateway));
             let w = GtmWriter::begin(
                 channel,
-                hop.node,
+                NodeId(hop.node),
                 self.next_tag(dest),
                 self.mtu,
                 false,

@@ -283,15 +283,4 @@ impl FluidBus {
             }
         }
     }
-
-    /// Snapshot of (class, dir, assigned rate) for every active flow, for
-    /// tests and trace instrumentation.
-    pub fn active_flows(&self) -> Vec<(XferClass, XferDir, f64)> {
-        let st = self.state.lock();
-        st.xfers
-            .iter()
-            .flatten()
-            .map(|x| (x.class, x.dir, x.rate))
-            .collect()
-    }
 }

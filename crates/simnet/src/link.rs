@@ -27,11 +27,6 @@ impl Link {
         }
     }
 
-    /// Link bandwidth in bytes per second.
-    pub fn bandwidth_bps(&self) -> f64 {
-        self.bw_bps
-    }
-
     /// Propagation + switching latency.
     pub fn latency(&self) -> SimDuration {
         self.latency

@@ -281,11 +281,6 @@ impl Endpoint {
         self.fault.dead_at(self.clock.now())
     }
 
-    /// The signal bumped whenever a frame is enqueued for this endpoint.
-    pub fn recv_signal(&self) -> &Signal {
-        self.rx.signal()
-    }
-
     /// The virtual clock, for drivers needing timestamps.
     pub fn clock(&self) -> &Clock {
         &self.clock

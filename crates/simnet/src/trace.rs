@@ -40,7 +40,7 @@ impl TraceKind {
 
     /// Inverse of [`TraceKind::cat`]; `None` for event names that did not
     /// come from a driver span (Madeleine hot-path spans share the tracer).
-    pub fn from_cat(name: &str) -> Option<TraceKind> {
+    fn from_cat(name: &str) -> Option<TraceKind> {
         match name {
             "recv" => Some(TraceKind::Recv),
             "send" => Some(TraceKind::Send),

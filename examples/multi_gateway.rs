@@ -34,7 +34,6 @@ fn main() {
         &[myri, sci],
         VcOptions {
             mtu: Some(16 * 1024),
-            multipath: true,
             ..Default::default()
         },
     );
@@ -45,7 +44,7 @@ fn main() {
         match node.rank().0 {
             0 => {
                 // The plan for 0 → 3 goes through either gateway.
-                let mp = streams.multipath().expect("multipath enabled");
+                let mp = streams.multipath().expect("parallel gateways");
                 let width = mp.plan(NodeId(0)).width(3);
                 assert_eq!(width, 2, "expected two parallel paths to rank 3");
 

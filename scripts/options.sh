@@ -9,6 +9,15 @@
 # must be set (`field: …`) in at least one .rs file outside the crate that
 # defines it — tests, benches, examples, the frozen benchmark/ — or the
 # diff that added it is the one that fails.
+#
+# Last, the public surface is what somebody calls: each `pub fn`,
+# `pub const` and `pub static` in crates/*/src must be named, as a word,
+# in some other .rs file under crates/, tests/, examples/, src/ or
+# benchmark/src. Items in #[cfg(test)] code (a `mod tests` block, a
+# test-only module file, a single gated item) are skipped. The match is
+# by bare name, so a name that some other file uses for something else
+# (`new`, `len`, `live`) passes: the check is lenient by construction.
+# Types are left out; they appear in signatures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fields() { # <file> <struct>: the names of its `pub` fields
@@ -32,7 +41,7 @@ while read -r name count committed; do
 done <<EOF2
 GatewayConfig $(echo $gateway | wc -w) 7
 MetricsOptions $(echo $metrics | wc -w) 0
-VcOptions $(echo $vc | wc -w) 5
+VcOptions $(echo $vc | wc -w) 4
 cli-flags $flags 1
 gtm-kinds $kinds 10
 require-flags $requires 3
@@ -46,4 +55,32 @@ for field in $gateway $metrics $vc; do
     status=1
   fi
 done
+# The files a `#[cfg(test)] mod name;` declaration compiles for tests only.
+testonly=$(grep -rA1 --include='*.rs' '^#\[cfg(test)\]' crates/*/src |
+  sed -n 's|^\(.*\)/[a-z_]*\.rs-\(pub(crate) \)\{0,1\}mod \([a-z_]*\);$|\1/\3.rs|p')
+# `<file> <name>` of every public fn, const and static outside test code.
+items=$(find crates/*/src -name '*.rs' | sort | grep -vxF "$testonly" | while read -r f; do
+  awk -v f="$f" '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    t && /^[[:space:]]*#\[/ { next }
+    t && /^[[:space:]]*(pub(\(crate\))? )?mod [a-z_]+ \{/ { exit }
+    t { t = 0; next }
+    match($0, /^[[:space:]]*pub (const |static |(const |unsafe )?fn )[A-Za-z_][A-Za-z0-9_]*/) {
+      n = split(substr($0, RSTART, RLENGTH), w, " "); print f, w[n]
+    }' "$f"
+done)
+# `<file> <word>` once per word per file; a name in two files is used.
+words=$(find crates tests examples src benchmark/src -name '*.rs' | sort | while read -r f; do
+  grep -ow '[A-Za-z_][A-Za-z0-9_]*' "$f" | sort -u | sed "s|^|$f |"
+done)
+unused=$(awk 'NR == FNR { files[$2]++; next } files[$2] < 2 { print $1 ": " $2 }' \
+  <(echo "$words") <(echo "$items"))
+printf '%-17s %2s items, %s named only where defined\n' "pub-surface" \
+  "$(echo "$items" | wc -l)" "$(echo -n "$unused" | grep -c . || true)"
+if [ -n "$unused" ]; then
+  while read -r item; do
+    echo "options.sh: $item is named nowhere else; delete it or drop \`pub\`" >&2
+  done <<<"$unused"
+  status=1
+fi
 exit $status

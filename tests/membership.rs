@@ -68,7 +68,6 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: true,
             membership: true,
             metrics: Some(MetricsOptions::default()),
             gateway: GatewayConfig::default(),
@@ -136,7 +135,7 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
                 plane.wait_member_state(NodeId(1), MemberState::Left, WAIT_TIMEOUT),
                 "rank 0 never observed gateway 1's departure"
             );
-            let c = vc.multipath().expect("multipath enabled").counters();
+            let c = vc.multipath().expect("parallel gateways").counters();
             assert!(c.deaths >= 1, "leave did not retire the path: {c:?}");
         }
         node.barrier().wait();
@@ -156,7 +155,7 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
         if me == 1 {
             let epoch = plane.rejoin(&peers, JOIN_TIMEOUT).expect("rejoin failed");
             assert_eq!(epoch, 2);
-            let c = vc.multipath().expect("multipath enabled").counters();
+            let c = vc.multipath().expect("parallel gateways").counters();
             assert_eq!(
                 c.readmissions, 1,
                 "rejoin must readmit the retired path exactly once: {c:?}"
@@ -250,7 +249,6 @@ fn churn_soak_under_bulk_traffic() {
         &[n0, n1],
         VcOptions {
             mtu: Some(MTU),
-            multipath: true,
             membership: true,
             metrics: Some(MetricsOptions::default()),
             gateway: GatewayConfig {
@@ -323,7 +321,7 @@ fn churn_soak_under_bulk_traffic() {
                     let epoch = plane.rejoin(&peers, JOIN_TIMEOUT).expect("rejoin failed");
                     assert_eq!(epoch as u32, round + 2);
                 }
-                let c = vc.multipath().expect("multipath enabled").counters();
+                let c = vc.multipath().expect("parallel gateways").counters();
                 assert!(
                     c.readmissions >= ROUNDS as u64,
                     "every churn episode must readmit the path: {c:?}"

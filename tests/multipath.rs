@@ -33,7 +33,6 @@ fn parallel_testbed() -> (Testbed, SessionBuilder) {
             &nets,
             VcOptions {
                 mtu: Some(8 * 1024),
-                multipath: true,
                 ..Default::default()
             },
         );
@@ -68,7 +67,7 @@ fn adaptive_streams_round_trip_over_parallel_gateways() {
                     w.end_packing().unwrap();
                 }
                 // Conservation: the routing plane accounted every byte.
-                let mp = vc.multipath().expect("multipath enabled");
+                let mp = vc.multipath().expect("parallel gateways");
                 let total: u64 = mp.path_bytes().iter().map(|&(_, b)| b).sum();
                 assert_eq!(total, MSGS as u64 * (LEN as u64 + 1));
                 true
@@ -119,7 +118,6 @@ fn gateway_death_fails_over_to_surviving_path() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: true,
             gateway: GatewayConfig {
                 drain_timeout_ns: 100_000_000, // dead engine must not hang teardown
                 ..Default::default()
@@ -140,7 +138,7 @@ fn gateway_death_fails_over_to_surviving_path() {
                     w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                     w.end_packing().unwrap();
                 }
-                let mp = vc.multipath().expect("multipath enabled");
+                let mp = vc.multipath().expect("parallel gateways");
                 let c = mp.counters();
                 let total: u64 = mp.path_bytes().iter().map(|&(_, b)| b).sum();
                 assert_eq!(
@@ -178,9 +176,9 @@ fn gateway_death_fails_over_to_surviving_path() {
     );
 }
 
-/// A one-gateway topology with the routing plane enabled behaves exactly
-/// like the legacy single-path library: the plan has width 1, so sends
-/// fall through to the unmodified GTM writer.
+/// A one-gateway topology behaves exactly like the legacy single-path
+/// library: every plan has width 1, so the channel has no routing plane
+/// and sends go through the unmodified GTM writer.
 #[test]
 fn single_path_plan_uses_legacy_writer() {
     const LEN: usize = 64 * 1024;
@@ -194,7 +192,6 @@ fn single_path_plan_uses_legacy_writer() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: true,
             ..Default::default()
         },
     );
@@ -203,14 +200,12 @@ fn single_path_plan_uses_legacy_writer() {
         node.barrier().wait();
         match node.rank().0 {
             0 => {
-                let mp = vc.multipath().expect("multipath enabled");
-                assert_eq!(mp.plan(NodeId(0)).paths(2).len(), 1, "plan must be width 1");
+                // Width 1 everywhere: no routing plane.
+                assert!(vc.multipath().is_none());
                 let data = payload(0, 0, LEN);
                 let mut w = vc.begin_packing(NodeId(2)).unwrap();
                 w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                 w.end_packing().unwrap();
-                // The legacy writer does not touch the path accounting.
-                assert!(mp.path_bytes().is_empty());
                 true
             }
             2 => {

@@ -646,7 +646,6 @@ fn multipath_death_soak_delivers_every_stream() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            multipath: true,
             gateway: GatewayConfig {
                 drain_timeout_ns: 100_000_000, // dead engine must not hang teardown
                 ..Default::default()
@@ -671,7 +670,7 @@ fn multipath_death_soak_delivers_every_stream() {
                     w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                     w.end_packing().unwrap();
                 }
-                let mp = vc.multipath().expect("multipath enabled");
+                let mp = vc.multipath().expect("parallel gateways");
                 // Conservation: every delivered byte is accounted to the
                 // path that actually carried it, replays included.
                 let total: u64 = mp.path_bytes().iter().map(|&(_, b)| b).sum();
