@@ -13,8 +13,9 @@
 //!
 //! * [`sync`] — non-poisoning `Mutex`/`RwLock`/`Condvar` wrappers over
 //!   `std::sync` with the `parking_lot` lock API (`lock()` returns a guard,
-//!   `Condvar::wait` takes `&mut MutexGuard`), and `Epoch`, the counted
-//!   wake-up event every blocking wait on real threads goes through.
+//!   `Condvar::wait` takes `&mut MutexGuard`), and `Epoch`, the wake-up
+//!   event every blocking wait on real threads goes through: one atomic
+//!   word whose bump notifies only when a sleeper is marked, and claims it.
 //! * [`bytes`] — a cheaply-cloneable `Bytes` buffer (shared owner + range).
 //! * [`rng`] — a seedable SplitMix64 PRNG for workload generation.
 //! * [`prop`] — a small deterministic property-testing harness with

@@ -16,8 +16,10 @@
 //! queue's, a lock's, the credit ledger's — is one
 //! [`mad_util::sync::Epoch`], and on one CPU the message rate *is* the
 //! number of times the scheduler is called for (EXPERIMENTS A13, A14). So
-//! a bump pays it only for somebody: it wakes a thread only when one is
-//! asleep on that event, and only after the event's own lock is free.
+//! a bump pays it only for somebody: with nobody asleep it is one atomic
+//! add, and it wakes the threads asleep on that event once — the first
+//! bump claims them, a second one before they run costs nothing — and
+//! only after the event's own lock is free.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,9 +34,10 @@ pub trait RtEvent: Send + Sync {
     /// Current epoch.
     fn epoch(&self) -> u64;
     /// Increment the epoch and wake all waiters. On real threads a bump
-    /// that finds nobody waiting costs no system call, and a waiter is
-    /// woken only after the bumper has let go of the event's own lock
-    /// ([`mad_util::sync::Epoch`]).
+    /// that finds nobody asleep is one atomic add and no system call, a
+    /// bump claims the sleepers it wakes so the next one before they run
+    /// pays nothing either, and a waiter is woken only after the bumper
+    /// has let go of the event's own lock ([`mad_util::sync::Epoch`]).
     fn bump(&self);
     /// Block the calling thread until the epoch exceeds `seen`; returns the
     /// epoch observed at wake-up.
