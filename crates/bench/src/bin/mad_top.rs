@@ -15,7 +15,7 @@
 //! renders a single mid-run frame with no screen clearing — the mode CI
 //! uses. `--trace <path>` additionally exports the unified event trace,
 //! whose teardown flush carries the `metrics:` track (`trace_check
-//! --require-metrics` validates it). Exits non-zero if any node fails to
+//! --require metrics:` validates it). Exits non-zero if any node fails to
 //! answer a pull.
 
 use mad_bench::cli;
@@ -99,7 +99,7 @@ fn main() {
 
     // With `--trace <path>` the run also records the unified event trace,
     // whose teardown flush carries the `metrics:` track trace_check
-    // validates (`--require-metrics` in CI).
+    // validates (`--require metrics:` in CI).
     let trace = trace_to.as_ref().map(|_| TraceLog::new());
     let tb = match &trace {
         Some(t) => Testbed::with_trace(NODES as usize, t.clone()),

@@ -1,47 +1,49 @@
 //! Validate JSONL trace files against the mad-trace schema.
 //!
-//! `trace_check [--require-route] [--require-metrics]
-//! [--require-membership] <file.jsonl>...` — each line must parse
-//! as a JSON object with the required keys (`ts`, `thread`, `kind`,
+//! `trace_check [--require <prefix>]... <file.jsonl>...` — each line must
+//! parse as a JSON object with the required keys (`ts`, `thread`, `kind`,
 //! `cat`, `name` plus the kind-specific ones), timestamps must be
-//! monotone per thread, and any routing-plane or runtime tracks
-//! (`route:`/`gw:`/`rt:` prefixes) must carry only their known counter
-//! events (`path_bytes` with its `gateway` arg, `switches`, `failovers`,
-//! `deaths`, `readmissions`; the gateway totals and `delta_*` windows;
-//! the `rt:` thread-budget totals; the `metrics:` registry flush and
-//! `health:` watchdog verdicts; the `member:` protocol transitions).
-//! With `--require-route`, a file with no `route:` events at all fails —
-//! the flag guards traces that are supposed to come from a multi-path run.
-//! With `--require-metrics`, a file with no `metrics:` events fails —
-//! the flag guards traces from runs with the telemetry plane enabled.
-//! With `--require-membership`, a file with no `member:` events fails —
-//! the flag guards traces from dynamic-membership runs. Exits non-zero on
+//! monotone per thread, and every counter track must carry only the
+//! events its family lists. The families are the tables
+//! `madeleine::session::trace_tables` derives from the names the library
+//! flushes: `gw:` (gateway totals and `delta_*` windows), `rt:` (the
+//! session's thread budget and buffer-pool counters), `route:` (per-path
+//! bytes and selector counters), `member:` (protocol transitions and
+//! totals), `metrics:` (the registry flush), `health:` (watchdog
+//! verdicts) and `ch:` (channel totals and per-peer bytes).
+//!
+//! Each `--require <prefix>` fails a file with no event on a track of
+//! that family — `--require route:` guards traces that should come from a
+//! multi-path run, `--require metrics:` from a telemetry-enabled one,
+//! `--require member:` from a dynamic-membership one. Exits non-zero on
 //! the first invalid file, so CI can gate on it.
 
 use std::process::ExitCode;
 
-use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
+use madeleine::mad_trace::schema::{validate_jsonl, validate_tracks};
+use madeleine::session::trace_tables;
 
 fn main() -> ExitCode {
-    let mut require_route = false;
-    let mut require_metrics = false;
-    let mut require_membership = false;
+    let tables = trace_tables();
+    let mut required: Vec<String> = Vec::new();
     let mut paths: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--require-route" {
-            require_route = true;
-        } else if arg == "--require-metrics" {
-            require_metrics = true;
-        } else if arg == "--require-membership" {
-            require_membership = true;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--require" {
+            match args.next() {
+                Some(prefix) if tables.iter().any(|t| t.0 == prefix) => required.push(prefix),
+                other => {
+                    let known: Vec<&str> = tables.iter().map(|t| t.0).collect();
+                    eprintln!("--require takes a track prefix, one of {known:?}; got {other:?}");
+                    return ExitCode::FAILURE;
+                }
+            }
         } else {
             paths.push(arg);
         }
     }
     if paths.is_empty() {
-        eprintln!(
-            "usage: trace_check [--require-route] [--require-metrics]              [--require-membership] <file.jsonl>..."
-        );
+        eprintln!("usage: trace_check [--require <prefix>]... <file.jsonl>...");
         return ExitCode::FAILURE;
     }
     for path in &paths {
@@ -59,42 +61,26 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let route = match validate_route_tracks(&text) {
-            Ok(r) => r,
+        let counts = match validate_tracks(&text, &tables) {
+            Ok(c) => c,
             Err(e) => {
-                eprintln!("{path}: INVALID route/gw track — {e}");
+                eprintln!("{path}: INVALID counter track — {e}");
                 return ExitCode::FAILURE;
             }
         };
-        if require_route && route.route_events == 0 {
-            eprintln!("{path}: INVALID — no `route:` track events (expected a multi-path trace)");
+        if let Some(prefix) = required.iter().find(|p| counts[p.as_str()] == 0) {
+            eprintln!("{path}: INVALID — no `{prefix}` track events (required)");
             return ExitCode::FAILURE;
         }
-        if require_metrics && route.metrics_events == 0 {
-            eprintln!(
-                "{path}: INVALID — no `metrics:` track events (expected a telemetry-enabled trace)"
-            );
-            return ExitCode::FAILURE;
-        }
-        if require_membership && route.member_events == 0 {
-            eprintln!(
-                "{path}: INVALID — no `member:` track events (expected a dynamic-membership trace)"
-            );
-            return ExitCode::FAILURE;
-        }
+        let per_track: Vec<String> = counts.iter().map(|(p, n)| format!("{p} {n}")).collect();
         println!(
-            "{path}: ok — {} lines, {} threads, {} spans, {} counts, {} instants, {} route events, {} gw events, {} rt events, {} metrics events, {} health events, {} member events",
+            "{path}: ok — {} lines, {} threads, {} spans, {} counts, {} instants; events per track family: {}",
             base.lines,
             base.threads,
             base.spans,
             base.counts,
             base.instants,
-            route.route_events,
-            route.gw_events,
-            route.rt_events,
-            route.metrics_events,
-            route.health_events,
-            route.member_events
+            per_track.join(", ")
         );
     }
     ExitCode::SUCCESS

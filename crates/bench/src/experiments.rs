@@ -238,7 +238,7 @@ pub struct MixOutcome {
 /// rank 2, with a barrier between rounds so each round starts from a
 /// drained pipeline. Small messages and multi-fragment blocks share the
 /// one gateway, which is what the copy-placement scheduler is measured
-/// against; the teardown flush lands its accounting on the `rt:` track.
+/// against; the teardown flush lands its accounting on the `gw:` track.
 ///
 /// `pace_ns` is a sender-side gap charged before each message: it models
 /// an application that computes between sends, so the gateway pipeline

@@ -346,6 +346,18 @@ pub struct SelectorCounters {
     pub readmissions: u64,
 }
 
+impl SelectorCounters {
+    /// Every counter with its trace event name, in one place.
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("switches", self.switches),
+            ("failovers", self.failovers),
+            ("deaths", self.deaths),
+            ("readmissions", self.readmissions),
+        ]
+    }
+}
+
 /// What [`Selector::observe_epoch`] concluded about an epoch observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochObservation {

@@ -27,7 +27,7 @@ pub mod schema;
 mod stats;
 
 pub use export::{Snapshot, ThreadSnapshot};
-pub use stats::{ChannelStats, ChannelTotals, PeerCounters};
+pub use stats::{ChannelStats, ChannelTotals, PeerCounters, PEER_EVENT_NAMES};
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -382,6 +382,14 @@ impl Tracer {
             value: delta,
             args: a,
         });
+    }
+
+    /// Record one counter of a named list per pair on `track`, all of
+    /// category `cat` — how every end-of-run total reaches the trace.
+    pub fn count_all_on(&self, track: &str, cat: &'static str, named: &[(&'static str, u64)]) {
+        for &(name, v) in named {
+            self.count_on(track, cat, name, v as i64, &[]);
+        }
     }
 
     /// Record a pre-timed span on an explicitly named track. This is

@@ -2,10 +2,12 @@
 //!
 //! The workspace is std-only, so this module carries just enough JSON
 //! machinery for the schema checker and the tests: a recursive-descent
-//! parser for one value, and [`validate_jsonl`] which enforces the
-//! trace schema documented in DESIGN.md ("Observability") — every line
-//! parses, the required keys are present with the right types, kinds
-//! are known, and timestamps are monotone per thread.
+//! parser for one value, [`validate_jsonl`] which enforces the trace
+//! schema documented in DESIGN.md ("Observability") — every line parses,
+//! the required keys are present with the right types, kinds are known,
+//! and timestamps are monotone per thread — and [`validate_tracks`], one
+//! check for every counter-track family, against name tables its caller
+//! supplies.
 
 use std::collections::BTreeMap;
 
@@ -364,161 +366,33 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
     Ok(summary)
 }
 
-/// Event names allowed on a `route:` track (all `count`s, cat `route`).
-const ROUTE_EVENT_NAMES: [&str; 5] = [
-    "path_bytes",
-    "switches",
-    "failovers",
-    "deaths",
-    "readmissions",
-];
+/// The one counter whose schema depends on an argument: on any validated
+/// track it carries an integer `args.gateway`, the path whose bytes it
+/// counts.
+pub const PATH_BYTES: &str = "path_bytes";
 
-/// Event names allowed on a `gw:` track (all `count`s, cat `gateway`):
-/// the teardown totals plus the windowed cost-model deltas.
-const GW_EVENT_NAMES: [&str; 15] = [
-    "messages",
-    "fragments",
-    "fragment_bytes",
-    "stalls",
-    "buffer_switches",
-    "credits_granted",
-    "grants_sent",
-    "cancelled",
-    "credit_timeouts",
-    "errors",
-    "peak_held_bytes",
-    "delta_bytes",
-    "delta_stalls",
-    "delta_occupancy",
-    "threads_spawned",
-];
+/// Track prefixes retired with what wrote them: `proto:` with GTM kind
+/// 12, `ctl:` with the self-tuning controller. A trace that carries one
+/// predates this validator and fails, whatever the tables say.
+const RETIRED_PREFIXES: [&str; 2] = ["proto:", "ctl:"];
 
-/// Event names allowed on an `rt:` track (all `count`s, cat `runtime`):
-/// the session's end-of-run thread-budget accounting — runtime-spawned
-/// threads — and, on the per-gateway `rt:{vc}@{node}` tracks, the
-/// copy-placement scheduler's accounting: where relay copies landed
-/// (receive- or flush-staged), how many found their stage idle, and each
-/// stage's cumulative busy time.
-const RT_EVENT_NAMES: [&str; 6] = [
-    "threads_spawned",
-    "copies_recv",
-    "copies_flush",
-    "copy_idle_hits",
-    "recv_busy_ns",
-    "flush_busy_ns",
-];
+/// One counter-track family, `(prefix, cat, names)`: every event on a
+/// track whose name starts with `prefix` is a `count` of category `cat`
+/// named in `names`.
+pub type TrackTable<'a> = (&'a str, &'a str, Vec<&'a str>);
 
-/// Event names allowed on a `metrics:` track (all `count`s, cat
-/// `metrics`): the teardown flush of each node's live registry —
-/// counters and gauges by name (the multi-path plane's per-gateway byte
-/// gauges folded into `path_bytes` keyed by `args.gateway`,
-/// `queue_depth` paired with its `queue_depth_peak` high-water mark) plus
-/// the derived quantiles of the forward-latency, credit-wait and
-/// copy-size histograms.
-pub const METRICS_EVENT_NAMES: [&str; 30] = [
-    "degradations",
-    "health_credit_starvation",
-    "health_queue_saturation",
-    "health_stalled_stream",
-    "health_dead_path_flap",
-    "queue_depth",
-    "queue_depth_peak",
-    "rt_threads_spawned",
-    "pool_gets",
-    "pool_hits",
-    "pool_misses",
-    "gw_held_bytes",
-    "gw_bytes_per_sec",
-    "open_streams",
-    "path_bytes",
-    "gw_forward_ns_p50",
-    "gw_forward_ns_p90",
-    "gw_forward_ns_p99",
-    "gw_forward_ns_max",
-    "gw_forward_ns_count",
-    "credit_wait_ns_p50",
-    "credit_wait_ns_p90",
-    "credit_wait_ns_p99",
-    "credit_wait_ns_max",
-    "credit_wait_ns_count",
-    "gw_copy_bytes_p50",
-    "gw_copy_bytes_p90",
-    "gw_copy_bytes_p99",
-    "gw_copy_bytes_max",
-    "gw_copy_bytes_count",
-];
-
-/// Event names allowed on a `health:` track (all `count`s, cat
-/// `health`): the mid-run watchdog verdicts, one event per detector
-/// firing.
-pub const HEALTH_EVENT_NAMES: [&str; 4] = [
-    "credit_starvation",
-    "queue_saturation",
-    "stalled_stream",
-    "dead_path_flap",
-];
-
-/// Event names allowed on a `member:` track (all `count`s, cat
-/// `member`): the membership plane's live protocol transitions (join
-/// phases, requests, acks, leaves, epoch rejections, path retire /
-/// readmit decisions) plus its teardown totals.
-const MEMBERSHIP_EVENT_NAMES: [&str; 18] = [
-    "phase_connect",
-    "phase_exchange",
-    "phase_verify",
-    "phase_activate",
-    "join_request",
-    "join_ack",
-    "announce",
-    "peer_leave",
-    "leave",
-    "rejoin",
-    "stale_drop",
-    "retire",
-    "readmit",
-    "joins",
-    "leaves",
-    "rejoins",
-    "stale_drops",
-    "acks_served",
-];
-
-/// What [`validate_route_tracks`] found.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RouteSummary {
-    /// Events on `route:` tracks.
-    pub route_events: usize,
-    /// Events on `gw:` tracks.
-    pub gw_events: usize,
-    /// Events on `rt:` tracks.
-    pub rt_events: usize,
-    /// Events on `metrics:` tracks.
-    pub metrics_events: usize,
-    /// Events on `health:` tracks.
-    pub health_events: usize,
-    /// Events on `member:` tracks.
-    pub member_events: usize,
-}
-
-/// Validate the routing-plane tracks of a JSONL trace: every event on a
-/// `route:`-prefixed track is a `count` of cat `route` named in
-/// [`ROUTE_EVENT_NAMES`], with `path_bytes` carrying an integer
-/// `args.gateway`; every event on a `gw:`-prefixed track is a `count` of
-/// cat `gateway` named in [`GW_EVENT_NAMES`]; every event on an
-/// `rt:`-prefixed track is a `count` of cat `runtime` named in
-/// [`RT_EVENT_NAMES`]; every event on a `metrics:`-prefixed track is a
-/// `count` of cat `metrics` named in [`METRICS_EVENT_NAMES`] (with
-/// `path_bytes` carrying an integer `args.gateway`); every event
-/// on a `health:`-prefixed track is a `count` of cat `health` named in
-/// [`HEALTH_EVENT_NAMES`]; every event on a `member:`-prefixed track is
-/// a `count` of cat `member` named in [`MEMBERSHIP_EVENT_NAMES`]. Traces
-/// without such tracks validate trivially (zero counts) — run
-/// [`validate_jsonl`] first for the base schema. A `proto:` track (retired
-/// with GTM kind 12) or a `ctl:` track (retired with the self-tuning
-/// controller) is an unknown track: a trace that carries one predates
-/// this validator and fails.
-pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
-    let mut summary = RouteSummary::default();
+/// Validate the counter tracks of a JSONL trace against `tables`: every
+/// event on a track that a table's prefix matches is a `count` of that
+/// table's category with a name the table lists, and [`PATH_BYTES`]
+/// carries an integer `args.gateway`. Tracks no table matches pass
+/// untouched (run [`validate_jsonl`] first for the base schema), except
+/// a retired one, which fails. Returns the events seen per table prefix,
+/// zero for a prefix with none.
+pub fn validate_tracks<'a>(
+    text: &str,
+    tables: &[TrackTable<'a>],
+) -> Result<BTreeMap<&'a str, usize>, String> {
+    let mut counts: BTreeMap<&'a str, usize> = tables.iter().map(|t| (t.0, 0)).collect();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         if line.trim().is_empty() {
@@ -526,28 +400,13 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
         }
         let v = parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
         let thread = require_str(&v, "thread", line_no)?;
-        let (expect_cat, names, counter): (&str, &[&str], &mut usize) =
-            if thread.starts_with("route:") {
-                ("route", &ROUTE_EVENT_NAMES, &mut summary.route_events)
-            } else if thread.starts_with("gw:") {
-                ("gateway", &GW_EVENT_NAMES, &mut summary.gw_events)
-            } else if thread.starts_with("rt:") {
-                ("runtime", &RT_EVENT_NAMES, &mut summary.rt_events)
-            } else if thread.starts_with("metrics:") {
-                ("metrics", &METRICS_EVENT_NAMES, &mut summary.metrics_events)
-            } else if thread.starts_with("health:") {
-                ("health", &HEALTH_EVENT_NAMES, &mut summary.health_events)
-            } else if thread.starts_with("member:") {
-                (
-                    "member",
-                    &MEMBERSHIP_EVENT_NAMES,
-                    &mut summary.member_events,
-                )
-            } else if thread.starts_with("proto:") || thread.starts_with("ctl:") {
-                return Err(format!("line {line_no}: unknown track \"{thread}\""));
-            } else {
-                continue;
-            };
+        if RETIRED_PREFIXES.iter().any(|p| thread.starts_with(p)) {
+            return Err(format!("line {line_no}: unknown track \"{thread}\""));
+        }
+        let Some((prefix, expect_cat, names)) = tables.iter().find(|t| thread.starts_with(t.0))
+        else {
+            continue;
+        };
         let kind = require_str(&v, "kind", line_no)?;
         if kind != "count" {
             return Err(format!(
@@ -555,7 +414,7 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
             ));
         }
         let cat = require_str(&v, "cat", line_no)?;
-        if cat != expect_cat {
+        if cat != *expect_cat {
             return Err(format!(
                 "line {line_no}: track \"{thread}\" event has cat \"{cat}\" (expected \"{expect_cat}\")"
             ));
@@ -566,7 +425,7 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
                 "line {line_no}: unknown event \"{name}\" on track \"{thread}\""
             ));
         }
-        if name == "path_bytes"
+        if name == PATH_BYTES
             && v.get("args")
                 .and_then(|a| a.get("gateway"))
                 .and_then(|g| g.as_u64())
@@ -576,9 +435,9 @@ pub fn validate_route_tracks(text: &str) -> Result<RouteSummary, String> {
                 "line {line_no}: \"{name}\" without integer args[\"gateway\"]"
             ));
         }
-        *counter += 1;
+        *counts.entry(prefix).or_default() += 1;
     }
-    Ok(summary)
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -630,117 +489,55 @@ mod tests {
         assert!(err.contains("goes backwards"), "{err}");
     }
 
+    /// A small local table: two families, one name each besides
+    /// [`PATH_BYTES`].
+    fn tables() -> Vec<TrackTable<'static>> {
+        vec![
+            ("route:", "route", vec![PATH_BYTES, "switches"]),
+            ("gw:", "gateway", vec!["stalls"]),
+        ]
+    }
+
+    fn check(text: &str) -> Result<BTreeMap<&'static str, usize>, String> {
+        validate_tracks(text, &tables())
+    }
+
     #[test]
-    fn route_tracks_validate() {
+    fn counter_tracks_validate_and_count_per_prefix() {
         let text = "\
 {\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"path_bytes\",\"value\":512,\"args\":{\"gateway\":1}}
-{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"failovers\",\"value\":1}
-{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"deaths\",\"value\":1}
-{\"ts\":2,\"thread\":\"gw:vc@1\",\"kind\":\"count\",\"cat\":\"gateway\",\"name\":\"delta_bytes\",\"value\":9}
+{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"switches\",\"value\":1}
 {\"ts\":3,\"thread\":\"node0\",\"kind\":\"instant\",\"cat\":\"route\",\"name\":\"anything-goes\"}
 ";
-        let s = validate_route_tracks(text).unwrap();
-        assert_eq!((s.route_events, s.gw_events), (3, 1));
-    }
-
-    #[test]
-    fn rt_tracks_validate() {
-        let text = "\
-{\"ts\":1,\"thread\":\"rt:session\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"threads_spawned\",\"value\":7}
-{\"ts\":1,\"thread\":\"rt:vc@1\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"copies_recv\",\"value\":2}
-{\"ts\":1,\"thread\":\"rt:vc@1\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"flush_busy_ns\",\"value\":4}
-{\"ts\":2,\"thread\":\"gw:vc@1\",\"kind\":\"count\",\"cat\":\"gateway\",\"name\":\"threads_spawned\",\"value\":4}
-";
-        let s = validate_route_tracks(text).unwrap();
-        assert_eq!((s.rt_events, s.gw_events), (3, 1));
-        // Wrong cat and unknown names on an rt track are rejected.
-        let bad_cat = "{\"ts\":1,\"thread\":\"rt:session\",\"kind\":\"count\",\"cat\":\"rt\",\"name\":\"threads_spawned\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_cat).unwrap_err().contains("cat"));
-        let bad_name = "{\"ts\":1,\"thread\":\"rt:session\",\"kind\":\"count\",\"cat\":\"runtime\",\"name\":\"zap\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_name)
-            .unwrap_err()
-            .contains("unknown event"));
-    }
-
-    #[test]
-    fn metrics_and_health_tracks_validate() {
-        let text = "\
-{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"gw_forward_ns_p99\",\"value\":4096}
-{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"queue_depth_peak\",\"value\":7}
-{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"path_bytes\",\"value\":512,\"args\":{\"gateway\":2}}
-{\"ts\":2,\"thread\":\"health:vc@1\",\"kind\":\"count\",\"cat\":\"health\",\"name\":\"credit_starvation\",\"value\":3}
-{\"ts\":3,\"thread\":\"health:vc@1\",\"kind\":\"count\",\"cat\":\"health\",\"name\":\"stalled_stream\",\"value\":1}
-";
-        let s = validate_route_tracks(text).unwrap();
-        assert_eq!((s.metrics_events, s.health_events), (3, 2));
-        // Unknown metric names, wrong cats, and path_bytes events without
-        // their gateway arg are all rejected.
-        let bad_name = "{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"zap\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_name)
-            .unwrap_err()
-            .contains("unknown event"));
-        let bad_cat = "{\"ts\":1,\"thread\":\"health:vc@1\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"stalled_stream\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_cat).unwrap_err().contains("cat"));
-        let no_gw = "{\"ts\":1,\"thread\":\"metrics:node0\",\"kind\":\"count\",\"cat\":\"metrics\",\"name\":\"path_bytes\",\"value\":1}\n";
-        assert!(validate_route_tracks(no_gw)
-            .unwrap_err()
-            .contains("gateway"));
-    }
-
-    #[test]
-    fn member_and_ctl_tracks_validate() {
-        let text = "\
-{\"ts\":1,\"thread\":\"member:vc@3\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"phase_connect\",\"value\":1,\"args\":{\"epoch\":2}}
-{\"ts\":2,\"thread\":\"member:vc@3\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"stale_drop\",\"value\":1,\"args\":{\"node\":3,\"epoch\":1}}
-{\"ts\":3,\"thread\":\"member:vc@0\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"rejoins\",\"value\":1}
-{\"ts\":6,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"readmissions\",\"value\":1}
-";
-        let s = validate_route_tracks(text).unwrap();
-        assert_eq!((s.member_events, s.route_events), (3, 1));
-        let bad_name = "{\"ts\":1,\"thread\":\"member:vc@0\",\"kind\":\"count\",\"cat\":\"member\",\"name\":\"zap\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_name)
-            .unwrap_err()
-            .contains("unknown event"));
-        // The controller's track went with the controller: an event that
-        // was valid on it while it existed marks the trace as an old one.
-        let retired = "{\"ts\":4,\"thread\":\"ctl:vc@1\",\"kind\":\"count\",\"cat\":\"ctl\",\"name\":\"window_raise\",\"value\":12}\n";
-        assert!(validate_route_tracks(retired)
-            .unwrap_err()
-            .contains("unknown track"));
-    }
-
-    #[test]
-    fn route_tracks_reject_bad_events() {
-        // Unknown name on the route track.
-        let bad_name = "{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"zap\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_name)
-            .unwrap_err()
-            .contains("unknown event"));
-        // path_bytes without its gateway arg.
-        let no_gw = "{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"path_bytes\",\"value\":1}\n";
-        assert!(validate_route_tracks(no_gw)
-            .unwrap_err()
-            .contains("gateway"));
-        // Wrong cat on a gw track.
-        let bad_cat = "{\"ts\":1,\"thread\":\"gw:vc@1\",\"kind\":\"count\",\"cat\":\"gw\",\"name\":\"stalls\",\"value\":1}\n";
-        assert!(validate_route_tracks(bad_cat).unwrap_err().contains("cat"));
-        // Spans don't belong on counter tracks.
-        let bad_kind = "{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"span\",\"cat\":\"route\",\"name\":\"switches\",\"dur\":2}\n";
-        assert!(validate_route_tracks(bad_kind)
-            .unwrap_err()
-            .contains("only counts"));
-        // A track retired with its packet kind is not passed over in
-        // silence, whatever it carries: the trace is an old one.
-        let retired = "{\"ts\":1,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"eager_blocks\",\"value\":9}\n";
-        assert!(validate_route_tracks(retired)
-            .unwrap_err()
-            .contains("unknown track"));
+        let counts = check(text).unwrap();
+        assert_eq!(counts.get("route:"), Some(&2));
+        // A family with no events still reports, as zero.
+        assert_eq!(counts.get("gw:"), Some(&0));
         // Unrelated tracks are ignored entirely.
         let other = "{\"ts\":1,\"thread\":\"node0\",\"kind\":\"span\",\"cat\":\"x\",\"name\":\"y\",\"dur\":2}\n";
-        assert_eq!(
-            validate_route_tracks(other).unwrap(),
-            RouteSummary::default()
-        );
+        assert!(check(other).unwrap().values().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn counter_tracks_reject_bad_events() {
+        let rejects = |line: &str, why: &str| {
+            let err = check(line).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        };
+        // Unknown name.
+        rejects("{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"zap\",\"value\":1}", "unknown event");
+        // path_bytes without its gateway arg, or with a fractional one.
+        rejects("{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"path_bytes\",\"value\":1}", "gateway");
+        rejects("{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"count\",\"cat\":\"route\",\"name\":\"path_bytes\",\"value\":1,\"args\":{\"gateway\":1.5}}", "gateway");
+        // Wrong cat.
+        rejects("{\"ts\":1,\"thread\":\"gw:vc@1\",\"kind\":\"count\",\"cat\":\"gw\",\"name\":\"stalls\",\"value\":1}", "cat");
+        // Spans don't belong on counter tracks.
+        rejects("{\"ts\":1,\"thread\":\"route:vc\",\"kind\":\"span\",\"cat\":\"route\",\"name\":\"switches\",\"dur\":2}", "only counts");
+        // A track retired with its packet kind or its controller is not
+        // passed over in silence, whatever it carries: the trace is an
+        // old one.
+        rejects("{\"ts\":1,\"thread\":\"proto:vc@0\",\"kind\":\"count\",\"cat\":\"proto\",\"name\":\"eager_blocks\",\"value\":9}", "unknown track");
+        rejects("{\"ts\":4,\"thread\":\"ctl:vc@1\",\"kind\":\"count\",\"cat\":\"ctl\",\"name\":\"window_raise\",\"value\":12}", "unknown track");
     }
 
     #[test]

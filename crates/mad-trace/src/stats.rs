@@ -42,6 +42,22 @@ pub struct ChannelTotals {
     pub bytes_recv: u64,
 }
 
+impl ChannelTotals {
+    /// Every total with its trace event name, in one place.
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("packets_sent", self.packets_sent),
+            ("bytes_sent", self.bytes_sent),
+            ("packets_recv", self.packets_recv),
+            ("bytes_recv", self.bytes_recv),
+        ]
+    }
+}
+
+/// The per-peer events of a channel's track, each keyed by a `peer` arg:
+/// bytes sent to and received from that peer.
+pub const PEER_EVENT_NAMES: [&str; 2] = ["peer_bytes_sent", "peer_bytes_recv"];
+
 /// One peer's lock-free counters.
 #[derive(Debug, Default)]
 struct PeerSlot {
@@ -217,27 +233,12 @@ impl ChannelStats {
         if !tracer.enabled() {
             return;
         }
-        let t = self.totals();
-        tracer.count_on(track, "channel", "packets_sent", t.packets_sent as i64, &[]);
-        tracer.count_on(track, "channel", "bytes_sent", t.bytes_sent as i64, &[]);
-        tracer.count_on(track, "channel", "packets_recv", t.packets_recv as i64, &[]);
-        tracer.count_on(track, "channel", "bytes_recv", t.bytes_recv as i64, &[]);
+        tracer.count_all_on(track, "channel", &self.totals().named());
         for (peer, c) in self.per_peer() {
-            let args = [("peer", peer as u64)];
-            tracer.count_on(
-                track,
-                "channel",
-                "peer_bytes_sent",
-                c.bytes_sent as i64,
-                &args,
-            );
-            tracer.count_on(
-                track,
-                "channel",
-                "peer_bytes_recv",
-                c.bytes_recv as i64,
-                &args,
-            );
+            let sent_recv = [c.bytes_sent, c.bytes_recv];
+            for (name, v) in PEER_EVENT_NAMES.into_iter().zip(sent_recv) {
+                tracer.count_on(track, "channel", name, v as i64, &[("peer", peer as u64)]);
+            }
         }
     }
 }

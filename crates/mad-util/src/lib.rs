@@ -11,12 +11,11 @@
 //!
 //! Modules:
 //!
-//! * [`sync`] — non-poisoning `Mutex`/`RwLock`/`Condvar` wrappers over
+//! * [`sync`] — non-poisoning `Mutex`/`Condvar` wrappers over
 //!   `std::sync` with the `parking_lot` lock API (`lock()` returns a guard,
 //!   `Condvar::wait` takes `&mut MutexGuard`), and `Epoch`, the wake-up
 //!   event every blocking wait on real threads goes through: one atomic
 //!   word whose bump notifies only when a sleeper is marked, and claims it.
-//! * [`bytes`] — a cheaply-cloneable `Bytes` buffer (shared owner + range).
 //! * [`rng`] — a seedable SplitMix64 PRNG for workload generation.
 //! * [`prop`] — a small deterministic property-testing harness with
 //!   shrinking and failing-input reports.
@@ -28,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bytes;
 pub mod hist;
 pub mod pool;
 pub mod prop;

@@ -58,6 +58,19 @@ pub struct PoolStats {
     pub discarded: u64,
 }
 
+impl PoolStats {
+    /// Every counter with its trace event name, in one place.
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("gets", self.gets),
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("recycled", self.recycled),
+            ("discarded", self.discarded),
+        ]
+    }
+}
+
 /// A thread-safe pool of recycled byte buffers in power-of-two size
 /// classes from 64 B to 1 MB, each with 64 B of headroom on top.
 #[derive(Debug, Default)]

@@ -128,94 +128,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock that never poisons.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Wrap `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(g) => RwLockReadGuard { inner: g },
-            Err(p) => RwLockReadGuard {
-                inner: p.into_inner(),
-            },
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
-            Ok(g) => RwLockWriteGuard { inner: g },
-            Err(p) => RwLockWriteGuard {
-                inner: p.into_inner(),
-            },
-        }
-    }
-
-    /// Access the value without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-/// Shared read guard of an [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// Exclusive write guard of an [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// Outcome of a [`Condvar::wait_for`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeoutResult {
@@ -454,19 +366,6 @@ mod tests {
         // A poisoned std mutex would return Err here; ours recovers.
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn rwlock_readers_coexist_writers_exclude() {
-        let l = RwLock::new(5u32);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1 + *r2, 10);
-            assert!(l.inner.try_write().is_err());
-        }
-        *l.write() = 7;
-        assert_eq!(*l.read(), 7);
     }
 
     #[test]

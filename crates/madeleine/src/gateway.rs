@@ -164,7 +164,7 @@ use crate::credit::{CreditLedger, TakeFailure, TakeOutcome};
 use crate::error::{MadError, Result};
 use crate::gtm::{self, CancelReason, PacketBody, StreamKey, StreamTag, PRELUDE_LEN};
 use crate::metrics_plane::GwMetrics;
-use crate::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime};
+use crate::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime, THREADS_SPAWNED};
 use crate::types::{NetworkId, NodeId};
 
 /// Live counters of one gateway's forwarding engine, updated by its
@@ -175,59 +175,59 @@ use crate::types::{NetworkId, NodeId};
 #[derive(Debug, Default)]
 pub struct GatewayStats {
     /// Complete messages relayed.
-    pub messages: AtomicU64,
+    messages: AtomicU64,
     /// Payload fragment bytes relayed (control packets excluded).
-    pub fragment_bytes: AtomicU64,
+    fragment_bytes: AtomicU64,
     /// Payload fragments relayed.
-    pub fragments: AtomicU64,
+    fragments: AtomicU64,
     /// Pipeline pushes that found the bounded queue full (backpressure).
-    pub stalls: AtomicU64,
+    stalls: AtomicU64,
     /// Fragment handoffs through the pipeline: 0 at depth 1, and none for
     /// a unit the polling thread transmits itself.
-    pub buffer_switches: AtomicU64,
+    buffer_switches: AtomicU64,
     /// Credits returned upstream: one for every retransmitted fragment of
     /// a flow-controlled stream that a grant covered (the last fragments
     /// of a stream, short of a grant period, are never granted — their
     /// sender closed the account).
-    pub credits_granted: AtomicU64,
+    credits_granted: AtomicU64,
     /// Credit packets (kind 5) those credits travelled in: one per grant
     /// period of a stream, not one per fragment.
-    pub grants_sent: AtomicU64,
+    grants_sent: AtomicU64,
     /// Streams dropped mid-flight by a cancellation (either received from
     /// a neighbour hop or initiated here).
-    pub cancelled: AtomicU64,
+    cancelled: AtomicU64,
     /// Credit waits that hit their deadline on this gateway's outbound
     /// side (each one cancels its stream).
-    pub credit_timeouts: AtomicU64,
+    credit_timeouts: AtomicU64,
     /// Non-fatal errors the engine degraded through instead of dying
     /// (failed sends, protocol violations on one conduit).
-    pub errors: AtomicU64,
+    errors: AtomicU64,
     /// Handoff acknowledgments sent back to multi-path stream origins
     /// (one per acked stream whose end packet this engine relayed).
-    pub acks_sent: AtomicU64,
+    acks_sent: AtomicU64,
     /// Unavoidable relay staging copies performed on the receive stage.
-    pub copies_recv: AtomicU64,
+    copies_recv: AtomicU64,
     /// Unavoidable relay staging copies deferred to the flush stage
     /// (the copy-placement scheduler found it idle).
-    pub copies_flush: AtomicU64,
+    copies_flush: AtomicU64,
     /// Staging copies that landed on a stage that was idle at placement
     /// time — the E2 overlap win, measured.
-    pub copy_idle_hits: AtomicU64,
+    copy_idle_hits: AtomicU64,
     /// Nanoseconds the receive stages spent busy (telemetry-gated).
-    pub recv_busy_ns: AtomicU64,
+    recv_busy_ns: AtomicU64,
     /// Nanoseconds the flush stages spent busy (telemetry-gated).
-    pub flush_busy_ns: AtomicU64,
+    flush_busy_ns: AtomicU64,
     /// Flush stages currently mid-drain — the live busy signal the
     /// copy-placement scheduler reads at receive time.
     flush_active: AtomicU64,
     /// Dedicated OS threads this engine spawned, polling and forwarding —
     /// the per-gateway slice of the session thread budget.
-    pub threads_spawned: AtomicU64,
+    threads_spawned: AtomicU64,
     /// Packet bytes currently resident in this engine (received but not
     /// yet retransmitted or dropped) and their high-water mark — the
     /// occupancy the credit window bounds. (A `mad-metrics/noop` build
     /// compiles this gauge out with every other one.)
-    pub held: Gauge,
+    held: Gauge,
     /// Streams currently open in the engine's demultiplexing table
     /// (header accepted, end/cancel not yet relayed).
     open_streams: AtomicI64,
@@ -303,6 +303,10 @@ pub struct GatewayTotals {
     pub copies_flush: u64,
     /// Staging copies placed on a stage that was idle at placement time.
     pub copy_idle_hits: u64,
+    /// Nanoseconds the receive stages spent busy (telemetry-gated).
+    pub recv_busy_ns: u64,
+    /// Nanoseconds the flush stages spent busy (telemetry-gated).
+    pub flush_busy_ns: u64,
     /// Dedicated OS threads the engine spawned.
     pub threads_spawned: u64,
     /// Packet bytes resident in the engine at snapshot time.
@@ -312,6 +316,32 @@ pub struct GatewayTotals {
 }
 
 impl GatewayTotals {
+    /// Every total with its trace event name, in one place (a gauge is
+    /// carried bit for bit: `as i64` gives it back).
+    pub fn named(&self) -> [(&'static str, u64); 19] {
+        [
+            ("messages", self.messages),
+            ("fragments", self.fragments),
+            ("fragment_bytes", self.fragment_bytes),
+            ("stalls", self.stalls),
+            ("buffer_switches", self.buffer_switches),
+            ("credits_granted", self.credits_granted),
+            ("grants_sent", self.grants_sent),
+            ("cancelled", self.cancelled),
+            ("credit_timeouts", self.credit_timeouts),
+            ("errors", self.errors),
+            ("acks_sent", self.acks_sent),
+            ("copies_recv", self.copies_recv),
+            ("copies_flush", self.copies_flush),
+            ("copy_idle_hits", self.copy_idle_hits),
+            ("recv_busy_ns", self.recv_busy_ns),
+            ("flush_busy_ns", self.flush_busy_ns),
+            (THREADS_SPAWNED, self.threads_spawned),
+            ("held_bytes", self.held_bytes as u64),
+            ("peak_held_bytes", self.peak_held_bytes as u64),
+        ]
+    }
+
     /// What the engine did between `prev` and `self`, two snapshots of the
     /// same [`GatewayStats`] taken `interval_ns` apart. Counter reads are
     /// relaxed, so a window may attribute an in-flight update to the next
@@ -389,6 +419,8 @@ impl GatewayStats {
             copies_recv: self.copies_recv.load(Ordering::Relaxed),
             copies_flush: self.copies_flush.load(Ordering::Relaxed),
             copy_idle_hits: self.copy_idle_hits.load(Ordering::Relaxed),
+            recv_busy_ns: self.recv_busy_ns.load(Ordering::Relaxed),
+            flush_busy_ns: self.flush_busy_ns.load(Ordering::Relaxed),
             threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
             held_bytes: self.held.get(),
             peak_held_bytes: self.held.peak(),
@@ -692,7 +724,7 @@ impl Drop for BusyGuard<'_> {
 /// RAII bracket around one pipeline stage's busy period. The flush-side
 /// bracket maintains the live [`GatewayStats::flush_active`] count the
 /// copy-placement scheduler reads at receive time; both sides feed the
-/// cumulative per-stage busy clocks on the `rt:` trace when timing is on
+/// cumulative per-stage busy clocks on the `gw:` trace when timing is on
 /// (telemetry or tracing enabled — the clock reads stay off the bare hot
 /// path).
 struct StageBusy<'a> {

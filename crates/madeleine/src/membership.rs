@@ -26,7 +26,7 @@
 //!   declared dead — without touching streams in flight on other paths.
 //!
 //! Membership events land on a `member:{vc}@{rank}` trace track (cat
-//! `member`, validated by `trace_check --require-membership`); the
+//! `member`, validated by `trace_check --require member:`); the
 //! selector-side epoch rules live in [`mad_route::Selector`].
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -77,10 +77,63 @@ pub enum JoinPhase {
     Activate,
 }
 
-/// Membership event names in the order the teardown flush emits their
-/// totals (the live per-transition events share the same schema list in
-/// `mad-trace`).
-const TOTAL_NAMES: [&str; 5] = ["joins", "leaves", "rejoins", "stale_drops", "acks_served"];
+// The live protocol transitions, one `member:` event of value 1 each.
+const PHASE_CONNECT: &str = "phase_connect";
+const PHASE_EXCHANGE: &str = "phase_exchange";
+const PHASE_VERIFY: &str = "phase_verify";
+const PHASE_ACTIVATE: &str = "phase_activate";
+const JOIN_REQUEST: &str = "join_request";
+const JOIN_ACK: &str = "join_ack";
+const ANNOUNCE: &str = "announce";
+const PEER_LEAVE: &str = "peer_leave";
+const LEAVE: &str = "leave";
+const REJOIN: &str = "rejoin";
+const STALE_DROP: &str = "stale_drop";
+const RETIRE: &str = "retire";
+const READMIT: &str = "readmit";
+
+/// Every live transition a `member:` track carries, beside the
+/// [`MemberTotals`] the teardown flushes.
+pub(crate) const TRANSITION_NAMES: [&str; 13] = [
+    PHASE_CONNECT,
+    PHASE_EXCHANGE,
+    PHASE_VERIFY,
+    PHASE_ACTIVATE,
+    JOIN_REQUEST,
+    JOIN_ACK,
+    ANNOUNCE,
+    PEER_LEAVE,
+    LEAVE,
+    REJOIN,
+    STALE_DROP,
+    RETIRE,
+    READMIT,
+];
+
+/// One plane's lifetime counts of completed joins, graceful leaves,
+/// rejoins, stale packets dropped and join requests answered.
+#[derive(Debug, Default)]
+pub(crate) struct MemberTotals {
+    joins: AtomicU64,
+    leaves: AtomicU64,
+    rejoins: AtomicU64,
+    stale_drops: AtomicU64,
+    acks_served: AtomicU64,
+}
+
+impl MemberTotals {
+    /// Every total with its trace event name, in one place.
+    pub(crate) fn named(&self) -> [(&'static str, u64); 5] {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            ("joins", load(&self.joins)),
+            ("leaves", load(&self.leaves)),
+            ("rejoins", load(&self.rejoins)),
+            ("stale_drops", load(&self.stale_drops)),
+            ("acks_served", load(&self.acks_served)),
+        ]
+    }
+}
 
 /// The membership control plane of one node on one virtual channel.
 pub struct MembershipPlane {
@@ -106,11 +159,7 @@ pub struct MembershipPlane {
     /// The channel's multi-path plane: peer transitions retire and
     /// readmit selector paths through it.
     mp: Mutex<Option<Arc<MultiPath>>>,
-    joins: AtomicU64,
-    leaves: AtomicU64,
-    rejoins: AtomicU64,
-    stale_drops: AtomicU64,
-    acks_served: AtomicU64,
+    totals: MemberTotals,
 }
 
 impl std::fmt::Debug for MembershipPlane {
@@ -145,11 +194,7 @@ impl MembershipPlane {
             phases: Mutex::new(BTreeSet::new()),
             acks: Mutex::new(BTreeMap::new()),
             mp: Mutex::new(None),
-            joins: AtomicU64::new(0),
-            leaves: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            stale_drops: AtomicU64::new(0),
-            acks_served: AtomicU64::new(0),
+            totals: MemberTotals::default(),
         })
     }
 
@@ -181,7 +226,7 @@ impl MembershipPlane {
 
     /// Member packets dropped as stale leftovers of an older incarnation.
     pub fn stale_drops(&self) -> u64 {
-        self.stale_drops.load(Ordering::Relaxed)
+        self.totals.stale_drops.load(Ordering::Relaxed)
     }
 
     /// Completed bootstrap phases of the *current* incarnation (0–4).
@@ -194,9 +239,9 @@ impl MembershipPlane {
             .count()
     }
 
-    fn trace(&self, name: &'static str, value: i64, args: &[(&'static str, u64)]) {
-        self.tracer
-            .count_on(&self.track, "member", name, value, args);
+    /// Trace one live transition.
+    fn trace(&self, name: &'static str, args: &[(&'static str, u64)]) {
+        self.tracer.count_on(&self.track, "member", name, 1, args);
     }
 
     /// True (and logged) the first time a phase completes for `epoch`;
@@ -204,7 +249,7 @@ impl MembershipPlane {
     fn log_phase(&self, epoch: u64, phase: JoinPhase, name: &'static str) -> bool {
         let fresh = self.phases.lock().insert((epoch, phase));
         if fresh {
-            self.trace(name, 1, &[("epoch", epoch)]);
+            self.trace(name, &[("epoch", epoch)]);
         }
         fresh
     }
@@ -232,7 +277,7 @@ impl MembershipPlane {
                     return Err(MadError::Unroutable(p));
                 }
             }
-            self.log_phase(epoch, JoinPhase::Connect, "phase_connect");
+            self.log_phase(epoch, JoinPhase::Connect, PHASE_CONNECT);
         }
 
         // Phase 2 — exchange: put this incarnation's join request on the
@@ -243,7 +288,7 @@ impl MembershipPlane {
             for &p in peers {
                 self.send_member(p, MemberEvent::JoinRequest, self.rank.0, epoch)?;
             }
-            self.log_phase(epoch, JoinPhase::Exchange, "phase_exchange");
+            self.log_phase(epoch, JoinPhase::Exchange, PHASE_EXCHANGE);
         }
 
         // Phase 3 — verify: wait until every peer echoed *this* epoch
@@ -285,7 +330,7 @@ impl MembershipPlane {
                     .event
                     .wait_past_timeout(seen, (deadline - now).min(slice));
             }
-            self.log_phase(epoch, JoinPhase::Verify, "phase_verify");
+            self.log_phase(epoch, JoinPhase::Verify, PHASE_VERIFY);
         }
 
         // Phase 4 — activate: record ourselves active and announce it.
@@ -300,8 +345,8 @@ impl MembershipPlane {
             for &p in peers {
                 let _ = self.send_member(p, MemberEvent::Announce, self.rank.0, epoch);
             }
-            self.joins.fetch_add(1, Ordering::Relaxed);
-            self.log_phase(epoch, JoinPhase::Activate, "phase_activate");
+            self.totals.joins.fetch_add(1, Ordering::Relaxed);
+            self.log_phase(epoch, JoinPhase::Activate, PHASE_ACTIVATE);
         }
         Ok(())
     }
@@ -325,8 +370,8 @@ impl MembershipPlane {
             },
         );
         self.phases.lock().retain(|(e, _)| *e != epoch);
-        self.leaves.fetch_add(1, Ordering::Relaxed);
-        self.trace("leave", 1, &[("epoch", epoch)]);
+        self.totals.leaves.fetch_add(1, Ordering::Relaxed);
+        self.trace(LEAVE, &[("epoch", epoch)]);
     }
 
     /// Rejoin after a crash: bump the incarnation epoch (so everything
@@ -335,8 +380,8 @@ impl MembershipPlane {
     pub fn rejoin(&self, peers: &[NodeId], timeout_ns: u64) -> Result<u64> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.acks.lock().clear();
-        self.rejoins.fetch_add(1, Ordering::Relaxed);
-        self.trace("rejoin", 1, &[("epoch", epoch)]);
+        self.totals.rejoins.fetch_add(1, Ordering::Relaxed);
+        self.trace(REJOIN, &[("epoch", epoch)]);
         self.join(peers, timeout_ns)?;
         Ok(epoch)
     }
@@ -357,10 +402,9 @@ impl MembershipPlane {
         if msg.epoch < known {
             // A leftover of a previous incarnation of `node` — the
             // epoch stamp is what makes the staleness provable.
-            self.stale_drops.fetch_add(1, Ordering::Relaxed);
+            self.totals.stale_drops.fetch_add(1, Ordering::Relaxed);
             self.trace(
-                "stale_drop",
-                1,
+                STALE_DROP,
                 &[("node", msg.node as u64), ("epoch", msg.epoch)],
             );
             return;
@@ -370,29 +414,24 @@ impl MembershipPlane {
             MemberEvent::JoinAck => {
                 if msg.node == self.rank.0 {
                     self.acks.lock().insert(tag.src.0, msg.epoch);
-                    self.trace("join_ack", 1, &[("node", tag.src.0 as u64)]);
+                    self.trace(JOIN_ACK, &[("node", tag.src.0 as u64)]);
                 }
             }
             MemberEvent::Leave => {
                 self.record(msg, MemberState::Left);
                 self.trace(
-                    "peer_leave",
-                    1,
+                    PEER_LEAVE,
                     &[("node", msg.node as u64), ("epoch", msg.epoch)],
                 );
                 if let Some(mp) = self.mp.lock().as_ref() {
                     if mp.mark_dead(msg.node) {
-                        self.trace("retire", 1, &[("node", msg.node as u64)]);
+                        self.trace(RETIRE, &[("node", msg.node as u64)]);
                     }
                 }
             }
             MemberEvent::Announce => {
                 self.record(msg, MemberState::Active);
-                self.trace(
-                    "announce",
-                    1,
-                    &[("node", msg.node as u64), ("epoch", msg.epoch)],
-                );
+                self.trace(ANNOUNCE, &[("node", msg.node as u64), ("epoch", msg.epoch)]);
                 self.observe_in_selector(msg.node, msg.epoch);
             }
         }
@@ -427,14 +466,13 @@ impl MembershipPlane {
     fn serve_join_request(&self, tag: &StreamTag, msg: &MemberMsg, known: u64) {
         self.record(msg, MemberState::Joining);
         self.trace(
-            "join_request",
-            1,
+            JOIN_REQUEST,
             &[("node", msg.node as u64), ("epoch", msg.epoch)],
         );
         if msg.epoch > known && known > 0 {
             self.observe_in_selector(msg.node, msg.epoch);
         }
-        self.acks_served.fetch_add(1, Ordering::Relaxed);
+        self.totals.acks_served.fetch_add(1, Ordering::Relaxed);
         let _ = self.send_member(tag.src, MemberEvent::JoinAck, msg.node, msg.epoch);
     }
 
@@ -463,7 +501,7 @@ impl MembershipPlane {
                 mp.observe_epoch(node, epoch),
                 mad_route::EpochObservation::Readmitted
             ) {
-                self.trace("readmit", 1, &[("node", node as u64), ("epoch", epoch)]);
+                self.trace(READMIT, &[("node", node as u64), ("epoch", epoch)]);
             }
         }
     }
@@ -486,19 +524,8 @@ impl MembershipPlane {
     /// teardown calls this once), so membership-enabled traces always
     /// carry the track even when no transition fired mid-run.
     pub(crate) fn flush_trace(&self) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let totals = [
-            self.joins.load(Ordering::Relaxed),
-            self.leaves.load(Ordering::Relaxed),
-            self.rejoins.load(Ordering::Relaxed),
-            self.stale_drops.load(Ordering::Relaxed),
-            self.acks_served.load(Ordering::Relaxed),
-        ];
-        for (name, v) in TOTAL_NAMES.iter().zip(totals) {
-            self.trace(name, v as i64, &[]);
-        }
+        self.tracer
+            .count_all_on(&self.track, "member", &self.totals.named());
     }
 }
 

@@ -24,17 +24,17 @@
 //!
 //! * **Exposition** — [`flush_snapshot_to_trace`] folds a final snapshot
 //!   into the session trace on `metrics:` tracks (validated by
-//!   `trace_check --require-metrics`).
+//!   `trace_check --require metrics:`).
 //!
 //! Recording stays lock-free: the plane only touches locks at wiring
 //! time (handle interning) and pull time — never on a per-packet path.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use mad_metrics::{Counter, Gauge, Hist, Registry, Snapshot};
-use mad_trace::schema::{HEALTH_EVENT_NAMES, METRICS_EVENT_NAMES};
+use mad_trace::schema::PATH_BYTES;
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
@@ -53,6 +53,61 @@ use crate::types::NodeId;
 /// a type because the frozen `benchmark/` names `MetricsOptions::default`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MetricsOptions {}
+
+// The registry's standard instruments; the teardown flush puts each on
+// the node's `metrics:` track by name.
+const DEGRADATIONS: &str = "degradations";
+const QUEUE_DEPTH: &str = "queue_depth";
+/// The high-water mark of [`QUEUE_DEPTH`], flushed beside it.
+const QUEUE_DEPTH_PEAK: &str = "queue_depth_peak";
+/// The gauges [`MetricsPlane::refresh_live`] samples from other
+/// subsystems, in the order it sets them.
+const SAMPLED: [&str; 7] = [
+    "rt_threads_spawned",
+    "pool_gets",
+    "pool_hits",
+    "pool_misses",
+    "gw_held_bytes",
+    "open_streams",
+    "gw_bytes_per_sec",
+];
+/// A gateway engine's histograms, in [`GwMetrics`] field order; each is
+/// flushed as its quantiles, one event per [`HIST_SUFFIXES`] entry.
+const HISTOGRAMS: [&str; 3] = ["gw_forward_ns", "credit_wait_ns", "gw_copy_bytes"];
+const HIST_SUFFIXES: [&str; 5] = ["_p50", "_p90", "_p99", "_max", "_count"];
+/// Per-path byte gauges are `path_bytes_gw<N>`; the flush folds them into
+/// one [`PATH_BYTES`] event family keyed by a `gateway` arg.
+const PATH_GAUGE_PREFIX: &str = "path_bytes_gw";
+
+/// The watchdog's verdicts, one `health:` event per detector firing, each
+/// also counted in the registry as `health_<name>`.
+pub(crate) const HEALTH_EVENT_NAMES: [&str; 4] = [
+    "credit_starvation",
+    "queue_saturation",
+    "stalled_stream",
+    "dead_path_flap",
+];
+
+/// The registry counter that tallies the `name` verdicts.
+fn health_counter(name: &str) -> String {
+    format!("health_{name}")
+}
+
+/// Every event name a `metrics:` track carries. Built once, derived names
+/// included: trace event names are `'static`, so those are leaked with it.
+pub(crate) fn metrics_event_names() -> &'static [&'static str] {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+        let mut names = vec![DEGRADATIONS, QUEUE_DEPTH, QUEUE_DEPTH_PEAK, PATH_BYTES];
+        names.extend(SAMPLED);
+        names.extend(HEALTH_EVENT_NAMES.map(|n| leak(health_counter(n))));
+        for h in HISTOGRAMS {
+            names.extend(HIST_SUFFIXES.map(|q| leak(format!("{h}{q}"))));
+        }
+        names
+    })
+}
 
 /// Cached hot-path metric handles of one gateway engine, cloned into
 /// every `FwdShared`. Absent (engine-wide) when the channel runs without
@@ -74,11 +129,12 @@ pub(crate) struct GwMetrics {
 impl GwMetrics {
     pub(crate) fn new(plane: &MetricsPlane) -> Self {
         let r = plane.registry();
+        let [forward_ns, credit_wait_ns, copy_bytes] = HISTOGRAMS.map(|n| r.histogram(n));
         GwMetrics {
-            forward_ns: r.histogram("gw_forward_ns"),
-            credit_wait_ns: r.histogram("credit_wait_ns"),
-            copy_bytes: r.histogram("gw_copy_bytes"),
-            queue_depth: r.gauge("queue_depth"),
+            forward_ns,
+            credit_wait_ns,
+            copy_bytes,
+            queue_depth: r.gauge(QUEUE_DEPTH),
         }
     }
 }
@@ -111,14 +167,9 @@ pub struct MetricsPlane {
     feeds: Mutex<Vec<GatewayWindow>>,
     /// The channel's multi-path plane, for the per-path byte gauges.
     mp: Mutex<Option<Arc<MultiPath>>>,
-    // Cached refresh handles (interned once at wiring time).
-    rt_threads: Gauge,
-    pool_gets: Gauge,
-    pool_hits: Gauge,
-    pool_misses: Gauge,
-    gw_held: Gauge,
-    gw_open: Gauge,
-    gw_bps: Gauge,
+    /// The [`SAMPLED`] gauges, in its order (interned once at wiring
+    /// time).
+    sampled: [Gauge; 7],
 }
 
 impl std::fmt::Debug for MetricsPlane {
@@ -141,16 +192,10 @@ impl MetricsPlane {
     ) -> Arc<Self> {
         // Intern the standard instruments eagerly so even an idle node's
         // snapshot exposes the full schema.
-        registry.counter("degradations");
+        registry.counter(DEGRADATIONS);
         Arc::new(MetricsPlane {
             rank: ctl.rank(),
-            rt_threads: registry.gauge("rt_threads_spawned"),
-            pool_gets: registry.gauge("pool_gets"),
-            pool_hits: registry.gauge("pool_hits"),
-            pool_misses: registry.gauge("pool_misses"),
-            gw_held: registry.gauge("gw_held_bytes"),
-            gw_open: registry.gauge("open_streams"),
-            gw_bps: registry.gauge("gw_bytes_per_sec"),
+            sampled: SAMPLED.map(|n| registry.gauge(n)),
             registry,
             ctl: Arc::downgrade(ctl),
             event: ctl.event().clone(),
@@ -189,11 +234,7 @@ impl MetricsPlane {
     /// counters, gateway occupancy and throughput (over the plane's own
     /// windows, so no other reader's are touched), and per-path bytes.
     pub fn refresh_live(&self) {
-        self.rt_threads.set(self.runtime.threads_spawned() as i64);
         let ps = self.runtime.pool().stats();
-        self.pool_gets.set(ps.gets as i64);
-        self.pool_hits.set(ps.hits as i64);
-        self.pool_misses.set(ps.misses as i64);
         let now = self.runtime.now_nanos();
         let mut held = 0i64;
         let mut open = 0i64;
@@ -204,13 +245,22 @@ impl MetricsPlane {
             bps += d.bytes_per_sec;
             open += window.stats().open_streams();
         }
-        self.gw_held.set(held);
-        self.gw_open.set(open);
-        self.gw_bps.set(bps as i64);
+        let values = [
+            self.runtime.threads_spawned() as i64,
+            ps.gets as i64,
+            ps.hits as i64,
+            ps.misses as i64,
+            held,
+            open,
+            bps as i64,
+        ];
+        for (gauge, v) in self.sampled.iter().zip(values) {
+            gauge.set(v);
+        }
         if let Some(mp) = self.mp.lock().as_ref() {
             for (gw, bytes) in mp.path_bytes() {
                 self.registry
-                    .gauge(&format!("path_bytes_gw{gw}"))
+                    .gauge(&format!("{PATH_GAUGE_PREFIX}{gw}"))
                     .set(bytes as i64);
             }
         }
@@ -391,14 +441,14 @@ impl Watchdog {
         tracer: Tracer,
         track: String,
     ) -> Self {
-        let counters = HEALTH_EVENT_NAMES.map(|n| registry.counter(&format!("health_{n}")));
+        let counters = HEALTH_EVENT_NAMES.map(|n| registry.counter(&health_counter(n)));
         Watchdog {
             window,
             mp,
             tracer,
             track,
             counters,
-            degradations: registry.counter("degradations"),
+            degradations: registry.counter(DEGRADATIONS),
             idle_ticks: 0,
             prev_flap: 0,
         }
@@ -455,48 +505,44 @@ impl Watchdog {
     }
 }
 
-/// The `metrics:` event name equal to `name`: only names the trace schema
-/// validates reach the trace (event names must be static). Dynamic or
-/// application-defined registry entries are exposed through snapshots
-/// alone.
-fn static_scalar_name(name: &str) -> Option<&'static str> {
-    METRICS_EVENT_NAMES.iter().copied().find(|n| *n == name)
-}
-
 /// Fold one node's final snapshot into the session trace on a
 /// `metrics:` track: counters and gauges as-is, histograms as derived
 /// quantiles, per-path byte gauges folded into one event family keyed
-/// by a `gateway` arg.
+/// by a `gateway` arg. Only names [`metrics_event_names`] lists reach the
+/// trace (event names must be static); dynamic or application-defined
+/// registry entries are exposed through snapshots alone.
 pub(crate) fn flush_snapshot_to_trace(snap: &Snapshot, tracer: &Tracer, track: &str) {
+    let names = metrics_event_names();
+    let known = |name: &str| names.iter().copied().find(|n| *n == name);
     for (name, v) in &snap.counters {
-        if let Some(n) = static_scalar_name(name) {
+        if let Some(n) = known(name) {
             tracer.count_on(track, "metrics", n, *v as i64, &[]);
         }
     }
     for (name, v, peak) in &snap.gauges {
-        if let Some(rest) = name.strip_prefix("path_bytes_gw") {
+        if let Some(rest) = name.strip_prefix(PATH_GAUGE_PREFIX) {
             if let Ok(gw) = rest.parse::<u64>() {
-                tracer.count_on(track, "metrics", "path_bytes", *v, &[("gateway", gw)]);
+                tracer.count_on(track, "metrics", PATH_BYTES, *v, &[("gateway", gw)]);
             }
             continue;
         }
-        if let Some(n) = static_scalar_name(name) {
+        if let Some(n) = known(name) {
             tracer.count_on(track, "metrics", n, *v, &[]);
         }
-        if name == "queue_depth" {
-            tracer.count_on(track, "metrics", "queue_depth_peak", *peak, &[]);
+        if name == QUEUE_DEPTH {
+            tracer.count_on(track, "metrics", QUEUE_DEPTH_PEAK, *peak, &[]);
         }
     }
     for (name, h) in &snap.hists {
         let values = [
-            ("_p50", h.quantile(0.50)),
-            ("_p90", h.quantile(0.90)),
-            ("_p99", h.quantile(0.99)),
-            ("_max", h.max),
-            ("_count", h.count()),
+            h.quantile(0.50),
+            h.quantile(0.90),
+            h.quantile(0.99),
+            h.max,
+            h.count(),
         ];
-        for (suffix, v) in values {
-            let derived = METRICS_EVENT_NAMES
+        for (suffix, v) in HIST_SUFFIXES.into_iter().zip(values) {
+            let derived = names
                 .iter()
                 .find(|n| n.strip_prefix(name.as_str()) == Some(suffix));
             if let Some(n) = derived {

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mad_route::{GatewayLoad, PathHop, RoutePlan, RoutingTable, Selector, SelectorCounters};
+use mad_trace::schema::PATH_BYTES;
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
 
@@ -31,6 +32,10 @@ use crate::types::NodeId;
 /// [`MultiPath::refresh`] inside the window is free. Windows also pace
 /// the `gw:` delta trace events.
 const REFRESH_INTERVAL_NS: u64 = 2_000_000;
+
+/// The windowed cost-model events a refresh puts on each gateway's `gw:`
+/// track: bytes, stalls and occupancy of the window.
+pub(crate) const DELTA_NAMES: [&str; 3] = ["delta_bytes", "delta_stalls", "delta_occupancy"];
 
 /// The shared routing plane of one virtual channel: multi-path plans,
 /// the adaptive selector, registered gateway feeds, and per-path byte
@@ -118,9 +123,10 @@ impl MultiPath {
             if let Some((tracer, vc)) = &trace {
                 if tracer.enabled() && d.interval_ns > 0 {
                     let track = format!("gw:{vc}@{gw}");
-                    tracer.count_on(&track, "gateway", "delta_bytes", d.bytes as i64, &[]);
-                    tracer.count_on(&track, "gateway", "delta_stalls", d.stalls as i64, &[]);
-                    tracer.count_on(&track, "gateway", "delta_occupancy", d.occupancy_bytes, &[]);
+                    let values = [d.bytes as i64, d.stalls as i64, d.occupancy_bytes];
+                    for (name, v) in DELTA_NAMES.into_iter().zip(values) {
+                        tracer.count_on(&track, "gateway", name, v, &[]);
+                    }
                 }
             }
         }
@@ -195,15 +201,11 @@ impl MultiPath {
             tracer.count_on(
                 &track,
                 "route",
-                "path_bytes",
+                PATH_BYTES,
                 bytes as i64,
                 &[("gateway", gw as u64)],
             );
         }
-        let c = self.counters();
-        tracer.count_on(&track, "route", "switches", c.switches as i64, &[]);
-        tracer.count_on(&track, "route", "failovers", c.failovers as i64, &[]);
-        tracer.count_on(&track, "route", "deaths", c.deaths as i64, &[]);
-        tracer.count_on(&track, "route", "readmissions", c.readmissions as i64, &[]);
+        tracer.count_all_on(&track, "route", &self.counters().named());
     }
 }

@@ -100,12 +100,16 @@ pub trait Runtime: Send + Sync {
 
     /// Total threads spawned through this runtime so far — engine
     /// threads, application nodes, driver readers. This is the observable
-    /// thread budget; sessions flush it to the `rt:` trace track at
-    /// teardown.
+    /// thread budget; sessions flush it to the `rt:session` trace track
+    /// at teardown.
     fn threads_spawned(&self) -> u64 {
         0
     }
 }
+
+/// The trace event name of a thread budget: the session's on
+/// `rt:session`, each gateway engine's slice of it on its `gw:` track.
+pub(crate) const THREADS_SPAWNED: &str = "threads_spawned";
 
 /// [`RtEvent`] on real threads: [`Epoch`] is the whole implementation.
 #[derive(Default)]

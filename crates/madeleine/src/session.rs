@@ -12,18 +12,25 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use mad_route::NetworkDecl;
+use mad_route::{NetworkDecl, SelectorCounters};
+use mad_trace::schema::{TrackTable, PATH_BYTES};
+use mad_trace::{ChannelTotals, PEER_EVENT_NAMES};
+use mad_util::pool::PoolStats;
 use mad_util::sync::Mutex;
 
 use crate::channel::Channel;
 use crate::conduit::{Conduit, Driver};
 use crate::control_plane::ControlPlane;
 use crate::credit::{CreditLedger, FlowControl};
-use crate::gateway::{spawn_gateway, GatewayConfig, GatewayHandles, GatewayStop, GatewayWindow};
-use crate::membership::MembershipPlane;
-use crate::metrics_plane::{self, MetricsOptions, MetricsPlane, Watchdog};
-use crate::multipath::MultiPath;
-use crate::runtime::{RtEvent, Runtime, StdRuntime};
+use crate::gateway::{
+    spawn_gateway, GatewayConfig, GatewayHandles, GatewayStop, GatewayTotals, GatewayWindow,
+};
+use crate::membership::{MemberTotals, MembershipPlane, TRANSITION_NAMES};
+use crate::metrics_plane::{
+    self, metrics_event_names, MetricsOptions, MetricsPlane, Watchdog, HEALTH_EVENT_NAMES,
+};
+use crate::multipath::{MultiPath, DELTA_NAMES};
+use crate::runtime::{RtEvent, Runtime, StdRuntime, THREADS_SPAWNED};
 use crate::ticker;
 use crate::types::{ChannelId, NetworkId, NodeId};
 use crate::vchannel::VirtualChannel;
@@ -81,6 +88,34 @@ impl SessionBarrier {
 /// [`SessionBuilder::run_with_gateway_stats`]: (virtual channel name,
 /// gateway rank, counters).
 pub type GatewayStatsReport = Vec<(String, NodeId, Arc<crate::gateway::GatewayStats>)>;
+
+/// The counter-track families a traced session writes, as
+/// [`mad_trace::schema::validate_tracks`] tables. Every name comes from
+/// the list its emitter flushes or the constants its live events use, so
+/// a counter is in the schema the moment it reaches the trace.
+pub fn trace_tables() -> Vec<TrackTable<'static>> {
+    let names = |named: &[(&'static str, u64)], live: &[&'static str]| -> Vec<&'static str> {
+        named
+            .iter()
+            .map(|&(name, _)| name)
+            .chain(live.iter().copied())
+            .collect()
+    };
+    let gw = names(&GatewayTotals::default().named(), &DELTA_NAMES);
+    let rt = names(&PoolStats::default().named(), &[THREADS_SPAWNED]);
+    let route = names(&SelectorCounters::default().named(), &[PATH_BYTES]);
+    let member = names(&MemberTotals::default().named(), &TRANSITION_NAMES);
+    let ch = names(&ChannelTotals::default().named(), &PEER_EVENT_NAMES);
+    vec![
+        ("gw:", "gateway", gw),
+        ("rt:", "runtime", rt),
+        ("route:", "route", route),
+        ("member:", "member", member),
+        ("metrics:", "metrics", metrics_event_names().to_vec()),
+        ("health:", "health", HEALTH_EVENT_NAMES.to_vec()),
+        ("ch:", "channel", ch),
+    ]
+}
 
 /// Options of one virtual channel declaration.
 #[derive(Debug, Clone, Default)]
@@ -631,109 +666,37 @@ impl SessionBuilder {
         if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
-        // Flush the final per-channel and per-gateway counters into the
-        // trace, one named track per channel/gateway instance.
+        // Flush every end-of-run total into the trace, one named track
+        // per channel, gateway engine, routing plane and membership plane,
+        // then the session's own: each list goes out through
+        // `Tracer::count_all_on`.
         let tracer = runtime.tracer();
         if tracer.enabled() {
             for (label, rank, st) in &channel_stats {
                 st.flush_to(&tracer, &format!("ch:{label}@{}", rank.0));
             }
             for (vc, gw, st) in &gateway_stats {
-                let t = st.totals();
-                let track = format!("gw:{vc}@{}", gw.0);
-                tracer.count_on(&track, "gateway", "messages", t.messages as i64, &[]);
-                tracer.count_on(&track, "gateway", "fragments", t.fragments as i64, &[]);
-                tracer.count_on(
-                    &track,
+                tracer.count_all_on(
+                    &format!("gw:{vc}@{}", gw.0),
                     "gateway",
-                    "fragment_bytes",
-                    t.fragment_bytes as i64,
-                    &[],
-                );
-                tracer.count_on(&track, "gateway", "stalls", t.stalls as i64, &[]);
-                tracer.count_on(
-                    &track,
-                    "gateway",
-                    "buffer_switches",
-                    t.buffer_switches as i64,
-                    &[],
-                );
-                tracer.count_on(
-                    &track,
-                    "gateway",
-                    "credits_granted",
-                    t.credits_granted as i64,
-                    &[],
-                );
-                tracer.count_on(&track, "gateway", "grants_sent", t.grants_sent as i64, &[]);
-                tracer.count_on(&track, "gateway", "cancelled", t.cancelled as i64, &[]);
-                tracer.count_on(
-                    &track,
-                    "gateway",
-                    "credit_timeouts",
-                    t.credit_timeouts as i64,
-                    &[],
-                );
-                tracer.count_on(&track, "gateway", "errors", t.errors as i64, &[]);
-                tracer.count_on(&track, "gateway", "peak_held_bytes", t.peak_held_bytes, &[]);
-                tracer.count_on(
-                    &track,
-                    "gateway",
-                    "threads_spawned",
-                    t.threads_spawned as i64,
-                    &[],
-                );
-                // Copy-placement accounting, on the `rt:` family beside the
-                // session's thread count: where the scheduler put relay
-                // copies and how busy each stage was.
-                let rt = format!("rt:{vc}@{}", gw.0);
-                tracer.count_on(&rt, "runtime", "copies_recv", t.copies_recv as i64, &[]);
-                tracer.count_on(&rt, "runtime", "copies_flush", t.copies_flush as i64, &[]);
-                tracer.count_on(
-                    &rt,
-                    "runtime",
-                    "copy_idle_hits",
-                    t.copy_idle_hits as i64,
-                    &[],
-                );
-                tracer.count_on(
-                    &rt,
-                    "runtime",
-                    "recv_busy_ns",
-                    st.recv_busy_ns.load(std::sync::atomic::Ordering::Relaxed) as i64,
-                    &[],
-                );
-                tracer.count_on(
-                    &rt,
-                    "runtime",
-                    "flush_busy_ns",
-                    st.flush_busy_ns.load(std::sync::atomic::Ordering::Relaxed) as i64,
-                    &[],
+                    &st.totals().named(),
                 );
             }
-            // Session-wide thread-budget accounting: how many OS (or sim
-            // actor) threads the runtime ever spawned.
-            tracer.count_on(
-                "rt:session",
-                "runtime",
-                "threads_spawned",
-                runtime.threads_spawned() as i64,
-                &[],
-            );
-            // Routing-plane summary: per-path byte splits plus the
-            // selector's switch/failover counters, one `route:` track per
-            // multi-path virtual channel.
+            // The thread budget beside the buffer pool's counters: `misses`
+            // is the number of real heap allocations behind every staging,
+            // landing and control buffer, flat in a warmed-up fault-free
+            // run while `gets` grows with traffic.
+            let mut rt = vec![(THREADS_SPAWNED, runtime.threads_spawned())];
+            rt.extend(runtime.pool().stats().named());
+            tracer.count_all_on("rt:session", "runtime", &rt);
             for mp in &route_planes {
                 mp.flush_trace();
             }
-            // Membership totals, one `member:` track per (channel, node)
-            // (validated by `trace_check --require-membership`).
             for plane in &member_planes {
                 plane.flush_trace();
             }
-            // Final live-registry snapshot of every telemetry-enabled
-            // node, one `metrics:` track each (validated by `trace_check
-            // --require-metrics`).
+            // The final live-registry snapshot of every telemetry-enabled
+            // node, one `metrics:` track each.
             for plane in &metrics_planes {
                 plane.refresh_live();
             }
@@ -746,17 +709,6 @@ impl SessionBuilder {
                     &format!("metrics:node{}", rank.0),
                 );
             }
-            // Session-wide buffer-pool counters: `misses` is the number of
-            // real heap allocations behind every staging/landing/control
-            // buffer — a warmed-up fault-free run keeps it flat while
-            // `gets` grows with traffic (the zero-alloc-per-fragment
-            // property the soak test asserts).
-            let p = runtime.pool().stats();
-            tracer.count_on("pool", "pool", "gets", p.gets as i64, &[]);
-            tracer.count_on("pool", "pool", "hits", p.hits as i64, &[]);
-            tracer.count_on("pool", "pool", "misses", p.misses as i64, &[]);
-            tracer.count_on("pool", "pool", "recycled", p.recycled as i64, &[]);
-            tracer.count_on("pool", "pool", "discarded", p.discarded as i64, &[]);
         }
         let mut res = results.lock();
         let out = res

@@ -109,7 +109,7 @@ cargo run -q --release --offline -p mad-bench --bin ablation_batching -- \
 # A8 smoke: multi-path gateway scaling (with its >=1.6x two-path
 # aggregate-bandwidth assertion) plus the seeded gateway-death soak, with
 # a traced 2-gateway run — the one trace that must carry the `route:`
-# track, which trace_check enforces via --require-route.
+# track, which trace_check enforces via --require route:.
 echo
 echo "== multipath_scaling --smoke (multi-path gateway fabrics)"
 cargo run -q --release --offline -p mad-bench --bin multipath_scaling -- \
@@ -126,7 +126,7 @@ cargo run -q --release --offline -p mad-bench --bin metrics_overhead -- --smoke
 # mad_top: a metrics-enabled run whose mid-run in-band kind-10 pull must
 # reach all 5 nodes (asserted by the binary) and whose exported trace
 # must carry the metrics: track — enforced via trace_check
-# --require-metrics below.
+# --require metrics: below.
 echo
 echo "== mad_top --once, traced (in-band metrics pull)"
 cargo run -q --release --offline -p mad-bench --bin mad_top -- \
@@ -134,7 +134,7 @@ cargo run -q --release --offline -p mad-bench --bin mad_top -- \
 
 # A11 smoke: the seeded membership-churn soak with its in-binary
 # delivery/readmission/stale-drop assertions, traced — the export must
-# carry the member: track, enforced via trace_check --require-membership
+# carry the member: track, enforced via trace_check --require member:
 # below.
 echo
 echo "== membership_churn --smoke, traced (A11 dynamic membership)"
@@ -154,11 +154,11 @@ cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   "$trace_dir/ci.sim.jsonl" "$trace_dir/ci.fault.jsonl" "$trace_dir/ci.shm.jsonl" \
   "$trace_dir/a7.jsonl" "$trace_dir/a12.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-route "$trace_dir/a8.jsonl"
+  --require route: "$trace_dir/a8.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-metrics "$trace_dir/madtop.jsonl"
+  --require metrics: "$trace_dir/madtop.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
-  --require-membership "$trace_dir/a11.jsonl"
+  --require member: "$trace_dir/a11.jsonl"
 
 # Lints gate only when clippy is actually installed (sealed containers
 # may ship a toolchain without the component).

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The option count: `pub` fields of the config structs, `--flag`s of
-# mad_bench::cli, GTM packet kinds and trace_check's `--require-*` flags,
+# mad_bench::cli, GTM packet kinds and trace_check's `--require` flags,
 # against the numbers committed below. Fails when a count differs from its
 # number either way, so the next option arrives with a line in this diff
 # and a deletion that forgets to lower its number is caught.
@@ -27,7 +27,7 @@ fields() { # <file> <struct>: the names of its `pub` fields
 m=crates/madeleine/src
 flags=$(sed '/#\[cfg(test)\]/,$d' crates/bench/src/cli.rs | grep -o '"--[a-z-]*"' | sort -u | wc -l)
 kinds=$(grep -c 'const KIND_' $m/gtm.rs)
-requires=$(grep -o '"--require-[a-z-]*"' crates/bench/src/bin/trace_check.rs | sort -u | wc -l)
+requires=$(grep -o '"--require[a-z-]*"' crates/bench/src/bin/trace_check.rs | sort -u | wc -l)
 gateway=$(fields $m/gateway.rs GatewayConfig)
 metrics=$(fields $m/metrics_plane.rs MetricsOptions)
 vc=$(fields $m/session.rs VcOptions)
@@ -44,7 +44,7 @@ MetricsOptions $(echo $metrics | wc -w) 0
 VcOptions $(echo $vc | wc -w) 4
 cli-flags $flags 1
 gtm-kinds $kinds 10
-require-flags $requires 3
+require-flags $requires 1
 EOF2
 for field in $gateway $metrics $vc; do
   setters=$(grep -rlE --include='*.rs' "(^|[^A-Za-z0-9_])$field:([^:]|\$)" \

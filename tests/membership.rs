@@ -7,8 +7,8 @@
 
 use mad_sim::{SimTech, Testbed};
 use madeleine::gateway::GatewayConfig;
-use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
-use madeleine::session::VcOptions;
+use madeleine::mad_trace::schema::{validate_jsonl, validate_tracks};
+use madeleine::session::{trace_tables, VcOptions};
 use madeleine::{MemberState, MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder};
 use simnet::TraceLog;
 
@@ -215,8 +215,8 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
 
     let jsonl = tracer.snapshot().to_jsonl_string();
     validate_jsonl(&jsonl).expect("trace must validate");
-    let tracks = validate_route_tracks(&jsonl).expect("typed tracks must validate");
-    assert!(tracks.member_events > 0, "no member events in the trace");
+    let tracks = validate_tracks(&jsonl, &trace_tables()).expect("typed tracks must validate");
+    assert!(tracks["member:"] > 0, "no member events in the trace");
 }
 
 /// Seeded churn soak: gateway 1 cycles leave → rejoin while rank 0
@@ -355,6 +355,6 @@ fn churn_soak_under_bulk_traffic() {
         assert_eq!(t.held_bytes, 0, "gateway {gw} holds bytes after teardown");
     }
     let jsonl = tracer.snapshot().to_jsonl_string();
-    let tracks = validate_route_tracks(&jsonl).expect("typed tracks must validate");
-    assert!(tracks.member_events > 0, "no member events in the trace");
+    let tracks = validate_tracks(&jsonl, &trace_tables()).expect("typed tracks must validate");
+    assert!(tracks["member:"] > 0, "no member events in the trace");
 }

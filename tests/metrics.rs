@@ -10,8 +10,8 @@ use mad_sim::{SimTech, Testbed};
 use mad_util::hist::AtomicHistogram;
 use mad_util::rng::Rng;
 use madeleine::gateway::GatewayConfig;
-use madeleine::mad_trace::schema::{validate_jsonl, validate_route_tracks};
-use madeleine::session::VcOptions;
+use madeleine::mad_trace::schema::{validate_jsonl, validate_tracks};
+use madeleine::session::{trace_tables, VcOptions};
 use madeleine::{MetricsOptions, NodeId, RecvMode, SendMode, SessionBuilder};
 use simnet::TraceLog;
 
@@ -209,10 +209,10 @@ fn watchdog_fires_on_injected_credit_starvation() {
     // teardown registry flush produced `metrics:` events.
     let jsonl = tracer.snapshot().to_jsonl_string();
     validate_jsonl(&jsonl).expect("trace must validate");
-    let tracks = validate_route_tracks(&jsonl).expect("typed tracks must validate");
-    assert!(tracks.health_events >= 1, "no health events in the trace");
+    let tracks = validate_tracks(&jsonl, &trace_tables()).expect("typed tracks must validate");
+    assert!(tracks["health:"] >= 1, "no health events in the trace");
     assert!(
-        tracks.metrics_events > 0,
+        tracks["metrics:"] > 0,
         "no metrics events in the trace teardown flush"
     );
 }

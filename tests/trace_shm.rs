@@ -4,9 +4,9 @@
 //! framing, so wire bytes == payload bytes).
 
 use mad_shm::ShmDriver;
-use madeleine::mad_trace::schema::validate_jsonl;
+use madeleine::mad_trace::schema::{validate_jsonl, validate_tracks};
 use madeleine::mad_trace::Tracer;
-use madeleine::session::VcOptions;
+use madeleine::session::{trace_tables, VcOptions};
 use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
 
 #[test]
@@ -111,6 +111,11 @@ fn shm_gateway_session_emits_valid_jsonl() {
     let snap = tracer.snapshot();
     let jsonl = snap.to_jsonl_string();
     validate_jsonl(&jsonl).expect("gateway JSONL must validate");
+    // Every counter track carries only the names the library flushes.
+    let counts = validate_tracks(&jsonl, &trace_tables()).expect("counter tracks must validate");
+    for prefix in ["gw:", "rt:", "ch:"] {
+        assert!(counts[prefix] > 0, "no `{prefix}` events: {counts:?}");
+    }
 
     // The gateway engine recorded its relay activity on the polling
     // thread's track.
@@ -118,10 +123,39 @@ fn shm_gateway_session_emits_valid_jsonl() {
     assert!(gw_spans > 0, "gateway engine should record gw spans");
     // And the end-of-run gateway totals were flushed as counters.
     let totals = snap.counter_totals();
-    let has_gw_counter = totals.keys().any(|(track, cat, name)| {
-        track.starts_with("gw:vc@1") && cat == "gateway" && name == "messages"
-    });
-    assert!(has_gw_counter, "gateway totals should flush to the tracer");
+    let on = |track: &str, cat: &str, name: &str| {
+        totals.get(&(track.to_string(), cat.to_string(), name.to_string()))
+    };
+    assert_eq!(on("gw:vc@1", "gateway", "messages"), Some(&1));
+    // The copy-placement accounting sits on the engine's own track, and
+    // the buffer pool's counters beside the session's thread budget.
+    for name in [
+        "copies_recv",
+        "copies_flush",
+        "copy_idle_hits",
+        "recv_busy_ns",
+        "flush_busy_ns",
+    ] {
+        assert!(
+            on("gw:vc@1", "gateway", name).is_some(),
+            "gw:vc@1 lacks {name}"
+        );
+    }
+    for name in [
+        "threads_spawned",
+        "gets",
+        "hits",
+        "misses",
+        "recycled",
+        "discarded",
+    ] {
+        assert!(
+            on("rt:session", "runtime", name).is_some(),
+            "rt:session lacks {name}"
+        );
+    }
+    let gets = on("rt:session", "runtime", "gets").copied().unwrap_or(0);
+    assert!(gets > 0, "a 200 kB forwarded message draws pool buffers");
 
     // The Chrome export is well-formed JSON too.
     let chrome = snap.to_chrome_string();
