@@ -113,7 +113,7 @@ fn main() {
         &[n0, n1],
         VcOptions {
             mtu: Some(8 * 1024),
-            metrics: Some(MetricsOptions::default()),
+            metrics: Some(MetricsOptions),
             ..Default::default()
         },
     );

@@ -53,7 +53,7 @@ fn run_forwarded(msgs: u32, len: usize, metrics_on: bool) -> (f64, f64) {
         &[n_in, n_out],
         VcOptions {
             mtu: Some(8 * 1024),
-            metrics: metrics_on.then(MetricsOptions::default),
+            metrics: metrics_on.then_some(MetricsOptions),
             ..Default::default()
         },
     );

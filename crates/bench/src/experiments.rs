@@ -725,7 +725,7 @@ fn run_membership_churn(
         VcOptions {
             mtu: Some(8 * 1024),
             membership: true,
-            metrics: Some(madeleine::MetricsOptions::default()),
+            metrics: Some(madeleine::MetricsOptions),
             gateway: GatewayConfig {
                 credit_window: Some(8),
                 ..Default::default()

@@ -73,12 +73,15 @@ struct GaugeCell {
 }
 
 impl Gauge {
-    /// Move the level by `d` (negative to drop).
+    /// Move the level by `d` (negative to drop). A drop can never raise
+    /// the peak, so only a rise pays for the `fetch_max`.
     #[inline]
     pub fn add(&self, d: i64) {
         if COMPILED_IN {
             let now = self.0.value.fetch_add(d, Ordering::Relaxed).wrapping_add(d);
-            self.0.peak.fetch_max(now, Ordering::Relaxed);
+            if d > 0 {
+                self.0.peak.fetch_max(now, Ordering::Relaxed);
+            }
         }
     }
 
@@ -241,6 +244,56 @@ mod tests {
         assert_eq!(snap.counters.len(), 1);
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.hists.len(), 1);
+    }
+
+    /// A drop leaves the peak alone; a rise past it moves it.
+    #[test]
+    fn gauge_peak_moves_only_on_a_new_high() {
+        if !COMPILED_IN {
+            return;
+        }
+        let g = Gauge::default();
+        g.add(10);
+        g.add(-4);
+        assert_eq!((g.get(), g.peak()), (6, 10));
+        g.add(3);
+        assert_eq!((g.get(), g.peak()), (9, 10));
+        g.add(5);
+        assert_eq!((g.get(), g.peak()), (14, 14));
+    }
+
+    /// Two threads racing rises and drops: the peak ends at or above
+    /// every level either of them saw right after an `add` of its own.
+    #[test]
+    fn gauge_peak_covers_every_level_under_races() {
+        if !COMPILED_IN {
+            return;
+        }
+        let g = Gauge::default();
+        let barrier = std::sync::Barrier::new(2);
+        let highs: Vec<i64> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let mut high = i64::MIN;
+                        for round in 0..10_000i64 {
+                            let d = if round % 3 == 2 { -2 } else { round % 5 + 1 };
+                            g.add(d);
+                            high = high.max(g.get());
+                        }
+                        high
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(
+            highs.iter().all(|&h| g.peak() >= h),
+            "{highs:?} > {}",
+            g.peak()
+        );
+        assert!(g.peak() >= g.get());
     }
 
     /// The ISSUE-mandated histogram property: record/merge preserve the

@@ -27,7 +27,7 @@ pub mod schema;
 mod stats;
 
 pub use export::{Snapshot, ThreadSnapshot};
-pub use stats::{ChannelStats, ChannelTotals, PeerCounters, PEER_EVENT_NAMES};
+pub use stats::{ChannelStats, ChannelTotals, PEER_EVENT_NAMES};
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

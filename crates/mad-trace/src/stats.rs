@@ -2,43 +2,30 @@
 //! `GatewayStats` to every channel on every node.
 //!
 //! Counting is always on (it does not require an enabled tracer) and sits
-//! on every packet sent or received on every channel, so the hot path is
-//! lock-free: the totals are relaxed atomics, and each peer owns a slot of
-//! relaxed atomics found by a short scan. A channel's peers are known when
-//! it is assembled ([`ChannelStats::with_peers`]) and get their slots
-//! then; a peer first seen later claims one of a few spare slots under a
-//! lock — once — and is lock-free from then on. The
-//! [`ChannelStats::totals`] snapshot is cheap and safe to call mid-run.
+//! on every packet sent or received on every channel, so it is two
+//! relaxed adds on one slot and nothing else. A channel's peers are fixed
+//! when it is assembled ([`ChannelStats::with_peers`]), and each gets a
+//! slot then; one catch-all slot counts a peer that has none (only a
+//! [`ChannelStats::new`] with no peers reaches it). The
+//! [`ChannelStats::totals`] are the sum of the slots, cheap and safe to
+//! take mid-run.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::Tracer;
 
-/// Byte/packet counters for one peer of a channel.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PeerCounters {
-    /// Packets sent to this peer.
-    pub packets_sent: u64,
-    /// Payload bytes sent to this peer.
-    pub bytes_sent: u64,
-    /// Packets received from this peer.
-    pub packets_recv: u64,
-    /// Payload bytes received from this peer.
-    pub bytes_recv: u64,
-}
-
-/// Whole-channel totals (a consistent-enough relaxed snapshot).
+/// The four counts of a channel, or of one peer of it (a consistent-
+/// enough relaxed snapshot).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelTotals {
-    /// Packets sent on this channel.
+    /// Packets sent.
     pub packets_sent: u64,
-    /// Payload bytes sent on this channel.
+    /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Packets received on this channel.
+    /// Packets received.
     pub packets_recv: u64,
-    /// Payload bytes received on this channel.
+    /// Payload bytes received.
     pub bytes_recv: u64,
 }
 
@@ -58,34 +45,34 @@ impl ChannelTotals {
 /// bytes sent to and received from that peer.
 pub const PEER_EVENT_NAMES: [&str; 2] = ["peer_bytes_sent", "peer_bytes_recv"];
 
-/// One peer's lock-free counters.
+/// One peer's relaxed counters.
 #[derive(Debug, Default)]
 struct PeerSlot {
-    /// `peer + 1` once claimed, 0 while free. Slots are claimed in order,
-    /// so the first free one ends a scan.
-    id: AtomicU64,
     packets_sent: AtomicU64,
     bytes_sent: AtomicU64,
     packets_recv: AtomicU64,
     bytes_recv: AtomicU64,
 }
 
-/// Slots kept free for peers not named at construction.
-const SPARE_SLOTS: usize = 8;
+impl PeerSlot {
+    fn load(&self) -> ChannelTotals {
+        ChannelTotals {
+            packets_sent: self.packets_sent.load(Ordering::Relaxed),
+            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
+            packets_recv: self.packets_recv.load(Ordering::Relaxed),
+            bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// Per-channel traffic counters, shared by everything that touches the
 /// channel (app threads, gateway polling/forwarding threads).
 #[derive(Debug)]
 pub struct ChannelStats {
-    packets_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    packets_recv: AtomicU64,
-    bytes_recv: AtomicU64,
-    /// One slot per peer named at construction, then [`SPARE_SLOTS`].
+    /// The channel's peers, sorted: `slots[i]` counts `peers[i]`.
+    peers: Box<[u32]>,
+    /// One slot per peer, then the catch-all.
     slots: Box<[PeerSlot]>,
-    /// Serializes late slot claims, and counts the peers that arrived
-    /// after every slot was taken.
-    overflow: Mutex<BTreeMap<u32, PeerCounters>>,
 }
 
 impl Default for ChannelStats {
@@ -95,136 +82,67 @@ impl Default for ChannelStats {
 }
 
 impl ChannelStats {
-    /// Fresh zeroed counters with no peer known in advance.
+    /// Fresh zeroed counters with no peer known: every count lands in the
+    /// catch-all.
     pub fn new() -> Self {
         ChannelStats::default()
     }
 
-    /// Fresh zeroed counters with a slot already claimed for each of
-    /// `peers` (a channel's connections, fixed when it is assembled).
+    /// Fresh zeroed counters with a slot for each of `peers` (a channel's
+    /// connections, fixed when it is assembled).
     pub fn with_peers(peers: &[u32]) -> Self {
-        let mut known = peers.to_vec();
-        known.sort_unstable();
-        known.dedup();
-        let slots: Box<[PeerSlot]> = (0..known.len() + SPARE_SLOTS)
-            .map(|_| PeerSlot::default())
-            .collect();
-        for (slot, peer) in slots.iter().zip(known) {
-            slot.id.store(peer as u64 + 1, Ordering::Relaxed);
-        }
+        let mut peers = peers.to_vec();
+        peers.sort_unstable();
+        peers.dedup();
         ChannelStats {
-            packets_sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            packets_recv: AtomicU64::new(0),
-            bytes_recv: AtomicU64::new(0),
-            slots,
-            overflow: Mutex::new(BTreeMap::new()),
+            slots: (0..=peers.len()).map(|_| PeerSlot::default()).collect(),
+            peers: peers.into(),
         }
     }
 
-    /// The overflow map. Every update under this lock leaves the map
-    /// valid, so a poisoned lock (a panic elsewhere while counting) is
-    /// recovered, not propagated into every later send.
-    fn overflow(&self) -> MutexGuard<'_, BTreeMap<u32, PeerCounters>> {
-        self.overflow.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The claimed slots with their peers, in claim order.
-    fn claimed(&self) -> impl Iterator<Item = (u32, &PeerSlot)> {
-        self.slots
-            .iter()
-            .map_while(|s| match s.id.load(Ordering::Acquire) {
-                0 => None,
-                id => Some(((id - 1) as u32, s)),
-            })
-    }
-
-    /// Apply `hit` to `peer`'s slot (lock-free once the peer has one), or
-    /// `miss` to its overflow entry when every slot is taken.
-    fn count(&self, peer: u32, hit: impl Fn(&PeerSlot), miss: impl Fn(&mut PeerCounters)) {
-        let find = || self.claimed().find(|(p, _)| *p == peer);
-        if let Some((_, slot)) = find() {
-            return hit(slot);
-        }
-        // Never seen before: claim the first free slot. The lock orders
-        // claims; the re-scan catches a claim that raced this one.
-        let mut overflow = self.overflow();
-        if let Some((_, slot)) = find() {
-            return hit(slot);
-        }
-        match self.slots.get(self.claimed().count()) {
-            Some(slot) => {
-                // Release pairs with the Acquire loads in `claimed`: a
-                // reader that sees the id sees a zeroed slot.
-                slot.id.store(peer as u64 + 1, Ordering::Release);
-                hit(slot)
-            }
-            None => miss(overflow.entry(peer).or_default()),
-        }
+    /// `peer`'s slot, or the catch-all after the last one.
+    fn slot(&self, peer: u32) -> &PeerSlot {
+        let i = self.peers.binary_search(&peer).unwrap_or(self.peers.len());
+        &self.slots[i]
     }
 
     /// Count one packet of `bytes` sent to `peer`.
     pub fn on_send(&self, peer: u32, bytes: usize) {
-        let bytes = bytes as u64;
-        self.packets_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        self.count(
-            peer,
-            |s| {
-                s.packets_sent.fetch_add(1, Ordering::Relaxed);
-                s.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-            },
-            |c| {
-                c.packets_sent += 1;
-                c.bytes_sent += bytes;
-            },
-        );
+        let s = self.slot(peer);
+        s.packets_sent.fetch_add(1, Ordering::Relaxed);
+        s.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Count one packet of `bytes` received from `peer`.
     pub fn on_recv(&self, peer: u32, bytes: usize) {
-        let bytes = bytes as u64;
-        self.packets_recv.fetch_add(1, Ordering::Relaxed);
-        self.bytes_recv.fetch_add(bytes, Ordering::Relaxed);
-        self.count(
-            peer,
-            |s| {
-                s.packets_recv.fetch_add(1, Ordering::Relaxed);
-                s.bytes_recv.fetch_add(bytes, Ordering::Relaxed);
-            },
-            |c| {
-                c.packets_recv += 1;
-                c.bytes_recv += bytes;
-            },
-        );
+        let s = self.slot(peer);
+        s.packets_recv.fetch_add(1, Ordering::Relaxed);
+        s.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Cheap snapshot of the totals; safe to call while traffic is in
-    /// flight (each field is individually consistent and monotone).
+    /// The sum of every slot; safe to call while traffic is in flight
+    /// (each field is individually consistent and monotone).
     pub fn totals(&self) -> ChannelTotals {
-        ChannelTotals {
-            packets_sent: self.packets_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            packets_recv: self.packets_recv.load(Ordering::Relaxed),
-            bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
+        let mut t = ChannelTotals::default();
+        for s in self.slots.iter().map(PeerSlot::load) {
+            t.packets_sent += s.packets_sent;
+            t.bytes_sent += s.bytes_sent;
+            t.packets_recv += s.packets_recv;
+            t.bytes_recv += s.bytes_recv;
         }
+        t
     }
 
-    /// Copy of the per-peer breakdown (peers that saw traffic).
-    fn per_peer(&self) -> BTreeMap<u32, PeerCounters> {
-        let mut out = self.overflow().clone();
-        for (peer, slot) in self.claimed() {
-            let c = PeerCounters {
-                packets_sent: slot.packets_sent.load(Ordering::Relaxed),
-                bytes_sent: slot.bytes_sent.load(Ordering::Relaxed),
-                packets_recv: slot.packets_recv.load(Ordering::Relaxed),
-                bytes_recv: slot.bytes_recv.load(Ordering::Relaxed),
-            };
-            if c != PeerCounters::default() {
-                out.insert(peer, c);
-            }
-        }
-        out
+    /// The counts of each peer that saw traffic (the catch-all is in
+    /// [`ChannelStats::totals`] only).
+    fn per_peer(&self) -> BTreeMap<u32, ChannelTotals> {
+        let slots = self.slots.iter().map(PeerSlot::load);
+        self.peers
+            .iter()
+            .copied()
+            .zip(slots)
+            .filter(|(_, c)| *c != ChannelTotals::default())
+            .collect()
     }
 
     /// Emit the counters as `count` events on `track` (done once at
@@ -247,34 +165,30 @@ impl ChannelStats {
 mod tests {
     use super::*;
 
-    /// Known peers, late-claimed spare slots and the overflow map all
-    /// land in one per-peer view, whichever path counted them.
+    /// A peer without a slot — every peer of a [`ChannelStats::new`], as
+    /// in the benchmark's probe — counts in the totals and in no
+    /// per-peer entry.
     #[test]
-    fn presized_spare_and_overflow_peers_all_count() {
+    fn peer_without_a_slot_counts_in_totals_only() {
+        let s = ChannelStats::new();
+        s.on_send(3, 10);
+        s.on_recv(3, 20);
+        let t = s.totals();
+        assert_eq!((t.packets_sent, t.bytes_sent), (1, 10));
+        assert_eq!((t.packets_recv, t.bytes_recv), (1, 20));
+        assert!(s.per_peer().is_empty());
+
         let s = ChannelStats::with_peers(&[7, 3, 7]);
         s.on_send(3, 10);
-        s.on_recv(7, 20);
-        // More strangers than spare slots: the last ones overflow.
-        let strangers = 100..100 + SPARE_SLOTS as u32 + 2;
-        for p in strangers.clone() {
-            s.on_send(p, 1);
-            s.on_send(p, 1);
-        }
-        let per = s.per_peer();
-        assert_eq!(per[&3].bytes_sent, 10);
-        assert_eq!(per[&7].bytes_recv, 20);
-        for p in strangers {
-            assert_eq!(per[&p].packets_sent, 2, "peer {p}");
-        }
-        assert_eq!(per.len(), 2 + SPARE_SLOTS + 2);
-        assert_eq!(s.totals().packets_sent, 1 + 2 * (SPARE_SLOTS as u64 + 2));
+        s.on_send(5, 1);
+        assert_eq!(s.totals().packets_sent, 2);
+        assert_eq!(s.per_peer().keys().collect::<Vec<_>>(), [&3]);
     }
 
-    /// Two threads racing to introduce the same new peers must end up
-    /// sharing one slot per peer: no count may be lost to a double claim.
+    /// Two threads counting the channel's own peers lose no count.
     #[test]
-    fn concurrent_first_sight_claims_one_slot_per_peer() {
-        let s = ChannelStats::new();
+    fn concurrent_counts_on_own_peers_lose_nothing() {
+        let s = ChannelStats::with_peers(&[0, 1, 2, 3]);
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for _ in 0..2 {
@@ -282,6 +196,7 @@ mod tests {
                     barrier.wait();
                     for round in 0..1000 {
                         s.on_send(round % 4, 1);
+                        s.on_recv(round % 4, 2);
                     }
                 });
             }
@@ -290,12 +205,15 @@ mod tests {
         assert_eq!(per.len(), 4);
         for p in 0..4 {
             assert_eq!(per[&p].packets_sent, 500, "peer {p}");
+            assert_eq!(per[&p].bytes_recv, 1000, "peer {p}");
         }
+        let t = s.totals();
+        assert_eq!((t.packets_sent, t.bytes_recv), (2000, 4000));
     }
 
     #[test]
     fn counters_accumulate_per_peer_and_total() {
-        let s = ChannelStats::new();
+        let s = ChannelStats::with_peers(&[1, 2]);
         s.on_send(1, 100);
         s.on_send(1, 50);
         s.on_send(2, 7);

@@ -180,14 +180,8 @@ impl Channel {
     /// Block until any peer has a message headed our way, then begin
     /// receiving it. Peers are scanned in rank order for determinism.
     pub fn begin_unpacking(&self) -> Result<MessageReader<'_>> {
-        let source = self.select_ready()?;
+        let source = self.select_ready_after(None, || false, || None)?;
         Ok(MessageReader::new(self, source))
-    }
-
-    /// Block until some conduit has a pending packet; returns its peer.
-    /// Fails with [`MadError::Disconnected`] once every peer is gone.
-    pub(crate) fn select_ready(&self) -> Result<NodeId> {
-        self.select_ready_until(|| false)
     }
 
     /// True if any conduit of this channel holds a received-but-unread
@@ -198,38 +192,20 @@ impl Channel {
         self.conduits.values().any(|c| c.lock().ready())
     }
 
-    /// Like [`Channel::select_ready`], but also gives up (with
-    /// [`MadError::Disconnected`]) when `stop` returns true and nothing is
-    /// pending. Gateways need this: conduits are bidirectional, so two
-    /// gateways listening on opposite ends of one channel keep each other's
-    /// receive sides open forever — an external stop signal breaks the
-    /// cycle at session teardown.
-    pub(crate) fn select_ready_until(&self, stop: impl Fn() -> bool) -> Result<NodeId> {
-        loop {
-            let seen = self.recv_event.epoch();
-            let mut all_closed = !self.conduits.is_empty();
-            for (&peer, conduit) in &self.conduits {
-                let c = conduit.lock();
-                if c.ready() {
-                    return Ok(peer);
-                }
-                if !c.closed() {
-                    all_closed = false;
-                }
-            }
-            if all_closed || stop() {
-                return Err(MadError::Disconnected);
-            }
-            self.recv_event.wait_past(seen);
-        }
-    }
-
-    /// Like [`Channel::select_ready_until`], but round-robin instead of
-    /// rank-biased: the scan starts just past `after` and wraps, so a
-    /// gateway polling loop that feeds back the previously served peer
-    /// gives every inbound connection a fair turn at fragment granularity
-    /// — a peer with a long stream of pending packets can no longer shadow
-    /// higher-ranked peers.
+    /// Block until some conduit has a pending packet; returns its peer.
+    /// The scan starts just past `after` and wraps, so a gateway polling
+    /// loop that feeds back the previously served peer gives every
+    /// inbound connection a fair turn at fragment granularity — a peer
+    /// with a long stream of pending packets can no longer shadow
+    /// higher-ranked peers. With no `after` it picks the lowest ready
+    /// peer.
+    ///
+    /// Fails with [`MadError::Disconnected`] once every peer is gone, or
+    /// when `stop` returns true and nothing is pending. Gateways need the
+    /// latter: conduits are bidirectional, so two gateways listening on
+    /// opposite ends of one channel keep each other's receive sides open
+    /// forever — an external stop signal breaks the cycle at session
+    /// teardown.
     ///
     /// `wait_timeout_ns` bounds each idle wait: `None` waits indefinitely;
     /// `Some(ns)` waits at most that long before rescanning; `Some(0)`

@@ -364,9 +364,9 @@ impl GatewayTotals {
 }
 
 /// One periodic reader's view of a gateway: the engine's counters plus the
-/// baseline *this reader* took last. The multi-path selector's refresh, the
-/// telemetry sampler and the health watchdog each own one, so each sees
-/// every window exactly once and the engine keeps no per-reader state.
+/// baseline *this reader* took last. The multi-path selector's refresh and
+/// the health watchdog each own one, so each sees every window exactly
+/// once and the engine keeps no per-reader state.
 #[derive(Debug)]
 pub struct GatewayWindow {
     stats: Arc<GatewayStats>,
@@ -1392,11 +1392,6 @@ impl Inbound {
             }
         };
         ctx.in_channel.stats().on_recv(peer.0, buf.bytes().len());
-        if restage.is_none() && !matches!(ctx.landing, Landing::Owned) {
-            if let Some(m) = &shared.metrics {
-                m.copy_bytes.record(buf.bytes().len() as u64);
-            }
-        }
         let _relay = trace_span!(shared.tracer, "gw", "relay", "peer" = peer.0 as u64);
         match ctx.relay(demux, peer, buf, restage, sinks) {
             Ok(()) => {}
@@ -1939,9 +1934,6 @@ fn restage_item(item: &mut FwdItem, shared: &FwdShared) {
     shared.runtime.charge_copy(bytes);
     shared.stats.copies_flush.fetch_add(1, Ordering::Relaxed);
     shared.stats.copy_idle_hits.fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &shared.metrics {
-        m.copy_bytes.record(bytes as u64);
-    }
     item.buf = match owner {
         Some(owner) => FwdBuf::Static(StaticBuf::from_pooled(owner, copy)),
         None => FwdBuf::Owned(copy),

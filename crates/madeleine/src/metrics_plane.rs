@@ -13,7 +13,10 @@
 //!   for a local [`MetricsPlane::pull`] caller. Kind-10 packets reach it
 //!   through the node's [`ControlPlane`] dispatcher, whoever read them:
 //!   the gateway engine on a gateway node, a pumping writer or the
-//!   [`run_responder`] thread on an endpoint.
+//!   [`run_responder`] thread on an endpoint. Before each snapshot it
+//!   samples levels other subsystems own — thread budget, pool counters,
+//!   each registered engine's occupancy and open streams — straight off
+//!   their owners; it keeps no window and copies no engine total.
 //!
 //! * **Health watchdogs** — one per gateway node per channel, each driven
 //!   by a thread of its own ([`crate::ticker`]). Each tick advances the
@@ -49,10 +52,10 @@ use crate::types::NodeId;
 
 /// Turns a virtual channel's telemetry plane on
 /// ([`crate::session::VcOptions::metrics`]): registry, in-band pull and
-/// the health watchdog. It has no fields — nobody ever set one — and stays
-/// a type because the frozen `benchmark/` names `MetricsOptions::default`.
+/// the health watchdog. A unit marker that stays a type because the frozen
+/// `benchmark/` names `MetricsOptions::default`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MetricsOptions {}
+pub struct MetricsOptions;
 
 // The registry's standard instruments; the teardown flush puts each on
 // the node's `metrics:` track by name.
@@ -62,18 +65,17 @@ const QUEUE_DEPTH: &str = "queue_depth";
 const QUEUE_DEPTH_PEAK: &str = "queue_depth_peak";
 /// The gauges [`MetricsPlane::refresh_live`] samples from other
 /// subsystems, in the order it sets them.
-const SAMPLED: [&str; 7] = [
+const SAMPLED: [&str; 6] = [
     "rt_threads_spawned",
     "pool_gets",
     "pool_hits",
     "pool_misses",
     "gw_held_bytes",
     "open_streams",
-    "gw_bytes_per_sec",
 ];
 /// A gateway engine's histograms, in [`GwMetrics`] field order; each is
 /// flushed as its quantiles, one event per [`HIST_SUFFIXES`] entry.
-const HISTOGRAMS: [&str; 3] = ["gw_forward_ns", "credit_wait_ns", "gw_copy_bytes"];
+const HISTOGRAMS: [&str; 2] = ["gw_forward_ns", "credit_wait_ns"];
 const HIST_SUFFIXES: [&str; 5] = ["_p50", "_p90", "_p99", "_max", "_count"];
 /// Per-path byte gauges are `path_bytes_gw<N>`; the flush folds them into
 /// one [`PATH_BYTES`] event family keyed by a `gateway` arg.
@@ -119,9 +121,6 @@ pub(crate) struct GwMetrics {
     pub(crate) forward_ns: Hist,
     /// Time spent blocked waiting for an outbound credit.
     pub(crate) credit_wait_ns: Hist,
-    /// Sizes of relay copies, wherever the copy-placement scheduler put
-    /// them (receive- and flush-placed alike).
-    pub(crate) copy_bytes: Hist,
     /// Packets resident in the engine's outbound pipeline queues.
     pub(crate) queue_depth: Gauge,
 }
@@ -129,11 +128,10 @@ pub(crate) struct GwMetrics {
 impl GwMetrics {
     pub(crate) fn new(plane: &MetricsPlane) -> Self {
         let r = plane.registry();
-        let [forward_ns, credit_wait_ns, copy_bytes] = HISTOGRAMS.map(|n| r.histogram(n));
+        let [forward_ns, credit_wait_ns] = HISTOGRAMS.map(|n| r.histogram(n));
         GwMetrics {
             forward_ns,
             credit_wait_ns,
-            copy_bytes,
             queue_depth: r.gauge(QUEUE_DEPTH),
         }
     }
@@ -162,14 +160,14 @@ pub struct MetricsPlane {
     runtime: Arc<dyn Runtime>,
     next_pull: AtomicU32,
     hub: Mutex<HubState>,
-    /// Gateway engines feeding this node's live gauges, each behind the
-    /// plane's own window.
-    feeds: Mutex<Vec<GatewayWindow>>,
+    /// Gateway engines whose occupancy and open streams feed this node's
+    /// live gauges.
+    gateways: Mutex<Vec<Arc<GatewayStats>>>,
     /// The channel's multi-path plane, for the per-path byte gauges.
     mp: Mutex<Option<Arc<MultiPath>>>,
     /// The [`SAMPLED`] gauges, in its order (interned once at wiring
     /// time).
-    sampled: [Gauge; 7],
+    sampled: [Gauge; 6],
 }
 
 impl std::fmt::Debug for MetricsPlane {
@@ -202,7 +200,7 @@ impl MetricsPlane {
             runtime,
             next_pull: AtomicU32::new(1),
             hub: Mutex::new(HubState::default()),
-            feeds: Mutex::new(Vec::new()),
+            gateways: Mutex::new(Vec::new()),
             mp: Mutex::new(None),
         })
     }
@@ -220,8 +218,7 @@ impl MetricsPlane {
 
     /// Register a gateway engine whose stats feed the live gauges.
     pub(crate) fn register_gateway(&self, stats: &Arc<GatewayStats>) {
-        let window = GatewayWindow::open(stats.clone(), self.runtime.now_nanos());
-        self.feeds.lock().push(window);
+        self.gateways.lock().push(stats.clone());
     }
 
     /// Register the channel's multi-path plane (per-path byte gauges).
@@ -231,19 +228,14 @@ impl MetricsPlane {
 
     /// Refresh the sampled gauges that mirror other subsystems: runtime
     /// thread count (live, not just at teardown), pool hit/miss
-    /// counters, gateway occupancy and throughput (over the plane's own
-    /// windows, so no other reader's are touched), and per-path bytes.
+    /// counters, gateway occupancy and open streams (levels read straight
+    /// off the engines), and per-path bytes.
     pub fn refresh_live(&self) {
         let ps = self.runtime.pool().stats();
-        let now = self.runtime.now_nanos();
-        let mut held = 0i64;
-        let mut open = 0i64;
-        let mut bps = 0f64;
-        for window in self.feeds.lock().iter_mut() {
-            let d = window.advance(now);
-            held += d.occupancy_bytes;
-            bps += d.bytes_per_sec;
-            open += window.stats().open_streams();
+        let (mut held, mut open) = (0, 0);
+        for stats in self.gateways.lock().iter() {
+            held += stats.totals().held_bytes;
+            open += stats.open_streams();
         }
         let values = [
             self.runtime.threads_spawned() as i64,
@@ -252,7 +244,6 @@ impl MetricsPlane {
             ps.misses as i64,
             held,
             open,
-            bps as i64,
         ];
         for (gauge, v) in self.sampled.iter().zip(values) {
             gauge.set(v);

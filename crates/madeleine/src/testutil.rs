@@ -343,7 +343,10 @@ mod tests {
         // peer and not block once a packet is pending.
         let (a, b) = channel_pair(MockDriver::dynamic());
         a.send_packet(NodeId(1), &[b"ping"]).unwrap();
-        assert_eq!(b.select_ready().unwrap(), NodeId(0));
+        assert_eq!(
+            b.select_ready_after(None, || false, || None).unwrap(),
+            NodeId(0)
+        );
         // Drain to keep the teardown clean.
         let _ = b.lock_conduit(NodeId(0)).unwrap().recv_owned();
         drop(a);

@@ -153,6 +153,11 @@ cargo run -q --release --offline -p mad-bench --bin a12_copy_placement -- \
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   "$trace_dir/ci.sim.jsonl" "$trace_dir/ci.fault.jsonl" "$trace_dir/ci.shm.jsonl" \
   "$trace_dir/a7.jsonl" "$trace_dir/a12.jsonl"
+# trace_dump's shm run crosses gateway rank 2 on a real transport: its
+# channel and gateway tracks are the teardown flush the sim runs cannot
+# stand in for.
+cargo run -q --release --offline -p mad-bench --bin trace_check -- \
+  --require ch: --require gw: "$trace_dir/ci.shm.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \
   --require route: "$trace_dir/a8.jsonl"
 cargo run -q --release --offline -p mad-bench --bin trace_check -- \

@@ -69,7 +69,7 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
         VcOptions {
             mtu: Some(8 * 1024),
             membership: true,
-            metrics: Some(MetricsOptions::default()),
+            metrics: Some(MetricsOptions),
             gateway: GatewayConfig::default(),
         },
     );
@@ -250,7 +250,7 @@ fn churn_soak_under_bulk_traffic() {
         VcOptions {
             mtu: Some(MTU),
             membership: true,
-            metrics: Some(MetricsOptions::default()),
+            metrics: Some(MetricsOptions),
             gateway: GatewayConfig {
                 // Deep enough that the window, not the queue, is what
                 // bounds occupancy (without one a gateway peaks past the

@@ -53,7 +53,7 @@ fn in_band_pull_across_clusters_threaded() {
                 credit_window: Some(8),
                 ..Default::default()
             },
-            metrics: Some(MetricsOptions::default()),
+            metrics: Some(MetricsOptions),
             ..Default::default()
         },
     );
@@ -159,7 +159,7 @@ fn watchdog_fires_on_injected_credit_starvation() {
                 drain_timeout_ns: 100_000_000,
                 ..Default::default()
             },
-            metrics: Some(MetricsOptions::default()),
+            metrics: Some(MetricsOptions),
             ..Default::default()
         },
     );
@@ -241,7 +241,7 @@ fn watchdog_silent_on_clean_run() {
                 drain_timeout_ns: 100_000_000,
                 ..Default::default()
             },
-            metrics: Some(MetricsOptions::default()),
+            metrics: Some(MetricsOptions),
             ..Default::default()
         },
     );

@@ -157,6 +157,42 @@ fn shm_gateway_session_emits_valid_jsonl() {
     let gets = on("rt:session", "runtime", "gets").copied().unwrap_or(0);
     assert!(gets > 0, "a 200 kB forwarded message draws pool buffers");
 
+    // Every `ch:` track splits its byte totals over the channel's conduit
+    // peers: the `peer` args sum to the totals and name only peers of
+    // that channel's network (shm0 joins ranks 0 and 1, shm1 ranks 1 and
+    // 2). Tracks are `ch:vc.<regular|special>.<net>@<rank>`.
+    let mut ch_tracks = 0;
+    for t in snap.threads.iter().filter(|t| t.name.starts_with("ch:")) {
+        let (label, rank) = t.name["ch:".len()..].rsplit_once('@').unwrap();
+        let rank: u64 = rank.parse().unwrap();
+        let members: &[u64] = match label.rsplit('.').next() {
+            Some("shm0") => &[0, 1],
+            Some("shm1") => &[1, 2],
+            other => panic!("{}: unexpected network {other:?}", t.name),
+        };
+        assert!(members.contains(&rank), "{}: rank off its network", t.name);
+        for (total, per_peer) in [
+            ("bytes_sent", "peer_bytes_sent"),
+            ("bytes_recv", "peer_bytes_recv"),
+        ] {
+            let mut split = 0;
+            for e in t.events.iter().filter(|e| e.name == per_peer) {
+                let peer = e.args.iter().find(|(k, _)| *k == "peer");
+                let (_, peer) = peer.unwrap_or_else(|| panic!("{}: {per_peer} lacks peer", t.name));
+                assert!(
+                    peer != rank && members.contains(&peer),
+                    "{}: peer {peer} is no conduit peer",
+                    t.name
+                );
+                split += e.value;
+            }
+            let whole = on(&t.name, "channel", total).copied();
+            assert_eq!(Some(split), whole, "{}: {per_peer} vs {total}", t.name);
+        }
+        ch_tracks += 1;
+    }
+    assert_eq!(ch_tracks, 8, "two channels per network end");
+
     // The Chrome export is well-formed JSON too.
     let chrome = snap.to_chrome_string();
     madeleine::mad_trace::schema::parse(&chrome).expect("chrome export must parse");
