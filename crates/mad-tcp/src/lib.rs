@@ -248,9 +248,14 @@ impl<R: Read> FrameReader<R> {
         frame.extend_from_slice(&self.stash[self.start..self.start + have]);
         self.start += have;
         if have < len {
-            // The stash is empty: the rest goes straight into the frame.
-            frame.resize(len, 0);
-            self.stream.read_exact(&mut frame[have..]).ok()?;
+            // The stash is empty: the rest goes straight into the frame's
+            // spare capacity, with no zero-fill for the read to overwrite.
+            // A stream that ends short of it is a disconnect.
+            let rest = len - have;
+            let mut body = self.stream.by_ref().take(rest as u64);
+            if body.read_to_end(&mut frame).ok()? < rest {
+                return None;
+            }
         }
         Some(frame)
     }
@@ -622,6 +627,25 @@ mod tests {
         let frames = vec![bytes(64, 1), bytes(1_000_000, 2), bytes(64, 3)];
         for cap in [usize::MAX, 7 * 1024 + 3] {
             read_back(&frames, cap);
+        }
+    }
+
+    /// A stream that ends inside a frame's body — in the stash or past
+    /// it — ends the reader there: the cut frame is never handed out.
+    #[test]
+    fn reader_stops_on_a_frame_cut_short() {
+        for len in [64, STASH_BYTES + 100, 1_000_000] {
+            let mut cut = wire(&[&bytes(len, 4)]);
+            cut.pop();
+            for cap in [usize::MAX, 7] {
+                let stream = Trickle {
+                    bytes: &cut,
+                    cap,
+                    calls: 0,
+                };
+                let mut reader = FrameReader::new(stream, BufferPool::new());
+                assert_eq!(reader.next_frame(), None, "len {len}, cap {cap}");
+            }
         }
     }
 

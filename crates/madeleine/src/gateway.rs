@@ -61,6 +61,26 @@
 //! [`gtm::FrameBudget`] is the only bound on a frame — there is no knob
 //! (EXPERIMENTS A7 has the counts behind that).
 //!
+//! A frame that is one whole stream — a writer's small message: header
+//! first, end last, only that stream's descriptors and fragments between
+//! — is not taken apart at all when the per-packet rules would relay all
+//! of it as one train with every credit in hand: its key is neither open
+//! nor tombstoned here, its header would be accepted (not direct, not for
+//! this gateway, routed onto a network this gateway bridges), it fits the
+//! outgoing driver's frame budget whole, and on a non-final hop under a
+//! credit window the window covers every fragment. It becomes one
+//! pipeline item that holds the landed buffer whole and leaves as a lone
+//! packet does, so over shared memory the next hop receives the buffer
+//! that landed here. The effects are the per-packet rules', once per
+//! frame: those rules would open the stream and close it again within
+//! the frame, so it is counted, traced and held against the drain but
+//! never enters the stream table or the credit ledger (every take from
+//! the window it would have opened succeeds at once); each fragment is
+//! counted, charged its buffer switch and held until the send; no grant
+//! goes back (the end is in the same frame); and a send that fails still
+//! cancels upstream. Every other frame takes the per-packet path, which
+//! also reports whatever is wrong with it.
+//!
 //! ## Credit-based flow control
 //!
 //! The paper names bandwidth control across the gateway as future work:
@@ -153,6 +173,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mad_metrics::Gauge;
+use mad_route::PathHop;
 use mad_trace::{trace_instant, trace_span, Tracer};
 use mad_util::pool::PooledBuf;
 use mad_util::sync::Mutex;
@@ -439,7 +460,11 @@ impl GatewayStats {
     }
 
     fn on_frag(&self, bytes: u64) {
-        self.fragments.fetch_add(1, Ordering::Relaxed);
+        self.on_frags(1, bytes);
+    }
+
+    fn on_frags(&self, n: u64, bytes: u64) {
+        self.fragments.fetch_add(n, Ordering::Relaxed);
         self.fragment_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
@@ -769,8 +794,8 @@ impl Drop for StageBusy<'_> {
     }
 }
 
-/// A buffer traveling through the gateway pipeline: one GTM packet,
-/// forwarded verbatim.
+/// A buffer traveling through the gateway pipeline: one GTM packet, or a
+/// batch frame that is one whole stream, forwarded verbatim.
 enum FwdBuf {
     /// The incoming driver's own buffer (outgoing driver is dynamic),
     /// attached to the session pool so consuming it recycles the memory.
@@ -792,8 +817,9 @@ impl FwdBuf {
     }
 }
 
-/// One packet on its way through the pipeline, plus where it goes. Items
-/// of different streams interleave freely in the queue.
+/// One packet — or one whole-stream frame — on its way through the
+/// pipeline, plus where it goes. Items of different streams interleave
+/// freely in the queue.
 struct FwdItem {
     out_net: NetworkId,
     to: NodeId,
@@ -808,8 +834,13 @@ struct FwdItem {
     /// Packet bytes counted in the held-bytes gauge (fragments only; 0
     /// for control packets).
     held_bytes: usize,
+    /// Payload fragments the item carries: one for a fragment, all of
+    /// them for a stream that crosses as the frame it arrived in, none for
+    /// anything else. Each one is a buffer switch and a forward-latency
+    /// sample.
+    frags: u64,
     /// When the polling side received the packet (engine clock), or 0
-    /// when telemetry is off or the packet is not a payload fragment —
+    /// when telemetry is off or the item carries no payload fragment —
     /// the start of the per-fragment forward-latency measurement.
     recv_ns: u64,
     /// Consume one outbound credit before retransmitting (flow-controlled
@@ -865,11 +896,6 @@ impl FwdItem {
         (self.out_net, self.to, self.last_hop)
     }
 
-    /// Payload fragments are the packets the held-bytes gauge counts.
-    fn is_frag(&self) -> bool {
-        self.held_bytes > 0
-    }
-
     /// The upstream side of a fragment that carries credits back.
     fn carrying(&self) -> Option<&Upstream> {
         self.upstream.as_ref().filter(|up| up.credits > 0)
@@ -897,7 +923,7 @@ impl FwdUnit {
 
     /// Payload fragments in the unit — each one a pipeline hand-off.
     fn frags(&self) -> u64 {
-        self.items().iter().filter(|item| item.is_frag()).count() as u64
+        self.items().iter().map(|item| item.frags).sum()
     }
 
     /// The outbound network the unit leaves on (a unit is never empty).
@@ -1285,6 +1311,18 @@ struct InboundCtx {
     grant_period: u32,
 }
 
+/// A batch frame that is one whole stream, as [`InboundCtx::whole_stream`]
+/// read it: what crossing it as one unit needs to know.
+struct WholeStream {
+    header: gtm::GtmHeader,
+    /// Where the stream's route leaves this gateway.
+    hop: PathHop,
+    /// Its fragments, their payload bytes and their packet bytes.
+    frags: u64,
+    payload: u64,
+    held: usize,
+}
+
 /// The demultiplexing state of one inbound network direction.
 struct Demux {
     /// Streams currently crossing this inbound network.
@@ -1481,13 +1519,15 @@ impl InboundCtx {
         Some(stream)
     }
 
-    /// Demultiplex and forward one received wire packet. A batch frame is
-    /// taken apart — every packet of the train goes through the same
-    /// per-packet rules as if it had arrived alone — and put back together
-    /// per outgoing conduit: the flush side gets one unit per run of
-    /// consecutive packets that leave the same way, so a train in is a
-    /// train out wherever the outbound driver's frame budget and the
-    /// streams' credits allow, and never a reordering.
+    /// Demultiplex and forward one received wire packet. A batch frame
+    /// that is one whole stream crosses as the buffer it arrived in
+    /// ([`InboundCtx::whole_stream`]). Any other is taken apart — every
+    /// packet of the train goes through the same per-packet rules as if it
+    /// had arrived alone — and put back together per outgoing conduit: the
+    /// flush side gets one unit per run of consecutive packets that leave
+    /// the same way, so a train in is a train out wherever the outbound
+    /// driver's frame budget and the streams' credits allow, and never a
+    /// reordering.
     fn relay(
         &self,
         d: &mut Demux,
@@ -1509,6 +1549,12 @@ impl InboundCtx {
                 Some(item) => sinks.accept(FwdUnit::One(item), shared),
                 None => Ok(()),
             };
+        }
+        // A frame that is one whole stream leaves as the buffer it landed
+        // in; a deferred staging copy is dropped, as for every frame.
+        if let Some(whole) = self.whole_stream(d, buf.bytes(), sinks) {
+            let item = self.pass_whole(whole, peer, buf, recv_ns);
+            return sinks.accept(FwdUnit::One(item), shared);
         }
 
         // The packets are windows onto the landed frame, not copies.
@@ -1568,6 +1614,120 @@ impl InboundCtx {
             }
         }
         Ok(())
+    }
+
+    /// Is this batch frame one whole stream that the per-packet rules
+    /// would relay in full, as one train, with every credit in hand? Such a
+    /// frame holds the stream's header first and its end last, only
+    /// descriptors and fragments of the same stream between; the stream is
+    /// neither open nor tombstoned here; its header passes the rules a
+    /// header meets (not direct, not for this gateway, routed onto a
+    /// network this gateway bridges); the frame fits the outgoing driver's
+    /// [`gtm::FrameBudget`] whole; and on a non-final hop under a credit
+    /// window, the window covers every fragment. `None` sends the frame
+    /// down the per-packet path, which decides — and reports — anything
+    /// wrong with it. Reads the frame; changes nothing.
+    fn whole_stream(&self, d: &Demux, frame: &[u8], sinks: &Sinks) -> Option<WholeStream> {
+        let mut packets = gtm::batch_packets(frame).ok()?;
+        let (tag, PacketBody::Header(header)) = gtm::decode_packet(packets.next()?).ok()? else {
+            return None;
+        };
+        let (mut frags, mut payload, mut held) = (0, 0, 0);
+        let mut count = 1;
+        let mut ended = false;
+        for sub in packets {
+            let (sub_tag, body) = gtm::decode_packet(sub).ok()?;
+            if ended || sub_tag != tag {
+                return None;
+            }
+            match body {
+                PacketBody::Part(_) => {}
+                PacketBody::Frag => {
+                    frags += 1;
+                    payload += (sub.len() - PRELUDE_LEN) as u64;
+                    held += sub.len();
+                }
+                PacketBody::End => ended = true,
+                _ => return None,
+            }
+            count += 1;
+        }
+        let key = tag.key();
+        if !ended || d.streams.contains_key(&key) || d.cancelled.contains(&key) {
+            return None;
+        }
+        if header.direct || tag.dest == self.rank {
+            return None;
+        }
+        let hop = self.shared.ctl.hop(tag.dest).ok()?;
+        let sink = sinks.0.get(&NetworkId(hop.net))?;
+        let budget = gtm::FrameBudget::of(&sink.path.channel(hop.last).caps());
+        if !budget.holds(frame.len(), count) {
+            return None;
+        }
+        if let (Some(window), false) = (self.cfg.credit_window, hop.last) {
+            if frags > u64::from(window) {
+                return None;
+            }
+        }
+        Some(WholeStream {
+            header,
+            hop,
+            frags,
+            payload,
+            held,
+        })
+    }
+
+    /// Accept a [`InboundCtx::whole_stream`] frame as one pipeline item
+    /// that holds the landed buffer whole, with every effect the
+    /// per-packet rules have on its packets: the stream opens and ends
+    /// (counted, traced, held against the drain), each fragment is counted
+    /// and charged its buffer switch, and the held-bytes gauge rises by the
+    /// fragments' packet bytes until the frame is on the wire. What those
+    /// rules would have opened and closed within the frame — the
+    /// demultiplexing entry, and on a non-final hop a ledger account whose
+    /// window covers every fragment — is not opened at all. No grant goes
+    /// back (the sender closed its account before it sent the end), but a
+    /// frame that fails on its way out still cancels upstream.
+    fn pass_whole(&self, whole: WholeStream, peer: NodeId, buf: FwdBuf, recv_ns: u64) -> FwdItem {
+        let shared = &self.shared;
+        let tag = whole.header.tag;
+        shared.stats.on_header();
+        trace_instant!(
+            shared.tracer,
+            "gw",
+            "stream-open",
+            "src" = tag.src.0 as u64,
+            "dest" = tag.dest.0 as u64,
+        );
+        shared.live.opened();
+        for _ in 0..whole.frags {
+            shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
+        }
+        shared.stats.on_frags(whole.frags, whole.payload);
+        shared.stats.held.add(whole.held as i64);
+        shared.stats.on_end();
+        let flow_controlled = self.cfg.credit_window.is_some();
+        FwdItem {
+            out_net: NetworkId(whole.hop.net),
+            to: NodeId(whole.hop.node),
+            last_hop: whole.hop.last,
+            buf,
+            tag,
+            end_of_stream: true,
+            held_bytes: whole.held,
+            frags: whole.frags,
+            recv_ns: if whole.frags > 0 { recv_ns } else { 0 },
+            consume: false,
+            upstream: (whole.frags > 0 && flow_controlled).then(|| Upstream {
+                channel: self.in_channel.clone(),
+                peer,
+                credits: 0,
+            }),
+            ack: (whole.header.acked && peer == tag.src).then(|| (self.in_channel.clone(), peer)),
+            restage: None,
+        }
     }
 
     /// Demultiplex one GTM packet — a wire packet of its own, or one packet
@@ -1781,6 +1941,7 @@ impl InboundCtx {
             tag: stream.tag,
             end_of_stream,
             held_bytes,
+            frags: u64::from(is_frag),
             // Forward latency is measured on payload fragments only.
             recv_ns: if is_frag { recv_ns } else { 0 },
             consume: is_frag && flow_controlled && !stream.last_hop,
@@ -1880,8 +2041,8 @@ fn receive_packet(
     if can_defer && stats.flush_active.load(Ordering::Relaxed) == 0 {
         // Flush-placed while flush was idle: an idle-stage placement by
         // construction, counted where the copy is made (`restage_item`) —
-        // a batch frame taken this way is never copied at all: its
-        // packets leave as a gather the outgoing driver stages itself.
+        // a batch frame taken this way is never copied at all: it leaves
+        // whole or as a gather, and the outgoing driver stages it.
         let buf = FwdBuf::Owned(pool.adopt(conduit.recv_owned()?));
         let restage = Restage {
             landing: staged,
@@ -2149,7 +2310,9 @@ fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) 
             if let Some(m) = &shared.metrics {
                 let now = shared.runtime.now_nanos();
                 for item in train.iter().filter(|item| item.recv_ns > 0) {
-                    m.forward_ns.record(now.saturating_sub(item.recv_ns));
+                    for _ in 0..item.frags {
+                        m.forward_ns.record(now.saturating_sub(item.recv_ns));
+                    }
                 }
             }
             // Held bytes go down before any grant: a grant lets the sender
@@ -2549,11 +2712,9 @@ mod tests {
             true
         }
 
-        /// Rank 0 is told that `tag` died on a dead outbound peer: one
-        /// cancel within a deadline, and no second one by the time the
-        /// engine has dropped the stream's packets (it drops them after
-        /// every cancel is sent) — one relay error, no byte left held.
-        fn expect_one_cancel(&self, tag: StreamTag) {
+        /// The next packet the gateway sends back to rank 0, decoded,
+        /// within a deadline.
+        fn recv_back(&self) -> (StreamTag, PacketBody) {
             let deadline = Instant::now() + Duration::from_secs(2);
             let left = || {
                 let left = deadline.saturating_duration_since(Instant::now());
@@ -2561,10 +2722,18 @@ mod tests {
             };
             self.up
                 .select_ready_after(None, || false, left)
-                .expect("the stream's sender is told");
+                .expect("a packet comes back in time");
             let back = self.up.lock_conduit(NodeId(1)).unwrap().recv_owned();
+            gtm::decode_packet(&back.unwrap()).unwrap()
+        }
+
+        /// Rank 0 is told that `tag` died on a dead outbound peer: one
+        /// cancel within a deadline, and no second one by the time the
+        /// engine has dropped the stream's packets (it drops them after
+        /// every cancel is sent) — one relay error, no byte left held.
+        fn expect_one_cancel(&self, tag: StreamTag) {
             assert_eq!(
-                gtm::decode_packet(&back.unwrap()).unwrap(),
+                self.recv_back(),
                 (tag, PacketBody::Cancel(CancelReason::PeerUnreachable)),
             );
             while self.totals().held_bytes > 0 {
@@ -2776,15 +2945,17 @@ mod tests {
     }
 
     /// A packet that arrived alone is handed to the outgoing driver whole:
-    /// it leaves in the allocation it landed in, at either depth. The
-    /// packets of a frame are windows onto one landed buffer and still
-    /// leave as a gather.
+    /// it leaves in the allocation it landed in, at either depth — and so
+    /// does a frame that is one whole stream. The packets of any other
+    /// frame are windows onto one landed buffer and still leave as a
+    /// gather.
     #[test]
     fn bulk_fragment_leaves_in_the_buffer_it_arrived_in() {
         for depth in [2, 1] {
             let out = MockDriver::dynamic();
             let mut rig = Rig::new(flow_controlled(depth), out.clone());
-            let packets = stream_in_frags(2, 1, &[0x3C; 2000], 2);
+            let mut packets = stream_in_frags(2, 1, &[0x3C; 2000], 2);
+            packets.push(frame_of(&stream_packets(2, 2, b"a whole stream")));
             let mut sent = Vec::new();
             for packet in packets.iter().cloned() {
                 sent.push(packet.as_ptr() as usize);
@@ -2797,12 +2968,16 @@ mod tests {
                 assert_eq!(got.as_ptr() as usize, *at, "copied on the way");
             }
             assert_eq!(out.owned_sends(), sent);
-            let frame = frame_of(&stream_packets(2, 2, b"a train is gathered"));
-            rig.up.send_packet(NodeId(1), &[&frame]).unwrap();
-            assert_eq!(rig.recv(2), frame);
+            // [H, P, F] and then [E]: neither frame is a whole stream.
+            let split = stream_packets(2, 3, b"a train is gathered");
+            let (open, end) = split.split_at(3);
+            rig.up.send_packet(NodeId(1), &[&frame_of(open)]).unwrap();
+            rig.up.send_packet(NodeId(1), &[&frame_of(end)]).unwrap();
+            assert_eq!(rig.recv(2), frame_of(open));
+            assert_eq!(rig.recv(2), end[0], "a train of one leaves bare");
             assert_eq!(out.owned_sends().len(), sent.len());
             let totals = rig.finish();
-            assert_eq!((totals.messages, totals.fragments), (2, 3));
+            assert_eq!((totals.messages, totals.fragments), (3, 4));
             assert_eq!((totals.errors, totals.held_bytes), (0, 0));
         }
     }
@@ -3060,6 +3235,275 @@ mod tests {
             rig.up.send_packet(NodeId(1), &[&packets[3]]).unwrap();
             let totals = rig.finish();
             assert_eq!(totals.held_bytes, 0, "depth {depth}");
+            assert!(rig.ledger.is_idle());
+        }
+    }
+
+    /// A frame that is one whole stream, on its last hop: it leaves in the
+    /// buffer it landed in, at either depth, with every count the
+    /// per-packet rules keep — the held-bytes gauge rose by the fragments'
+    /// packet bytes, and fell at the send — and nothing comes back.
+    #[test]
+    fn whole_frame_on_a_last_hop_leaves_as_it_landed() {
+        for depth in [2, 1] {
+            let out = MockDriver::dynamic();
+            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+            let frame = frame_of(&stream_in_frags(2, 1, &[0x3D; 300], 3));
+            let landed = frame.clone();
+            let at = landed.as_ptr() as usize;
+            let mut conduit = rig.up.lock_conduit(NodeId(1)).unwrap();
+            conduit.send_owned(landed.into()).unwrap();
+            drop(conduit);
+            let got = rig.recv(2);
+            assert_eq!(got, frame, "depth {depth}");
+            assert_eq!(got.as_ptr() as usize, at, "copied on the way");
+            assert_eq!(out.owned_sends(), [at]);
+            let totals = rig.finish();
+            assert!(!Rig::pending(&rig.up), "no grant, ack or cancel came back");
+            assert_eq!((totals.messages, totals.fragments), (1, 3));
+            assert_eq!(totals.fragment_bytes, 300);
+            assert_eq!(totals.peak_held_bytes, 3 * (PRELUDE_LEN as i64 + 100));
+            assert_eq!((totals.held_bytes, totals.credits_granted), (0, 0));
+            assert_eq!((totals.errors, totals.cancelled), (0, 0));
+            assert_eq!((totals.buffer_switches, totals.stalls), (0, 0));
+            assert!(rig.ledger.is_idle());
+        }
+    }
+
+    /// On a non-final hop under a window of eight, a whole-stream frame of
+    /// three fragments needs no credit it does not hold: it leaves as it
+    /// landed, opens no account that outlives it, sends no grant — and its
+    /// acked header is still acked once the end is on the wire.
+    #[test]
+    fn whole_frame_on_a_non_final_hop_is_acked_and_grants_nothing() {
+        let window8 = GatewayConfig {
+            credit_window: Some(8),
+            ..flow_controlled(2)
+        };
+        let mut rig = Rig::new(window8, MockDriver::dynamic());
+        let mut packets = stream_in_frags(4, 2, &[0x4A; 300], 3);
+        let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+        packets[0] = gtm::encode_header(&gtm::GtmHeader {
+            acked: true,
+            ..gtm::GtmHeader::new(tag, 4096, false)
+        });
+        let frame = frame_of(&packets);
+        let landed = frame.clone();
+        let at = landed.as_ptr() as usize;
+        let mut conduit = rig.up.lock_conduit(NodeId(1)).unwrap();
+        conduit.send_owned(landed.into()).unwrap();
+        drop(conduit);
+        let got = rig.recv_special(3);
+        assert_eq!(got, frame);
+        assert_eq!(got.as_ptr() as usize, at, "copied on the way");
+        assert_eq!(rig.recv_back(), (tag, PacketBody::Ack));
+        let totals = rig.finish();
+        assert!(!Rig::pending(&rig.up), "the ack and nothing else");
+        assert_eq!((totals.acks_sent, totals.credits_granted), (1, 0));
+        assert_eq!((totals.messages, totals.fragments), (1, 3));
+        assert_eq!((totals.credit_timeouts, totals.grants_sent), (0, 0));
+        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        assert!(rig.ledger.is_idle(), "no account left open");
+    }
+
+    /// Rank 0 sends `frames` one wire packet each; rank 2 must find
+    /// exactly `expect`, in order, and none of it handed over whole: what
+    /// is not a whole-stream frame leaves by the per-packet rules' trains.
+    fn per_packet_rig(frames: &[Vec<u8>], expect: &[Vec<u8>]) -> GatewayTotals {
+        let out = MockDriver::dynamic();
+        let mut rig = Rig::new(flow_controlled(2), out.clone());
+        for frame in frames {
+            rig.up.send_packet(NodeId(1), &[frame]).unwrap();
+        }
+        for packet in expect {
+            assert_eq!(&rig.recv(2), packet);
+        }
+        let totals = rig.finish();
+        assert!(!Rig::pending(&rig.down[&2]), "nothing more left");
+        assert!(out.owned_sends().is_empty(), "a frame went through whole");
+        assert!(rig.ledger.is_idle());
+        totals
+    }
+
+    /// A whole stream whose key is already open here: its header is the
+    /// duplicate the per-packet rules reject, the rest joins the stream
+    /// that is open.
+    #[test]
+    fn whole_frame_falls_back_on_an_open_key() {
+        let packets = stream_packets(2, 4, b"opened twice");
+        let out = MockDriver::dynamic();
+        let mut rig = Rig::new(flow_controlled(2), out.clone());
+        rig.up.send_packet(NodeId(1), &[&packets[0]]).unwrap();
+        assert_eq!(rig.recv(2), packets[0]);
+        rig.up
+            .send_packet(NodeId(1), &[&frame_of(&packets)])
+            .unwrap();
+        assert_eq!(rig.recv(2), frame_of(&packets[1..]));
+        let totals = rig.finish();
+        assert_eq!(out.owned_sends().len(), 1, "the lone header, and only it");
+        assert_eq!((totals.errors, totals.cancelled), (1, 0));
+        assert_eq!((totals.messages, totals.fragments), (1, 1));
+        assert_eq!((totals.credits_granted, totals.held_bytes), (0, 0));
+    }
+
+    /// A whole stream under a key cancelled here: the tombstone swallows
+    /// every packet of it, and its end clears the tombstone.
+    #[test]
+    fn whole_frame_falls_back_on_a_tombstoned_key() {
+        let packets = stream_packets(2, 5, b"cancelled here");
+        let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+        let mut rig = Rig::new(flow_controlled(2), MockDriver::dynamic());
+        rig.up
+            .send_packet(NodeId(1), &[&frame_of(&packets[..2])])
+            .unwrap();
+        assert_eq!(rig.recv(2), frame_of(&packets[..2]));
+        rig.ledger.cancel(tag.key(), CancelReason::CreditTimeout);
+        rig.up.send_packet(NodeId(1), &[&packets[2]]).unwrap();
+        let cancel = (tag, PacketBody::Cancel(CancelReason::CreditTimeout));
+        assert_eq!(rig.recv_back(), cancel);
+        assert_eq!(gtm::decode_packet(&rig.recv(2)).unwrap(), cancel);
+        rig.up
+            .send_packet(NodeId(1), &[&frame_of(&packets)])
+            .unwrap();
+        let totals = rig.finish();
+        assert!(!Rig::pending(&rig.down[&2]), "nothing of it left");
+        assert!(!Rig::pending(&rig.up), "one cancel upstream");
+        assert_eq!((totals.errors, totals.cancelled), (0, 1));
+        assert_eq!((totals.messages, totals.fragments), (0, 0));
+        assert_eq!(totals.held_bytes, 0);
+        assert!(rig.ledger.is_idle());
+    }
+
+    /// A descriptor ahead of its stream's header is the one error; the
+    /// rest of the stream crosses.
+    #[test]
+    fn whole_frame_falls_back_when_the_header_is_not_first() {
+        let p = stream_packets(2, 6, b"header second");
+        let frame = frame_of(&[p[1].clone(), p[0].clone(), p[2].clone(), p[3].clone()]);
+        let out = frame_of(&[p[0].clone(), p[2].clone(), p[3].clone()]);
+        let totals = per_packet_rig(&[frame], &[out]);
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (1, 1, 1)
+        );
+    }
+
+    /// A fragment behind its stream's end is the one error.
+    #[test]
+    fn whole_frame_falls_back_when_the_end_is_not_last() {
+        let p = stream_packets(2, 7, b"end before the fragment");
+        let frame = frame_of(&[p[0].clone(), p[1].clone(), p[3].clone(), p[2].clone()]);
+        let out = frame_of(&[p[0].clone(), p[1].clone(), p[3].clone()]);
+        let totals = per_packet_rig(&[frame], &[out]);
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (1, 1, 0)
+        );
+    }
+
+    /// Two whole streams in one frame leave as the one gather they came
+    /// in, and so does one whole stream with a fragment of another stream,
+    /// open here, inside it.
+    #[test]
+    fn whole_frame_falls_back_on_two_tags() {
+        let (a, b) = (
+            stream_packets(2, 8, b"first"),
+            stream_packets(2, 9, b"second"),
+        );
+        let both = [frame_of(&[a.clone(), b.clone()].concat())];
+        let totals = per_packet_rig(&both, &both);
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (0, 2, 2)
+        );
+
+        let open = frame_of(&b[..2]);
+        let mixed = frame_of(&[
+            a[0].clone(),
+            a[1].clone(),
+            b[2].clone(),
+            a[2].clone(),
+            a[3].clone(),
+        ]);
+        let end = frame_of(&b[3..]);
+        let expect = [open.clone(), mixed.clone(), b[3].clone()];
+        let totals = per_packet_rig(&[open, mixed, end], &expect);
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (0, 2, 2)
+        );
+    }
+
+    /// A control packet inside the frame goes to the control plane; the
+    /// stream's packets leave without it.
+    #[test]
+    fn whole_frame_falls_back_on_a_control_packet() {
+        let mut packets = stream_packets(2, 10, b"a credit inside");
+        let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+        let plain = frame_of(&packets);
+        packets.insert(2, gtm::credit_packet(&tag, 1).to_vec());
+        let totals = per_packet_rig(&[frame_of(&packets)], &[plain]);
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (0, 1, 1)
+        );
+        assert_eq!(totals.credits_granted, 0);
+    }
+
+    /// A frame over the outgoing driver's budget leaves in the trains the
+    /// budget allows: a fragment too big for a frame leaves alone.
+    #[test]
+    fn whole_frame_falls_back_over_the_outgoing_budget() {
+        let p = stream_packets(2, 11, &[0x5B; 5000]);
+        let expect = [frame_of(&p[..2]), p[2].clone(), p[3].clone()];
+        let totals = per_packet_rig(&[frame_of(&p)], &expect);
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (0, 1, 1)
+        );
+        assert_eq!(totals.fragment_bytes, 5000);
+    }
+
+    /// More fragments than the window on a non-final hop: the train stops
+    /// where the credits do, and the rest leaves with the next one.
+    #[test]
+    fn whole_frame_falls_back_past_the_window() {
+        let mut rig = Rig::new(flow_controlled(2), MockDriver::dynamic());
+        let p = stream_in_frags(4, 12, &[0x6C; 500], 5);
+        let tag = gtm::decode_packet(&p[0]).unwrap().0;
+        rig.up.send_packet(NodeId(1), &[&frame_of(&p)]).unwrap();
+        assert_eq!(rig.recv_special(3), frame_of(&p[..6]), "four credits");
+        assert!(!Rig::pending(&rig.down_special[&3]), "the fifth waits");
+        rig.ledger.deposit(tag.key(), 1);
+        assert_eq!(rig.recv_special(3), frame_of(&p[6..]));
+        let totals = rig.finish();
+        assert_eq!(
+            (totals.errors, totals.messages, totals.fragments),
+            (0, 1, 5)
+        );
+        assert_eq!((totals.credit_timeouts, totals.credits_granted), (0, 0));
+        assert_eq!(totals.held_bytes, 0);
+        assert!(rig.ledger.is_idle());
+    }
+
+    /// A whole-stream frame that a dead outbound peer fails tells the hop
+    /// it came from, once, at either depth; the stream is settled and the
+    /// stop completes.
+    #[test]
+    fn whole_frame_dead_peer_cancels_upstream_once() {
+        for depth in [2, 1] {
+            let out = MockDriver::dynamic();
+            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+            let packets = stream_in_frags(2, 13, &[0x4F; 200], 2);
+            let tag = gtm::decode_packet(&packets[0]).unwrap().0;
+            out.fail_sends();
+            rig.up
+                .send_packet(NodeId(1), &[&frame_of(&packets)])
+                .unwrap();
+            rig.expect_one_cancel(tag);
+            let totals = rig.finish();
+            assert_eq!((totals.messages, totals.fragments), (1, 2), "depth {depth}");
+            assert_eq!(totals.held_bytes, 0);
             assert!(rig.ledger.is_idle());
         }
     }

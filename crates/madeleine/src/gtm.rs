@@ -819,11 +819,17 @@ impl FrameBudget {
     /// Would a `len`-byte packet still fit a frame of `frame` bytes that
     /// already holds `packets` packets? (An empty frame is its prelude.)
     pub(crate) fn admits(&self, frame: usize, packets: usize, len: usize) -> bool {
-        packets < self.packets
-            && frame
+        self.holds(
+            frame
                 .saturating_add(BATCH_ENTRY_OVERHEAD)
-                .saturating_add(len)
-                <= self.bytes
+                .saturating_add(len),
+            packets + 1,
+        )
+    }
+
+    /// Does a whole frame of `frame` bytes and `packets` packets fit?
+    pub(crate) fn holds(&self, frame: usize, packets: usize) -> bool {
+        packets <= self.packets && frame <= self.bytes
     }
 }
 

@@ -21,9 +21,11 @@ echo "== option count (scripts/options.sh)"
 # Every package of the workspace: the root package's tests/*.rs and each
 # crate's unit tests (the gateway Rig, FIFO and in-place tests among
 # them) — a bare `cargo test` at the root runs the root package only.
+# `--no-fail-fast` runs every test binary even after one fails, so one
+# red suite does not hide the rest; any failure still fails the gate.
 echo
-echo "== cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+echo "== cargo test -q --offline --workspace --no-fail-fast"
+cargo test -q --offline --workspace --no-fail-fast
 
 # Every blocking wait on real threads is one mad_util::sync::Epoch, and
 # its bump takes the lock and notifies only when the SLEEPING bit of its
@@ -44,14 +46,16 @@ done
 # return is a hang until a deadline, and a cancel that never goes upstream
 # leaves the sender waiting — neither shows in every run: the half-window
 # grant rigs (windows 1 to 8, a writer that sends only what its account
-# covers) and the dead-peer rigs (a train and a lone fragment that fail on
+# covers), the dead-peer rigs (a train and a lone fragment that fail on
 # the way out, each on the polling thread in place and through the
-# pipeline), 50 times, optimised, a few seconds.
+# pipeline) and the whole-frame rigs (a frame that is one whole stream
+# crossing as it landed, and every frame that falls back to the
+# per-packet rules), 50 times, optimised, a few seconds.
 echo
 echo "== credit and cancel settlement x50 (madeleine, release)"
 for i in $(seq 1 50); do
   out="$(cargo test -q --offline --release -p madeleine --lib -- \
-    half_window_grants dead_peer_ 2>&1)" ||
+    half_window_grants dead_peer_ whole_frame_ 2>&1)" ||
     { echo "$out"; echo "settlement loop: run $i of 50 failed" >&2; exit 1; }
 done
 

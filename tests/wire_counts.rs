@@ -189,6 +189,11 @@ fn one_small_message_is_one_packet_per_hop_and_no_grant() {
     });
     assert_eq!(wire.edge(0, 1).sent(), 1, "sender → gateway");
     assert_eq!(wire.edge(1, 2).sent(), 1, "gateway → receiver");
+    assert_eq!(
+        wire.edge(1, 2).owned.load(Ordering::SeqCst),
+        1,
+        "the frame leaves as the buffer it landed in"
+    );
     assert_eq!(wire.edge(1, 0).sent(), 0, "gateway → sender (grants)");
     assert_eq!(wire.edge(2, 1).sent(), 0, "receiver → gateway");
     let totals = gateways[0].2.totals();
