@@ -1311,18 +1311,6 @@ struct InboundCtx {
     grant_period: u32,
 }
 
-/// A batch frame that is one whole stream, as [`InboundCtx::whole_stream`]
-/// read it: what crossing it as one unit needs to know.
-struct WholeStream {
-    header: gtm::GtmHeader,
-    /// Where the stream's route leaves this gateway.
-    hop: PathHop,
-    /// Its fragments, their payload bytes and their packet bytes.
-    frags: u64,
-    payload: u64,
-    held: usize,
-}
-
 /// The demultiplexing state of one inbound network direction.
 struct Demux {
     /// Streams currently crossing this inbound network.
@@ -1552,8 +1540,8 @@ impl InboundCtx {
         }
         // A frame that is one whole stream leaves as the buffer it landed
         // in; a deferred staging copy is dropped, as for every frame.
-        if let Some(whole) = self.whole_stream(d, buf.bytes(), sinks) {
-            let item = self.pass_whole(whole, peer, buf, recv_ns);
+        if let Some((whole, hop)) = self.whole_stream(d, buf.bytes(), sinks) {
+            let item = self.pass_whole(whole, hop, peer, buf, recv_ns);
             return sinks.accept(FwdUnit::One(item), shared);
         }
 
@@ -1616,67 +1604,43 @@ impl InboundCtx {
         Ok(())
     }
 
-    /// Is this batch frame one whole stream that the per-packet rules
-    /// would relay in full, as one train, with every credit in hand? Such a
-    /// frame holds the stream's header first and its end last, only
-    /// descriptors and fragments of the same stream between; the stream is
-    /// neither open nor tombstoned here; its header passes the rules a
-    /// header meets (not direct, not for this gateway, routed onto a
-    /// network this gateway bridges); the frame fits the outgoing driver's
-    /// [`gtm::FrameBudget`] whole; and on a non-final hop under a credit
-    /// window, the window covers every fragment. `None` sends the frame
-    /// down the per-packet path, which decides — and reports — anything
-    /// wrong with it. Reads the frame; changes nothing.
-    fn whole_stream(&self, d: &Demux, frame: &[u8], sinks: &Sinks) -> Option<WholeStream> {
-        let mut packets = gtm::batch_packets(frame).ok()?;
-        let (tag, PacketBody::Header(header)) = gtm::decode_packet(packets.next()?).ok()? else {
-            return None;
-        };
-        let (mut frags, mut payload, mut held) = (0, 0, 0);
-        let mut count = 1;
-        let mut ended = false;
-        for sub in packets {
-            let (sub_tag, body) = gtm::decode_packet(sub).ok()?;
-            if ended || sub_tag != tag {
-                return None;
-            }
-            match body {
-                PacketBody::Part(_) => {}
-                PacketBody::Frag => {
-                    frags += 1;
-                    payload += (sub.len() - PRELUDE_LEN) as u64;
-                    held += sub.len();
-                }
-                PacketBody::End => ended = true,
-                _ => return None,
-            }
-            count += 1;
-        }
+    /// Is this batch frame one whole stream ([`gtm::whole_stream`]) that
+    /// the per-packet rules would relay in full, as one train, with every
+    /// credit in hand? The stream must be neither open nor tombstoned here;
+    /// its header must pass the rules a header meets (not direct, not for
+    /// this gateway, routed onto a network this gateway bridges); the frame
+    /// must fit the outgoing driver's [`gtm::FrameBudget`] whole; and on a
+    /// non-final hop under a credit window, the window must cover every
+    /// fragment. `None` sends the frame down the per-packet path, which
+    /// decides — and reports — anything wrong with it. Reads the frame;
+    /// changes nothing.
+    fn whole_stream(
+        &self,
+        d: &Demux,
+        frame: &[u8],
+        sinks: &Sinks,
+    ) -> Option<(gtm::WholeStream, PathHop)> {
+        let whole = gtm::whole_stream(frame)?;
+        let tag = whole.header.tag;
         let key = tag.key();
-        if !ended || d.streams.contains_key(&key) || d.cancelled.contains(&key) {
+        if d.streams.contains_key(&key) || d.cancelled.contains(&key) {
             return None;
         }
-        if header.direct || tag.dest == self.rank {
+        if whole.header.direct || tag.dest == self.rank {
             return None;
         }
         let hop = self.shared.ctl.hop(tag.dest).ok()?;
         let sink = sinks.0.get(&NetworkId(hop.net))?;
         let budget = gtm::FrameBudget::of(&sink.path.channel(hop.last).caps());
-        if !budget.holds(frame.len(), count) {
+        if !budget.holds(frame.len(), whole.packets) {
             return None;
         }
         if let (Some(window), false) = (self.cfg.credit_window, hop.last) {
-            if frags > u64::from(window) {
+            if whole.frags > u64::from(window) {
                 return None;
             }
         }
-        Some(WholeStream {
-            header,
-            hop,
-            frags,
-            payload,
-            held,
-        })
+        Some((whole, hop))
     }
 
     /// Accept a [`InboundCtx::whole_stream`] frame as one pipeline item
@@ -1690,7 +1654,14 @@ impl InboundCtx {
     /// window covers every fragment — is not opened at all. No grant goes
     /// back (the sender closed its account before it sent the end), but a
     /// frame that fails on its way out still cancels upstream.
-    fn pass_whole(&self, whole: WholeStream, peer: NodeId, buf: FwdBuf, recv_ns: u64) -> FwdItem {
+    fn pass_whole(
+        &self,
+        whole: gtm::WholeStream,
+        hop: PathHop,
+        peer: NodeId,
+        buf: FwdBuf,
+        recv_ns: u64,
+    ) -> FwdItem {
         let shared = &self.shared;
         let tag = whole.header.tag;
         shared.stats.on_header();
@@ -1710,9 +1681,9 @@ impl InboundCtx {
         shared.stats.on_end();
         let flow_controlled = self.cfg.credit_window.is_some();
         FwdItem {
-            out_net: NetworkId(whole.hop.net),
-            to: NodeId(whole.hop.node),
-            last_hop: whole.hop.last,
+            out_net: NetworkId(hop.net),
+            to: NodeId(hop.node),
+            last_hop: hop.last,
             buf,
             tag,
             end_of_stream: true,

@@ -32,18 +32,25 @@
 //! a time from ready conduits into a [`StreamAssembler`], which hands back
 //! whole streams in header-arrival order. While a reader drains its
 //! stream, packets of other interleaved streams arriving on the same
-//! conduit are buffered, not lost. Fragment payloads are copied out of the
-//! received packet into the application buffer; the copy is charged to the
-//! cost model only on static-mode networks (matching the old direct
-//! `recv_into` landing — on dynamic-mode networks it models the NIC
-//! demultiplexing into a posted receive).
+//! conduit are buffered, not lost. A batch frame that is one whole stream
+//! (every writer's small message, which each gateway passes on as it
+//! landed) skips the assembler when no stream waits ahead of it, its key
+//! is not open there and its header is not a retry: the reader keeps the
+//! landed buffer and reads the stream from it in place, so the message is
+//! not split, copied into pooled packets or queued. Fragment payloads are
+//! copied out of the received packet, or the frame, into the application
+//! buffer; the copy is charged to the cost model only on static-mode
+//! networks (matching the old direct `recv_into` landing — on dynamic-mode
+//! networks it models the NIC demultiplexing into a posted receive).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mad_route::PathHop;
 use mad_trace::{trace_count, trace_instant, trace_span, Tracer};
+use mad_util::pool::PooledBuf;
 
 use crate::channel::Channel;
 use crate::conduit::BufferMode;
@@ -53,7 +60,7 @@ use crate::error::{MadError, Result};
 use crate::flags::{RecvMode, SendMode};
 use crate::gtm::{
     self, CancelReason, GtmHeader, GtmWriter, PacketBody, StreamAssembler, StreamItem, StreamKey,
-    StreamTag,
+    StreamTag, PRELUDE_LEN,
 };
 use crate::message::{MessageReader, MessageWriter};
 use crate::multipath::MultiPath;
@@ -62,8 +69,9 @@ use crate::types::{NetworkId, NodeId};
 /// Note byte announcing a plain direct message (non-gateway senders only).
 const NOTE_DIRECT: u8 = 0;
 
-/// Receive-side demultiplexing state: the assembler plus, per stream, the
-/// conduit it arrives on (so a reader knows where to pump for more).
+/// Receive-side demultiplexing state: the assembler plus, per stream it
+/// holds, the conduit it arrives on (so a reader knows where to pump for
+/// more). A stream read in place is in neither.
 struct Demux {
     asm: StreamAssembler,
     via: BTreeMap<StreamKey, (NetworkId, NodeId)>,
@@ -303,18 +311,15 @@ impl VirtualChannel {
 
     /// Block until a whole message is available to start receiving: either
     /// a plain direct message or a GTM stream whose header has arrived.
+    ///
+    /// A batch frame that is one whole stream ([`gtm::whole_stream`]) is
+    /// read in place, past the assembler, when the assembler admits it
+    /// ([`StreamAssembler::admits_in_place`]): the reader then owns the
+    /// landed buffer and decodes the stream from it.
     pub fn begin_unpacking(&self) -> Result<VcReader<'_>> {
         loop {
-            if let Some((key, header, via)) = self.claim_ready_stream() {
-                return Ok(VcReader::Gtm(GtmStreamReader {
-                    vc: self,
-                    key,
-                    header,
-                    via,
-                    finished: false,
-                    consumed: 0,
-                    skip: 0,
-                }));
+            if let Some((header, via)) = self.claim_ready_stream() {
+                return Ok(VcReader::Gtm(GtmStreamReader::new(self, header, via, None)));
             }
             let (net, peer) = self.select_any()?;
             let channel = &self.regular[&net];
@@ -324,17 +329,31 @@ impl VirtualChannel {
                 drop(self.pool.adopt(packet)); // spent note: recycle
                 return Ok(VcReader::Direct(channel.begin_unpacking_from(peer)?));
             }
+            if let Some(whole) = gtm::whole_stream(&packet) {
+                let in_place = self
+                    .demux
+                    .lock()
+                    .unwrap()
+                    .asm
+                    .admits_in_place(&whole.header);
+                if in_place {
+                    trace_count!(self.tracer, "gtm", "decode", 1);
+                    let frame = self.pool.adopt(packet);
+                    let reader = GtmStreamReader::new(self, whole.header, (net, peer), Some(frame));
+                    return Ok(VcReader::Gtm(reader));
+                }
+            }
             self.push_demux(net, peer, packet)?;
         }
     }
 
     /// Pop the oldest stream whose header has arrived, if any.
-    fn claim_ready_stream(&self) -> Option<(StreamKey, GtmHeader, (NetworkId, NodeId))> {
+    fn claim_ready_stream(&self) -> Option<(GtmHeader, (NetworkId, NodeId))> {
         let mut d = self.demux.lock().unwrap();
         let key = d.asm.pop_ready()?;
         let header = d.asm.header(key).expect("ready stream has a header");
         let via = d.via[&key];
-        Some((key, header, via))
+        Some((header, via))
     }
 
     /// Feed one received packet into the demultiplexer. Batch frames split
@@ -349,9 +368,12 @@ impl VirtualChannel {
         } else {
             0
         };
-        let mut d = self.demux.lock().unwrap();
-        for key in d.asm.push_packet_from(origin, self.pool.adopt(packet))? {
-            d.via.insert(key, (net, peer));
+        let Demux { asm, via } = &mut *self.demux.lock().unwrap();
+        for key in asm
+            .push_packet_from(origin, self.pool.adopt(packet))?
+            .iter()
+        {
+            via.insert(key, (net, peer));
         }
         Ok(())
     }
@@ -649,6 +671,8 @@ impl<'d> MultipathWriter<'_, 'd> {
 /// Reader of one GTM stream, pulling items from the channel demultiplexer
 /// and pumping the stream's conduit when it runs dry. Packets of *other*
 /// streams encountered while pumping are buffered for their own readers.
+/// A stream that arrived as one whole frame is read from that frame, in
+/// place: nothing is pumped, split or copied before `unpack`.
 pub struct GtmStreamReader<'c> {
     vc: &'c VirtualChannel,
     key: StreamKey,
@@ -660,6 +684,52 @@ pub struct GtmStreamReader<'c> {
     consumed: u64,
     /// Items of the current replay still to swallow silently.
     skip: u64,
+    /// The whole-stream frame read in place, and the offset of its next
+    /// packet's length prefix; `None` when the assembler holds the stream.
+    frame: Option<(PooledBuf, usize)>,
+}
+
+/// One item of the stream a [`GtmStreamReader`] reads.
+enum Item {
+    /// As the assembler buffered it, or a descriptor or the end decoded
+    /// from the frame read in place.
+    Buffered(StreamItem),
+    /// A fragment packet inside the frame read in place.
+    InFrame(Range<usize>),
+}
+
+impl std::fmt::Debug for Item {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Item::Buffered(item) => item.fmt(f),
+            Item::InFrame(at) => write!(f, "Frag({at:?})"),
+        }
+    }
+}
+
+impl<'c> GtmStreamReader<'c> {
+    fn new(
+        vc: &'c VirtualChannel,
+        header: GtmHeader,
+        via: (NetworkId, NodeId),
+        frame: Option<PooledBuf>,
+    ) -> Self {
+        // A frame is read from the packet after its header.
+        let frame = frame.map(|f| {
+            let header = gtm::batch_entry(&f, PRELUDE_LEN).expect("a whole stream has a header");
+            (f, header.end)
+        });
+        GtmStreamReader {
+            vc,
+            key: header.tag.key(),
+            header,
+            via,
+            finished: false,
+            consumed: 0,
+            skip: 0,
+            frame,
+        }
+    }
 }
 
 impl GtmStreamReader<'_> {
@@ -686,8 +756,26 @@ impl GtmStreamReader<'_> {
     /// Next item of this stream, pumping conduits as needed. Without a
     /// routing plane only the stream's via-conduit is pumped; with one,
     /// any ready conduit is (a failover replay arrives on a path other
-    /// than the one the header came in on).
-    fn next_item(&mut self) -> Result<StreamItem> {
+    /// than the one the header came in on). A frame read in place is
+    /// decoded packet by packet; its end, the last, comes back every time
+    /// it is asked for.
+    fn next_item(&mut self) -> Result<Item> {
+        if let Some((frame, at)) = &mut self.frame {
+            let sub = gtm::batch_entry(frame, *at).expect("a whole stream ends in its frame");
+            let (_, body) = gtm::decode_packet(&frame[sub.clone()])
+                .expect("gtm::whole_stream decoded every packet");
+            return Ok(match body {
+                PacketBody::Part(d) => {
+                    *at = sub.end;
+                    Item::Buffered(StreamItem::Part(d))
+                }
+                PacketBody::Frag => {
+                    *at = sub.end;
+                    Item::InFrame(sub)
+                }
+                _ => Item::Buffered(StreamItem::End),
+            });
+        }
         loop {
             let buffered = self.vc.demux.lock().unwrap().asm.next_item(self.key);
             if let Some(item) = buffered {
@@ -700,14 +788,14 @@ impl GtmStreamReader<'_> {
                         self.skip = self.consumed;
                         continue;
                     }
-                    item @ StreamItem::Cancelled(_) => return Ok(item),
+                    item @ StreamItem::Cancelled(_) => return Ok(Item::Buffered(item)),
                     item => {
                         if self.skip > 0 {
                             self.skip -= 1;
                             continue;
                         }
                         self.consumed += 1;
-                        return Ok(item);
+                        return Ok(Item::Buffered(item));
                     }
                 }
             }
@@ -743,8 +831,10 @@ impl GtmStreamReader<'_> {
             "bytes" = dst.len() as u64,
         );
         let desc = match self.next_item()? {
-            StreamItem::Part(d) => d,
-            StreamItem::Cancelled(reason) => return Err(self.cancel_cleanup(reason)),
+            Item::Buffered(StreamItem::Part(d)) => d,
+            Item::Buffered(StreamItem::Cancelled(reason)) => {
+                return Err(self.cancel_cleanup(reason))
+            }
             other => {
                 return Err(MadError::Protocol(format!(
                     "expected GTM part descriptor, got {other:?}"
@@ -768,16 +858,22 @@ impl GtmStreamReader<'_> {
         let charge_copies = channel.caps().mode == BufferMode::Static;
         let mut cursor = 0;
         while cursor < dst.len() {
-            let payload_pkt = match self.next_item()? {
-                StreamItem::Frag(p) => p,
-                StreamItem::Cancelled(reason) => return Err(self.cancel_cleanup(reason)),
+            let item = self.next_item()?;
+            let payload = match &item {
+                Item::Buffered(StreamItem::Frag(packet)) => gtm::frag_payload(packet),
+                Item::InFrame(at) => {
+                    let (frame, _) = self.frame.as_ref().expect("read in place from a frame");
+                    gtm::frag_payload(&frame[at.clone()])
+                }
+                &Item::Buffered(StreamItem::Cancelled(reason)) => {
+                    return Err(self.cancel_cleanup(reason))
+                }
                 other => {
                     return Err(MadError::Protocol(format!(
                         "expected GTM fragment, got {other:?}"
                     )))
                 }
             };
-            let payload = gtm::frag_payload(&payload_pkt);
             let end = cursor + payload.len();
             if end > dst.len() {
                 return Err(MadError::Protocol(format!(
@@ -798,19 +894,40 @@ impl GtmStreamReader<'_> {
     /// Consume the end packet and drop the stream's demux state. Only a
     /// real end marks the stream *delivered* (so the assembler can absorb
     /// an ack-lost replay as a ghost); cancelled streams stay replayable.
+    /// A stream read in place has no demux state; an acked one is still
+    /// recorded as delivered.
     pub fn end_unpacking(mut self) -> Result<()> {
         self.finished = true;
         let item = self.next_item()?;
+        if self.frame.is_some() {
+            return match item {
+                Item::Buffered(StreamItem::End) => {
+                    // Only an acked stream is recorded: skip the lock.
+                    if self.header.acked {
+                        self.vc
+                            .demux
+                            .lock()
+                            .unwrap()
+                            .asm
+                            .note_delivered(&self.header);
+                    }
+                    Ok(())
+                }
+                other => Err(MadError::Protocol(format!(
+                    "expected GTM end, got {other:?}"
+                ))),
+            };
+        }
         let mut d = self.vc.demux.lock().unwrap();
         d.via.remove(&self.key);
         match item {
-            StreamItem::End => {
+            Item::Buffered(StreamItem::End) => {
                 d.asm.finish_delivered(self.key);
                 Ok(())
             }
             // Dropping the demux state is all the cleanup a cancelled
             // stream needs here.
-            StreamItem::Cancelled(reason) => {
+            Item::Buffered(StreamItem::Cancelled(reason)) => {
                 d.asm.finish(self.key);
                 Err(cancel_error(reason, &self.header.tag))
             }
