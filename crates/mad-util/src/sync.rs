@@ -13,8 +13,12 @@
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::poll::{self, PollFd, Source, Sources, Wake, POLLIN, POLLOUT};
 
 /// A mutual-exclusion lock that never poisons.
 pub struct Mutex<T: ?Sized> {
@@ -247,23 +251,52 @@ impl fmt::Debug for Condvar {
 /// epoch has not moved sets the bit again and sleeps; a waiter that leaves
 /// with no other sleeper counted clears it, so a timed-out wait leaves no
 /// mark for the next bump to pay for.
-/// `Epoch::default()` is epoch 0 with nobody waiting.
+///
+/// **Sources.** An epoch may have [`Source`]s: descriptors whose input is
+/// what the epoch announces (a socket whose frames, once read, are bumped
+/// in), and a thread may have a *home* epoch whose sources every wait it
+/// makes reads besides ([`Epoch::drain_on_this_thread`]). With a source
+/// either way, a sleeper is counted and marked exactly as above, but
+/// lists its thread's wake descriptor under the mutex and sleeps in
+/// `ppoll` over the sources and that descriptor instead of on the
+/// condvar; the claim writes a byte to the wake descriptor of every listed
+/// sleeper (under the mutex, which the sleeper does not need to leave
+/// `ppoll`), and calls `notify_all` only if a sleeper is on the condvar.
+/// A sleeper that wakes unlists itself, runs the pumps of the readable
+/// sources with no lock held, and re-checks the epoch. Without a source
+/// the new work is a load of the epoch's flag and of the thread's home on
+/// the sleeping side, and a claim looks at the poller list, empty, once.
+/// `Epoch::default()` is epoch 0 with nobody waiting and no source.
 #[derive(Default)]
 pub struct Epoch {
     /// `epoch << 1 | SLEEPING`. The `Release` add in `bump` pairs with the
     /// `Acquire` loads of the waiters: a thread that reads the new epoch
     /// also sees the state change the bump announced.
     state: AtomicU64,
-    /// Threads inside a condvar wait. Guards every write of `SLEEPING`.
-    sleepers: Mutex<usize>,
+    /// Threads inside a wait right now. Guards every write of `SLEEPING`.
+    sleepers: Mutex<Sleepers>,
     cv: Condvar,
+    /// What a sleeper polls; shared with the threads whose home it is.
+    sources: Arc<Sources>,
     /// `notify_all` calls so far, for the tests that pin the claim.
     #[cfg(test)]
     notifies: AtomicU64,
 }
 
+#[derive(Default)]
+struct Sleepers {
+    /// Threads inside a wait, on the condvar or in `ppoll`.
+    count: usize,
+    /// The wake descriptors of the threads in `ppoll`.
+    pollers: Vec<Arc<Wake>>,
+}
+
 /// The low bit of [`Epoch`]'s state word: a thread may be asleep on it.
 const SLEEPING: u64 = 1;
+
+/// The longest a sleeper naps after `ppoll` itself failed, before it
+/// tries again.
+const POLL_RETRY: Duration = Duration::from_millis(1);
 
 impl Epoch {
     /// The current epoch, without taking the lock.
@@ -274,7 +307,7 @@ impl Epoch {
     /// Threads inside a wait right now.
     #[cfg(test)]
     fn waiters(&self) -> usize {
-        *self.sleepers.lock()
+        self.sleepers.lock().count
     }
 
     /// Increment the epoch and wake every thread waiting on it.
@@ -282,15 +315,42 @@ impl Epoch {
         if self.state.fetch_add(2, Ordering::Release) & SLEEPING == 0 {
             return;
         }
-        let claimed = {
-            let _sleepers = self.sleepers.lock();
-            self.state.fetch_and(!SLEEPING, Ordering::Relaxed) & SLEEPING != 0
+        let on_condvar = {
+            let sleepers = self.sleepers.lock();
+            let claimed = self.state.fetch_and(!SLEEPING, Ordering::Relaxed) & SLEEPING != 0;
+            if claimed {
+                for wake in &sleepers.pollers {
+                    wake.wake();
+                }
+            }
+            claimed && sleepers.count > sleepers.pollers.len()
         };
-        if claimed {
+        if on_condvar {
             #[cfg(test)]
             self.notifies.fetch_add(1, Ordering::Relaxed);
             self.cv.notify_all();
         }
+    }
+
+    /// Add a source: from now on a sleeper polls it and pumps it when it
+    /// turns readable. A sleeper already on the condvar is woken, to poll.
+    pub fn add_source(&self, source: Arc<dyn Source>) {
+        self.sources.add(source);
+        self.bump();
+    }
+
+    /// Remove `source` (compared by address). A sleeper that took its
+    /// snapshot earlier may poll it once more.
+    pub fn remove_source(&self, source: &dyn Source) {
+        self.sources.remove(source);
+    }
+
+    /// Make this epoch the calling thread's home: every wait the thread
+    /// makes from now on, on any epoch, and every [`Epoch::wait_writable`],
+    /// also reads this epoch's sources. A thread that owns the input of an
+    /// event keeps it flowing while it waits for something else.
+    pub fn drain_on_this_thread(&self) {
+        poll::set_home(self.sources.clone());
     }
 
     /// Block until the epoch exceeds `seen`; returns the epoch observed at
@@ -306,7 +366,28 @@ impl Epoch {
         self.wait_until(seen, Some(Instant::now() + timeout))
     }
 
+    /// Block until `fd` takes more bytes (or fails at once), reading this
+    /// epoch's sources and the thread's home sources meanwhile: a writer
+    /// that waits for room keeps the input that shares its event flowing,
+    /// so two peers that each write before they read both get on.
+    pub fn wait_writable(&self, fd: RawFd) -> std::io::Result<()> {
+        let home = poll::home_besides(&self.sources);
+        loop {
+            let own = self.sources.snapshot();
+            let home_list = home.as_ref().map(|h| h.snapshot());
+            let mut lead = [PollFd::new(fd, POLLOUT)];
+            let lists = [&own[..], home_list.as_deref().unwrap_or(&[])];
+            match poll::poll_sources(&mut lead, &lists, None, || {}) {
+                Ok(_) if lead[0].writable() => return Ok(()),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     fn wait_until(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
+        let home = poll::home_besides(&self.sources);
         let mut sleepers = self.sleepers.lock();
         let reached = loop {
             let now = self.epoch();
@@ -321,16 +402,48 @@ impl Epoch {
             if now > seen {
                 break Some(now);
             }
-            *sleepers += 1;
-            match left {
-                None => self.cv.wait(&mut sleepers),
-                Some(left) => {
-                    self.cv.wait_for(&mut sleepers, left);
+            sleepers.count += 1;
+            if home.is_none() && !self.sources.polled() {
+                match left {
+                    None => self.cv.wait(&mut sleepers),
+                    Some(left) => {
+                        self.cv.wait_for(&mut sleepers, left);
+                    }
                 }
+                sleepers.count -= 1;
+                continue;
             }
-            *sleepers -= 1;
+            let wake = poll::thread_wake();
+            sleepers.pollers.push(wake.clone());
+            drop(sleepers);
+            let own = self.sources.snapshot();
+            let home_list = home.as_ref().map(|h| h.snapshot());
+            let mut lead = [PollFd::new(wake.fd(), POLLIN)];
+            let lists = [&own[..], home_list.as_deref().unwrap_or(&[])];
+            // Unlisted before the pumps run, so that their bumps write to
+            // no wake descriptor of this thread's.
+            let unlist = || {
+                let mut listed = self.sleepers.lock();
+                if let Some(i) = listed.pollers.iter().position(|w| Arc::ptr_eq(w, &wake)) {
+                    listed.pollers.swap_remove(i);
+                }
+                listed.count -= 1;
+            };
+            match poll::poll_sources(&mut lead, &lists, left, unlist) {
+                Ok(_) if lead[0].readable() => wake.clear(),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // Nap rather than spin on a poll that keeps failing; the
+                // epoch is re-checked before the next sleep.
+                Err(_) => std::thread::sleep(left.map_or(POLL_RETRY, |l| l.min(POLL_RETRY))),
+            }
+            // The snapshots may hold the last reference to a removed
+            // source, whose drop may bump this epoch: let go of them
+            // unlocked.
+            drop((own, home_list));
+            sleepers = self.sleepers.lock();
         };
-        if *sleepers == 0 && self.state.load(Ordering::Relaxed) & SLEEPING != 0 {
+        if sleepers.count == 0 && self.state.load(Ordering::Relaxed) & SLEEPING != 0 {
             self.state.fetch_and(!SLEEPING, Ordering::Relaxed);
         }
         reached
@@ -484,14 +597,165 @@ mod tests {
         }
     }
 
-    /// 4 bumpers against 4 waiters, half of them on short timed waits: a
-    /// claim that misses a sleeper leaves a waiter short of the final epoch,
-    /// and a stale count or `SLEEPING` bit outlives the waiters (every later
-    /// bump would pay a notify).
+    /// A source over one end of a socket pair: its pump reads what the
+    /// other end wrote, records the thread it ran on, and bumps `bumps`.
+    #[derive(Default)]
+    struct Pipe {
+        ends: Option<(
+            std::os::unix::net::UnixStream,
+            std::os::unix::net::UnixStream,
+        )>,
+        pumped_on: Mutex<Vec<std::thread::ThreadId>>,
+        bumps: std::sync::OnceLock<std::sync::Weak<Epoch>>,
+    }
+
+    impl Pipe {
+        fn new() -> Arc<Pipe> {
+            let (rx, tx) = std::os::unix::net::UnixStream::pair().unwrap();
+            rx.set_nonblocking(true).unwrap();
+            Arc::new(Pipe {
+                ends: Some((rx, tx)),
+                ..Pipe::default()
+            })
+        }
+
+        fn write(&self) {
+            use std::io::Write;
+            (&self.ends.as_ref().unwrap().1).write_all(&[7]).unwrap();
+        }
+    }
+
+    impl Source for Pipe {
+        fn fd(&self) -> std::os::fd::RawFd {
+            use std::os::fd::AsRawFd;
+            self.ends.as_ref().unwrap().0.as_raw_fd()
+        }
+
+        fn pump(&self) {
+            use std::io::Read;
+            let mut buf = [0u8; 16];
+            while matches!((&self.ends.as_ref().unwrap().0).read(&mut buf), Ok(n) if n > 0) {}
+            self.pumped_on.lock().push(std::thread::current().id());
+            if let Some(ev) = self.bumps.get().and_then(std::sync::Weak::upgrade) {
+                ev.bump();
+            }
+        }
+    }
+
+    fn polled_epoch() -> (Arc<Epoch>, Arc<Pipe>) {
+        let ev = Arc::new(Epoch::default());
+        let pipe = Pipe::new();
+        pipe.bumps.set(Arc::downgrade(&ev)).unwrap();
+        ev.add_source(pipe.clone());
+        (ev, pipe)
+    }
+
+    fn pollers(ev: &Epoch) -> usize {
+        ev.sleepers.lock().pollers.len()
+    }
+
+    #[test]
+    fn epoch_bump_claims_a_polling_sleeper() {
+        let (ev, pipe) = polled_epoch();
+        let seen = ev.epoch();
+        let ev2 = ev.clone();
+        let h = std::thread::spawn(move || ev2.wait_past(seen));
+        while pollers(&ev) == 0 {
+            std::thread::yield_now();
+        }
+        ev.bump();
+        ev.bump(); // claimed already: nothing left to wake
+        assert!(h.join().unwrap() > seen);
+        assert_eq!(
+            notifies(&ev),
+            0,
+            "a poller is woken by its descriptor, not the condvar"
+        );
+        assert!(
+            pipe.pumped_on.lock().is_empty(),
+            "the source never turned readable"
+        );
+        assert_eq!((ev.waiters(), pollers(&ev)), (0, 0));
+        assert!(!marked(&ev));
+    }
+
+    #[test]
+    fn epoch_readable_source_wakes_a_polling_sleeper_which_pumps() {
+        let (ev, pipe) = polled_epoch();
+        let seen = ev.epoch();
+        let ev2 = ev.clone();
+        let h = std::thread::spawn(move || (ev2.wait_past(seen), std::thread::current().id()));
+        while pollers(&ev) == 0 {
+            std::thread::yield_now();
+        }
+        pipe.write();
+        let (reached, sleeper) = h.join().unwrap();
+        assert!(reached > seen, "the pump's bump ends the wait");
+        assert_eq!(
+            *pipe.pumped_on.lock(),
+            [sleeper],
+            "the sleeper ran the pump"
+        );
+        assert_eq!((ev.waiters(), pollers(&ev)), (0, 0));
+        assert!(!marked(&ev));
+        ev.remove_source(&*pipe);
+        assert!(!ev.sources.polled());
+    }
+
+    /// A thread's home sources are read by every wait it makes: one on an
+    /// epoch without sources pumps them, and still ends only when its own
+    /// epoch moves.
+    #[test]
+    fn epoch_home_sources_are_read_by_every_wait() {
+        let (home, pipe) = polled_epoch();
+        let ev = Arc::new(Epoch::default());
+        let (home2, ev2) = (home.clone(), ev.clone());
+        let h = std::thread::spawn(move || {
+            home2.drain_on_this_thread();
+            (ev2.wait_past(0), std::thread::current().id())
+        });
+        while pollers(&ev) == 0 {
+            std::thread::yield_now();
+        }
+        pipe.write();
+        while pipe.pumped_on.lock().is_empty() {
+            std::thread::yield_now();
+        }
+        while pollers(&ev) == 0 {
+            std::thread::yield_now(); // back asleep: the home's bump is not its own
+        }
+        ev.bump();
+        let (reached, sleeper) = h.join().unwrap();
+        assert_eq!(reached, 1);
+        assert_eq!(*pipe.pumped_on.lock(), [sleeper]);
+        assert!(home.epoch() > 0, "the pump bumped the home epoch");
+        assert_eq!((ev.waiters(), pollers(&ev)), (0, 0));
+    }
+
+    #[test]
+    fn epoch_timed_poll_wait_leaves_no_mark() {
+        let (ev, pipe) = polled_epoch();
+        let seen = ev.epoch();
+        let t0 = Instant::now();
+        assert_eq!(ev.wait_past_timeout(seen, Duration::from_millis(5)), None);
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+        assert_eq!((ev.waiters(), pollers(&ev)), (0, 0));
+        assert!(!marked(&ev), "a poller that gave up leaves the bit clear");
+        ev.bump();
+        assert_eq!(notifies(&ev), 0);
+        assert!(pipe.pumped_on.lock().is_empty());
+    }
+
+    /// 4 bumpers against 4 waiters, half of them on short timed waits and
+    /// half of them polling a source (one of each both ways): a claim that
+    /// misses a sleeper of either kind leaves a waiter short of the final
+    /// epoch, and a stale count, poller or `SLEEPING` bit outlives the
+    /// waiters (every later bump would pay a notify).
     #[test]
     fn epoch_storm() {
         const BUMPS: u64 = 2_000;
         let ev = Arc::new(Epoch::default());
+        let (polled, _pipe) = polled_epoch();
         let start = Arc::new(std::sync::Barrier::new(8));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let bumpers: Vec<_> = (0..4)
@@ -506,17 +770,17 @@ mod tests {
             })
             .collect();
         for w in 0..4 {
-            let (ev, start, done) = (ev.clone(), start.clone(), done_tx.clone());
+            let (ev, polled) = (ev.clone(), polled.clone());
+            let (start, done) = (start.clone(), done_tx.clone());
             std::thread::spawn(move || {
                 start.wait();
+                if w >= 2 {
+                    polled.drain_on_this_thread();
+                }
                 let mut seen = ev.epoch();
                 while seen < 4 * BUMPS {
-                    seen = if w % 2 == 0 {
-                        ev.wait_past(seen)
-                    } else {
-                        ev.wait_past_timeout(seen, Duration::from_micros(50))
-                            .unwrap_or(seen)
-                    };
+                    let deadline = (w % 2 == 1).then(|| Instant::now() + Duration::from_micros(50));
+                    seen = ev.wait_until(seen, deadline).unwrap_or(seen);
                 }
                 let _ = done.send(seen);
             });
@@ -531,7 +795,7 @@ mod tests {
             assert_eq!(reached, 4 * BUMPS);
         }
         assert_eq!(ev.epoch(), 4 * BUMPS);
-        assert_eq!(ev.waiters(), 0);
+        assert_eq!((ev.waiters(), pollers(&ev)), (0, 0));
         assert!(!marked(&ev), "the last waiter out clears the bit");
     }
 }

@@ -185,11 +185,12 @@ impl Channel {
     }
 
     /// True if any conduit of this channel holds a received-but-unread
-    /// packet right now. The session-wide quiescence check scans this
-    /// across every gateway's inbound channel at teardown: a gateway may
-    /// not stop while a peer still has backlog queued for it to relay.
+    /// packet right now, queued or still in the transport
+    /// ([`Conduit::pending`]). The session-wide quiescence check scans
+    /// this across every gateway's inbound channel at teardown: a gateway
+    /// may not stop while a peer still has backlog queued for it to relay.
     pub(crate) fn has_pending(&self) -> bool {
-        self.conduits.values().any(|c| c.lock().ready())
+        self.conduits.values().any(|c| c.lock().pending())
     }
 
     /// Block until some conduit has a pending packet; returns its peer.

@@ -219,6 +219,16 @@ pub trait Conduit: Send {
     /// True if a packet is already queued (never blocks).
     fn ready(&self) -> bool;
 
+    /// True if a packet is queued or still waiting inside the transport —
+    /// received by the kernel, not yet read (never blocks). Defaults to
+    /// [`Conduit::ready`]; a driver whose receive queue is filled by
+    /// whoever sleeps on its event (TCP) reads what the transport holds
+    /// first. Teardown's quiescence scan asks this rather than `ready`,
+    /// which runs on every receive scan and so must not read.
+    fn pending(&self) -> bool {
+        self.ready()
+    }
+
     /// True if a packet is awaiting service *right now* (never blocks).
     /// Defaults to [`Conduit::ready`]; drivers whose transport models
     /// in-flight delivery delay (the simulated NICs) override this to

@@ -1447,6 +1447,11 @@ fn polling_thread(mut inbound: Inbound, sinks: Sinks) {
     let stopctl = &live.stopctl;
     let runtime = inbound.ctx.shared.runtime.clone();
     let in_channel = inbound.ctx.in_channel.clone();
+    // Every wait of this thread — for room in a pipeline, for credit, for
+    // a conduit, for a socket to take a write — reads the network's
+    // sockets too, so they drain whatever this thread waits on
+    // (DESIGN §8.3).
+    in_channel.recv_event().drain_on_this_thread();
     let drain_timeout_ns = inbound.ctx.cfg.drain_timeout_ns;
     // Fair-scan cursor: the peer served last turn.
     let mut cursor = None;

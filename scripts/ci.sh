@@ -42,6 +42,21 @@ for i in $(seq 1 50); do
     { echo "$out"; echo "epoch tests: run $i of 50 failed" >&2; exit 1; }
 done
 
+# The TCP receive path. No thread of mad-tcp reads a socket: whoever
+# sleeps on a conduit's arrival event polls it and reads it, and a send
+# that would block reads its own socket while it waits. A lost wake-up or
+# a missed drain shows as a hang, and not in every run: mad-tcp's unit
+# tests (a frame resumed a byte at a time, a closed peer's socket polled
+# no more) and the TCP session suite (two endpoints that each send 16 MiB
+# before receiving), 20 times each, optimised.
+echo
+echo "== TCP receive path x20 (mad-tcp lib + session_tcp, release)"
+for i in $(seq 1 20); do
+  out="$(cargo test -q --offline --release -p mad-tcp --lib 2>&1 &&
+    cargo test -q --offline --release --test session_tcp 2>&1)" ||
+    { echo "$out"; echo "TCP receive path: run $i of 20 failed" >&2; exit 1; }
+done
+
 # Credit and cancel settlement. A credit that no fragment is told to
 # return is a hang until a deadline, and a cancel that never goes upstream
 # leaves the sender waiting — neither shows in every run: the half-window

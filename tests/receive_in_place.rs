@@ -4,8 +4,11 @@
 //! The frames come from a scripted driver: a wrapper below the library
 //! whose receiving end hands rank 1 a fixed sequence of hand-built GTM
 //! packets before anything its peer sends. Steps that raise and hold
-//! flags order a second reading thread against the first.
+//! flags order a second reading thread against the first; a step that
+//! lingers parks the receiving thread right after its next bump of any
+//! event (a runtime wrapper), which is where it lets go of the conduit.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -14,7 +17,7 @@ use mad_shm::ShmDriver;
 use mad_util::pool::PooledBuf;
 use madeleine::conduit::{Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::gtm::{self, GtmHeader, GtmPartDesc, StreamTag};
-use madeleine::runtime::RtEvent;
+use madeleine::runtime::{RtEvent, Runtime};
 use madeleine::session::VcOptions;
 use madeleine::vchannel::{VcReader, VirtualChannel};
 use madeleine::{MadError, NodeId, RecvMode, SendMode, SessionBuilder};
@@ -29,6 +32,75 @@ enum Step {
     Raise(&'static str),
     /// Not ready until the flag is set.
     Hold(&'static str),
+    /// The thread that receives the next packet, at its next bump of an
+    /// event, raises the first flag and waits for the second.
+    Linger(&'static str, &'static str),
+}
+
+thread_local! {
+    /// The flags a [`Step::Linger`] armed on this thread.
+    static LINGER: Cell<Option<(&'static str, &'static str)>> = const { Cell::new(None) };
+}
+
+/// The session's runtime with every event wrapped: a bump bumps, then
+/// lingers if the bumping thread is armed.
+struct LingeringRuntime {
+    inner: Arc<dyn Runtime>,
+    flags: Arc<Flags>,
+}
+
+struct LingeringEvent {
+    inner: Arc<dyn RtEvent>,
+    flags: Arc<Flags>,
+}
+
+impl RtEvent for LingeringEvent {
+    fn epoch(&self) -> u64 {
+        self.inner.epoch()
+    }
+    fn bump(&self) {
+        self.inner.bump();
+        if let Some((raise, until)) = LINGER.with(Cell::take) {
+            self.flags.raise(raise);
+            self.flags.wait(until);
+        }
+    }
+    fn wait_past(&self, seen: u64) -> u64 {
+        self.inner.wait_past(seen)
+    }
+    fn wait_past_timeout(&self, seen: u64, timeout_ns: u64) -> Option<u64> {
+        self.inner.wait_past_timeout(seen, timeout_ns)
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+impl Runtime for LingeringRuntime {
+    fn spawn(&self, name: String, f: Box<dyn FnOnce() + Send>) -> std::thread::JoinHandle<()> {
+        self.inner.spawn(name, f)
+    }
+    fn event(&self) -> Arc<dyn RtEvent> {
+        Arc::new(LingeringEvent {
+            inner: self.inner.event(),
+            flags: self.flags.clone(),
+        })
+    }
+    fn charge_copy(&self, bytes: usize) {
+        self.inner.charge_copy(bytes)
+    }
+    fn charge_overhead(&self, nanos: u64) {
+        self.inner.charge_overhead(nanos)
+    }
+    fn now_nanos(&self) -> u64 {
+        self.inner.now_nanos()
+    }
+    fn setup_guard(&self) -> Box<dyn std::any::Any + Send> {
+        self.inner.setup_guard()
+    }
+    fn pool(&self) -> &Arc<mad_util::pool::BufferPool> {
+        self.inner.pool()
+    }
 }
 
 #[derive(Default)]
@@ -138,6 +210,7 @@ impl Conduit for ScriptedConduit {
                     self.inner.recv_event().bump();
                 }
                 Some(Step::Hold(flag)) => self.flags.wait(flag),
+                Some(Step::Linger(raise, until)) => LINGER.with(|l| l.set(Some((raise, until)))),
                 None => return self.inner.recv_owned(),
             }
         }
@@ -164,8 +237,13 @@ fn receive<T: Send + 'static>(
     scripts: Vec<(u32, Vec<Step>)>,
     read: impl Fn(&VirtualChannel, &Flags) -> T + Send + Sync + 'static,
 ) -> T {
-    let mut sb = SessionBuilder::new(nodes);
     let flags = Arc::new(Flags::default());
+    let sb = SessionBuilder::new(nodes);
+    let runtime = Arc::new(LingeringRuntime {
+        inner: sb.runtime().clone(),
+        flags: flags.clone(),
+    });
+    let mut sb = sb.with_runtime(runtime);
     let driver = Arc::new(ScriptedDriver {
         inner: ShmDriver::new(sb.runtime().clone()),
         scripts: Mutex::new(
@@ -375,4 +453,48 @@ fn unpack_mismatches_read_alike_in_place_and_assembled() {
     assert_eq!(errors[0], errors[1]);
     assert_eq!(errors[2], errors[3]);
     assert_ne!(errors[0], errors[2]);
+}
+
+/// Two threads pumping one conduit keep a stream's packets in order. The
+/// first thread receives stream Y's descriptor and lingers right after it
+/// lets go of the conduit; the second, reading stream X from the same
+/// conduit, receives Y's fragment meanwhile. Y still reads descriptor
+/// first: the descriptor was in the demultiplexer before the conduit was
+/// free.
+#[test]
+fn two_readers_of_one_conduit_keep_a_stream_in_order() {
+    let xs = stream(plain(tag(0, 1)), b"xxx");
+    let ys = stream(plain(tag(0, 2)), b"yyy");
+    let [hx, px, fx, ex] = <[Vec<u8>; 4]>::try_from(xs).unwrap();
+    let [hy, py, fy, ey] = <[Vec<u8>; 4]>::try_from(ys).unwrap();
+    let script = vec![
+        Step::Packet(hx),
+        Step::Packet(hy),
+        Step::Linger("lingering", "frag-in"),
+        Step::Packet(py), // to the first thread, reading Y
+        Step::Packet(fy), // to the second, reading X
+        Step::Raise("frag-in"),
+        Step::Packet(px),
+        Step::Packet(fx),
+        Step::Packet(ex),
+        Step::Packet(ey),
+    ];
+    let read = receive(2, vec![(0, script)], |vc, flags| {
+        let Ok(VcReader::Gtm(mut rx)) = vc.begin_unpacking() else {
+            panic!("stream X expected");
+        };
+        std::thread::scope(|s| {
+            let second = s.spawn(move || {
+                flags.wait("lingering");
+                let mut data = [0; 3];
+                rx.unpack(&mut data, SendMode::Cheaper, RecvMode::Cheaper)
+                    .unwrap();
+                rx.end_unpacking().unwrap();
+                data
+            });
+            let first = read_one(vc);
+            [first, second.join().unwrap()]
+        })
+    });
+    assert_eq!(read, [*b"yyy", *b"xxx"]);
 }
