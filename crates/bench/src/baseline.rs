@@ -13,10 +13,7 @@
 //! needs its own application protocol: each message is preceded by an
 //! express header carrying the payload length and final destination.
 
-use crate::channel::Channel;
-use crate::error::{MadError, Result};
-use crate::flags::{RecvMode, SendMode};
-use crate::types::NodeId;
+use madeleine::{Channel, MadError, NodeId, RecvMode, Result, SendMode};
 
 /// Send `payload` to `dest` through an application-level relay chain: the
 /// message goes to `next` (the first relay) with a self-made header.

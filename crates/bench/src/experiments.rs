@@ -9,8 +9,8 @@
 //! one-way time directly, which is the same quantity without the
 //! subtraction step.
 
+use crate::baseline;
 use mad_sim::{SimDriver, SimTech, Testbed};
-use madeleine::baseline;
 use madeleine::gateway::GatewayConfig;
 use madeleine::session::VcOptions;
 use madeleine::{NodeId, RecvMode, SendMode, SessionBuilder};
@@ -385,7 +385,7 @@ pub fn raw_latency_micros(tech: SimTech, size: usize) -> f64 {
 }
 
 /// One-way transfer through an *application-level* relay (the Nexus/PACX
-/// baseline): rank 1 runs [`madeleine::baseline::run_relay`] — whole-message
+/// baseline): rank 1 runs [`baseline::run_relay`] — whole-message
 /// store-and-forward, no pipelining, relay code in the application.
 pub fn appfwd_oneway(from: SimTech, to: SimTech, total: usize) -> Measurement {
     let tb = Testbed::new(3);

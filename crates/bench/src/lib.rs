@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod cli;
 pub mod experiments;
 pub mod report;

@@ -45,9 +45,6 @@
 //! * [`session::SessionBuilder`] — in-process bootstrap: declares networks,
 //!   nodes, channels and virtual channels, spawns one thread per node, and
 //!   wires the gateways.
-//! * [`baseline`] — the Nexus/PACX-style *application-level* forwarder the
-//!   paper argues against (extra copies, no pipelining), used as the
-//!   comparison baseline by the benchmarks.
 //!
 //! The library is hardware-agnostic: all timing, blocking and cost
 //! accounting go through the [`runtime::Runtime`] trait, so the same code
@@ -56,7 +53,8 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
+#[cfg(feature = "census")]
+mod census;
 pub mod channel;
 pub mod conduit;
 mod control_plane;

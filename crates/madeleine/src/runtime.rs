@@ -23,6 +23,17 @@
 //! socket (a TCP conduit's) has that socket as a poll *source*: its
 //! sleepers sleep in `ppoll` and read it themselves, so no thread of the
 //! driver's stands between the kernel and the waiter.
+//!
+//! What is left is the wait that does real work, and a waiter does not
+//! pay a sleep for it when it need not: before it sleeps it yields its CPU
+//! once and re-reads the epoch. When the thread that will bump — the
+//! producer, the lock holder, the pump of the socket — is runnable on the
+//! same CPU, it runs now, and the wait costs one `sched_yield` instead of a
+//! futex sleep, a futex wake and a switch; with nothing else runnable the
+//! yield returns at once. A yield that switches is counted as an
+//! *involuntary* switch, so compare the sum of both counts. A forwarded
+//! 1 MiB message went from ~14 switches to ~4 (EXPERIMENTS A14, "yield
+//! once, then sleep").
 
 use std::os::fd::RawFd;
 use std::sync::Arc;
@@ -248,6 +259,8 @@ impl Runtime for StdRuntime {
     fn spawn(&self, name: String, f: Box<dyn FnOnce() + Send>) -> JoinHandle<()> {
         self.spawned
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        #[cfg(feature = "census")]
+        let f = crate::census::at_exit(f);
         std::thread::Builder::new()
             .name(name)
             .spawn(f)

@@ -33,14 +33,24 @@ cargo test -q --offline --workspace --no-fail-fast
 # shows as a timeout in the ping-pong (two threads, two events) or the
 # storm (4 bumpers x 4 waiters, half on timed waits), a stale count or bit
 # as a non-zero count or a set bit, but not in every run; the claim tests
-# pin one notify per set of sleepers. All `epoch_` tests, 50 times,
-# optimised, a few seconds.
+# pin one notify per set of sleepers. A waiter yields once before it
+# sleeps: two threads pinned to one CPU that hand a turn back and forth
+# must sleep far fewer times than they hand off. All `epoch_` tests, 50
+# times, optimised, a few seconds.
 echo
 echo "== epoch tests x50 (mad-util, release)"
 for i in $(seq 1 50); do
   out="$(cargo test -q --offline --release -p mad-util --lib epoch_ 2>&1)" ||
     { echo "$out"; echo "epoch tests: run $i of 50 failed" >&2; exit 1; }
 done
+
+# The thread-role census, a feature off by default: built with it, every
+# thread the real-threads runtime spawns appends its role, switches and
+# CPU time to the file named by MAD_CENSUS at its exit. The test runs a
+# child process with the variable set and reads the line back.
+echo
+echo "== census feature (madeleine --features census, release)"
+cargo test -q --offline --release -p madeleine --features census --lib census
 
 # The TCP receive path. No thread of mad-tcp reads a socket: whoever
 # sleeps on a conduit's arrival event polls it and reads it, and a send
