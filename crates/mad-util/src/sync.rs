@@ -387,23 +387,26 @@ impl Epoch {
     }
 
     fn wait_until(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
-        // Give the CPU away once before sleeping: a runnable thread that
-        // will bump this epoch (the producer, the lock holder, the pump of
-        // the socket) and shares the CPU runs now, and the wait costs one
-        // yield instead of a sleep, a wake and a switch. Once per call, and
-        // not past the deadline: a zero-timeout wait stays a pure check.
+        // Give the CPU away once before sleeping on the condvar: a runnable
+        // thread that will bump this epoch (the producer, the lock holder)
+        // and shares the CPU runs now, and the wait costs one yield instead
+        // of a sleep, a wake and a switch. Once per call, and not past the
+        // deadline: a zero-timeout wait stays a pure check. A waiter that
+        // will sleep in `ppoll` does not yield: on a TCP chain those yields
+        // left the small exchanges' tail slow in a varying share of the
+        // time (DESIGN §8.3 rule 4).
         let now = self.epoch();
         if now > seen {
             return Some(now);
         }
-        if deadline.is_none_or(|d| Instant::now() < d) {
+        let home = poll::home_besides(&self.sources);
+        if home.is_none() && !self.sources.polled() && deadline.is_none_or(|d| Instant::now() < d) {
             std::thread::yield_now();
             let now = self.epoch();
             if now > seen {
                 return Some(now);
             }
         }
-        let home = poll::home_besides(&self.sources);
         let mut sleepers = self.sleepers.lock();
         let reached = loop {
             let now = self.epoch();
