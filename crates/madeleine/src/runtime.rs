@@ -25,15 +25,16 @@
 //! driver's stands between the kernel and the waiter.
 //!
 //! What is left is the wait that does real work, and a waiter does not
-//! pay a sleep for it when it need not: before it sleeps it yields its CPU
-//! once and re-reads the epoch. When the thread that will bump — the
-//! producer, the lock holder, the pump of the socket — is runnable on the
-//! same CPU, it runs now, and the wait costs one `sched_yield` instead of a
+//! pay a sleep for it when it need not: before it sleeps on the condvar
+//! it yields its CPU once and re-reads the epoch. When the thread that
+//! will bump — the producer, the lock holder — is runnable on the same
+//! CPU, it runs now, and the wait costs one `sched_yield` instead of a
 //! futex sleep, a futex wake and a switch; with nothing else runnable the
 //! yield returns at once. A yield that switches is counted as an
-//! *involuntary* switch, so compare the sum of both counts. A forwarded
-//! 1 MiB message went from ~14 switches to ~4 (EXPERIMENTS A14, "yield
-//! once, then sleep").
+//! *involuntary* switch, so compare the sum of both counts. A waiter
+//! that sleeps in `ppoll` does not yield: on the TCP chain that left the
+//! small exchanges' tail unsteady from run to run (EXPERIMENTS A14,
+//! "yield once, then sleep").
 
 use std::os::fd::RawFd;
 use std::sync::Arc;
