@@ -36,11 +36,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Microseconds since simulation start, as a float.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// The instant `d` after `self`, saturating at the end of time.
     pub fn after(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -98,11 +93,6 @@ impl SimDuration {
     /// Fractional seconds in this duration.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Fractional microseconds in this duration.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Saturating addition.

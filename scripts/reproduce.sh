@@ -22,7 +22,6 @@ BINS=(
   ablation_switch_overhead
   ablation_hol_blocking
   ablation_batching
-  ext_mpi_collectives
   ext_copy_matrix
   ext_bidirectional
   ext_gateway_chain

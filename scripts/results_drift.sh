@@ -16,9 +16,9 @@
 # Not gated, because they differ from run to run under machine load (the
 # same-instant tie-break DESIGN §2 admits) until the seeded vtime
 # tie-break lands: fig7_myri_to_sci, fig8_conflict_trace, a8_multipath_scaling,
-# ablation_zero_copy, ext_copy_matrix, ext_mpi_collectives,
-# a11_membership_churn (its 8-episode row, by 0.1 virtual ms). Wall-clock
-# CSVs (a10_*) are never regenerated.
+# ablation_zero_copy, ext_copy_matrix, a11_membership_churn (its
+# 8-episode row, by 0.1 virtual ms). Wall-clock CSVs (a10_*) are never
+# regenerated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +56,6 @@ OTHER_BINS=(
   fig8_conflict_trace
   ablation_forwarding_strategies
   ablation_zero_copy
-  ext_mpi_collectives
   ext_copy_matrix
   ext_bidirectional
   multipath_scaling

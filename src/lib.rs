@@ -2,7 +2,6 @@
 //!
 //! Re-exports the public crates so examples and integration tests can use a
 //! single dependency root.
-pub use mad_mpi;
 pub use mad_shm;
 pub use mad_sim;
 pub use mad_tcp;

@@ -230,37 +230,61 @@ fn vchannel_two_gateway_chain() {
 fn gateway_node_also_receives_its_own_messages() {
     // The gateway is a regular node too (paper §2.2.2): messages addressed
     // to it arrive on the regular channel and must not enter the engine.
-    let mut sb = SessionBuilder::new(3);
+    // {0,1,2} and {2,3,4} with gateway 2: every node sends to every other
+    // at once, then receives, so the gateway's application sends and
+    // receives while its engine relays. Each message is a length header
+    // and a body: empty, one packet, or many fragments.
+    const BODIES: [usize; 3] = [0, 64, 20_000];
+    let body = |from: u32, to: u32, len: usize| payload(len, (from * 5 + to) as u8);
+    let crosses = |from: u32, to: u32| (from < 2 && to > 2) || (from > 2 && to < 2);
+    let mut sb = SessionBuilder::new(5);
     let rt = sb.runtime().clone();
-    let n0 = sb.network("shm0", ShmDriver::new(rt.clone()), &[0, 1]);
-    let n1 = sb.network("shm1", ShmDriver::new(rt), &[1, 2]);
-    sb.vchannel("vc", &[n0, n1], VcOptions::default());
-    let results = sb.run(|node| {
+    let n0 = sb.network("shm0", ShmDriver::new(rt.clone()), &[0, 1, 2]);
+    let n1 = sb.network("shm1", ShmDriver::new(rt), &[2, 3, 4]);
+    sb.vchannel(
+        "vc",
+        &[n0, n1],
+        VcOptions {
+            mtu: Some(2048),
+            ..Default::default()
+        },
+    );
+    sb.run(move |node| {
         let vc = node.vchannel("vc");
-        match node.rank().0 {
-            0 => {
-                let data = payload(1000, 3);
-                let mut w = vc.begin_packing(NodeId(1)).unwrap();
-                assert!(!w.is_forwarded(), "0→1 share net0: direct");
+        let me = node.rank().0;
+        let others: Vec<u32> = (0..5).filter(|&n| n != me).collect();
+        let mut dests: Vec<u32> = vc.destinations().iter().map(|n| n.0).collect();
+        dests.sort_unstable();
+        assert_eq!(dests, others, "node {me} reaches every other node");
+        for len in BODIES {
+            for &to in &others {
+                let (hdr, data) = ((len as u32).to_le_bytes(), body(me, to, len));
+                let mut w = vc.begin_packing(NodeId(to)).unwrap();
+                assert_eq!(w.is_forwarded(), crosses(me, to));
+                w.pack(&hdr, SendMode::Safer, RecvMode::Express).unwrap();
                 w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                 w.end_packing().unwrap();
-                true
             }
-            1 => {
-                let mut r = vc.begin_unpacking().unwrap();
-                assert!(!r.is_forwarded());
-                assert_eq!(r.source(), NodeId(0));
-                let mut buf = vec![0u8; 1000];
-                r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
-                    .unwrap();
-                r.end_unpacking().unwrap();
-                buf == payload(1000, 3)
-            }
-            2 => true,
-            _ => unreachable!(),
+        }
+        // Sources interleave; each one's messages arrive in the order sent.
+        let mut next = [0; 5];
+        for _ in 0..BODIES.len() * others.len() {
+            let mut r = vc.begin_unpacking().unwrap();
+            let from = r.source().0;
+            assert_eq!(r.is_forwarded(), crosses(from, me));
+            let mut hdr = [0u8; 4];
+            r.unpack(&mut hdr, SendMode::Safer, RecvMode::Express)
+                .unwrap();
+            let len = u32::from_le_bytes(hdr) as usize;
+            assert_eq!(len, BODIES[next[from as usize]], "{from}→{me} order");
+            next[from as usize] += 1;
+            let mut buf = vec![0u8; len];
+            r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
+                .unwrap();
+            r.end_unpacking().unwrap();
+            assert_eq!(buf, body(from, me, len), "{from}→{me}, {len} B");
         }
     });
-    assert!(results.into_iter().all(|ok| ok));
 }
 
 #[test]
