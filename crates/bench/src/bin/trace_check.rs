@@ -6,7 +6,7 @@
 //! monotone per thread, and every counter track must carry only the
 //! events its family lists. The families are the tables
 //! `madeleine::session::trace_tables` derives from the names the library
-//! flushes: `gw:` (gateway totals and `delta_*` windows), `rt:` (the
+//! flushes: `gw:` (gateway totals), `rt:` (the
 //! session's thread budget and buffer-pool counters), `route:` (per-path
 //! bytes and selector counters), `member:` (protocol transitions and
 //! totals), `metrics:` (the registry flush), `health:` (watchdog

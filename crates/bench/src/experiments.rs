@@ -647,7 +647,8 @@ pub fn multipath_death_soak(
                     w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
                     w.end_packing().unwrap();
                 }
-                let c = vc.multipath().expect("parallel gateways").counters();
+                let mp = vc.multipath().expect("parallel gateways");
+                let c = mp.selector().counters();
                 (t0, 0u32, c.failovers, c.deaths)
             }
             r if r == sink => {
@@ -790,7 +791,8 @@ fn run_membership_churn(
                     rt.charge_overhead(2_000_000 + (s >> 8) % 4_000_000);
                     epoch = plane.rejoin(&peers, JOIN_TIMEOUT).expect("rejoin failed");
                 }
-                let c = vc.multipath().expect("parallel gateways").counters();
+                let mp = vc.multipath().expect("parallel gateways");
+                let c = mp.selector().counters();
                 (0, 0, c.readmissions, c.deaths, epoch)
             }
             _ => (0, 0, 0, 0, 0),

@@ -15,11 +15,6 @@
 //! ([`Snapshot::encode_into`], budget-bounded with a `truncated` flag)
 //! so Madeleine's GTM layer can carry them across clusters in a single
 //! control packet (the kind-10 in-band pull).
-//!
-//! The `noop` cargo feature compiles every recording call to nothing
-//! (same contract as `mad-trace/noop`): [`COMPILED_IN`] flips to
-//! `false`, handle methods become empty inlinable bodies, and the A10
-//! overhead bench uses exactly this to bound the compiled-out cost.
 
 #![warn(missing_docs)]
 
@@ -35,9 +30,6 @@ mod snap;
 pub use mad_util::hist::{bucket_bounds, bucket_index, HistSnapshot, BUCKETS};
 pub use snap::{DecodeError, Snapshot};
 
-/// Whether recording is compiled in (`false` under the `noop` feature).
-pub const COMPILED_IN: bool = cfg!(not(feature = "noop"));
-
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
@@ -46,9 +38,7 @@ impl Counter {
     /// Add `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        if COMPILED_IN {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current count.
@@ -77,11 +67,9 @@ impl Gauge {
     /// the peak, so only a rise pays for the `fetch_max`.
     #[inline]
     pub fn add(&self, d: i64) {
-        if COMPILED_IN {
-            let now = self.0.value.fetch_add(d, Ordering::Relaxed).wrapping_add(d);
-            if d > 0 {
-                self.0.peak.fetch_max(now, Ordering::Relaxed);
-            }
+        let now = self.0.value.fetch_add(d, Ordering::Relaxed).wrapping_add(d);
+        if d > 0 {
+            self.0.peak.fetch_max(now, Ordering::Relaxed);
         }
     }
 
@@ -89,10 +77,8 @@ impl Gauge {
     /// counters mirrored from another subsystem).
     #[inline]
     pub fn set(&self, v: i64) {
-        if COMPILED_IN {
-            self.0.value.store(v, Ordering::Relaxed);
-            self.0.peak.fetch_max(v, Ordering::Relaxed);
-        }
+        self.0.value.store(v, Ordering::Relaxed);
+        self.0.peak.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -114,9 +100,7 @@ impl Hist {
     /// Record one sample (typically a nanosecond duration).
     #[inline]
     pub fn record(&self, value: u64) {
-        if COMPILED_IN {
-            self.0.record(value);
-        }
+        self.0.record(value);
     }
 
     /// Copy the current buckets out.
@@ -228,15 +212,13 @@ mod tests {
         let b = r.counter("x");
         a.add(3);
         b.add(4);
-        assert_eq!(r.counter("x").get(), if COMPILED_IN { 7 } else { 0 });
+        assert_eq!(r.counter("x").get(), 7);
 
         let g = r.gauge("depth");
         g.add(5);
         g.add(-2);
-        if COMPILED_IN {
-            assert_eq!(g.get(), 3);
-            assert_eq!(g.peak(), 5);
-        }
+        assert_eq!(g.get(), 3);
+        assert_eq!(g.peak(), 5);
 
         let h = r.histogram("lat");
         h.record(1000);
@@ -249,9 +231,6 @@ mod tests {
     /// A drop leaves the peak alone; a rise past it moves it.
     #[test]
     fn gauge_peak_moves_only_on_a_new_high() {
-        if !COMPILED_IN {
-            return;
-        }
         let g = Gauge::default();
         g.add(10);
         g.add(-4);
@@ -266,9 +245,6 @@ mod tests {
     /// every level either of them saw right after an `add` of its own.
     #[test]
     fn gauge_peak_covers_every_level_under_races() {
-        if !COMPILED_IN {
-            return;
-        }
         let g = Gauge::default();
         let barrier = std::sync::Barrier::new(2);
         let highs: Vec<i64> = std::thread::scope(|scope| {
@@ -417,11 +393,9 @@ mod tests {
         assert!(wire.len() <= 512, "encode blew its budget: {}", wire.len());
         let back = Snapshot::decode(&wire).unwrap();
         assert!(back.truncated, "a 512-byte budget must truncate");
-        if COMPILED_IN {
-            assert!(
-                !back.counters.is_empty(),
-                "budget fits at least some entries"
-            );
-        }
+        assert!(
+            !back.counters.is_empty(),
+            "budget fits at least some entries"
+        );
     }
 }

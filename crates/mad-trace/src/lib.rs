@@ -15,9 +15,6 @@
 //!
 //! Recording is cheap and falls to almost nothing when disabled: a
 //! disabled tracer is a `None` and every entry point is a single branch.
-//! The [`trace_span!`]/[`trace_count!`]/[`trace_instant!`] macros
-//! additionally compile to a literal no-op when the `noop` feature is
-//! on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,11 +31,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// `true` unless the crate was built with the `noop` feature; the
-/// `trace_*` macros check this constant so the disabled form is
-/// branch-free dead code.
-pub const COMPILED_IN: bool = cfg!(not(feature = "noop"));
 
 /// Default per-track ring capacity (events kept before the oldest are
 /// dropped and counted in [`ThreadSnapshot::dropped`]).
@@ -301,7 +293,7 @@ impl Tracer {
 
     /// Open a span on the current thread's track; it records itself
     /// when the returned guard drops. Prefer the [`trace_span!`] macro,
-    /// which also compiles out under the `noop` feature.
+    /// which skips evaluating the arguments when the tracer is off.
     #[must_use = "the span is recorded when the guard drops"]
     pub fn span(&self, cat: &'static str, name: &'static str) -> SpanGuard {
         match &self.inner {
@@ -504,8 +496,8 @@ impl Drop for SpanGuard {
 
 /// Open a span on `tracer`'s current-thread track; binds the returned
 /// guard's lifetime to the enclosing scope. Optional trailing
-/// `"key" = value` pairs become span arguments. Compiles to a disabled
-/// guard under the `noop` feature.
+/// `"key" = value` pairs become span arguments; a disabled tracer
+/// returns a disabled guard.
 ///
 /// ```
 /// # let tracer = mad_trace::Tracer::new();
@@ -515,7 +507,7 @@ impl Drop for SpanGuard {
 #[macro_export]
 macro_rules! trace_span {
     ($tracer:expr, $cat:literal, $name:literal $(, $k:literal = $v:expr)* $(,)?) => {
-        if $crate::COMPILED_IN && $tracer.enabled() {
+        if $tracer.enabled() {
             $tracer.span($cat, $name)$(.arg($k, $v))*
         } else {
             $crate::SpanGuard::disabled()
@@ -523,24 +515,22 @@ macro_rules! trace_span {
     };
 }
 
-/// Record a counter delta on `tracer`'s current-thread track. Compiles
-/// to nothing under the `noop` feature.
+/// Record a counter delta on `tracer`'s current-thread track.
 #[macro_export]
 macro_rules! trace_count {
     ($tracer:expr, $cat:literal, $name:literal, $delta:expr) => {
-        if $crate::COMPILED_IN && $tracer.enabled() {
+        if $tracer.enabled() {
             $tracer.count($cat, $name, $delta);
         }
     };
 }
 
 /// Record an instant on `tracer`'s current-thread track, with optional
-/// `"key" = value` arguments. Compiles to nothing under the `noop`
-/// feature.
+/// `"key" = value` arguments.
 #[macro_export]
 macro_rules! trace_instant {
     ($tracer:expr, $cat:literal, $name:literal $(, $k:literal = $v:expr)* $(,)?) => {
-        if $crate::COMPILED_IN && $tracer.enabled() {
+        if $tracer.enabled() {
             $tracer.instant($cat, $name, &[$(($k, $v)),*]);
         }
     };
@@ -570,8 +560,6 @@ mod tests {
         assert_eq!(snap.domain, "off");
     }
 
-    // Exercises the macros, which are compiled out under `noop`.
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn spans_counts_instants_are_recorded() {
         let t = Tracer::new();

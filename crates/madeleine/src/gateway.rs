@@ -234,10 +234,6 @@ pub struct GatewayStats {
     /// Staging copies that landed on a stage that was idle at placement
     /// time — the E2 overlap win, measured.
     copy_idle_hits: AtomicU64,
-    /// Nanoseconds the receive stages spent busy (telemetry-gated).
-    recv_busy_ns: AtomicU64,
-    /// Nanoseconds the flush stages spent busy (telemetry-gated).
-    flush_busy_ns: AtomicU64,
     /// Flush stages currently mid-drain — the live busy signal the
     /// copy-placement scheduler reads at receive time.
     flush_active: AtomicU64,
@@ -246,11 +242,12 @@ pub struct GatewayStats {
     threads_spawned: AtomicU64,
     /// Packet bytes currently resident in this engine (received but not
     /// yet retransmitted or dropped) and their high-water mark — the
-    /// occupancy the credit window bounds. (A `mad-metrics/noop` build
-    /// compiles this gauge out with every other one.)
+    /// occupancy the credit window bounds.
     held: Gauge,
-    /// Streams currently open in the engine's demultiplexing table
-    /// (header accepted, end/cancel not yet relayed).
+    /// Streams this engine accepted (header or whole-stream frame) whose
+    /// end or cancel is not yet retransmitted or dropped: moved by
+    /// [`EngineLive`], which releases what is left from the session-wide
+    /// drain count when the engine's last thread exits.
     open_streams: AtomicI64,
 }
 
@@ -324,10 +321,6 @@ pub struct GatewayTotals {
     pub copies_flush: u64,
     /// Staging copies placed on a stage that was idle at placement time.
     pub copy_idle_hits: u64,
-    /// Nanoseconds the receive stages spent busy (telemetry-gated).
-    pub recv_busy_ns: u64,
-    /// Nanoseconds the flush stages spent busy (telemetry-gated).
-    pub flush_busy_ns: u64,
     /// Dedicated OS threads the engine spawned.
     pub threads_spawned: u64,
     /// Packet bytes resident in the engine at snapshot time.
@@ -339,7 +332,7 @@ pub struct GatewayTotals {
 impl GatewayTotals {
     /// Every total with its trace event name, in one place (a gauge is
     /// carried bit for bit: `as i64` gives it back).
-    pub fn named(&self) -> [(&'static str, u64); 19] {
+    pub fn named(&self) -> [(&'static str, u64); 17] {
         [
             ("messages", self.messages),
             ("fragments", self.fragments),
@@ -355,8 +348,6 @@ impl GatewayTotals {
             ("copies_recv", self.copies_recv),
             ("copies_flush", self.copies_flush),
             ("copy_idle_hits", self.copy_idle_hits),
-            ("recv_busy_ns", self.recv_busy_ns),
-            ("flush_busy_ns", self.flush_busy_ns),
             (THREADS_SPAWNED, self.threads_spawned),
             ("held_bytes", self.held_bytes as u64),
             ("peak_held_bytes", self.peak_held_bytes as u64),
@@ -440,23 +431,18 @@ impl GatewayStats {
             copies_recv: self.copies_recv.load(Ordering::Relaxed),
             copies_flush: self.copies_flush.load(Ordering::Relaxed),
             copy_idle_hits: self.copy_idle_hits.load(Ordering::Relaxed),
-            recv_busy_ns: self.recv_busy_ns.load(Ordering::Relaxed),
-            flush_busy_ns: self.flush_busy_ns.load(Ordering::Relaxed),
             threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
             held_bytes: self.held.get(),
             peak_held_bytes: self.held.peak(),
         }
     }
 
-    /// Streams currently open in the engine (accepted header, end or
-    /// cancel not yet relayed) — the live companion of the windowed
+    /// Streams currently open in the engine: accepted (a header, or a
+    /// frame that is one whole stream), their end or cancel not yet
+    /// retransmitted or dropped — the live companion of the windowed
     /// counters, read by the health watchdog's stalled-stream detector.
     pub fn open_streams(&self) -> i64 {
         self.open_streams.load(Ordering::Relaxed)
-    }
-
-    fn on_header(&self) {
-        self.open_streams.fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_frag(&self, bytes: u64) {
@@ -469,7 +455,6 @@ impl GatewayStats {
     }
 
     fn on_end(&self) {
-        self.open_streams.fetch_sub(1, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -486,7 +471,6 @@ impl GatewayStats {
     }
 
     fn on_cancelled(&self) {
-        self.open_streams.fetch_sub(1, Ordering::Relaxed);
         self.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -683,23 +667,24 @@ impl GatewayStop {
     }
 }
 
-/// Per-engine liveness accounting: tracks how many streams this engine has
-/// accepted but not fully retransmitted, so the last thread out (normal
-/// exit or unwind) can release them from the session-wide drain count.
+/// Per-engine liveness accounting: moves the engine's open-stream count
+/// ([`GatewayStats::open_streams`]) with the session-wide drain count, so
+/// the last thread out (normal exit or unwind) can release the streams
+/// the engine accepted but never finished.
 struct EngineLive {
     threads: AtomicUsize,
-    local_open: AtomicI64,
+    stats: Arc<GatewayStats>,
     stopctl: Arc<GatewayStop>,
 }
 
 impl EngineLive {
     fn opened(&self) {
-        self.local_open.fetch_add(1, Ordering::AcqRel);
+        self.stats.open_streams.fetch_add(1, Ordering::AcqRel);
         self.stopctl.opened();
     }
 
     fn stream_done(&self) {
-        self.local_open.fetch_sub(1, Ordering::AcqRel);
+        self.stats.open_streams.fetch_sub(1, Ordering::AcqRel);
         self.stopctl.end_forwarded();
     }
 }
@@ -714,7 +699,7 @@ struct ThreadExitGuard {
 impl Drop for ThreadExitGuard {
     fn drop(&mut self) {
         if self.live.threads.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let leaked = self.live.local_open.swap(0, Ordering::AcqRel);
+            let leaked = self.live.stats.open_streams.swap(0, Ordering::AcqRel);
             self.live.stopctl.abandon(leaked.max(0) as u64);
         }
     }
@@ -746,51 +731,21 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
-/// RAII bracket around one pipeline stage's busy period. The flush-side
-/// bracket maintains the live [`GatewayStats::flush_active`] count the
-/// copy-placement scheduler reads at receive time; both sides feed the
-/// cumulative per-stage busy clocks on the `gw:` trace when timing is on
-/// (telemetry or tracing enabled — the clock reads stay off the bare hot
-/// path).
-struct StageBusy<'a> {
-    active: Option<&'a AtomicU64>,
-    clock: &'a AtomicU64,
-    runtime: &'a dyn Runtime,
-    start_ns: u64,
-    timed: bool,
-}
+/// RAII bracket around one flush stage's busy period: it maintains the
+/// live [`GatewayStats::flush_active`] count the copy-placement scheduler
+/// reads at receive time.
+struct StageBusy<'a>(&'a AtomicU64);
 
 impl<'a> StageBusy<'a> {
-    fn enter(
-        active: Option<&'a AtomicU64>,
-        clock: &'a AtomicU64,
-        runtime: &'a dyn Runtime,
-        timed: bool,
-    ) -> Self {
-        if let Some(a) = active {
-            a.fetch_add(1, Ordering::Relaxed);
-        }
-        StageBusy {
-            active,
-            clock,
-            runtime,
-            start_ns: if timed { runtime.now_nanos() } else { 0 },
-            timed,
-        }
+    fn enter(active: &'a AtomicU64) -> Self {
+        active.fetch_add(1, Ordering::Relaxed);
+        StageBusy(active)
     }
 }
 
 impl Drop for StageBusy<'_> {
     fn drop(&mut self) {
-        if self.timed {
-            self.clock.fetch_add(
-                self.runtime.now_nanos().saturating_sub(self.start_ns),
-                Ordering::Relaxed,
-            );
-        }
-        if let Some(a) = self.active {
-            a.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1075,12 +1030,6 @@ impl FwdShared {
         self.ctl.ledger()
     }
 
-    /// Whether stage-busy brackets pay for clock reads (metrics or trace
-    /// active); the `flush_active` occupancy count is kept either way.
-    fn timed(&self) -> bool {
-        self.metrics.is_some() || self.tracer.enabled()
-    }
-
     fn queue_depth(&self, delta: i64) {
         if let Some(m) = &self.metrics {
             m.queue_depth.add(delta);
@@ -1187,7 +1136,7 @@ pub(crate) fn spawn_gateway(
         stats: stats.clone(),
         live: Arc::new(EngineLive {
             threads: AtomicUsize::new(workers),
-            local_open: AtomicI64::new(0),
+            stats: stats.clone(),
             stopctl: stopctl.clone(),
         }),
         credit_timeout_ns: cfg.credit_timeout_ns,
@@ -1305,7 +1254,6 @@ struct InboundCtx {
     /// copy-free (dynamic inbound driver — a static inbound would pay the
     /// staging copy in `recv_owned` anyway).
     can_defer: bool,
-    timed: bool,
     /// Fragments of a stream per credit packet returned upstream; see
     /// [`grant_period`].
     grant_period: u32,
@@ -1364,7 +1312,6 @@ impl Inbound {
                 rank,
                 landing: landing_policy(paths, cfg),
                 can_defer: cfg.pipeline_depth > 1 && in_caps.mode == BufferMode::Dynamic,
-                timed: shared.timed(),
                 grant_period: grant_period(&cfg),
                 in_channel,
                 in_caps,
@@ -1386,12 +1333,6 @@ impl Inbound {
         let Inbound { ctx, demux, pinned } = self;
         let shared = &ctx.shared;
         let _busy = BusyGuard::enter(&shared.live.stopctl);
-        let _stage = StageBusy::enter(
-            None,
-            &shared.stats.recv_busy_ns,
-            &*shared.runtime,
-            ctx.timed,
-        );
         let (buf, restage) = {
             let _recv = trace_span!(shared.tracer, "gw", "recv", "peer" = peer.0 as u64);
             match receive_packet(
@@ -1669,7 +1610,6 @@ impl InboundCtx {
     ) -> FwdItem {
         let shared = &self.shared;
         let tag = whole.header.tag;
-        shared.stats.on_header();
         trace_instant!(
             shared.tracer,
             "gw",
@@ -1814,7 +1754,6 @@ impl InboundCtx {
                 if let (Some(w), false) = (self.cfg.credit_window, hop.last) {
                     shared.ledger().open(key, w);
                 }
-                shared.stats.on_header();
                 trace_instant!(
                     shared.tracer,
                     "gw",
@@ -2450,12 +2389,7 @@ impl Flush {
     /// relay copy overlaps best. Fails with [`MadError::Disconnected`] on
     /// an orderly disconnect, with everything still pending accounted.
     fn transmit(&mut self, unit: FwdUnit, path: &OutPath, shared: &FwdShared) -> Result<()> {
-        let _stage = StageBusy::enter(
-            Some(&shared.stats.flush_active),
-            &shared.stats.flush_busy_ns,
-            &*shared.runtime,
-            shared.timed(),
-        );
+        let _stage = StageBusy::enter(&shared.stats.flush_active);
         unit.unpack_into(&mut self.pending);
         while let Some(head) = self.pending.pop_front() {
             let Some(head) = take_credit_blocking(path, head, shared) else {
@@ -2637,6 +2571,21 @@ mod tests {
         /// The running engine's counters.
         fn totals(&self) -> GatewayTotals {
             self.handles.as_ref().unwrap().stats().totals()
+        }
+
+        /// The running engine's open-stream count.
+        fn open_streams(&self) -> i64 {
+            self.handles.as_ref().unwrap().stats().open_streams()
+        }
+
+        /// Wait for the open-stream count to reach 0: an end-equivalent
+        /// item releases its stream just after its send returns.
+        fn settle_open_streams(&self) {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.open_streams() != 0 {
+                assert!(Instant::now() < deadline, "{} open", self.open_streams());
+                std::thread::yield_now();
+            }
         }
 
         /// Drain the engine, stop it, and return its final counters.
@@ -3193,7 +3142,8 @@ mod tests {
 
     /// The one-packet shape of the same settlement: the header and the
     /// descriptor went through, then the peer died and a lone fragment
-    /// finds out.
+    /// finds out. The stream stays open until the end its upstream sends
+    /// after the cancel is consumed.
     #[test]
     fn dead_peer_lone_fragment_cancels_upstream_once() {
         for depth in [2, 1] {
@@ -3208,10 +3158,32 @@ mod tests {
             out.fail_sends();
             rig.up.send_packet(NodeId(1), &[&packets[2]]).unwrap();
             rig.expect_one_cancel(tag);
+            // Upstream is told; the stream stays open until its end comes.
+            assert_eq!(rig.open_streams(), 1, "depth {depth}");
             rig.up.send_packet(NodeId(1), &[&packets[3]]).unwrap();
+            rig.settle_open_streams();
             let totals = rig.finish();
             assert_eq!(totals.held_bytes, 0, "depth {depth}");
             assert!(rig.ledger.is_idle());
+        }
+    }
+
+    /// The engine's open-stream count holds a stream from its accepted
+    /// header until its end is retransmitted, at either depth.
+    #[test]
+    fn open_streams_counts_a_stream_until_its_end_leaves() {
+        for depth in [2, 1] {
+            let mut rig = Rig::new(flow_controlled(depth), MockDriver::dynamic());
+            let packets = stream_in_frags(2, 9, &[0x0C; 200], 2);
+            for (i, packet) in packets.iter().enumerate() {
+                if i == 3 {
+                    assert_eq!(rig.open_streams(), 1, "depth {depth}");
+                }
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                assert_eq!(&rig.recv(2), packet);
+            }
+            rig.settle_open_streams();
+            rig.finish();
         }
     }
 
@@ -3569,7 +3541,6 @@ mod tests {
             }
         };
         for step in 1..=60u64 {
-            stats.on_header();
             stats.on_frag(step);
             if step % 4 == 0 {
                 stats.on_stall();

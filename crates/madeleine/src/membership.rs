@@ -424,7 +424,7 @@ impl MembershipPlane {
                     &[("node", msg.node as u64), ("epoch", msg.epoch)],
                 );
                 if let Some(mp) = self.mp.lock().as_ref() {
-                    if mp.mark_dead(msg.node) {
+                    if mp.selector().mark_dead(msg.node) {
                         self.trace(RETIRE, &[("node", msg.node as u64)]);
                     }
                 }
@@ -498,7 +498,7 @@ impl MembershipPlane {
     fn observe_in_selector(&self, node: u32, epoch: u64) {
         if let Some(mp) = self.mp.lock().as_ref() {
             if matches!(
-                mp.observe_epoch(node, epoch),
+                mp.selector().observe_epoch(node, epoch),
                 mad_route::EpochObservation::Readmitted
             ) {
                 self.trace(READMIT, &[("node", node as u64), ("epoch", epoch)]);

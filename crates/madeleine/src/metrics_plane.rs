@@ -485,7 +485,7 @@ impl Watchdog {
         // Dead-path flap: the multi-path selector failed streams over or
         // declared gateways dead since the previous tick.
         if let Some(mp) = &self.mp {
-            let c = mp.counters();
+            let c = mp.selector().counters();
             let flap = c.failovers + c.deaths;
             let delta = flap.saturating_sub(self.prev_flap);
             if delta > 0 {

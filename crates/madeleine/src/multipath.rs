@@ -7,7 +7,9 @@
 //! [`mad_route::Selector`] with live gateway load (one [`GatewayWindow`]
 //! of its own per engine), and keeps the per-path byte accounting that
 //! ends up on the `route:` trace track. Session build creates the plane
-//! only when some plan of the table has two or more paths.
+//! only when some plan of the table has two or more paths. Path choice,
+//! completion, death and readmission go straight to the
+//! [`MultiPath::selector`].
 //!
 //! One [`MultiPath`] instance is shared by every node of a virtual
 //! channel, which is what makes the cost model *global*: a sender on
@@ -20,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mad_route::{GatewayLoad, PathHop, RoutePlan, RoutingTable, Selector, SelectorCounters};
+use mad_route::{GatewayLoad, RoutePlan, RoutingTable, Selector};
 use mad_trace::schema::PATH_BYTES;
 use mad_trace::Tracer;
 use mad_util::sync::Mutex;
@@ -29,13 +31,8 @@ use crate::gateway::{GatewayStats, GatewayWindow};
 use crate::types::NodeId;
 
 /// Minimum interval between cost-model refreshes: a send-path call to
-/// [`MultiPath::refresh`] inside the window is free. Windows also pace
-/// the `gw:` delta trace events.
+/// [`MultiPath::refresh`] inside the window is free.
 const REFRESH_INTERVAL_NS: u64 = 2_000_000;
-
-/// The windowed cost-model events a refresh puts on each gateway's `gw:`
-/// track: bytes, stalls and occupancy of the window.
-pub(crate) const DELTA_NAMES: [&str; 3] = ["delta_bytes", "delta_stalls", "delta_occupancy"];
 
 /// The shared routing plane of one virtual channel: multi-path plans,
 /// the adaptive selector, registered gateway feeds, and per-path byte
@@ -49,7 +46,6 @@ pub struct MultiPath {
     feeds: Mutex<Vec<(u32, GatewayWindow)>>,
     /// Payload bytes the session's senders bound to each gateway path.
     path_bytes: Mutex<BTreeMap<u32, u64>>,
-    tracer: Mutex<Option<(Tracer, String)>>,
 }
 
 impl std::fmt::Debug for MultiPath {
@@ -69,7 +65,6 @@ impl MultiPath {
             last_refresh: AtomicU64::new(0),
             feeds: Mutex::new(Vec::new()),
             path_bytes: Mutex::new(BTreeMap::new()),
-            tracer: Mutex::new(None),
         }
     }
 
@@ -78,10 +73,11 @@ impl MultiPath {
         self.table.plan(src.0)
     }
 
-    /// Attach a trace sink: refresh windows emit `gw:` delta counters and
-    /// [`MultiPath::flush_trace`] emits the final `route:` track.
-    pub fn set_trace(&self, tracer: Tracer, vc_name: &str) {
-        *self.tracer.lock() = Some((tracer, vc_name.to_string()));
+    /// The adaptive path selector every node of the virtual channel
+    /// shares: path choice and completion, dead and readmitted gateways,
+    /// and its routing-decision counters.
+    pub fn selector(&self) -> &Selector {
+        &self.selector
     }
 
     /// Register one gateway engine's live counters as a cost-model feed;
@@ -106,7 +102,6 @@ impl MultiPath {
         {
             return; // another sender refreshed this window
         }
-        let trace = self.tracer.lock().clone();
         for (gw, window) in self.feeds.lock().iter_mut() {
             let d = window.advance(now_ns);
             let secs = d.interval_ns as f64 / 1e9;
@@ -120,52 +115,7 @@ impl MultiPath {
                 bytes_per_sec: d.bytes_per_sec,
             };
             self.selector.feed(*gw, load);
-            if let Some((tracer, vc)) = &trace {
-                if tracer.enabled() && d.interval_ns > 0 {
-                    let track = format!("gw:{vc}@{gw}");
-                    let values = [d.bytes as i64, d.stalls as i64, d.occupancy_bytes];
-                    for (name, v) in DELTA_NAMES.into_iter().zip(values) {
-                        tracer.count_on(&track, "gateway", name, v, &[]);
-                    }
-                }
-            }
         }
-    }
-
-    /// Pick a path for a new stream toward `dest`, skipping gateways in
-    /// `exclude` (failed attempts of this stream). Bumps the pick's
-    /// in-flight count — pair with [`MultiPath::complete`].
-    pub fn choose(&self, dest: NodeId, paths: &[PathHop], exclude: &[u32]) -> Option<PathHop> {
-        self.selector.choose(dest.0, paths, exclude)
-    }
-
-    /// A stream bound to gateway `gw` finished or failed.
-    pub fn complete(&self, gw: u32) {
-        self.selector.complete(gw);
-    }
-
-    /// A send through gateway `gw` hit a dead host: exclude it from every
-    /// future choice. Returns true the first time (worth tracing).
-    pub fn mark_dead(&self, gw: u32) -> bool {
-        self.selector.mark_dead(gw)
-    }
-
-    /// Count one stream successfully re-issued on a surviving path.
-    pub fn note_failover(&self) {
-        self.selector.note_failover();
-    }
-
-    /// Feed a membership (gateway, incarnation epoch) observation to the
-    /// selector: a higher epoch than previously recorded readmits a path
-    /// declared dead (the old incarnation died; the new one is alive).
-    pub fn observe_epoch(&self, gw: u32, epoch: u64) -> mad_route::EpochObservation {
-        self.selector.observe_epoch(gw, epoch)
-    }
-
-    /// Unconditionally readmit gateway `gw` if it was dead. Returns true
-    /// when a path actually came back.
-    pub fn readmit(&self, gw: u32) -> bool {
-        self.selector.readmit(gw)
     }
 
     /// Account payload bytes bound to gateway path `gw`.
@@ -182,20 +132,10 @@ impl MultiPath {
             .collect()
     }
 
-    /// The selector's routing-decision counters.
-    pub fn counters(&self) -> SelectorCounters {
-        self.selector.counters()
-    }
-
-    /// Emit the final `route:` track: per-path byte splits plus the
-    /// switch/failover counters (session teardown calls this once).
-    pub fn flush_trace(&self) {
-        let Some((tracer, vc)) = self.tracer.lock().clone() else {
-            return;
-        };
-        if !tracer.enabled() {
-            return;
-        }
+    /// Emit the final `route:` track of virtual channel `vc`: per-path
+    /// byte splits plus the switch/failover counters (session teardown
+    /// calls this once, with its tracer on).
+    pub fn flush_trace(&self, tracer: &Tracer, vc: &str) {
         let track = format!("route:{vc}");
         for (gw, bytes) in self.path_bytes() {
             tracer.count_on(
@@ -206,6 +146,6 @@ impl MultiPath {
                 &[("gateway", gw as u64)],
             );
         }
-        tracer.count_all_on(&track, "route", &self.counters().named());
+        tracer.count_all_on(&track, "route", &self.selector.counters().named());
     }
 }

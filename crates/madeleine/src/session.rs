@@ -29,7 +29,7 @@ use crate::membership::{MemberTotals, MembershipPlane, TRANSITION_NAMES};
 use crate::metrics_plane::{
     self, metrics_event_names, MetricsOptions, MetricsPlane, Watchdog, HEALTH_EVENT_NAMES,
 };
-use crate::multipath::{MultiPath, DELTA_NAMES};
+use crate::multipath::MultiPath;
 use crate::runtime::{RtEvent, Runtime, StdRuntime, THREADS_SPAWNED};
 use crate::ticker;
 use crate::types::{ChannelId, NetworkId, NodeId};
@@ -101,7 +101,7 @@ pub fn trace_tables() -> Vec<TrackTable<'static>> {
             .chain(live.iter().copied())
             .collect()
     };
-    let gw = names(&GatewayTotals::default().named(), &DELTA_NAMES);
+    let gw = names(&GatewayTotals::default().named(), &[]);
     let rt = names(&PoolStats::default().named(), &[THREADS_SPAWNED]);
     let route = names(&SelectorCounters::default().named(), &[PATH_BYTES]);
     let member = names(&MemberTotals::default().named(), &TRANSITION_NAMES);
@@ -356,7 +356,7 @@ impl SessionBuilder {
         let mut vcs: Vec<(String, HashMap<NodeId, Arc<VirtualChannel>>)> = Vec::new();
         let mut gateway_handles: Vec<GatewayHandles> = Vec::new();
         let mut gateway_stats: GatewayStatsReport = Vec::new();
-        let mut route_planes: Vec<Arc<MultiPath>> = Vec::new();
+        let mut route_planes: Vec<(String, Arc<MultiPath>)> = Vec::new();
         let gateway_stop = Arc::new(GatewayStop::new());
         // Live telemetry: one registry per *node* (shared by all its
         // telemetry-enabled virtual channels), one plane per (virtual
@@ -462,11 +462,7 @@ impl SessionBuilder {
             // exists when the topology has parallel gateways, i.e. some
             // plan has two or more paths to a destination.
             let parallel = table.nodes().any(|n| table.plan(n).max_width() >= 2);
-            let mp = parallel.then(|| {
-                let mp = Arc::new(MultiPath::new(table));
-                mp.set_trace(runtime.tracer(), &vdef.name);
-                mp
-            });
+            let mp = parallel.then(|| Arc::new(MultiPath::new(table)));
 
             // Telemetry planes: one per member node, answering in-band
             // kind-10 pulls on the channel's special conduits and feeding
@@ -534,7 +530,7 @@ impl SessionBuilder {
                 gateway_handles.push(handles);
             }
             if let Some(mp) = &mp {
-                route_planes.push(mp.clone());
+                route_planes.push((vdef.name.clone(), mp.clone()));
             }
 
             // Endpoint responders: on non-gateway members nothing else
@@ -689,8 +685,8 @@ impl SessionBuilder {
             let mut rt = vec![(THREADS_SPAWNED, runtime.threads_spawned())];
             rt.extend(runtime.pool().stats().named());
             tracer.count_all_on("rt:session", "runtime", &rt);
-            for mp in &route_planes {
-                mp.flush_trace();
+            for (vc, mp) in &route_planes {
+                mp.flush_trace(&tracer, vc);
             }
             for plane in &member_planes {
                 plane.flush_trace();

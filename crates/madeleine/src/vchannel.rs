@@ -501,7 +501,8 @@ impl<'d> MultipathWriter<'_, 'd> {
     /// writer's first flush, inside `pack` or `end_packing`, whose path
     /// faults drive [`Self::failover`]. Only running out of paths fails.
     fn start(&mut self, retry: bool) -> Result<()> {
-        let Some(hop) = self.mp.choose(self.dest, &self.paths, &self.tried) else {
+        let selector = self.mp.selector();
+        let Some(hop) = selector.choose(self.dest.0, &self.paths, &self.tried) else {
             return Err(MadError::PeerUnreachable(self.dest));
         };
         let channel = &self.vc.ctl.special()[&NetworkId(hop.net)];
@@ -524,7 +525,7 @@ impl<'d> MultipathWriter<'_, 'd> {
                 self.inner = Some(w);
                 self.hop = hop;
                 if retry {
-                    self.mp.note_failover();
+                    self.mp.selector().note_failover();
                     trace_instant!(
                         self.vc.tracer,
                         "route",
@@ -535,7 +536,7 @@ impl<'d> MultipathWriter<'_, 'd> {
                 Ok(())
             }
             Err(e) => {
-                self.mp.complete(hop.node);
+                self.mp.selector().complete(hop.node);
                 Err(e)
             }
         }
@@ -544,22 +545,16 @@ impl<'d> MultipathWriter<'_, 'd> {
     /// The bound gateway died: retire it, re-issue the stream (retry
     /// header + replay of every packed block) on a surviving path.
     fn failover(&mut self) -> Result<()> {
-        // The failed inner writer sealed itself on its error path.
-        self.inner = None;
-        self.mp.mark_dead(self.hop.node);
-        self.mp.complete(self.hop.node);
-        self.tried.push(self.hop.node);
         loop {
+            // The failed inner writer sealed itself on its error path.
+            self.inner = None;
+            self.mp.selector().mark_dead(self.hop.node);
+            self.mp.selector().complete(self.hop.node);
+            self.tried.push(self.hop.node);
             self.start(true)?;
             match self.replay() {
-                Ok(()) => return Ok(()),
-                Err(e) if is_path_fault(&e) => {
-                    self.inner = None;
-                    self.mp.mark_dead(self.hop.node);
-                    self.mp.complete(self.hop.node);
-                    self.tried.push(self.hop.node);
-                }
-                Err(e) => return Err(e),
+                Err(e) if is_path_fault(&e) => continue,
+                done => return done,
             }
         }
     }
@@ -585,7 +580,7 @@ impl<'d> MultipathWriter<'_, 'd> {
                 // but not this block: loop to retry it on the new path.
                 Err(e) if is_path_fault(&e) => self.failover()?,
                 Err(e) => {
-                    self.mp.complete(self.hop.node);
+                    self.mp.selector().complete(self.hop.node);
                     return Err(e);
                 }
             }
@@ -605,14 +600,14 @@ impl<'d> MultipathWriter<'_, 'd> {
             let w = self.inner.take().expect("stream already finished");
             match w.end_packing().and_then(|()| self.wait_ack()) {
                 Ok(()) => {
-                    self.mp.complete(self.hop.node);
+                    self.mp.selector().complete(self.hop.node);
                     let bytes: u64 = self.packed.iter().map(|(d, _, _)| d.len() as u64).sum();
                     self.mp.note_bytes(self.hop.node, bytes);
                     return Ok(());
                 }
                 Err(e) if is_path_fault(&e) => self.failover()?,
                 Err(e) => {
-                    self.mp.complete(self.hop.node);
+                    self.mp.selector().complete(self.hop.node);
                     return Err(e);
                 }
             }

@@ -144,14 +144,6 @@ echo "== multipath_scaling --smoke (multi-path gateway fabrics)"
 cargo run -q --release --offline -p mad-bench --bin multipath_scaling -- \
   --smoke --trace "$trace_dir/a8.jsonl"
 
-# A10 smoke: the telemetry plane's price — registry primitive costs plus
-# the forwarded bulk/short-message runs with metrics off vs on, asserting
-# the modeled throughput moves < 2% and the per-fragment registry cost
-# stays < 2% of the forwarding time. Smoke mode skips the CSVs.
-echo
-echo "== metrics_overhead --smoke (A10 telemetry-plane overhead)"
-cargo run -q --release --offline -p mad-bench --bin metrics_overhead -- --smoke
-
 # mad_top: a metrics-enabled run whose mid-run in-band kind-10 pull must
 # reach all 5 nodes (asserted by the binary) and whose exported trace
 # must carry the metrics: track — enforced via trace_check

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # The option count: `pub` fields of the config structs, `--flag`s of
-# mad_bench::cli, GTM packet kinds and trace_check's `--require` flags,
-# against the numbers committed below. Fails when a count differs from its
-# number either way, so the next option arrives with a line in this diff
-# and a deletion that forgets to lower its number is caught.
+# mad_bench::cli, GTM packet kinds, trace_check's `--require` flags and
+# the cargo features of every manifest, against the numbers committed
+# below. Fails when a count differs from its number either way, so the
+# next option arrives with a line in this diff and a deletion that
+# forgets to lower its number is caught.
 #
 # Then the audit: an option is a value somebody sets. Each counted field
 # must be set (`field: …`) in at least one .rs file outside the crate that
 # defines it — tests, benches, examples, the frozen benchmark/ — or the
-# diff that added it is the one that fails.
+# diff that added it is the one that fails. A cargo feature is a
+# compile-time option: its name must follow `--features` in some script
+# under scripts/, or nothing builds the code it gates.
 #
 # Last, the public surface is what somebody calls: each `pub fn`,
 # `pub const` and `pub static` in crates/*/src must be named, as a word,
@@ -31,6 +34,10 @@ requires=$(grep -o '"--require[a-z-]*"' crates/bench/src/bin/trace_check.rs | so
 gateway=$(fields $m/gateway.rs GatewayConfig)
 metrics=$(fields $m/metrics_plane.rs MetricsOptions)
 vc=$(fields $m/session.rs VcOptions)
+# The entry names of every `[features]` table.
+features=$(awk 'FNR == 1 { on = 0 } /^\[/ { on = ($0 == "[features]"); next }
+  on && /^[A-Za-z0-9_-]+[[:space:]]*=/ { sub(/[[:space:]]*=.*/, ""); print }' \
+  Cargo.toml crates/*/Cargo.toml)
 status=0
 while read -r name count committed; do
   printf '%-17s %2s (committed: %s)\n' "$name" "$count" "$committed"
@@ -45,6 +52,7 @@ VcOptions $(echo $vc | wc -w) 4
 cli-flags $flags 1
 gtm-kinds $kinds 10
 require-flags $requires 1
+cargo-features $(echo $features | wc -w) 1
 EOF2
 for field in $gateway $metrics $vc; do
   setters=$(grep -rlE --include='*.rs' "(^|[^A-Za-z0-9_])$field:([^:]|\$)" \
@@ -52,6 +60,15 @@ for field in $gateway $metrics $vc; do
   printf '%-17s set in %2s files outside %s\n' "$field" "$setters" "$m"
   if [ "$setters" -eq 0 ]; then
     echo "options.sh: nobody sets \`$field\`; make it a const beside its reader" >&2
+    status=1
+  fi
+done
+for feature in $features; do
+  users=$(grep -rlE -- "--features[ =]([A-Za-z0-9_-]+/)?$feature([^A-Za-z0-9_-]|\$)" scripts |
+    wc -l || true)
+  printf '%-17s on in %2s scripts\n' "$feature" "$users"
+  if [ "$users" -eq 0 ]; then
+    echo "options.sh: no script builds with feature \`$feature\`; delete it" >&2
     status=1
   fi
 done

@@ -17,8 +17,7 @@
 # same-instant tie-break DESIGN §2 admits) until the seeded vtime
 # tie-break lands: fig7_myri_to_sci, fig8_conflict_trace, a8_multipath_scaling,
 # ablation_zero_copy, ext_copy_matrix, a11_membership_churn (its
-# 8-episode row, by 0.1 virtual ms). Wall-clock CSVs (a10_*) are never
-# regenerated.
+# 8-episode row, by 0.1 virtual ms).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,6 +83,8 @@ cp results/*.csv "$before"/
 # modeled behaviour differs always, while ext_gateway_chain's last row
 # (which ends in Fig. 7's load-sensitive direction) occasionally flips a
 # final digit on a loaded machine, at the parent of this script as well.
+# Every attempt prints the diff of each CSV that differs on it, so a
+# one-off drift leaves the cell that moved in the log.
 ATTEMPTS=3
 pending=("${STABLE_CSVS[@]}")
 for attempt in $(seq 1 "$ATTEMPTS"); do
@@ -102,11 +103,13 @@ for attempt in $(seq 1 "$ATTEMPTS"); do
   [[ ${#pending[@]} -eq 0 ]] && break
   bins=("${STABLE_BINS[@]}")
   echo "results_drift: attempt $attempt: ${pending[*]} differ" >&2
+  for name in "${pending[@]}"; do
+    diff -u "$before/$name.csv" "results/$name.csv" >&2 || true
+  done
 done
 
 for name in "${pending[@]}"; do
   echo "results drift: $name.csv no longer matches the tree" >&2
-  diff -u "$before/$name.csv" "results/$name.csv" >&2 || true
 done
 if [[ ${#pending[@]} -eq 0 ]]; then
   echo "results_drift: stable set matches (${#STABLE_CSVS[@]} CSVs)"

@@ -135,7 +135,8 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
                 plane.wait_member_state(NodeId(1), MemberState::Left, WAIT_TIMEOUT),
                 "rank 0 never observed gateway 1's departure"
             );
-            let c = vc.multipath().expect("parallel gateways").counters();
+            let mp = vc.multipath().expect("parallel gateways");
+            let c = mp.selector().counters();
             assert!(c.deaths >= 1, "leave did not retire the path: {c:?}");
         }
         node.barrier().wait();
@@ -155,7 +156,8 @@ fn leave_rejoin_retires_then_readmits_path_threaded() {
         if me == 1 {
             let epoch = plane.rejoin(&peers, JOIN_TIMEOUT).expect("rejoin failed");
             assert_eq!(epoch, 2);
-            let c = vc.multipath().expect("parallel gateways").counters();
+            let mp = vc.multipath().expect("parallel gateways");
+            let c = mp.selector().counters();
             assert_eq!(
                 c.readmissions, 1,
                 "rejoin must readmit the retired path exactly once: {c:?}"
@@ -321,7 +323,8 @@ fn churn_soak_under_bulk_traffic() {
                     let epoch = plane.rejoin(&peers, JOIN_TIMEOUT).expect("rejoin failed");
                     assert_eq!(epoch as u32, round + 2);
                 }
-                let c = vc.multipath().expect("parallel gateways").counters();
+                let mp = vc.multipath().expect("parallel gateways");
+                let c = mp.selector().counters();
                 assert!(
                     c.readmissions >= ROUNDS as u64,
                     "every churn episode must readmit the path: {c:?}"

@@ -335,3 +335,57 @@ fn histogram_properties_hold_for_random_samples() {
         assert_eq!(merged, snap, "round {round}: merge mismatch");
     }
 }
+
+/// The telemetry plane records on the host and charges no virtual time,
+/// so turning it on must not move the modeled schedule: one 8 MB message
+/// forwarded SCI → gateway → Myrinet (MTU 8 KiB) keeps its modeled MB/s
+/// within 2 % of the metrics-off run.
+#[test]
+fn telemetry_plane_leaves_modeled_bulk_throughput_alone() {
+    const LEN: usize = 8 << 20;
+    let modeled_mbps = |metrics: Option<MetricsOptions>| {
+        let tb = Testbed::new(3);
+        let mut sb = SessionBuilder::new(3).with_runtime(tb.runtime());
+        let n_in = sb.network("sci", tb.driver(SimTech::Sci), &[0, 1]);
+        let n_out = sb.network("myri", tb.driver(SimTech::Myrinet), &[1, 2]);
+        sb.vchannel(
+            "vc",
+            &[n_in, n_out],
+            VcOptions {
+                mtu: Some(8 * 1024),
+                metrics,
+                ..Default::default()
+            },
+        );
+        let stamps = sb.run(move |node| {
+            let vc = node.vchannel("vc");
+            let now = || node.runtime().now_nanos();
+            node.barrier().wait();
+            match node.rank().0 {
+                0 => {
+                    let (data, t0) = (payload(LEN, 5), now());
+                    let mut w = vc.begin_packing(NodeId(2)).unwrap();
+                    w.pack(&data, SendMode::Later, RecvMode::Cheaper).unwrap();
+                    w.end_packing().unwrap();
+                    t0
+                }
+                2 => {
+                    let mut buf = vec![0u8; LEN];
+                    let mut r = vc.begin_unpacking().unwrap();
+                    r.unpack(&mut buf, SendMode::Later, RecvMode::Cheaper)
+                        .unwrap();
+                    r.end_unpacking().unwrap();
+                    assert!(buf == payload(LEN, 5), "payload corrupted");
+                    now()
+                }
+                _ => 0,
+            }
+        });
+        LEN as f64 / ((stamps[2] - stamps[0]) as f64 / 1e9) / 1e6
+    };
+    let (off, on) = (modeled_mbps(None), modeled_mbps(Some(MetricsOptions)));
+    assert!(
+        (on / off - 1.0).abs() < 0.02,
+        "metrics moved the modeled throughput: {off:.1} -> {on:.1} MB/s"
+    );
+}

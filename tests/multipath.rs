@@ -139,7 +139,7 @@ fn gateway_death_fails_over_to_surviving_path() {
                     w.end_packing().unwrap();
                 }
                 let mp = vc.multipath().expect("parallel gateways");
-                let c = mp.counters();
+                let c = mp.selector().counters();
                 let total: u64 = mp.path_bytes().iter().map(|&(_, b)| b).sum();
                 assert_eq!(
                     total,

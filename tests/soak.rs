@@ -676,7 +676,7 @@ fn multipath_death_soak_delivers_every_stream() {
                 let total: u64 = mp.path_bytes().iter().map(|&(_, b)| b).sum();
                 let expect: u64 = sizes2.iter().map(|&l| l as u64 + 1).sum();
                 assert_eq!(total, expect, "path accounting out of balance");
-                mp.counters().deaths
+                mp.selector().counters().deaths
             }
             4 => {
                 let mut seen = vec![false; MSGS as usize];

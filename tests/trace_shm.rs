@@ -129,13 +129,7 @@ fn shm_gateway_session_emits_valid_jsonl() {
     assert_eq!(on("gw:vc@1", "gateway", "messages"), Some(&1));
     // The copy-placement accounting sits on the engine's own track, and
     // the buffer pool's counters beside the session's thread budget.
-    for name in [
-        "copies_recv",
-        "copies_flush",
-        "copy_idle_hits",
-        "recv_busy_ns",
-        "flush_busy_ns",
-    ] {
+    for name in ["copies_recv", "copies_flush", "copy_idle_hits"] {
         assert!(
             on("gw:vc@1", "gateway", name).is_some(),
             "gw:vc@1 lacks {name}"
