@@ -27,6 +27,7 @@
 use std::sync::Arc;
 
 use mad_util::pool::PooledBuf;
+use mad_util::sync::Readiness;
 use madeleine::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::error::{MadError, Result};
 use madeleine::runtime::{RtEvent, RtQueue, RtReceiver, RtSender, Runtime};
@@ -166,6 +167,10 @@ impl Conduit for ShmConduit {
 
     fn closed(&self) -> bool {
         self.rx.is_closed()
+    }
+
+    fn readiness(&self) -> Option<Arc<Readiness>> {
+        Some(self.rx.readiness())
     }
 
     fn recv_event(&self) -> Arc<dyn RtEvent> {

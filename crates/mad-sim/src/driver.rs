@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use mad_util::sync::Readiness;
 use madeleine::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::error::{MadError, Result};
 use madeleine::runtime::{RtEvent, Runtime};
@@ -310,6 +311,10 @@ impl Conduit for SimConduit {
 
     fn closed(&self) -> bool {
         self.ep.closed()
+    }
+
+    fn readiness(&self) -> Option<Arc<Readiness>> {
+        Some(self.ep.readiness())
     }
 
     fn recv_event(&self) -> Arc<dyn RtEvent> {

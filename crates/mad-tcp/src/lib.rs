@@ -25,8 +25,10 @@
 //! off the adapter itself. The inbox reads into a small stash (8 KiB) and
 //! cuts frames out of it, so frames that arrived together cost one
 //! `read`; a frame longer than the stash gets the stashed prefix copied
-//! into its pool buffer and the rest read straight into it. A frame cut
-//! short by a read that would block is kept and resumed.
+//! into its pool buffer and the rest read straight into it, all the
+//! socket holds in one `read(2)` into the buffer's spare capacity, with
+//! no zero-fill for it to overwrite. A frame cut short by a read that
+//! would block is kept and resumed.
 //!
 //! Who drains a socket, then: whoever sleeps on its conduit's event (an
 //! endpoint's reader, a gateway's polling thread); a gateway's polling
@@ -49,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+use std::ffi::{c_int, c_void};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -59,7 +62,7 @@ use std::time::Duration;
 use mad_util::poll::Source;
 use mad_util::pool::BufferPool;
 use mad_util::rng::Rng;
-use mad_util::sync::Mutex;
+use mad_util::sync::{Mutex, Readiness};
 
 use madeleine::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::error::{MadError, Result};
@@ -232,6 +235,36 @@ fn write_frame(
     Ok(())
 }
 
+extern "C" {
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+}
+
+/// A byte stream a bulk frame's body is read from straight into the
+/// frame's spare capacity: `Read::read` wants initialised memory, and
+/// `read_to_end` grows its reads 8 → 16 → 32 KiB, so one 64 KiB body that
+/// was all in the socket took four reads.
+trait ReadSpare: Read {
+    /// Read at most `max` bytes onto the end of `frame`, into capacity it
+    /// already has, in one call; 0 at the end of the stream.
+    fn read_spare(&mut self, frame: &mut Vec<u8>, max: usize) -> std::io::Result<usize>;
+}
+
+impl ReadSpare for TcpStream {
+    fn read_spare(&mut self, frame: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+        let spare = frame.spare_capacity_mut();
+        let room = max.min(spare.len());
+        // SAFETY: `read(2)` writes at most `room` bytes into the vector's
+        // own spare capacity and reads none of it.
+        let n = unsafe { read(self.as_raw_fd(), spare.as_mut_ptr().cast(), room) };
+        if n < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: the first `n` (≤ `room`) spare bytes were just written.
+        unsafe { frame.set_len(frame.len() + n as usize) };
+        Ok(n as usize)
+    }
+}
+
 /// Where a [`FrameReader`] stands inside the frame it is cutting.
 enum Partial {
     /// Between frames: the next thing is a length prefix.
@@ -260,7 +293,7 @@ struct FrameReader<R> {
     dry: bool,
 }
 
-impl<R: Read> FrameReader<R> {
+impl<R: ReadSpare> FrameReader<R> {
     fn new(stream: R, pool: Arc<BufferPool>) -> Self {
         FrameReader {
             stream,
@@ -318,13 +351,18 @@ impl<R: Read> FrameReader<R> {
                 }
                 Partial::Bulk(frame, len) => {
                     // The stash is empty: the rest goes straight into the
-                    // frame's spare capacity, with no zero-fill for the
-                    // read to overwrite; what a read that would block got
-                    // stays in the frame. A stream that ends short of it
-                    // is a disconnect.
-                    let rest = (*len - frame.len()) as u64;
-                    if rest > 0 && self.stream.by_ref().take(rest).read_to_end(frame)? == 0 {
-                        return Err(ErrorKind::UnexpectedEof.into());
+                    // frame's spare capacity, as much as the socket has in
+                    // one read; what a read that would block got stays in
+                    // the frame. A stream that ends short of it is a
+                    // disconnect.
+                    let rest = *len - frame.len();
+                    if rest > 0 {
+                        match self.stream.read_spare(frame, rest) {
+                            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                            Ok(_) => {}
+                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                            Err(e) => return Err(e),
+                        }
                     }
                     if frame.len() == *len {
                         let frame = std::mem::take(frame);
@@ -540,6 +578,10 @@ impl Conduit for TcpConduit {
         self.frames.is_closed()
     }
 
+    fn readiness(&self) -> Option<Arc<Readiness>> {
+        Some(self.frames.readiness())
+    }
+
     fn recv_event(&self) -> Arc<dyn RtEvent> {
         self.ev.clone()
     }
@@ -727,9 +769,19 @@ mod tests {
         }
     }
 
+    impl ReadSpare for Trickle<'_> {
+        fn read_spare(&mut self, frame: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+            let start = frame.len();
+            frame.resize(start + max.min(self.cap).min(self.bytes.len()), 0);
+            let got = self.read(&mut frame[start..]);
+            frame.truncate(start + *got.as_ref().unwrap_or(&0));
+            got
+        }
+    }
+
     /// The reader's next frame, taking up again after every `WouldBlock`
     /// the way a pump does when its socket turns readable again.
-    fn next_resumed<R: Read>(reader: &mut FrameReader<R>) -> std::io::Result<Vec<u8>> {
+    fn next_resumed<R: ReadSpare>(reader: &mut FrameReader<R>) -> std::io::Result<Vec<u8>> {
         loop {
             match reader.next_frame() {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => reader.rearm(),
@@ -813,6 +865,20 @@ mod tests {
         for cap in [usize::MAX, 7 * 1024 + 3] {
             read_back(&frames, cap, false);
         }
+    }
+
+    /// A bulk body the socket already holds all of is one read after the
+    /// stash's: `read_to_end` took three more for a 64 KiB body.
+    #[test]
+    fn a_bulk_body_the_socket_holds_is_one_read() {
+        let body = bytes(64 * 1024, 7);
+        let whole = wire(&[&body]);
+        let mut reader = trickle(&whole, usize::MAX, false);
+        assert_eq!(reader.next_frame().unwrap(), body);
+        assert_eq!(
+            reader.stream.calls, 2,
+            "one read for the stash, one for the body"
+        );
     }
 
     /// One byte a read and a `WouldBlock` between every two: each frame

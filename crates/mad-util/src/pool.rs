@@ -46,7 +46,7 @@ const MAX_RETAINED: usize = 256;
 /// Cumulative pool counters, snapshot via [`BufferPool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Total `get`/`take` requests.
+    /// Total `get`/`take` requests: `hits + misses`.
     pub gets: u64,
     /// Requests served from a free list.
     pub hits: u64,
@@ -76,7 +76,6 @@ impl PoolStats {
 #[derive(Debug, Default)]
 pub struct BufferPool {
     classes: [Mutex<Vec<Vec<u8>>>; N_CLASSES],
-    gets: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     recycled: AtomicU64,
@@ -114,7 +113,6 @@ impl BufferPool {
 
     /// An empty buffer with capacity ≥ `min_cap`, recycled if possible.
     pub fn get(self: &Arc<Self>, min_cap: usize) -> PooledBuf {
-        self.gets.fetch_add(1, Ordering::Relaxed);
         if let Some(idx) = class_for_request(min_cap) {
             if let Some(mut v) = self.classes[idx].lock().pop() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -170,12 +168,16 @@ impl BufferPool {
         self.discarded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of the cumulative counters.
+    /// Snapshot of the cumulative counters. Every request is a hit or a
+    /// miss, so `gets` is their sum rather than a third counter the hot
+    /// path would pay for.
     pub fn stats(&self) -> PoolStats {
+        let hits = self.hits.load(Ordering::Relaxed);
+        let misses = self.misses.load(Ordering::Relaxed);
         PoolStats {
-            gets: self.gets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            gets: hits + misses,
+            hits,
+            misses,
             recycled: self.recycled.load(Ordering::Relaxed),
             discarded: self.discarded.load(Ordering::Relaxed),
         }

@@ -14,7 +14,7 @@ use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::os::fd::RawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -466,6 +466,69 @@ impl Epoch {
             self.state.fetch_and(!SLEEPING, Ordering::Relaxed);
         }
         reached
+    }
+}
+
+/// What a queue's consumer may ask without the queue's lock: is anything
+/// queued, and can anything ever be. The queue owns the two counts and
+/// writes them under its lock; a reader loads them and takes nothing, so
+/// a receive scan over many connections costs one atomic load each
+/// (`RtQueue` in `madeleine`, `vtime`'s mailbox).
+///
+/// No wake-up is lost by reading instead of locking, on the epoch
+/// protocol above: the queue stores the new length *before* it bumps the
+/// event that announces it (`Release` store, `Release` bump), and a
+/// waiter loads the epoch *before* the length. A waiter that reads the
+/// bumped epoch sees the length stored before it; one that reads the old
+/// epoch and an empty queue sleeps only past that old epoch, which the
+/// bump has moved or will move.
+///
+/// [`Readiness::closed`] loads the producer count before the length: a
+/// count of zero is final and every push happened before the last
+/// producer left, so a length read after it is the last push's or a pop's
+/// since. The other order could read an empty queue, then a count of zero
+/// that the last producer wrote after one more push.
+#[derive(Debug)]
+pub struct Readiness {
+    queued: AtomicUsize,
+    producers: AtomicUsize,
+}
+
+impl Readiness {
+    /// An empty queue with `producers` live producers.
+    pub fn new(producers: usize) -> Self {
+        Readiness {
+            queued: AtomicUsize::new(0),
+            producers: AtomicUsize::new(producers),
+        }
+    }
+
+    /// The queue now holds `len` items. Under the queue's lock, before
+    /// the bump that announces a push.
+    pub fn set_queued(&self, len: usize) {
+        self.queued.store(len, Ordering::Release);
+    }
+
+    /// One more producer (a clone of a live one).
+    pub fn add_producer(&self) {
+        self.producers.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// A producer left; returns how many are left. At zero the caller
+    /// bumps its event, after this.
+    pub fn drop_producer(&self) -> usize {
+        self.producers.fetch_sub(1, Ordering::AcqRel) - 1
+    }
+
+    /// True if an item is queued right now.
+    pub fn ready(&self) -> bool {
+        self.queued.load(Ordering::Acquire) != 0
+    }
+
+    /// True once every producer is gone and the queue is drained: nothing
+    /// will ever be queued again.
+    pub fn closed(&self) -> bool {
+        self.producers.load(Ordering::Acquire) == 0 && self.queued.load(Ordering::Acquire) == 0
     }
 }
 

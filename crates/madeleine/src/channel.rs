@@ -8,12 +8,17 @@
 //! The channel also provides the *message scrutation* primitive the paper's
 //! gateway needs (§2.2.2): all conduits of one channel share an arrival
 //! event, so a thread can block for "a packet from anyone" and then pick the
-//! ready peer deterministically.
+//! ready peer deterministically. The scan reads each conduit's
+//! [`Readiness`], which its driver hands over once at assembly: it takes
+//! no conduit lock, so a long send holding one conduit delays no scan, and
+//! a scan that finds nothing costs one atomic load a peer.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use mad_trace::{trace_span, ChannelStats, Tracer};
+use mad_util::sync::Readiness;
 
 use crate::conduit::{Conduit, DriverCaps};
 use crate::error::{MadError, Result};
@@ -28,11 +33,46 @@ pub struct Channel {
     network: NetworkId,
     rank: NodeId,
     caps: DriverCaps,
-    conduits: BTreeMap<NodeId, RtLock<Box<dyn Conduit>>>,
+    conduits: BTreeMap<NodeId, Link>,
     recv_event: Arc<dyn RtEvent>,
     runtime: Arc<dyn Runtime>,
     stats: Arc<ChannelStats>,
     tracer: Tracer,
+}
+
+/// One peer's conduit and what a scan asks of it.
+struct Link {
+    conduit: RtLock<Box<dyn Conduit>>,
+    /// The conduit's [`Conduit::readiness`]; `None` for a conduit that
+    /// offers none, which the scan then locks and asks.
+    readiness: Option<Arc<Readiness>>,
+}
+
+impl Link {
+    /// `(ready, closed)` right now, locking nothing when the conduit gave
+    /// a readiness.
+    fn probe(&self) -> (bool, bool) {
+        match &self.readiness {
+            Some(r) => {
+                let ready = r.ready();
+                (ready, !ready && r.closed())
+            }
+            None => {
+                let c = self.conduit.lock();
+                (c.ready(), c.closed())
+            }
+        }
+    }
+}
+
+/// What one pass over a channel's conduits found.
+pub(crate) enum Scan {
+    /// This peer has a packet queued.
+    Ready(NodeId),
+    /// Nothing queued; some conduit may still receive.
+    Idle,
+    /// Every conduit is closed, or there is none.
+    Closed,
 }
 
 impl std::fmt::Debug for Channel {
@@ -72,7 +112,13 @@ impl Channel {
             caps,
             conduits: conduits
                 .into_iter()
-                .map(|(k, v)| (k, RtLock::new(&*runtime, v)))
+                .map(|(peer, conduit)| {
+                    let link = Link {
+                        readiness: conduit.readiness(),
+                        conduit: RtLock::new(&*runtime, conduit),
+                    };
+                    (peer, link)
+                })
                 .collect(),
             recv_event,
             runtime,
@@ -132,10 +178,11 @@ impl Channel {
     /// contention stays visible to a virtual clock. A contended acquire
     /// is recorded as a `conduit/hold-wait` span.
     pub(crate) fn lock_conduit(&self, peer: NodeId) -> Result<RtLockGuard<'_, Box<dyn Conduit>>> {
-        let lock = self
+        let lock = &self
             .conduits
             .get(&peer)
-            .ok_or(MadError::UnknownPeer(peer))?;
+            .ok_or(MadError::UnknownPeer(peer))?
+            .conduit;
         if let Some(guard) = lock.try_lock() {
             return Ok(guard);
         }
@@ -190,7 +237,49 @@ impl Channel {
     /// this across every gateway's inbound channel at teardown: a gateway
     /// may not stop while a peer still has backlog queued for it to relay.
     pub(crate) fn has_pending(&self) -> bool {
-        self.conduits.values().any(|c| c.lock().pending())
+        self.conduits.values().any(|l| l.conduit.lock().pending())
+    }
+
+    /// True if the conduit to `peer` has a packet queued right now. Takes
+    /// no lock: a caller that then locks the conduit to receive asks the
+    /// conduit again under its lock, as another reader may have taken
+    /// the packet in between.
+    pub(crate) fn ready(&self, peer: NodeId) -> Result<bool> {
+        Ok(self
+            .conduits
+            .get(&peer)
+            .ok_or(MadError::UnknownPeer(peer))?
+            .probe()
+            .0)
+    }
+
+    /// One pass over the conduits, waiting for nothing and locking none
+    /// whose driver gave a [`Readiness`]: the first ready peer past
+    /// `after`, wrapping, or the lowest ready one with no `after`.
+    pub(crate) fn scan(&self, after: Option<NodeId>) -> Scan {
+        // With no `after`, all of them from the lowest, then nothing
+        // (no rank is below 0).
+        let (past, upto) = match after {
+            Some(a) => (Bound::Excluded(a), Bound::Included(a)),
+            None => (Bound::Unbounded, Bound::Excluded(NodeId(0))),
+        };
+        let order = self
+            .conduits
+            .range((past, Bound::Unbounded))
+            .chain(self.conduits.range((Bound::Unbounded, upto)));
+        let mut all_closed = true;
+        for (&peer, link) in order {
+            let (ready, closed) = link.probe();
+            if ready {
+                return Scan::Ready(peer);
+            }
+            all_closed &= closed;
+        }
+        if all_closed {
+            Scan::Closed
+        } else {
+            Scan::Idle
+        }
     }
 
     /// Block until some conduit has a pending packet; returns its peer.
@@ -222,26 +311,12 @@ impl Channel {
     ) -> Result<NodeId> {
         loop {
             let seen = self.recv_event.epoch();
-            let mut all_closed = !self.conduits.is_empty();
-            let mut first_ready = None;
-            let mut chosen = None;
-            for (&peer, conduit) in &self.conduits {
-                let c = conduit.lock();
-                if c.ready() {
-                    if first_ready.is_none() {
-                        first_ready = Some(peer);
-                    }
-                    if chosen.is_none() && after.is_none_or(|a| peer > a) {
-                        chosen = Some(peer);
-                    }
-                }
-                if !c.closed() {
-                    all_closed = false;
-                }
-            }
-            if let Some(peer) = chosen.or(first_ready) {
-                return Ok(peer);
-            }
+            let all_closed = match self.scan(after) {
+                Scan::Ready(peer) => return Ok(peer),
+                Scan::Idle => false,
+                // A channel with no peer waits for `stop`.
+                Scan::Closed => !self.conduits.is_empty(),
+            };
             if all_closed || stop() {
                 return Err(MadError::Disconnected);
             }
@@ -262,5 +337,84 @@ impl Channel {
     /// The shared arrival event of this channel's conduits.
     pub fn recv_event(&self) -> &Arc<dyn RtEvent> {
         &self.recv_event
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::conduit::Driver;
+    use crate::testutil::{channel_pair, MockDriver};
+
+    /// A receive scan reads readiness; it does not queue behind a thread
+    /// that holds the conduit, as a long send does. Asking the conduit
+    /// under its lock, the scan waited for the holder to let go.
+    #[test]
+    fn a_scan_does_not_wait_for_a_conduit_holder() {
+        let (a, b) = channel_pair(MockDriver::dynamic());
+        std::thread::scope(|s| {
+            let held = b.lock_conduit(NodeId(0)).unwrap();
+            a.send_packet(NodeId(1), &[b"arrived"]).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let b = &b;
+            s.spawn(move || tx.send(b.select_ready_after(None, || false, || None)));
+            let found = rx.recv_timeout(Duration::from_secs(5));
+            drop(held);
+            assert_eq!(
+                found.ok().map(|r| r.ok()),
+                Some(Some(NodeId(0))),
+                "the scan waited for the conduit's holder"
+            );
+        });
+        assert_eq!(
+            b.lock_conduit(NodeId(0)).unwrap().recv_owned().unwrap(),
+            b"arrived"
+        );
+    }
+
+    /// The fair scan starts past the peer served last and wraps; it
+    /// reports a closed channel only once every conduit is closed.
+    #[test]
+    fn scan_wraps_past_the_last_served_peer() {
+        let driver = MockDriver::dynamic();
+        let rt = crate::runtime::StdRuntime::shared();
+        let ev = rt.event();
+        let mut mine = BTreeMap::new();
+        let mut theirs = Vec::new();
+        for peer in 1..=3 {
+            let (here, there) = driver.connect(NodeId(0), NodeId(peer), ev.clone(), rt.event());
+            mine.insert(NodeId(peer), here);
+            theirs.push(there);
+        }
+        let ch = Channel::assemble(
+            ChannelId(0),
+            "scan",
+            NetworkId(0),
+            NodeId(0),
+            driver.caps,
+            mine,
+            ev,
+            rt,
+        );
+        let ready = |after| match ch.scan(after) {
+            Scan::Ready(peer) => Some(peer.0),
+            _ => None,
+        };
+        assert!(matches!(ch.scan(None), Scan::Idle));
+        theirs[0].send(&[b"1"]).unwrap();
+        theirs[2].send(&[b"3"]).unwrap();
+        assert_eq!(ready(None), Some(1));
+        assert_eq!(ready(Some(NodeId(1))), Some(3));
+        assert_eq!(ready(Some(NodeId(3))), Some(1), "wraps");
+        assert_eq!(ready(Some(NodeId(2))), Some(3));
+        drop(theirs);
+        assert!(matches!(ch.scan(None), Scan::Ready(NodeId(1))));
+        for peer in [1, 3] {
+            ch.lock_conduit(NodeId(peer)).unwrap().recv_owned().unwrap();
+        }
+        assert!(matches!(ch.scan(Some(NodeId(2))), Scan::Closed));
     }
 }

@@ -25,6 +25,8 @@
 
 use std::sync::Arc;
 
+use mad_util::sync::Readiness;
+
 use crate::error::{MadError, Result};
 use crate::runtime::RtEvent;
 use crate::types::NodeId;
@@ -245,6 +247,17 @@ pub trait Conduit: Send {
     /// will ever arrive again. Lets multiplexed receivers terminate cleanly
     /// at session teardown.
     fn closed(&self) -> bool;
+
+    /// The counts behind [`Conduit::ready`] and [`Conduit::closed`],
+    /// readable without this conduit: its channel takes the handle once,
+    /// at assembly, and a receive scan then asks every peer with one
+    /// atomic load instead of locking its conduit. Every driver of the
+    /// workspace returns its receive queue's. `None`, the default, leaves
+    /// the channel to lock the conduit and ask it, as a conduit whose
+    /// readiness is not a queue's count must.
+    fn readiness(&self) -> Option<Arc<Readiness>> {
+        None
+    }
 
     /// Event bumped whenever a packet arrives for this conduit. Several
     /// conduits of one channel may share an event (multiplexed receive).

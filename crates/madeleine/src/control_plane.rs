@@ -270,12 +270,18 @@ pub(crate) fn recv_ready(
     recv_if(channel, peer, |conduit| conduit.ready())
 }
 
-/// [`recv_ready`] with the caller's notion of "ready".
+/// [`recv_ready`] with the caller's notion of "ready", which implies
+/// [`Conduit::ready`]: a conduit with nothing queued is passed over on
+/// its readiness, without its lock, and only one that has a packet is
+/// locked and asked again.
 fn recv_if(
     channel: &Channel,
     peer: NodeId,
     pending: impl Fn(&dyn Conduit) -> bool,
 ) -> Result<Option<(StreamTag, PacketBody, PooledBuf)>> {
+    if !channel.ready(peer)? {
+        return Ok(None);
+    }
     let mut conduit = channel.lock_conduit(peer)?;
     if !pending(&**conduit) {
         return Ok(None);

@@ -36,7 +36,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mad_util::sync::Mutex;
@@ -77,7 +77,9 @@ pub enum TakeFailure {
 
 /// Per-node credit accounts, keyed by stream. See the module docs.
 pub struct CreditLedger {
-    state: Mutex<HashMap<StreamKey, Entry>>,
+    /// Ordered, like every stream table of the library: a few open
+    /// streams, and no hash to compute on every take and deposit.
+    state: Mutex<BTreeMap<StreamKey, Entry>>,
     event: Arc<dyn RtEvent>,
 }
 
@@ -100,7 +102,7 @@ impl CreditLedger {
     /// every waiter of the node.
     pub fn new(event: Arc<dyn RtEvent>) -> Arc<Self> {
         Arc::new(CreditLedger {
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(BTreeMap::new()),
             event,
         })
     }

@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mad_util::poll::{PollFd, Source, POLLOUT};
-use mad_util::sync::{Epoch, Mutex};
+use mad_util::sync::{Epoch, Mutex, Readiness};
 
 /// An epoch counter that threads can block on — the one blocking primitive
 /// the library needs. Semantically identical to `vtime::Signal` so the
@@ -376,20 +376,29 @@ impl<T> Drop for RtLockGuard<'_, T> {
 /// through an [`RtEvent`], so it works under both runtimes. Used for driver
 /// receive queues and the gateway pipeline slots. This type is only a
 /// constructor namespace; the live halves are [`RtSender`]/[`RtReceiver`].
+///
+/// Pushes, pops and the handles' counts change under the queue's lock;
+/// the length and the producer count are also kept in a [`Readiness`]
+/// written under it, so [`RtReceiver::has_pending`],
+/// [`RtReceiver::is_closed`] and [`RtSender::is_empty`] read without it,
+/// and a channel's receive scan reads the same counts through
+/// [`RtReceiver::readiness`].
 pub struct RtQueue<T>(std::marker::PhantomData<T>);
 
 struct RtQueueInner<T> {
     q: Mutex<QueueState<T>>,
+    /// The length and the live producers, readable without `q`.
+    readiness: Arc<Readiness>,
     /// Bumped on push and on producer disconnect.
     nonempty: Arc<dyn RtEvent>,
-    /// Bumped on pop (for bounded-push waiters).
+    /// Bumped on pop (for bounded-push waiters): never for an unbounded
+    /// queue, where no push waits.
     nonfull: Arc<dyn RtEvent>,
     capacity: usize,
 }
 
 struct QueueState<T> {
     items: std::collections::VecDeque<T>,
-    producers: usize,
     consumers: usize,
 }
 
@@ -408,22 +417,7 @@ impl<T> RtQueue<T> {
     /// Create a queue with the given capacity bound (`usize::MAX` for
     /// unbounded), allocating its events from `rt`.
     pub fn with_capacity(rt: &dyn Runtime, capacity: usize) -> (RtSender<T>, RtReceiver<T>) {
-        let inner = Arc::new(RtQueueInner {
-            q: Mutex::new(QueueState {
-                items: std::collections::VecDeque::new(),
-                producers: 1,
-                consumers: 1,
-            }),
-            nonempty: rt.event(),
-            nonfull: rt.event(),
-            capacity,
-        });
-        (
-            RtSender {
-                inner: inner.clone(),
-            },
-            RtReceiver { inner },
-        )
+        Self::with_event(rt, capacity, rt.event())
     }
 
     /// Create a queue whose `nonempty` notifications go to a caller-provided
@@ -436,9 +430,9 @@ impl<T> RtQueue<T> {
         let inner = Arc::new(RtQueueInner {
             q: Mutex::new(QueueState {
                 items: std::collections::VecDeque::new(),
-                producers: 1,
                 consumers: 1,
             }),
+            readiness: Arc::new(Readiness::new(1)),
             nonempty,
             nonfull: rt.event(),
             capacity,
@@ -454,7 +448,8 @@ impl<T> RtQueue<T> {
 
 impl<T> Clone for RtSender<T> {
     fn clone(&self) -> Self {
-        self.inner.q.lock().producers += 1;
+        let _st = self.inner.q.lock();
+        self.inner.readiness.add_producer();
         RtSender {
             inner: self.inner.clone(),
         }
@@ -464,9 +459,8 @@ impl<T> Clone for RtSender<T> {
 impl<T> Drop for RtSender<T> {
     fn drop(&mut self) {
         let remaining = {
-            let mut st = self.inner.q.lock();
-            st.producers -= 1;
-            st.producers
+            let _st = self.inner.q.lock();
+            self.inner.readiness.drop_producer()
         };
         if remaining == 0 {
             self.inner.nonempty.bump();
@@ -487,6 +481,8 @@ impl<T> RtSender<T> {
                 }
                 if st.items.len() < self.inner.capacity {
                     st.items.push_back(item);
+                    // Stored before the bump that announces it.
+                    self.inner.readiness.set_queued(st.items.len());
                     drop(st);
                     self.inner.nonempty.bump();
                     return Ok(());
@@ -496,9 +492,9 @@ impl<T> RtSender<T> {
         }
     }
 
-    /// True if nothing is queued right now.
+    /// True if nothing is queued right now. Takes no lock.
     pub fn is_empty(&self) -> bool {
-        self.inner.q.lock().items.is_empty()
+        !self.inner.readiness.ready()
     }
 
     /// Non-blocking push: `Err(item)` when the queue is at capacity or every
@@ -511,6 +507,7 @@ impl<T> RtSender<T> {
             return Err(item);
         }
         st.items.push_back(item);
+        self.inner.readiness.set_queued(st.items.len());
         drop(st);
         self.inner.nonempty.bump();
         Ok(())
@@ -559,14 +556,11 @@ impl<T> RtReceiver<T> {
     pub fn wait_pending(&self) -> bool {
         loop {
             let seen = self.inner.nonempty.epoch();
-            {
-                let st = self.inner.q.lock();
-                if !st.items.is_empty() {
-                    return true;
-                }
-                if st.producers == 0 {
-                    return false;
-                }
+            if self.has_pending() {
+                return true;
+            }
+            if self.is_closed() {
+                return false;
             }
             self.inner.nonempty.wait_past(seen);
         }
@@ -577,22 +571,31 @@ impl<T> RtReceiver<T> {
         let mut st = self.inner.q.lock();
         let v = st.items.pop_front();
         if v.is_some() {
+            self.inner.readiness.set_queued(st.items.len());
             drop(st);
-            self.inner.nonfull.bump();
+            if self.inner.capacity != usize::MAX {
+                self.inner.nonfull.bump();
+            }
         }
         v
     }
 
-    /// True if an item is queued right now.
+    /// True if an item is queued right now. Takes no lock.
     pub fn has_pending(&self) -> bool {
-        !self.inner.q.lock().items.is_empty()
+        self.inner.readiness.ready()
     }
 
     /// True once every producer is gone and the queue is drained: nothing
-    /// will ever arrive again.
+    /// will ever arrive again. Takes no lock.
     pub fn is_closed(&self) -> bool {
-        let st = self.inner.q.lock();
-        st.producers == 0 && st.items.is_empty()
+        self.inner.readiness.closed()
+    }
+
+    /// The queue's counts, for a reader that holds no handle: a channel
+    /// asks it whether this queue's conduit is ready or closed
+    /// ([`crate::conduit::Conduit::readiness`]).
+    pub fn readiness(&self) -> Arc<Readiness> {
+        self.inner.readiness.clone()
     }
 }
 
@@ -709,6 +712,184 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*lock.lock(), 8_000);
+    }
+
+    /// How long a reader may sleep before the readiness tests call it
+    /// stranded: far past any wake-up, short of a hung suite.
+    const STRANDED: u64 = 5_000_000_000;
+
+    /// The next item of `rx`, whose pushes bump `ev`, read the way a
+    /// channel's scan reads: readiness first, no lock, then a pop; `None`
+    /// once the queue is closed. A wait that runs out is a reader asleep
+    /// while its peer waits for it: a lost wake-up.
+    fn take_reading<T>(rx: &RtReceiver<T>, ev: &dyn RtEvent) -> Option<T> {
+        let readiness = rx.readiness();
+        loop {
+            let seen = ev.epoch();
+            if readiness.ready() {
+                return Some(rx.try_pop().expect("a ready queue pops for its one reader"));
+            }
+            if readiness.closed() {
+                return None;
+            }
+            let woke = ev.wait_past_timeout(seen, STRANDED);
+            assert!(woke.is_some(), "stranded in a ping-pong: a lost wake-up");
+        }
+    }
+
+    /// Ping-pong between two lock-free readers: one side pushes an item
+    /// and waits for its answer before the next, so no later push can
+    /// rescue a reader that slept past the one queued. A lost wake-up —
+    /// a length stored after the bump, or read before the epoch — leaves
+    /// both sides waiting, and the test fails at the deadline instead of
+    /// hanging.
+    #[test]
+    fn readiness_ping_pong_loses_no_wake_up() {
+        const ROUNDS: u32 = 20_000;
+        let rt = StdRuntime::default();
+        let (ev, back_ev) = (rt.event(), rt.event());
+        let (tx, rx) = RtQueue::<u32>::with_event(&rt, usize::MAX, ev.clone());
+        let (back_tx, back_rx) = RtQueue::<u32>::with_event(&rt, usize::MAX, back_ev.clone());
+        let echo = std::thread::spawn(move || {
+            while let Some(v) = take_reading(&rx, &*ev) {
+                back_tx.push(v).unwrap();
+            }
+        });
+        for k in 0..ROUNDS {
+            tx.push(k).unwrap();
+            assert_eq!(take_reading(&back_rx, &*back_ev), Some(k), "round {k}");
+        }
+        drop(tx);
+        echo.join().unwrap();
+    }
+
+    /// A scan over several queues that share one event, as a channel's
+    /// conduits do, racing a burst of pushes on each: every item is seen,
+    /// and the scanner never sleeps while one is queued.
+    #[test]
+    fn readiness_scan_never_sleeps_past_a_queued_item() {
+        const QUEUES: usize = 3;
+        const ITEMS: usize = 20_000;
+        let rt = StdRuntime::default();
+        let ev = rt.event();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..QUEUES)
+            .map(|_| RtQueue::<usize>::with_event(&rt, usize::MAX, ev.clone()))
+            .unzip();
+        let producers: Vec<_> = txs
+            .into_iter()
+            .map(|tx| {
+                std::thread::spawn(move || {
+                    for i in 0..ITEMS {
+                        tx.push(i).unwrap();
+                        if i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let readiness: Vec<_> = rxs.iter().map(|rx| rx.readiness()).collect();
+        let mut next = [0usize; QUEUES];
+        loop {
+            let seen = ev.epoch();
+            let mut any = false;
+            for (q, r) in readiness.iter().enumerate() {
+                if r.ready() {
+                    assert_eq!(rxs[q].try_pop(), Some(next[q]), "queue {q} in order");
+                    next[q] += 1;
+                    any = true;
+                }
+            }
+            if any {
+                continue;
+            }
+            if readiness.iter().all(|r| r.closed()) {
+                break;
+            }
+            let woke = ev.wait_past_timeout(seen, STRANDED);
+            assert!(
+                woke.is_some() || !readiness.iter().any(|r| r.ready()),
+                "asleep past a queued item: a lost wake-up"
+            );
+        }
+        assert_eq!(next, [ITEMS; QUEUES]);
+        for p in producers {
+            p.join().unwrap();
+        }
+    }
+
+    /// `is_closed` reads true only once the last producer has dropped and
+    /// the last item is popped, read without the lock while producers push
+    /// and leave. It loads the producer count before the length: the
+    /// other order can read an empty queue, then a count of zero written
+    /// after one more push, and call a queue with an item in it closed —
+    /// a window two loads wide, which this loop only hits now and then. A
+    /// length that goes stale (stored outside the lock, where a pop can
+    /// overtake it) never reads closed, and fails at the deadline.
+    #[test]
+    fn readiness_closed_only_after_the_last_drop_and_the_last_pop() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const PRODUCERS: usize = 2;
+        const ITEMS: usize = 3;
+        let rt = StdRuntime::default();
+        for round in 0..2_000 {
+            let (tx, rx) = RtQueue::<usize>::with_capacity(&rt, usize::MAX);
+            let leaving = Arc::new(AtomicUsize::new(0));
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|_| {
+                    let (tx, leaving) = (tx.clone(), leaving.clone());
+                    std::thread::spawn(move || {
+                        for i in 0..ITEMS {
+                            tx.push(i).unwrap();
+                        }
+                        leaving.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut popped = 0;
+            let began = Instant::now();
+            loop {
+                assert!(
+                    began.elapsed().as_nanos() < STRANDED as u128,
+                    "round {round}: never read closed ({popped} popped)"
+                );
+                let closed = rx.is_closed();
+                if closed {
+                    assert_eq!(
+                        leaving.load(Ordering::Relaxed),
+                        PRODUCERS,
+                        "round {round}: closed before every producer left"
+                    );
+                    assert_eq!(
+                        popped,
+                        PRODUCERS * ITEMS,
+                        "round {round}: closed with an item queued"
+                    );
+                    assert!(rx.try_pop().is_none());
+                    break;
+                }
+                if rx.try_pop().is_some() {
+                    popped += 1;
+                }
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn rt_queue_unbounded_pop_bumps_no_nonfull() {
+        let rt = StdRuntime::default();
+        let (tx, rx) = RtQueue::with_capacity(&rt, usize::MAX);
+        tx.push(1).unwrap();
+        assert_eq!(rx.try_pop(), Some(1));
+        assert_eq!(rx.inner.nonfull.epoch(), 0, "nobody can wait for room");
+        let (tx, rx) = RtQueue::with_capacity(&rt, 1);
+        tx.push(1).unwrap();
+        assert_eq!(rx.try_pop(), Some(1));
+        assert_eq!(rx.inner.nonfull.epoch(), 1, "a bounded pop makes room");
     }
 
     #[test]

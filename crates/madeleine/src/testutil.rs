@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mad_util::pool::PooledBuf;
-use mad_util::sync::Mutex;
+use mad_util::sync::{Mutex, Readiness};
 
 use crate::conduit::{BufferMode, Conduit, Driver, DriverCaps, StaticBuf};
 use crate::error::{MadError, Result};
@@ -216,6 +216,10 @@ impl Conduit for MockConduit {
 
     fn closed(&self) -> bool {
         self.rx.is_closed()
+    }
+
+    fn readiness(&self) -> Option<Arc<Readiness>> {
+        Some(self.rx.readiness())
     }
 
     fn recv_event(&self) -> Arc<dyn RtEvent> {

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mad_util::sync::Mutex;
+use mad_util::sync::{Mutex, Readiness};
 use vtime::{
     mailbox_with_signal, Actor, Clock, MailReceiver, MailSender, Signal, SimDuration, SimTime,
 };
@@ -271,6 +271,12 @@ impl Endpoint {
     /// True once the peer endpoint is gone and no frame remains queued.
     pub fn closed(&self) -> bool {
         self.rx.is_closed()
+    }
+
+    /// The counts behind [`Endpoint::ready`] and [`Endpoint::closed`],
+    /// readable without this endpoint.
+    pub fn readiness(&self) -> Arc<Readiness> {
+        self.rx.readiness()
     }
 
     /// True once an injected fault has silently killed this endpoint's

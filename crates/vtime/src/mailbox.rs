@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use mad_util::sync::Mutex;
+use mad_util::sync::{Mutex, Readiness};
 
 use crate::clock::{Actor, Clock, Signal, SimTime, WaitOutcome};
 
@@ -46,8 +46,10 @@ impl std::error::Error for RecvError {}
 
 struct Shared<T> {
     queue: Mutex<VecDeque<T>>,
+    /// The queue's length and the live senders, readable without a lock;
+    /// the length is written under `queue`'s.
+    readiness: Arc<Readiness>,
     signal: Signal,
-    senders: Mutex<usize>,
     receivers: Mutex<usize>,
 }
 
@@ -61,8 +63,8 @@ pub fn mailbox<T>(clock: &Clock) -> (MailSender<T>, MailReceiver<T>) {
 pub fn mailbox_with_signal<T>(signal: Signal) -> (MailSender<T>, MailReceiver<T>) {
     let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
+        readiness: Arc::new(Readiness::new(1)),
         signal,
-        senders: Mutex::new(1),
         receivers: Mutex::new(1),
     });
     (
@@ -81,7 +83,7 @@ pub struct MailSender<T> {
 
 impl<T> Clone for MailSender<T> {
     fn clone(&self) -> Self {
-        *self.shared.senders.lock() += 1;
+        self.shared.readiness.add_producer();
         MailSender {
             shared: self.shared.clone(),
         }
@@ -90,10 +92,7 @@ impl<T> Clone for MailSender<T> {
 
 impl<T> Drop for MailSender<T> {
     fn drop(&mut self) {
-        let mut n = self.shared.senders.lock();
-        *n -= 1;
-        if *n == 0 {
-            drop(n);
+        if self.shared.readiness.drop_producer() == 0 {
             // Wake receivers so they observe the disconnection.
             self.shared.signal.bump();
         }
@@ -113,7 +112,10 @@ impl<T> MailSender<T> {
         if *self.shared.receivers.lock() == 0 {
             return Err(SendError(value));
         }
-        self.shared.queue.lock().push_back(value);
+        let mut queue = self.shared.queue.lock();
+        queue.push_back(value);
+        self.shared.readiness.set_queued(queue.len());
+        drop(queue);
         self.shared.signal.bump();
         Ok(())
     }
@@ -149,12 +151,17 @@ impl<T> fmt::Debug for MailReceiver<T> {
 impl<T> MailReceiver<T> {
     /// Pop a message if one is queued; never blocks.
     pub fn try_recv(&self) -> Option<T> {
-        self.shared.queue.lock().pop_front()
+        let mut queue = self.shared.queue.lock();
+        let v = queue.pop_front();
+        if v.is_some() {
+            self.shared.readiness.set_queued(queue.len());
+        }
+        v
     }
 
-    /// True if a message is currently queued.
+    /// True if a message is currently queued. Takes no lock.
     pub fn has_pending(&self) -> bool {
-        !self.shared.queue.lock().is_empty()
+        self.shared.readiness.ready()
     }
 
     /// Inspect the head of the queue without consuming it; `None` when
@@ -163,9 +170,17 @@ impl<T> MailReceiver<T> {
         self.shared.queue.lock().front().map(f)
     }
 
-    /// True once every sender is gone and the queue is drained.
+    /// True once every sender is gone and the queue is drained. Takes no
+    /// lock.
     pub fn is_closed(&self) -> bool {
-        *self.shared.senders.lock() == 0 && self.shared.queue.lock().is_empty()
+        self.shared.readiness.closed()
+    }
+
+    /// The counts behind [`MailReceiver::has_pending`] and
+    /// [`MailReceiver::is_closed`], for a reader that holds no receiver
+    /// (it does not keep the mailbox open for senders).
+    pub fn readiness(&self) -> Arc<Readiness> {
+        self.shared.readiness.clone()
     }
 
     /// Block `actor` in virtual time until a message arrives.
@@ -175,7 +190,7 @@ impl<T> MailReceiver<T> {
             if let Some(v) = self.try_recv() {
                 return Ok(v);
             }
-            if *self.shared.senders.lock() == 0 {
+            if self.is_closed() {
                 return Err(RecvError::Disconnected);
             }
             seen = actor.wait_signal(&self.shared.signal, seen);
@@ -189,7 +204,7 @@ impl<T> MailReceiver<T> {
             if let Some(v) = self.try_recv() {
                 return Ok(v);
             }
-            if *self.shared.senders.lock() == 0 {
+            if self.is_closed() {
                 return Err(RecvError::Disconnected);
             }
             match actor.wait_signal_until(&self.shared.signal, seen, deadline) {

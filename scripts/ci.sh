@@ -44,6 +44,22 @@ for i in $(seq 1 50); do
     { echo "$out"; echo "epoch tests: run $i of 50 failed" >&2; exit 1; }
 done
 
+# Readiness is read, not locked: a queue stores its length and producer
+# count under its lock, before the bump that announces them, and a
+# receive scan loads them with no lock. A length stored after the bump,
+# or a scan that reads it before the epoch, is a lost wake-up: a reader
+# asleep with an item queued, which fails the ping-pong (one item at a
+# time, nothing later to rescue it) and the three-queue scan at their
+# 5 s deadline. A closed read that loads the length before the producer
+# count calls a queue with an item in it closed. All `readiness_` tests,
+# 50 times, optimised, a few seconds.
+echo
+echo "== readiness tests x50 (madeleine, release)"
+for i in $(seq 1 50); do
+  out="$(cargo test -q --offline --release -p madeleine --lib readiness_ 2>&1)" ||
+    { echo "$out"; echo "readiness tests: run $i of 50 failed" >&2; exit 1; }
+done
+
 # The thread-role census, a feature off by default: built with it, every
 # thread the real-threads runtime spawns appends its role, switches and
 # CPU time to the file named by MAD_CENSUS at its exit. The test runs a

@@ -225,6 +225,8 @@ impl Conduit for ScriptedConduit {
     fn closed(&self) -> bool {
         self.steps.lock().unwrap().is_empty() && self.inner.closed()
     }
+    // No `readiness`: the script decides what is ready, so a scan locks
+    // this conduit and asks it (the trait's default).
     fn recv_event(&self) -> Arc<dyn RtEvent> {
         self.inner.recv_event()
     }

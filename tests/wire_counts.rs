@@ -11,6 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use mad_shm::ShmDriver;
 use mad_util::pool::PooledBuf;
+use mad_util::sync::Readiness;
 use madeleine::conduit::{Conduit, Driver, DriverCaps, StaticBuf};
 use madeleine::gateway::GatewayConfig;
 use madeleine::runtime::RtEvent;
@@ -128,6 +129,10 @@ impl Conduit for CountingConduit {
     }
     fn closed(&self) -> bool {
         self.inner.closed()
+    }
+    // Forwarded too: the default would have every scan lock this conduit.
+    fn readiness(&self) -> Option<Arc<Readiness>> {
+        self.inner.readiness()
     }
     fn recv_event(&self) -> Arc<dyn RtEvent> {
         self.inner.recv_event()
