@@ -1566,6 +1566,11 @@ impl StreamAssembler {
         self.streams.get_mut(&key)?.items.pop_front()
     }
 
+    /// True if a stream has a buffered item, without taking it.
+    pub fn has_item(&self, key: StreamKey) -> bool {
+        self.streams.get(&key).is_some_and(|s| !s.items.is_empty())
+    }
+
     /// Drop a fully consumed stream.
     pub fn finish(&mut self, key: StreamKey) {
         self.streams.remove(&key);
