@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mad_util::pool::PooledBuf;
@@ -106,6 +107,20 @@ impl ShmConduit {
             self.ev.wait_past(seen);
         }
     }
+
+    /// [`ShmConduit::pop_blocking`] for the whole backlog at once.
+    fn pop_all_blocking(&self, out: &mut VecDeque<Vec<u8>>) -> Result<()> {
+        loop {
+            let seen = self.ev.epoch();
+            if self.rx.try_pop_all(out) > 0 {
+                return Ok(());
+            }
+            if self.rx.is_closed() {
+                return Err(MadError::Disconnected);
+            }
+            self.ev.wait_past(seen);
+        }
+    }
 }
 
 impl Conduit for ShmConduit {
@@ -129,6 +144,14 @@ impl Conduit for ShmConduit {
         self.tx
             .push(packet.detach())
             .map_err(|_| MadError::Disconnected)
+    }
+
+    fn send_owned_run(&mut self, packets: &mut Vec<PooledBuf>) -> Result<()> {
+        // One push for the run: the peer is woken once, for all of it.
+        match self.tx.push_all(packets.drain(..).map(PooledBuf::detach)) {
+            true => Ok(()),
+            false => Err(MadError::Disconnected),
+        }
     }
 
     fn send_static(&mut self, buf: StaticBuf) -> Result<()> {
@@ -159,6 +182,10 @@ impl Conduit for ShmConduit {
 
     fn recv_owned(&mut self) -> Result<Vec<u8>> {
         self.pop_blocking()
+    }
+
+    fn recv_queued(&mut self, out: &mut VecDeque<Vec<u8>>) -> Result<()> {
+        self.pop_all_blocking(out)
     }
 
     fn ready(&self) -> bool {
@@ -218,6 +245,30 @@ mod tests {
         let got = b.recv_owned().unwrap();
         assert_eq!(got, b"landed here, sent from here");
         assert_eq!((got.as_ptr(), got.capacity()), (ptr, cap));
+    }
+
+    /// A run leaves as one push and arrives as one backlog, in order and
+    /// in the allocations it was handed.
+    #[test]
+    fn a_run_is_one_push_and_one_backlog() {
+        let (mut a, mut b) = pair();
+        let mut run: Vec<PooledBuf> = [b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
+            .into_iter()
+            .map(PooledBuf::from)
+            .collect();
+        let at: Vec<usize> = run.iter().map(|p| p.as_ptr() as usize).collect();
+        let seen = b.recv_event().epoch();
+        a.send_owned_run(&mut run).unwrap();
+        assert!(run.is_empty());
+        assert_eq!(b.recv_event().epoch(), seen + 1, "one bump for the run");
+        let mut got = VecDeque::new();
+        b.recv_queued(&mut got).unwrap();
+        assert_eq!(got, [b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]);
+        let got_at: Vec<usize> = got.iter().map(|p| p.as_ptr() as usize).collect();
+        assert_eq!(got_at, at, "copied on the way");
+        assert!(!b.ready());
+        drop(a);
+        assert_eq!(b.recv_queued(&mut got), Err(MadError::Disconnected));
     }
 
     #[test]

@@ -200,6 +200,20 @@ pub trait Conduit: Send {
         self.send(&[&packet])
     }
 
+    /// Send every packet of `packets`, in order, each as a wire packet of
+    /// its own, leaving `packets` empty (its room is the caller's to
+    /// reuse): the run form of [`Conduit::send_owned`], for a gateway that
+    /// hands on a turn's packets together. The default sends them one
+    /// `send_owned` at a time and stops at the first failure, dropping the
+    /// rest; a driver that queues owned buffers overrides it to queue the
+    /// whole run at once. A wrapper conduit must forward it as it forwards
+    /// `send_owned`.
+    fn send_owned_run(&mut self, packets: &mut Vec<mad_util::pool::PooledBuf>) -> Result<()> {
+        packets
+            .drain(..)
+            .try_for_each(|packet| self.send_owned(packet))
+    }
+
     /// Send a driver-allocated buffer as one packet without any copy.
     /// The buffer must come from this conduit's [`Conduit::alloc_static`].
     fn send_static(&mut self, buf: StaticBuf) -> Result<()>;
@@ -217,6 +231,17 @@ pub trait Conduit: Send {
     /// dynamic drivers hand over the landed buffer, static drivers surrender
     /// their receive buffer — both copy-free.
     fn recv_owned(&mut self) -> Result<Vec<u8>>;
+
+    /// Receive every packet queued now, in order, appended to `out` in
+    /// the form [`Conduit::recv_owned`] gives: at least one, blocking as
+    /// `recv_owned` does while none is. The default is one `recv_owned`;
+    /// a driver whose receive side is a queue of owned packets overrides
+    /// it to take the whole backlog under one lock. A wrapper conduit must
+    /// forward it, or a gateway behind it takes one packet a turn.
+    fn recv_queued(&mut self, out: &mut std::collections::VecDeque<Vec<u8>>) -> Result<()> {
+        out.push_back(self.recv_owned()?);
+        Ok(())
+    }
 
     /// True if a packet is already queued (never blocks).
     fn ready(&self) -> bool;

@@ -18,7 +18,8 @@
 //! queued, and the credit it needs first is there, the polling thread
 //! transmits the unit itself, under the lock the forwarding thread holds
 //! from pop to last send, so arrival order stays wire order (`dispatch`,
-//! `Sink`). Every mid-stream bulk fragment bound for a network whose send
+//! `Sink`). Over a queue-push conduit what it transmits in a turn leaves
+//! as one run at the turn's end (see "Turns and runs"). Every mid-stream bulk fragment bound for a network whose send
 //! takes time (TCP, every modeled network), and anything behind a backlog
 //! or a dry credit window, crosses the two-stage pipeline;
 //! `pipeline_depth: 1`, which has no second stage, is the same rule with
@@ -31,13 +32,31 @@
 //! Since GTM wire-format version 2, every packet names its stream (source,
 //! destination, message id), so the engine no longer drains one message at
 //! a time. The polling thread round-robins across the inbound connections
-//! ([`Channel::select_ready_after`]) and relays *one packet per turn*,
-//! keeping per-stream state in a demultiplexing table. A 16 MB bulk
-//! transfer therefore no longer stalls a 1 KB message from another peer
-//! crossing the same gateway — the head-of-line blocking measured by the
-//! `ablation_hol_blocking` bench. [`GatewayConfig::exclusive_streams`]
-//! restores the old message-at-a-time discipline as that ablation's
-//! baseline.
+//! ([`Channel::select_ready_after`]) and relays *one turn per connection*
+//! — what that connection had queued when the turn began — keeping
+//! per-stream state in a demultiplexing table. A 16 MB bulk transfer
+//! therefore no longer stalls a 1 KB message from another peer crossing
+//! the same gateway for longer than one turn — the head-of-line blocking
+//! measured by the `ablation_hol_blocking` bench.
+//! [`GatewayConfig::exclusive_streams`] restores the old message-at-a-time
+//! discipline as that ablation's baseline.
+//!
+//! ## Turns and runs
+//!
+//! A turn takes what it receives in one piece: under an owned landing
+//! every packet queued on the conduit ([`Conduit::recv_queued`], one lock
+//! and one pop for the backlog), under a landing that copies one packet.
+//! Each packet then meets the per-packet rules in arrival order. What the
+//! turn transmits in place on a sink whose sends are queue pushes joins
+//! that sink's run, and the run leaves at the turn's end with one lock and
+//! one [`Conduit::send_owned_run`] per outgoing conduit — or earlier,
+//! before anything of the sink is handed to the forwarding thread or a
+//! credit is waited for, so nothing overtakes it. Runs form only there:
+//! a send that takes time is worth overlapping with the next receive, and
+//! holding it to the turn's end would only delay it. Each train of a run
+//! is still the one wire packet it would have been; a run amortises the
+//! hand-offs, never the framing, and every item is settled once, by
+//! `settle_train`, whatever the run's fate.
 //!
 //! Because the stream tag is route-invariant, packets are forwarded
 //! verbatim: the engine never re-encodes anything.
@@ -138,12 +157,13 @@
 //! slot full it waits on the bounded `RtQueue`. The forwarding thread
 //! waits on that queue for a unit, and whoever transmits waits for a dry
 //! window in `take_blocking`, up to the credit deadline. What a packet
-//! means is decided once: `Inbound::serve` is the receive side (receive →
-//! count → demultiplex into the pipeline items it accepts, a received
-//! frame as one unit per outgoing conduit → degrade on a fault → re-pin),
-//! `Flush::build_train` is the transmit side's one batching rule,
-//! `transmit_train` puts a train — of one packet or many — on the wire and
-//! settles it, and every control packet goes to the node's
+//! means is decided once: `Inbound::serve` is the receive side (receive a
+//! turn → count → demultiplex each packet into the pipeline items it
+//! accepts, a received frame as one unit per outgoing conduit → degrade on
+//! a fault → send the turn's runs → re-pin), `Flush::build_train` is the
+//! transmit side's one batching rule, `transmit_train` and `Run::send` put
+//! trains — of one packet or many — on the wire and `settle_train` settles
+//! each, and every control packet goes to the node's
 //! `ControlPlane`. The price is threads: `nets × nets`
 //! a gateway per virtual channel at depth 2 or more, `nets` at depth 1.
 //!
@@ -786,6 +806,12 @@ struct FwdItem {
     /// consuming it — retransmitted or dropped — releases the stream from
     /// the session-wide drain count and closes its ledger account.
     end_of_stream: bool,
+    /// The stream holds a ledger account on this node: one its header
+    /// opened here (a non-final hop under a credit window), or one a
+    /// cancel created. Only then does the end that leaves close one; a
+    /// dropped end closes whatever is there, since a canceller may have
+    /// created an account after this item was built.
+    account: bool,
     /// Packet bytes counted in the held-bytes gauge (fragments only; 0
     /// for control packets).
     held_bytes: usize,
@@ -959,10 +985,23 @@ struct Sink {
     path: OutPath,
     flush: Arc<Mutex<Flush>>,
     queue: Option<RtSender<FwdUnit>>,
-    /// Every send on the way out is a queue push
+    /// Present when every send on the way out is a queue push
     /// ([`DriverCaps::queued_send`], read once at spawn): there is nothing
-    /// a second thread could overlap, whatever the unit.
-    queued_send: bool,
+    /// a second thread could overlap, whatever the unit, and what the
+    /// polling thread transmits in place during a turn leaves as one run
+    /// at the turn's end.
+    run: Option<Run>,
+}
+
+impl Sink {
+    /// Put the run, if there is one, on the wire; `false` on an orderly
+    /// disconnect of an outbound conduit.
+    fn send_run(&mut self, shared: &FwdShared) -> bool {
+        match &mut self.run {
+            Some(run) => run.send(&self.path, shared),
+            None => true,
+        }
+    }
 }
 
 /// The engine's sink set: one [`Sink`] per outbound network.
@@ -978,8 +1017,8 @@ impl Sinks {
     /// same outbound network. Failing with [`MadError::Disconnected`]
     /// shuts the inbound side down (the outbound consumer is gone); the
     /// unit's packets are accounted (via [`drop_item`]) before it fails.
-    fn accept(&self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
-        match unit.out_net().and_then(|net| self.0.get(&net)) {
+    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+        match unit.out_net().and_then(|net| self.0.get_mut(&net)) {
             Some(sink) => dispatch(sink, unit, shared),
             None => {
                 // `bridges` is checked before a stream is accepted.
@@ -1173,7 +1212,7 @@ pub(crate) fn spawn_gateway(
                     path,
                     flush,
                     queue,
-                    queued_send,
+                    run: queued_send.then(Run::default),
                 },
             );
         }
@@ -1195,6 +1234,9 @@ struct InStream {
     /// The inbound peer the stream arrives from (cancellations go back
     /// this way).
     upstream: NodeId,
+    /// Its header opened a ledger account here, or a cancel created one
+    /// ([`FwdItem::account`]).
+    account: bool,
     /// The fragment MTU its header announced — the landing-buffer size is
     /// recomputed from the *open* streams' MTUs, so one bulk transfer no
     /// longer pins the static landing buffer at its high-water size
@@ -1294,6 +1336,9 @@ struct Inbound {
     demux: Demux,
     /// Peer this side is pinned to in `exclusive_streams` mode.
     pinned: Option<NodeId>,
+    /// The packets an owned landing took this turn and has not relayed
+    /// yet; empty between turns, kept for its room.
+    landed: VecDeque<Vec<u8>>,
 }
 
 impl Inbound {
@@ -1325,64 +1370,101 @@ impl Inbound {
                 max_pkt,
             },
             pinned: None,
+            landed: VecDeque::new(),
         }
     }
 
-    /// One turn: receive and relay the packet `peer` has ready.
-    fn serve(&mut self, peer: NodeId, sinks: &Sinks) -> Served {
-        let Inbound { ctx, demux, pinned } = self;
+    /// One turn: receive what `peer` has queued — the whole backlog under
+    /// an owned landing, one packet under a landing that copies — relay
+    /// it packet by packet, then put each sink's run on the wire. All of
+    /// it inside one busy bracket: a packet is never out of sight of the
+    /// teardown's quiescence check.
+    fn serve(&mut self, peer: NodeId, sinks: &mut Sinks) -> Served {
+        let Inbound {
+            ctx,
+            demux,
+            pinned,
+            landed,
+        } = self;
         let shared = &ctx.shared;
         let _busy = BusyGuard::enter(&shared.live.stopctl);
-        let (buf, restage) = {
-            let _recv = trace_span!(shared.tracer, "gw", "recv", "peer" = peer.0 as u64);
-            match receive_packet(
-                &ctx.in_channel,
-                peer,
-                ctx.landing,
-                demux.max_pkt,
-                shared.runtime.pool(),
-                ctx.can_defer,
-                &shared.stats,
-            ) {
-                Ok(b) => b,
-                Err(MadError::Disconnected) => return Served::Finished,
-                Err(_) => {
-                    // A broken receive loses the packet, and with it the
-                    // framing of every stream on this conduit: degrade by
-                    // cancelling this peer's streams, keep serving others.
-                    shared.stats.on_error();
-                    trace_instant!(shared.tracer, "gw", "recv-error", "peer" = peer.0 as u64);
-                    ctx.cancel_peer_streams(demux, peer, sinks);
-                    *pinned = None;
-                    return Served::Continue;
+        let recv = trace_span!(shared.tracer, "gw", "recv", "peer" = peer.0 as u64);
+        let received = receive_packets(
+            &ctx.in_channel,
+            peer,
+            ctx.landing,
+            demux.max_pkt,
+            shared.runtime.pool(),
+            ctx.can_defer,
+            &shared.stats,
+            landed,
+        );
+        let taken = landed.len() + usize::from(matches!(received, Ok(Some(_))));
+        drop(recv.arg("packets", taken as u64));
+        let mut served = Served::Continue;
+        match received {
+            Ok(mut copied) => {
+                let pool = shared.runtime.pool();
+                let next = |copied: &mut Option<_>, landed: &mut VecDeque<Vec<u8>>| {
+                    copied.take().or_else(|| {
+                        let packet = landed.pop_front()?;
+                        Some((FwdBuf::Owned(pool.adopt(packet)), None))
+                    })
+                };
+                while let Some((buf, restage)) = next(&mut copied, landed) {
+                    ctx.in_channel.stats().on_recv(peer.0, buf.bytes().len());
+                    let _relay = trace_span!(shared.tracer, "gw", "relay", "peer" = peer.0 as u64);
+                    match ctx.relay(demux, peer, buf, restage, sinks) {
+                        Ok(()) => {}
+                        Err(MadError::Disconnected) => {
+                            landed.clear();
+                            served = Served::Finished;
+                            break;
+                        }
+                        Err(_) => {
+                            // A malformed or misrouted packet poisons only
+                            // itself: count it, drop it, keep forwarding
+                            // everything else.
+                            shared.stats.on_error();
+                            trace_instant!(
+                                shared.tracer,
+                                "gw",
+                                "relay-error",
+                                "peer" = peer.0 as u64
+                            );
+                        }
+                    }
+                }
+                if ctx.cfg.exclusive_streams {
+                    *pinned = match demux.open_from.get(&peer) {
+                        Some(&n) if n > 0 => Some(peer),
+                        _ => None,
+                    };
                 }
             }
-        };
-        ctx.in_channel.stats().on_recv(peer.0, buf.bytes().len());
-        let _relay = trace_span!(shared.tracer, "gw", "relay", "peer" = peer.0 as u64);
-        match ctx.relay(demux, peer, buf, restage, sinks) {
-            Ok(()) => {}
-            Err(MadError::Disconnected) => return Served::Finished,
+            Err(MadError::Disconnected) => served = Served::Finished,
             Err(_) => {
-                // A malformed or misrouted packet poisons only itself:
-                // count it, drop it, keep forwarding everything else.
+                // A broken receive loses the packet, and with it the
+                // framing of every stream on this conduit: degrade by
+                // cancelling this peer's streams, keep serving others.
                 shared.stats.on_error();
-                trace_instant!(shared.tracer, "gw", "relay-error", "peer" = peer.0 as u64);
+                trace_instant!(shared.tracer, "gw", "recv-error", "peer" = peer.0 as u64);
+                ctx.cancel_peer_streams(demux, peer, sinks);
+                *pinned = None;
             }
         }
-        if ctx.cfg.exclusive_streams {
-            *pinned = match demux.open_from.get(&peer) {
-                Some(&n) if n > 0 => Some(peer),
-                _ => None,
-            };
+        for sink in sinks.0.values_mut() {
+            if !sink.send_run(shared) {
+                served = Served::Finished;
+            }
         }
-        Served::Continue
+        served
     }
 }
 
 /// The polling thread of one [`Inbound`]: blocks for the next ready peer,
 /// round-robin past the one served last.
-fn polling_thread(mut inbound: Inbound, sinks: Sinks) {
+fn polling_thread(mut inbound: Inbound, mut sinks: Sinks) {
     let live = inbound.ctx.shared.live.clone();
     let _exit = ThreadExitGuard { live: live.clone() };
     let stopctl = &live.stopctl;
@@ -1429,7 +1511,7 @@ fn polling_thread(mut inbound: Inbound, sinks: Sinks) {
             }
         };
         cursor = Some(peer);
-        if let Served::Finished = inbound.serve(peer, &sinks) {
+        if let Served::Finished = inbound.serve(peer, &mut sinks) {
             return;
         }
     }
@@ -1468,7 +1550,7 @@ impl InboundCtx {
         peer: NodeId,
         buf: FwdBuf,
         restage: Option<Restage>,
-        sinks: &Sinks,
+        sinks: &mut Sinks,
     ) -> Result<()> {
         let shared = &self.shared;
         let (tag, body) = gtm::decode_packet(buf.bytes())?;
@@ -1632,6 +1714,7 @@ impl InboundCtx {
             buf,
             tag,
             end_of_stream: true,
+            account: false,
             held_bytes: whole.held,
             frags: whole.frags,
             recv_ns: if whole.frags > 0 { recv_ns } else { 0 },
@@ -1737,23 +1820,28 @@ impl InboundCtx {
                         header.tag.dest
                     )));
                 }
+                // On a non-final hop this gateway is the next conduit's
+                // sender: self-grant the window it will spend re-sending.
+                let account = match (self.cfg.credit_window, hop.last) {
+                    (Some(w), false) => {
+                        shared.ledger().open(key, w);
+                        true
+                    }
+                    _ => false,
+                };
                 let stream = InStream {
                     out_net,
                     to: NodeId(hop.node),
                     last_hop: hop.last,
                     tag,
                     upstream: peer,
+                    account,
                     mtu: header.mtu,
                     // Only the first hop acks: the inbound peer must *be* the
                     // origin, so a chained gateway never acks on its behalf.
                     ack: header.acked && peer == tag.src,
                     grant_due: Cell::new(0),
                 };
-                // On a non-final hop this gateway is the next conduit's
-                // sender: self-grant the window it will spend re-sending.
-                if let (Some(w), false) = (self.cfg.credit_window, hop.last) {
-                    shared.ledger().open(key, w);
-                }
                 trace_instant!(
                     shared.tracer,
                     "gw",
@@ -1804,6 +1892,7 @@ impl InboundCtx {
                     MadError::Protocol(format!("GTM cancel for unknown stream {key:?}"))
                 })?;
                 shared.ledger().cancel(key, reason);
+                stream.account = true;
                 shared.stats.on_cancelled();
                 trace_instant!(
                     shared.tracer,
@@ -1855,6 +1944,7 @@ impl InboundCtx {
             buf,
             tag: stream.tag,
             end_of_stream,
+            account: stream.account,
             held_bytes,
             frags: u64::from(is_frag),
             // Forward latency is measured on payload fragments only.
@@ -1899,8 +1989,10 @@ impl InboundCtx {
         // consumption is what releases the stream from the drain count
         // either way. A cancelled stream is never acked: the origin's ack
         // deadline (or the upstream cancel notification) drives its
-        // failover.
+        // failover. The ledger marks the stream cancelled, so it holds an
+        // account here whoever created it.
         stream.ack = false;
+        stream.account = true;
         let peer = stream.upstream;
         Some(self.item(&stream, FwdBuf::Owned(cancel), false, true, peer, 0, None))
     }
@@ -1908,7 +2000,7 @@ impl InboundCtx {
     /// Cancel every stream that entered through `peer` (its conduit framing is
     /// lost). Downstream hops are told; the peer itself is not (its conduit
     /// just failed).
-    fn cancel_peer_streams(&self, d: &mut Demux, peer: NodeId, sinks: &Sinks) {
+    fn cancel_peer_streams(&self, d: &mut Demux, peer: NodeId, sinks: &mut Sinks) {
         let keys: Vec<StreamKey> = d
             .streams
             .iter()
@@ -1926,9 +2018,12 @@ impl InboundCtx {
     }
 }
 
-/// Receive one packet from the inbound conduit into the cheapest buffer
-/// the landing policy allows. All three landings draw on the session
-/// buffer pool, so a warmed-up gateway allocates nothing per packet.
+/// Receive a turn's packets from the inbound conduit into the cheapest
+/// buffers the landing policy allows. An owned landing takes every packet
+/// queued now ([`Conduit::recv_queued`]) into `landed` and returns `None`;
+/// a landing that copies receives one packet and returns it. All three
+/// landings draw on the session buffer pool, so a warmed-up gateway
+/// allocates nothing per packet.
 ///
 /// When the landing requires a staging copy (`Static`/`Tmp`), the
 /// copy-placement scheduler decides *which* pipeline stage performs it:
@@ -1937,7 +2032,8 @@ impl InboundCtx {
 /// and the returned landing marker tells the flush stage to restage it
 /// before transmitting — overlapping the copy with the next receive, the
 /// E2 win. Otherwise the copy happens here, exactly as before.
-fn receive_packet(
+#[allow(clippy::too_many_arguments)] // internal helper of serve
+fn receive_packets(
     in_channel: &Arc<Channel>,
     peer: NodeId,
     landing: Landing,
@@ -1945,11 +2041,13 @@ fn receive_packet(
     pool: &Arc<mad_util::pool::BufferPool>,
     can_defer: bool,
     stats: &GatewayStats,
-) -> Result<(FwdBuf, Option<Restage>)> {
+    landed: &mut VecDeque<Vec<u8>>,
+) -> Result<Option<(FwdBuf, Option<Restage>)>> {
     let mut conduit = in_channel.lock_conduit(peer)?;
     let staged = match landing {
         Landing::Owned => {
-            return Ok((FwdBuf::Owned(pool.adopt(conduit.recv_owned()?)), None));
+            conduit.recv_queued(landed)?;
+            return Ok(None);
         }
         staged => staged,
     };
@@ -1963,7 +2061,7 @@ fn receive_packet(
             landing: staged,
             size: max_pkt,
         };
-        return Ok((buf, Some(restage)));
+        return Ok(Some((buf, Some(restage))));
     }
     let buf = match staged {
         Landing::Owned => unreachable!("owned landing returned above"),
@@ -1987,7 +2085,7 @@ fn receive_packet(
     if !conduit.backlog() {
         stats.copy_idle_hits.fetch_add(1, Ordering::Relaxed);
     }
-    Ok((buf, None))
+    Ok(Some((buf, None)))
 }
 
 /// Perform a deferred staging copy on the flush stage: rebuild the buffer
@@ -2046,20 +2144,36 @@ fn landing_policy<'a>(paths: impl Iterator<Item = &'a OutPath>, cfg: GatewayConf
 /// retransmission with — no forwarding thread at all (depth 1), or a unit
 /// that is a whole message or bound for a conduit whose send is a queue
 /// push, a flush side with nothing in hand or queued, and the head's
-/// credit there without waiting. Everything else — a mid-stream bulk
-/// fragment whose send takes time, anything behind a backlog or a dry
-/// window — crosses the paper's two-stage pipeline, counting buffer
-/// switches and backpressure stalls. Either way a unit leaves after every
-/// unit accepted before it (see [`Sink`]).
-fn dispatch(sink: &Sink, mut unit: FwdUnit, shared: &FwdShared) -> Result<()> {
-    let Some(tx) = &sink.queue else {
-        return sink.flush.lock().transmit(unit, &sink.path, shared);
+/// credit there without waiting. On a sink whose sends are queue pushes,
+/// what it transmits joins the turn's [`Run`]. Everything else — a
+/// mid-stream bulk fragment whose send takes time, anything behind a
+/// backlog or a dry window — crosses the paper's two-stage pipeline,
+/// counting buffer switches and backpressure stalls, after the run is on
+/// the wire. Either way a unit leaves after every unit accepted before it
+/// (see [`Sink`]).
+fn dispatch(sink: &mut Sink, mut unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+    let Sink {
+        path,
+        flush,
+        queue,
+        run,
+    } = sink;
+    let Some(tx) = queue else {
+        return flush.lock().transmit(unit, path, shared, run.as_mut());
     };
-    if sink.queued_send || unit.is_whole_message() {
-        if let Some(mut flush) = sink.flush.try_lock() {
+    if run.is_some() || unit.is_whole_message() {
+        if let Some(mut flush) = flush.try_lock() {
             if tx.is_empty() && unit.take_head_credit(shared) {
-                return flush.transmit(unit, &sink.path, shared);
+                return flush.transmit(unit, path, shared, run.as_mut());
             }
+        }
+    }
+    // The run holds units accepted before this one: they leave first, so
+    // the forwarding thread cannot overtake them.
+    if let Some(run) = run {
+        if !run.send(path, shared) {
+            unit.drop_all(shared);
+            return Err(MadError::Disconnected);
         }
     }
     shared.stats.on_switch(unit.frags());
@@ -2187,7 +2301,7 @@ fn take_credit_blocking(path: &OutPath, item: FwdItem, shared: &FwdShared) -> Op
 /// Retransmit a train of credit-holding pipeline items bound for the same
 /// conduit with one send — a train of one hands its landed buffer to the
 /// driver whole ([`send_buf`]), a longer one leaves as one batch frame —
-/// then settle every member exactly once, whatever the outcome: `train`
+/// then settle every member exactly once ([`settle_train`]): `train`
 /// comes back empty. Returns `false` only on an orderly disconnect.
 fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) -> bool {
     let Some((to, last_hop)) = train.first().map(|head| (head.to, head.last_hop)) else {
@@ -2207,21 +2321,49 @@ fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) 
     );
     let sent = channel
         .lock_conduit(to)
-        .and_then(|mut conduit| match train.as_mut_slice() {
-            [one] => {
-                // Nothing below reads the buffer again.
-                let buf = std::mem::replace(&mut one.buf, FwdBuf::Owned(PooledBuf::default()));
-                send_buf(&mut **conduit, buf)
-            }
-            items => {
-                let packets: Vec<&[u8]> = items.iter().map(|item| item.buf.bytes()).collect();
-                conduit.send_batch(&packets)
-            }
-        });
+        .and_then(|mut conduit| send_train(&mut **conduit, train));
     drop(send);
+    let open = settle_train(path, train, sent, bytes, shared);
+    train.clear();
+    open
+}
+
+/// Put one train on `conduit` as one wire packet: a train of one hands its
+/// buffer over whole, a longer one leaves as one batch frame.
+fn send_train(conduit: &mut dyn Conduit, train: &mut [FwdItem]) -> Result<()> {
+    match train {
+        [one] => send_buf(conduit, take_buf(one)),
+        items => {
+            let packets: Vec<&[u8]> = items.iter().map(|item| item.buf.bytes()).collect();
+            conduit.send_batch(&packets)
+        }
+    }
+}
+
+/// The buffer of an item on its way onto the wire: nothing reads it again.
+fn take_buf(item: &mut FwdItem) -> FwdBuf {
+    std::mem::replace(&mut item.buf, FwdBuf::Owned(PooledBuf::default()))
+}
+
+/// Settle every member of a train exactly once, after its send, whatever
+/// the outcome; the caller then drops the items. A train that left counts
+/// its `bytes`, returns its grants, acks its acked ends and releases its
+/// streams; one that a dead peer failed cancels each of its streams once
+/// upstream and drops its packets. Returns `false` only on an orderly
+/// disconnect.
+fn settle_train(
+    path: &OutPath,
+    train: &[FwdItem],
+    sent: Result<()>,
+    bytes: usize,
+    shared: &FwdShared,
+) -> bool {
+    let Some((to, last_hop)) = train.first().map(|head| (head.to, head.last_hop)) else {
+        return true;
+    };
     match sent {
         Ok(()) => {
-            channel.stats().on_send(to.0, bytes);
+            path.channel(last_hop).stats().on_send(to.0, bytes);
             if let Some(m) = &shared.metrics {
                 let now = shared.runtime.now_nanos();
                 for item in train.iter().filter(|item| item.recv_ns > 0) {
@@ -2254,7 +2396,7 @@ fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) 
                     .sum();
                 up.grant_sum(&item.tag, credits, &shared.stats);
             }
-            for item in train.drain(..) {
+            for item in train {
                 if let Some((ack_ch, ack_peer)) = &item.ack {
                     // The stream's end packet is on the wire: tell the origin
                     // the handoff succeeded. A lost ack is recovered by the
@@ -2269,7 +2411,9 @@ fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) 
                 // After the ack: a stop must not overtake it.
                 if item.end_of_stream {
                     shared.live.stream_done();
-                    shared.ledger().close(item.tag.key());
+                    if item.account {
+                        shared.ledger().close(item.tag.key());
+                    }
                 }
             }
             true
@@ -2277,8 +2421,8 @@ fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) 
         Err(MadError::Disconnected) => {
             // Orderly teardown of the outbound conduit: account the train
             // and let the caller shut this side down.
-            for item in train.drain(..) {
-                drop_item(&item, shared);
+            for item in train {
+                drop_item(item, shared);
             }
             false
         }
@@ -2300,8 +2444,8 @@ fn transmit_train(path: &OutPath, train: &mut Vec<FwdItem>, shared: &FwdShared) 
                     .unwrap_or(item);
                 cancel_outbound(path, way_back, CancelReason::PeerUnreachable, false, shared);
             }
-            for item in train.drain(..) {
-                drop_item(&item, shared);
+            for item in train {
+                drop_item(item, shared);
             }
             true
         }
@@ -2383,28 +2527,222 @@ impl Flush {
     /// item accounted), followers join by [`Flush::build_train`]'s rules, a
     /// follower that cannot join heads the next train. Each outgoing
     /// conduit is locked per train, never per stream, so packets of
-    /// concurrent streams interleave. The flush stage is busy from here
-    /// until the unit's last train leaves the wire, on whichever thread —
-    /// the copy-placement scheduler reads `flush_active` to decide where a
-    /// relay copy overlaps best. Fails with [`MadError::Disconnected`] on
-    /// an orderly disconnect, with everything still pending accounted.
-    fn transmit(&mut self, unit: FwdUnit, path: &OutPath, shared: &FwdShared) -> Result<()> {
+    /// concurrent streams interleave. With a `run` — the polling thread's,
+    /// on a sink whose sends are queue pushes — each train joins the run
+    /// instead, and the run leaves first whenever a packet of the unit
+    /// still needs a credit: neither a credit wait nor a cancel sent
+    /// downstream may overtake it. The flush stage is busy from here
+    /// until the unit's last train leaves the wire or joins the run, on
+    /// whichever thread — the copy-placement scheduler reads `flush_active`
+    /// to decide where a relay copy overlaps best. Fails with
+    /// [`MadError::Disconnected`] on an orderly disconnect, with everything
+    /// still pending accounted.
+    fn transmit(
+        &mut self,
+        unit: FwdUnit,
+        path: &OutPath,
+        shared: &FwdShared,
+        mut run: Option<&mut Run>,
+    ) -> Result<()> {
         let _stage = StageBusy::enter(&shared.stats.flush_active);
         unit.unpack_into(&mut self.pending);
         while let Some(head) = self.pending.pop_front() {
+            let open = match run.as_deref_mut() {
+                Some(run) if head.consume || self.pending.iter().any(|item| item.consume) => {
+                    run.send(path, shared)
+                }
+                _ => true,
+            };
+            if !open {
+                drop_item(&head, shared);
+                return self.disconnected(shared);
+            }
             let Some(head) = take_credit_blocking(path, head, shared) else {
                 continue; // stream cancelled; item accounted
             };
             self.build_train(head, path, shared);
-            if !transmit_train(path, &mut self.batch, shared) {
-                for item in self.pending.drain(..) {
-                    drop_item(&item, shared);
+            let open = match run.as_deref_mut() {
+                Some(run) => {
+                    run.join(&mut self.batch, shared);
+                    true
                 }
-                return Err(MadError::Disconnected);
+                None => transmit_train(path, &mut self.batch, shared),
+            };
+            if !open {
+                return self.disconnected(shared);
             }
         }
         Ok(())
     }
+
+    /// An outbound conduit is gone: account everything still pending.
+    fn disconnected(&mut self, shared: &FwdShared) -> Result<()> {
+        for item in self.pending.drain(..) {
+            drop_item(&item, shared);
+        }
+        Err(MadError::Disconnected)
+    }
+}
+
+/// What the polling thread transmitted in place during one turn on a sink
+/// whose sends are queue pushes, not yet on the wire: trains in the order
+/// they were built, per outgoing conduit. At the turn's end — or sooner,
+/// before anything of the sink is handed to the forwarding thread or a
+/// credit is waited for — each conduit's trains leave under one lock of
+/// it: the lone landed packets among them, every one of them in the usual
+/// case, as one [`Conduit::send_owned_run`]. Nothing is re-framed: each
+/// train is still the one wire packet it would have been, and is settled
+/// by [`settle_train`] as if it had left alone. Everything here keeps its
+/// room from turn to turn, so a warm gateway allocates nothing for it.
+#[derive(Default)]
+struct Run {
+    /// One entry per outgoing conduit used so far, in order of first use.
+    conduits: Vec<ConduitRun>,
+    /// Trains waiting in `conduits`.
+    trains: usize,
+    /// The lone landed packets of one `send_owned_run`.
+    packets: Vec<PooledBuf>,
+}
+
+/// The trains of a [`Run`] bound for one outgoing conduit.
+struct ConduitRun {
+    to: NodeId,
+    last_hop: bool,
+    /// The trains' items, train after train.
+    items: Vec<FwdItem>,
+    /// Each train's item count and bytes, in order.
+    trains: Vec<(usize, usize)>,
+}
+
+impl Run {
+    /// Take `train` (which comes back empty) into the run.
+    fn join(&mut self, train: &mut Vec<FwdItem>, shared: &FwdShared) {
+        let Some((to, last_hop)) = train.first().map(|head| (head.to, head.last_hop)) else {
+            return;
+        };
+        for item in train.iter_mut() {
+            restage_item(item, shared);
+        }
+        let bytes = train.iter().map(|item| item.buf.bytes().len()).sum();
+        let at = match self
+            .conduits
+            .iter()
+            .position(|c| (c.to, c.last_hop) == (to, last_hop))
+        {
+            Some(at) => at,
+            None => {
+                self.conduits.push(ConduitRun {
+                    to,
+                    last_hop,
+                    items: Vec::new(),
+                    trains: Vec::new(),
+                });
+                self.conduits.len() - 1
+            }
+        };
+        let conduit = &mut self.conduits[at];
+        conduit.trains.push((train.len(), bytes));
+        conduit.items.append(train);
+        self.trains += 1;
+    }
+
+    /// Put every train of the run on the wire, conduit by conduit, and
+    /// settle each once: the trains that left one by one, the rest — from
+    /// the first send that failed on — together, so a dead peer cancels
+    /// each of their streams once. Returns `false` on an orderly
+    /// disconnect.
+    fn send(&mut self, path: &OutPath, shared: &FwdShared) -> bool {
+        if self.trains == 0 {
+            return true;
+        }
+        self.trains = 0;
+        let mut open = true;
+        for conduit in self.conduits.iter_mut().filter(|c| !c.trains.is_empty()) {
+            let channel = path.channel(conduit.last_hop);
+            let bytes: usize = conduit.trains.iter().map(|&(_, bytes)| bytes).sum();
+            let span = trace_span!(
+                shared.tracer,
+                "gw",
+                "send",
+                "packets" = conduit.items.len() as u64,
+                "bytes" = bytes as u64
+            );
+            let (left, failed) = match channel.lock_conduit(conduit.to) {
+                Ok(mut out) => conduit.put_on_wire(&mut **out, &mut self.packets),
+                Err(e) => (0, Some(e)),
+            };
+            drop(span);
+            let mut at = 0;
+            for &(len, bytes) in &conduit.trains[..left] {
+                settle_train(path, &conduit.items[at..at + len], Ok(()), bytes, shared);
+                at += len;
+            }
+            if let Some(e) = failed {
+                open &= settle_train(path, &conduit.items[at..], Err(e), 0, shared);
+            }
+            conduit.items.clear();
+            conduit.trains.clear();
+        }
+        open
+    }
+}
+
+impl ConduitRun {
+    /// Send the trains in order on `out`, the lone landed packets through
+    /// `packets` as runs: how many trains left, and the failure that
+    /// stopped the rest, if one did. A run that fails leaves nothing.
+    fn put_on_wire(
+        &mut self,
+        out: &mut dyn Conduit,
+        packets: &mut Vec<PooledBuf>,
+    ) -> (usize, Option<MadError>) {
+        // Trains whose packets are in `packets`, waiting for their send.
+        let mut gathered = 0;
+        let mut at = 0;
+        for (k, &(len, _)) in self.trains.iter().enumerate() {
+            let train = &mut self.items[at..at + len];
+            at += len;
+            if let [one] = train {
+                if let Some(packet) = take_owned(one) {
+                    packets.push(packet);
+                    gathered += 1;
+                    continue;
+                }
+            }
+            if let Err(e) = send_gathered(out, packets) {
+                return (k - gathered, Some(e));
+            }
+            gathered = 0;
+            if let Err(e) = send_train(out, train) {
+                return (k, Some(e));
+            }
+        }
+        let k = self.trains.len();
+        match send_gathered(out, packets) {
+            Ok(()) => (k, None),
+            Err(e) => (k - gathered, Some(e)),
+        }
+    }
+}
+
+/// The landed buffer of a lone packet, taken for a run; any other buffer
+/// stays where it is.
+fn take_owned(item: &mut FwdItem) -> Option<PooledBuf> {
+    match &mut item.buf {
+        FwdBuf::Owned(packet) => Some(std::mem::take(packet)),
+        _ => None,
+    }
+}
+
+/// Send the gathered lone packets, if any, as one run; `packets` comes
+/// back empty either way.
+fn send_gathered(out: &mut dyn Conduit, packets: &mut Vec<PooledBuf>) -> Result<()> {
+    if packets.is_empty() {
+        return Ok(());
+    }
+    let sent = out.send_owned_run(packets);
+    packets.clear();
+    sent
 }
 
 /// The forwarding thread of one (inbound, outbound) network pair: drains
@@ -2424,7 +2762,7 @@ fn forwarding_thread(
         let mut flush = flush.lock();
         let Some(unit) = rx.try_pop() else { continue };
         shared.queue_depth(-1);
-        if flush.transmit(unit, &path, &shared).is_err() {
+        if flush.transmit(unit, &path, &shared, None).is_err() {
             return;
         }
     }
@@ -2461,6 +2799,10 @@ mod tests {
         ledger: Arc<CreditLedger>,
         /// The gateway's own special channels, by network.
         special: BTreeMap<u32, Arc<Channel>>,
+        /// The gateway's own regular channels, by network.
+        regular: BTreeMap<u32, Arc<Channel>>,
+        /// The driver of network 0, whose conduits the gateway receives on.
+        in_driver: Arc<MockDriver>,
     }
 
     impl Rig {
@@ -2518,6 +2860,7 @@ mod tests {
             let (rg0, idle_rg0) = mesh(&in_driver, 0, &[0], false);
             let (rg1, down) = mesh(&out_driver, 1, &[2, 3], false);
             let special = BTreeMap::from([(0, sp0.clone()), (1, sp1.clone())]);
+            let regular = BTreeMap::from([(0, rg0.clone()), (1, rg1.clone())]);
             let members = |net: u32, ranks: &[u32]| mad_route::NetworkDecl {
                 net,
                 members: ranks.to_vec(),
@@ -2553,7 +2896,19 @@ mod tests {
                 handles: Some(handles),
                 ledger,
                 special,
+                regular,
+                in_driver,
             }
+        }
+
+        /// Rank 0 sends `packets` as one run: they arrive together, so the
+        /// gateway's next turn finds them all queued.
+        fn send_backlog(&self, packets: &[Vec<u8>]) -> Vec<usize> {
+            let mut run: Vec<PooledBuf> = packets.iter().cloned().map(PooledBuf::from).collect();
+            let at = run.iter().map(|p| p.as_ptr() as usize).collect();
+            let mut conduit = self.up.lock_conduit(NodeId(1)).unwrap();
+            conduit.send_owned_run(&mut run).unwrap();
+            at
         }
 
         /// Block for the next wire packet rank `rank` receives.
@@ -2796,44 +3151,192 @@ mod tests {
     /// A queued conduit changes who transmits, not the order: a fragment
     /// whose window is dry goes to the queue, every fragment behind it
     /// follows it there instead of overtaking, and each leaves only with a
-    /// credit of its own.
+    /// credit of its own — whether the rest arrived apart or as one
+    /// backlog that a single turn takes (a burst: what the turn built
+    /// before the dry fragment leaves before it, nothing after it does).
     #[test]
     fn dry_window_keeps_fifo_over_a_queued_conduit() {
+        for backlog in [false, true] {
+            let mut rig = Rig::new(flow_controlled(2), MockDriver::queued());
+            // Rank 4 is behind rank 3: not the last hop, so credits are spent.
+            let packets = stream_in_frags(4, 9, &[0x7E; 3000], 3);
+            let key = (gtm::decode_packet(&packets[0]).unwrap().0).key();
+            let (open, rest) = packets.split_at(2);
+            for packet in open {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                assert_eq!(&rig.recv_special(3), packet);
+            }
+            while rig.ledger.try_take(key) == TakeOutcome::Taken {}
+            if backlog {
+                rig.send_backlog(rest);
+            } else {
+                for packet in rest {
+                    rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                }
+            }
+            // The first fragment found the window dry; the other two found
+            // it queued or in hand, and followed it.
+            while rig.totals().buffer_switches < 3 {
+                std::thread::yield_now();
+            }
+            assert!(!Rig::pending(&rig.down_special[&3]), "nothing left dry");
+            let (end, frags) = rest.split_last().unwrap();
+            for (i, packet) in frags.iter().enumerate() {
+                rig.ledger.deposit(key, 1);
+                assert_eq!(&rig.recv_special(3), packet, "send order");
+                if i + 1 < frags.len() {
+                    assert!(
+                        !Rig::pending(&rig.down_special[&3]),
+                        "one credit, one fragment"
+                    );
+                }
+            }
+            assert_eq!(&rig.recv_special(3), end);
+            let totals = rig.finish();
+            assert_eq!((totals.messages, totals.fragments), (1, 3));
+            assert_eq!((totals.credit_timeouts, totals.cancelled), (0, 0));
+            assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+            assert!(rig.ledger.is_idle(), "backlog {backlog}");
+        }
+    }
+
+    /// Whole messages queued together cross in one turn: one receive takes
+    /// the backlog, one push hands it on, in order, each message in the
+    /// buffer it arrived in — and nothing comes back.
+    #[test]
+    fn burst_of_whole_messages_is_one_receive_and_one_push() {
+        let out = MockDriver::queued();
+        let mut rig = Rig::new(flow_controlled(2), out.clone());
+        let frames: Vec<Vec<u8>> = (0..8)
+            .map(|k| frame_of(&stream_packets(2, k, b"one message of a backlog")))
+            .collect();
+        let at = rig.send_backlog(&frames);
+        for frame in &frames {
+            assert_eq!(&rig.recv(2), frame, "arrival order is wire order");
+        }
+        let totals = rig.finish();
+        assert_eq!(rig.in_driver.receives(), 1, "one receive took them all");
+        assert_eq!(out.pushes(), 1, "one push handed them on");
+        assert_eq!(out.owned_sends(), at, "copied on the way");
+        assert_eq!(rig.in_driver.pushes(), 1, "nothing came back");
+        assert_eq!((totals.messages, totals.fragments), (8, 8));
+        assert_eq!((totals.buffer_switches, totals.stalls), (0, 0));
+        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        assert!(rig.ledger.is_idle());
+    }
+
+    /// A stop requested while a turn's run waits for its conduit waits for
+    /// the run: the relay bracket covers the send, so no engine stops with
+    /// a message taken off its conduit and not yet on the next one.
+    #[test]
+    fn burst_stop_requested_mid_turn_waits_for_the_run() {
         let mut rig = Rig::new(flow_controlled(2), MockDriver::queued());
-        // Rank 4 is behind rank 3: not the last hop, so credits are spent.
-        let packets = stream_in_frags(4, 9, &[0x7E; 3000], 3);
-        let key = (gtm::decode_packet(&packets[0]).unwrap().0).key();
-        let (open, rest) = packets.split_at(2);
-        for packet in open {
-            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
-            assert_eq!(&rig.recv_special(3), packet);
-        }
-        while rig.ledger.try_take(key) == TakeOutcome::Taken {}
-        for packet in rest {
-            rig.up.send_packet(NodeId(1), &[packet]).unwrap();
-        }
-        // The first fragment found the window dry; the other two found it
-        // queued or in hand, and followed it.
-        while rig.totals().buffer_switches < 3 {
+        let frames: Vec<Vec<u8>> = (0..4)
+            .map(|k| frame_of(&stream_packets(2, k, b"relayed, not yet sent")))
+            .collect();
+        let out = rig.regular[&1].clone();
+        let held = out.lock_conduit(NodeId(2)).unwrap();
+        rig.send_backlog(&frames);
+        // The turn relayed the backlog into its run and waits for the lock.
+        while rig.totals().messages < 4 {
             std::thread::yield_now();
         }
-        assert!(!Rig::pending(&rig.down_special[&3]), "nothing left dry");
-        let (end, frags) = rest.split_last().unwrap();
-        for (i, packet) in frags.iter().enumerate() {
-            rig.ledger.deposit(key, 1);
-            assert_eq!(&rig.recv_special(3), packet, "send order");
-            if i + 1 < frags.len() {
-                assert!(
-                    !Rig::pending(&rig.down_special[&3]),
-                    "one credit, one fragment"
-                );
+        rig.stopctl.request_stop();
+        let handles = rig.handles.take().unwrap();
+        let stats = handles.stats().clone();
+        let stopped = std::thread::spawn(move || handles.join());
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!stopped.is_finished(), "stopped with a run unsent");
+        assert_eq!(stats.open_streams(), 4);
+        drop(held);
+        stopped.join().unwrap();
+        for frame in &frames {
+            assert_eq!(&rig.recv(2), frame);
+        }
+        let totals = stats.totals();
+        assert_eq!(
+            (totals.messages, totals.errors, totals.held_bytes),
+            (4, 0, 0)
+        );
+        assert_eq!(stats.open_streams(), 0);
+    }
+
+    /// A dead peer fails a whole run: each stream with a packet in it is
+    /// cancelled upstream once — a whole message, one that crossed packet
+    /// by packet (its header knows no way back, its fragments do), and
+    /// another whole one — and every packet of it is accounted.
+    #[test]
+    fn burst_dead_peer_fails_the_run_and_cancels_each_stream_once() {
+        let out = MockDriver::queued();
+        let mut rig = Rig::new(flow_controlled(2), out.clone());
+        let apart = stream_in_frags(2, 2, &[0x2B; 200], 2);
+        let mut backlog = vec![frame_of(&stream_in_frags(2, 1, &[0x1A; 200], 2))];
+        backlog.extend(apart.iter().cloned());
+        backlog.push(frame_of(&stream_in_frags(2, 3, &[0x3C; 100], 1)));
+        let tags: Vec<StreamTag> = [1, 2, 3]
+            .map(|msg_id| StreamTag {
+                src: NodeId(0),
+                dest: NodeId(2),
+                msg_id,
+            })
+            .to_vec();
+        out.fail_sends();
+        rig.send_backlog(&backlog);
+        for tag in &tags {
+            assert_eq!(
+                rig.recv_back(),
+                (*tag, PacketBody::Cancel(CancelReason::PeerUnreachable)),
+            );
+        }
+        rig.settle_open_streams();
+        while rig.totals().held_bytes > 0 {
+            std::thread::yield_now();
+        }
+        assert!(!Rig::pending(&rig.up), "each stream once");
+        let totals = rig.finish();
+        assert_eq!(totals.errors, 1, "one run, one failed send");
+        assert_eq!((totals.messages, totals.fragments), (3, 5));
+        assert_eq!((totals.held_bytes, totals.credits_granted), (0, 0));
+        assert!(!Rig::pending(&rig.down[&2]), "nothing of it left");
+        assert!(rig.ledger.is_idle());
+    }
+
+    /// An end closes the ledger account its stream holds here, and only
+    /// that: after whole messages, per-packet streams and a relayed cancel
+    /// have crossed toward rank 2 (the last hop: no account) and rank 4
+    /// (a non-final hop: its header opens one), none of their keys has an
+    /// account left.
+    #[test]
+    fn no_account_outlives_its_stream_on_either_hop() {
+        let mut rig = Rig::new(flow_controlled(2), MockDriver::dynamic());
+        let mut keys = Vec::new();
+        for dest in [2, 4] {
+            let far = |rig: &Rig| match dest {
+                2 => rig.recv(2),
+                _ => rig.recv_special(3),
+            };
+            let single = stream_packets(dest, 1, b"a whole message");
+            let whole = frame_of(&single);
+            let apart = stream_in_frags(dest, 2, &[0x5E; 200], 2);
+            let mut cancelled = stream_in_frags(dest, 3, &[0x6F; 200], 2);
+            let tag = gtm::decode_packet(&cancelled[0]).unwrap().0;
+            cancelled.truncate(3);
+            cancelled.push(gtm::encode_cancel(&tag, CancelReason::CreditTimeout));
+            for packet in std::iter::once(&whole).chain(&apart).chain(&cancelled) {
+                rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                assert_eq!(&far(&rig), packet, "to rank {dest}");
+            }
+            for packets in [&single, &apart, &cancelled] {
+                keys.push(gtm::decode_packet(&packets[0]).unwrap().0.key());
             }
         }
-        assert_eq!(&rig.recv_special(3), end);
+        rig.settle_open_streams();
         let totals = rig.finish();
-        assert_eq!((totals.messages, totals.fragments), (1, 3));
-        assert_eq!((totals.credit_timeouts, totals.cancelled), (0, 0));
-        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        assert_eq!((totals.messages, totals.cancelled), (4, 2));
+        for key in keys {
+            assert_eq!(rig.ledger.available(key), None, "{key:?}");
+            assert_eq!(rig.ledger.cancelled(key), None, "{key:?}");
+        }
         assert!(rig.ledger.is_idle());
     }
 

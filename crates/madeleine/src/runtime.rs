@@ -512,6 +512,34 @@ impl<T> RtSender<T> {
         self.inner.nonempty.bump();
         Ok(())
     }
+
+    /// Push every item of `items`, in order, as one run: under one lock
+    /// and with one bump while the queue has room for them all, blocking
+    /// while it is at capacity. `false` if every receiver is gone; the
+    /// items not yet queued are dropped.
+    pub fn push_all(&self, items: impl IntoIterator<Item = T>) -> bool {
+        let mut items = items.into_iter().peekable();
+        while items.peek().is_some() {
+            let seen = self.inner.nonfull.epoch();
+            {
+                let mut st = self.inner.q.lock();
+                if st.consumers == 0 {
+                    return false;
+                }
+                let room = self.inner.capacity - st.items.len();
+                if room > 0 {
+                    st.items.extend(items.by_ref().take(room));
+                    // Stored before the bump that announces the run.
+                    self.inner.readiness.set_queued(st.items.len());
+                    drop(st);
+                    self.inner.nonempty.bump();
+                    continue;
+                }
+            }
+            self.inner.nonfull.wait_past(seen);
+        }
+        true
+    }
 }
 
 impl<T> Clone for RtReceiver<T> {
@@ -580,6 +608,28 @@ impl<T> RtReceiver<T> {
         v
     }
 
+    /// Non-blocking pop of everything queued, appended to `out` in order
+    /// under one lock; returns how many items moved.
+    pub fn try_pop_all(&self, out: &mut std::collections::VecDeque<T>) -> usize {
+        let mut st = self.inner.q.lock();
+        let n = st.items.len();
+        if n == 0 {
+            return 0;
+        }
+        if out.is_empty() {
+            // Trade buffers: nothing is moved, and both keep their room.
+            std::mem::swap(&mut st.items, out);
+        } else {
+            out.extend(st.items.drain(..));
+        }
+        self.inner.readiness.set_queued(0);
+        drop(st);
+        if self.inner.capacity != usize::MAX {
+            self.inner.nonfull.bump();
+        }
+        n
+    }
+
     /// True if an item is queued right now. Takes no lock.
     pub fn has_pending(&self) -> bool {
         self.inner.readiness.ready()
@@ -602,6 +652,7 @@ impl<T> RtReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn std_event_wait_and_bump() {
@@ -879,12 +930,146 @@ mod tests {
         }
     }
 
+    /// A run pushed as one and read back as one backlog, ping-pong: the
+    /// reader scans the queue's readiness with no lock, as a channel's scan
+    /// does, and takes what it finds with `try_pop_all`; the writer waits
+    /// for the echo of the whole run before pushing the next. A length
+    /// stored after the run's one bump, or a bump per item whose last one
+    /// comes early, leaves the reader asleep past the run — the test then
+    /// fails at its deadline instead of hanging. A reordered or split run
+    /// fails the equality.
+    #[test]
+    fn readiness_a_run_wakes_a_lock_free_reader() {
+        const ROUNDS: usize = 10_000;
+        const RUN: usize = 5;
+        let rt = StdRuntime::default();
+        let (ev, back_ev) = (rt.event(), rt.event());
+        let (tx, rx) = RtQueue::<usize>::with_event(&rt, usize::MAX, ev.clone());
+        let (back_tx, back_rx) = RtQueue::<usize>::with_event(&rt, usize::MAX, back_ev.clone());
+        let echo = std::thread::spawn(move || {
+            let readiness = rx.readiness();
+            let mut got = VecDeque::new();
+            loop {
+                let seen = ev.epoch();
+                if readiness.ready() {
+                    assert!(rx.try_pop_all(&mut got) > 0, "a ready queue pops");
+                    if got.len() >= RUN {
+                        assert!(back_tx.push_all(got.drain(..)));
+                    }
+                    continue;
+                }
+                if readiness.closed() {
+                    return;
+                }
+                let woke = ev.wait_past_timeout(seen, STRANDED);
+                assert!(woke.is_some(), "asleep past a run: a lost wake-up");
+            }
+        });
+        let mut back = VecDeque::new();
+        for round in 0..ROUNDS {
+            let run: Vec<usize> = (round * RUN..(round + 1) * RUN).collect();
+            assert!(tx.push_all(run.iter().copied()));
+            while back.len() < RUN {
+                let seen = back_ev.epoch();
+                if back_rx.try_pop_all(&mut back) == 0 {
+                    let woke = back_ev.wait_past_timeout(seen, STRANDED);
+                    assert!(woke.is_some(), "round {round}: stranded");
+                }
+            }
+            assert!(back.drain(..).eq(run), "round {round}: the run in order");
+        }
+        drop(tx);
+        echo.join().unwrap();
+    }
+
+    /// `try_pop_all` leaves the queue reading empty, and closed only once
+    /// its last producer is gone: taken in one piece while producers push
+    /// and leave, every item is seen once, in each producer's order, and
+    /// the queue never reads closed with one of them still to come.
+    #[test]
+    fn readiness_pop_all_reads_empty_and_closes_after_the_last_producer() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const PRODUCERS: usize = 2;
+        const ITEMS: usize = 50;
+        let rt = StdRuntime::default();
+        let (tx, rx) = RtQueue::<usize>::with_capacity(&rt, usize::MAX);
+        assert!(tx.push_all([1, 2, 3]));
+        let mut got = VecDeque::new();
+        assert_eq!(rx.try_pop_all(&mut got), 3);
+        assert!(!rx.has_pending() && !rx.is_closed(), "empty, not closed");
+        assert_eq!(rx.try_pop_all(&mut got), 0);
+        drop(tx);
+        assert!(rx.is_closed(), "the last producer is gone");
+        assert_eq!(got, [1, 2, 3]);
+        for round in 0..500 {
+            let (tx, rx) = RtQueue::<usize>::with_capacity(&rt, usize::MAX);
+            let leaving = Arc::new(AtomicUsize::new(0));
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let (tx, leaving) = (tx.clone(), leaving.clone());
+                    std::thread::spawn(move || {
+                        for i in 0..ITEMS {
+                            tx.push(p * ITEMS + i).unwrap();
+                        }
+                        leaving.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut next = [0, ITEMS];
+            let began = Instant::now();
+            loop {
+                assert!(
+                    began.elapsed().as_nanos() < STRANDED as u128,
+                    "round {round}: never read closed"
+                );
+                if rx.is_closed() {
+                    assert_eq!(leaving.load(Ordering::Relaxed), PRODUCERS, "round {round}");
+                    assert_eq!(next, [ITEMS, 2 * ITEMS], "round {round}: closed early");
+                    break;
+                }
+                got.clear();
+                rx.try_pop_all(&mut got);
+                for v in got.drain(..) {
+                    let p = v / ITEMS;
+                    assert_eq!(v, next[p], "round {round}: producer {p} in order");
+                    next[p] += 1;
+                }
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
+        }
+    }
+
+    /// A run pushed onto a bounded queue waits for room and still arrives
+    /// whole and in order.
+    #[test]
+    fn rt_queue_push_all_waits_for_room() {
+        let rt = StdRuntime::default();
+        let (tx, rx) = RtQueue::<u32>::with_capacity(&rt, 2);
+        let h = std::thread::spawn(move || assert!(tx.push_all(0..5)));
+        let mut got = VecDeque::new();
+        while got.len() < 5 {
+            if rx.try_pop_all(&mut got) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        h.join().unwrap();
+        assert!(got.into_iter().eq(0..5));
+        let (tx, rx) = RtQueue::<u32>::with_capacity(&rt, usize::MAX);
+        drop(rx);
+        assert!(!tx.push_all([7]), "nobody to receive");
+    }
+
     #[test]
     fn rt_queue_unbounded_pop_bumps_no_nonfull() {
         let rt = StdRuntime::default();
         let (tx, rx) = RtQueue::with_capacity(&rt, usize::MAX);
         tx.push(1).unwrap();
         assert_eq!(rx.try_pop(), Some(1));
+        assert!(tx.push_all([2, 3]));
+        assert_eq!(rx.try_pop_all(&mut VecDeque::new()), 2);
         assert_eq!(rx.inner.nonfull.epoch(), 0, "nobody can wait for room");
         let (tx, rx) = RtQueue::with_capacity(&rt, 1);
         tx.push(1).unwrap();

@@ -5,7 +5,8 @@
 
 #![cfg(test)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mad_util::pool::PooledBuf;
@@ -27,6 +28,12 @@ pub struct MockDriver {
     /// Set: every send of this driver's conduits fails as toward a dead
     /// peer ([`MockDriver::fail_sends`]).
     failing: Arc<AtomicBool>,
+    /// Pushes onto a receive queue of this driver's conduits: one per
+    /// send, one per run ([`Conduit::send_owned_run`]).
+    pushes: Arc<AtomicUsize>,
+    /// Receives that took packets off such a queue: one per packet, or
+    /// one per backlog ([`Conduit::recv_queued`]).
+    receives: Arc<AtomicUsize>,
 }
 
 impl MockDriver {
@@ -36,7 +43,19 @@ impl MockDriver {
             runtime: StdRuntime::shared(),
             owned_sends: Arc::default(),
             failing: Arc::default(),
+            pushes: Arc::default(),
+            receives: Arc::default(),
         })
+    }
+
+    /// Queue pushes made so far by this driver's conduits.
+    pub fn pushes(&self) -> usize {
+        self.pushes.load(Ordering::SeqCst)
+    }
+
+    /// Receives made so far by this driver's conduits.
+    pub fn receives(&self) -> usize {
+        self.receives.load(Ordering::SeqCst)
     }
 
     /// From now on every send of this driver's conduits, those already
@@ -107,6 +126,8 @@ impl Driver for MockDriver {
                 sent_packets: 0,
                 owned_sends: self.owned_sends.clone(),
                 failing: self.failing.clone(),
+                pushes: self.pushes.clone(),
+                receives: self.receives.clone(),
             }),
             Box::new(MockConduit {
                 caps: self.caps,
@@ -117,6 +138,8 @@ impl Driver for MockDriver {
                 sent_packets: 0,
                 owned_sends: self.owned_sends.clone(),
                 failing: self.failing.clone(),
+                pushes: self.pushes.clone(),
+                receives: self.receives.clone(),
             }),
         )
     }
@@ -133,6 +156,8 @@ pub struct MockConduit {
     pub sent_packets: usize,
     owned_sends: Arc<Mutex<Vec<usize>>>,
     failing: Arc<AtomicBool>,
+    pushes: Arc<AtomicUsize>,
+    receives: Arc<AtomicUsize>,
 }
 
 impl MockConduit {
@@ -142,6 +167,31 @@ impl MockConduit {
             return Err(MadError::PeerUnreachable(self.peer));
         }
         Ok(())
+    }
+
+    /// Queue one packet for the peer.
+    fn push(&mut self, packet: Vec<u8>) -> Result<()> {
+        self.sent_packets += 1;
+        self.pushes.fetch_add(1, Ordering::SeqCst);
+        self.tx.push(packet).map_err(|_| MadError::Disconnected)
+    }
+
+    /// Block until something is queued, then take it with `take`.
+    fn pop_with<T>(
+        &mut self,
+        mut take: impl FnMut(&RtReceiver<Vec<u8>>) -> Option<T>,
+    ) -> Result<T> {
+        loop {
+            let seen = self.ev.epoch();
+            if let Some(got) = take(&self.rx) {
+                self.receives.fetch_add(1, Ordering::SeqCst);
+                return Ok(got);
+            }
+            if self.rx.is_closed() {
+                return Err(MadError::Disconnected);
+            }
+            self.ev.wait_past(seen);
+        }
     }
 }
 
@@ -155,30 +205,43 @@ impl Conduit for MockConduit {
         assert!(total <= self.caps.max_packet, "packet over driver limit");
         assert!(parts.len() <= self.caps.max_gather, "gather over limit");
         self.dead_peer()?;
-        self.sent_packets += 1;
         let mut v = Vec::with_capacity(total);
         for p in parts {
             v.extend_from_slice(p);
         }
-        self.tx.push(v).map_err(|_| MadError::Disconnected)
+        self.push(v)
     }
 
     fn send_owned(&mut self, packet: PooledBuf) -> Result<()> {
         assert!(packet.len() <= self.caps.max_packet, "packet over limit");
         self.dead_peer()?;
-        self.sent_packets += 1;
         self.owned_sends.lock().push(packet.as_ptr() as usize);
-        self.tx
-            .push(packet.detach())
-            .map_err(|_| MadError::Disconnected)
+        self.push(packet.detach())
+    }
+
+    fn send_owned_run(&mut self, packets: &mut Vec<PooledBuf>) -> Result<()> {
+        let run = packets.drain(..);
+        assert!(run
+            .as_slice()
+            .iter()
+            .all(|p| p.len() <= self.caps.max_packet));
+        self.dead_peer()?;
+        self.sent_packets += run.len();
+        self.pushes.fetch_add(1, Ordering::SeqCst);
+        let mut owned = self.owned_sends.lock();
+        let run = run.map(|packet| {
+            owned.push(packet.as_ptr() as usize);
+            packet.detach()
+        });
+        match self.tx.push_all(run) {
+            true => Ok(()),
+            false => Err(MadError::Disconnected),
+        }
     }
 
     fn send_static(&mut self, buf: StaticBuf) -> Result<()> {
         self.dead_peer()?;
-        self.sent_packets += 1;
-        self.tx
-            .push(buf.into_vec())
-            .map_err(|_| MadError::Disconnected)
+        self.push(buf.into_vec())
     }
 
     fn alloc_static(&mut self, len: usize) -> Option<StaticBuf> {
@@ -198,16 +261,11 @@ impl Conduit for MockConduit {
     }
 
     fn recv_owned(&mut self) -> Result<Vec<u8>> {
-        loop {
-            let seen = self.ev.epoch();
-            if let Some(p) = self.rx.try_pop() {
-                return Ok(p);
-            }
-            if self.rx.is_closed() {
-                return Err(MadError::Disconnected);
-            }
-            self.ev.wait_past(seen);
-        }
+        self.pop_with(|rx| rx.try_pop())
+    }
+
+    fn recv_queued(&mut self, out: &mut VecDeque<Vec<u8>>) -> Result<()> {
+        self.pop_with(|rx| (rx.try_pop_all(out) > 0).then_some(()))
     }
 
     fn ready(&self) -> bool {

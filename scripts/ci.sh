@@ -51,8 +51,13 @@ done
 # asleep with an item queued, which fails the ping-pong (one item at a
 # time, nothing later to rescue it) and the three-queue scan at their
 # 5 s deadline. A closed read that loads the length before the producer
-# count calls a queue with an item in it closed. All `readiness_` tests,
-# 50 times, optimised, a few seconds.
+# count calls a queue with an item in it closed. The run operations
+# count too: a run pushed with one bump and taken with one pop must wake
+# a lock-free reader before its deadline (a length stored after that bump
+# strands it), arrive whole and in order (a split or reordered run fails
+# the echo's equality), and a queue emptied by `try_pop_all` must read
+# closed only after its last producer left. All `readiness_` tests, 50
+# times, optimised, a few seconds.
 echo
 echo "== readiness tests x50 (madeleine, release)"
 for i in $(seq 1 50); do
@@ -91,12 +96,18 @@ done
 # the way out, each on the polling thread in place and through the
 # pipeline) and the whole-frame rigs (a frame that is one whole stream
 # crossing as it landed, and every frame that falls back to the
-# per-packet rules), 50 times, optimised, a few seconds.
+# per-packet rules), 50 times, optimised, a few seconds. With them the
+# `burst_` rigs, a backlog one polling turn takes and hands on as one
+# run: a reordering shows as a message out of wire order at the far end,
+# a run left unsent at the turn's end or a lost wake-up as a hang up to a
+# deadline, a stop that overtakes the run as an engine gone with its
+# messages in hand, and a failed run that cancels a stream twice or drops
+# a packet unaccounted as a second cancel or bytes left held.
 echo
 echo "== credit and cancel settlement x50 (madeleine, release)"
 for i in $(seq 1 50); do
   out="$(cargo test -q --offline --release -p madeleine --lib -- \
-    half_window_grants dead_peer_ whole_frame_ 2>&1)" ||
+    half_window_grants dead_peer_ whole_frame_ burst_ 2>&1)" ||
     { echo "$out"; echo "settlement loop: run $i of 50 failed" >&2; exit 1; }
 done
 

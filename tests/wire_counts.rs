@@ -5,7 +5,7 @@
 //! does, so a packet the library sends in any way at all is a packet
 //! counted here.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -107,6 +107,14 @@ impl Conduit for CountingConduit {
         self.out.owned.fetch_add(1, Ordering::SeqCst);
         self.inner.send_owned(packet)
     }
+    // Forwarded, and counted packet by packet: a run is that many packets
+    // on the wire, each handed over whole.
+    fn send_owned_run(&mut self, packets: &mut Vec<PooledBuf>) -> madeleine::Result<()> {
+        let n = packets.len() as u64;
+        self.out.sent.fetch_add(n, Ordering::SeqCst);
+        self.out.owned.fetch_add(n, Ordering::SeqCst);
+        self.inner.send_owned_run(packets)
+    }
     fn send_static(&mut self, buf: StaticBuf) -> madeleine::Result<()> {
         self.out.sent.fetch_add(1, Ordering::SeqCst);
         self.inner.send_static(buf)
@@ -123,6 +131,14 @@ impl Conduit for CountingConduit {
         let packet = self.inner.recv_owned()?;
         self.inc.received.fetch_add(1, Ordering::SeqCst);
         Ok(packet)
+    }
+    // Forwarded too, and counted packet by packet.
+    fn recv_queued(&mut self, out: &mut VecDeque<Vec<u8>>) -> madeleine::Result<()> {
+        let before = out.len();
+        self.inner.recv_queued(out)?;
+        let n = (out.len() - before) as u64;
+        self.inc.received.fetch_add(n, Ordering::SeqCst);
+        Ok(())
     }
     fn ready(&self) -> bool {
         self.inner.ready()
