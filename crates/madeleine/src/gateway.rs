@@ -19,9 +19,10 @@
 //! transmits the unit itself, under the lock the forwarding thread holds
 //! from pop to last send, so arrival order stays wire order (`dispatch`,
 //! `Sink`). Over a queue-push conduit what it transmits in a turn leaves
-//! as one run at the turn's end (see "Turns and runs"). Every mid-stream bulk fragment bound for a network whose send
-//! takes time (TCP, every modeled network), and anything behind a backlog
-//! or a dry credit window, crosses the two-stage pipeline;
+//! as one run at the turn's end (see "Turns and runs"). Every mid-stream
+//! bulk fragment bound for a network whose send takes time (TCP, every
+//! modeled network), and anything behind a backlog or a dry credit
+//! window, crosses the two-stage pipeline;
 //! `pipeline_depth: 1`, which has no second stage, is the same rule with
 //! nothing to hand over to. The choice is read from the unit, the
 //! conduit's capabilities, the queue, the lock and the ledger — there is
@@ -2690,7 +2691,8 @@ impl Run {
 impl ConduitRun {
     /// Send the trains in order on `out`, the lone landed packets through
     /// `packets` as runs: how many trains left, and the failure that
-    /// stopped the rest, if one did. A run that fails leaves nothing.
+    /// stopped the rest, if one did. A run that fails counts as failed
+    /// whole, whatever a default `send_owned_run` got out before it.
     fn put_on_wire(
         &mut self,
         out: &mut dyn Conduit,
