@@ -1,32 +1,34 @@
 //! The gateway forwarding engine (paper §2.2.2, Fig. 4).
 //!
 //! On a gateway node, every network of a virtual channel gets a *polling*
-//! thread listening on that network's special channel; every ordered pair
-//! of networks gets a *forwarding* thread. The two are coupled by a bounded
-//! pipeline of buffers (two by default, the paper's double-buffering): the
-//! polling thread receives packet *k+1* while the forwarding thread
-//! retransmits packet *k* on the other network.
+//! thread listening on that network's special channel, and every (in, out)
+//! pair of networks a *sink*. A sink whose send may take time or wait for
+//! a credit is *piped*: a *forwarding* thread of its own, coupled to the
+//! polling thread by a bounded pipeline of buffers (two by default, the
+//! paper's double-buffering), retransmits packet *k* on the other network
+//! while the polling thread receives packet *k+1*. A sink that can never
+//! wait is a *run* sink and has no forwarding thread.
 //!
 //! ## Who transmits
 //!
 //! The second thread exists to overlap that receive with that
-//! retransmission, and the hand-off to it costs a wake-up. When there is
-//! nothing to overlap — the unit in hand is a whole message (no packet
-//! *k+1*), or the outgoing conduit's send is a push onto an in-memory
+//! retransmission, and the hand-off to it costs a wake-up. A sink can
+//! never wait when every send on the way out is a push onto an in-memory
 //! queue that takes no time ([`DriverCaps::queued_send`]: shared memory)
-//! — and the flush side of its (in, out) pair has nothing in hand or
-//! queued, and the credit it needs first is there, the polling thread
-//! transmits the unit itself, under the lock the forwarding thread holds
-//! from pop to last send, so arrival order stays wire order (`dispatch`,
-//! `Sink`). Over a queue-push conduit what it transmits in a turn leaves
-//! as one run at the turn's end (see "Turns and runs"). Every mid-stream
-//! bulk fragment bound for a network whose send takes time (TCP, every
-//! modeled network), and anything behind a backlog or a dry credit
-//! window, crosses the two-stage pipeline;
+//! and no packet bound onto its network consumes a credit — flow control
+//! is off, or every hop onto it is a last hop. That is known at spawn from
+//! the routing plan, so such a sink is a run sink: the polling thread
+//! transmits every unit itself, and what it transmits in a turn leaves as
+//! one run at the turn's end (see "Turns and runs"). On a piped sink the
+//! polling thread transmits a unit itself only when it is a whole message
+//! (no packet *k+1*), the flush side has nothing in hand or queued, and the
+//! credit it needs first is there — under the lock the forwarding thread
+//! holds from pop to last send, so arrival order stays wire order
+//! (`dispatch`, `Sink`). Everything else crosses the two-stage pipeline;
 //! `pipeline_depth: 1`, which has no second stage, is the same rule with
 //! nothing to hand over to. The choice is read from the unit, the
-//! conduit's capabilities, the queue, the lock and the ledger — there is
-//! no size threshold and no knob.
+//! conduit's capabilities, the routing plan, the queue, the lock and the
+//! ledger — there is no size threshold and no knob.
 //!
 //! ## Fragment-granular scheduling
 //!
@@ -48,13 +50,12 @@
 //! every packet queued on the conduit ([`Conduit::recv_queued`], one lock
 //! and one pop for the backlog), under a landing that copies one packet.
 //! Each packet then meets the per-packet rules in arrival order. What the
-//! turn transmits in place on a sink whose sends are queue pushes joins
-//! that sink's run, and the run leaves at the turn's end with one lock and
-//! one [`Conduit::send_owned_run`] per outgoing conduit — or earlier,
-//! before anything of the sink is handed to the forwarding thread or a
-//! credit is waited for, so nothing overtakes it. Runs form only there:
-//! a send that takes time is worth overlapping with the next receive, and
-//! holding it to the turn's end would only delay it. Each train of a run
+//! turn transmits on a run sink joins that sink's run, and the run leaves
+//! at the turn's end with one lock and one [`Conduit::send_owned_run`] per
+//! outgoing conduit; with no queue and no credit wait on that sink, nothing
+//! can overtake it. Runs form only there: a send that takes time is worth
+//! overlapping with the next receive, and holding it to the turn's end
+//! would only delay it. Each train of a run
 //! is still the one wire packet it would have been; a run amortises the
 //! hand-offs, never the framing, and every item is settled once, by
 //! `settle_train`, whatever the run's fate.
@@ -165,8 +166,10 @@
 //! transmit side's one batching rule, `transmit_train` and `Run::send` put
 //! trains — of one packet or many — on the wire and `settle_train` settles
 //! each, and every control packet goes to the node's
-//! `ControlPlane`. The price is threads: `nets × nets`
-//! a gateway per virtual channel at depth 2 or more, `nets` at depth 1.
+//! `ControlPlane`. The price is threads: a gateway per virtual channel
+//! spawns one per network and, at depth 2 or more, one per piped sink —
+//! `nets` at depth 1 or when every sink is a run sink, `nets × nets` when
+//! none is.
 //!
 //! ## Teardown
 //!
@@ -499,9 +502,10 @@ impl GatewayStats {
 /// Tuning knobs of a gateway's forwarding engine.
 #[derive(Debug, Clone, Copy)]
 pub struct GatewayConfig {
-    /// Number of pipeline buffers per direction. `2` is the paper's
+    /// Number of pipeline buffers per piped direction. `2` is the paper's
     /// double-buffering; `1` disables pipelining (the polling thread
-    /// retransmits each packet itself before receiving the next).
+    /// retransmits each packet itself before receiving the next). A run
+    /// sink — one that can never wait — has no queue at any depth.
     pub pipeline_depth: usize,
     /// Software cost charged per fragment handoff (the paper's ~40 µs
     /// buffer-switch overhead). Only the simulated runtime turns this into
@@ -968,41 +972,65 @@ impl FwdUnit {
 }
 
 /// Where the polling thread hands the units of one outgoing network: the
-/// way out, the flush side's state, and — unless `pipeline_depth` is 1 —
-/// the bounded queue to the forwarding thread that shares that state. Over
-/// a network whose send is a queue push that thread only ever gets what
-/// found the flush side busy or a window dry.
-///
-/// Whoever transmits holds the `flush` lock from taking a unit to its last
-/// send. The forwarding thread pops *under* it, so the lock free and the
-/// queue empty together mean the flush side has nothing in hand — which
-/// is what lets [`dispatch`] transmit a unit on the polling thread without
-/// overtaking one that arrived before it. The lock is never waited on
-/// across a send: the polling thread only try-locks while a queue exists,
-/// and the forwarding thread locks only after it saw a unit queued, which
-/// the polling thread — the queue's one producer — cannot have pushed
-/// while it transmits. So a plain mutex is safe under the virtual clock.
+/// way out, and one of two shapes chosen once at spawn ([`never_waits`]).
 struct Sink {
     path: OutPath,
-    flush: Arc<Mutex<Flush>>,
-    queue: Option<RtSender<FwdUnit>>,
-    /// Present when every send on the way out is a queue push
-    /// ([`DriverCaps::queued_send`], read once at spawn): there is nothing
-    /// a second thread could overlap, whatever the unit, and what the
-    /// polling thread transmits in place during a turn leaves as one run
-    /// at the turn's end.
-    run: Option<Run>,
+    shape: Shape,
+}
+
+enum Shape {
+    /// A run sink, which can never wait: every send on the way out is a
+    /// queue push ([`DriverCaps::queued_send`]) and no packet bound onto
+    /// the network consumes a credit. There is nothing a second thread
+    /// could overlap and nothing to wait for, so the polling thread
+    /// transmits every unit itself through its own flush side, and what it
+    /// transmits in a turn leaves as one [`Run`] at the turn's end. No
+    /// queue and no forwarding thread.
+    Run(Flush, Run),
+    /// A piped sink, whose send takes time or may wait for a credit: the
+    /// flush side, shared with the forwarding thread that drains the
+    /// bounded queue — no queue at `pipeline_depth` 1, where the polling
+    /// thread transmits everything itself and may wait doing so.
+    ///
+    /// Whoever transmits holds the flush lock from taking a unit to its
+    /// last send. The forwarding thread pops *under* it, so the lock free
+    /// and the queue empty together mean the flush side has nothing in
+    /// hand — which is what lets [`dispatch`] transmit a whole message on
+    /// the polling thread without overtaking a unit that arrived before
+    /// it. The lock is never waited on across a send: the polling thread
+    /// only try-locks while a queue exists, and the forwarding thread
+    /// locks only after it saw a unit queued, which the polling thread —
+    /// the queue's one producer — cannot have pushed while it transmits.
+    /// So a plain mutex is safe under the virtual clock.
+    Piped(Arc<Mutex<Flush>>, Option<RtSender<FwdUnit>>),
 }
 
 impl Sink {
-    /// Put the run, if there is one, on the wire; `false` on an orderly
-    /// disconnect of an outbound conduit.
+    /// Put a run sink's run on the wire; `false` on an orderly disconnect
+    /// of an outbound conduit.
     fn send_run(&mut self, shared: &FwdShared) -> bool {
-        match &mut self.run {
-            Some(run) => run.send(&self.path, shared),
-            None => true,
+        match &mut self.shape {
+            Shape::Run(_, run) => run.send(&self.path, shared),
+            Shape::Piped(..) => true,
         }
     }
+}
+
+/// Can a sink onto `net` never wait? Both outgoing channels' sends must be
+/// queue pushes, and no packet bound onto `net` may consume a credit: flow
+/// control is off, or every hop onto `net` of the plan the engine routes
+/// by ([`ControlPlane::hop`]) is a last hop — `consume`'s own rule
+/// ([`InboundCtx::item`]), read once. Membership only retires and readmits
+/// paths the plan already holds.
+fn never_waits(net: NetworkId, path: &OutPath, ctl: &ControlPlane, cfg: &GatewayConfig) -> bool {
+    let plan = ctl.plan();
+    path.regular.caps().queued_send
+        && path.special.caps().queued_send
+        && (cfg.credit_window.is_none()
+            || plan
+                .destinations()
+                .filter_map(|dest| plan.primary(dest))
+                .all(|hop| NetworkId(hop.net) != net || hop.last))
 }
 
 /// The engine's sink set: one [`Sink`] per outbound network.
@@ -1162,20 +1190,11 @@ pub(crate) fn spawn_gateway(
 ) -> GatewayHandles {
     assert!(cfg.pipeline_depth >= 1, "pipeline depth must be at least 1");
     let nets: Vec<NetworkId> = ctl.special().keys().copied().collect();
-    // A polling thread per inbound network and, when pipelining is on, a
-    // forwarding thread per (in, out) ordered pair.
-    let workers = match cfg.pipeline_depth {
-        1 => nets.len(),
-        _ => nets.len() * nets.len(),
-    };
     let stats = Arc::new(GatewayStats::default());
-    stats
-        .threads_spawned
-        .store(workers as u64, Ordering::Relaxed);
     let shared = FwdShared {
         stats: stats.clone(),
         live: Arc::new(EngineLive {
-            threads: AtomicUsize::new(workers),
+            threads: AtomicUsize::new(0),
             stats: stats.clone(),
             stopctl: stopctl.clone(),
         }),
@@ -1186,7 +1205,9 @@ pub(crate) fn spawn_gateway(
         ctl,
     };
     let special = shared.ctl.special();
-    let mut threads = Vec::new();
+    // A polling thread per inbound network and, when pipelining is on, a
+    // forwarding thread per piped sink: all counted before the first runs.
+    let mut workers: Vec<(String, Box<dyn FnOnce() + Send>)> = Vec::new();
     for &net_in in &nets {
         let paths = out_paths(net_in, &regular, special);
         let in_channel = special[&net_in].clone();
@@ -1195,34 +1216,39 @@ pub(crate) fn spawn_gateway(
         let inbound = Inbound::new(rank, in_channel, paths.values(), cfg, shared.clone());
         let mut sinks: BTreeMap<NetworkId, Sink> = BTreeMap::new();
         for (net_out, path) in paths {
+            if never_waits(net_out, &path, &shared.ctl, &cfg) {
+                let shape = Shape::Run(Flush::default(), Run::default());
+                sinks.insert(net_out, Sink { path, shape });
+                continue;
+            }
             let flush = Arc::new(Mutex::new(Flush::default()));
             let queue = (cfg.pipeline_depth > 1).then(|| {
                 let (tx, rx) = RtQueue::<FwdUnit>::with_capacity(&*runtime, cfg.pipeline_depth - 1);
                 let name = format!("gw{}-{}-fwd-{}-{}", rank.0, vc_name, net_in, net_out);
                 let (flush, path, shared) = (flush.clone(), path.clone(), shared.clone());
-                threads.push(runtime.spawn(
+                workers.push((
                     name,
                     Box::new(move || forwarding_thread(rx, flush, path, shared)),
                 ));
                 tx
             });
-            let queued_send = path.regular.caps().queued_send && path.special.caps().queued_send;
-            sinks.insert(
-                net_out,
-                Sink {
-                    path,
-                    flush,
-                    queue,
-                    run: queued_send.then(Run::default),
-                },
-            );
+            let shape = Shape::Piped(flush, queue);
+            sinks.insert(net_out, Sink { path, shape });
         }
         let name = format!("gw{}-{}-in-{}", rank.0, vc_name, net_in);
-        threads.push(runtime.spawn(
+        workers.push((
             name,
             Box::new(move || polling_thread(inbound, Sinks(sinks))),
         ));
     }
+    shared.live.threads.store(workers.len(), Ordering::Relaxed);
+    stats
+        .threads_spawned
+        .store(workers.len() as u64, Ordering::Relaxed);
+    let threads = workers
+        .into_iter()
+        .map(|(name, worker)| runtime.spawn(name, worker))
+        .collect();
     GatewayHandles { threads, stats }
 }
 
@@ -2140,41 +2166,30 @@ fn landing_policy<'a>(paths: impl Iterator<Item = &'a OutPath>, cfg: GatewayConf
 }
 
 /// Hand one unit to its sink. Who transmits it is read from what the
-/// engine already knows, never from a size or a setting: the polling
+/// engine already knows, never from a size or a setting. The polling
 /// thread does, in place, when there is nothing to overlap the
-/// retransmission with — no forwarding thread at all (depth 1), or a unit
-/// that is a whole message or bound for a conduit whose send is a queue
-/// push, a flush side with nothing in hand or queued, and the head's
-/// credit there without waiting. On a sink whose sends are queue pushes,
-/// what it transmits joins the turn's [`Run`]. Everything else — a
-/// mid-stream bulk fragment whose send takes time, anything behind a
+/// retransmission with: always on a run sink, where the unit joins the
+/// turn's [`Run`]; on a piped sink with no forwarding thread (depth 1);
+/// and on a piped sink for a whole message, when the flush side has
+/// nothing in hand or queued and the head's credit is there without
+/// waiting. Everything else — a mid-stream fragment, anything behind a
 /// backlog or a dry window — crosses the paper's two-stage pipeline,
-/// counting buffer switches and backpressure stalls, after the run is on
-/// the wire. Either way a unit leaves after every unit accepted before it
-/// (see [`Sink`]).
+/// counting buffer switches and backpressure stalls. Either way a unit
+/// leaves after every unit accepted before it (see [`Sink`]).
 fn dispatch(sink: &mut Sink, mut unit: FwdUnit, shared: &FwdShared) -> Result<()> {
-    let Sink {
-        path,
-        flush,
-        queue,
-        run,
-    } = sink;
-    let Some(tx) = queue else {
-        return flush.lock().transmit(unit, path, shared, run.as_mut());
+    let Sink { path, shape } = sink;
+    let (flush, queue) = match shape {
+        Shape::Run(flush, run) => return flush.transmit(unit, path, shared, Some(run)),
+        Shape::Piped(flush, queue) => (flush, queue),
     };
-    if run.is_some() || unit.is_whole_message() {
+    let Some(tx) = queue else {
+        return flush.lock().transmit(unit, path, shared, None);
+    };
+    if unit.is_whole_message() {
         if let Some(mut flush) = flush.try_lock() {
             if tx.is_empty() && unit.take_head_credit(shared) {
-                return flush.transmit(unit, path, shared, run.as_mut());
+                return flush.transmit(unit, path, shared, None);
             }
-        }
-    }
-    // The run holds units accepted before this one: they leave first, so
-    // the forwarding thread cannot overtake them.
-    if let Some(run) = run {
-        if !run.send(path, shared) {
-            unit.drop_all(shared);
-            return Err(MadError::Disconnected);
         }
     }
     shared.stats.on_switch(unit.frags());
@@ -2528,16 +2543,13 @@ impl Flush {
     /// item accounted), followers join by [`Flush::build_train`]'s rules, a
     /// follower that cannot join heads the next train. Each outgoing
     /// conduit is locked per train, never per stream, so packets of
-    /// concurrent streams interleave. With a `run` — the polling thread's,
-    /// on a sink whose sends are queue pushes — each train joins the run
-    /// instead, and the run leaves first whenever a packet of the unit
-    /// still needs a credit: neither a credit wait nor a cancel sent
-    /// downstream may overtake it. The flush stage is busy from here
-    /// until the unit's last train leaves the wire or joins the run, on
-    /// whichever thread — the copy-placement scheduler reads `flush_active`
-    /// to decide where a relay copy overlaps best. Fails with
-    /// [`MadError::Disconnected`] on an orderly disconnect, with everything
-    /// still pending accounted.
+    /// concurrent streams interleave. With a `run` — a run sink's, whose
+    /// packets never consume a credit — each train joins the run instead.
+    /// The flush stage is busy from here until the unit's last train
+    /// leaves the wire or joins the run, on whichever thread — the
+    /// copy-placement scheduler reads `flush_active` to decide where a
+    /// relay copy overlaps best. Fails with [`MadError::Disconnected`] on
+    /// an orderly disconnect, with everything still pending accounted.
     fn transmit(
         &mut self,
         unit: FwdUnit,
@@ -2548,16 +2560,10 @@ impl Flush {
         let _stage = StageBusy::enter(&shared.stats.flush_active);
         unit.unpack_into(&mut self.pending);
         while let Some(head) = self.pending.pop_front() {
-            let open = match run.as_deref_mut() {
-                Some(run) if head.consume || self.pending.iter().any(|item| item.consume) => {
-                    run.send(path, shared)
-                }
-                _ => true,
-            };
-            if !open {
-                drop_item(&head, shared);
-                return self.disconnected(shared);
-            }
+            debug_assert!(
+                run.is_none() || !head.consume,
+                "a run sink's packet needs a credit"
+            );
             let Some(head) = take_credit_blocking(path, head, shared) else {
                 continue; // stream cancelled; item accounted
             };
@@ -2585,12 +2591,12 @@ impl Flush {
     }
 }
 
-/// What the polling thread transmitted in place during one turn on a sink
-/// whose sends are queue pushes, not yet on the wire: trains in the order
-/// they were built, per outgoing conduit. At the turn's end — or sooner,
-/// before anything of the sink is handed to the forwarding thread or a
-/// credit is waited for — each conduit's trains leave under one lock of
-/// it: the lone landed packets among them, every one of them in the usual
+/// What the polling thread transmitted during one turn on a run sink, not
+/// yet on the wire: trains in the order they were built, per outgoing
+/// conduit. A run sink has no queue and its packets never wait for a
+/// credit, so nothing can overtake the run. At the turn's end each
+/// conduit's trains leave under one lock of it: the lone landed packets
+/// among them, every one of them in the usual
 /// case, as one [`Conduit::send_owned_run`]. Nothing is re-framed: each
 /// train is still the one wire packet it would have been, and is settled
 /// by [`settle_train`] as if it had left alone. Everything here keeps its
@@ -2784,9 +2790,13 @@ mod tests {
     /// One gateway (rank 1) between network 0 = {0, 1} and network 1 =
     /// {1, 2, 3}, over mock drivers, with the far ends of its conduits in
     /// the test's hands: what rank 0 sends it on the special channel, and
-    /// what ranks 2 and 3 find on their regular channels. Rank 3 is itself
-    /// a gateway onto network 2 = {3, 4}, so a stream for rank 4 leaves on
-    /// rank 3's special channel and spends credits doing so.
+    /// what ranks 2 and 3 find on their regular channels. Built by
+    /// [`Rig::new`], rank 3 is itself a gateway onto network 2 = {3, 4}, so
+    /// a stream for rank 4 leaves on rank 3's special channel and spends
+    /// credits doing so: the sink onto network 1 is piped whatever its
+    /// driver. Built by [`Rig::last_hop`], rank 3 is an endpoint, every hop
+    /// onto network 1 is a last hop, and over a queued driver that sink is
+    /// a run sink.
     struct Rig {
         /// Rank 0's special channel toward the gateway.
         up: Channel,
@@ -2808,7 +2818,17 @@ mod tests {
     }
 
     impl Rig {
+        /// Rank 3 a gateway onto network 2 = {3, 4}.
         fn new(cfg: GatewayConfig, out_driver: Arc<MockDriver>) -> Rig {
+            Rig::build(cfg, out_driver, true)
+        }
+
+        /// Rank 3 an endpoint: network 2 is not declared.
+        fn last_hop(cfg: GatewayConfig, out_driver: Arc<MockDriver>) -> Rig {
+            Rig::build(cfg, out_driver, false)
+        }
+
+        fn build(cfg: GatewayConfig, out_driver: Arc<MockDriver>, gateway_behind: bool) -> Rig {
             let rt = StdRuntime::shared();
             let gw_event = rt.event();
             let in_driver = MockDriver::dynamic();
@@ -2872,11 +2892,12 @@ mod tests {
                 members(1, &[1, 2, 3]),
                 members(2, &[3, 4]),
             ];
+            let declared = if gateway_behind { 3 } else { 2 };
             let ledger = CreditLedger::new(gw_event.clone());
             let ctl = ControlPlane::new(
                 NodeId(1),
                 ledger.clone(),
-                mad_route::compute_plan(&nets, 1),
+                mad_route::compute_plan(&nets[..declared], 1),
                 BTreeMap::from([(NetworkId(0), sp0), (NetworkId(1), sp1)]),
             );
             let stopctl = Arc::new(GatewayStop::new());
@@ -3070,6 +3091,16 @@ mod tests {
         }
     }
 
+    /// The sinks a last-hop rig is run over: a piped sink at either depth
+    /// (a conduit whose send takes time), then a run sink (a queued one).
+    fn last_hop_sinks() -> [(usize, Arc<MockDriver>); 3] {
+        [
+            (2, MockDriver::dynamic()),
+            (1, MockDriver::dynamic()),
+            (2, MockDriver::queued()),
+        ]
+    }
+
     /// A train in is a train out: one conduit send, nothing sent back —
     /// the fragment's grant would find its account closed — and every
     /// per-packet account settled, at either depth. A whole message into
@@ -3127,13 +3158,14 @@ mod tests {
         assert_eq!((totals.errors, totals.held_bytes), (0, 0));
     }
 
-    /// The same packets over a conduit whose send is a queue push: there is
-    /// nothing to overlap, so every unit that finds the flush side idle and
-    /// its credit there leaves on the thread that received it — mid-stream
-    /// fragments included — and in the order it arrived.
+    /// The same packets over a conduit whose send is a queue push, every
+    /// hop onto it a last hop: a run sink, with nothing to overlap and
+    /// nothing to wait for, so every unit leaves on the thread that
+    /// received it — mid-stream fragments included — in the order it
+    /// arrived, and that sink has no forwarding thread.
     #[test]
     fn bulk_fragments_leave_in_place_over_a_queued_conduit() {
-        let mut rig = Rig::new(flow_controlled(2), MockDriver::queued());
+        let mut rig = Rig::last_hop(flow_controlled(2), MockDriver::queued());
         let bulk = stream_in_frags(2, 1, &[0x5A; 3000], 3);
         let small = frame_of(&stream_packets(2, 2, b"a whole message, behind"));
         for packet in &bulk {
@@ -3148,14 +3180,16 @@ mod tests {
         assert_eq!((totals.messages, totals.fragments), (2, 4));
         assert_eq!((totals.buffer_switches, totals.stalls), (0, 0));
         assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        // Two polling threads, and one forwarding thread for the piped
+        // sink onto network 0.
+        assert_eq!(totals.threads_spawned, 3);
     }
 
-    /// A queued conduit changes who transmits, not the order: a fragment
-    /// whose window is dry goes to the queue, every fragment behind it
-    /// follows it there instead of overtaking, and each leaves only with a
-    /// credit of its own — whether the rest arrived apart or as one
-    /// backlog that a single turn takes (a burst: what the turn built
-    /// before the dry fragment leaves before it, nothing after it does).
+    /// A queued conduit toward a further gateway is a piped sink: its
+    /// fragments spend credits, so they cross the pipeline, and a fragment
+    /// whose window is dry holds every fragment behind it — none
+    /// overtakes, and each leaves only with a credit of its own — whether
+    /// the rest arrived apart or as one backlog that a single turn takes.
     #[test]
     fn dry_window_keeps_fifo_over_a_queued_conduit() {
         for backlog in [false, true] {
@@ -3176,8 +3210,8 @@ mod tests {
                     rig.up.send_packet(NodeId(1), &[packet]).unwrap();
                 }
             }
-            // The first fragment found the window dry; the other two found
-            // it queued or in hand, and followed it.
+            // Each fragment crossed the pipeline; the first found the window
+            // dry, the other two queued behind it.
             while rig.totals().buffer_switches < 3 {
                 std::thread::yield_now();
             }
@@ -3198,6 +3232,7 @@ mod tests {
             assert_eq!((totals.messages, totals.fragments), (1, 3));
             assert_eq!((totals.credit_timeouts, totals.cancelled), (0, 0));
             assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+            assert_eq!(totals.threads_spawned, 4, "both sinks are piped");
             assert!(rig.ledger.is_idle(), "backlog {backlog}");
         }
     }
@@ -3208,7 +3243,7 @@ mod tests {
     #[test]
     fn burst_of_whole_messages_is_one_receive_and_one_push() {
         let out = MockDriver::queued();
-        let mut rig = Rig::new(flow_controlled(2), out.clone());
+        let mut rig = Rig::last_hop(flow_controlled(2), out.clone());
         let frames: Vec<Vec<u8>> = (0..8)
             .map(|k| frame_of(&stream_packets(2, k, b"one message of a backlog")))
             .collect();
@@ -3232,7 +3267,7 @@ mod tests {
     /// a message taken off its conduit and not yet on the next one.
     #[test]
     fn burst_stop_requested_mid_turn_waits_for_the_run() {
-        let mut rig = Rig::new(flow_controlled(2), MockDriver::queued());
+        let mut rig = Rig::last_hop(flow_controlled(2), MockDriver::queued());
         let frames: Vec<Vec<u8>> = (0..4)
             .map(|k| frame_of(&stream_packets(2, k, b"relayed, not yet sent")))
             .collect();
@@ -3270,7 +3305,7 @@ mod tests {
     #[test]
     fn burst_dead_peer_fails_the_run_and_cancels_each_stream_once() {
         let out = MockDriver::queued();
-        let mut rig = Rig::new(flow_controlled(2), out.clone());
+        let mut rig = Rig::last_hop(flow_controlled(2), out.clone());
         let apart = stream_in_frags(2, 2, &[0x2B; 200], 2);
         let mut backlog = vec![frame_of(&stream_in_frags(2, 1, &[0x1A; 200], 2))];
         backlog.extend(apart.iter().cloned());
@@ -3629,9 +3664,8 @@ mod tests {
     /// stop completes.
     #[test]
     fn dead_peer_train_cancels_upstream_once() {
-        for depth in [2, 1] {
-            let out = MockDriver::dynamic();
-            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+        for (depth, out) in last_hop_sinks() {
+            let mut rig = Rig::last_hop(flow_controlled(depth), out.clone());
             let packets = stream_in_frags(2, 7, &[0x4D; 200], 2);
             let tag = gtm::decode_packet(&packets[0]).unwrap().0;
             let (open, end) = packets.split_at(packets.len() - 1);
@@ -3651,9 +3685,8 @@ mod tests {
     /// after the cancel is consumed.
     #[test]
     fn dead_peer_lone_fragment_cancels_upstream_once() {
-        for depth in [2, 1] {
-            let out = MockDriver::dynamic();
-            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+        for (depth, out) in last_hop_sinks() {
+            let mut rig = Rig::last_hop(flow_controlled(depth), out.clone());
             let packets = stream_in_frags(2, 8, &[0x4E; 100], 1);
             let tag = gtm::decode_packet(&packets[0]).unwrap().0;
             for packet in &packets[..2] {
@@ -3698,9 +3731,8 @@ mod tests {
     /// packet bytes, and fell at the send — and nothing comes back.
     #[test]
     fn whole_frame_on_a_last_hop_leaves_as_it_landed() {
-        for depth in [2, 1] {
-            let out = MockDriver::dynamic();
-            let mut rig = Rig::new(flow_controlled(depth), out.clone());
+        for (depth, out) in last_hop_sinks() {
+            let mut rig = Rig::last_hop(flow_controlled(depth), out.clone());
             let frame = frame_of(&stream_in_frags(2, 1, &[0x3D; 300], 3));
             let landed = frame.clone();
             let at = landed.as_ptr() as usize;

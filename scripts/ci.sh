@@ -93,21 +93,26 @@ done
 # leaves the sender waiting — neither shows in every run: the half-window
 # grant rigs (windows 1 to 8, a writer that sends only what its account
 # covers), the dead-peer rigs (a train and a lone fragment that fail on
-# the way out, each on the polling thread in place and through the
-# pipeline) and the whole-frame rigs (a frame that is one whole stream
-# crossing as it landed, and every frame that falls back to the
-# per-packet rules), 50 times, optimised, a few seconds. With them the
-# `burst_` rigs, a backlog one polling turn takes and hands on as one
-# run: a reordering shows as a message out of wire order at the far end,
-# a run left unsent at the turn's end or a lost wake-up as a hang up to a
-# deadline, a stop that overtakes the run as an engine gone with its
-# messages in hand, and a failed run that cancels a stream twice or drops
-# a packet unaccounted as a second cancel or bytes left held.
+# the way out: through a piped sink's pipeline, on the polling thread in
+# place at depth 1, and into a run sink's run) and the whole-frame rigs
+# (a frame that is one whole stream crossing as it landed, and every
+# frame that falls back to the per-packet rules), 50 times, optimised, a
+# few seconds. With them the rigs of the two sink shapes over a queued
+# conduit: the `burst_` rigs and `bulk_fragments_leave_in_place`, whose
+# run sink (`Rig::last_hop`) has no forwarding thread and hands a turn on
+# as one run, and the `dry_window_` rigs, whose piped sink holds what
+# follows a dry window behind it. A reordering shows as a message out of
+# wire order at the far end, a run left unsent at the turn's end or a
+# lost wake-up as a hang up to a deadline, a stop that overtakes the run
+# as an engine gone with its messages in hand, and a failed run that
+# cancels a stream twice or drops a packet unaccounted as a second cancel
+# or bytes left held.
 echo
 echo "== credit and cancel settlement x50 (madeleine, release)"
 for i in $(seq 1 50); do
   out="$(cargo test -q --offline --release -p madeleine --lib -- \
-    half_window_grants dead_peer_ whole_frame_ burst_ 2>&1)" ||
+    half_window_grants dead_peer_ whole_frame_ burst_ \
+    bulk_fragments_leave_in_place dry_window_ 2>&1)" ||
     { echo "$out"; echo "settlement loop: run $i of 50 failed" >&2; exit 1; }
 done
 

@@ -174,7 +174,8 @@ fn vchannel_forwarded_through_one_gateway() {
 #[test]
 fn vchannel_two_gateway_chain() {
     // net0: {0,1}; net1: {1,2}; net2: {2,3}. Message 0 → 3 crosses both
-    // gateways — the multi-gateway disambiguation case of §2.2.2.
+    // gateways — the multi-gateway disambiguation case of §2.2.2 — under a
+    // credit window.
     let mut sb = SessionBuilder::new(4);
     let rt = sb.runtime().clone();
     let n0 = sb.network("shm0", ShmDriver::new(rt.clone()), &[0, 1]);
@@ -185,10 +186,14 @@ fn vchannel_two_gateway_chain() {
         &[n0, n1, n2],
         VcOptions {
             mtu: Some(1024),
+            gateway: GatewayConfig {
+                credit_window: Some(8),
+                ..Default::default()
+            },
             ..Default::default()
         },
     );
-    let results = sb.run(|node| {
+    let (results, stats) = sb.run_with_gateway_stats(|node| {
         let vc = node.vchannel("vc");
         match node.rank().0 {
             0 => {
@@ -224,6 +229,12 @@ fn vchannel_two_gateway_chain() {
         }
     });
     assert!(results.into_iter().all(|ok| ok));
+    // Each gateway's sink toward the other gateway spends credits, so it
+    // keeps its forwarding thread; its sink toward an endpoint has none.
+    assert_eq!(stats.len(), 2, "two gateway engines");
+    for (_, gw, s) in &stats {
+        assert_eq!(s.totals().threads_spawned, 3, "gateway {gw}");
+    }
 }
 
 #[test]
@@ -350,7 +361,7 @@ fn pipeline_depth_one_still_correct() {
             ..Default::default()
         },
     );
-    let results = sb.run(|node| {
+    let (results, stats) = sb.run_with_gateway_stats(|node| {
         let vc = node.vchannel("vc");
         match node.rank().0 {
             0 => {
@@ -373,6 +384,8 @@ fn pipeline_depth_one_still_correct() {
         }
     });
     assert!(results.into_iter().all(|ok| ok));
+    // A polling thread per network and no forwarding thread.
+    assert_eq!(stats[0].2.totals().threads_spawned, 2);
 }
 
 #[test]
@@ -445,9 +458,11 @@ fn gateway_stats_count_relayed_traffic() {
     assert_eq!(t.fragment_bytes, 2510);
 }
 
-/// Over shared memory every send is a queue push, so the thread that
-/// receives a bulk fragment sends it on: 1 MiB messages in 64 KiB
-/// fragments cross the gateway with no buffer switch at all, and intact.
+/// Over shared memory every send is a queue push, and every hop out of a
+/// lone gateway is a last hop, so the thread that receives a bulk fragment
+/// sends it on: 1 MiB messages in 64 KiB fragments cross the gateway with
+/// no buffer switch at all, and intact, and the gateway spawns no
+/// forwarding thread.
 #[test]
 fn shm_gateway_forwards_bulk_on_the_receiving_thread() {
     const LEN: usize = 1 << 20;
@@ -502,4 +517,5 @@ fn shm_gateway_forwards_bulk_on_the_receiving_thread() {
     );
     assert_eq!((t.buffer_switches, t.stalls), (0, 0));
     assert_eq!((t.errors, t.held_bytes), (0, 0));
+    assert_eq!(t.threads_spawned, 2, "one polling thread per network");
 }

@@ -63,6 +63,8 @@ fn all_tech_pairings_forward_correctly() {
 
 /// Simultaneous transfers in both directions through one gateway: the
 /// engine's two direction pipelines must not interfere with correctness.
+/// A simulated NIC's send takes time, so both sinks keep their forwarding
+/// threads.
 #[test]
 fn bidirectional_forwarding_through_one_gateway() {
     let tb = Testbed::new(3);
@@ -77,7 +79,7 @@ fn bidirectional_forwarding_through_one_gateway() {
             ..Default::default()
         },
     );
-    let ok = sb.run(|node| {
+    let (ok, stats) = sb.run_with_gateway_stats(|node| {
         let vc = node.vchannel("vc");
         node.barrier().wait();
         match node.rank().0 {
@@ -110,6 +112,7 @@ fn bidirectional_forwarding_through_one_gateway() {
         }
     });
     assert!(ok.into_iter().all(|x| x));
+    assert_eq!(stats[0].2.totals().threads_spawned, 4);
 }
 
 /// Two senders on the source cluster race messages toward one receiver
