@@ -4,16 +4,38 @@
 //! exit to the file named by `MAD_CENSUS` (nothing when it is unset):
 //!
 //! ```text
-//! {"role":"gwN-vc-in-netN","name":"gw1-vc-in-net0","vcsw":12,"ivcsw":3,"cpu_ns":81234}
+//! {"role":"gwN-vc-in-netN","name":"gw1-vc-in-net0","vcsw":12,"ivcsw":3,"cpu_ns":81234,"takes":40,"taken":52,"ones":37}
 //! ```
 //!
 //! `role` is the thread's name with every run of digits folded to `N`;
 //! `vcsw` and `ivcsw` are its voluntary and involuntary context switches
 //! (`/proc/thread-self/status`) and `cpu_ns` its CPU time
-//! (`/proc/thread-self/schedstat`). `scripts/census.sh` sums the lines by
-//! role. The default build spawns its threads without any of this.
+//! (`/proc/thread-self/schedstat`). `takes` counts the thread's backlog
+//! takes ([`crate::conduit::Conduit::recv_queued`]: a gateway's polling
+//! turn, an endpoint's landing of a gateway's backlog), `taken` the
+//! packets they took and `ones` the takes of exactly one packet.
+//! `scripts/census.sh` sums the lines by role. The default build spawns
+//! its threads without any of this.
 
+use std::cell::Cell;
 use std::io::Write;
+
+thread_local! {
+    /// This thread's backlog takes: (takes, packets taken, takes of one).
+    static TAKES: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
+}
+
+/// Count one backlog take of `packets` packets on this thread.
+pub(crate) fn note_take(packets: usize) {
+    TAKES.with(|t| {
+        let (takes, taken, ones) = t.get();
+        t.set((
+            takes + 1,
+            taken + packets as u64,
+            ones + u64::from(packets == 1),
+        ));
+    });
+}
 
 /// `f`, followed by its thread's census line — also when `f` panics.
 pub(crate) fn at_exit(f: Box<dyn FnOnce() + Send>) -> Box<dyn FnOnce() + Send> {
@@ -58,8 +80,10 @@ fn line(name: &str) -> String {
         .and_then(|s| s.split_whitespace().next()?.parse::<u64>().ok())
         .unwrap_or(0);
     let name: String = name.chars().filter(|c| *c != '"' && *c != '\\').collect();
+    let (takes, taken, ones) = TAKES.with(Cell::get);
     format!(
-        "{{\"role\":\"{}\",\"name\":\"{name}\",\"vcsw\":{},\"ivcsw\":{},\"cpu_ns\":{cpu_ns}}}\n",
+        "{{\"role\":\"{}\",\"name\":\"{name}\",\"vcsw\":{},\"ivcsw\":{},\"cpu_ns\":{cpu_ns},\
+         \"takes\":{takes},\"taken\":{taken},\"ones\":{ones}}}\n",
         role(&name),
         field("voluntary_ctxt_switches:"),
         field("nonvoluntary_ctxt_switches:"),
@@ -123,6 +147,8 @@ mod tests {
         assert!(num("vcsw") >= 1, "the thread slept once: {l}");
         assert!(num("cpu_ns") > 0, "{l}");
         let _ = num("ivcsw");
+        // Three takes: of one packet, of four, of one.
+        assert_eq!([num("takes"), num("taken"), num("ones")], [3, 6, 2], "{l}");
     }
 
     /// Does nothing unless `MAD_CENSUS` is set: the child of the test above.
@@ -134,7 +160,12 @@ mod tests {
         let rt = crate::StdRuntime::default();
         rt.spawn(
             "probe7-net12".into(),
-            Box::new(|| std::thread::sleep(std::time::Duration::from_millis(2))),
+            Box::new(|| {
+                for packets in [1, 4, 1] {
+                    note_take(packets);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(2))
+            }),
         )
         .join()
         .unwrap();

@@ -1428,6 +1428,10 @@ impl Inbound {
         );
         let taken = landed.len() + usize::from(matches!(received, Ok(Some(_))));
         drop(recv.arg("packets", taken as u64));
+        #[cfg(feature = "census")]
+        if received.is_ok() {
+            crate::census::note_take(taken);
+        }
         let mut served = Served::Continue;
         match received {
             Ok(mut copied) => {
@@ -2959,9 +2963,15 @@ mod tests {
         /// Wait for the open-stream count to reach 0: an end-equivalent
         /// item releases its stream just after its send returns.
         fn settle_open_streams(&self) {
+            self.settle("no open stream", |rig| rig.open_streams() == 0);
+        }
+
+        /// Spin until `done` holds of the rig. Past a 5 s deadline the
+        /// test fails, naming the wait, instead of hanging its binary.
+        fn settle(&self, what: &str, done: impl Fn(&Rig) -> bool) {
             let deadline = Instant::now() + Duration::from_secs(5);
-            while self.open_streams() != 0 {
-                assert!(Instant::now() < deadline, "{} open", self.open_streams());
+            while !done(self) {
+                assert!(Instant::now() < deadline, "never settled: {what}");
                 std::thread::yield_now();
             }
         }
@@ -3039,9 +3049,7 @@ mod tests {
                 self.recv_back(),
                 (tag, PacketBody::Cancel(CancelReason::PeerUnreachable)),
             );
-            while self.totals().held_bytes > 0 {
-                std::thread::yield_now();
-            }
+            self.settle("nothing held", |rig| rig.totals().held_bytes == 0);
             assert!(!Rig::pending(&self.up), "one cancel, once");
             assert_eq!(self.totals().errors, 1);
         }
@@ -3212,9 +3220,9 @@ mod tests {
             }
             // Each fragment crossed the pipeline; the first found the window
             // dry, the other two queued behind it.
-            while rig.totals().buffer_switches < 3 {
-                std::thread::yield_now();
-            }
+            rig.settle("three buffer switches", |rig| {
+                rig.totals().buffer_switches >= 3
+            });
             assert!(!Rig::pending(&rig.down_special[&3]), "nothing left dry");
             let (end, frags) = rest.split_last().unwrap();
             for (i, packet) in frags.iter().enumerate() {
@@ -3275,9 +3283,7 @@ mod tests {
         let held = out.lock_conduit(NodeId(2)).unwrap();
         rig.send_backlog(&frames);
         // The turn relayed the backlog into its run and waits for the lock.
-        while rig.totals().messages < 4 {
-            std::thread::yield_now();
-        }
+        rig.settle("four messages relayed", |rig| rig.totals().messages >= 4);
         rig.stopctl.request_stop();
         let handles = rig.handles.take().unwrap();
         let stats = handles.stats().clone();
@@ -3326,9 +3332,7 @@ mod tests {
             );
         }
         rig.settle_open_streams();
-        while rig.totals().held_bytes > 0 {
-            std::thread::yield_now();
-        }
+        rig.settle("nothing held", |rig| rig.totals().held_bytes == 0);
         assert!(!Rig::pending(&rig.up), "each stream once");
         let totals = rig.finish();
         assert_eq!(totals.errors, 1, "one run, one failed send");
@@ -3569,9 +3573,9 @@ mod tests {
             rig.up.send_packet(NodeId(1), &[packet]).unwrap();
             assert_eq!(&rig.recv(2), packet);
         }
-        while rig.stopctl.open.load(Ordering::SeqCst) > 0 {
-            std::thread::yield_now();
-        }
+        rig.settle("no open stream at the stop control", |rig| {
+            rig.stopctl.open.load(Ordering::SeqCst) == 0
+        });
         let [own_after, other_after] = epochs(&rig);
         assert!(own_after >= own + 7, "seven arrivals, seven bumps");
         assert_eq!(other_after, other, "network 1's polling thread was stirred");
@@ -3600,9 +3604,7 @@ mod tests {
         // [fragment, end] is a whole message by the rule, the flush side
         // is idle — and the window is taken.
         rig.up.send_packet(NodeId(1), &[&frame_of(tail)]).unwrap();
-        while rig.totals().buffer_switches == 0 {
-            std::thread::yield_now();
-        }
+        rig.settle("a buffer switch", |rig| rig.totals().buffer_switches > 0);
         assert!(!Rig::pending(&rig.down_special[&3]), "nothing left dry");
         rig.ledger.deposit(key, 1);
         assert_eq!(rig.recv_special(3), frame_of(tail));

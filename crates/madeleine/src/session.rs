@@ -568,7 +568,7 @@ impl SessionBuilder {
                     regular.clone(),
                     ctls[&rank].clone(),
                     mtu,
-                    gateways.contains(&rank),
+                    gateways.clone(),
                     flow,
                     mp.clone(),
                 );

@@ -4,9 +4,11 @@
 # A build with the `census` feature of `madeleine` appends one JSON line per
 # thread the real-threads runtime spawned, at the thread's exit, to the file
 # named by MAD_CENSUS (crates/madeleine/src/census.rs). This prints one row
-# per role: threads, voluntary and involuntary switches, their sum, and CPU
-# ms; with `--per N`, every column but the thread count is divided by N (the
-# messages of the run) and CPU is in µs.
+# per role: threads, voluntary and involuntary switches, their sum, CPU ms,
+# and the role's backlog takes (a gateway's polling turns, an endpoint's
+# landings of a gateway's backlog): how many, the packets a take and the
+# share of takes of one packet. With `--per N`, the switches, CPU and takes
+# are divided by N (the messages of the run) and CPU is in µs.
 #
 #   cargo build --release --offline --manifest-path benchmark/Cargo.toml \
 #       --features madeleine/census
@@ -21,21 +23,37 @@ if [ "${1:-}" = --per ]; then
 fi
 [ $# -ge 1 ] || { echo "usage: census.sh [--per N] census.jsonl..." >&2; exit 2; }
 
-rows="$(sed -n 's/.*"role":"\([^"]*\)".*"vcsw":\([0-9]*\),"ivcsw":\([0-9]*\),"cpu_ns":\([0-9]*\).*/\1 \2 \3 \4/p' "$@" |
-    awk -v per="$per" '
-        function row(role, n, v, iv, cpu) {
-            if (per != "") {
-                printf "%-28s %7d %10.3f %10.3f %10.3f %10.2f\n", role, n, v / per, iv / per, (v + iv) / per, cpu / per / 1e3
-            } else {
-                printf "%-28s %7d %10d %10d %10d %10.1f\n", role, n, v, iv, v + iv, cpu / 1e6
-            }
+rows="$(awk -v per="$per" '
+        # The number after "key": on this line; 0 when the line has none
+        # (a census written before takes were counted).
+        function num(key) {
+            if (!match($0, "\"" key "\":[0-9]+")) return 0
+            return substr($0, RSTART + length(key) + 3, RLENGTH - length(key) - 3) + 0
         }
-        { n[$1]++; v[$1] += $2; iv[$1] += $3; cpu[$1] += $4
-          N++; V += $2; IV += $3; CPU += $4 }
+        function row(role, n, v, iv, cpu, tk, pk, one,   d) {
+            d = per != "" ? per : 1
+            printf "%-28s %7d", role, n
+            if (per != "") {
+                printf " %10.3f %10.3f %10.3f %10.2f %10.3f", v / d, iv / d, (v + iv) / d, cpu / d / 1e3, tk / d
+            } else {
+                printf " %10d %10d %10d %10.1f %10d", v, iv, v + iv, cpu / 1e6, tk
+            }
+            if (tk > 0) printf " %9.2f %6.1f\n", pk / tk, 100 * one / tk
+            else printf " %9s %6s\n", "-", "-"
+        }
+        match($0, /"role":"[^"]*"/) {
+            r = substr($0, RSTART + 8, RLENGTH - 9)
+            n[r]++; v[r] += num("vcsw"); iv[r] += num("ivcsw"); cpu[r] += num("cpu_ns")
+            tk[r] += num("takes"); pk[r] += num("taken"); one[r] += num("ones")
+        }
         END {
-            for (r in n) row(r, n[r], v[r], iv[r], cpu[r])
-            row("(total)", N, V, IV, CPU)
-        }')"
-printf "%-28s %7s %10s %10s %10s %10s\n" role threads vcsw ivcsw sum "$([ -n "$per" ] && echo cpu_us || echo cpu_ms)"
+            for (x in n) {
+                row(x, n[x], v[x], iv[x], cpu[x], tk[x], pk[x], one[x])
+                N += n[x]; V += v[x]; IV += iv[x]; CPU += cpu[x]; TK += tk[x]; PK += pk[x]; ONE += one[x]
+            }
+            row("(total)", N, V, IV, CPU, TK, PK, ONE)
+        }' "$@")"
+printf "%-28s %7s %10s %10s %10s %10s %10s %9s %6s\n" role threads vcsw ivcsw sum \
+    "$([ -n "$per" ] && echo cpu_us || echo cpu_ms)" takes pkt/take one%
 grep -v '^(total) ' <<<"$rows" | sort || true
 grep '^(total) ' <<<"$rows"
