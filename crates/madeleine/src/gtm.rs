@@ -1551,6 +1551,11 @@ impl StreamAssembler {
         self.ready.is_empty() && !self.streams.contains_key(&header.tag.key()) && !header.retry
     }
 
+    /// True if a stream waits to be claimed, without claiming it.
+    pub fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
     /// Next unclaimed stream, in header-arrival order.
     pub fn pop_ready(&mut self) -> Option<StreamKey> {
         self.ready.pop_front()
