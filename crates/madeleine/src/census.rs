@@ -4,7 +4,7 @@
 //! exit to the file named by `MAD_CENSUS` (nothing when it is unset):
 //!
 //! ```text
-//! {"role":"gwN-vc-in-netN","name":"gw1-vc-in-net0","vcsw":12,"ivcsw":3,"cpu_ns":81234,"takes":40,"taken":52,"ones":37}
+//! {"role":"gwN-vc-in-netN","name":"gw1-vc-in-net0","vcsw":12,"ivcsw":3,"cpu_ns":81234,"takes":40,"taken":52,"ones":37,"opens":0}
 //! ```
 //!
 //! `role` is the thread's name with every run of digits folded to `N`;
@@ -13,9 +13,12 @@
 //! (`/proc/thread-self/schedstat`). `takes` counts the thread's backlog
 //! takes ([`crate::conduit::Conduit::recv_queued`]: a gateway's polling
 //! turn, an endpoint's landing of a gateway's backlog), `taken` the
-//! packets they took and `ones` the takes of exactly one packet.
-//! `scripts/census.sh` sums the lines by role. The default build spawns
-//! its threads without any of this.
+//! packets they took and `ones` the takes of exactly one packet. `opens`
+//! counts the credit-ledger accounts the thread opened
+//! ([`crate::credit::CreditLedger::open`]: a writer's stream that sent a
+//! train ahead of its end, a gateway's relayed stream on a non-final hop).
+//! `scripts/census.sh` sums the lines by role, or with `--names` by thread
+//! name. The default build spawns its threads without any of this.
 
 use std::cell::Cell;
 use std::io::Write;
@@ -23,6 +26,13 @@ use std::io::Write;
 thread_local! {
     /// This thread's backlog takes: (takes, packets taken, takes of one).
     static TAKES: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
+    /// Credit-ledger accounts this thread opened.
+    static OPENS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one credit-ledger account opened on this thread.
+pub(crate) fn note_open() {
+    OPENS.with(|n| n.set(n.get() + 1));
 }
 
 /// Count one backlog take of `packets` packets on this thread.
@@ -81,9 +91,10 @@ fn line(name: &str) -> String {
         .unwrap_or(0);
     let name: String = name.chars().filter(|c| *c != '"' && *c != '\\').collect();
     let (takes, taken, ones) = TAKES.with(Cell::get);
+    let opens = OPENS.with(Cell::get);
     format!(
         "{{\"role\":\"{}\",\"name\":\"{name}\",\"vcsw\":{},\"ivcsw\":{},\"cpu_ns\":{cpu_ns},\
-         \"takes\":{takes},\"taken\":{taken},\"ones\":{ones}}}\n",
+         \"takes\":{takes},\"taken\":{taken},\"ones\":{ones},\"opens\":{opens}}}\n",
         role(&name),
         field("voluntary_ctxt_switches:"),
         field("nonvoluntary_ctxt_switches:"),
@@ -149,6 +160,7 @@ mod tests {
         let _ = num("ivcsw");
         // Three takes: of one packet, of four, of one.
         assert_eq!([num("takes"), num("taken"), num("ones")], [3, 6, 2], "{l}");
+        assert_eq!(num("opens"), 2, "two ledger accounts opened: {l}");
     }
 
     /// Does nothing unless `MAD_CENSUS` is set: the child of the test above.
@@ -163,6 +175,11 @@ mod tests {
             Box::new(|| {
                 for packets in [1, 4, 1] {
                     note_take(packets);
+                }
+                let ledger = crate::credit::CreditLedger::new(crate::StdRuntime::shared().event());
+                for key in [(7, 1), (7, 2)] {
+                    ledger.open(key, 8);
+                    ledger.close(key);
                 }
                 std::thread::sleep(std::time::Duration::from_millis(2))
             }),

@@ -18,6 +18,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use mad_trace::{trace_span, ChannelStats, Tracer};
+use mad_util::pool::PooledBuf;
 use mad_util::sync::Readiness;
 
 use crate::conduit::{Conduit, DriverCaps};
@@ -194,6 +195,16 @@ impl Channel {
     pub(crate) fn send_packet(&self, peer: NodeId, parts: &[&[u8]]) -> Result<()> {
         let bytes: usize = parts.iter().map(|p| p.len()).sum();
         self.lock_conduit(peer)?.send(parts)?;
+        self.stats.on_send(peer.0, bytes);
+        Ok(())
+    }
+
+    /// Send one complete packet the caller gives up, as it is
+    /// ([`Conduit::send_owned`]): a driver that queues owned buffers puts
+    /// this very buffer on the wire instead of staging a copy.
+    pub(crate) fn send_owned_packet(&self, peer: NodeId, packet: PooledBuf) -> Result<()> {
+        let bytes = packet.len();
+        self.lock_conduit(peer)?.send_owned(packet)?;
         self.stats.on_send(peer.0, bytes);
         Ok(())
     }

@@ -17,7 +17,11 @@
 //! everything on that node that participates in flow control:
 //!
 //! * application writers ([`WriterFlow`]) consume credits before each
-//!   fragment and deposit grants arriving on their outbound conduit;
+//!   fragment and deposit grants arriving on their outbound conduit. A
+//!   writer counts its window itself and opens its stream's account, with
+//!   what is left, only right before a train leaves ahead of the stream's
+//!   end: a message whose one frame carries its end can earn no grant and
+//!   meet no cancel, and never touches the ledger;
 //! * the gateway engine's polling threads deposit grants they receive
 //!   (credits for relayed streams *and* for streams originated by
 //!   gateway-resident writers arrive interleaved on the same special
@@ -28,7 +32,10 @@
 //! The ledger is also the node-local cancellation bus: when a stream dies
 //! (unreachable peer, credit timeout), [`CreditLedger::cancel`] marks it
 //! and wakes every waiter, which then surfaces a typed
-//! [`MadError`](crate::error::MadError) instead of blocking forever.
+//! [`MadError`](crate::error::MadError) instead of blocking forever. A
+//! cancel from downstream marks only a stream that holds an account here
+//! ([`CreditLedger::cancel_existing`]) — for a writer's stream, one that
+//! some hop has seen.
 //!
 //! All waits are deadline-bounded through
 //! [`RtEvent::wait_past_timeout`](crate::runtime::RtEvent), so a silently
@@ -114,6 +121,8 @@ impl CreditLedger {
 
     /// Open a stream's account with its initial self-granted window.
     pub fn open(&self, key: StreamKey, window: u32) {
+        #[cfg(feature = "census")]
+        crate::census::note_open();
         self.state.lock().insert(
             key,
             Entry {
@@ -281,6 +290,7 @@ impl FlowControl {
         WriterFlow {
             ctl: self.clone(),
             pump,
+            unbooked: Some(0),
         }
     }
 }
@@ -296,34 +306,56 @@ impl std::fmt::Debug for FlowControl {
 
 /// Sender-side flow control of one GTM stream, used by
 /// [`GtmWriter`](crate::gtm::GtmWriter).
+///
+/// The stream counts its window here until its first train leaves ahead
+/// of the end; only then, in [`Self::open_account`], does it open a ledger
+/// account with what is left, for the grants that train earns. A stream
+/// whose one frame carries its end never touches the ledger.
 pub struct WriterFlow {
     ctl: FlowControl,
     pump: bool,
+    /// Credits taken while the stream holds no ledger account; `None`
+    /// once it holds one.
+    unbooked: Option<u32>,
 }
 
 impl WriterFlow {
-    /// Open the stream's account with the initial window.
-    pub(crate) fn open(&self, key: StreamKey) {
-        self.ctl.ledger().open(key, self.ctl.window());
-    }
-
     pub(crate) fn window(&self) -> u32 {
         self.ctl.window()
     }
 
-    /// Drop the stream's account.
+    /// Open the stream's ledger account with what is left of its window,
+    /// if it holds none yet. The writer calls it right before a train
+    /// leaves ahead of the end.
+    pub(crate) fn open_account(&mut self, key: StreamKey) {
+        if let Some(taken) = self.unbooked.take() {
+            self.ctl.ledger().open(key, self.ctl.window() - taken);
+        }
+    }
+
+    /// Drop the stream's account, if it opened one.
     pub(crate) fn close(&self, key: StreamKey) {
-        self.ctl.ledger().close(key);
+        if self.unbooked.is_none() {
+            self.ctl.ledger().close(key);
+        }
     }
 
     /// Consume one credit if the window has one, without waiting or
     /// reading the conduit. `Ok(false)` means the window is dry: the
-    /// writer flushes what it has staged and then calls [`Self::take`].
-    pub(crate) fn try_take(&self, tag: &StreamTag) -> Result<bool> {
-        match self.ctl.ledger().try_take(tag.key()) {
-            TakeOutcome::Taken => Ok(true),
-            TakeOutcome::Empty => Ok(false),
-            TakeOutcome::Cancelled(reason) => Err(cancel_error(reason, tag)),
+    /// writer flushes what it has staged, which opens the account, and
+    /// then calls [`Self::take`].
+    pub(crate) fn try_take(&mut self, tag: &StreamTag) -> Result<bool> {
+        match &mut self.unbooked {
+            Some(taken) if *taken < self.ctl.window() => {
+                *taken += 1;
+                Ok(true)
+            }
+            Some(_) => Ok(false),
+            None => match self.ctl.ledger().try_take(tag.key()) {
+                TakeOutcome::Taken => Ok(true),
+                TakeOutcome::Empty => Ok(false),
+                TakeOutcome::Cancelled(reason) => Err(cancel_error(reason, tag)),
+            },
         }
     }
 
@@ -347,9 +379,15 @@ impl WriterFlow {
     /// The one wait loop of a flow-controlled writer: try the ledger, pump
     /// the conduit for the grant that would satisfy it, sleep on the
     /// ledger event, give up at the credit deadline.
-    pub(crate) fn take(&self, channel: &Channel, first_hop: NodeId, tag: &StreamTag) -> Result<()> {
+    pub(crate) fn take(
+        &mut self,
+        channel: &Channel,
+        first_hop: NodeId,
+        tag: &StreamTag,
+    ) -> Result<()> {
+        debug_assert!(self.unbooked.is_none(), "a credit wait needs an account");
         let rt = channel.runtime();
-        let event = &self.ctl.ledger().event;
+        let event = self.ctl.ledger().event.clone();
         let start = rt.now_nanos();
         loop {
             let seen = event.epoch();

@@ -34,7 +34,13 @@ pub struct MockDriver {
     /// Receives that took packets off such a queue: one per packet, or
     /// one per backlog ([`Conduit::recv_queued`]).
     receives: Arc<AtomicUsize>,
+    /// Called at every send, before its packet is queued
+    /// ([`MockDriver::at_send`]).
+    at_send: Option<AtSend>,
 }
+
+/// What a test looks at as each packet reaches a conduit.
+type AtSend = Arc<dyn Fn() + Send + Sync>;
 
 impl MockDriver {
     pub fn new(caps: DriverCaps) -> Arc<Self> {
@@ -45,7 +51,17 @@ impl MockDriver {
             failing: Arc::default(),
             pushes: Arc::default(),
             receives: Arc::default(),
+            at_send: None,
         })
+    }
+
+    /// A dynamic driver whose conduits call `f` at every send, before the
+    /// packet is queued: what the sender's state is when a packet reaches
+    /// the wire.
+    pub fn at_send(f: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
+        let mut driver = Self::dynamic();
+        Arc::get_mut(&mut driver).expect("a fresh driver").at_send = Some(Arc::new(f));
+        driver
     }
 
     /// Queue pushes made so far by this driver's conduits.
@@ -128,6 +144,7 @@ impl Driver for MockDriver {
                 failing: self.failing.clone(),
                 pushes: self.pushes.clone(),
                 receives: self.receives.clone(),
+                at_send: self.at_send.clone(),
             }),
             Box::new(MockConduit {
                 caps: self.caps,
@@ -140,6 +157,7 @@ impl Driver for MockDriver {
                 failing: self.failing.clone(),
                 pushes: self.pushes.clone(),
                 receives: self.receives.clone(),
+                at_send: self.at_send.clone(),
             }),
         )
     }
@@ -158,6 +176,7 @@ pub struct MockConduit {
     failing: Arc<AtomicBool>,
     pushes: Arc<AtomicUsize>,
     receives: Arc<AtomicUsize>,
+    at_send: Option<AtSend>,
 }
 
 impl MockConduit {
@@ -171,6 +190,9 @@ impl MockConduit {
 
     /// Queue one packet for the peer.
     fn push(&mut self, packet: Vec<u8>) -> Result<()> {
+        if let Some(f) = &self.at_send {
+            f();
+        }
         self.sent_packets += 1;
         self.pushes.fetch_add(1, Ordering::SeqCst);
         self.tx.push(packet).map_err(|_| MadError::Disconnected)
