@@ -108,15 +108,27 @@ impl ChannelStats {
 
     /// Count one packet of `bytes` sent to `peer`.
     pub fn on_send(&self, peer: u32, bytes: usize) {
+        self.on_sends(peer, 1, bytes);
+    }
+
+    /// Count `packets` packets of `bytes` in all sent to `peer` — a
+    /// gateway's run, counted once per outgoing conduit.
+    pub fn on_sends(&self, peer: u32, packets: u64, bytes: usize) {
         let s = self.slot(peer);
-        s.packets_sent.fetch_add(1, Ordering::Relaxed);
+        s.packets_sent.fetch_add(packets, Ordering::Relaxed);
         s.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Count one packet of `bytes` received from `peer`.
     pub fn on_recv(&self, peer: u32, bytes: usize) {
+        self.on_recvs(peer, 1, bytes);
+    }
+
+    /// Count `packets` packets of `bytes` in all received from `peer` — a
+    /// gateway's backlog, counted once per polling turn.
+    pub fn on_recvs(&self, peer: u32, packets: u64, bytes: usize) {
         let s = self.slot(peer);
-        s.packets_recv.fetch_add(1, Ordering::Relaxed);
+        s.packets_recv.fetch_add(packets, Ordering::Relaxed);
         s.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
@@ -227,6 +239,12 @@ mod tests {
         assert_eq!(per[&1].bytes_sent, 150);
         assert_eq!(per[&2].packets_sent, 1);
         assert_eq!(per[&1].bytes_recv, 9);
+        // A counted form is that many single counts.
+        s.on_sends(2, 3, 30);
+        s.on_recvs(1, 4, 40);
+        let per = s.per_peer();
+        assert_eq!((per[&2].packets_sent, per[&2].bytes_sent), (4, 37));
+        assert_eq!((per[&1].packets_recv, per[&1].bytes_recv), (5, 49));
     }
 
     #[test]

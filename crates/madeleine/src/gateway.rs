@@ -50,15 +50,26 @@
 //! every packet queued on the conduit ([`Conduit::recv_queued`], one lock
 //! and one pop for the backlog), under a landing that copies one packet.
 //! Each packet then meets the per-packet rules in arrival order. What the
-//! turn transmits on a run sink joins that sink's run, and the run leaves
-//! at the turn's end with one lock and one [`Conduit::send_owned_run`] per
+//! turn accepts for a run sink goes straight into that sink's run, cut
+//! into trains by the flush side's own join test, and the run leaves at
+//! the turn's end with one lock and one [`Conduit::send_owned_run`] per
 //! outgoing conduit; with no queue and no credit wait on that sink, nothing
 //! can overtake it. Runs form only there: a send that takes time is worth
 //! overlapping with the next receive, and holding it to the turn's end
 //! would only delay it. Each train of a run
 //! is still the one wire packet it would have been; a run amortises the
-//! hand-offs, never the framing, and every item is settled once, by
-//! `settle_train`, whatever the run's fate.
+//! hand-offs, never the framing, and every item is settled once whatever
+//! the run's fate.
+//!
+//! A turn also counts once. Its messages, fragments and held bytes gather
+//! in plain integers (`Tally`) and reach the engine's counters in one
+//! publication before anything is handed to a piped sink — whose
+//! forwarding thread may settle it at once, so the held-bytes gauge never
+//! reads below 0 — and one at the turn's end, before its runs leave. The
+//! inbound channel counts the turn's receive once, and a run's settlement
+//! counts its sends and its fall in held bytes once per outgoing conduit,
+//! before any grant. Everything a turn lands stays resident until its run
+//! leaves, so the gauge's peak is the true occupancy.
 //!
 //! Because the stream tag is route-invariant, packets are forwarded
 //! verbatim: the engine never re-encodes anything.
@@ -162,10 +173,12 @@
 //! means is decided once: `Inbound::serve` is the receive side (receive a
 //! turn → count → demultiplex each packet into the pipeline items it
 //! accepts, a received frame as one unit per outgoing conduit → degrade on
-//! a fault → send the turn's runs → re-pin), `Flush::build_train` is the
-//! transmit side's one batching rule, `transmit_train` and `Run::send` put
-//! trains — of one packet or many — on the wire and `settle_train` settles
-//! each, and every control packet goes to the node's
+//! a fault → send the turn's runs → re-pin), `Train::admits` is the
+//! transmit side's one batching rule, which a piped sink's
+//! `Flush::build_train` and a run sink's `Run::take` both cut trains by,
+//! `transmit_train` and `Run::send` put trains — of one packet or many —
+//! on the wire and `settle_train` and `settle_sent` settle each, and every
+//! control packet goes to the node's
 //! `ControlPlane`. The price is threads: a gateway per virtual channel
 //! spawns one per network and, at depth 2 or more, one per piped sink —
 //! `nets` at depth 1 or when every sink is a run sink, `nets × nets` when
@@ -469,17 +482,9 @@ impl GatewayStats {
         self.open_streams.load(Ordering::Relaxed)
     }
 
-    fn on_frag(&self, bytes: u64) {
-        self.on_frags(1, bytes);
-    }
-
     fn on_frags(&self, n: u64, bytes: u64) {
         self.fragments.fetch_add(n, Ordering::Relaxed);
         self.fragment_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn on_end(&self) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_stall(&self) {
@@ -962,12 +967,13 @@ impl FwdUnit {
         }
     }
 
-    /// Hand the unit's packets, in order, to the flush side's work list.
-    fn unpack_into(self, pending: &mut VecDeque<FwdItem>) {
-        match self {
-            FwdUnit::One(item) => pending.push_back(item),
-            FwdUnit::Frame(items) => pending.extend(items),
-        }
+    /// The unit's packets, in order.
+    fn into_items(self) -> impl Iterator<Item = FwdItem> {
+        let (one, frame) = match self {
+            FwdUnit::One(item) => (Some(item), Vec::new()),
+            FwdUnit::Frame(items) => (None, items),
+        };
+        one.into_iter().chain(frame)
     }
 }
 
@@ -982,11 +988,11 @@ enum Shape {
     /// A run sink, which can never wait: every send on the way out is a
     /// queue push ([`DriverCaps::queued_send`]) and no packet bound onto
     /// the network consumes a credit. There is nothing a second thread
-    /// could overlap and nothing to wait for, so the polling thread
-    /// transmits every unit itself through its own flush side, and what it
-    /// transmits in a turn leaves as one [`Run`] at the turn's end. No
-    /// queue and no forwarding thread.
-    Run(Flush, Run),
+    /// could overlap and nothing to wait for, so the sink is its [`Run`]:
+    /// the polling thread puts every unit into it, cut into trains, and
+    /// the run leaves at the turn's end. No flush side, no queue and no
+    /// forwarding thread.
+    Run(Run),
     /// A piped sink, whose send takes time or may wait for a credit: the
     /// flush side, shared with the forwarding thread that drains the
     /// bounded queue — no queue at `pipeline_depth` 1, where the polling
@@ -1010,7 +1016,7 @@ impl Sink {
     /// of an outbound conduit.
     fn send_run(&mut self, shared: &FwdShared) -> bool {
         match &mut self.shape {
-            Shape::Run(_, run) => run.send(&self.path, shared),
+            Shape::Run(run) => run.send(&self.path, shared),
             Shape::Piped(..) => true,
         }
     }
@@ -1045,12 +1051,14 @@ impl Sinks {
     /// Accept one unit — its packets all leave on the same conduit of the
     /// same outbound network. Failing with [`MadError::Disconnected`]
     /// shuts the inbound side down (the outbound consumer is gone); the
-    /// unit's packets are accounted (via [`drop_item`]) before it fails.
-    fn accept(&mut self, unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+    /// unit's packets are accounted (via [`drop_item`]) before it fails,
+    /// after the turn's `tally` is published.
+    fn accept(&mut self, unit: FwdUnit, tally: &mut Tally, shared: &FwdShared) -> Result<()> {
         match unit.out_net().and_then(|net| self.0.get_mut(&net)) {
-            Some(sink) => dispatch(sink, unit, shared),
+            Some(sink) => dispatch(sink, unit, tally, shared),
             None => {
                 // `bridges` is checked before a stream is accepted.
+                tally.publish(&shared.stats);
                 unit.drop_all(shared);
                 Err(MadError::Protocol("no sink for the unit's network".into()))
             }
@@ -1217,7 +1225,7 @@ pub(crate) fn spawn_gateway(
         let mut sinks: BTreeMap<NetworkId, Sink> = BTreeMap::new();
         for (net_out, path) in paths {
             if never_waits(net_out, &path, &shared.ctl, &cfg) {
-                let shape = Shape::Run(Flush::default(), Run::default());
+                let shape = Shape::Run(Run::default());
                 sinks.insert(net_out, Sink { path, shape });
                 continue;
             }
@@ -1341,6 +1349,39 @@ struct Demux {
     /// streams (every control packet fits the floor; a fragment is always
     /// preceded on its conduit by its stream's header).
     max_pkt: usize,
+    /// What the turn in progress counted and has not published yet.
+    tally: Tally,
+}
+
+/// What a polling turn counts as it relays, in plain integers: messages,
+/// fragments and their payload bytes, and the packet bytes it landed and
+/// now holds. Published to [`GatewayStats`] in one go: before a unit is
+/// handed to a piped sink, whose forwarding thread may settle it at once —
+/// so the held-bytes gauge never reads below 0 — and at the turn's end,
+/// before its runs leave. What a turn lands stays resident until its run
+/// leaves, so the gauge's peak is still the true occupancy.
+#[derive(Default)]
+struct Tally {
+    messages: u64,
+    frags: u64,
+    frag_bytes: u64,
+    held: usize,
+}
+
+impl Tally {
+    /// Add what was counted since the last publication to `stats`.
+    fn publish(&mut self, stats: &GatewayStats) {
+        let t = std::mem::take(self);
+        if t.frags > 0 {
+            stats.on_frags(t.frags, t.frag_bytes);
+        }
+        if t.messages > 0 {
+            stats.messages.fetch_add(t.messages, Ordering::Relaxed);
+        }
+        if t.held > 0 {
+            stats.held.add(t.held as i64);
+        }
+    }
 }
 
 /// What [`Inbound::serve`] tells its polling thread.
@@ -1395,6 +1436,7 @@ impl Inbound {
                 cancelled: BTreeSet::new(),
                 open_from: BTreeMap::new(),
                 max_pkt,
+                tally: Tally::default(),
             },
             pinned: None,
             landed: VecDeque::new(),
@@ -1435,6 +1477,11 @@ impl Inbound {
         let mut served = Served::Continue;
         match received {
             Ok(mut copied) => {
+                let bytes = landed.iter().map(Vec::len).sum::<usize>()
+                    + copied.as_ref().map_or(0, |(buf, _)| buf.bytes().len());
+                if taken > 0 {
+                    ctx.in_channel.stats().on_recvs(peer.0, taken as u64, bytes);
+                }
                 let pool = shared.runtime.pool();
                 let next = |copied: &mut Option<_>, landed: &mut VecDeque<Vec<u8>>| {
                     copied.take().or_else(|| {
@@ -1443,7 +1490,6 @@ impl Inbound {
                     })
                 };
                 while let Some((buf, restage)) = next(&mut copied, landed) {
-                    ctx.in_channel.stats().on_recv(peer.0, buf.bytes().len());
                     let _relay = trace_span!(shared.tracer, "gw", "relay", "peer" = peer.0 as u64);
                     match ctx.relay(demux, peer, buf, restage, sinks) {
                         Ok(()) => {}
@@ -1484,6 +1530,7 @@ impl Inbound {
                 *pinned = None;
             }
         }
+        demux.tally.publish(&shared.stats);
         for sink in sinks.0.values_mut() {
             if !sink.send_run(shared) {
                 served = Served::Finished;
@@ -1593,15 +1640,15 @@ impl InboundCtx {
         };
         if !matches!(body, PacketBody::Batch) {
             return match self.relay_one(d, peer, buf, tag, body, recv_ns, restage, sinks)? {
-                Some(item) => sinks.accept(FwdUnit::One(item), shared),
+                Some(item) => sinks.accept(FwdUnit::One(item), &mut d.tally, shared),
                 None => Ok(()),
             };
         }
         // A frame that is one whole stream leaves as the buffer it landed
         // in; a deferred staging copy is dropped, as for every frame.
         if let Some((whole, hop)) = self.whole_stream(d, buf.bytes(), sinks) {
-            let item = self.pass_whole(whole, hop, peer, buf, recv_ns);
-            return sinks.accept(FwdUnit::One(item), shared);
+            let item = self.pass_whole(whole, hop, peer, buf, recv_ns, &mut d.tally);
+            return sinks.accept(FwdUnit::One(item), &mut d.tally, shared);
         }
 
         // The packets are windows onto the landed frame, not copies.
@@ -1653,7 +1700,7 @@ impl InboundCtx {
                 .count();
             let rest = items.split_off(run);
             let unit = FwdUnit::Frame(std::mem::replace(&mut items, rest));
-            if let Err(e) = sinks.accept(unit, shared) {
+            if let Err(e) = sinks.accept(unit, &mut d.tally, shared) {
                 for item in &items {
                     drop_item(item, shared);
                 }
@@ -1712,7 +1759,8 @@ impl InboundCtx {
     /// demultiplexing entry, and on a non-final hop a ledger account whose
     /// window covers every fragment — is not opened at all. No grant goes
     /// back (the sender closed its account before it sent the end), but a
-    /// frame that fails on its way out still cancels upstream.
+    /// frame that fails on its way out still cancels upstream. The counts
+    /// go into the turn's `tally`.
     fn pass_whole(
         &self,
         whole: gtm::WholeStream,
@@ -1720,6 +1768,7 @@ impl InboundCtx {
         peer: NodeId,
         buf: FwdBuf,
         recv_ns: u64,
+        tally: &mut Tally,
     ) -> FwdItem {
         let shared = &self.shared;
         let tag = whole.header.tag;
@@ -1734,9 +1783,10 @@ impl InboundCtx {
         for _ in 0..whole.frags {
             shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
         }
-        shared.stats.on_frags(whole.frags, whole.payload);
-        shared.stats.held.add(whole.held as i64);
-        shared.stats.on_end();
+        tally.frags += whole.frags;
+        tally.frag_bytes += whole.payload;
+        tally.held += whole.held;
+        tally.messages += 1;
         let flow_controlled = self.cfg.credit_window.is_some();
         FwdItem {
             out_net: NetworkId(hop.net),
@@ -1899,17 +1949,18 @@ impl InboundCtx {
                     MadError::Protocol(format!("GTM fragment for unknown stream {key:?}"))
                 })?;
                 let payload = (buf.bytes().len() - PRELUDE_LEN) as u64;
-                shared.stats.on_frag(payload);
                 shared.runtime.charge_overhead(self.cfg.switch_overhead_ns);
                 let item = self.item(stream, buf, true, false, peer, recv_ns, restage);
-                shared.stats.held.add(item.held_bytes as i64);
+                d.tally.frags += 1;
+                d.tally.frag_bytes += payload;
+                d.tally.held += item.held_bytes;
                 Ok(Some(item))
             }
             PacketBody::End => {
                 let stream = self.close(d, key).ok_or_else(|| {
                     MadError::Protocol(format!("GTM end for unknown stream {key:?}"))
                 })?;
-                shared.stats.on_end();
+                d.tally.messages += 1;
                 let item = self.item(&stream, buf, false, true, peer, recv_ns, restage);
                 Ok(Some(item))
             }
@@ -2043,7 +2094,7 @@ impl InboundCtx {
                 .ledger()
                 .cancel(key, CancelReason::PeerUnreachable);
             if let Some(cancel) = self.cancel_stream(d, key, CancelReason::PeerUnreachable, false) {
-                let _ = sinks.accept(FwdUnit::One(cancel), &self.shared);
+                let _ = sinks.accept(FwdUnit::One(cancel), &mut d.tally, &self.shared);
             }
         }
     }
@@ -2172,27 +2223,38 @@ fn landing_policy<'a>(paths: impl Iterator<Item = &'a OutPath>, cfg: GatewayConf
 /// Hand one unit to its sink. Who transmits it is read from what the
 /// engine already knows, never from a size or a setting. The polling
 /// thread does, in place, when there is nothing to overlap the
-/// retransmission with: always on a run sink, where the unit joins the
-/// turn's [`Run`]; on a piped sink with no forwarding thread (depth 1);
+/// retransmission with: always on a run sink, which takes the unit into
+/// the turn's [`Run`]; on a piped sink with no forwarding thread (depth 1);
 /// and on a piped sink for a whole message, when the flush side has
 /// nothing in hand or queued and the head's credit is there without
 /// waiting. Everything else — a mid-stream fragment, anything behind a
 /// backlog or a dry window — crosses the paper's two-stage pipeline,
 /// counting buffer switches and backpressure stalls. Either way a unit
-/// leaves after every unit accepted before it (see [`Sink`]).
-fn dispatch(sink: &mut Sink, mut unit: FwdUnit, shared: &FwdShared) -> Result<()> {
+/// leaves after every unit accepted before it (see [`Sink`]). A piped
+/// unit may be settled as soon as it is handed over, so the turn's
+/// `tally` is published first.
+fn dispatch(
+    sink: &mut Sink,
+    mut unit: FwdUnit,
+    tally: &mut Tally,
+    shared: &FwdShared,
+) -> Result<()> {
     let Sink { path, shape } = sink;
     let (flush, queue) = match shape {
-        Shape::Run(flush, run) => return flush.transmit(unit, path, shared, Some(run)),
+        Shape::Run(run) => {
+            run.take(unit, path, shared);
+            return Ok(());
+        }
         Shape::Piped(flush, queue) => (flush, queue),
     };
+    tally.publish(&shared.stats);
     let Some(tx) = queue else {
-        return flush.lock().transmit(unit, path, shared, None);
+        return flush.lock().transmit(unit, path, shared);
     };
     if unit.is_whole_message() {
         if let Some(mut flush) = flush.try_lock() {
             if tx.is_empty() && unit.take_head_credit(shared) {
-                return flush.transmit(unit, path, shared, None);
+                return flush.transmit(unit, path, shared);
             }
         }
     }
@@ -2383,59 +2445,9 @@ fn settle_train(
     };
     match sent {
         Ok(()) => {
-            path.channel(last_hop).stats().on_send(to.0, bytes);
-            if let Some(m) = &shared.metrics {
-                let now = shared.runtime.now_nanos();
-                for item in train.iter().filter(|item| item.recv_ns > 0) {
-                    for _ in 0..item.frags {
-                        m.forward_ns.record(now.saturating_sub(item.recv_ns));
-                    }
-                }
-            }
-            // Held bytes go down before any grant: a grant lets the sender
-            // send more, and each new fragment adds to the gauge.
-            let held: usize = train.iter().map(|item| item.held_bytes).sum();
-            shared.stats.held.add(-(held as i64));
-            // At most one credit packet per (upstream peer, stream): the
-            // first fragment of each that carries any returns what all of
-            // them carry.
-            for (i, item) in train.iter().enumerate() {
-                let Some(up) = item.carrying() else { continue };
-                let same = |other: &&FwdItem| {
-                    other.tag.key() == item.tag.key()
-                        && other.carrying().is_some_and(|o| o.peer == up.peer)
-                };
-                if train[..i].iter().any(|other| same(&other)) {
-                    continue;
-                }
-                let credits: u32 = train[i..]
-                    .iter()
-                    .filter(same)
-                    .filter_map(|other| other.carrying())
-                    .map(|o| o.credits)
-                    .sum();
-                up.grant_sum(&item.tag, credits, &shared.stats);
-            }
-            for item in train {
-                if let Some((ack_ch, ack_peer)) = &item.ack {
-                    // The stream's end packet is on the wire: tell the origin
-                    // the handoff succeeded. A lost ack is recovered by the
-                    // origin's deadline (it re-issues; the receiver absorbs
-                    // the ghost), so a failed send here is not an error.
-                    let mut ackp = shared.runtime.pool().get(PRELUDE_LEN);
-                    gtm::encode_ack_into(ackp.vec(), &item.tag);
-                    if ack_ch.send_packet(*ack_peer, &[&ackp]).is_ok() {
-                        shared.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                // After the ack: a stop must not overtake it.
-                if item.end_of_stream {
-                    shared.live.stream_done();
-                    if item.account {
-                        shared.ledger().close(item.tag.key());
-                    }
-                }
-            }
+            let channel = path.channel(last_hop);
+            count_sent(channel, to, &[(train.len(), bytes)], train, shared);
+            settle_sent(train, shared);
             true
         }
         Err(MadError::Disconnected) => {
@@ -2472,6 +2484,79 @@ fn settle_train(
     }
 }
 
+/// Count the `trains` (item count and bytes of each) that left for `to`
+/// on one outgoing channel, carrying `items`, and release the items' held
+/// bytes. Before any grant: a grant lets the sender send more, and each
+/// new fragment adds to the gauge.
+fn count_sent(
+    channel: &Channel,
+    to: NodeId,
+    trains: &[(usize, usize)],
+    items: &[FwdItem],
+    shared: &FwdShared,
+) {
+    if trains.is_empty() {
+        return;
+    }
+    let bytes = trains.iter().map(|&(_, bytes)| bytes).sum();
+    channel.stats().on_sends(to.0, trains.len() as u64, bytes);
+    let held: usize = items.iter().map(|item| item.held_bytes).sum();
+    if held > 0 {
+        shared.stats.held.add(-(held as i64));
+    }
+}
+
+/// The rest of a sent train's settlement, once [`count_sent`] counted it:
+/// its forward latencies, its grants, its acks and the streams it ends.
+fn settle_sent(train: &[FwdItem], shared: &FwdShared) {
+    if let Some(m) = &shared.metrics {
+        let now = shared.runtime.now_nanos();
+        for item in train.iter().filter(|item| item.recv_ns > 0) {
+            for _ in 0..item.frags {
+                m.forward_ns.record(now.saturating_sub(item.recv_ns));
+            }
+        }
+    }
+    // At most one credit packet per (upstream peer, stream): the first
+    // fragment of each that carries any returns what all of them carry.
+    for (i, item) in train.iter().enumerate() {
+        let Some(up) = item.carrying() else { continue };
+        let same = |other: &&FwdItem| {
+            other.tag.key() == item.tag.key() && other.carrying().is_some_and(|o| o.peer == up.peer)
+        };
+        if train[..i].iter().any(|other| same(&other)) {
+            continue;
+        }
+        let credits: u32 = train[i..]
+            .iter()
+            .filter(same)
+            .filter_map(|other| other.carrying())
+            .map(|o| o.credits)
+            .sum();
+        up.grant_sum(&item.tag, credits, &shared.stats);
+    }
+    for item in train {
+        if let Some((ack_ch, ack_peer)) = &item.ack {
+            // The stream's end packet is on the wire: tell the origin the
+            // handoff succeeded. A lost ack is recovered by the origin's
+            // deadline (it re-issues; the receiver absorbs the ghost), so a
+            // failed send here is not an error.
+            let mut ackp = shared.runtime.pool().get(PRELUDE_LEN);
+            gtm::encode_ack_into(ackp.vec(), &item.tag);
+            if ack_ch.send_packet(*ack_peer, &[&ackp]).is_ok() {
+                shared.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // After the ack: a stop must not overtake it.
+        if item.end_of_stream {
+            shared.live.stream_done();
+            if item.account {
+                shared.ledger().close(item.tag.key());
+            }
+        }
+    }
+}
+
 /// Transmit one pipeline buffer on an outgoing conduit. A landed packet is
 /// handed over whole: a driver that queues owned buffers sends the buffer
 /// the packet arrived in.
@@ -2483,9 +2568,9 @@ fn send_buf(conduit: &mut dyn Conduit, buf: FwdBuf) -> Result<()> {
     }
 }
 
-/// The flush side of one (inbound, outbound) network pair: the work list
-/// and the train scratch of whichever thread transmits — the forwarding
-/// thread, or the polling thread in place (see [`dispatch`]).
+/// The flush side of a piped (inbound, outbound) network pair: the work
+/// list and the train scratch of whichever thread transmits — the
+/// forwarding thread, or the polling thread in place (see [`dispatch`]).
 #[derive(Default)]
 struct Flush {
     /// Packets of the unit in hand that are not yet on the wire, in order.
@@ -2495,36 +2580,22 @@ struct Flush {
 }
 
 impl Flush {
-    /// Put a train back together for one outgoing conduit — the one place
-    /// that decides what may ride a batch frame. `head`, whose credit is
-    /// already in hand, starts the train in `batch`; what is left in
-    /// `pending` of the unit it came out of joins behind it (non-blocking
-    /// credit takes only) until the train reaches the driver's frame budget
-    /// or an item that cannot join — different conduit, over budget, or
-    /// credit-dry — which stays at the front of `pending` and heads the
-    /// next train. FIFO order is never broken, and a train never reaches
-    /// into a later pipeline slot. An item whose stream the ledger has
-    /// cancelled is cancelled both ways and dropped on the way.
+    /// Put a train back together for one outgoing conduit. `head`, whose
+    /// credit is already in hand, starts the train in `batch`; what is left
+    /// in `pending` of the unit it came out of joins behind it by
+    /// [`Train::admits`] (non-blocking credit takes only) until an item
+    /// cannot join — different conduit, over budget, or credit-dry — which
+    /// stays at the front of `pending` and heads the next train. FIFO
+    /// order is never broken, and a train never reaches into a later
+    /// pipeline slot. An item whose stream the ledger has cancelled is
+    /// cancelled both ways and dropped on the way.
     fn build_train(&mut self, head: FwdItem, path: &OutPath, shared: &FwdShared) {
-        let conduit = head.conduit();
-        let budget = gtm::FrameBudget::of(&path.channel(head.last_hop).caps());
-        // Frame bytes the train occupies so far.
-        let mut frame = PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len();
+        let mut train = Train::start(&head, path);
         self.batch.push(head);
-        // A head over the frame budget — every route-MTU bulk fragment — has
-        // room for nothing, and leaves alone.
-        while budget.admits(frame, self.batch.len(), PRELUDE_LEN) {
-            let Some(next) = self.pending.front() else {
-                break;
-            };
-            let len = next.buf.bytes().len();
-            if next.conduit() != conduit || !budget.admits(frame, self.batch.len(), len) {
-                break;
-            }
-            let credit = if next.consume {
-                shared.ledger().try_take(next.tag.key())
-            } else {
-                TakeOutcome::Taken
+        while let Some(next) = self.pending.front().filter(|next| train.admits(next)) {
+            let credit = match next.consume {
+                true => shared.ledger().try_take(next.tag.key()),
+                false => TakeOutcome::Taken,
             };
             if let TakeOutcome::Empty = credit {
                 break;
@@ -2535,7 +2606,7 @@ impl Flush {
             match credit {
                 TakeOutcome::Cancelled(reason) => cancel_and_drop(path, &next, reason, shared),
                 _ => {
-                    frame += gtm::BATCH_ENTRY_OVERHEAD + len;
+                    train.add(&next);
                     self.batch.push(next);
                 }
             }
@@ -2547,39 +2618,20 @@ impl Flush {
     /// item accounted), followers join by [`Flush::build_train`]'s rules, a
     /// follower that cannot join heads the next train. Each outgoing
     /// conduit is locked per train, never per stream, so packets of
-    /// concurrent streams interleave. With a `run` — a run sink's, whose
-    /// packets never consume a credit — each train joins the run instead.
-    /// The flush stage is busy from here until the unit's last train
-    /// leaves the wire or joins the run, on whichever thread — the
-    /// copy-placement scheduler reads `flush_active` to decide where a
+    /// concurrent streams interleave. The flush stage is busy from here
+    /// until the unit's last train leaves the wire, on whichever thread —
+    /// the copy-placement scheduler reads `flush_active` to decide where a
     /// relay copy overlaps best. Fails with [`MadError::Disconnected`] on
     /// an orderly disconnect, with everything still pending accounted.
-    fn transmit(
-        &mut self,
-        unit: FwdUnit,
-        path: &OutPath,
-        shared: &FwdShared,
-        mut run: Option<&mut Run>,
-    ) -> Result<()> {
+    fn transmit(&mut self, unit: FwdUnit, path: &OutPath, shared: &FwdShared) -> Result<()> {
         let _stage = StageBusy::enter(&shared.stats.flush_active);
-        unit.unpack_into(&mut self.pending);
+        self.pending.extend(unit.into_items());
         while let Some(head) = self.pending.pop_front() {
-            debug_assert!(
-                run.is_none() || !head.consume,
-                "a run sink's packet needs a credit"
-            );
             let Some(head) = take_credit_blocking(path, head, shared) else {
                 continue; // stream cancelled; item accounted
             };
             self.build_train(head, path, shared);
-            let open = match run.as_deref_mut() {
-                Some(run) => {
-                    run.join(&mut self.batch, shared);
-                    true
-                }
-                None => transmit_train(path, &mut self.batch, shared),
-            };
-            if !open {
+            if !transmit_train(path, &mut self.batch, shared) {
                 return self.disconnected(shared);
             }
         }
@@ -2595,30 +2647,67 @@ impl Flush {
     }
 }
 
-/// What the polling thread transmitted during one turn on a run sink, not
-/// yet on the wire: trains in the order they were built, per outgoing
-/// conduit. A run sink has no queue and its packets never wait for a
-/// credit, so nothing can overtake the run. At the turn's end each
+/// A train being put together for one outgoing conduit, and the one place
+/// that decides what may ride a batch frame with it: a piped sink's flush
+/// side ([`Flush::build_train`]) and a run ([`Run::take`]) cut by the same
+/// test.
+struct Train {
+    conduit: (NetworkId, NodeId, bool),
+    budget: gtm::FrameBudget,
+    /// Frame bytes the train occupies so far.
+    frame: usize,
+    packets: usize,
+}
+
+impl Train {
+    /// A train headed by `head`, bound by its outgoing driver's budget.
+    fn start(head: &FwdItem, path: &OutPath) -> Train {
+        Train {
+            conduit: head.conduit(),
+            budget: gtm::FrameBudget::of(&path.channel(head.last_hop).caps()),
+            frame: PRELUDE_LEN + gtm::BATCH_ENTRY_OVERHEAD + head.buf.bytes().len(),
+            packets: 1,
+        }
+    }
+
+    /// May `next` ride behind the train: the same conduit, and room in the
+    /// frame? A head over the frame budget — every route-MTU bulk fragment
+    /// — has room for nothing, and leaves alone.
+    fn admits(&self, next: &FwdItem) -> bool {
+        let len = next.buf.bytes().len();
+        next.conduit() == self.conduit && self.budget.admits(self.frame, self.packets, len)
+    }
+
+    /// `next` joined the train.
+    fn add(&mut self, next: &FwdItem) {
+        self.frame += gtm::BATCH_ENTRY_OVERHEAD + next.buf.bytes().len();
+        self.packets += 1;
+    }
+}
+
+/// A run sink's turn: what the polling thread accepted for it during one
+/// turn, not yet on the wire — trains in the order they were cut, per
+/// outgoing conduit. A run sink has no queue and its packets never wait
+/// for a credit, so nothing can overtake the run. At the turn's end each
 /// conduit's trains leave under one lock of it: the lone landed packets
-/// among them, every one of them in the usual
-/// case, as one [`Conduit::send_owned_run`]. Nothing is re-framed: each
-/// train is still the one wire packet it would have been, and is settled
-/// by [`settle_train`] as if it had left alone. Everything here keeps its
-/// room from turn to turn, so a warm gateway allocates nothing for it.
+/// among them, every one of them in the usual case, as one
+/// [`Conduit::send_owned_run`]. Nothing is re-framed: each train is still
+/// the one wire packet it would have been, and is settled as if it had
+/// left alone, but counted once per conduit ([`count_sent`]). Everything
+/// here keeps its room from turn to turn, so a warm gateway allocates
+/// nothing for it.
 #[derive(Default)]
 struct Run {
-    /// One entry per outgoing conduit used so far, in order of first use.
-    conduits: Vec<ConduitRun>,
-    /// Trains waiting in `conduits`.
-    trains: usize,
+    /// One entry per outgoing conduit used so far — its peer, and whether
+    /// over the regular channel — in order of first use.
+    conduits: Vec<((NodeId, bool), ConduitRun)>,
     /// The lone landed packets of one `send_owned_run`.
     packets: Vec<PooledBuf>,
 }
 
 /// The trains of a [`Run`] bound for one outgoing conduit.
+#[derive(Default)]
 struct ConduitRun {
-    to: NodeId,
-    last_hop: bool,
     /// The trains' items, train after train.
     items: Vec<FwdItem>,
     /// Each train's item count and bytes, in order.
@@ -2626,50 +2715,57 @@ struct ConduitRun {
 }
 
 impl Run {
-    /// Take `train` (which comes back empty) into the run.
-    fn join(&mut self, train: &mut Vec<FwdItem>, shared: &FwdShared) {
-        let Some((to, last_hop)) = train.first().map(|head| (head.to, head.last_hop)) else {
-            return;
-        };
-        for item in train.iter_mut() {
-            restage_item(item, shared);
+    /// Take a unit into the run, cut into trains in order by
+    /// [`Train::admits`]. A run sink's items never consume a credit, so
+    /// every item joins as it comes.
+    fn take(&mut self, unit: FwdUnit, path: &OutPath, shared: &FwdShared) {
+        // The train the last item rode.
+        let mut train: Option<Train> = None;
+        for mut item in unit.into_items() {
+            debug_assert!(!item.consume, "a run sink's packet needs a credit");
+            restage_item(&mut item, shared);
+            let len = item.buf.bytes().len();
+            let conduit = self.conduit(&item);
+            let joins = train.as_mut().filter(|t| t.admits(&item));
+            match (joins, conduit.trains.last_mut()) {
+                (Some(train), Some(last)) => {
+                    train.add(&item);
+                    *last = (last.0 + 1, last.1 + len);
+                }
+                _ => {
+                    conduit.trains.push((1, len));
+                    train = Some(Train::start(&item, path));
+                }
+            }
+            conduit.items.push(item);
         }
-        let bytes = train.iter().map(|item| item.buf.bytes().len()).sum();
-        let at = match self
-            .conduits
-            .iter()
-            .position(|c| (c.to, c.last_hop) == (to, last_hop))
-        {
+    }
+
+    /// `item`'s outgoing conduit in the run, added on first use.
+    fn conduit(&mut self, item: &FwdItem) -> &mut ConduitRun {
+        let way = (item.to, item.last_hop);
+        let at = match self.conduits.iter().position(|(w, _)| *w == way) {
             Some(at) => at,
             None => {
-                self.conduits.push(ConduitRun {
-                    to,
-                    last_hop,
-                    items: Vec::new(),
-                    trains: Vec::new(),
-                });
+                self.conduits.push((way, ConduitRun::default()));
                 self.conduits.len() - 1
             }
         };
-        let conduit = &mut self.conduits[at];
-        conduit.trains.push((train.len(), bytes));
-        conduit.items.append(train);
-        self.trains += 1;
+        &mut self.conduits[at].1
     }
 
     /// Put every train of the run on the wire, conduit by conduit, and
-    /// settle each once: the trains that left one by one, the rest — from
-    /// the first send that failed on — together, so a dead peer cancels
-    /// each of their streams once. Returns `false` on an orderly
-    /// disconnect.
+    /// settle each once: the trains that left counted together, then one
+    /// by one, the rest — from the first send that failed on — together,
+    /// so a dead peer cancels each of their streams once. Returns `false`
+    /// on an orderly disconnect.
     fn send(&mut self, path: &OutPath, shared: &FwdShared) -> bool {
-        if self.trains == 0 {
-            return true;
-        }
-        self.trains = 0;
         let mut open = true;
-        for conduit in self.conduits.iter_mut().filter(|c| !c.trains.is_empty()) {
-            let channel = path.channel(conduit.last_hop);
+        for ((to, last_hop), conduit) in &mut self.conduits {
+            if conduit.trains.is_empty() {
+                continue;
+            }
+            let channel = path.channel(*last_hop);
             let bytes: usize = conduit.trains.iter().map(|&(_, bytes)| bytes).sum();
             let span = trace_span!(
                 shared.tracer,
@@ -2678,15 +2774,18 @@ impl Run {
                 "packets" = conduit.items.len() as u64,
                 "bytes" = bytes as u64
             );
-            let (left, failed) = match channel.lock_conduit(conduit.to) {
+            let (left, failed) = match channel.lock_conduit(*to) {
                 Ok(mut out) => conduit.put_on_wire(&mut **out, &mut self.packets),
                 Err(e) => (0, Some(e)),
             };
             drop(span);
-            let mut at = 0;
-            for &(len, bytes) in &conduit.trains[..left] {
-                settle_train(path, &conduit.items[at..at + len], Ok(()), bytes, shared);
-                at += len;
+            let sent = &conduit.trains[..left];
+            let at = sent.iter().map(|&(len, _)| len).sum();
+            count_sent(channel, *to, sent, &conduit.items[..at], shared);
+            let mut from = 0;
+            for &(len, _) in sent {
+                settle_sent(&conduit.items[from..from + len], shared);
+                from += len;
             }
             if let Some(e) = failed {
                 open &= settle_train(path, &conduit.items[at..], Err(e), 0, shared);
@@ -2774,7 +2873,7 @@ fn forwarding_thread(
         let mut flush = flush.lock();
         let Some(unit) = rx.try_pop() else { continue };
         shared.queue_depth(-1);
-        if flush.transmit(unit, &path, &shared, None).is_err() {
+        if flush.transmit(unit, &path, &shared).is_err() {
             return;
         }
     }
@@ -3099,6 +3198,20 @@ mod tests {
         }
     }
 
+    /// A rig whose sink onto network 1 is piped (rank 3 a gateway, a
+    /// conduit whose send takes time) or a run sink (rank 3 an endpoint, a
+    /// queued conduit), and that sink's driver. Every hop onto ranks 2 and
+    /// 3 is a last hop either way.
+    fn shaped_rig(run_sink: bool, cfg: GatewayConfig) -> (Rig, Arc<MockDriver>) {
+        if run_sink {
+            let out = MockDriver::queued();
+            (Rig::last_hop(cfg, out.clone()), out)
+        } else {
+            let out = MockDriver::dynamic();
+            (Rig::new(cfg, out.clone()), out)
+        }
+    }
+
     /// The sinks a last-hop rig is run over: a piped sink at either depth
     /// (a conduit whose send takes time), then a run sink (a queued one).
     fn last_hop_sinks() -> [(usize, Arc<MockDriver>); 3] {
@@ -3245,6 +3358,77 @@ mod tests {
         }
     }
 
+    /// A turn counts once, and counts what counting each packet counted:
+    /// the same messages — whole-stream frames, a stream sent packet by
+    /// packet, and one whose [H, P, F] frame is not whole and leaves as a
+    /// train of three — sent as one backlog that one turn takes, and one wire
+    /// packet a turn, read the same messages, fragments and fragment bytes
+    /// at the engine and the same packets and bytes on the inbound and the
+    /// outbound channel, with nothing left held. The backlog's peak is
+    /// everything it landed: all of it is resident until the turn's run
+    /// leaves.
+    #[test]
+    fn burst_counts_what_a_packet_a_turn_counts() {
+        let mut packets: Vec<Vec<u8>> = (1..=4)
+            .map(|k| {
+                frame_of(&stream_in_frags(
+                    2,
+                    k,
+                    &vec![k as u8; 100 * k as usize],
+                    k as usize,
+                ))
+            })
+            .collect();
+        packets.extend(stream_in_frags(2, 9, &[0x9A; 600], 3));
+        let split = stream_packets(2, 10, b"a train of three");
+        packets.extend([frame_of(&split[..3]), split[3].clone()]);
+        let frag_bytes = |packet: &Vec<u8>| -> usize {
+            let frag = |p: &[u8]| if p[2] == gtm::KIND_FRAG { p.len() } else { 0 };
+            match packet[2] {
+                gtm::KIND_BATCH => gtm::batch_packets(packet).unwrap().map(frag).sum(),
+                _ => frag(packet),
+            }
+        };
+        let landed: usize = packets.iter().map(frag_bytes).sum();
+        let mut seen = Vec::new();
+        for backlog in [true, false] {
+            let mut rig = Rig::last_hop(flow_controlled(2), MockDriver::queued());
+            if backlog {
+                rig.send_backlog(&packets);
+            }
+            for packet in &packets {
+                if !backlog {
+                    rig.up.send_packet(NodeId(1), &[packet]).unwrap();
+                }
+                assert_eq!(&rig.recv(2), packet, "backlog {backlog}");
+            }
+            let totals = rig.finish();
+            assert_eq!(totals.held_bytes, 0, "backlog {backlog}");
+            if backlog {
+                assert_eq!(rig.in_driver.receives(), 1, "one turn took it all");
+                assert_eq!(totals.peak_held_bytes, landed as i64);
+            }
+            let (inbound, outbound) = (rig.special[&0].stats(), rig.regular[&1].stats());
+            let engine = (totals.messages, totals.fragments, totals.fragment_bytes);
+            seen.push((engine, inbound.totals(), outbound.totals()));
+        }
+        assert_eq!(seen[0], seen[1], "a backlog, then a packet a turn");
+        let (engine, inbound, outbound) = seen[0];
+        assert_eq!(engine, (6, 14, 1616));
+        let wire: usize = packets.iter().map(Vec::len).sum();
+        assert_eq!(
+            (inbound.packets_recv, inbound.bytes_recv),
+            (12, wire as u64)
+        );
+        // A train put back together here counts its packets, not the frame
+        // head and the three entry heads around them.
+        let heads = PRELUDE_LEN + 3 * gtm::BATCH_ENTRY_OVERHEAD;
+        assert_eq!(
+            (outbound.packets_sent, outbound.bytes_sent),
+            (12, (wire - heads) as u64)
+        );
+    }
+
     /// Whole messages queued together cross in one turn: one receive takes
     /// the backlog, one push hands it on, in order, each message in the
     /// buffer it arrived in — and nothing comes back.
@@ -3302,6 +3486,26 @@ mod tests {
             (4, 0, 0)
         );
         assert_eq!(stats.open_streams(), 0);
+    }
+
+    /// A piped sink may settle a unit as soon as it has it, so a turn
+    /// publishes what it counted before the hand-off: a message the polling
+    /// thread transmits in place (depth 1) while it waits for its conduit is
+    /// already counted and held, and the gauge never reads below 0.
+    #[test]
+    fn burst_is_counted_before_a_piped_sink_takes_it() {
+        let mut rig = Rig::new(flow_controlled(1), MockDriver::dynamic());
+        let frame = frame_of(&stream_in_frags(2, 1, &[0x1F; 300], 3));
+        let out = rig.regular[&1].clone();
+        let held = out.lock_conduit(NodeId(2)).unwrap();
+        rig.send_backlog(std::slice::from_ref(&frame));
+        rig.settle("the message counted", |rig| rig.totals().messages == 1);
+        let resident = 3 * (PRELUDE_LEN as i64 + 100);
+        assert_eq!(rig.totals().held_bytes, resident, "held while it waits");
+        drop(held);
+        assert_eq!(rig.recv(2), frame);
+        let totals = rig.finish();
+        assert_eq!((totals.held_bytes, totals.peak_held_bytes), (0, resident));
     }
 
     /// A dead peer fails a whole run: each stream with a packet in it is
@@ -3795,21 +3999,36 @@ mod tests {
 
     /// Rank 0 sends `frames` one wire packet each; rank 2 must find
     /// exactly `expect`, in order, and none of it handed over whole: what
-    /// is not a whole-stream frame leaves by the per-packet rules' trains.
+    /// is not a whole-stream frame leaves by the per-packet rules' trains —
+    /// the same trains, in the same order, with the same counts, whether a
+    /// piped sink's flush side or a run sink's run cuts them.
     fn per_packet_rig(frames: &[Vec<u8>], expect: &[Vec<u8>]) -> GatewayTotals {
-        let out = MockDriver::dynamic();
-        let mut rig = Rig::new(flow_controlled(2), out.clone());
-        for frame in frames {
-            rig.up.send_packet(NodeId(1), &[frame]).unwrap();
-        }
-        for packet in expect {
-            assert_eq!(&rig.recv(2), packet);
-        }
-        let totals = rig.finish();
-        assert!(!Rig::pending(&rig.down[&2]), "nothing more left");
-        assert!(out.owned_sends().is_empty(), "a frame went through whole");
-        assert!(rig.ledger.is_idle());
-        totals
+        let totals = [false, true].map(|run_sink| {
+            let (mut rig, out) = shaped_rig(run_sink, flow_controlled(2));
+            for frame in frames {
+                rig.up.send_packet(NodeId(1), &[frame]).unwrap();
+            }
+            for packet in expect {
+                assert_eq!(&rig.recv(2), packet, "run sink {run_sink}");
+            }
+            let totals = rig.finish();
+            assert!(!Rig::pending(&rig.down[&2]), "nothing more left");
+            assert!(out.owned_sends().is_empty(), "a frame went through whole");
+            assert!(rig.ledger.is_idle());
+            totals
+        });
+        let counts = |t: &GatewayTotals| {
+            let relayed = (t.messages, t.fragments, t.fragment_bytes);
+            (
+                relayed,
+                t.errors,
+                t.cancelled,
+                t.credits_granted,
+                t.held_bytes,
+            )
+        };
+        assert_eq!(counts(&totals[0]), counts(&totals[1]), "piped, then run");
+        totals[1]
     }
 
     /// A whole stream whose key is already open here: its header is the
@@ -3996,22 +4215,25 @@ mod tests {
     }
 
     /// Packets of one train that leave different ways split where the way
-    /// changes, each run one send, each conduit's order the train's order.
+    /// changes, each run one send, each conduit's order the train's order —
+    /// through a piped sink's flush side and into a run sink's run alike.
     #[test]
     fn frame_mixing_two_destinations_splits_in_order() {
-        let mut rig = Rig::new(flow_controlled(2), MockDriver::dynamic());
-        let to2 = stream_packets(2, 1, b"for rank two");
-        let to3 = stream_packets(3, 2, b"for rank three");
-        let again2 = stream_packets(2, 3, b"rank two again");
-        let all: Vec<Vec<u8>> = [to2.clone(), to3.clone(), again2.clone()].concat();
-        rig.up.send_packet(NodeId(1), &[&frame_of(&all)]).unwrap();
-        assert_eq!(rig.recv(2), frame_of(&to2));
-        assert_eq!(rig.recv(3), frame_of(&to3));
-        assert_eq!(rig.recv(2), frame_of(&again2));
-        let totals = rig.finish();
-        assert!(!Rig::pending(&rig.down[&2]) && !Rig::pending(&rig.down[&3]));
-        assert_eq!((totals.messages, totals.fragments), (3, 3));
-        assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        for run_sink in [false, true] {
+            let (mut rig, _) = shaped_rig(run_sink, flow_controlled(2));
+            let to2 = stream_packets(2, 1, b"for rank two");
+            let to3 = stream_packets(3, 2, b"for rank three");
+            let again2 = stream_packets(2, 3, b"rank two again");
+            let all: Vec<Vec<u8>> = [to2.clone(), to3.clone(), again2.clone()].concat();
+            rig.up.send_packet(NodeId(1), &[&frame_of(&all)]).unwrap();
+            assert_eq!(rig.recv(2), frame_of(&to2), "run sink {run_sink}");
+            assert_eq!(rig.recv(3), frame_of(&to3));
+            assert_eq!(rig.recv(2), frame_of(&again2));
+            let totals = rig.finish();
+            assert!(!Rig::pending(&rig.down[&2]) && !Rig::pending(&rig.down[&3]));
+            assert_eq!((totals.messages, totals.fragments), (3, 3));
+            assert_eq!((totals.errors, totals.held_bytes), (0, 0));
+        }
     }
 
     /// A stream's header arrives *inside* its train, so the landing buffer
@@ -4049,9 +4271,9 @@ mod tests {
     fn first_window_runs_from_open_not_from_clock_zero() {
         const SEC: u64 = 1_000_000_000;
         let stats = Arc::new(GatewayStats::default());
-        stats.on_frag(4096);
+        stats.on_frags(1, 4096);
         let mut late = GatewayWindow::open(stats.clone(), 10 * SEC);
-        stats.on_frag(1000);
+        stats.on_frags(1, 1000);
         let d = late.advance(10 * SEC + SEC / 1000);
         assert_eq!(d.interval_ns, SEC / 1000);
         assert_eq!((d.fragments, d.bytes), (1, 1000));
@@ -4080,14 +4302,14 @@ mod tests {
             }
         };
         for step in 1..=60u64 {
-            stats.on_frag(step);
+            stats.on_frags(1, step);
             if step % 4 == 0 {
                 stats.on_stall();
             }
             if step % 15 == 0 {
                 stats.credit_timeouts.fetch_add(1, Ordering::Relaxed);
             }
-            stats.on_end();
+            stats.messages.fetch_add(1, Ordering::Relaxed);
             // `a` reads every 2nd step, `b` every 5th: their windows overlap
             // in every possible phase.
             if step % 2 == 0 {

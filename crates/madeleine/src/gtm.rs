@@ -1225,16 +1225,22 @@ impl<'c> GtmWriter<'c> {
     }
 
     /// Put the staged train on the wire: a batch frame, or the packet
-    /// itself when only one is staged. A batch frame toward a queue-push
-    /// driver is handed over in the stage itself; anything else is copied
-    /// and the stage kept. Whatever the outcome, nothing stays staged —
-    /// after a failed send the stream is dead.
+    /// itself when only one is staged. Toward a queue-push driver either
+    /// is handed over in the stage itself — a lone packet with the batch
+    /// head cut off the front; anything else is copied and the stage kept.
+    /// Whatever the outcome, nothing stays staged — after a failed send
+    /// the stream is dead.
     fn send_train(&mut self) -> Result<()> {
         // A fragment about to leave alone comes through here as well, with
         // nothing staged: its credit is not the next train's.
         self.paid = 0;
         let sent = match self.staged {
             0 => return Ok(()),
+            1 if self.hand_over => {
+                let mut packet = std::mem::take(&mut self.stage);
+                packet.vec().drain(..PRELUDE_LEN + BATCH_ENTRY_OVERHEAD);
+                self.channel.send_owned_packet(self.first_hop, packet)
+            }
             1 => {
                 let packet = &self.stage[PRELUDE_LEN + BATCH_ENTRY_OVERHEAD..];
                 let sent = self.channel.send_packet(self.first_hop, &[packet]);
@@ -2057,6 +2063,39 @@ pub(crate) mod tests {
                 .map(|p| p[2])
                 .collect::<Vec<_>>(),
             [KIND_HEADER, KIND_PART, KIND_FRAG, KIND_END]
+        );
+    }
+
+    /// A bulk stream's end, staged alone behind fragments that left on
+    /// their own, is one pool buffer too: a queue-push driver is handed the
+    /// stage with the batch head cut off, and the peer receives the bare
+    /// end in the allocation it was staged in.
+    #[test]
+    fn a_lone_end_is_one_pool_buffer_handed_to_the_peer() {
+        use crate::testutil::{channel_pair, MockDriver};
+        let driver = MockDriver::queued();
+        let (a, b) = channel_pair(driver.clone());
+        let pool = a.runtime().pool().clone();
+        let t = tag(0, 2, 10);
+        // 8 KiB fragments are over the 4 KiB frame budget: each leaves
+        // alone, and the [H, P] train is handed over ahead of the first.
+        let mut w = GtmWriter::begin(&a, NodeId(1), t, 8192, false, None).unwrap();
+        w.pack(&[7u8; 16384], SendMode::Later, RecvMode::Cheaper)
+            .unwrap();
+        assert_eq!(driver.owned_sends().len(), 1, "the [H, P] train");
+        let gets = pool.stats().gets;
+        w.end_packing().unwrap();
+        assert_eq!(pool.stats().gets - gets, 1, "one draw for the end");
+        let handed = driver.owned_sends();
+        assert_eq!(handed.len(), 2, "the end is handed over too");
+        let (wire, sends) = drain_wire(&b);
+        assert_eq!(sends, 4);
+        let end = wire.last().unwrap();
+        assert_eq!(end, &encode_end(&t), "a bare end");
+        assert_eq!(end.as_ptr() as usize, handed[1], "the staged allocation");
+        assert_eq!(
+            kinds(&wire),
+            [KIND_HEADER, KIND_PART, KIND_FRAG, KIND_FRAG, KIND_END]
         );
     }
 

@@ -119,19 +119,24 @@ done
 # frame that falls back to the per-packet rules), 50 times, optimised, a
 # few seconds. With them the rigs of the two sink shapes over a queued
 # conduit: the `burst_` rigs and `bulk_fragments_leave_in_place`, whose
-# run sink (`Rig::last_hop`) has no forwarding thread and hands a turn on
-# as one run, and the `dry_window_` rigs, whose piped sink holds what
-# follows a dry window behind it. A reordering shows as a message out of
-# wire order at the far end, a run left unsent at the turn's end or a
-# lost wake-up as a hang up to a deadline, a stop that overtakes the run
-# as an engine gone with its messages in hand, and a failed run that
-# cancels a stream twice or drops a packet unaccounted as a second cancel
-# or bytes left held.
+# run sink (`Rig::last_hop`) has no forwarding thread and takes a turn's
+# units straight into one run, and the `dry_window_` rigs, whose piped
+# sink holds what follows a dry window behind it. The fallback
+# `whole_frame_` rigs and `frame_mixing_` run over both shapes: a run
+# must cut the trains a piped sink's flush side cuts, in the same order.
+# The `burst_` rigs also count a turn once: a backlog and a packet a turn
+# read the same totals, and a piped sink is handed nothing the turn has
+# not yet counted. A reordering shows as a message out of wire order at
+# the far end, a run left unsent at the turn's end or a lost wake-up as a
+# hang up to a deadline, a stop that overtakes the run as an engine gone
+# with its messages in hand, a failed run that cancels a stream twice or
+# drops a packet unaccounted as a second cancel or bytes left held, and a
+# count published late as bytes held short of what waits.
 echo
 echo "== credit and cancel settlement x50 (madeleine, release)"
 for i in $(seq 1 50); do
   out="$(cargo test -q --offline --release -p madeleine --lib -- \
-    half_window_grants dead_peer_ whole_frame_ burst_ \
+    half_window_grants dead_peer_ whole_frame_ burst_ frame_mixing_ \
     bulk_fragments_leave_in_place dry_window_ 2>&1)" ||
     { echo "$out"; echo "settlement loop: run $i of 50 failed" >&2; exit 1; }
 done
